@@ -3,17 +3,29 @@
 On the infinite lattice ``(L**-k) Z^d`` the defining operator
 ``-Lap + mu_bar_k + a_k Q_k* Q_k`` acts in Fourier space, at each base
 momentum ``p`` of the small torus ``[-pi, pi)^d``, as a finite matrix over the
-``(L**k)^d`` momentum shifts ``p + 2 pi l``: a diagonal of Laplacian symbols
-plus ``a_k`` times the rank-one coupling built from the averaging symbol
+``S = (L**k)^d`` momentum shifts ``Z_l = p + 2 pi l``.  That matrix is
+diagonal plus rank one,
+
+    M = diag(Delta) + a_k U Ubar^T,    U_l = u(Z_l),  Ubar_l = u(-Z_l),
+
+with ``Delta`` the Laplacian symbol and ``u`` the averaging symbol
 
     u(z) = eta^d prod_nu (1 - exp(-i z_nu)) / (1 - exp(-i z_nu eta)).
 
-Kernels are trapezoid quadratures of the inverse of that shift system, which
-is how all removable singularities are avoided: the shift matrix is positive
-definite at every real momentum, so no term is ever formed as 0/0.  The
-factored strip form of the scalar integrand (used by the decay analysis and
-the strip report) is evaluated through cancelled sine ratios for the same
-reason.
+Every shift system is therefore solved in O(S) by the Sherman-Morrison
+formula, never stored or inverted as an ``S x S`` matrix.  The formula is
+used multiplied through by ``Delta_0``, the symbol of the zero shift, and the
+zero-shift term is split off the diagonal sum.  What remains divides only by
+the nonzero-shift symbols and by ``Delta_0 (1 + a_k sum_{l!=0} Ubar_l U_l /
+Delta_l) + a_k U_0 Ubar_0``, which is ``det M`` over those symbols and so
+positive at every real momentum.  The massless node ``p = 0``, where
+``Delta_0 = 0``, thus goes through the same formula as every other node and
+no term is ever formed as 0/0.  Kernels are trapezoid quadratures of these
+solves over the base nodes; the plane waves ``exp(i Z_l . x)`` factor into a
+node part and a shift part, so they are never tabulated per node and shift.
+The factored strip form of the scalar integrand (used by the decay analysis
+and the strip report) is evaluated through cancelled sine ratios for the
+same reason.
 
 Symbols take complex arguments everywhere, which is what operational
 analyticity checks (contour shifts) and the strip bounds rely on.
@@ -22,15 +34,18 @@ analyticity checks (contour shifts) and the strip bounds rely on.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .lattice import FreePatch, patch_sites
+from .lattice import FreePatch
 from .multiscale import MultiscaleParams
 
 POLE_GUARD = 1e-12
 DENOMINATOR_FLOOR = 0.1
+SYSTEM_CACHE_BYTES = 256 * 2**20   # summed nbytes of the cached shift systems
 
 
 class PoleProximityError(ValueError):
@@ -43,6 +58,18 @@ class StripViolationError(ValueError):
 
 class GridConvergenceError(RuntimeError):
     """Torus quadrature failed to stabilize under grid doubling."""
+
+
+def shift_vectors(d: int, L: int, k: int) -> np.ndarray:
+    """Integer momentum shifts ``l``, shape ``((L**k)**d, d)``, row-major."""
+    Lk = L**k
+    r = range(-(Lk - 1) // 2, (Lk - 1) // 2 + 1)
+    return np.array(list(itertools.product(r, repeat=d)), dtype=float)
+
+
+def shifted_momenta(z, shifts: np.ndarray) -> np.ndarray:
+    """``Z = z + 2 pi l`` for every shift row ``l``: ``(..., d) -> (..., S, d)``."""
+    return np.asarray(z)[..., None, :] + 2.0 * np.pi * shifts
 
 
 @dataclass(frozen=True)
@@ -89,12 +116,13 @@ class TorusGrid:
 
     def shift_vectors(self) -> np.ndarray:
         """Integer momentum shifts, shape ``((L**k)**d, d)``."""
-        Lk = self.shifts_per_axis
-        r = range(-(Lk - 1) // 2, (Lk - 1) // 2 + 1)
-        return np.array(list(itertools.product(r, repeat=self.d)), dtype=float)
+        return shift_vectors(self.d, self.L, self.k)
 
     def full_nodes_1d(self) -> np.ndarray:
-        return -np.pi * self.shifts_per_axis + 2.0 * np.pi * np.arange(self.M) / self.base_count
+        """Big-torus momenta of one axis; index ``s * base_count + b`` is
+        base node ``b`` moved by shift ``s``, the big-torus sample layout."""
+        Z = shifted_momenta(self.base_nodes_1d()[:, None], shift_vectors(1, self.L, self.k))
+        return Z[..., 0].T.ravel()
 
     def refined(self) -> "TorusGrid":
         return TorusGrid(self.d, self.L, self.k, 2 * self.M)
@@ -165,11 +193,7 @@ def bracket(z, L: int, k: int, mu0: float):
     every component.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    d = z.shape[-1]
-    Lk = L**k
-    r = range(-(Lk - 1) // 2, (Lk - 1) // 2 + 1)
-    shifts = np.array(list(itertools.product(r, repeat=d)), dtype=float)
-    zs = z[..., None, :] + 2.0 * np.pi * shifts
+    zs = shifted_momenta(z, shift_vectors(z.shape[-1], L, k))
     star = lap_star(zs, L, k, mu0)
     if np.any(np.abs(star) < POLE_GUARD):
         raise PoleProximityError("bracket evaluated at a pole of 1/Delta")
@@ -177,22 +201,112 @@ def bracket(z, L: int, k: int, mu0: float):
     return np.sum(terms, axis=-1)
 
 
+@dataclass(frozen=True)
+class FactoredStack:
+    """``n`` shift matrices of size ``S x S`` held as O(n S) factor arrays.
+
+    ``nbytes`` counts the factor arrays.  ``dense()`` materialises the
+    ``(n, S, S)`` stack as ``matvec`` of the identity; it is meant for
+    checks at small ``n`` only.
+    """
+
+    factors: tuple
+    matvec: Callable
+
+    @property
+    def nbytes(self) -> int:
+        return sum(f.nbytes for f in self.factors)
+
+    def dense(self) -> np.ndarray:
+        n, S = self.factors[0].shape
+        return self.matvec(np.broadcast_to(np.eye(S), (n, S, S)))
+
+
 @dataclass(frozen=True, eq=False)
 class ShiftSystem:
-    """Per-node shift matrices of the defining operator, prefactored.
+    """Per-node shift matrices ``M = diag(Delta) + a_k U Ubar^T`` of the defining operator.
 
-    ``nodes``: complex base momenta (n, d); ``Z``: shifted momenta (n, S, d);
-    ``U``: averaging symbol per shift; ``Minv``: inverse shift matrices.
+    ``axis_nodes``: complex base momenta of each axis (d, M0), whose
+    row-major Cartesian products are the ``n = M0**d`` nodes; ``shifts``: integer
+    shifts (S, d) with the zero shift at index ``zero``; ``U``, ``Ubar``,
+    ``Delta``: the averaging symbols and the Laplacian symbol at
+    ``Z = node + 2 pi shift``, each (n, S).  The Sherman-Morrison weights
+    are kept multiplied through by ``Delta_0 = Delta[:, zero]``, so the
+    massless node ``p = 0``, where ``Delta_0 = 0``, needs no special case:
+
+    - ``w``: ``1/Delta`` off the zero shift and 0 on it, (n, S);
+    - ``c0``: ``1 + a_k sum_l Ubar_l w_l U_l``, (n,);
+    - ``den``: ``Delta_0 c0 + a_k U_0 Ubar_0``, (n,), which is
+      ``det M / prod_{l != 0} Delta_l`` and positive at real momenta.
+
+    ``solve`` and ``apply`` act with ``M^{-1}`` and ``M`` in O(S) per node;
+    ``Minv`` and ``Mmat`` view the same factors as matrix stacks.
     """
 
     grid: TorusGrid
     params: MultiscaleParams
     q: tuple
-    nodes: np.ndarray
-    Z: np.ndarray
+    a_k: float
+    axis_nodes: np.ndarray
+    shifts: np.ndarray
+    zero: int
     U: np.ndarray
-    Mmat: np.ndarray
-    Minv: np.ndarray
+    Ubar: np.ndarray
+    Delta: np.ndarray
+    w: np.ndarray
+    c0: np.ndarray
+    den: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.axis_nodes, self.shifts, self.U, self.Ubar,
+                                      self.Delta, self.w, self.c0, self.den))
+
+    @property
+    def Mmat(self) -> FactoredStack:
+        return FactoredStack((self.Delta, self.U, self.Ubar), self.apply)
+
+    @property
+    def Minv(self) -> FactoredStack:
+        return FactoredStack((self.w, self.c0, self.den), self.solve)
+
+    def apply(self, v) -> np.ndarray:
+        """``M v`` at every node, for ``v`` of shape ``(n, S, ...)``."""
+        v = np.asarray(v)
+        v3 = v.reshape(v.shape[:2] + (-1,))
+        U, Ubar = self.U[..., None], self.Ubar[..., None]
+        out = (self.Delta[..., None] * v3
+               + self.a_k * U * np.sum(Ubar * v3, axis=1, keepdims=True))
+        return out.reshape(v.shape)
+
+    def solve(self, v) -> np.ndarray:
+        """``M^{-1} v`` at every node, for ``v`` of shape ``(n, S, ...)``.
+
+        Off the zero shift ``x_l = w_l (v_l - a_k U_l beta)`` with
+        ``beta = (Ubar_0 v_0 + Delta_0 B) / den`` and ``B = sum_l Ubar_l w_l v_l``;
+        on it ``x_0 = (c0 v_0 - a_k U_0 B) / den``.
+        """
+        v = np.asarray(v)
+        v3 = v.reshape(v.shape[:2] + (-1,))
+        z, a = self.zero, self.a_k
+        w, U, Ubar = self.w[..., None], self.U[..., None], self.Ubar[..., None]
+        den = self.den[:, None, None]
+        B = np.sum(Ubar * w * v3, axis=1, keepdims=True)
+        v0 = v3[:, z:z + 1]
+        beta = (Ubar[:, z:z + 1] * v0 + self.Delta[:, z, None, None] * B) / den
+        x = w * (v3 - a * U * beta)
+        x[:, z:z + 1] = (self.c0[:, None, None] * v0 - a * U[:, z:z + 1] * B) / den
+        return x.reshape(v.shape)
+
+
+def _axis_outer(op, factors: list) -> np.ndarray:
+    """Combine per-axis ``(M0, Lk)`` factors with ``op`` into ``(M0**d, Lk**d)``,
+    base nodes and shifts both row-major."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = op(out[:, None, :, None], f[None, :, None, :]).reshape(
+            out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
+    return out
 
 
 def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
@@ -200,32 +314,55 @@ def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
     d, L, k = grid.d, grid.L, grid.k
     q = np.zeros(d) if shift_q is None else np.asarray(shift_q, dtype=float)
     a_k = params.a_j(L, max(k, 1))   # k = 0 degenerates to the bare coefficient
-    nodes = grid.base_nodes().astype(complex) + 1j * q
-    Z = nodes[:, None, :] + 2.0 * np.pi * grid.shift_vectors()[None, :, :]
-    U = u_kernel(Z, L, k)
-    Ub = u_bar_kernel(Z, L, k)
-    lap = laplacian_symbol(Z, L, k, params.mu0)
-    S = U.shape[1]
-    M = a_k * U[:, :, None] * Ub[:, None, :]
-    idx = np.arange(S)
-    M[:, idx, idx] += lap
-    return ShiftSystem(grid=grid, params=params, q=tuple(q), nodes=nodes,
-                       Z=Z, U=U, Mmat=M, Minv=np.linalg.inv(M))
+    axis_nodes = grid.base_nodes_1d()[None, :] + 1j * q[:, None]
+    shifts = grid.shift_vectors()
+    # the symbols factor over axes: evaluate them on each axis's (base node,
+    # shift) grid only and combine the factors by outer products
+    Z_axes = [shifted_momenta(nodes[:, None], shift_vectors(1, L, k))[..., 0]
+              for nodes in axis_nodes]
+    U = _axis_outer(np.multiply, [u_axis(Z, grid.eta) for Z in Z_axes])
+    Ubar = _axis_outer(np.multiply, [u_axis(-Z, grid.eta) for Z in Z_axes])
+    star = _axis_outer(np.add, [lap_star(Z[..., None], L, k, 0.0) for Z in Z_axes])
+    Delta = (4.0 / grid.eta**2) * (star + params.mu0 / 4.0)
+    zero = int(np.flatnonzero(~shifts.any(axis=1))[0])
+    w = np.zeros_like(Delta)
+    off = np.arange(len(shifts)) != zero
+    w[:, off] = 1.0 / Delta[:, off]
+    c0 = 1.0 + a_k * np.sum(Ubar * w * U, axis=1)
+    den = Delta[:, zero] * c0 + a_k * U[:, zero] * Ubar[:, zero]
+    return ShiftSystem(grid=grid, params=params, q=tuple(q), a_k=a_k,
+                       axis_nodes=axis_nodes, shifts=shifts, zero=zero,
+                       U=U, Ubar=Ubar, Delta=Delta, w=w, c0=c0, den=den)
 
 
-_system_cache: dict = {}
+_system_cache: OrderedDict = OrderedDict()
 
 
 def _system(grid, params, shift_q=None) -> ShiftSystem:
+    """Cached ``build_shift_system``; least recently used systems are evicted
+    while the cache holds more than ``SYSTEM_CACHE_BYTES``."""
     key = (grid, params, tuple(np.zeros(grid.d) if shift_q is None
                                else np.asarray(shift_q, dtype=float)))
     sys = _system_cache.get(key)
-    if sys is None:
-        sys = build_shift_system(grid, params, shift_q)
-        if len(_system_cache) > 64:
-            _system_cache.clear()
-        _system_cache[key] = sys
+    if sys is not None:
+        _system_cache.move_to_end(key)
+        return sys
+    sys = build_shift_system(grid, params, shift_q)
+    _system_cache[key] = sys
+    while sum(s.nbytes for s in _system_cache.values()) > SYSTEM_CACHE_BYTES:
+        _system_cache.popitem(last=False)
     return sys
+
+
+def _plane_waves(sys: ShiftSystem, pos, sign: float):
+    """``exp(sign i Z . x) = P[n, x] E[s, x]`` for position rows ``pos``: node
+    factor ``P`` (n, nx), a row-major product of per-axis factors, and shift
+    factor ``E`` (S, nx)."""
+    pos = np.atleast_2d(np.asarray(pos, dtype=float))
+    P = np.ones((1, len(pos)), dtype=complex)
+    for nodes, x in zip(sys.axis_nodes, pos.T):
+        P = (P[:, None, :] * np.exp(sign * 1j * np.outer(nodes, x))).reshape(-1, len(pos))
+    return P, np.exp(sign * 2j * np.pi * (sys.shifts @ pos.T))
 
 
 def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
@@ -236,26 +373,35 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     ``shift_q`` the contour is moved to ``p + i q``; by analyticity the result
     is unchanged up to quadrature error, which is exactly the operational
     analyticity check.
+
+    Per node the summand ``Ex^T M^{-1} Ey`` is the diagonal sum
+    ``sum_{l != 0} Ex_l Ey_l / Delta_l`` plus a 2x2 form on the zero-shift
+    waves and the rank-one projections ``alpha = sum_l Ex_l w_l U_l``,
+    ``beta = sum_l Ubar_l w_l Ey_l`` (see ``ShiftSystem.solve``); both are
+    contracted over the nodes straight into the ``(nx, ny)`` kernel.
     """
     sys = _system(grid, params, shift_q)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    Ex = np.exp(1j * np.einsum("nsd,xd->nsx", sys.Z, xs))
-    Ey = np.exp(-1j * np.einsum("nsd,yd->nsy", sys.Z, ys))
-    W = np.einsum("nst,nty->nsy", sys.Minv, Ey)
-    return np.einsum("nsx,nsy->xy", Ex, W) / sys.nodes.shape[0]
+    Px, Ex = _plane_waves(sys, xs, 1.0)
+    Py, Ey = _plane_waves(sys, ys, -1.0)
+    z, a = sys.zero, sys.a_k
+    R = (sys.w.T[None, :, :] * Px.T[:, None, :]) @ Py               # (nx, S, ny)
+    diagonal = np.einsum("xsy,sx,sy->xy", R, Ex, Ey)
+    Ex0, alpha = Px * Ex[z], Px * ((sys.w * sys.U) @ Ex)            # (n, nx)
+    Ey0, beta = Py * Ey[z], Py * ((sys.w * sys.Ubar) @ Ey)          # (n, ny)
+    g00, g01 = sys.c0 / sys.den, -a * sys.U[:, z] / sys.den
+    g10, g11 = -a * sys.Ubar[:, z] / sys.den, -a * sys.Delta[:, z] / sys.den
+    coupled = ((g00[:, None] * Ex0 + g10[:, None] * alpha).T @ Ey0
+               + (g01[:, None] * Ex0 + g11[:, None] * alpha).T @ beta)
+    return (diagonal + coupled) / Px.shape[0]
 
 
 def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
                    shift_q=None) -> np.ndarray:
     """Kernel ``(G_k Q_k*)(x, y)`` for fine positions ``xs`` and unit-lattice ``ys``."""
     sys = _system(grid, params, shift_q)
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    Ex = np.exp(1j * np.einsum("nsd,xd->nsx", sys.Z, xs))
-    W = np.einsum("nst,nt->ns", sys.Minv, sys.U)
-    Py = np.exp(-1j * np.einsum("nd,yd->ny", sys.nodes, ys))
-    return np.einsum("nsx,ns,ny->xy", Ex, W, Py) / sys.nodes.shape[0]
+    Px, Ex = _plane_waves(sys, xs, 1.0)
+    Py, _ = _plane_waves(sys, ys, -1.0)    # shift factors are 1 on the unit lattice
+    return (Px * (sys.solve(sys.U) @ Ex)).T @ Py / Px.shape[0]
 
 
 def converge_kernel(evaluate, grid: TorusGrid, tol: float = 1e-8,
@@ -281,20 +427,21 @@ def converge_kernel(evaluate, grid: TorusGrid, tol: float = 1e-8,
 
 
 def _to_shift_layout(arr, grid: TorusGrid) -> np.ndarray:
-    """Reshape big-torus samples ``(M,)*d`` into ``(S, base_count**d)``."""
+    """Reshape big-torus samples ``(M,)*d`` into ``(base_count**d, S)``, the
+    node-by-shift layout of ``ShiftSystem``."""
     d, Lk, M0 = grid.d, grid.shifts_per_axis, grid.base_count
     a = np.asarray(arr, dtype=complex).reshape((grid.M,) * d)
     a = a.reshape(tuple(itertools.chain.from_iterable((Lk, M0) for _ in range(d))))
     shift_axes = tuple(2 * i for i in range(d))
     base_axes = tuple(2 * i + 1 for i in range(d))
-    a = np.transpose(a, shift_axes + base_axes)
-    return a.reshape(Lk**d, M0**d)
+    a = np.transpose(a, base_axes + shift_axes)
+    return a.reshape(M0**d, Lk**d)
 
 
 def _from_shift_layout(a, grid: TorusGrid) -> np.ndarray:
     d, Lk, M0 = grid.d, grid.shifts_per_axis, grid.base_count
-    a = np.asarray(a, dtype=complex).reshape((Lk,) * d + (M0,) * d)
-    order = tuple(itertools.chain.from_iterable((i, d + i) for i in range(d)))
+    a = np.asarray(a, dtype=complex).reshape((M0,) * d + (Lk,) * d)
+    order = tuple(itertools.chain.from_iterable((d + i, i) for i in range(d)))
     a = np.transpose(a, order)
     return a.reshape((grid.M,) * d)
 
@@ -302,9 +449,7 @@ def _from_shift_layout(a, grid: TorusGrid) -> np.ndarray:
 def free_symbol_apply(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndarray:
     """Apply the symbol of ``-Lap + mu_bar_k + a_k Q_k* Q_k`` to big-torus samples."""
     sys = _system(grid, params)
-    v = _to_shift_layout(f_hat, grid)            # (S, Nn)
-    w = np.einsum("nst,tn->sn", sys.Mmat, v)
-    return _from_shift_layout(w, grid)
+    return _from_shift_layout(sys.apply(_to_shift_layout(f_hat, grid)), grid)
 
 
 def free_apply_ghat(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndarray:
@@ -314,33 +459,31 @@ def free_apply_ghat(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndar
     node is regular because the averaging coupling fills the Laplacian kernel.
     """
     sys = _system(grid, params)
-    v = _to_shift_layout(f_hat, grid)
-    w = np.einsum("nst,tn->sn", sys.Minv, v)
-    return _from_shift_layout(w, grid)
+    return _from_shift_layout(sys.solve(_to_shift_layout(f_hat, grid)), grid)
+
+
+def _axis_waves(patch: FreePatch, grid: TorusGrid, sign: float) -> list:
+    """Per axis, ``exp(sign i k x)`` between the big-torus momenta ``k`` and
+    the patch coordinates ``x`` of that axis, shape ``(M, side)``."""
+    k = grid.full_nodes_1d()
+    return [np.exp(sign * 1j * np.outer(k, np.arange(lo, hi + 1) * patch.spacing))
+            for lo, hi in zip(patch.lo, patch.hi)]
 
 
 def patch_fourier_samples(patch: FreePatch, values, grid: TorusGrid) -> np.ndarray:
     """Exact Fourier transform of a compactly supported patch function at grid nodes."""
-    pos = patch_sites(patch) * patch.spacing
-    v = np.asarray(values, dtype=complex).ravel()
-    sys_nodes = grid.base_nodes()
-    shifts = grid.shift_vectors()
-    Z = sys_nodes[:, None, :] + 2.0 * np.pi * shifts[None, :, :]
-    phases = np.exp(-1j * np.einsum("nsd,xd->nsx", Z, pos))
-    fhat = (2.0 * np.pi) ** (-patch.d / 2.0) * patch.spacing**patch.d * phases @ v
-    return _from_shift_layout(fhat.T.reshape(shifts.shape[0], -1), grid)
+    f = np.asarray(values, dtype=complex).reshape(patch.shape)
+    for wave in _axis_waves(patch, grid, -1.0):
+        f = np.tensordot(f, wave, axes=([0], [1]))    # next patch axis -> momentum axis
+    return (2.0 * np.pi) ** (-patch.d / 2.0) * patch.spacing**patch.d * f
 
 
 def patch_inverse_fourier(f_hat, patch: FreePatch, grid: TorusGrid) -> np.ndarray:
     """Quadrature inverse transform back onto the patch sites."""
-    pos = patch_sites(patch) * patch.spacing
-    v = _to_shift_layout(f_hat, grid)           # (S, Nn)
-    nodes = grid.base_nodes()
-    shifts = grid.shift_vectors()
-    Z = nodes[:, None, :] + 2.0 * np.pi * shifts[None, :, :]
-    phases = np.exp(1j * np.einsum("nsd,xd->nsx", Z, pos))
-    total = np.einsum("nsx,sn->x", phases, v)
-    return (2.0 * np.pi) ** (patch.d / 2.0) * total / grid.base_count**patch.d
+    f = np.asarray(f_hat, dtype=complex).reshape((grid.M,) * patch.d)
+    for wave in _axis_waves(patch, grid, 1.0):
+        f = np.tensordot(f, wave, axes=([0], [0]))    # next momentum axis -> patch axis
+    return (2.0 * np.pi) ** (patch.d / 2.0) * f.ravel() / grid.base_count**patch.d
 
 
 def qkqk_spatial(patch: FreePatch, values) -> np.ndarray:
@@ -361,15 +504,10 @@ def qkqk_fourier(patch: FreePatch, values, grid: TorusGrid,
                  params: MultiscaleParams) -> np.ndarray:
     """``Q_k* Q_k f`` through the Fourier shift formula: transform, apply the
     rank-one shift coupling, transform back."""
-    fhat = patch_fourier_samples(patch, values, grid)
-    v = _to_shift_layout(fhat, grid)            # (S, Nn)
-    nodes = grid.base_nodes()
-    shifts = grid.shift_vectors()
-    Z = nodes[:, None, :] + 2.0 * np.pi * shifts[None, :, :]
-    U = u_kernel(Z, grid.L, grid.k)             # (Nn, S)
-    ghat_sv = U.T * np.sum(np.conj(U.T) * v, axis=0)[None, :]
-    ghat = _from_shift_layout(ghat_sv, grid)
-    return patch_inverse_fourier(ghat, patch, grid)
+    U = _system(grid, params).U
+    v = _to_shift_layout(patch_fourier_samples(patch, values, grid), grid)
+    ghat = U * np.sum(np.conj(U) * v, axis=1, keepdims=True)
+    return patch_inverse_fourier(_from_shift_layout(ghat, grid), patch, grid)
 
 
 def qkqk_fourier_residual(patch: FreePatch, values, grid: TorusGrid,
@@ -397,6 +535,13 @@ def _sin_ratio(z, ell, eta: float):
     return np.where(ell == 0, cancelled, direct)
 
 
+def _strip_floor(large_mass: bool, a_k: float, eta: float, d: int) -> float:
+    """Floor below which the strip denominator of the given mass branch is a violation."""
+    if large_mass:
+        return DENOMINATOR_FLOOR
+    return DENOMINATOR_FLOOR * (a_k * eta**2 / 4.0) * (2.0 / np.pi) ** (2 * d)
+
+
 def _h_parts(z, ell_prime, L: int, k: int, params: MultiscaleParams):
     """Factored pieces of the strip integrand for a batch of ``ell_prime`` rows.
 
@@ -408,32 +553,29 @@ def _h_parts(z, ell_prime, L: int, k: int, params: MultiscaleParams):
     ells = np.atleast_2d(np.asarray(ell_prime, dtype=float))
     a_k = params.a_j(L, k)
     large_mass = params.mu0 / 4.0 >= params.c_star * eta**2
-
-    Lk = L**k
     d = z.shape[-1]
-    r = range(-(Lk - 1) // 2, (Lk - 1) // 2 + 1)
-    shifts = np.array(list(itertools.product(r, repeat=d)), dtype=float)
+    shifts = shift_vectors(d, L, k)
 
     star0 = lap_star(z, L, k, params.mu0)
-    star_shift = lap_star(z[None, :] + 2.0 * np.pi * shifts, L, k, params.mu0)
+    star_shift = lap_star(shifted_momenta(z, shifts), L, k, params.mu0)
     ratio_sq = np.prod(_sin_ratio(z[None, :], shifts, eta), axis=-1) ** 2
     pref = a_k * eta ** (2 * d + 2) / 4.0
 
     if large_mass:
         denom = 1.0 + pref * np.sum(ratio_sq / star_shift)
-        floor = DENOMINATOR_FLOOR
     else:
         # the ell'' = 0 term has the lap_star ratio cancelled exactly
         zero_row = np.all(shifts == 0, axis=1)
         safe = np.where(zero_row, 1.0, star_shift)
         terms = np.where(zero_row, ratio_sq, star0 * ratio_sq / safe)
         denom = star0 + pref * np.sum(terms)
-        floor = DENOMINATOR_FLOOR * (a_k * eta**2 / 4.0) * (2.0 / np.pi) ** (2 * d)
+    floor = _strip_floor(large_mass, a_k, eta, d)
     if np.abs(denom) < floor:
         raise StripViolationError(
             f"denominator {abs(denom):.3e} below floor {floor:.3e} at z={z}")
 
-    star_ell = lap_star(z[None, :] + 2.0 * np.pi * ells, L, k, params.mu0)
+    z_ell = shifted_momenta(z, ells)
+    star_ell = lap_star(z_ell, L, k, params.mu0)
     rings = np.prod(_sin_ratio(z[None, :], ells, eta), axis=-1)
     if large_mass:
         h3 = rings / star_ell
@@ -443,7 +585,7 @@ def _h_parts(z, ell_prime, L: int, k: int, params: MultiscaleParams):
         h3 = np.where(zero_row, rings, star0 * rings / safe)
 
     h1 = (eta ** (d + 2) / 4.0) * np.exp(
-        -0.5j * np.sum(z) + 0.5j * eta * np.sum(z[None, :] + 2.0 * np.pi * ells, axis=-1))
+        -0.5j * np.sum(z) + 0.5j * eta * np.sum(z_ell, axis=-1))
     return h1, h3, denom, large_mass
 
 
@@ -482,9 +624,7 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
     A denominator-floor breach raises rather than being recorded.
     """
     eta = float(L) ** (-k)
-    Lk = L**k
-    ells = np.array(list(itertools.product(
-        range(-(Lk - 1) // 2, (Lk - 1) // 2 + 1), repeat=d)), dtype=float)
+    ells = shift_vectors(d, L, k)
     weights = np.prod((1.0 + np.abs(ells)) ** (1.0 + 2.0 / d), axis=-1)
 
     p_axis = -np.pi + (np.arange(p_samples) + 0.5) * 2.0 * np.pi / p_samples
@@ -504,10 +644,7 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
         for p in p_points:
             z = p + 1j * q
             h1, h3, denom, large = _h_parts(z, ells, L, k, params)
-            if large:
-                floor = DENOMINATOR_FLOOR
-            else:
-                floor = DENOMINATOR_FLOOR * (a_k * eta**2 / 4.0) * (2.0 / np.pi) ** (2 * d)
+            floor = _strip_floor(large, a_k, eta, d)
             min_margin = min(min_margin, abs(denom) / floor)
             vals = np.abs(h1 * h3 / denom) * weights
             per_shift = np.maximum(per_shift, vals)

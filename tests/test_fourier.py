@@ -16,6 +16,7 @@ def test_grid_validation():
     assert g.base_count == 8
     assert len(g.shift_vectors()) == 3
     assert g.full_nodes_1d()[0] == pytest.approx(-3 * np.pi)
+    assert np.allclose(g.full_nodes_1d(), -3 * np.pi + 2 * np.pi * np.arange(24) / 8)
 
 
 def test_u_at_zero_via_limit_oracle():
@@ -121,6 +122,125 @@ def test_free_apply_ghat_k0_collapse():
     p = grid.full_nodes_1d().reshape(-1, 1)
     expect = fhat / (fr.laplacian_symbol(p, 3, 0, 0.0).ravel() + 1.0)
     assert np.max(np.abs(ghat - expect)) < 1e-13 * np.max(np.abs(fhat))
+
+
+ORACLE_CASES = [(1, 3, 0), (1, 3, 1), (1, 3, 2), (2, 3, 1), (2, 3, 2)]
+ORACLE_SETTINGS = [(0.0, None), (0.0, 0.05), (0.3, None)]   # (mu0, q_0)
+
+
+def _dense_shift_matrices(grid, params, q):
+    """Oracle: shifted momenta ``Z`` and the per-node shift matrices, entry by entry."""
+    L, k = grid.L, grid.k
+    nodes = grid.base_nodes() + 1j * q
+    Z = nodes[:, None, :] + 2 * np.pi * grid.shift_vectors()[None, :, :]
+    U, Ub = fr.u_kernel(Z, L, k), fr.u_bar_kernel(Z, L, k)
+    lap = fr.laplacian_symbol(Z, L, k, params.mu0)
+    M = params.a_j(L, max(k, 1)) * U[:, :, None] * Ub[:, None, :]
+    for s in range(Z.shape[1]):
+        M[:, s, s] += lap[:, s]
+    return Z, M, lap
+
+
+def _contour(d, q0):
+    q = np.zeros(d)
+    q[0] = q0 or 0.0
+    return q
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("mu0,q0", ORACLE_SETTINGS)
+@pytest.mark.parametrize("d,L,k", ORACLE_CASES)
+def test_shift_solve_matches_dense_inverse(d, L, k, mu0, q0):
+    params = MultiscaleParams(mu0=mu0)
+    grid = fr.default_grid(d, L, k)
+    q = _contour(d, q0)
+    sys = fr.build_shift_system(grid, params, shift_q=q)
+    _, M, lap = _dense_shift_matrices(grid, params, q)
+    n, S = lap.shape
+    if mu0 == 0.0 and q0 is None:   # the massless zero mode is on the grid
+        assert np.sum(lap == 0.0) == 1
+    Minv, Minv_sm, M_sm = np.linalg.inv(M), sys.Minv.dense(), sys.Mmat.dense()
+    for node in range(n):     # per node, against that node's own scale
+        assert _rel(Minv_sm[node], Minv[node]) <= 1e-12
+        assert _rel(M_sm[node], M[node]) <= 1e-12
+    rng = np.random.default_rng(23)
+    v = rng.standard_normal((n, S, 3)) + 1j * rng.standard_normal((n, S, 3))
+    assert _rel(sys.solve(v), np.linalg.solve(M, v)) <= 1e-12
+    assert _rel(sys.apply(v), M @ v) <= 1e-12
+    assert _rel(sys.solve(v[:, :, 0]), np.linalg.solve(M, v[:, :, :1])[:, :, 0]) <= 1e-12
+    assert sys.Minv.nbytes + sys.Mmat.nbytes < 8 * n * S * 16
+
+
+@pytest.mark.parametrize("mu0,q0", ORACLE_SETTINGS)
+@pytest.mark.parametrize("d,L,k", [(1, 3, 1), (2, 3, 1), (2, 3, 2)])
+def test_free_kernels_match_dense_quadrature(d, L, k, mu0, q0):
+    # oracle: the trapezoid sum of exp(i Z.x) M^{-1} exp(-i Z.y) with dense inverses
+    params = MultiscaleParams(mu0=mu0)
+    grid = fr.default_grid(d, L, k)
+    q = _contour(d, q0)
+    Z, M, _ = _dense_shift_matrices(grid, params, q)
+    Minv = np.linalg.inv(M)
+    nodes = grid.base_nodes() + 1j * q
+    eta = grid.eta
+    rng = np.random.default_rng(29)
+    xs = rng.integers(-6, 7, size=(4, d)) * eta
+    ys = rng.integers(-6, 7, size=(3, d)) * eta
+    Ex = np.exp(1j * np.einsum("nsd,xd->nsx", Z, xs))
+    Ey = np.exp(-1j * np.einsum("nsd,yd->nsy", Z, ys))
+    G = np.einsum("nsx,nst,nty->xy", Ex, Minv, Ey) / len(nodes)
+    assert _rel(fr.free_kernel_g(xs, ys, grid, params, shift_q=q), G) <= 1e-12
+    U = fr.u_kernel(Z, L, k)
+    labels = rng.integers(-2, 3, size=(2, d)).astype(float)
+    Py = np.exp(-1j * nodes @ labels.T)
+    GQ = np.einsum("nsx,nst,nt,ny->xy", Ex, Minv, U, Py) / len(nodes)
+    assert _rel(fr.free_kernel_gq(xs, labels, grid, params, shift_q=q), GQ) <= 1e-12
+
+
+def _direct_phase_matrix(patch, grid):
+    """Oracle: exp(-i K.x) for every big-torus momentum K and patch site x."""
+    axes = np.meshgrid(*[grid.full_nodes_1d()] * patch.d, indexing="ij")
+    K = np.stack([a.ravel() for a in axes], axis=-1)
+    return np.exp(-1j * K @ (lat.patch_sites(patch) * patch.spacing).T)
+
+
+@pytest.mark.parametrize("patch", [
+    lat.block_aligned_patch(2, 3, 2, (0, 0), (2, 2)),        # the fourier-verify patch
+    lat.FreePatch(d=2, L=3, k=1, lo=(-4, 2), hi=(3, 7)),
+    lat.FreePatch(d=1, L=3, k=2, lo=(-5,), hi=(11,)),
+])
+def test_patch_transforms_match_direct_phase_sum(patch):
+    d, h = patch.d, patch.spacing
+    grid = fr.TorusGrid(d, patch.L, patch.k, 4 * patch.L**patch.k)
+    F = _direct_phase_matrix(patch, grid)
+    rng = np.random.default_rng(31)
+    v = rng.standard_normal(patch.site_count) + 1j * rng.standard_normal(patch.site_count)
+    direct = (2 * np.pi) ** (-d / 2) * h**d * (F @ v)
+    fhat = fr.patch_fourier_samples(patch, v, grid)
+    assert fhat.shape == (grid.M,) * d
+    assert _rel(fhat.ravel(), direct) <= 1e-12
+    ghat = rng.standard_normal(grid.M**d) + 1j * rng.standard_normal(grid.M**d)
+    back = (2 * np.pi) ** (d / 2) * (F.conj().T @ ghat) / grid.base_count**d
+    assert _rel(fr.patch_inverse_fourier(ghat.reshape((grid.M,) * d), patch, grid), back) <= 1e-12
+
+
+def test_system_cache_byte_budget(monkeypatch):
+    grid = fr.default_grid(2, 3, 1)
+    one = fr.build_shift_system(grid, P0).nbytes
+    monkeypatch.setattr(fr, "SYSTEM_CACHE_BYTES", 20 * one)
+    fr._system_cache.clear()
+    x = np.zeros((1, 2))
+    held = []
+    for _ in range(4):   # every doubling needs 4x the bytes of the previous grid
+        fr.free_kernel_g(x, x, grid, P0)
+        assert sum(s.nbytes for s in fr._system_cache.values()) <= fr.SYSTEM_CACHE_BYTES
+        held.append([s.grid.M for s in fr._system_cache.values()])
+        grid = grid.refined()
+    # oldest evicted first; a system larger than the whole budget is not kept
+    assert held == [[24], [24, 48], [48, 96], []]
+    fr._system_cache.clear()
 
 
 def test_free_kernel_symmetries():

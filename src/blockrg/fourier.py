@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import FreePatch
+from .lattice import FreePatch, grid_points
 from .multiscale import MultiscaleParams
 
 POLE_GUARD = 1e-12
@@ -63,8 +63,7 @@ class GridConvergenceError(RuntimeError):
 def shift_vectors(d: int, L: int, k: int) -> np.ndarray:
     """Integer momentum shifts ``l``, shape ``((L**k)**d, d)``, row-major."""
     Lk = L**k
-    r = range(-(Lk - 1) // 2, (Lk - 1) // 2 + 1)
-    return np.array(list(itertools.product(r, repeat=d)), dtype=float)
+    return grid_points([np.arange(-(Lk - 1) // 2, (Lk - 1) // 2 + 1, dtype=float)] * d)
 
 
 def shifted_momenta(z, shifts: np.ndarray) -> np.ndarray:
@@ -110,9 +109,7 @@ class TorusGrid:
 
     def base_nodes(self) -> np.ndarray:
         """Base momenta, shape ``(base_count**d, d)``, row-major."""
-        axes = [self.base_nodes_1d()] * self.d
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return grid_points([self.base_nodes_1d()] * self.d)
 
     def shift_vectors(self) -> np.ndarray:
         """Integer momentum shifts, shape ``((L**k)**d, d)``."""
@@ -426,6 +423,25 @@ def converge_kernel(evaluate, grid: TorusGrid, tol: float = 1e-8,
         f"(last change {delta:.3e})")
 
 
+def contour_shift_change(grid: TorusGrid, params: MultiscaleParams, q: float,
+                         tol: float = 1e-8) -> float:
+    """Relative change of ``G_k(0, 2 e)`` when the contour moves to ``p + i q e_0``.
+
+    The unshifted kernel is driven to quadrature self-convergence at ``tol``
+    from ``grid``; the shifted one is evaluated on the grid it converged on.
+    By analyticity the change is quadrature error only.
+    """
+    d = grid.d
+    x = np.zeros((1, d))
+    y = np.full((1, d), 2.0)
+    base, used, _ = converge_kernel(
+        lambda g: free_kernel_g(x, y, g, params), grid, tol=tol)
+    qv = np.zeros(d)
+    qv[0] = q
+    shifted = free_kernel_g(x, y, used, params, shift_q=qv)
+    return float(np.max(np.abs(shifted - base)) / np.max(np.abs(base)))
+
+
 def _to_shift_layout(arr, grid: TorusGrid) -> np.ndarray:
     """Reshape big-torus samples ``(M,)*d`` into ``(base_count**d, S)``, the
     node-by-shift layout of ``ShiftSystem``."""
@@ -628,7 +644,7 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
     weights = np.prod((1.0 + np.abs(ells)) ** (1.0 + 2.0 / d), axis=-1)
 
     p_axis = -np.pi + (np.arange(p_samples) + 0.5) * 2.0 * np.pi / p_samples
-    p_points = np.array(list(itertools.product(p_axis, repeat=d)))
+    p_points = grid_points([p_axis] * d)
     q_list = [np.zeros(d)]
     for mu in range(d):
         e = np.zeros(d)

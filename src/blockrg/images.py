@@ -54,6 +54,31 @@ def _assemble(vals: np.ndarray, shell_idx: np.ndarray, shells: int) -> ImageSumR
                           shell_magnitudes=tuple(float(m) for m in mags))
 
 
+def _image_batch(geom: LatticeGeometry, site, shells: int, kernel,
+                 grid: fourier.TorusGrid | None, tol: float):
+    """Converged ``kernel(image positions, grid)`` over the images of ``site``.
+
+    Returns ``(values, shell index per image)``; the quadrature grid is
+    doubled from ``grid`` (default: ``fourier.default_grid``) until the whole
+    batch is stable at ``tol``.
+    """
+    if shells < 1:
+        raise ValueError("need shells >= 1")
+    if grid is None:
+        grid = fourier.default_grid(geom.d, geom.L, geom.k)
+    pos = image_points(geom, site, shells) * geom.spacing
+    vals, _, _ = fourier.converge_kernel(lambda g: kernel(pos, g), grid, tol=tol)
+    return vals, image_shell_index(geom, site, shells)
+
+
+def _neumann_batch(geom, params, x, y, shells, grid, tol):
+    """Free kernels ``G(x, .)`` over the images of ``y``; see ``_image_batch``."""
+    xpos = site_position(geom, x)[None, :]
+    return _image_batch(
+        geom, y, shells,
+        lambda ypos, g: fourier.free_kernel_g(xpos, ypos, g, params)[0], grid, tol)
+
+
 def neumann_kernel_via_images(geom: LatticeGeometry, params, x, y, shells: int,
                               grid: fourier.TorusGrid | None = None,
                               tol: float = 1e-8) -> ImageSumResult:
@@ -62,17 +87,7 @@ def neumann_kernel_via_images(geom: LatticeGeometry, params, x, y, shells: int,
     Sums the free kernel over all images of ``y`` within ``shells`` reflected
     copies per axis, with the quadrature grid doubled until stable.
     """
-    if shells < 1:
-        raise ValueError("need shells >= 1")
-    if grid is None:
-        grid = fourier.default_grid(geom.d, geom.L, geom.k)
-    imgs = image_points(geom, y, shells)
-    shell_idx = image_shell_index(geom, y, shells)
-    xpos = site_position(geom, x)[None, :]
-    ypos = imgs * geom.spacing
-
-    vals, _, _ = fourier.converge_kernel(
-        lambda g: fourier.free_kernel_g(xpos, ypos, g, params)[0], grid, tol=tol)
+    vals, shell_idx = _neumann_batch(geom, params, x, y, shells, grid, tol)
     return _assemble(vals, shell_idx, shells)
 
 
@@ -85,17 +100,10 @@ def gq_kernel_via_images(geom: LatticeGeometry, params, x, y_label, shells: int,
     involution, so summing over transformed ``x`` equals summing over image
     sources), while the unit-block source stays put.
     """
-    if shells < 1:
-        raise ValueError("need shells >= 1")
-    if grid is None:
-        grid = fourier.default_grid(geom.d, geom.L, geom.k)
-    imgs = image_points(geom, x, shells)
-    shell_idx = image_shell_index(geom, x, shells)
-    xpos = imgs * geom.spacing
     ypos = np.asarray(y_label, dtype=float)[None, :]
-
-    vals, _, _ = fourier.converge_kernel(
-        lambda g: fourier.free_kernel_gq(xpos, ypos, g, params)[:, 0], grid, tol=tol)
+    vals, shell_idx = _image_batch(
+        geom, x, shells,
+        lambda xpos, g: fourier.free_kernel_gq(xpos, ypos, g, params)[:, 0], grid, tol)
     return _assemble(vals, shell_idx, shells)
 
 
@@ -123,8 +131,6 @@ def images_residual_report(geom: LatticeGeometry, params, shells: int,
     costs one kernel batch.
     """
     t0 = time.time()
-    if grid is None:
-        grid = fourier.default_grid(geom.d, geom.L, geom.k)
     G = multiscale.green_neumann(geom, params)
     GQ = G @ ops.adjoint(ops.averaging(geom, geom.k))
     xs = sample_sites(geom)
@@ -132,17 +138,9 @@ def images_residual_report(geom: LatticeGeometry, params, shells: int,
 
     # one converged batch of free kernels per (y, all images of y)
     def residuals_for_pair(x, y):
-        imgs = image_points(geom, y, shells)
-        shell_idx = image_shell_index(geom, y, shells)
-        xpos = site_position(geom, x)[None, :]
-        vals, _, _ = fourier.converge_kernel(
-            lambda g: fourier.free_kernel_g(xpos, imgs * geom.spacing, g, params)[0],
-            grid, tol=tol)
+        vals, shell_idx = _neumann_batch(geom, params, x, y, shells, grid, tol)
         direct = G.kernel[site_to_flat(geom, x), site_to_flat(geom, y)]
-        out = []
-        for s in range(1, shells + 1):
-            out.append(abs(vals[shell_idx <= s].sum() - direct))
-        return out
+        return [abs(vals[shell_idx <= s].sum() - direct) for s in range(1, shells + 1)]
 
     res = {(x, y): residuals_for_pair(x, y) for x in xs for y in xs}
     neumann_max = tuple(max(r[s] for r in res.values()) for s in range(shells))
@@ -152,14 +150,13 @@ def images_residual_report(geom: LatticeGeometry, params, shells: int,
 
     coarse = coarse_geometry(geom, geom.k)
     ylabels = sample_sites(coarse)
+    ypos = np.array(ylabels, dtype=float)
     gq_res = []
     for x in xs:
-        imgs = image_points(geom, x, shells)
-        shell_idx = image_shell_index(geom, x, shells)
-        ypos = np.array(ylabels, dtype=float)
-        vals, _, _ = fourier.converge_kernel(
-            lambda g: fourier.free_kernel_gq(imgs * geom.spacing, ypos, g, params),
-            grid, tol=tol)
+        # all coarse labels in one batch: convergence is judged over all of them
+        vals, shell_idx = _image_batch(
+            geom, x, shells,
+            lambda xpos, g: fourier.free_kernel_gq(xpos, ypos, g, params), grid, tol)
         for iy, ylab in enumerate(ylabels):
             direct = GQ.kernel[site_to_flat(geom, x), site_to_flat(coarse, ylab)]
             gq_res.append([abs(vals[shell_idx <= s, iy].sum() - direct)

@@ -103,11 +103,16 @@ def scale_geometry(geom: LatticeGeometry, ell: int) -> LatticeGeometry:
     return LatticeGeometry(d=geom.d, L=geom.L, k=geom.k - ell, m=geom.m)
 
 
+def grid_points(axes) -> np.ndarray:
+    """Cartesian product of 1-d coordinate arrays, shape ``(prod len, len(axes))``,
+    row-major (axis 0 slowest)."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def all_sites(geom) -> np.ndarray:
     """All site multi-indices, shape ``(site_count, d)``, row-major (axis 0 slowest)."""
-    N = geom.sites_per_axis
-    grids = np.meshgrid(*[np.arange(N)] * geom.d, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return grid_points([np.arange(geom.sites_per_axis)] * geom.d)
 
 
 def site_to_flat(geom, site) -> int:
@@ -116,15 +121,6 @@ def site_to_flat(geom, site) -> int:
     for c in site:
         flat = flat * N + int(c)
     return flat
-
-
-def flat_to_site(geom, flat: int) -> Site:
-    N = geom.sites_per_axis
-    out = []
-    for _ in range(geom.d):
-        out.append(flat % N)
-        flat //= N
-    return tuple(reversed(out))
 
 
 def positions(geom) -> np.ndarray:
@@ -154,9 +150,7 @@ def block_sites(geom: LatticeGeometry, j: int, label) -> np.ndarray:
     if not coarse.contains(label):
         raise GeometryError(f"label {label} outside coarse lattice")
     Lj = geom.L**j
-    ranges = [np.arange(int(c) * Lj, (int(c) + 1) * Lj) for c in label]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return grid_points([np.arange(int(c) * Lj, (int(c) + 1) * Lj) for c in label])
 
 
 def reflect(geom: LatticeGeometry, axis: int, end: str, site) -> Site:
@@ -201,14 +195,13 @@ def image_points(geom: LatticeGeometry, site, shells: int) -> np.ndarray:
     if shells < 0:
         raise GeometryError("shells must be >= 0")
     N = geom.sites_per_axis
-    per_axis = [_axis_images(int(c), N, shells) for c in site]
-    return np.array(list(itertools.product(*per_axis)), dtype=int)
+    return grid_points([np.array(_axis_images(int(c), N, shells)) for c in site])
 
 
 def image_shell_index(geom: LatticeGeometry, site, shells: int) -> np.ndarray:
     """Shell number (max per-axis copy index) for each row of ``image_points``."""
-    per_axis = [[abs(r) for r in range(-shells, shells + 1)] for _ in site]
-    return np.array([max(c) for c in itertools.product(*per_axis)], dtype=int)
+    copies = grid_points([np.arange(-shells, shells + 1)] * len(site))
+    return np.max(np.abs(copies), axis=1)
 
 
 def dist(x, y) -> float:
@@ -271,9 +264,7 @@ def block_aligned_patch(d: int, L: int, k: int, blocks_lo, blocks_hi) -> FreePat
 
 
 def patch_sites(patch: FreePatch) -> np.ndarray:
-    ranges = [np.arange(l, h + 1) for l, h in zip(patch.lo, patch.hi)]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return grid_points([np.arange(l, h + 1) for l, h in zip(patch.lo, patch.hi)])
 
 
 def patch_positions(patch: FreePatch) -> np.ndarray:
@@ -283,10 +274,7 @@ def patch_positions(patch: FreePatch) -> np.ndarray:
 def sample_sites(geom: LatticeGeometry) -> list[Site]:
     """Deterministic site sample: corners, center, one interior point per octant."""
     N = geom.sites_per_axis
-    picks = sorted({0, N - 1, N // 2, N // 4, (3 * N) // 4})
-    combos = set(itertools.product(picks, repeat=geom.d))
     corners = set(itertools.product((0, N - 1), repeat=geom.d))
     center = (N // 2,) * geom.d
     octants = set(itertools.product((N // 4, (3 * N) // 4), repeat=geom.d))
-    keep = corners | {center} | octants
-    return sorted(s for s in combos if s in keep)
+    return sorted(corners | {center} | octants)

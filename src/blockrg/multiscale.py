@@ -232,12 +232,10 @@ def scaling_residuals(geom, params: MultiscaleParams, j: int) -> dict[str, float
     Q_scaled = ops.averaging(scaled, j)
     q = ops.rel_frobenius(Q_scaled @ S, S_c @ Q)
 
-    G_xi = green_j(geom, params, j)
-    G_scaled = green_neumann(scaled, params)    # scaled geometry has scale index j
-    g = ops.rel_frobenius(lam**-2 * (Ss @ G_scaled @ S), G_xi)
-
     r_xi = rg_operators(geom, params, j)
-    r_scaled = rg_operators(scaled, params, j)
+    r_scaled = rg_operators(scaled, params, j)   # scaled geometry has scale index j
+    g = ops.rel_frobenius(lam**-2 * (Ss @ r_scaled.G_j @ S), r_xi.G_j)
+
     S_cs = ops.adjoint(S_c)
     dgc_delta = ops.rel_frobenius(lam**-2 * (S_c @ r_xi.Delta_j @ S_cs),
                                   r_scaled.Delta_j)

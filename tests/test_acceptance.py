@@ -1,94 +1,97 @@
 """Acceptance gate: every contract at its stated tolerance, one line per check.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL line
-of each criterion including the measured value.
+Contracts that a CLI suite emits are checked by running that suite
+(``blockrg.cli.SUITES``) at a pinned configuration and requiring its rows to
+pass; their tolerances live in :mod:`blockrg.cli` only.  Checks that no suite
+emits are written out here.  Run with ``pytest tests/test_acceptance.py -v -s``
+to see the PASS/FAIL line of each criterion including the measured value.
 """
 
-import numpy as np
-import pytest
+import dataclasses
+import functools
+import re
 
-from blockrg import (decay as dc, fourier as fr, images as im, lattice as lat,
-                     multiscale as ms, operators as ops)
+import numpy as np
+
+from blockrg import (cli, fourier as fr, images as im, lattice as lat,
+                     multiscale as ms)
 
 P0 = ms.MultiscaleParams()
 PM = ms.MultiscaleParams(mu0=0.1)
 
 RG_GRID = [(1, 3, 2, 2), (1, 3, 2, 3), (2, 3, 2, 2)]
+TELESCOPE_GRID = RG_GRID + [(1, 3, 1, 2)]   # includes the k = 1 empty-sum case
+DEFAULT_GEOMETRY = (1, 3, 2, 4)
 
 
-def _check(name, value, tol, kind="<="):
-    ok = value <= tol if kind == "<=" else value >= tol
+@functools.cache
+def _suite(name, geometry=DEFAULT_GEOMETRY, params=P0, q_grid=None, seed=0):
+    """Rows of CLI suite ``name`` at the default config with these overrides."""
+    cfg = cli.load_config(None)
+    decay = cfg.decay if q_grid is None else {**cfg.decay, "q_grid": list(q_grid)}
+    cfg = dataclasses.replace(cfg, geometry=dict(zip("dLkm", geometry)),
+                              params=params, decay=decay, seed=seed)
+    return tuple(cli.SUITES[name](cfg, np.random.default_rng(seed)))
+
+
+def _check(name, value, tol):
+    ok = value <= tol
     print(f"ACCEPT {name}: value={value:.6g} tol={tol:.6g} "
           f"{'PASS' if ok else 'FAIL'}")
     assert ok, f"{name}: {value:.6g} vs {tol:.6g}"
 
 
+def _accept(name, pattern=".*", **config):
+    """Require every row of suite ``name`` whose metric matches ``pattern`` to
+    pass (the CLI rule ``value <= tolerance``); returns them by metric name."""
+    rows = {r.metric: r for r in _suite(name, **config)
+            if re.fullmatch(pattern, r.metric)}
+    assert rows, f"{name} emits no {pattern!r} row at {config}"
+    for r in rows.values():
+        _check(f"{name} ({r.d},{r.L},{r.k},{r.m}) mu0={r.mu0:g} {r.metric}",
+               r.value, r.tolerance)
+    return rows
+
+
+def _accept_rg(pattern, grid=RG_GRID):
+    """``_accept`` on rg-verify over ``grid`` x {P0, PM}; (geometry, params, rows)."""
+    return [(g, p, _accept("rg-verify", pattern, geometry=g, params=p))
+            for g in grid for p in (P0, PM)]
+
+
 def test_spectrum_identity():
-    worst = 0.0
-    for eta in (1.0, 1.0 / 3.0, 1.0 / 9.0):
-        for n in range(2, 83):
-            worst = max(worst, ops.spectrum_rel_error(
-                ops.laplacian_spectrum_1d(n, eta)))
-    _check("spectrum_identity", worst, 1e-10)
+    _accept("spectrum", r"spectrum_max_rel_err_eta_.*")
 
 
 def test_chebyshev_roots():
-    worst = 0.0
-    for n in range(2, 31):
-        # independent oracle: Jacobi matrix of the second-kind recurrence
-        jac = np.zeros((n - 1, n - 1))
-        for i in range(n - 2):
-            jac[i, i + 1] = jac[i + 1, i] = 0.5
-        numeric = np.sort(np.linalg.eigvalsh(jac))
-        worst = max(worst, float(np.max(np.abs(
-            numeric - ops.chebyshev_roots(n - 1)))))
-    _check("chebyshev_roots", worst, 1e-12)
+    _accept("spectrum", "chebyshev_root_max_err")
 
 
 def test_a_sequence_recursion():
-    closed = ms.a_sequence(1.0, 3, 50)
-    rec = ms.a_sequence_recursive(1.0, 3, 50)
-    _check("a_sequence", float(np.max(np.abs(closed - rec) / closed)), 1e-14)
+    _accept("spectrum", "a_sequence_max_rel_err")
 
 
 def test_rg_step():
-    worst = 0.0
-    for args in RG_GRID:
-        for params in (P0, PM):
-            g = lat.make_geometry(*args)
-            for j in range(1, g.k):
-                worst = max(worst, ms.rg_step_residual(g, params, j))
-    _check("rg_step", worst, 1e-9)
+    _accept_rg(r"rg_step_residual_j\d+")
 
 
 def test_rg_telescope():
-    worst = 0.0
-    for args in RG_GRID + [(1, 3, 1, 2)]:   # includes the k = 1 empty-sum case
-        for params in (P0, PM):
-            g = lat.make_geometry(*args)
-            worst = max(worst, ms.rg_telescope_residual(g, params))
-    _check("rg_telescope", worst, 1e-9)
+    _accept_rg("rg_telescope_residual", TELESCOPE_GRID)
 
 
 def test_covariance_identity():
-    worst = 0.0
-    for args in RG_GRID:
-        for params in (P0, PM):
-            g = lat.make_geometry(*args)
-            for j in range(1, min(g.k + 1, g.m)):
-                worst = max(worst, ms.c_identity_residual(g, params, j))
-    _check("covariance_identity", worst, 1e-10)
+    for geometry, params, rows in _accept_rg(r"c_identity_residual_j\d+"):
+        # the suite stops at j = k - 1; j = k < m is checked here at the
+        # tolerance the suite gives the same identity
+        g = lat.make_geometry(*geometry)
+        if g.k < g.m:
+            _check(f"c_identity_residual_j{g.k} {geometry} mu0={params.mu0:g}",
+                   ms.c_identity_residual(g, params, g.k),
+                   rows["c_identity_residual_j1"].tolerance)
 
 
 def test_scaling_identities():
-    worst = 0.0
-    for args in RG_GRID:
-        for params in (P0, PM):
-            g = lat.make_geometry(*args)
-            for j in range(1, min(g.k + 1, g.m)):
-                worst = max(worst, max(
-                    ms.scaling_residuals(g, params, j).values()))
-    _check("scaling_identities", worst, 1e-11)
+    _accept_rg(r"(de|q|g)_scaling_j\d+|dgc_(delta|c)_j\d+", TELESCOPE_GRID)
 
 
 def test_fourier_qkqk():
@@ -138,59 +141,30 @@ def test_images_d2():
 def test_contour_shift_invariance():
     worst = 0.0
     for d, k in ((1, 1), (1, 2), (2, 1)):
-        grid = fr.default_grid(d, 3, k)
-        x = np.zeros((1, d))
-        y = np.full((1, d), 2.0)
-        base, used, _ = fr.converge_kernel(
-            lambda g: fr.free_kernel_g(x, y, g, P0), grid, tol=1e-9)
-        q = np.zeros(d)
-        q[0] = 0.05
-        shifted = fr.free_kernel_g(x, y, used, P0, shift_q=q)
-        worst = max(worst, float(np.max(np.abs(shifted - base))
-                                 / np.max(np.abs(base))))
+        worst = max(worst, fr.contour_shift_change(
+            fr.default_grid(d, 3, k), P0, 0.05, tol=1e-9))
     _check("contour_shift", worst, 1e-8)
 
 
 def test_strip_bound_stability():
-    for d in (1, 2):
-        sups = {}
-        min_margin = np.inf
-        for k in (1, 2, 3):
-            rep = fr.strip_bound_report(d, 3, k, P0, q_max=0.05)
-            assert np.isfinite(rep.weighted_sup)
-            sups[k] = rep.weighted_sup
-            min_margin = min(min_margin, rep.min_denominator_margin)
-        _check(f"strip_variation_d{d}", max(sups.values()) / min(sups.values()), 10.0)
-        _check(f"strip_denominator_margin_d{d}", min_margin, 1.0, kind=">=")
+    for geometry in (DEFAULT_GEOMETRY, (2, 3, 1, 1)):   # the suite reads d and L
+        _accept("strip-bound", geometry=geometry)
 
 
 def test_conjugation_bounds():
-    g = lat.make_geometry(1, 3, 1, 3)
-    D0 = ms.defining_operator(g, P0, 1)
-    Dq0 = dc.conjugated_operator(g, P0, 0.0)
-    bit = np.array_equal(D0.kernel, Dq0.kernel)
-    print(f"ACCEPT ct_q0_bitwise: {'PASS' if bit else 'FAIL'}")
-    assert bit
-    rng = np.random.default_rng(11)
-    rep = dc.ct_bound_report(g, P0, [0.0, 0.02, -0.02, 0.05, -0.05], rng)
-    finite = all(np.isfinite(b) for b in rep.bound_constants)
-    print(f"ACCEPT ct_norms_finite: {'PASS' if finite else 'FAIL'} "
-          f"(max {max(rep.bound_constants):.4g})")
-    assert finite
-    _check("ct_fitted_c1", rep.fitted_c1, 0.0, kind=">=")
-    assert rep.fitted_c1 > 0
+    rows = _accept("ct-report", geometry=(1, 3, 1, 3),
+                   q_grid=(0.0, 0.02, -0.02, 0.05, -0.05), seed=11)
+    assert rows["neg_ct_fitted_c1"].value < 0, "fitted c1 must be strictly positive"
 
 
 def test_supnorm_decay_properties():
     rates = {}
     for d, k, m in ((1, 1, 3), (1, 1, 4), (1, 2, 4),
                     (2, 1, 2), (2, 1, 3), (2, 2, 3)):
-        g = lat.make_geometry(d, 3, k, m)
-        dists, mags = dc.decay_profile(g, P0)
-        rates[(d, k, m)] = dc.fit_decay(dists, mags).rate
+        rows = _accept("decay-profile", geometry=(d, 3, k, m))
+        rates[(d, k, m)] = -rows["neg_fit_rate"].value
     for key, rate in rates.items():
-        _check(f"supnorm_rate_positive_{key}", rate, 0.0, kind=">=")
-        assert rate > 0
+        assert rate > 0, f"supnorm rate at {key}: {rate}"
     drifts = {
         "volume_d1": abs(rates[(1, 1, 3)] - rates[(1, 1, 4)]) / rates[(1, 1, 4)],
         "spacing_d1": abs(rates[(1, 1, 3)] - rates[(1, 2, 4)]) / rates[(1, 2, 4)],
@@ -202,13 +176,9 @@ def test_supnorm_decay_properties():
 
 
 def test_positivity():
-    geoms = [lat.make_geometry(1, 3, k, k + 1) for k in (1, 2, 3)]
-    rows = ms.positivity_report(geoms, P0)
-    cs = [r.c for r in rows]
-    for r in rows:
-        assert r.c > 0
-    _check("positivity_min_c", min(cs), 0.0, kind=">=")
-    _check("positivity_max_over_min", max(cs) / min(cs), 4.0)
+    rows = _accept("positivity", geometry=(1, 3, 1, 2))   # family k = 1, 2, 3 at m = k + 1
+    neg_c = [r.value for m, r in rows.items() if m.startswith("neg_positivity_c_")]
+    assert len(neg_c) == 3 and max(neg_c) < 0, f"c must be strictly positive: {neg_c}"
 
 
 def test_scalar_inequality_sweeps():

@@ -1,8 +1,40 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
 from blockrg import cli
+
+INF = float("inf")
+
+# tolerance -> metric pattern of every suite's rows at the default config.
+# The acceptance gate takes its tolerances from these rows, so this table pins
+# the contracts: a loosened tolerance in blockrg.cli fails here.
+CONTRACTS = {
+    "spectrum": {1e-10: r"spectrum_max_rel_err_eta_\S+",
+                 1e-12: "chebyshev_root_max_err",
+                 1e-14: "a_sequence_max_rel_err"},
+    "rg-verify": {1e-9: r"rg_step_residual_j\d+|rg_telescope_residual",
+                  1e-10: r"c_identity_residual_j\d+",
+                  1e-11: r"(de|q|g)_scaling_j\d+|dgc_(delta|c)_j\d+"},
+    "images-verify": {INF: "images_(neumann_center|neumann_max|gq_max)_residual",
+                      1.0: "images_shell_ratio_max"},
+    "fourier-verify": {1e-8: "qkqk_spatial_vs_fourier|contour_shift_relative_change",
+                       1e-10: "ghat_roundtrip_residual",
+                       1e-12: "bracket_periodicity_residual"},
+    "strip-bound": {1e12: r"strip_weighted_sup_k\d",
+                    10.0: "strip_sup_variation_across_k",
+                    0.0: "strip_denominator_margin_deficit"},
+    "decay-profile": {INF: r"profile_mag_at_dist_\S+|fit_(rms_residual|log_prefactor)",
+                      0.0: "neg_fit_rate"},
+    "ct-report": {0.0: r"ct_q0_bitwise_mismatch|neg_ct_fitted_c1"
+                       r"|neg_ct_min_sigma_q_[+-]0(\.0[125])?",
+                  1e12: r"ct_bound_norm_q_[+-]0(\.0[125])?",
+                  INF: r"ct_fit_max_violation|(ct_bound_norm|neg_ct_min_sigma)_q_[+-]0\.[12]"},
+    "positivity": {0.0: r"neg_positivity_c_k\d",
+                   4.0: "positivity_max_over_min"},
+}
 
 
 def test_default_config_loads():
@@ -58,10 +90,27 @@ def test_spectrum_suite_and_csv(tmp_path):
 
 
 def test_csv_determinism(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["--experiment", "ct-report", "--out", str(out1), "--seed", "7"]) == 0
-    assert cli.main(["--experiment", "ct-report", "--out", str(out2), "--seed", "7"]) == 0
-    assert (out1 / "ct-report.csv").read_bytes() == (out2 / "ct-report.csv").read_bytes()
+    for experiment, n_csv in (("ct-report", 1), ("all", len(cli.SUITES))):
+        runs = []
+        for side in "ab":
+            out = tmp_path / experiment / side
+            assert cli.main(["--experiment", experiment, "--out", str(out),
+                             "--seed", "7"]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        assert len(runs[0]) == n_csv and runs[0] == runs[1]
+
+
+def test_contract_tolerances():
+    assert set(CONTRACTS) == set(cli.SUITES)
+    cfg = cli.load_config(None)
+    for name, contract in CONTRACTS.items():
+        rows = cli.SUITES[name](cfg, np.random.default_rng(cfg.seed))
+        for r in rows:
+            pinned = [tol for tol, pattern in contract.items()
+                      if re.fullmatch(pattern, r.metric)]
+            assert pinned == [r.tolerance], f"{name}: {r.metric} at {r.tolerance}"
+        unused = set(contract) - {r.tolerance for r in rows}
+        assert not unused, f"{name}: no rows at tolerances {unused}"
 
 
 def test_rg_verify_reference(tmp_path):

@@ -99,7 +99,7 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng,
         sigmas.append(smin)
         bounds.append(1.0 / smin)
 
-    G = multiscale.green_neumann(geom, params)
+    Gm = multiscale.green_neumann(geom, params).matrix
     coarse = coarse_geometry(geom, geom.k)
     labels = [tuple(s) for s in all_sites(coarse)]
     dists, logvals = [], []
@@ -109,7 +109,7 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng,
             for _ in range(draws):
                 f = _box_field(geom, y, rng)
                 f2 = _box_field(geom, y2, rng)
-                val = abs(ops.inner(f, ops.apply(G, f2)))
+                val = abs(ops.inner(f, ops.Field(geom, Gm @ f2.values)))
                 val /= ops.norm(f) * ops.norm(f2)
                 best = max(best, val)
             dists.append(float(np.linalg.norm(np.subtract(y, y2))))

@@ -42,6 +42,7 @@ import numpy as np
 
 from .lattice import FreePatch, grid_points
 from .multiscale import MultiscaleParams
+from .operators import lru_lookup
 
 POLE_GUARD = 1e-12
 DENOMINATOR_FLOOR = 0.1
@@ -340,15 +341,9 @@ def _system(grid, params, shift_q=None) -> ShiftSystem:
     while the cache holds more than ``SYSTEM_CACHE_BYTES``."""
     key = (grid, params, tuple(np.zeros(grid.d) if shift_q is None
                                else np.asarray(shift_q, dtype=float)))
-    sys = _system_cache.get(key)
-    if sys is not None:
-        _system_cache.move_to_end(key)
-        return sys
-    sys = build_shift_system(grid, params, shift_q)
-    _system_cache[key] = sys
-    while sum(s.nbytes for s in _system_cache.values()) > SYSTEM_CACHE_BYTES:
-        _system_cache.popitem(last=False)
-    return sys
+    return lru_lookup(_system_cache, key,
+                      lambda: build_shift_system(grid, params, shift_q),
+                      SYSTEM_CACHE_BYTES)
 
 
 def _plane_waves(sys: ShiftSystem, pos, sign: float):

@@ -14,10 +14,16 @@ with the fluctuation covariance ``C_j`` inverting the coarse effective form
 plus the next-scale averaging penalty.  Everything here is dense linear
 algebra at desk scale; the residual functions return relative Frobenius
 norms so that an exact identity failing beyond 1e-9 flags a convention bug.
+
+``green_j`` and ``rg_operators`` are memoized on ``(geometry, params, j)``,
+so each operator is factored once however many identities read it.  The
+cached kernels are read-only because every caller shares them.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +32,26 @@ from . import operators as ops
 from .lattice import (LatticeGeometry, coarse_geometry, sample_sites,
                       scale_geometry, site_to_flat)
 from .operators import KernelOperator
+
+OPERATOR_CACHE_BYTES = 256 * 2**20   # summed nbytes of memoized green_j / rg_operators results
+
+_operator_cache: OrderedDict = OrderedDict()
+
+
+def _memoized(build):
+    """Memoize ``build(geom, params, j)`` in ``_operator_cache`` and make the
+    kernels of each cached result read-only."""
+    def frozen(geom, params, j):
+        out = build(geom, params, j)
+        for op in getattr(out, "operators", (out,)):
+            op.kernel.flags.writeable = False
+        return out
+
+    @functools.wraps(build)
+    def lookup(geom, params, j):
+        return ops.lru_lookup(_operator_cache, (build.__name__, geom, params, j),
+                              lambda: frozen(geom, params, j), OPERATOR_CACHE_BYTES)
+    return lookup
 
 
 @dataclass(frozen=True)
@@ -80,6 +106,7 @@ def defining_operator(geom, params: MultiscaleParams, j: int,
     return ops.scale(lap, -1.0) + mu_bar * ops.identity(geom) + coeff * P
 
 
+@_memoized
 def green_j(geom, params: MultiscaleParams, j: int) -> KernelOperator:
     """Regularized Green function ``G^xi_j`` on the given cube.
 
@@ -112,7 +139,16 @@ class RgOperators:
     H_j: KernelOperator        # Omega_j -> Omega
     C_prime_j: KernelOperator  # on Omega
 
+    @property
+    def operators(self) -> tuple:
+        return (self.G_j, self.Delta_j, self.C_j, self.A_j, self.H_j, self.C_prime_j)
 
+    @property
+    def nbytes(self) -> int:
+        return sum(op.nbytes for op in self.operators)
+
+
+@_memoized
 def rg_operators(geom, params: MultiscaleParams, j: int) -> RgOperators:
     """Build ``G_j``, the coarse effective form, fluctuation covariance and friends.
 

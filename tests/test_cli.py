@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -8,9 +9,10 @@ from blockrg import cli
 
 INF = float("inf")
 
-# tolerance -> metric pattern of every suite's rows at the default config.
-# The acceptance gate takes its tolerances from these rows, so this table pins
-# the contracts: a loosened tolerance in blockrg.cli fails here.
+# tolerance -> metric pattern of every suite's rows at the default config and
+# at the geometries of PINNED_AT.  The acceptance gate takes its tolerances
+# from these rows, so this table pins the contracts: a loosened tolerance in
+# blockrg.cli fails here.
 CONTRACTS = {
     "spectrum": {1e-10: r"spectrum_max_rel_err_eta_\S+",
                  1e-12: "chebyshev_root_max_err",
@@ -19,7 +21,8 @@ CONTRACTS = {
                   1e-10: r"c_identity_residual_j\d+",
                   1e-11: r"(de|q|g)_scaling_j\d+|dgc_(delta|c)_j\d+"},
     "images-verify": {INF: "images_(neumann_center|neumann_max|gq_max)_residual",
-                      1.0: "images_shell_ratio_max"},
+                      1.0: "images_shell_ratio_max",
+                      1e-6: "images_reference_center_residual"},
     "fourier-verify": {1e-8: "qkqk_spatial_vs_fourier|contour_shift_relative_change",
                        1e-10: "ghat_roundtrip_residual",
                        1e-12: "bracket_periodicity_residual"},
@@ -35,6 +38,9 @@ CONTRACTS = {
     "positivity": {0.0: r"neg_positivity_c_k\d",
                    4.0: "positivity_max_over_min"},
 }
+
+# geometries beyond the default at which a suite emits further contract rows
+PINNED_AT = {"images-verify": [(1, 3, 1, 2)]}   # images_reference_center_residual
 
 
 def test_default_config_loads():
@@ -102,14 +108,18 @@ def test_csv_determinism(tmp_path):
 
 def test_contract_tolerances():
     assert set(CONTRACTS) == set(cli.SUITES)
-    cfg = cli.load_config(None)
+    default = cli.load_config(None)
     for name, contract in CONTRACTS.items():
-        rows = cli.SUITES[name](cfg, np.random.default_rng(cfg.seed))
-        for r in rows:
-            pinned = [tol for tol, pattern in contract.items()
-                      if re.fullmatch(pattern, r.metric)]
-            assert pinned == [r.tolerance], f"{name}: {r.metric} at {r.tolerance}"
-        unused = set(contract) - {r.tolerance for r in rows}
+        cfgs = [default] + [dataclasses.replace(default, geometry=dict(zip("dLkm", g)))
+                            for g in PINNED_AT.get(name, ())]
+        seen = set()
+        for cfg in cfgs:
+            for r in cli.SUITES[name](cfg, np.random.default_rng(cfg.seed)):
+                pinned = [tol for tol, pattern in contract.items()
+                          if re.fullmatch(pattern, r.metric)]
+                assert pinned == [r.tolerance], f"{name}: {r.metric} at {r.tolerance}"
+                seen.add(r.tolerance)
+        unused = set(contract) - seen
         assert not unused, f"{name}: no rows at tolerances {unused}"
 
 

@@ -277,11 +277,6 @@ def test_free_kernel_reflection_invariance():
     assert np.max(np.abs(K2 - K)) < 1e-10 * np.max(np.abs(K))
 
 
-@pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (2, 1)])
-def test_contour_shift_invariance(d, k):
-    assert fr.contour_shift_change(fr.default_grid(d, 3, k), P0, 0.05, tol=1e-9) < 1e-8
-
-
 def test_free_kernel_satisfies_defining_equation():
     # spatial check: (-Lap + a Q*Q) applied to a kernel column gives the delta
     L, k = 3, 1

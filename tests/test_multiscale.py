@@ -179,3 +179,62 @@ def test_gtilde_decay_positive_rate():
     dists = lat.positions(g)[:, 0]
     fit = decay.fit_decay(dists, col)
     assert fit.rate > 0
+
+
+@pytest.mark.parametrize("geom_args", [(1, 3, 2, 3), (2, 3, 1, 2)])
+@pytest.mark.parametrize("params", [P0, PM])
+def test_green_j_matches_complex_inverse(geom_args, params):
+    # reference: the complex LU inverse of the defining operator
+    g = lat.make_geometry(*geom_args)
+    for j in range(1, min(g.k + 1, g.m) + 1):
+        G = ms.green_j(g, params, j)
+        assert G.kernel.dtype == np.float64
+        ref = np.linalg.inv(ms.defining_operator(g, params, j).matrix.astype(complex))
+        assert np.linalg.norm(G.matrix - ref) / np.linalg.norm(ref) <= 1e-13
+
+
+def test_cached_kernels_read_only():
+    g = lat.make_geometry(1, 3, 2, 3)
+    G = ms.green_j(g, P0, 2)
+    with pytest.raises(ValueError):
+        G.kernel[0, 0] = 0.0
+    r = ms.rg_operators(g, PM, 1)
+    for op in r.operators:
+        with pytest.raises(ValueError):
+            op.kernel[...] = 0.0
+    assert ms.green_j(g, P0, 2) is G and ms.rg_operators(g, PM, 1) is r
+
+
+def test_operator_cache_byte_budget(monkeypatch):
+    geoms = [lat.make_geometry(1, 3, 1, m) for m in (1, 2, 3)]
+    one = [ms.green_j(g, P0, 1).nbytes for g in geoms]      # 4x per step
+    monkeypatch.setattr(ms, "OPERATOR_CACHE_BYTES", one[1] + one[2])
+    ms._operator_cache.clear()
+    held = []
+    for g in geoms + [geoms[0], lat.make_geometry(1, 3, 1, 4)]:
+        ms.green_j(g, P0, 1)
+        assert sum(v.nbytes for v in ms._operator_cache.values()) <= ms.OPERATOR_CACHE_BYTES
+        held.append([key[1].m for key in ms._operator_cache])
+    # least recently used evicted first; a result larger than the budget is not kept
+    assert held == [[1], [1, 2], [2, 3], [3, 1], []]
+    ms._operator_cache.clear()
+
+
+def test_rg_verify_factors_each_operator_once(monkeypatch):
+    import dataclasses
+
+    from blockrg import cli
+    seen = []
+    invert = ops.invert
+
+    def counted(A):
+        seen.append((A.source, A.matrix.tobytes()))
+        return invert(A)
+    monkeypatch.setattr(ops, "invert", counted)
+    ms._operator_cache.clear()
+    cfg = dataclasses.replace(cli.load_config(None), geometry=dict(d=1, L=3, k=2, m=3))
+    rows = cli.run_rg_verify(cfg, None)
+    # G_j at (geometry, j) = (xi, 1), (xi, 2), (3 xi, 1), and C_j, A_j for each
+    # distinct rg_operators input (xi, 1), (3 xi, 1), (xi, 2)
+    assert len(seen) == 9 and len(set(seen)) == 9
+    assert cli.run_rg_verify(cfg, None) == rows and len(seen) == 9

@@ -67,6 +67,50 @@ def test_singular_raises():
         ops.invert(lap)
 
 
+def test_near_singular_raises():
+    g = lat.make_geometry(1, 3, 0, 1)   # eta = 1: the value matrix is the kernel
+    with pytest.raises(ops.SingularOperatorError):
+        ops.invert(ops.from_matrix(g, g, np.diag([1.0, 1.0, 1e-16])))
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (1, 2), (2, 1)])
+def test_condition_check_brackets_two_norm(d, m, rng):
+    # kappa_1 = |M|_1 |M^-1|_1 lies in [kappa_2 / n, n kappa_2]; invert raises
+    # exactly when kappa_1 exceeds CONDITION_LIMIT, so a kappa_2 beyond
+    # n * limit always raises and one below limit / n never does
+    g = lat.make_geometry(d, 3, 0, m)
+    n = g.site_count
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    for kappa2 in (1e2, 1e8, ops.CONDITION_LIMIT / (2 * n)):
+        M = U @ np.diag(np.geomspace(1.0, 1.0 / kappa2, n)) @ V.T
+        Minv = ops.invert(ops.from_matrix(g, g, M)).matrix
+        kappa1 = np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1)
+        cond2 = np.linalg.cond(M)
+        assert cond2 / n <= kappa1 <= n * cond2
+    M = U @ np.diag(np.geomspace(1.0, 1.0 / (2 * n * ops.CONDITION_LIMIT), n)) @ V.T
+    with pytest.raises(ops.SingularOperatorError) as err:
+        ops.invert(ops.from_matrix(g, g, M))
+    cond2 = np.linalg.cond(M)
+    assert cond2 / n <= err.value.cond <= n * cond2
+
+
+def test_real_kernels_stay_real(rng):
+    from blockrg import decay, multiscale as ms
+    g = lat.make_geometry(2, 3, 1, 1)
+    for A in (ops.neumann_laplacian(g), ops.averaging(g, 1), ops.identity(g),
+              ops.forward_diff(g, 0), ms.green_j(g, ms.MultiscaleParams(), 1),
+              decay.conjugated_operator(g, ms.MultiscaleParams(), 0.05),
+              ops.from_matrix(g, g, np.eye(9, dtype=int))):
+        assert A.kernel.dtype == np.float64
+    C = ops.KernelOperator(g, g, rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    lap = ops.neumann_laplacian(g)
+    assert (lap @ C).kernel.dtype == np.complex128
+    assert (C @ lap).kernel.dtype == np.complex128
+    assert ops.apply(lap, ops.random_field(g, rng)).values.dtype == np.complex128
+    assert np.allclose((lap @ C).matrix, lap.matrix @ C.matrix, rtol=1e-14, atol=0)
+
+
 def test_compose_adjoint_algebra(rng):
     g = lat.make_geometry(1, 3, 1, 2)
     c = lat.coarse_geometry(g, 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multiscale, operators as ops
-from .lattice import (LatticeGeometry, all_sites, block_sites,
+from .lattice import (LatticeGeometry, all_sites, block_table,
                       coarse_geometry, positions, site_to_flat)
 from .operators import KernelOperator
 
@@ -48,37 +48,30 @@ def conjugated_operator(geom: LatticeGeometry, params, q) -> KernelOperator:
     ``q`` may be a scalar (applied along axis 0) or a d-vector.  ``q = 0``
     reproduces the defining operator bitwise: the weights are exactly 1.0.
     """
-    qv = _q_vector(geom, q)
-    D0 = multiscale.defining_operator(geom, params, geom.k)
-    w = positions(geom) @ qv
-    kern = np.exp(-w)[:, None] * D0.kernel * np.exp(w)[None, :]
-    return KernelOperator(geom, geom, kern)
+    return _conjugate(multiscale.defining_operator(geom, params, geom.k), q)
 
 
 def conjugated_green(geom: LatticeGeometry, params, q) -> KernelOperator:
     """``e_{-q} G_k(Omega) e_q``, the inverse of the conjugated operator."""
-    qv = _q_vector(geom, q)
-    G = multiscale.green_neumann(geom, params)
-    w = positions(geom) @ qv
-    kern = np.exp(-w)[:, None] * G.kernel * np.exp(w)[None, :]
-    return KernelOperator(geom, geom, kern)
+    return _conjugate(multiscale.green_neumann(geom, params), q)
 
 
-def _q_vector(geom, q) -> np.ndarray:
+def _conjugate(A: KernelOperator, q) -> KernelOperator:
+    """``e_{-q} A e_q`` on one lattice, as weights on the kernel's rows and columns."""
+    geom = A.source
     qv = np.asarray(q, dtype=float)
     if qv.ndim == 0:
-        out = np.zeros(geom.d)
-        out[0] = float(qv)
-        return out
+        qv = np.append(qv, np.zeros(geom.d - 1))     # along axis 0
     if qv.shape != (geom.d,):
         raise ValueError(f"q must be scalar or length-{geom.d}")
-    return qv
+    w = positions(geom) @ qv
+    return KernelOperator(geom, geom, np.exp(-w)[:, None] * A.kernel * np.exp(w)[None, :])
 
 
-def _box_field(geom, label, rng) -> ops.Field:
+def _box_field(geom, sites, rng) -> ops.Field:
+    z = rng.standard_normal((len(sites), 2))
     v = np.zeros(geom.site_count, dtype=complex)
-    for s in block_sites(geom, geom.k, label):
-        v[site_to_flat(geom, tuple(s))] = rng.standard_normal() + 1j * rng.standard_normal()
+    v[sites] = z[:, 0] + 1j * z[:, 1]
     return ops.Field(geom, v)
 
 
@@ -100,19 +93,19 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng,
         bounds.append(1.0 / smin)
 
     Gm = multiscale.green_neumann(geom, params).matrix
-    coarse = coarse_geometry(geom, geom.k)
-    labels = [tuple(s) for s in all_sites(coarse)]
+    boxes = block_table(geom, geom.k)
+    labels = all_sites(coarse_geometry(geom, geom.k))
     dists, logvals = [], []
     for i, y in enumerate(labels):
-        for y2 in labels[i:]:
+        for i2 in range(i, len(labels)):
             best = 0.0
             for _ in range(draws):
-                f = _box_field(geom, y, rng)
-                f2 = _box_field(geom, y2, rng)
+                f = _box_field(geom, boxes[i], rng)
+                f2 = _box_field(geom, boxes[i2], rng)
                 val = abs(ops.inner(f, ops.Field(geom, Gm @ f2.values)))
                 val /= ops.norm(f) * ops.norm(f2)
                 best = max(best, val)
-            dists.append(float(np.linalg.norm(np.subtract(y, y2))))
+            dists.append(float(np.linalg.norm(np.subtract(y, labels[i2]))))
             logvals.append(np.log(best))
     dists = np.array(dists)
     logvals = np.array(logvals)
@@ -133,8 +126,10 @@ def indicator_field(geom, source) -> ops.Field:
     if kind == "site":
         v[site_to_flat(geom, where)] = 1.0
     elif kind == "block":
-        for s in block_sites(geom, geom.k, where):
-            v[site_to_flat(geom, tuple(s))] = 1.0
+        coarse = coarse_geometry(geom, geom.k)
+        if not coarse.contains(where):
+            raise ValueError(f"label {where} outside coarse lattice")
+        v[block_table(geom, geom.k)[site_to_flat(coarse, where)]] = 1.0
     else:
         raise ValueError(f"unknown source kind {kind!r}")
     return ops.Field(geom, v)

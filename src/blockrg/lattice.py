@@ -153,6 +153,15 @@ def block_sites(geom: LatticeGeometry, j: int, label) -> np.ndarray:
     return grid_points([np.arange(int(c) * Lj, (int(c) + 1) * Lj) for c in label])
 
 
+def block_table(geom: LatticeGeometry, j: int) -> np.ndarray:
+    """Flat site indices of every ``j``-block: row ``site_to_flat(coarse, label)``
+    lists ``block_sites(geom, j, label)`` in order, from one reshape of the layout."""
+    Lj, d = geom.L**j, geom.d
+    Nc = geom.sites_per_axis // Lj
+    flat = np.arange(geom.site_count).reshape((Nc, Lj) * d)
+    return flat.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)]).reshape(Nc**d, Lj**d)
+
+
 def reflect(geom: LatticeGeometry, axis: int, end: str, site) -> Site:
     """Reflect ``site`` across the low or high mirror plane of ``axis``.
 

@@ -6,6 +6,8 @@ Conventions.  The inner product on a lattice with spacing ``eta`` is
 so the matrix that acts on plain value vectors is ``eta_src**d * K``.  The
 kernel of the adjoint is the conjugate transpose of the kernel; measure
 factors for mismatched source/target spacings then come out automatically.
+Products, applications and inverses act on kernels with one scalar measure
+factor each (``eta_mid**d``, ``eta_src**d``, ``eta**(-2d)``), not on value matrices.
 
 Everything is dense.  Kernels are stored in real arithmetic when their
 entries are real (Laplacians, averaging, propagators) and complex otherwise;
@@ -133,14 +135,16 @@ def identity(geom) -> KernelOperator:
 def apply(A: KernelOperator, f: Field) -> Field:
     if f.geometry != A.source:
         raise OperatorError("field geometry does not match operator source")
-    return Field(A.target, A.matrix @ f.values)
+    return Field(A.target, A.source.spacing ** A.source.d * (A.kernel @ f.values))
 
 
 def compose(A: KernelOperator, B: KernelOperator) -> KernelOperator:
-    """A after B; carries the inner lattice's measure factor."""
+    """A after B: ``eta_mid**d K_A K_B`` with ``mid = A.source``."""
     if B.target != A.source:
         raise OperatorError("compose: inner geometries do not match")
-    return from_matrix(B.source, A.target, A.matrix @ B.matrix)
+    K = A.kernel @ B.kernel
+    K *= A.source.spacing ** A.source.d
+    return KernelOperator(B.source, A.target, K)
 
 
 def adjoint(A: KernelOperator) -> KernelOperator:
@@ -160,24 +164,24 @@ def scale(A: KernelOperator, alpha) -> KernelOperator:
 def invert(A: KernelOperator) -> KernelOperator:
     """Dense inverse by one pivoted LU, checked by its 1-norm condition number.
 
-    ``kappa_1 = |M|_1 |M^-1|_1`` of the value matrix ``M`` is exact and costs
-    O(n^2) once the inverse exists; an exactly singular pivot counts as
-    ``kappa_1 = inf``.  Beyond ``CONDITION_LIMIT`` the operator is
-    numerically singular.  For ``n x n`` matrices the 2-norm condition number
-    satisfies ``kappa_2 / n <= kappa_1 <= n kappa_2``, so the limit reads the
-    same in either norm up to a factor ``n``.
+    ``kappa_1 = |K|_1 |K^-1|_1`` of the kernel equals that of the value matrix
+    (it is scale-invariant), is exact and costs O(n^2) once the inverse
+    exists; an exactly singular pivot counts as ``kappa_1 = inf``.  Beyond
+    ``CONDITION_LIMIT`` the operator is numerically singular.  For ``n x n``
+    matrices the 2-norm condition number satisfies ``kappa_2 / n <= kappa_1
+    <= n kappa_2``, so the limit reads the same in either norm up to ``n``.
     """
     if A.source != A.target:
         raise OperatorError("invert requires a square operator on one lattice")
-    M = A.matrix
     try:
-        Minv = np.linalg.inv(M)
+        Kinv = np.linalg.inv(A.kernel)
     except np.linalg.LinAlgError:
         raise SingularOperatorError(np.inf) from None
-    cond = np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1)
+    cond = np.linalg.norm(A.kernel, 1) * np.linalg.norm(Kinv, 1)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularOperatorError(cond)
-    return from_matrix(A.source, A.source, Minv)
+    Kinv *= A.source.spacing ** (-2 * A.source.d)
+    return KernelOperator(A.source, A.source, Kinv)
 
 
 def lru_lookup(cache: OrderedDict, key, build, budget: int):
@@ -316,22 +320,22 @@ def averaging(geom, j: int) -> KernelOperator:
     ``Q_j Q_j* = 1`` on the coarse lattice and ``Q_j* Q_j`` is the orthogonal
     projection onto block-constant functions.
     """
-    if not 0 <= j <= geom.m:
-        raise OperatorError(f"averaging level j={j} outside [0, {geom.m}]")
-    coarse = coarse_geometry(geom, j)
-    N = geom.sites_per_axis
-    Lj = geom.L**j
-    q1 = np.zeros((N // Lj, N))
-    for y in range(N // Lj):
-        q1[y, y * Lj:(y + 1) * Lj] = 1.0 / Lj
-    Q = _kron_chain([q1] * geom.d)
-    return from_matrix(geom, coarse, Q)
+    Q = _block_means(geom, j, 1)
+    return from_matrix(geom, coarse_geometry(geom, j), Q)
 
 
 def block_projector(geom, j: int) -> KernelOperator:
     """Orthogonal projector ``Q_j* Q_j`` onto block-constant functions."""
-    Q = averaging(geom, j)
-    return compose(adjoint(Q), Q)
+    return from_matrix(geom, geom, _block_means(geom, j, geom.L**j))
+
+
+def _block_means(geom, j: int, rows: int) -> np.ndarray:
+    """Per-axis block means on ``rows`` rows per block, Kronecker-multiplied over the axes."""
+    if not 0 <= j <= geom.m:
+        raise OperatorError(f"block level j={j} outside [0, {geom.m}]")
+    Lj = geom.L**j
+    per_axis = np.kron(np.eye(geom.sites_per_axis // Lj), np.full((rows, Lj), 1.0 / Lj))
+    return _kron_chain([per_axis] * geom.d)
 
 
 def scaling_unitary(geom, ell: int) -> KernelOperator:

@@ -81,6 +81,16 @@ def test_invalid_geometry_is_config_error(tmp_path):
     assert cli.main(["--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("params", ["{mu0: 0.0, c_star: 0.0}", "{mu0: 0.0, c_star: -1.0}",
+                                    "{a: .nan}", "{mu0: .inf}"])
+def test_invalid_params_is_config_error(tmp_path, params):
+    # c_star = 0 at mu0 = 0 used to divide by zero in strip-bound and pass
+    p = tmp_path / "c.yaml"
+    p.write_text(f"geometry: {{d: 1, L: 3, k: 1, m: 2}}\nparams: {params}\n")
+    assert cli.main(["--config", str(p), "--experiment", "strip-bound",
+                     "--out", str(tmp_path / "o")]) == 2
+
+
 def test_spectrum_suite_and_csv(tmp_path):
     out = tmp_path / "rep"
     rc = cli.main(["--experiment", "spectrum", "--out", str(out)])

@@ -37,6 +37,18 @@ def test_fit_scale_honesty():
     assert f2.rate == pytest.approx(f1.rate / lam, rel=1e-12)
 
 
+def test_box_field_reproduces_scalar_draws():
+    # one (B, 2) draw per box is the stream of B (real, imag) scalar draws
+    g = lat.make_geometry(2, 3, 1, 2)
+    sites = lat.block_table(g, 1)[4]
+    f = dc._box_field(g, sites, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    expect = np.zeros(g.site_count, dtype=complex)
+    for s in sites:
+        expect[s] = rng.standard_normal() + 1j * rng.standard_normal()
+    assert np.array_equal(f.values, expect)
+
+
 def test_conjugation_bitwise_at_zero():
     g = lat.make_geometry(1, 3, 1, 2)
     D0 = ms.defining_operator(g, P0, 1)

@@ -71,6 +71,18 @@ def test_block_sites():
     assert [tuple(s) for s in lat.block_sites(g, 0, (4,))] == [(4,)]
 
 
+@pytest.mark.parametrize("geom_args", [(1, 3, 1, 2), (2, 3, 1, 2), (3, 3, 1, 1)])
+def test_block_table_matches_block_sites(geom_args):
+    g = lat.make_geometry(*geom_args)
+    for j in range(g.m + 1):
+        coarse = lat.coarse_geometry(g, j)
+        table = lat.block_table(g, j)
+        assert table.shape == (coarse.site_count, g.L ** (j * g.d))
+        for label in lat.all_sites(coarse):
+            expect = [lat.site_to_flat(g, s) for s in lat.block_sites(g, j, tuple(label))]
+            assert table[lat.site_to_flat(coarse, label)].tolist() == expect
+
+
 def test_blocks_tile_exactly():
     g = lat.make_geometry(2, 3, 1, 2)
     for j in (1, 2):

@@ -79,6 +79,8 @@ def test_a_operator_closed_form_and_inverse():
         coarse = lat.coarse_geometry(g, j)
         defn = at * ops.identity(coarse) + (at1 / g.L**2) * ops.block_projector(coarse, 1)
         assert ops.rel_frobenius(r.A_j @ defn, ops.identity(coarse)) < 1e-12
+        # oracle: the dense inverse that the closed form replaces
+        assert ops.rel_frobenius(r.A_j, ops.invert(defn)) < 1e-12
 
 
 def test_a_operator_k_form():
@@ -143,6 +145,46 @@ def test_scaling_residuals():
     g2 = lat.make_geometry(2, 3, 1, 2)
     for name, val in ms.scaling_residuals(g2, PM, 1).items():
         assert val < 1e-11, (name, val)
+
+
+def _scaling_residuals_by_conjugation(geom, params, j):
+    # the dense route: conjugate by the scaling maps S, S_c and compare
+    ell = geom.k - j
+    lam = float(geom.L) ** ell
+    scaled = lat.scale_geometry(geom, ell)
+    S = ops.scaling_unitary(geom, ell)
+    S_c = ops.scaling_unitary(lat.coarse_geometry(geom, j), ell)
+    Ss, S_cs = ops.adjoint(S), ops.adjoint(S_c)
+    r, rs = ms.rg_operators(geom, params, j), ms.rg_operators(scaled, params, j)
+    rel = ops.rel_frobenius
+    return {"de_scaling": rel(lam**2 * (Ss @ ops.neumann_laplacian(scaled) @ S),
+                              ops.neumann_laplacian(geom)),
+            "q_scaling": rel(ops.averaging(scaled, j) @ S, S_c @ ops.averaging(geom, j)),
+            "g_scaling": rel(lam**-2 * (Ss @ rs.G_j @ S), r.G_j),
+            "dgc_delta": rel(lam**-2 * (S_c @ r.Delta_j @ S_cs), rs.Delta_j),
+            "dgc_c": rel(lam**2 * (S_c @ r.C_j @ S_cs), rs.C_j)}
+
+
+@pytest.mark.parametrize("geom_args,params", [((1, 3, 2, 3), P0), ((2, 3, 1, 2), PM)])
+def test_scaling_residuals_match_dense_conjugation(geom_args, params):
+    # both routes read rounding-level residuals; a wrong power of lam in
+    # either would read O(1)
+    g = lat.make_geometry(*geom_args)
+    for j in range(1, g.k + 1):
+        relabel = ms.scaling_residuals(g, params, j)
+        dense = _scaling_residuals_by_conjugation(g, params, j)
+        assert relabel.keys() == dense.keys()
+        for name, val in relabel.items():
+            assert val < 1e-11 and dense[name] < 1e-11, (name, val, dense[name])
+            assert abs(val - dense[name]) <= 1e-14, (name, val, dense[name])
+
+
+@pytest.mark.parametrize("bad", [dict(c_star=0.0), dict(c_star=-1.0), dict(a=0.0),
+                                 dict(mu0=-0.1), dict(a=float("nan")),
+                                 dict(mu0=float("inf")), dict(c_star=float("nan"))])
+def test_params_rejects_nonpositive_and_nonfinite(bad):
+    with pytest.raises(ValueError):
+        ms.MultiscaleParams(**bad)
 
 
 def test_positivity_report():
@@ -234,7 +276,7 @@ def test_rg_verify_factors_each_operator_once(monkeypatch):
     ms._operator_cache.clear()
     cfg = dataclasses.replace(cli.load_config(None), geometry=dict(d=1, L=3, k=2, m=3))
     rows = cli.run_rg_verify(cfg, None)
-    # G_j at (geometry, j) = (xi, 1), (xi, 2), (3 xi, 1), and C_j, A_j for each
-    # distinct rg_operators input (xi, 1), (3 xi, 1), (xi, 2)
-    assert len(seen) == 9 and len(set(seen)) == 9
-    assert cli.run_rg_verify(cfg, None) == rows and len(seen) == 9
+    # G_j at (geometry, j) = (xi, 1), (xi, 2), (3 xi, 1), and C_j for each
+    # distinct rg_operators input (xi, 1), (3 xi, 1), (xi, 2); A_j is closed form
+    assert len(seen) == 6 and len(set(seen)) == 6
+    assert cli.run_rg_verify(cfg, None) == rows and len(seen) == 6

@@ -121,6 +121,50 @@ def test_compose_adjoint_algebra(rng):
     assert np.allclose(lhs.kernel, rhs.kernel, atol=1e-14)
 
 
+def _rel(X, Y):
+    return np.linalg.norm(X - Y) / np.linalg.norm(Y)
+
+
+@pytest.mark.parametrize("geom_args", [(1, 3, 2, 3), (2, 3, 1, 2)])
+@pytest.mark.parametrize("ell", [0, 1, 3])    # ell = 3 scales to k < 0
+def test_kernel_algebra_matches_value_matrix_route(geom_args, ell, rng):
+    # compose, apply and invert carry one scalar measure factor on kernels;
+    # the reference is the value-matrix route, with mismatched spacings
+    from blockrg import multiscale as ms
+    g = lat.scale_geometry(lat.make_geometry(*geom_args), ell)
+    c = lat.coarse_geometry(g, 1)
+    n, nc = g.site_count, c.site_count
+    Q = ops.averaging(g, 1)
+    D = ops.KernelOperator(g, g, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    C = ops.KernelOperator(c, c, rng.standard_normal((nc, nc)))
+    maps = [Q, D, C]
+    if g.k >= 1:
+        maps.append(ms.rg_operators(g, ms.MultiscaleParams(mu0=0.1), 1).H_j)
+    maps += [ops.adjoint(A) for A in maps]
+    pairs = [(A, B) for A in maps for B in maps if B.target == A.source]
+    assert len(pairs) >= 12
+    for A, B in pairs:
+        ref = ops.from_matrix(B.source, A.target, A.matrix @ B.matrix)
+        assert _rel((A @ B).kernel, ref.kernel) <= 1e-14
+    for A in maps:
+        f = ops.random_field(A.source, rng)
+        assert _rel(ops.apply(A, f).values, A.matrix @ f.values) <= 1e-14
+    for A in (ops.scale(ops.neumann_laplacian(g), -1.0) + ops.identity(g),
+              ops.identity(g) + ops.scale(D, 0.1 * g.spacing ** -g.d),
+              ops.identity(c) + ops.scale(C, 0.1 * c.spacing ** -c.d)):
+        assert _rel(ops.invert(A).matrix, np.linalg.inv(A.matrix)) <= 1e-14
+
+
+@pytest.mark.parametrize("geom_args", [(1, 3, 2, 3), (2, 3, 1, 2), (2, 3, -1, 2)])
+def test_block_projector_is_q_star_q(geom_args):
+    g = lat.LatticeGeometry(*geom_args)
+    for j in range(g.m + 1):
+        Q = ops.averaging(g, j)
+        assert ops.rel_frobenius(ops.block_projector(g, j), ops.adjoint(Q) @ Q) <= 1e-15
+    with pytest.raises(ops.OperatorError):
+        ops.block_projector(g, g.m + 1)
+
+
 def test_forward_diff_reference():
     g = lat.make_geometry(1, 3, 0, 1)  # 3 sites, eta = 1
     f = ops.Field(g, [0.0, 1.0, 2.0])

@@ -338,6 +338,47 @@ def _block_means(geom, j: int, rows: int) -> np.ndarray:
     return _kron_chain([per_axis] * geom.d)
 
 
+def dct_frequency_classes(geom, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``-Lap`` and ``Q_j* Q_j`` in the orthonormal DCT-II basis, per frequency.
+
+    Returns ``(lam, cls, u)``, one entry per frequency multi-index ``p``
+    (row-major, axis 0 slowest, the Kronecker order of per-axis DCT-II
+    matrices).  ``lam`` holds the ``-Lap`` eigenvalue
+    ``(4/eta**2) sum_mu sin(pi p_mu / 2N)**2``.  Per axis, fold
+    ``p = 2 N_c t +- kappa`` with ``0 <= kappa <= N_c``: the fine mode ``p``
+    overlaps only the coarse mode ``kappa``, with weight
+    ``+-sin(pi kappa / 2N_c) / (b sin(pi p / 2N))`` (``b = L**j``, ``u = 1``
+    at ``p = 0``), and ``Q_j`` annihilates ``p = N_c (mod 2 N_c)``.
+    ``cls`` is the flat coarse class (``-1`` where some axis is annihilated)
+    and ``u`` the product of the axis weights, so in this basis
+
+        Q_j* Q_j = sum over classes c of  u_c u_c^T,   u_c = u on {cls == c}.
+
+    Members with ``u = 0`` (annihilated, or ``p = 0 mod 2 N_c`` with
+    ``p > 0``) lie in the kernel of ``Q_j``.  Nothing dense is formed.
+    """
+    if not 0 <= j <= geom.m:
+        raise OperatorError(f"block level j={j} outside [0, {geom.m}]")
+    N = geom.sites_per_axis
+    b = geom.L**j
+    Nc = N // b
+    p = np.arange(N)
+    lam1 = (4.0 / geom.spacing**2) * np.sin(np.pi * p / (2 * N)) ** 2
+    r = p % (2 * Nc)
+    kappa = np.minimum(r, 2 * Nc - r)
+    u1 = np.ones(N)
+    u1[1:] = (np.sign(Nc - r[1:]) * np.sin(np.pi * kappa[1:] / (2 * Nc))
+              / (b * np.sin(np.pi * p[1:] / (2 * N))))
+    cls1 = np.where(r == Nc, -1, kappa)
+    lam, cls, u = lam1, cls1, u1
+    for _ in range(1, geom.d):
+        lam = np.add.outer(lam, lam1).ravel()
+        u = np.multiply.outer(u, u1).ravel()
+        cls = np.where(np.minimum.outer(cls, cls1) < 0, -1,
+                       np.add.outer(cls * Nc, cls1)).ravel()
+    return lam, cls, u
+
+
 def scaling_unitary(geom, ell: int) -> KernelOperator:
     """Scaling map ``S : L^2(Omega) -> L^2(L**ell Omega)``, ``(Sf)(x) = lam**(-d/2) f(x/lam)``.
 

@@ -37,16 +37,50 @@ def test_fit_scale_honesty():
     assert f2.rate == pytest.approx(f1.rate / lam, rel=1e-12)
 
 
-def test_box_field_reproduces_scalar_draws():
-    # one (B, 2) draw per box is the stream of B (real, imag) scalar draws
-    g = lat.make_geometry(2, 3, 1, 2)
-    sites = lat.block_table(g, 1)[4]
-    f = dc._box_field(g, sites, np.random.default_rng(5))
-    rng = np.random.default_rng(5)
-    expect = np.zeros(g.site_count, dtype=complex)
-    for s in sites:
-        expect[s] = rng.standard_normal() + 1j * rng.standard_normal()
-    assert np.array_equal(f.values, expect)
+def _scalar_box_fit(geom, rng, draws=3):
+    """The per-pair reference loop: two (b, 2) draws per pair and draw, a
+    full ``Gm @ f2`` apply and ``ops.inner``; returns the fit and the draws."""
+    Gm = ms.green_neumann(geom, P0).matrix
+    boxes = lat.block_table(geom, geom.k)
+    labels = lat.all_sites(lat.coarse_geometry(geom, geom.k))
+    dists, logvals, stream = [], [], []
+    for i, y in enumerate(labels):
+        for i2 in range(i, len(labels)):
+            best = 0.0
+            for _ in range(draws):
+                fields = []
+                for box in (boxes[i], boxes[i2]):
+                    z = rng.standard_normal((len(box), 2))
+                    stream.append(z)
+                    v = np.zeros(geom.site_count, dtype=complex)
+                    v[box] = z[:, 0] + 1j * z[:, 1]
+                    fields.append(ops.Field(geom, v))
+                f, f2 = fields
+                val = abs(ops.inner(f, ops.Field(geom, Gm @ f2.values)))
+                best = max(best, val / (ops.norm(f) * ops.norm(f2)))
+            dists.append(float(np.linalg.norm(np.subtract(y, labels[i2]))))
+            logvals.append(np.log(best))
+    dists, logvals = np.array(dists), np.array(logvals)
+    slope, intercept = np.polyfit(dists, logvals, 1)
+    viol = float(np.max(logvals - (intercept + slope * dists)))
+    return -slope, intercept, viol, np.concatenate(stream)
+
+
+@pytest.mark.parametrize("d,L,k,m", [(1, 3, 1, 3), (2, 3, 1, 2)])
+def test_box_statistics_match_scalar_loop(d, L, k, m):
+    g = lat.make_geometry(d, L, k, m)
+    ref_rng = np.random.default_rng(7)
+    c1, prefactor, viol, stream = _scalar_box_fit(g, ref_rng)
+    rng = np.random.default_rng(7)
+    rep = dc.ct_bound_report(g, P0, [0.0], rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the one gathered draw is the scalar loop's stream, bit for bit
+    nb, b = lat.block_table(g, g.k).shape
+    gathered = np.random.default_rng(7).standard_normal((nb * (nb + 1) // 2, 3, 2, b, 2))
+    assert np.array_equal(gathered.reshape(-1, 2), stream)
+    assert rep.fitted_c1 == pytest.approx(c1, rel=1e-13, abs=0)
+    assert rep.fitted_log_prefactor == pytest.approx(prefactor, rel=1e-13, abs=0)
+    assert rep.max_violation == pytest.approx(viol, rel=1e-13, abs=0)
 
 
 def test_conjugation_bitwise_at_zero():

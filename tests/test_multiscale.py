@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockrg import decay, lattice as lat, multiscale as ms, operators as ops
 
@@ -193,6 +194,11 @@ def test_positivity_report():
     cs = [r.c for r in rows]
     assert all(c > 0 for c in cs)
     assert max(cs) / min(cs) < 4.0
+    # the dense oracle gives the same ratios
+    for g, row in zip(geoms, rows):
+        ref = ops.scale(ops.neumann_laplacian(g), -1.0) + ops.identity(g)
+        dense = ops.min_eigenvalue(ms.defining_operator(g, P0, g.k)) / ops.min_eigenvalue(ref)
+        assert row.c == pytest.approx(dense, rel=1e-11)
     # adding a mass raises the numerator eigenvalue
     single = [lat.make_geometry(1, 3, 1, 1)]
     c0 = ms.positivity_report(single, P0)[0].c
@@ -201,6 +207,66 @@ def test_positivity_report():
     # more disjoint unit cubes do not collapse the constant
     multi = ms.positivity_report([lat.make_geometry(1, 3, 1, 2)], P0)[0].c
     assert multi > 0.5 * c0
+
+
+def test_positivity_report_d2_family():
+    # n = 81, 729, 6561: out of dense reach at the largest
+    geoms = [lat.make_geometry(2, 3, k, k + 1) for k in (1, 2, 3)]
+    cs = [r.c for r in ms.positivity_report(geoms, P0)]
+    assert all(c > 0 for c in cs)
+    assert max(cs) / min(cs) < 4.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_secular_min_roots_match_block_eigvalsh(data):
+    # blocks with several members, ties and a large at: the root often lies
+    # below d_2 < d_1 + at sum u**2, where the secular function has more poles
+    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    cls = np.repeat(np.arange(len(sizes)) * 3, sizes)       # labels need not be contiguous
+    grid = st.integers(-4, 8).map(float)                    # small integers: exact ties
+    diag = np.array(data.draw(st.lists(grid, min_size=cls.size, max_size=cls.size)))
+    nonzero = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)
+    u = np.array(data.draw(st.lists(nonzero, min_size=cls.size, max_size=cls.size)))
+    at = data.draw(st.floats(-2.0, 2.0).map(lambda t: 10.0**t))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(cls.size)                        # members in any order
+    roots = ms.secular_min_roots(diag[perm], cls[perm], u[perm], at)
+    for i, c in enumerate(np.unique(cls)):
+        m = cls == c
+        block = np.diag(diag[m]) + at * np.outer(u[m], u[m])
+        bound = np.max(np.abs(diag[m])) + at * np.sum(u[m] ** 2)
+        assert abs(roots[i] - np.linalg.eigvalsh(block)[0]) <= 16 * np.finfo(float).eps * bound
+
+
+def _spectral_vs_dense(g, params, j):
+    """``|lambda_spectral - lambda_dense|`` in units of ``eps`` times the norm bound."""
+    dense = np.linalg.eigvalsh(ms.defining_operator(g, params, j).matrix)[0]
+    bound = 4 * g.d / g.spacing**2 + params.mu_bar(g.L, g.k) + params.a_tilde(g, j, j)
+    return abs(ms.defining_min_eigenvalue(g, params, j) - dense) / (np.finfo(float).eps * bound)
+
+
+@pytest.mark.parametrize("a,mu0", [(1.0, 0.0), (0.3, 0.2), (5.0, 1.0), (50.0, 0.0)])
+@pytest.mark.parametrize("d,L,k,m,j", [(1, 3, 1, 2, 1), (1, 3, 2, 4, 2), (1, 3, 2, 4, 3),
+                                       (1, 5, 1, 3, 2), (2, 3, 1, 2, 1), (2, 3, 2, 3, 2),
+                                       (2, 5, 1, 2, 1)])
+def test_defining_min_eigenvalue_matches_dense(d, L, k, m, j, a, mu0):
+    g = lat.make_geometry(d, L, k, m)
+    assert _spectral_vs_dense(g, ms.MultiscaleParams(a=a, mu0=mu0), j) <= 16
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_defining_min_eigenvalue_property(data):
+    d = data.draw(st.sampled_from([1, 2]))
+    L = data.draw(st.sampled_from([3, 5]))
+    m = data.draw(st.integers(1, {(1, 3): 6, (1, 5): 4, (2, 3): 3, (2, 5): 2}[d, L]))  # n <= 729
+    k = data.draw(st.integers(0, m))
+    j = data.draw(st.integers(1, m))
+    a = data.draw(st.floats(-3.0, 3.0).map(lambda t: 10.0**t))
+    mu0 = data.draw(st.sampled_from([0.0, 1e-3, 0.2, 1.0, 10.0]))
+    params = ms.MultiscaleParams(a=a, mu0=mu0)
+    assert _spectral_vs_dense(lat.make_geometry(d, L, k, m), params, j) <= 16
 
 
 def test_fluctuation_kernel_decay():

@@ -346,3 +346,28 @@ def test_interior_stencil_reflection_symmetric():
     lhs = (P @ M @ P)[np.ix_(inner, inner)]
     rhs = M[np.ix_(inner, inner)]
     assert np.allclose(lhs, rhs, atol=1e-14)
+
+
+def _dct2(N):
+    """Orthonormal DCT-II matrix, rows indexed by frequency."""
+    p, x = np.arange(N)[:, None], np.arange(N)[None, :]
+    C = np.sqrt(2.0 / N) * np.cos(np.pi * p * (2 * x + 1) / (2 * N))
+    C[0] /= np.sqrt(2.0)
+    return C
+
+
+@pytest.mark.parametrize("d,L,k,m", [(1, 3, 1, 3), (1, 3, 2, 5), (1, 5, 1, 3),
+                                     (2, 3, 1, 2), (2, 3, 2, 3), (2, 5, 1, 2)])
+def test_dct_frequency_classes_match_dense_conjugation(d, L, k, m):
+    g = lat.make_geometry(d, L, k, m)
+    C = ops._kron_chain([_dct2(g.sites_per_axis)] * d)
+    lap = C @ -ops.neumann_laplacian(g).matrix @ C.T
+    for j in range(m + 1):
+        lam, cls, u = ops.dct_frequency_classes(g, j)
+        assert np.linalg.norm(lap - np.diag(lam)) <= 1e-12 * np.linalg.norm(lap)
+        # Q_j* Q_j is one rank-one block u_c u_c^T per coarse class
+        proj = C @ ops.block_projector(g, j).matrix @ C.T
+        same = (cls[:, None] == cls[None, :]) & (cls[:, None] >= 0)
+        assert np.linalg.norm(proj - same * np.outer(u, u)) <= 1e-12 * np.linalg.norm(proj)
+        assert np.all(u[cls < 0] == 0.0)
+        assert np.array_equal(np.unique(cls[u != 0]), np.arange((g.sites_per_axis // L**j) ** d))

@@ -138,9 +138,9 @@ def decay_profile(geom: LatticeGeometry, params, source=None):
     f = indicator_field(geom, source)
     G = multiscale.green_neumann(geom, params)
     g = ops.apply(G, f)
-    supp = positions(geom)[np.abs(f.values) > 0]
     pos = positions(geom)
-    dists = np.array([np.min(np.linalg.norm(supp - x, axis=1)) for x in pos])
+    supp = pos[np.abs(f.values) > 0]
+    dists = np.min(np.linalg.norm(pos[:, None, :] - supp[None, :, :], axis=2), axis=1)
     order = np.argsort(dists)
     return dists[order], np.abs(g.values)[order]
 

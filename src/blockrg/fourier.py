@@ -21,11 +21,11 @@ Delta_l) + a_k U_0 Ubar_0``, which is ``det M`` over those symbols and so
 positive at every real momentum.  The massless node ``p = 0``, where
 ``Delta_0 = 0``, thus goes through the same formula as every other node and
 no term is ever formed as 0/0.  Kernels are trapezoid quadratures of these
-solves over the base nodes; the plane waves ``exp(i Z_l . x)`` factor into a
-node part and a shift part, so they are never tabulated per node and shift.
-The factored strip form of the scalar integrand (used by the decay analysis
-and the strip report) is evaluated through cancelled sine ratios for the
-same reason.
+solves; the solve's pieces are contracted over the shifts once per residue
+class modulo the unit lattice and over the nodes by per-axis transforms at
+the distinct offsets (see ``free_kernel_g``).  The factored strip form of
+the scalar integrand (used by the decay analysis and the strip report) is
+evaluated through cancelled sine ratios for the same reason.
 
 Symbols take complex arguments everywhere, which is what operational
 analyticity checks (contour shifts) and the strip bounds rely on.
@@ -126,8 +126,15 @@ class TorusGrid:
         return TorusGrid(self.d, self.L, self.k, 2 * self.M)
 
 
-def default_grid(d: int, L: int, k: int) -> TorusGrid:
-    return TorusGrid(d=d, L=L, k=k, M=8 * L**k)
+def default_grid(d: int, L: int, k: int, reach: float = 0.0) -> TorusGrid:
+    """Start grid for separations up to ``reach`` per axis: base count the
+    smallest ``8 * 2**j`` above ``2 * reach``.  The trapezoid rule with
+    ``M0`` base nodes per axis is the kernel of the lattice of period ``M0``,
+    so its error is the wrap-around sum ``sum_{n != 0} G(x + n M0)``."""
+    M0 = 8
+    while M0 <= 2.0 * reach:
+        M0 *= 2
+    return TorusGrid(d=d, L=L, k=k, M=M0 * L**k)
 
 
 def _sinc(w):
@@ -323,9 +330,7 @@ def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
     star = _axis_outer(np.add, [lap_star(Z[..., None], L, k, 0.0) for Z in Z_axes])
     Delta = (4.0 / grid.eta**2) * (star + params.mu0 / 4.0)
     zero = int(np.flatnonzero(~shifts.any(axis=1))[0])
-    w = np.zeros_like(Delta)
-    off = np.arange(len(shifts)) != zero
-    w[:, off] = 1.0 / Delta[:, off]
+    w = np.divide(1.0, Delta, out=np.zeros_like(Delta), where=np.arange(len(shifts)) != zero)
     c0 = 1.0 + a_k * np.sum(Ubar * w * U, axis=1)
     den = Delta[:, zero] * c0 + a_k * U[:, zero] * Ubar[:, zero]
     return ShiftSystem(grid=grid, params=params, q=tuple(q), a_k=a_k,
@@ -346,15 +351,41 @@ def _system(grid, params, shift_q=None) -> ShiftSystem:
                       SYSTEM_CACHE_BYTES)
 
 
-def _plane_waves(sys: ShiftSystem, pos, sign: float):
-    """``exp(sign i Z . x) = P[n, x] E[s, x]`` for position rows ``pos``: node
-    factor ``P`` (n, nx), a row-major product of per-axis factors, and shift
-    factor ``E`` (S, nx)."""
-    pos = np.atleast_2d(np.asarray(pos, dtype=float))
-    P = np.ones((1, len(pos)), dtype=complex)
-    for nodes, x in zip(sys.axis_nodes, pos.T):
-        P = (P[:, None, :] * np.exp(sign * 1j * np.outer(nodes, x))).reshape(-1, len(pos))
-    return P, np.exp(sign * 2j * np.pi * (sys.shifts @ pos.T))
+def _shift_legs(sys: ShiftSystem, A, residues) -> np.ndarray:
+    """``A @ exp(2 pi i l . rho / Lk)`` for every residue row ``rho``:
+    (n, S) ``A`` contracted over its shifts, (n, len(residues))."""
+    return A @ np.exp(2j * np.pi / sys.grid.shifts_per_axis * (sys.shifts @ residues.T))
+
+
+def _class_sums(sys: ShiftSystem, xs, ys, node_arrays) -> np.ndarray:
+    """``(1/n) sum_p e^{i p (x - y)} F_ij(p)`` for all pairs of position rows
+    in ``eta Z^d``; ``node_arrays(Rx, Ry)`` gives ``F_ij`` for the residue
+    classes ``Rx[i]`` of x and ``Ry[j]`` of y modulo the unit lattice.  Per
+    pair of classes the node sum is contracted axis by axis at the distinct
+    values of that axis of ``x - y``, and the pairs are gathered from the grid.
+    """
+    grid = sys.grid
+    Lk, M0 = grid.shifts_per_axis, grid.base_count
+    pos = [np.atleast_2d(np.asarray(p, dtype=float)) for p in (xs, ys)]
+    ix, iy = (np.rint(p / grid.eta).astype(np.int64) for p in pos)
+    if any(np.any(np.abs(i * grid.eta - p) > 1e-9 * (1.0 + np.abs(p)))
+           for i, p in zip((ix, iy), pos)):
+        raise ValueError(f"kernel positions must lie on the lattice {grid.eta:.6g} Z^d")
+    Rx, cx = np.unique(ix % Lk, axis=0, return_inverse=True)
+    Ry, cy = np.unique(iy % Lk, axis=0, return_inverse=True)
+    F = node_arrays(Rx, Ry)
+    out = np.empty((len(ix), len(iy)), dtype=complex)
+    for i, j in itertools.product(range(len(Rx)), range(len(Ry))):
+        rows, cols = np.flatnonzero(cx.ravel() == i), np.flatnonzero(cy.ravel() == j)
+        off = ix[rows][:, None, :] - iy[cols][None, :, :]
+        K = F(i, j).reshape((M0,) * grid.d)
+        gather = []
+        for p, o in zip(sys.axis_nodes, np.moveaxis(off, -1, 0)):
+            vals, where = np.unique(o, return_inverse=True)
+            K = np.tensordot(K, np.exp(1j * grid.eta * np.outer(p, vals)), axes=([0], [0]))
+            gather.append(where.reshape(o.shape))
+        out[np.ix_(rows, cols)] = K[tuple(gather)]
+    return out / len(sys.den)
 
 
 def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
@@ -366,34 +397,51 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     is unchanged up to quadrature error, which is exactly the operational
     analyticity check.
 
-    Per node the summand ``Ex^T M^{-1} Ey`` is the diagonal sum
-    ``sum_{l != 0} Ex_l Ey_l / Delta_l`` plus a 2x2 form on the zero-shift
-    waves and the rank-one projections ``alpha = sum_l Ex_l w_l U_l``,
-    ``beta = sum_l Ubar_l w_l Ey_l`` (see ``ShiftSystem.solve``); both are
-    contracted over the nodes straight into the ``(nx, ny)`` kernel.
+    On the lattice ``e^{i Z_l x} = e^{i p x} e_x``, and the shift factor
+    ``e_x = e^{2 pi i l x}`` depends only on the class of ``x`` modulo the
+    unit lattice (``G(x, t + r) = G(x - t, r)``).  So the pieces of
+    ``ShiftSystem.solve`` are contracted over the shifts once per class:
+    ``D = w e_{x-y}``, ``H = (w U) e_x``, ``K = (w Ubar) e_{-y}``; the node
+    array ``D - a_k H beta + x0`` with ``beta = (Ubar_0 + Delta_0 K) / den``
+    and ``x0 = (c0 - a_k U_0 K) / den`` is summed against ``e^{i p (x - y)}``
+    by per-axis transforms (``_class_sums``).
     """
     sys = _system(grid, params, shift_q)
-    Px, Ex = _plane_waves(sys, xs, 1.0)
-    Py, Ey = _plane_waves(sys, ys, -1.0)
-    z, a = sys.zero, sys.a_k
-    R = (sys.w.T[None, :, :] * Px.T[:, None, :]) @ Py               # (nx, S, ny)
-    diagonal = np.einsum("xsy,sx,sy->xy", R, Ex, Ey)
-    Ex0, alpha = Px * Ex[z], Px * ((sys.w * sys.U) @ Ex)            # (n, nx)
-    Ey0, beta = Py * Ey[z], Py * ((sys.w * sys.Ubar) @ Ey)          # (n, ny)
-    g00, g01 = sys.c0 / sys.den, -a * sys.U[:, z] / sys.den
-    g10, g11 = -a * sys.Ubar[:, z] / sys.den, -a * sys.Delta[:, z] / sys.den
-    coupled = ((g00[:, None] * Ex0 + g10[:, None] * alpha).T @ Ey0
-               + (g01[:, None] * Ex0 + g11[:, None] * alpha).T @ beta)
-    return (diagonal + coupled) / Px.shape[0]
+    z = sys.zero
+    U0, Ubar0, Delta0 = sys.U[:, z], sys.Ubar[:, z], sys.Delta[:, z]
+    Lk = grid.shifts_per_axis
+
+    def node_arrays(Rx, Ry):
+        diff, m = np.unique(((Rx[:, None, :] - Ry[None, :, :]) % Lk).reshape(-1, grid.d),
+                            axis=0, return_inverse=True)
+        m = m.reshape(len(Rx), len(Ry))
+        D = _shift_legs(sys, sys.w, diff)
+        H = _shift_legs(sys, sys.w * sys.U, Rx)
+        K = _shift_legs(sys, sys.w * sys.Ubar, -Ry)
+        den = sys.den[:, None]
+        beta = (Ubar0[:, None] + Delta0[:, None] * K) / den
+        x0 = (sys.c0[:, None] - sys.a_k * U0[:, None] * K) / den
+        return lambda i, j: D[:, m[i, j]] - sys.a_k * H[:, i] * beta[:, j] + x0[:, j]
+
+    return _class_sums(sys, xs, ys, node_arrays)
 
 
 def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
                    shift_q=None) -> np.ndarray:
-    """Kernel ``(G_k Q_k*)(x, y)`` for fine positions ``xs`` and unit-lattice ``ys``."""
+    """Kernel ``(G_k Q_k*)(x, y)`` for fine positions ``xs`` and unit-lattice ``ys``.
+
+    The sources form the one class ``r = 0``, and ``M^{-1} U`` is
+    ``(w U) Delta_0 / den`` off the zero shift and ``U_0 / den`` on it, so
+    the node array is ``(Delta_0 H(x) + U_0) / den`` (see ``free_kernel_g``).
+    """
     sys = _system(grid, params, shift_q)
-    Px, Ex = _plane_waves(sys, xs, 1.0)
-    Py, _ = _plane_waves(sys, ys, -1.0)    # shift factors are 1 on the unit lattice
-    return (Px * (sys.solve(sys.U) @ Ex)).T @ Py / Px.shape[0]
+    U0, Delta0 = sys.U[:, sys.zero], sys.Delta[:, sys.zero]
+
+    def node_arrays(Rx, Ry):
+        H = _shift_legs(sys, sys.w * sys.U, Rx)
+        return lambda i, j: (Delta0 * H[:, i] + U0) / sys.den
+
+    return _class_sums(sys, xs, ys, node_arrays)
 
 
 def converge_kernel(evaluate, grid: TorusGrid, tol: float = 1e-8,

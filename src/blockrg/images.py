@@ -8,7 +8,10 @@ small tail because the free kernel decays exponentially.  The same works for
 
 All free kernels come from :mod:`blockrg.fourier` with quadrature driven to
 self-convergence, so the reported truncation numbers measure the image tail
-and not the quadrature.
+and not the quadrature.  Each kernel is one converged batch per call
+(``_image_batch``), started, unless a grid is given, at the smallest base
+count ``8 * 2**j`` above twice the batch's largest per-axis separation: the
+torus quadrature is the periodic kernel of that period.
 """
 
 from __future__ import annotations
@@ -54,29 +57,50 @@ def _assemble(vals: np.ndarray, shell_idx: np.ndarray, shells: int) -> ImageSumR
                           shell_magnitudes=tuple(float(m) for m in mags))
 
 
-def _image_batch(geom: LatticeGeometry, site, shells: int, kernel,
+def _image_batch(geom: LatticeGeometry, sites, others, shells: int, kernel,
                  grid: fourier.TorusGrid | None, tol: float):
-    """Converged ``kernel(image positions, grid)`` over the images of ``site``.
+    """``kernel(images, others, grid) -> (len(others), len(images))`` over the
+    images of every site in ``sites``, in one ``converge_kernel`` from
+    ``grid`` or from ``fourier.default_grid`` at the batch's largest per-axis
+    separation.  Returns ``(values (site, other, image), shell index per
+    image, grid used, last relative change)``.
 
-    Returns ``(values, shell index per image)``; the quadrature grid is
-    doubled from ``grid`` (default: ``fourier.default_grid``) until the whole
-    batch is stable at ``tol``.
+    Convergence is judged batch-wide: ``converge_kernel`` scales the change
+    by the batch's largest value, so an entry far below it is stable to
+    ``tol`` times that maximum, not to ``tol`` relative to itself.  The
+    default start grid has no wrap-around at any pair of the batch; an
+    explicit coarse ``grid`` has no such guard.
     """
     if shells < 1:
         raise ValueError("need shells >= 1")
+    imgs = np.concatenate([image_points(geom, s, shells) for s in sites]) * geom.spacing
+    others = np.atleast_2d(np.asarray(others, dtype=float))
     if grid is None:
-        grid = fourier.default_grid(geom.d, geom.L, geom.k)
-    pos = image_points(geom, site, shells) * geom.spacing
-    vals, _, _ = fourier.converge_kernel(lambda g: kernel(pos, g), grid, tol=tol)
-    return vals, image_shell_index(geom, site, shells)
+        reach = float(np.max(np.abs(imgs[:, None, :] - others[None, :, :])))
+        grid = fourier.default_grid(geom.d, geom.L, geom.k, reach)
+    vals, used, delta = fourier.converge_kernel(lambda g: kernel(imgs, others, g), grid, tol=tol)
+    vals = vals.reshape(len(others), len(sites), -1).transpose(1, 0, 2)
+    return vals, image_shell_index(geom, sites[0], shells), used, delta
 
 
-def _neumann_batch(geom, params, x, y, shells, grid, tol):
-    """Free kernels ``G(x, .)`` over the images of ``y``; see ``_image_batch``."""
-    xpos = site_position(geom, x)[None, :]
+def _neumann_batch(geom, params, xs, ys, shells, grid, tol):
+    """``G(x, image of y)`` for all sites x in ``xs``, y in ``ys``: values (y, x, image)."""
+    xpos = np.array([site_position(geom, x) for x in xs])
     return _image_batch(
-        geom, y, shells,
-        lambda ypos, g: fourier.free_kernel_g(xpos, ypos, g, params)[0], grid, tol)
+        geom, ys, xpos, shells,
+        lambda imgs, xp, g: fourier.free_kernel_g(xp, imgs, g, params), grid, tol)
+
+
+def _gq_batch(geom, params, xs, ylabels, shells, grid, tol):
+    """``(G Q*)(image of x, y)`` for sites x in ``xs``, labels y: values (x, y, image)."""
+    return _image_batch(
+        geom, xs, np.array(ylabels, dtype=float), shells,
+        lambda imgs, yl, g: fourier.free_kernel_gq(imgs, yl, g, params).T, grid, tol)
+
+
+def _shell_sums(vals, shell_idx, shells: int) -> np.ndarray:
+    """Image sums over shells ``<= s`` for ``s = 1..shells``, stacked first."""
+    return np.stack([vals[..., shell_idx <= s].sum(axis=-1) for s in range(1, shells + 1)])
 
 
 def neumann_kernel_via_images(geom: LatticeGeometry, params, x, y, shells: int,
@@ -87,8 +111,8 @@ def neumann_kernel_via_images(geom: LatticeGeometry, params, x, y, shells: int,
     Sums the free kernel over all images of ``y`` within ``shells`` reflected
     copies per axis, with the quadrature grid doubled until stable.
     """
-    vals, shell_idx = _neumann_batch(geom, params, x, y, shells, grid, tol)
-    return _assemble(vals, shell_idx, shells)
+    vals, shell_idx, _, _ = _neumann_batch(geom, params, [x], [y], shells, grid, tol)
+    return _assemble(vals[0, 0], shell_idx, shells)
 
 
 def gq_kernel_via_images(geom: LatticeGeometry, params, x, y_label, shells: int,
@@ -100,21 +124,23 @@ def gq_kernel_via_images(geom: LatticeGeometry, params, x, y_label, shells: int,
     involution, so summing over transformed ``x`` equals summing over image
     sources), while the unit-block source stays put.
     """
-    ypos = np.asarray(y_label, dtype=float)[None, :]
-    vals, shell_idx = _image_batch(
-        geom, x, shells,
-        lambda xpos, g: fourier.free_kernel_gq(xpos, ypos, g, params)[:, 0], grid, tol)
-    return _assemble(vals, shell_idx, shells)
+    vals, shell_idx, _, _ = _gq_batch(geom, params, [x], [y_label], shells, grid, tol)
+    return _assemble(vals[0, 0], shell_idx, shells)
 
 
 @dataclass(frozen=True)
 class ImagesReport:
+    """``grid_used`` and ``last_delta``: per batch (``G``, then ``G Q*``) the
+    quadrature grid it converged on and its last relative change."""
+
     geometry: LatticeGeometry
     shells: tuple
     neumann_max: tuple
     neumann_median: tuple
     gq_max: tuple
     neumann_center: tuple
+    grid_used: tuple
+    last_delta: tuple
     runtime_seconds: float
 
 
@@ -126,44 +152,34 @@ def images_residual_report(geom: LatticeGeometry, params, shells: int,
     For every shell count ``1..shells``: max and median of
     ``|image sum - direct|`` over the deterministic site sample for the
     Neumann kernel, max for the ``G Q*`` kernel over sample-by-coarse pairs,
-    plus the center-pair Neumann residual (the reference entry).  Image sums
-    for smaller shell counts are prefixes of the largest one, so the sweep
-    costs one kernel batch.
+    plus the center-pair Neumann residual (the reference entry).  Two
+    converged batches cover all pairs: ``G`` over (sample x, images of
+    sample y) and ``G Q*`` over (images of sample x, coarse labels), each
+    judged stable against its own largest value (see ``_image_batch``);
+    image sums for smaller shell counts are prefixes of the largest one.
     """
     t0 = time.time()
     G = multiscale.green_neumann(geom, params)
     GQ = G @ ops.adjoint(ops.averaging(geom, geom.k))
     xs = sample_sites(geom)
-    center = ((geom.sites_per_axis // 2,) * geom.d)
+    fx = [site_to_flat(geom, x) for x in xs]
+    ic = xs.index((geom.sites_per_axis // 2,) * geom.d)
 
-    # one converged batch of free kernels per (y, all images of y)
-    def residuals_for_pair(x, y):
-        vals, shell_idx = _neumann_batch(geom, params, x, y, shells, grid, tol)
-        direct = G.kernel[site_to_flat(geom, x), site_to_flat(geom, y)]
-        return [abs(vals[shell_idx <= s].sum() - direct) for s in range(1, shells + 1)]
-
-    res = {(x, y): residuals_for_pair(x, y) for x in xs for y in xs}
-    neumann_max = tuple(max(r[s] for r in res.values()) for s in range(shells))
-    neumann_median = tuple(float(np.median([r[s] for r in res.values()]))
-                           for s in range(shells))
-    neumann_center = tuple(res[(center, center)])
+    vals, shell_idx, g_grid, g_delta = _neumann_batch(geom, params, xs, xs, shells, grid, tol)
+    res = np.abs(_shell_sums(vals, shell_idx, shells) - G.kernel[np.ix_(fx, fx)].T)
+    neumann_max = tuple(float(r.max()) for r in res)
+    neumann_median = tuple(float(np.median(r)) for r in res)
+    neumann_center = tuple(float(r) for r in res[:, ic, ic])
 
     coarse = coarse_geometry(geom, geom.k)
     ylabels = sample_sites(coarse)
-    ypos = np.array(ylabels, dtype=float)
-    gq_res = []
-    for x in xs:
-        # all coarse labels in one batch: convergence is judged over all of them
-        vals, shell_idx = _image_batch(
-            geom, x, shells,
-            lambda xpos, g: fourier.free_kernel_gq(xpos, ypos, g, params), grid, tol)
-        for iy, ylab in enumerate(ylabels):
-            direct = GQ.kernel[site_to_flat(geom, x), site_to_flat(coarse, ylab)]
-            gq_res.append([abs(vals[shell_idx <= s, iy].sum() - direct)
-                           for s in range(1, shells + 1)])
-    gq_max = tuple(max(r[s] for r in gq_res) for s in range(shells))
+    fy = [site_to_flat(coarse, y) for y in ylabels]
+    vals, shell_idx, gq_grid, gq_delta = _gq_batch(geom, params, xs, ylabels, shells, grid, tol)
+    gq_res = np.abs(_shell_sums(vals, shell_idx, shells) - GQ.kernel[np.ix_(fx, fy)])
+    gq_max = tuple(float(r.max()) for r in gq_res)
 
     return ImagesReport(geometry=geom, shells=tuple(range(1, shells + 1)),
                         neumann_max=neumann_max, neumann_median=neumann_median,
                         gq_max=gq_max, neumann_center=neumann_center,
+                        grid_used=(g_grid, gq_grid), last_delta=(g_delta, gq_delta),
                         runtime_seconds=time.time() - t0)

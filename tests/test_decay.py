@@ -173,3 +173,15 @@ def test_block_source_profile():
     assert dists[0] == 0.0
     fit = dc.fit_decay(dists, mags)
     assert fit.rate > 0
+
+
+@pytest.mark.parametrize("g,source", [((1, 3, 1, 4), ("site", (0,))),
+                                      ((2, 3, 1, 2), ("block", (1, 0)))])
+def test_profile_distances_match_site_loop(g, source):
+    # oracle: each site's distance to the source support, one site at a time
+    geom = lat.make_geometry(*g)
+    pos = lat.positions(geom)
+    supp = pos[np.abs(dc.indicator_field(geom, source).values) > 0]
+    loop = np.sort([np.min(np.linalg.norm(supp - x, axis=1)) for x in pos])
+    dists, _ = dc.decay_profile(geom, P0, source=source)
+    assert np.array_equal(dists, loop)

@@ -174,29 +174,70 @@ def test_shift_solve_matches_dense_inverse(d, L, k, mu0, q0):
     assert sys.Minv.nbytes + sys.Mmat.nbytes < 8 * n * S * 16
 
 
-@pytest.mark.parametrize("mu0,q0", ORACLE_SETTINGS)
+KERNEL_SETTINGS = ([pytest.param(mu0, q0, 1.0, id=f"{mu0}-{q0}") for mu0, q0 in ORACLE_SETTINGS]
+                   + [pytest.param(0.2, 0.05, 0.3, id="0.2-0.05-a0.3")])   # (mu0, q_0, a)
+
+
+@pytest.mark.parametrize("mu0,q0,a", KERNEL_SETTINGS)
 @pytest.mark.parametrize("d,L,k", [(1, 3, 1), (2, 3, 1), (2, 3, 2)])
-def test_free_kernels_match_dense_quadrature(d, L, k, mu0, q0):
+def test_free_kernels_match_dense_quadrature(d, L, k, mu0, q0, a):
     # oracle: the trapezoid sum of exp(i Z.x) M^{-1} exp(-i Z.y) with dense inverses
-    params = MultiscaleParams(mu0=mu0)
+    params = MultiscaleParams(a=a, mu0=mu0)
     grid = fr.default_grid(d, L, k)
     q = _contour(d, q0)
     Z, M, _ = _dense_shift_matrices(grid, params, q)
     Minv = np.linalg.inv(M)
     nodes = grid.base_nodes() + 1j * q
-    eta = grid.eta
+    eta, Lk = grid.eta, L**k
     rng = np.random.default_rng(29)
-    xs = rng.integers(-6, 7, size=(4, d)) * eta
-    ys = rng.integers(-6, 7, size=(3, d)) * eta
+    # targets over several unit cells; one source in every residue class
+    # modulo the unit lattice, each moved by its own unit translation
+    xs = rng.integers(-3 * Lk, 3 * Lk + 1, size=(5, d)) * eta
+    residues = lat.grid_points([np.arange(Lk)] * d)
+    ys = (residues + Lk * rng.integers(-2, 3, size=residues.shape)) * eta
+    offsets = xs[:, None, :] - np.floor(ys)[None, :, :]
+    for mu in range(d):
+        assert len(np.unique(offsets[..., mu])) > 1 and np.ptp(offsets[..., mu]) >= 3
     Ex = np.exp(1j * np.einsum("nsd,xd->nsx", Z, xs))
     Ey = np.exp(-1j * np.einsum("nsd,yd->nsy", Z, ys))
-    G = np.einsum("nsx,nst,nty->xy", Ex, Minv, Ey) / len(nodes)
+    G = np.einsum("nsx,nsy->xy", Ex, Minv @ Ey) / len(nodes)
     assert _rel(fr.free_kernel_g(xs, ys, grid, params, shift_q=q), G) <= 1e-12
     U = fr.u_kernel(Z, L, k)
-    labels = rng.integers(-2, 3, size=(2, d)).astype(float)
+    labels = rng.integers(-3, 4, size=(4, d)).astype(float)
     Py = np.exp(-1j * nodes @ labels.T)
-    GQ = np.einsum("nsx,nst,nt,ny->xy", Ex, Minv, U, Py) / len(nodes)
+    GQ = np.einsum("nsx,ns,ny->xy", Ex, np.einsum("nst,nt->ns", Minv, U), Py) / len(nodes)
     assert _rel(fr.free_kernel_gq(xs, labels, grid, params, shift_q=q), GQ) <= 1e-12
+
+
+def test_free_kernels_reject_positions_off_the_lattice():
+    grid = fr.default_grid(1, 3, 1)
+    on, off = np.array([[1.0 / 3.0]]), np.array([[0.5]])
+    fr.free_kernel_g(on, on, grid, P0)
+    with pytest.raises(ValueError):
+        fr.free_kernel_g(on, off, grid, P0)
+    with pytest.raises(ValueError):
+        fr.free_kernel_gq(off, np.zeros((1, 1)), grid, P0)
+
+
+def test_free_kernel_batch_memory():
+    # the images-verify G batch at (2,3,1,1): 5 sample targets against the
+    # 405 images of the 5 sample sources, on the M0 = 64 grid
+    import tracemalloc
+    geom = lat.make_geometry(2, 3, 1, 1)
+    sites = lat.sample_sites(geom)
+    xs = np.array(sites, dtype=float) * geom.spacing
+    ys = np.concatenate([lat.image_points(geom, s, 4) for s in sites]) * geom.spacing
+    assert ys.shape == (405, 2)
+    grid = fr.TorusGrid(2, 3, 1, 64 * 3)
+    fr._system_cache.clear()
+    tracemalloc.start()
+    try:
+        K = fr.free_kernel_g(xs, ys, grid, P0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.shape == (5, 405)
+    assert peak <= 8 * 2**20
 
 
 def _direct_phase_matrix(patch, grid):

@@ -155,3 +155,43 @@ def test_shell_guard_raises_for_flat_tails(ref_1d):
     idx = lat.image_shell_index(geom, (4,), 4)
     with pytest.raises(im.ImageSumDivergence):
         im._assemble(np.ones(len(idx), dtype=complex), idx, 4)
+
+
+@pytest.mark.parametrize("g", [(1, 3, 1, 2), (2, 3, 1, 1)])
+def test_report_batches_match_pair_sums(g):
+    # the report's two batches give each pair's image sum; the pair routes
+    # converge their own one-pair batches on their own grids
+    geom = lat.make_geometry(*g)
+    xs = lat.sample_sites(geom)
+    labels = lat.sample_sites(lat.coarse_geometry(geom, geom.k))
+    shells = 2
+    vals = im._neumann_batch(geom, P0, xs, xs, shells, None, 1e-8)[0]
+    for iy, y in enumerate(xs):
+        for ix, x in enumerate(xs):
+            pair = im.neumann_kernel_via_images(geom, P0, x, y, shells).value
+            assert abs(vals[iy, ix].sum() - pair) <= 1e-8 * abs(pair)
+    vals = im._gq_batch(geom, P0, xs, labels, shells, None, 1e-8)[0]
+    for ix, x in enumerate(xs):
+        for iy, y in enumerate(labels):
+            pair = im.gq_kernel_via_images(geom, P0, x, y, shells).value
+            assert abs(vals[ix, iy].sum() - pair) <= 1e-8 * abs(pair)
+
+
+def test_report_converges_past_the_torus_period():
+    # images at 4 shells reach |x - y| = 405 here: below a base count of 810
+    # the torus quadrature aliases them; started above twice the reach, both
+    # batches converge on base counts [1024, 2048]
+    geom = lat.make_geometry(1, 3, 2, 6)
+    shells = 4
+    rep = im.images_residual_report(geom, P0, shells)
+    for r in (rep.neumann_max, rep.neumann_median, rep.gq_max, rep.neumann_center):
+        assert max(r) <= 1e-12
+    xs = lat.sample_sites(geom)
+    imgs = np.concatenate([lat.image_points(geom, s, shells) for s in xs]) * geom.spacing
+    targets = (np.array(xs, dtype=float) * geom.spacing,
+               np.array(lat.sample_sites(lat.coarse_geometry(geom, geom.k)), dtype=float))
+    for grid, delta, other in zip(rep.grid_used, rep.last_delta, targets):
+        reach = np.max(np.abs(imgs[:, None, :] - other[None, :, :]))
+        assert reach > 400
+        assert grid.base_count >= 2 * reach and grid.base_count == 2048
+        assert delta <= 1e-8

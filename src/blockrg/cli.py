@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -76,6 +77,36 @@ def _merge_strict(defaults: dict, given: dict, path: str = "") -> dict:
     return out
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _check_suite_blocks(cfg: ExperimentConfig):
+    """Reject fourier, images and decay settings that no suite can run with."""
+    Lk = cfg.geometry["L"] ** cfg.geometry["k"]
+    M_init, q_max = cfg.fourier["M_init"], cfg.fourier["q_max"]
+    shells = cfg.images["shells"]
+    window, q_grid = cfg.decay["window"], cfg.decay["q_grid"]
+    checks = [
+        ("fourier.M_init", M_init, f"null or a multiple of L**k = {Lk} of at least {4 * Lk}",
+         M_init is None or (_is_int(M_init) and M_init % Lk == 0 and M_init >= 4 * Lk)),
+        ("fourier.q_max", q_max, "a finite number >= 0", _is_finite(q_max) and q_max >= 0),
+        ("images.shells", shells, "an integer >= 1", _is_int(shells) and shells >= 1),
+        ("decay.window", window, "null or [lo, hi] with finite lo < hi",
+         window is None or (isinstance(window, list) and len(window) == 2
+                            and all(map(_is_finite, window)) and window[0] < window[1])),
+        ("decay.q_grid", q_grid, "a non-empty list of finite numbers",
+         isinstance(q_grid, list) and bool(q_grid) and all(map(_is_finite, q_grid))),
+    ]
+    for name, value, want, ok in checks:
+        if not ok:
+            raise ConfigError(f"{name} must be {want}, got {value!r}")
+
+
 def load_config(path: str | None) -> ExperimentConfig:
     raw = {}
     if path is not None:
@@ -111,6 +142,7 @@ def load_config(path: str | None) -> ExperimentConfig:
         cfg.geom()   # lattice preconditions are config validation, not runtime
     except (GeometryError, TypeError) as exc:
         raise ConfigError(f"bad geometry block: {exc}") from exc
+    _check_suite_blocks(cfg)
     return cfg
 
 

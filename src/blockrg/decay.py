@@ -100,6 +100,10 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng,
     vals = np.abs(np.einsum("pdx,pxy,pdy->pd", f.conj(), Gpair, f2))
     vals *= geom.spacing ** geom.d / (np.linalg.norm(f, axis=-1) * np.linalg.norm(f2, axis=-1))
     dists = np.linalg.norm(labels[i1] - labels[i2], axis=1)
+    if np.all(dists == dists[0]):
+        # only a cube of one unit box has no nonzero box distance
+        raise ValueError("the box-to-box decay fit needs two distinct box distances, "
+                         "and this cube is a single unit box")
     logvals = np.log(vals.max(axis=1))
     slope, intercept = np.polyfit(dists, logvals, 1)
     viol = float(np.max(logvals - (intercept + slope * dists)))

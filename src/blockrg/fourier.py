@@ -23,9 +23,9 @@ positive at every real momentum.  The massless node ``p = 0``, where
 no term is ever formed as 0/0.  Kernels are trapezoid quadratures of these
 solves; the solve's pieces are contracted over the shifts once per residue
 class modulo the unit lattice and over the nodes by per-axis transforms at
-the distinct offsets (see ``free_kernel_g``).  The factored strip form of
-the scalar integrand (used by the decay analysis and the strip report) is
-evaluated through cancelled sine ratios for the same reason.
+the distinct offsets (see ``free_kernel_g``).  The strip integrand
+``H = M^{-1} U`` of the strip report is read off the same Sherman-Morrison
+weights (``ShiftSystem.solve_u``), at complex nodes ``p + i q``.
 
 Symbols take complex arguments everywhere, which is what operational
 analyticity checks (contour shifts) and the strip bounds rely on.
@@ -47,6 +47,7 @@ from .operators import lru_lookup
 POLE_GUARD = 1e-12
 DENOMINATOR_FLOOR = 0.1
 SYSTEM_CACHE_BYTES = 256 * 2**20   # summed nbytes of the cached shift systems
+STRIP_BLOCK_BYTES = 32 * 2**20     # nbytes of one complex (nodes, S) array of a strip solve
 
 
 class PoleProximityError(ValueError):
@@ -231,8 +232,8 @@ class FactoredStack:
 class ShiftSystem:
     """Per-node shift matrices ``M = diag(Delta) + a_k U Ubar^T`` of the defining operator.
 
-    ``axis_nodes``: complex base momenta of each axis (d, M0), whose
-    row-major Cartesian products are the ``n = M0**d`` nodes; ``shifts``: integer
+    ``axis_nodes``: complex momenta of each axis, d 1-d arrays, whose
+    row-major Cartesian products are the ``n`` nodes; ``shifts``: integer
     shifts (S, d) with the zero shift at index ``zero``; ``U``, ``Ubar``,
     ``Delta``: the averaging symbols and the Laplacian symbol at
     ``Z = node + 2 pi shift``, each (n, S).  The Sherman-Morrison weights
@@ -248,11 +249,8 @@ class ShiftSystem:
     ``Minv`` and ``Mmat`` view the same factors as matrix stacks.
     """
 
-    grid: TorusGrid
-    params: MultiscaleParams
-    q: tuple
     a_k: float
-    axis_nodes: np.ndarray
+    axis_nodes: tuple
     shifts: np.ndarray
     zero: int
     U: np.ndarray
@@ -264,7 +262,7 @@ class ShiftSystem:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.axis_nodes, self.shifts, self.U, self.Ubar,
+        return sum(a.nbytes for a in (*self.axis_nodes, self.shifts, self.U, self.Ubar,
                                       self.Delta, self.w, self.c0, self.den))
 
     @property
@@ -303,10 +301,19 @@ class ShiftSystem:
         x[:, z:z + 1] = (self.c0[:, None, None] * v0 - a * U[:, z:z + 1] * B) / den
         return x.reshape(v.shape)
 
+    def solve_u(self) -> np.ndarray:
+        """``M^{-1} U`` at every node, (n, S): ``solve(U)`` with ``B = (c0 - 1) / a_k``
+        cancelled, which leaves ``Delta_0 w U / den`` off the zero shift and
+        ``U_0 / den`` on it."""
+        z = self.zero
+        x = self.Delta[:, z, None] * self.w * self.U / self.den[:, None]
+        x[:, z] = self.U[:, z] / self.den
+        return x
+
 
 def _axis_outer(op, factors: list) -> np.ndarray:
-    """Combine per-axis ``(M0, Lk)`` factors with ``op`` into ``(M0**d, Lk**d)``,
-    base nodes and shifts both row-major."""
+    """Combine per-axis ``(n_axis, Lk)`` factors with ``op`` into
+    ``(prod n_axis, Lk**d)``, nodes and shifts both row-major."""
     out = factors[0]
     for f in factors[1:]:
         out = op(out[:, None, :, None], f[None, :, None, :]).reshape(
@@ -314,28 +321,36 @@ def _axis_outer(op, factors: list) -> np.ndarray:
     return out
 
 
-def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
-                       shift_q=None) -> ShiftSystem:
-    d, L, k = grid.d, grid.L, grid.k
-    q = np.zeros(d) if shift_q is None else np.asarray(shift_q, dtype=float)
+def shift_system(axis_nodes, L: int, k: int, params: MultiscaleParams) -> ShiftSystem:
+    """The shift system at the row-major Cartesian products of the complex
+    per-axis momenta ``axis_nodes`` (d arrays, of any lengths); every shift
+    system and every ``M^{-1} U`` in this module comes from here."""
+    axis_nodes = tuple(np.asarray(nodes, dtype=complex) for nodes in axis_nodes)
+    eta = float(L) ** (-k)
     a_k = params.a_j(L, max(k, 1))   # k = 0 degenerates to the bare coefficient
-    axis_nodes = grid.base_nodes_1d()[None, :] + 1j * q[:, None]
-    shifts = grid.shift_vectors()
-    # the symbols factor over axes: evaluate them on each axis's (base node,
+    shifts = shift_vectors(len(axis_nodes), L, k)
+    # the symbols factor over axes: evaluate them on each axis's (node,
     # shift) grid only and combine the factors by outer products
     Z_axes = [shifted_momenta(nodes[:, None], shift_vectors(1, L, k))[..., 0]
               for nodes in axis_nodes]
-    U = _axis_outer(np.multiply, [u_axis(Z, grid.eta) for Z in Z_axes])
-    Ubar = _axis_outer(np.multiply, [u_axis(-Z, grid.eta) for Z in Z_axes])
+    U = _axis_outer(np.multiply, [u_axis(Z, eta) for Z in Z_axes])
+    Ubar = _axis_outer(np.multiply, [u_axis(-Z, eta) for Z in Z_axes])
     star = _axis_outer(np.add, [lap_star(Z[..., None], L, k, 0.0) for Z in Z_axes])
-    Delta = (4.0 / grid.eta**2) * (star + params.mu0 / 4.0)
+    Delta = (4.0 / eta**2) * (star + params.mu0 / 4.0)
     zero = int(np.flatnonzero(~shifts.any(axis=1))[0])
     w = np.divide(1.0, Delta, out=np.zeros_like(Delta), where=np.arange(len(shifts)) != zero)
     c0 = 1.0 + a_k * np.sum(Ubar * w * U, axis=1)
     den = Delta[:, zero] * c0 + a_k * U[:, zero] * Ubar[:, zero]
-    return ShiftSystem(grid=grid, params=params, q=tuple(q), a_k=a_k,
-                       axis_nodes=axis_nodes, shifts=shifts, zero=zero,
+    return ShiftSystem(a_k=a_k, axis_nodes=axis_nodes, shifts=shifts, zero=zero,
                        U=U, Ubar=Ubar, Delta=Delta, w=w, c0=c0, den=den)
+
+
+def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
+                       shift_q=None) -> ShiftSystem:
+    """The shift system at the base nodes of ``grid``, moved to ``p + i shift_q``."""
+    q = np.zeros(grid.d) if shift_q is None else np.asarray(shift_q, dtype=float)
+    return shift_system(grid.base_nodes_1d()[None, :] + 1j * q[:, None],
+                        grid.L, grid.k, params)
 
 
 _system_cache: OrderedDict = OrderedDict()
@@ -351,20 +366,19 @@ def _system(grid, params, shift_q=None) -> ShiftSystem:
                       SYSTEM_CACHE_BYTES)
 
 
-def _shift_legs(sys: ShiftSystem, A, residues) -> np.ndarray:
+def _shift_legs(grid: TorusGrid, sys: ShiftSystem, A, residues) -> np.ndarray:
     """``A @ exp(2 pi i l . rho / Lk)`` for every residue row ``rho``:
     (n, S) ``A`` contracted over its shifts, (n, len(residues))."""
-    return A @ np.exp(2j * np.pi / sys.grid.shifts_per_axis * (sys.shifts @ residues.T))
+    return A @ np.exp(2j * np.pi / grid.shifts_per_axis * (sys.shifts @ residues.T))
 
 
-def _class_sums(sys: ShiftSystem, xs, ys, node_arrays) -> np.ndarray:
+def _class_sums(grid: TorusGrid, sys: ShiftSystem, xs, ys, node_arrays) -> np.ndarray:
     """``(1/n) sum_p e^{i p (x - y)} F_ij(p)`` for all pairs of position rows
     in ``eta Z^d``; ``node_arrays(Rx, Ry)`` gives ``F_ij`` for the residue
     classes ``Rx[i]`` of x and ``Ry[j]`` of y modulo the unit lattice.  Per
     pair of classes the node sum is contracted axis by axis at the distinct
     values of that axis of ``x - y``, and the pairs are gathered from the grid.
     """
-    grid = sys.grid
     Lk, M0 = grid.shifts_per_axis, grid.base_count
     pos = [np.atleast_2d(np.asarray(p, dtype=float)) for p in (xs, ys)]
     ix, iy = (np.rint(p / grid.eta).astype(np.int64) for p in pos)
@@ -415,33 +429,32 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
         diff, m = np.unique(((Rx[:, None, :] - Ry[None, :, :]) % Lk).reshape(-1, grid.d),
                             axis=0, return_inverse=True)
         m = m.reshape(len(Rx), len(Ry))
-        D = _shift_legs(sys, sys.w, diff)
-        H = _shift_legs(sys, sys.w * sys.U, Rx)
-        K = _shift_legs(sys, sys.w * sys.Ubar, -Ry)
+        D = _shift_legs(grid, sys, sys.w, diff)
+        H = _shift_legs(grid, sys, sys.w * sys.U, Rx)
+        K = _shift_legs(grid, sys, sys.w * sys.Ubar, -Ry)
         den = sys.den[:, None]
         beta = (Ubar0[:, None] + Delta0[:, None] * K) / den
         x0 = (sys.c0[:, None] - sys.a_k * U0[:, None] * K) / den
         return lambda i, j: D[:, m[i, j]] - sys.a_k * H[:, i] * beta[:, j] + x0[:, j]
 
-    return _class_sums(sys, xs, ys, node_arrays)
+    return _class_sums(grid, sys, xs, ys, node_arrays)
 
 
 def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
                    shift_q=None) -> np.ndarray:
     """Kernel ``(G_k Q_k*)(x, y)`` for fine positions ``xs`` and unit-lattice ``ys``.
 
-    The sources form the one class ``r = 0``, and ``M^{-1} U`` is
-    ``(w U) Delta_0 / den`` off the zero shift and ``U_0 / den`` on it, so
-    the node array is ``(Delta_0 H(x) + U_0) / den`` (see ``free_kernel_g``).
+    The sources form the one class ``r = 0``, so the node array is
+    ``ShiftSystem.solve_u`` contracted over the shifts against ``e_x`` (see
+    ``free_kernel_g``).
     """
     sys = _system(grid, params, shift_q)
-    U0, Delta0 = sys.U[:, sys.zero], sys.Delta[:, sys.zero]
 
     def node_arrays(Rx, Ry):
-        H = _shift_legs(sys, sys.w * sys.U, Rx)
-        return lambda i, j: (Delta0 * H[:, i] + U0) / sys.den
+        X = _shift_legs(grid, sys, sys.solve_u(), Rx)
+        return lambda i, j: X[:, i]
 
-    return _class_sums(sys, xs, ys, node_arrays)
+    return _class_sums(grid, sys, xs, ys, node_arrays)
 
 
 def converge_kernel(evaluate, grid: TorusGrid, tol: float = 1e-8,
@@ -578,21 +591,8 @@ def qkqk_fourier_residual(patch: FreePatch, values, grid: TorusGrid,
 
 
 # ---------------------------------------------------------------------------
-# Strip machinery: factored integrand and bounds
+# Strip machinery: the integrand ``M^{-1} U`` and its bounds
 # ---------------------------------------------------------------------------
-
-def _sin_ratio(z, ell, eta: float):
-    """Per-axis ``sin(z/2) / sin((z + 2 pi ell) eta / 2)`` with the l = 0
-    component through the cancelled sinc form."""
-    z = np.asarray(z, dtype=complex)
-    ell = np.asarray(ell, dtype=float)
-    shifted = (z + 2.0 * np.pi * ell) * eta / 2.0
-    direct_den = np.sin(shifted)
-    safe_den = np.where(ell == 0, 1.0, direct_den)
-    direct = np.sin(z / 2.0) / safe_den
-    cancelled = (1.0 / eta) * _sinc(z / 2.0) / _sinc(z * eta / 2.0)
-    return np.where(ell == 0, cancelled, direct)
-
 
 def _strip_floor(large_mass: bool, a_k: float, eta: float, d: int) -> float:
     """Floor below which the strip denominator of the given mass branch is a violation."""
@@ -601,62 +601,42 @@ def _strip_floor(large_mass: bool, a_k: float, eta: float, d: int) -> float:
     return DENOMINATOR_FLOOR * (a_k * eta**2 / 4.0) * (2.0 / np.pi) ** (2 * d)
 
 
-def _h_parts(z, ell_prime, L: int, k: int, params: MultiscaleParams):
-    """Factored pieces of the strip integrand for a batch of ``ell_prime`` rows.
+def _strip_solve(axis_nodes, L: int, k: int, params: MultiscaleParams):
+    """``H = M^{-1} U`` (n, S) at the nodes spanned by ``axis_nodes`` and
+    the margin of each node's strip denominator over its floor, (n,).
 
-    Returns ``(H1, H3_like, denominator, large_mass)`` such that
-    ``H = H1 * H3_like / denominator``.
+    The strip denominator is ``den / Delta_0 = det M / prod_l Delta_l`` in the
+    large-mass branch and ``(eta**2/4) den`` in the small-mass branch, where
+    ``Delta_0`` may vanish; a node below the floor raises ``StripViolationError``.
     """
-    eta = float(L) ** (-k)
-    z = np.asarray(z, dtype=complex)
-    ells = np.atleast_2d(np.asarray(ell_prime, dtype=float))
-    a_k = params.a_j(L, k)
+    sys = shift_system(axis_nodes, L, k, params)
+    eta, d = float(L) ** (-k), len(sys.axis_nodes)
     large_mass = params.mu0 / 4.0 >= params.c_star * eta**2
-    d = z.shape[-1]
-    shifts = shift_vectors(d, L, k)
-
-    star0 = lap_star(z, L, k, params.mu0)
-    star_shift = lap_star(shifted_momenta(z, shifts), L, k, params.mu0)
-    ratio_sq = np.prod(_sin_ratio(z[None, :], shifts, eta), axis=-1) ** 2
-    pref = a_k * eta ** (2 * d + 2) / 4.0
-
-    if large_mass:
-        denom = 1.0 + pref * np.sum(ratio_sq / star_shift)
-    else:
-        # the ell'' = 0 term has the lap_star ratio cancelled exactly
-        zero_row = np.all(shifts == 0, axis=1)
-        safe = np.where(zero_row, 1.0, star_shift)
-        terms = np.where(zero_row, ratio_sq, star0 * ratio_sq / safe)
-        denom = star0 + pref * np.sum(terms)
-    floor = _strip_floor(large_mass, a_k, eta, d)
-    if np.abs(denom) < floor:
+    denom = np.abs(sys.den / sys.Delta[:, sys.zero] if large_mass
+                   else (eta**2 / 4.0) * sys.den)
+    floor = _strip_floor(large_mass, sys.a_k, eta, d)
+    below = np.flatnonzero(denom < floor)
+    if below.size:
+        z = grid_points(sys.axis_nodes)[below[0]]
         raise StripViolationError(
-            f"denominator {abs(denom):.3e} below floor {floor:.3e} at z={z}")
-
-    z_ell = shifted_momenta(z, ells)
-    star_ell = lap_star(z_ell, L, k, params.mu0)
-    rings = np.prod(_sin_ratio(z[None, :], ells, eta), axis=-1)
-    if large_mass:
-        h3 = rings / star_ell
-    else:
-        zero_row = np.all(ells == 0, axis=1)
-        safe = np.where(zero_row, 1.0, star_ell)
-        h3 = np.where(zero_row, rings, star0 * rings / safe)
-
-    h1 = (eta ** (d + 2) / 4.0) * np.exp(
-        -0.5j * np.sum(z) + 0.5j * eta * np.sum(z_ell, axis=-1))
-    return h1, h3, denom, large_mass
+            f"denominator {denom[below[0]]:.3e} below floor {floor:.3e} at z={z}")
+    return sys.solve_u(), denom / floor
 
 
 def h_function(z, ell_prime, L: int, k: int, params: MultiscaleParams):
     """Strip integrand ``u_Delta(z + 2 pi ell') / (1 + a_k <<u, u_Delta>>(z))``.
 
-    Evaluated through the mass-branch factorization with all removable
-    cancellations applied analytically; raises ``StripViolationError`` when
-    the denominator drops below its floor.
+    This is the ``ell'`` entry of ``M(z)^{-1} U(z)``.  ``u`` and ``Delta``
+    are ``L**k``-periodic in the shift, so each ``ell'`` row is reduced modulo
+    ``L**k`` onto the shift set and read off the one shift system at ``z``.
+    Raises ``StripViolationError`` when the denominator drops below its floor.
     """
-    h1, h3, denom, _ = _h_parts(z, ell_prime, L, k, params)
-    out = h1 * h3 / denom
+    z = np.asarray(z, dtype=complex)
+    H, _ = _strip_solve(z[:, None], L, k, params)
+    Lk = L**k
+    first = -(Lk - 1) // 2   # the first shift per axis, as in shift_vectors
+    ells = np.rint(np.atleast_2d(np.asarray(ell_prime, dtype=float))).astype(np.int64)
+    out = H[0, np.ravel_multi_index(tuple(((ells - first) % Lk).T), (Lk,) * len(z))]
     return out[0] if np.ndim(ell_prime) == 1 else out
 
 
@@ -682,7 +662,6 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
     with imaginary shifts ``0``, ``+/- q_max`` per axis and the diagonal.
     A denominator-floor breach raises rather than being recorded.
     """
-    eta = float(L) ** (-k)
     ells = shift_vectors(d, L, k)
     weights = np.prod((1.0 + np.abs(ells)) ** (1.0 + 2.0 / d), axis=-1)
 
@@ -698,18 +677,21 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
     per_shift = np.zeros(len(ells))
     best = (0.0, None, None)
     min_margin = np.inf
-    a_k = params.a_j(L, k)
+    # one solve per imaginary shift, split into blocks of first-axis samples
+    # only where its arrays would pass STRIP_BLOCK_BYTES (d = 3, k = 3)
+    rest = p_samples ** (d - 1)
+    rows = max(1, STRIP_BLOCK_BYTES // (16 * rest * len(ells)))
     for q in q_list:
-        for p in p_points:
-            z = p + 1j * q
-            h1, h3, denom, large = _h_parts(z, ells, L, k, params)
-            floor = _strip_floor(large, a_k, eta, d)
-            min_margin = min(min_margin, abs(denom) / floor)
-            vals = np.abs(h1 * h3 / denom) * weights
-            per_shift = np.maximum(per_shift, vals)
-            i = int(np.argmax(vals))
-            if vals[i] > best[0]:
-                best = (float(vals[i]), tuple(z), tuple(ells[i].astype(int)))
+        for lo in range(0, p_samples, rows):
+            axes = [p_axis[lo:lo + rows] + 1j * q[0]] + [p_axis + 1j * qm for qm in q[1:]]
+            H, margin = _strip_solve(axes, L, k, params)
+            min_margin = min(min_margin, float(np.min(margin)))
+            vals = np.abs(H) * weights
+            per_shift = np.maximum(per_shift, np.max(vals, axis=0))
+            node, i = np.unravel_index(np.argmax(vals), vals.shape)
+            if vals[node, i] > best[0]:
+                best = (float(vals[node, i]), tuple(p_points[lo * rest + node] + 1j * q),
+                        tuple(ells[i].astype(int)))
     table = {tuple(e.astype(int)): float(v) for e, v in zip(ells, per_shift)}
     return StripBoundReport(d=d, L=L, k=k, q_max=q_max,
                             weighted_sup=best[0], argmax_z=best[1],
@@ -789,9 +771,11 @@ def _der_product_ratio(n: int, L: int, k: int) -> float:
     h = 1e-6
     worst = 0.0
     lmax = min((L**k - 1) // 2, 20)
+    # sin^2(z/2) / sin^2(Z eta/2) at Z = z + 2 pi l is u_axis(Z) u_axis(-Z) / eta^2
+    f = lambda Z: u_axis(Z, eta) * u_axis(-Z, eta) / eta**2
     for ell in range(-lmax, lmax + 1):
-        f = lambda w: (_sin_ratio(w[..., None], np.array([[float(ell)]]), eta)[..., 0] ** 2)
-        der = (f(z + h) - f(z - h)) / (2.0 * h)
+        Z = z + 2.0 * np.pi * ell
+        der = (f(Z + h) - f(Z - h)) / (2.0 * h)
         worst = max(worst, float(np.max(np.abs(der))) * eta**2 * (1 + abs(ell)) ** 2)
     return worst
 

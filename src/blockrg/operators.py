@@ -440,11 +440,13 @@ def chebyshev_roots(n: int) -> np.ndarray:
 
 
 def self_adjointness_defect(A: KernelOperator) -> float:
-    M = A.matrix
-    denom = np.linalg.norm(M)
+    """``|M - M^H|_F / |M|_F`` of the value matrix ``M``, taken on the kernel:
+    the ratio does not see ``M``'s scalar measure factor."""
+    K = A.kernel
+    denom = np.linalg.norm(K)
     if denom == 0.0:
         return 0.0
-    return float(np.linalg.norm(M - M.conj().T) / denom)
+    return float(np.linalg.norm(K - K.conj().T) / denom)
 
 
 def min_eigenvalue(A: KernelOperator, sa_tol: float = SELF_ADJOINT_TOL) -> float:
@@ -460,7 +462,8 @@ def min_eigenvalue(A: KernelOperator, sa_tol: float = SELF_ADJOINT_TOL) -> float
 
 
 def rel_frobenius(A: KernelOperator, B: KernelOperator) -> float:
-    """Relative Frobenius distance ``|A - B|_F / |B|_F`` (value matrices)."""
+    """Relative Frobenius distance ``|A - B|_F / |B|_F`` of the value matrices,
+    taken on the kernels: the shared source measure factor cancels."""
     if A.source != B.source or A.target != B.target:
         raise OperatorError("rel_frobenius: geometries do not match")
-    return float(np.linalg.norm(A.matrix - B.matrix) / np.linalg.norm(B.matrix))
+    return float(np.linalg.norm(A.kernel - B.kernel) / np.linalg.norm(B.kernel))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,27 @@ def test_invalid_params_is_config_error(tmp_path, params):
     p.write_text(f"geometry: {{d: 1, L: 3, k: 1, m: 2}}\nparams: {params}\n")
     assert cli.main(["--config", str(p), "--experiment", "strip-bound",
                      "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("block", [
+    "fourier: {M_init: 10}", "fourier: {M_init: 3}", "fourier: {M_init: 9.0}",
+    "fourier: {q_max: .inf}", "fourier: {q_max: -0.1}", "fourier: {q_max: x}",
+    "images: {shells: 0}", "images: {shells: two}", "images: {shells: 2.5}",
+    "decay: {window: [5, 1]}", "decay: {window: [1, .nan]}", "decay: {window: [1]}",
+    "decay: {q_grid: []}", "decay: {q_grid: [0.0, .inf]}", "decay: {q_grid: 0.1}"])
+def test_invalid_suite_settings_are_config_errors(tmp_path, block):
+    # rejected when the config loads, whichever suite runs
+    p = tmp_path / "c.yaml"
+    p.write_text(f"geometry: {{d: 1, L: 3, k: 1, m: 2}}\n{block}\n")
+    assert cli.main(["--config", str(p), "--experiment", "spectrum",
+                     "--out", str(tmp_path / "o")]) == 2
+
+
+def test_perfbench_configs_load():
+    paths = sorted(Path(__file__).parents[1].glob("perfbench/configs/*.yaml"))
+    assert paths
+    for path in paths:
+        cli.load_config(str(path))
 
 
 def test_spectrum_suite_and_csv(tmp_path):

@@ -136,6 +136,14 @@ def test_ct_report_reference():
     assert all(np.isfinite(b) for b in rep.bound_constants)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_ct_report_single_box_is_named(d):
+    # one unit box gives the one box distance 0: no line to fit
+    g = lat.make_geometry(d, 3, 1, 1)
+    with pytest.raises(ValueError, match="two distinct box distances"):
+        dc.ct_bound_report(g, P0, [0.0], np.random.default_rng(0))
+
+
 def test_profile_and_rate_positive():
     g = lat.make_geometry(1, 3, 1, 3)
     dists, mags = dc.decay_profile(g, P0)

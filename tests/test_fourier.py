@@ -276,7 +276,7 @@ def test_system_cache_byte_budget(monkeypatch):
     for _ in range(4):   # every doubling needs 4x the bytes of the previous grid
         fr.free_kernel_g(x, x, grid, P0)
         assert sum(s.nbytes for s in fr._system_cache.values()) <= fr.SYSTEM_CACHE_BYTES
-        held.append([s.grid.M for s in fr._system_cache.values()])
+        held.append([grid_key.M for grid_key, _, _ in fr._system_cache])
         grid = grid.refined()
     # oldest evicted first; a system larger than the whole budget is not kept
     assert held == [[24], [24, 48], [48, 96], []]
@@ -395,11 +395,75 @@ def test_h_function_regular_at_zero():
 
 
 def test_h_large_mass_floor():
-    # large-mass branch: denominator >= 1 at real momenta
+    # large-mass branch: denominator 1 + a_k <<u, u_Delta>> >= 1 at real momenta
     params = MultiscaleParams(mu0=1.0)  # mu0/4 >= eta^2 for k >= 1
-    z = np.array([0.4])
-    _, _, denom, large = fr._h_parts(z, np.zeros((1, 1)), 3, 1, params)
-    assert large and abs(denom) >= 1.0
+    for d, k in ((1, 1), (1, 3), (2, 2)):
+        rep = fr.strip_bound_report(d, 3, k, params, q_max=0.0)
+        assert rep.min_denominator_margin * fr.DENOMINATOR_FLOOR >= 1.0
+
+
+def test_h_function_periodic_in_shift():
+    # u and Delta are L**k-periodic in the shift: a row l' + L**k e_mu reads
+    # the shift system at l', and agrees with the integrand at the unreduced momentum
+    rng = np.random.default_rng(17)
+    for (d, L, k, mu0) in ((1, 3, 1, 0.0), (1, 3, 2, 1.0), (2, 3, 1, 0.3)):
+        params = MultiscaleParams(mu0=mu0)
+        ells = fr.shift_vectors(d, L, k)
+        z = rng.uniform(-3, 3, d) + 1j * rng.uniform(-0.05, 0.05, d)
+        base = fr.h_function(z, ells, L, k, params)
+        denom = 1.0 + params.a_j(L, k) * fr.bracket(z, L, k, mu0)
+        for mu in range(d):
+            moved = ells + L**k * np.eye(d)[mu]
+            h = fr.h_function(z, moved, L, k, params)
+            assert np.array_equal(h, base)
+            direct = fr.u_delta(z, moved, L, k, mu0) / denom
+            assert np.max(np.abs(h - direct)) < 1e-12 * np.max(np.abs(direct))
+
+
+def _dense_strip(d, L, k, params, q_max, p_samples):
+    """Oracle: ``|solve(M, U)|`` times the shift weights and the strip
+    denominator over its floor at every sample point, with ``M`` assembled
+    entry by entry from the symbols and the denominator read off ``det M``."""
+    ells = fr.shift_vectors(d, L, k)
+    zero = ~ells.any(axis=1)
+    weights = np.prod((1.0 + np.abs(ells)) ** (1.0 + 2.0 / d), axis=-1)
+    eta, a_k = float(L) ** (-k), params.a_j(L, k)
+    large = params.mu0 / 4.0 >= params.c_star * eta**2
+    floor = fr._strip_floor(large, a_k, eta, d)
+    p_axis = -np.pi + (np.arange(p_samples) + 0.5) * 2.0 * np.pi / p_samples
+    qs = [np.zeros(d)] + [s * q_max * e for e in np.eye(d) for s in (1, -1)]
+    qs.append(np.full(d, q_max / np.sqrt(d)))
+    vals, margins, lap0 = [], [], []
+    for q in qs:
+        for p in lat.grid_points([p_axis] * d):
+            Z = p + 1j * q + 2 * np.pi * ells
+            U, Ub = fr.u_kernel(Z, L, k), fr.u_bar_kernel(Z, L, k)
+            lap = fr.laplacian_symbol(Z, L, k, params.mu0)
+            M = np.diag(lap) + a_k * np.outer(U, Ub)
+            vals.append(np.abs(np.linalg.solve(M, U)) * weights)
+            denom = (np.linalg.det(M) / np.prod(lap) if large
+                     else eta**2 / 4 * np.linalg.det(M) / np.prod(lap[~zero]))
+            margins.append(abs(denom) / floor)
+            lap0.append(lap[zero][0])
+    return np.array(vals), np.array(margins), np.array(lap0)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])   # 1: one first-axis sample per solve
+@pytest.mark.parametrize("mu0", [0.0, 1.0])
+@pytest.mark.parametrize("d,L,k", [(1, 3, 1), (1, 3, 2), (2, 3, 1)])
+def test_strip_bound_matches_dense_solve(d, L, k, mu0, block_bytes, monkeypatch):
+    if block_bytes is not None:
+        monkeypatch.setattr(fr, "STRIP_BLOCK_BYTES", block_bytes)
+    params = MultiscaleParams(mu0=mu0)
+    rep = fr.strip_bound_report(d, L, k, params, q_max=0.05, p_samples=9)
+    vals, margins, lap0 = _dense_strip(d, L, k, params, 0.05, 9)
+    if mu0 == 0.0:   # the massless node p = 0 is in the sample
+        assert np.sum(lap0 == 0.0) == 1
+    dense = np.max(vals, axis=0)
+    got = np.array(list(rep.per_shift_sup.values()))
+    assert np.max(np.abs(got - dense) / dense) <= 1e-12
+    assert abs(rep.weighted_sup - np.max(dense)) <= 1e-12 * np.max(dense)
+    assert abs(rep.min_denominator_margin - np.min(margins)) <= 1e-12 * np.min(margins)
 
 
 def test_strip_bound_report():

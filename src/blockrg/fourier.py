@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lattice import FreePatch, grid_points
+from .lattice import FreePatch, _axis_outer, grid_points
 from .multiscale import MultiscaleParams
 from .operators import lru_lookup
 
@@ -311,16 +311,6 @@ class ShiftSystem:
         return x
 
 
-def _axis_outer(op, factors: list) -> np.ndarray:
-    """Combine per-axis ``(n_axis, Lk)`` factors with ``op`` into
-    ``(prod n_axis, Lk**d)``, nodes and shifts both row-major."""
-    out = factors[0]
-    for f in factors[1:]:
-        out = op(out[:, None, :, None], f[None, :, None, :]).reshape(
-            out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
-    return out
-
-
 def shift_system(axis_nodes, L: int, k: int, params: MultiscaleParams) -> ShiftSystem:
     """The shift system at the row-major Cartesian products of the complex
     per-axis momenta ``axis_nodes`` (d arrays, of any lengths); every shift
@@ -498,24 +488,25 @@ def contour_shift_change(grid: TorusGrid, params: MultiscaleParams, q: float,
     return float(np.max(np.abs(shifted - base)) / np.max(np.abs(base)))
 
 
+def _shift_layout(grid: TorusGrid) -> np.ndarray:
+    """Flat big-torus index of every (base node, shift) pair, shape
+    ``(base_count**d, S)``: ``ShiftSystem``'s node-by-shift layout.  Per axis,
+    sample ``s * base_count + b`` (``full_nodes_1d``) is base node ``b``
+    moved by shift ``s``."""
+    M, Lk, M0 = grid.M, grid.shifts_per_axis, grid.base_count
+    return _axis_outer(lambda x, y: x * M + y, [np.arange(M).reshape(Lk, M0).T] * grid.d)
+
+
 def _to_shift_layout(arr, grid: TorusGrid) -> np.ndarray:
-    """Reshape big-torus samples ``(M,)*d`` into ``(base_count**d, S)``, the
-    node-by-shift layout of ``ShiftSystem``."""
-    d, Lk, M0 = grid.d, grid.shifts_per_axis, grid.base_count
-    a = np.asarray(arr, dtype=complex).reshape((grid.M,) * d)
-    a = a.reshape(tuple(itertools.chain.from_iterable((Lk, M0) for _ in range(d))))
-    shift_axes = tuple(2 * i for i in range(d))
-    base_axes = tuple(2 * i + 1 for i in range(d))
-    a = np.transpose(a, base_axes + shift_axes)
-    return a.reshape(M0**d, Lk**d)
+    """Gather big-torus samples ``(M,)*d`` into the ``(base_count**d, S)`` layout."""
+    return np.asarray(arr, dtype=complex).ravel()[_shift_layout(grid)]
 
 
 def _from_shift_layout(a, grid: TorusGrid) -> np.ndarray:
-    d, Lk, M0 = grid.d, grid.shifts_per_axis, grid.base_count
-    a = np.asarray(a, dtype=complex).reshape((M0,) * d + (Lk,) * d)
-    order = tuple(itertools.chain.from_iterable((d + i, i) for i in range(d)))
-    a = np.transpose(a, order)
-    return a.reshape((grid.M,) * d)
+    """Scatter a ``(base_count**d, S)`` array back onto the big torus ``(M,)*d``."""
+    out = np.empty(grid.M**grid.d, dtype=complex)
+    out[_shift_layout(grid)] = a
+    return out.reshape((grid.M,) * grid.d)
 
 
 def free_symbol_apply(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndarray:

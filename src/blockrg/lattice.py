@@ -110,6 +110,18 @@ def grid_points(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+def _axis_outer(op, factors) -> np.ndarray:
+    """Combine per-axis 2-d factors with the elementwise ``op`` into one table
+    of shape ``(prod rows, prod cols)``, rows and columns both row-major
+    (axis 0 slowest): the layout of splitting every axis into (class, member).
+    ``np.multiply`` gives the Kronecker product of the factors."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = op(out[:, None, :, None], f[None, :, None, :]).reshape(
+            out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
+    return out
+
+
 def all_sites(geom) -> np.ndarray:
     """All site multi-indices, shape ``(site_count, d)``, row-major (axis 0 slowest)."""
     return grid_points([np.arange(geom.sites_per_axis)] * geom.d)
@@ -154,12 +166,12 @@ def block_sites(geom: LatticeGeometry, j: int, label) -> np.ndarray:
 
 
 def block_table(geom: LatticeGeometry, j: int) -> np.ndarray:
-    """Flat site indices of every ``j``-block: row ``site_to_flat(coarse, label)``
-    lists ``block_sites(geom, j, label)`` in order, from one reshape of the layout."""
-    Lj, d = geom.L**j, geom.d
-    Nc = geom.sites_per_axis // Lj
-    flat = np.arange(geom.site_count).reshape((Nc, Lj) * d)
-    return flat.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)]).reshape(Nc**d, Lj**d)
+    """Flat site indices of every ``j``-block, shape ``(N_c**d, L**(j*d))``: row
+    ``site_to_flat(coarse, label)`` lists ``block_sites(geom, j, label)`` in
+    order.  Per axis, site ``c`` is member ``c % L**j`` of class ``c // L**j``."""
+    N, Lj = geom.sites_per_axis, geom.L**j
+    return _axis_outer(lambda x, y: x * N + y,
+                       [np.arange(N).reshape(N // Lj, Lj)] * geom.d)
 
 
 def reflect(geom: LatticeGeometry, axis: int, end: str, site) -> Site:

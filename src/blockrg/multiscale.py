@@ -270,40 +270,37 @@ def scaling_residuals(geom, params: MultiscaleParams, j: int) -> dict[str, float
     }
 
 
-def secular_min_roots(diag, cls, u, at: float) -> np.ndarray:
-    """Smallest eigenvalue of each block ``diag(d_c) + at u_c u_c^T``, ``at > 0``.
+def secular_min_roots(diag, u, at: float) -> np.ndarray:
+    """Smallest eigenvalue of each row block ``diag(d_c) + at u_c u_c^T``, ``at > 0``.
 
-    Block ``c`` gathers the members with ``cls == c``; every ``u`` must be
-    nonzero.  Returns one value per distinct label, in ascending label order.
-    The smallest eigenvalue is the smallest root of the secular equation
+    ``diag`` and ``u`` have shape ``(rows, members)``, the layout of
+    ``ops.dct_frequency_classes``; members with ``u = 0`` are decoupled and
+    left out (their diagonal counts as ``inf``), and every row needs one
+    member with ``u != 0``.  Returns one value per row.  The smallest
+    eigenvalue is the smallest root of the secular equation
     ``1/at + sum u_i**2 / (d_i - x) = 0``, which increases between its poles
     and lies in ``[d_1, min(d_2, d_1 + at sum u**2)]``, ``d_1 <= d_2`` being
-    the two smallest diagonal entries of the block (a tie gives ``d_1``; a
-    single member gives ``d_1 + at u**2``).  All blocks are bisected at once
+    the two smallest diagonal entries of the row (a tie gives ``d_1``; a
+    single member gives ``d_1 + at u**2``).  All rows are bisected at once
     to a width of ``4 eps`` times the bracket's larger end in magnitude, so
     every evaluation point stays strictly between the poles.  O(n) per step.
     """
-    order = np.lexsort((diag, cls))
-    c, d, w2 = cls[order], diag[order], u[order] ** 2
-    new_block = np.r_[True, c[1:] != c[:-1]]
-    first = np.flatnonzero(new_block)
-    slot = np.cumsum(new_block) - 1                      # block of each member
-    d1 = d[first]
-    d2 = np.full_like(d1, np.inf)
-    paired = np.flatnonzero(np.diff(np.r_[first, c.size]) > 1)
-    d2[paired] = d[first[paired] + 1]
+    if np.isnan(diag).any():    # a NaN pole would stall the bisection
+        raise ValueError("secular_min_roots: NaN on the diagonal")
+    d = np.where(u != 0.0, diag, np.inf)
+    w2 = u**2
+    # the extra inf column is d_2 of a row with one live member
+    d1, d2 = np.partition(np.column_stack((d, np.full(len(d), np.inf))), 1, axis=1)[:, :2].T
     lo = d1
-    hi = np.minimum(d2, d1 + at * np.bincount(slot, w2))   # a tie d_1 = d_2 is exact
+    hi = np.minimum(d2, d1 + at * w2.sum(axis=1))   # a tie d_1 = d_2 is exact
     while True:
         active = hi - lo > 4 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
         if not active.any():
             return 0.5 * (lo + hi)
         x = 0.5 * (lo + hi)
-        on = active[slot]
-        f = 1.0 / at + np.bincount(slot[on], w2[on] / (d[on] - x[slot[on]]),
-                                   minlength=d1.size)
-        lo = np.where(active & (f < 0), x, lo)
-        hi = np.where(active & (f >= 0), x, hi)
+        f = 1.0 / at + np.sum(w2[active] / (d[active] - x[active, None]), axis=1)
+        lo[active] = np.where(f < 0, x[active], lo[active])
+        hi[active] = np.where(f >= 0, x[active], hi[active])
 
 
 def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
@@ -311,15 +308,14 @@ def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
 
     In the DCT-II basis (``ops.dct_frequency_classes``) the operator is
     ``diag(lam + mu_bar) + at sum_c u_c u_c^T``: one diagonal-plus-rank-one
-    block per coarse class, solved by ``secular_min_roots``, and a plain
-    eigenvalue for every member with ``u = 0``.  No dense matrix is formed;
+    block per row, solved by ``secular_min_roots``, and a plain eigenvalue
+    for every member with ``u = 0``.  No dense matrix is formed;
     ``ops.min_eigenvalue`` stays the dense oracle.
     """
-    lam, cls, u = ops.dct_frequency_classes(geom, j)
+    lam, u, _ = ops.dct_frequency_classes(geom, j)
     diag = lam + params.mu_bar(geom.L, geom.k)
-    live = u != 0.0
-    roots = secular_min_roots(diag[live], cls[live], u[live], params.a_tilde(geom, j, j))
-    return float(min(roots.min(), diag[~live].min(initial=np.inf)))
+    roots = secular_min_roots(diag, u, params.a_tilde(geom, j, j))
+    return float(min(roots.min(), diag[u == 0.0].min(initial=np.inf)))
 
 
 @dataclass(frozen=True)
@@ -332,17 +328,14 @@ class PositivityRow:
 def positivity_report(geoms, params: MultiscaleParams) -> list[PositivityRow]:
     """Coercivity ratios ``c(k) = lambda_min(-Lap + mu_bar_k + a_k Q*Q) / lambda_min(-Lap + 1)``.
 
-    Both eigenvalues come from the DCT frequency classes: the numerator by
-    ``defining_min_eigenvalue`` (secular-equation roots, one per coarse
-    class), the reference as ``1 + min lam_p``.  No dense matrix is
-    assembled; ``ops.min_eigenvalue`` stays the dense oracle for both.
+    The reference ``lambda_min(-Lap + 1)`` is exactly 1: the Neumann ``-Lap``
+    is positive semidefinite and has the constants at eigenvalue 0.  The
+    numerator comes from ``defining_min_eigenvalue`` (secular-equation roots,
+    one per coarse DCT frequency class).  No dense matrix is assembled;
+    ``ops.min_eigenvalue`` stays the dense oracle for both.
 
     The contract behind the ratios is uniformity: across a family with fixed
     physical side length the values stay within a modest factor of each other.
     """
-    rows = []
-    for geom in geoms:
-        ref = 1.0 + ops.dct_frequency_classes(geom, geom.k)[0].min()
-        c = defining_min_eigenvalue(geom, params, geom.k) / ref
-        rows.append(PositivityRow(k=geom.k, m=geom.m, c=float(c)))
-    return rows
+    return [PositivityRow(k=geom.k, m=geom.m, c=defining_min_eigenvalue(geom, params, geom.k))
+            for geom in geoms]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (FreePatch, LatticeGeometry, coarse_geometry,
+from .lattice import (FreePatch, LatticeGeometry, _axis_outer, coarse_geometry,
                       patch_sites, scale_geometry, site_to_flat)
 
 SELF_ADJOINT_TOL = 1e-10
@@ -202,60 +202,41 @@ def lru_lookup(cache: OrderedDict, key, build, budget: int):
     return value
 
 
-def _kron_chain(mats) -> np.ndarray:
-    out = mats[0]
-    for mm in mats[1:]:
-        out = np.kron(out, mm)
-    return out
-
-
 def _axis_operator(geom, mat1d, axis: int) -> np.ndarray:
     """Place a one-axis value matrix on the given axis of the product lattice."""
     mats = [np.eye(geom.sites_per_axis)] * geom.d
     mats[axis] = mat1d
-    return _kron_chain(mats)
+    return _axis_outer(np.multiply, mats)
 
 
-def _forward_1d(N, eta, neumann):
+def _forward_1d(N, eta):
+    # (forward f)_c = (f_{c+1} - f_c)/eta, Neumann clamps f_N = f_{N-1}
     D = np.zeros((N, N))
     for i in range(N - 1):
         D[i, i] = -1.0
         D[i, i + 1] = 1.0
-    if not neumann:
-        D[N - 1, N - 1] = -1.0  # ghost neighbor dropped; last row valid only with data beyond
     return D / eta
 
 
-def _backward_1d(N, eta, neumann):
+def _backward_1d(N, eta):
     # (backward f)_c = -(f_c - f_{c-1})/eta, Neumann clamps f_{-1} = f_0
     D = np.zeros((N, N))
     for i in range(1, N):
         D[i, i] = -1.0
         D[i, i - 1] = 1.0
-    if not neumann:
-        D[0, 0] = -1.0
     return D / eta
 
 
-def forward_diff(geom, axis: int, bc: str = "neumann") -> KernelOperator:
-    """Forward difference along ``axis``; ``bc='neumann'`` clamps the ghost value.
-
-    With ``bc='free_interior'`` the stencil simply drops the missing neighbor;
-    rows touching the high face are then only meaningful as part of interior
-    comparisons on enlarged patches.
-    """
-    if bc not in ("neumann", "free_interior"):
-        raise OperatorError(f"unknown bc {bc!r}")
-    N = geom.sites_per_axis
-    D1 = _forward_1d(N, geom.spacing, bc == "neumann")
+def forward_diff(geom, axis: int) -> KernelOperator:
+    """Forward difference along ``axis``, the Neumann ghost value clamped."""
+    D1 = _forward_1d(geom.sites_per_axis, geom.spacing)
     return from_matrix(geom, geom, _axis_operator(geom, D1, axis))
 
 
-def backward_diff(geom, axis: int, bc: str = "neumann") -> KernelOperator:
-    if bc not in ("neumann", "free_interior"):
-        raise OperatorError(f"unknown bc {bc!r}")
-    N = geom.sites_per_axis
-    D1 = _backward_1d(N, geom.spacing, bc == "neumann")
+def backward_diff(geom, axis: int) -> KernelOperator:
+    """Backward difference along ``axis``, the Neumann ghost value clamped;
+    the adjoint of ``forward_diff``."""
+    D1 = _backward_1d(geom.sites_per_axis, geom.spacing)
     return from_matrix(geom, geom, _axis_operator(geom, D1, axis))
 
 
@@ -330,32 +311,38 @@ def block_projector(geom, j: int) -> KernelOperator:
 
 
 def _block_means(geom, j: int, rows: int) -> np.ndarray:
-    """Per-axis block means on ``rows`` rows per block, Kronecker-multiplied over the axes."""
+    """Block means on ``rows`` rows per block: per axis, the identity on the
+    classes times the mean over the ``L**j`` members, Kronecker-multiplied."""
     if not 0 <= j <= geom.m:
         raise OperatorError(f"block level j={j} outside [0, {geom.m}]")
     Lj = geom.L**j
-    per_axis = np.kron(np.eye(geom.sites_per_axis // Lj), np.full((rows, Lj), 1.0 / Lj))
-    return _kron_chain([per_axis] * geom.d)
+    per_axis = [np.eye(geom.sites_per_axis // Lj), np.full((rows, Lj), 1.0 / Lj)]
+    return _axis_outer(np.multiply, per_axis * geom.d)
 
 
 def dct_frequency_classes(geom, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``-Lap`` and ``Q_j* Q_j`` in the orthonormal DCT-II basis, per frequency.
+    """``-Lap`` and ``Q_j* Q_j`` in the orthonormal DCT-II basis, one row per coarse class.
 
-    Returns ``(lam, cls, u)``, one entry per frequency multi-index ``p``
+    Returns ``(lam, u, freq)``, each of shape ``(N_c**d, b**d)`` with
+    ``b = L**j`` and ``N_c = N / b``: rows are the coarse frequency classes,
+    row-major, and ``freq`` holds the flat frequency index of each member
     (row-major, axis 0 slowest, the Kronecker order of per-axis DCT-II
     matrices).  ``lam`` holds the ``-Lap`` eigenvalue
     ``(4/eta**2) sum_mu sin(pi p_mu / 2N)**2``.  Per axis, fold
     ``p = 2 N_c t +- kappa`` with ``0 <= kappa <= N_c``: the fine mode ``p``
     overlaps only the coarse mode ``kappa``, with weight
-    ``+-sin(pi kappa / 2N_c) / (b sin(pi p / 2N))`` (``b = L**j``, ``u = 1``
-    at ``p = 0``), and ``Q_j`` annihilates ``p = N_c (mod 2 N_c)``.
-    ``cls`` is the flat coarse class (``-1`` where some axis is annihilated)
-    and ``u`` the product of the axis weights, so in this basis
+    ``+-sin(pi kappa / 2N_c) / (b sin(pi p / 2N))`` (``u = 1`` at ``p = 0``),
+    and ``Q_j`` annihilates ``p = N_c (mod 2 N_c)``.  Class ``kappa`` of an
+    axis holds its ``b`` frequencies in ascending order; the annihilated ones
+    join class 0, at weight 0.  ``u`` is the product of the axis weights, so
+    in this basis
 
-        Q_j* Q_j = sum over classes c of  u_c u_c^T,   u_c = u on {cls == c}.
+        Q_j* Q_j = sum over rows c of  u_c u_c^T,
 
-    Members with ``u = 0`` (annihilated, or ``p = 0 mod 2 N_c`` with
-    ``p > 0``) lie in the kernel of ``Q_j``.  Nothing dense is formed.
+    the ``(N_c**d, b**d)`` layout of ``fourier.ShiftSystem``'s ``(nodes, S)``.
+    Members with ``u = 0`` (some axis annihilated, or ``p = 0 mod 2 N_c``
+    with ``p > 0``) lie in the kernel of ``Q_j``; every row keeps at least
+    one member with ``u != 0``.  Nothing dense is formed.
     """
     if not 0 <= j <= geom.m:
         raise OperatorError(f"block level j={j} outside [0, {geom.m}]")
@@ -369,14 +356,10 @@ def dct_frequency_classes(geom, j: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     u1 = np.ones(N)
     u1[1:] = (np.sign(Nc - r[1:]) * np.sin(np.pi * kappa[1:] / (2 * Nc))
               / (b * np.sin(np.pi * p[1:] / (2 * N))))
-    cls1 = np.where(r == Nc, -1, kappa)
-    lam, cls, u = lam1, cls1, u1
-    for _ in range(1, geom.d):
-        lam = np.add.outer(lam, lam1).ravel()
-        u = np.multiply.outer(u, u1).ravel()
-        cls = np.where(np.minimum.outer(cls, cls1) < 0, -1,
-                       np.add.outer(cls * Nc, cls1)).ravel()
-    return lam, cls, u
+    f1 = np.argsort(np.where(r == Nc, 0, kappa), kind="stable").reshape(Nc, b)
+    return (_axis_outer(np.add, [lam1[f1]] * geom.d),
+            _axis_outer(np.multiply, [u1[f1]] * geom.d),
+            _axis_outer(lambda x, y: x * N + y, [f1] * geom.d))
 
 
 def scaling_unitary(geom, ell: int) -> KernelOperator:

@@ -19,6 +19,20 @@ def test_grid_validation():
     assert np.allclose(g.full_nodes_1d(), -3 * np.pi + 2 * np.pi * np.arange(24) / 8)
 
 
+@pytest.mark.parametrize("d,L,k,M", [(1, 3, 1, 12), (2, 3, 1, 24), (2, 5, 1, 20), (3, 3, 1, 12)])
+def test_shift_layout_round_trip_and_order(d, L, k, M):
+    grid = fr.TorusGrid(d, L, k, M)
+    x = np.random.default_rng(5).standard_normal((M,) * d) + 0j
+    v = fr._to_shift_layout(x, grid)
+    assert v.shape == (grid.base_count**d, (L**k) ** d)
+    assert np.array_equal(fr._from_shift_layout(v, grid), x)
+    # entry (node, shift) is the big-torus sample at base node + 2 pi shift
+    K = lat.grid_points([grid.full_nodes_1d()] * d)
+    Z = fr.shifted_momenta(grid.base_nodes(), grid.shift_vectors())
+    for mu in range(d):
+        assert np.array_equal(fr._to_shift_layout(K[:, mu], grid).real, Z[..., mu])
+
+
 def test_u_at_zero_via_limit_oracle():
     # series oracle: evaluate the raw ratio at shrinking p
     eta = 1.0 / 3.0

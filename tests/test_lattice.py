@@ -71,6 +71,17 @@ def test_block_sites():
     assert [tuple(s) for s in lat.block_sites(g, 0, (4,))] == [(4,)]
 
 
+@pytest.mark.parametrize("shapes", [[(3, 2)], [(2, 3), (4, 1)], [(3, 3), (2, 5), (1, 2)],
+                                    [(4, 4)] * 3])
+def test_axis_outer_multiply_is_chained_kron(shapes):
+    rng = np.random.default_rng(len(shapes))
+    mats = [rng.standard_normal(s) for s in shapes]
+    chained = mats[0]
+    for mm in mats[1:]:
+        chained = np.kron(chained, mm)
+    assert np.array_equal(lat._axis_outer(np.multiply, mats), chained)   # bitwise
+
+
 @pytest.mark.parametrize("geom_args", [(1, 3, 1, 2), (2, 3, 1, 2), (3, 3, 1, 1)])
 def test_block_table_matches_block_sites(geom_args):
     g = lat.make_geometry(*geom_args)

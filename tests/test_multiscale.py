@@ -220,23 +220,33 @@ def test_positivity_report_d2_family():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_secular_min_roots_match_block_eigvalsh(data):
-    # blocks with several members, ties and a large at: the root often lies
-    # below d_2 < d_1 + at sum u**2, where the secular function has more poles
-    sizes = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
-    cls = np.repeat(np.arange(len(sizes)) * 3, sizes)       # labels need not be contiguous
+    # rows with several members, ties, decoupled u = 0 members and a large
+    # at: the root often lies below d_2 < d_1 + at sum u**2, where the
+    # secular function has more poles
+    rows, members = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
     grid = st.integers(-4, 8).map(float)                    # small integers: exact ties
-    diag = np.array(data.draw(st.lists(grid, min_size=cls.size, max_size=cls.size)))
-    nonzero = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)
-    u = np.array(data.draw(st.lists(nonzero, min_size=cls.size, max_size=cls.size)))
+    diag = np.array(data.draw(st.lists(grid, min_size=rows * members,
+                                       max_size=rows * members))).reshape(rows, members)
+    weight = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05) | st.just(0.0)
+    u = np.array(data.draw(st.lists(weight, min_size=rows * members,
+                                    max_size=rows * members))).reshape(rows, members)
+    for row in range(rows):                                 # one live member per row
+        col = data.draw(st.integers(0, members - 1))
+        u[row, col] = data.draw(st.floats(0.05, 2.0))
     at = data.draw(st.floats(-2.0, 2.0).map(lambda t: 10.0**t))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    perm = rng.permutation(cls.size)                        # members in any order
-    roots = ms.secular_min_roots(diag[perm], cls[perm], u[perm], at)
-    for i, c in enumerate(np.unique(cls)):
-        m = cls == c
-        block = np.diag(diag[m]) + at * np.outer(u[m], u[m])
-        bound = np.max(np.abs(diag[m])) + at * np.sum(u[m] ** 2)
-        assert abs(roots[i] - np.linalg.eigvalsh(block)[0]) <= 16 * np.finfo(float).eps * bound
+    roots = ms.secular_min_roots(diag, u, at)
+    assert roots.shape == (rows,)
+    for row in range(rows):
+        live = u[row] != 0.0
+        d, w = diag[row, live], u[row, live]
+        block = np.diag(d) + at * np.outer(w, w)
+        bound = np.max(np.abs(d)) + at * np.sum(w**2)
+        assert abs(roots[row] - np.linalg.eigvalsh(block)[0]) <= 16 * np.finfo(float).eps * bound
+
+
+def test_secular_min_roots_reject_nan_diagonal():
+    with pytest.raises(ValueError, match="NaN"):
+        ms.secular_min_roots(np.array([[np.nan, 1.0]]), np.ones((1, 2)), 1.0)
 
 
 def _spectral_vs_dense(g, params, j):

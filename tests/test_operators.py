@@ -360,14 +360,20 @@ def _dct2(N):
                                      (2, 3, 1, 2), (2, 3, 2, 3), (2, 5, 1, 2)])
 def test_dct_frequency_classes_match_dense_conjugation(d, L, k, m):
     g = lat.make_geometry(d, L, k, m)
-    C = ops._kron_chain([_dct2(g.sites_per_axis)] * d)
+    n = g.site_count
+    C = lat._axis_outer(np.multiply, [_dct2(g.sites_per_axis)] * d)
     lap = C @ -ops.neumann_laplacian(g).matrix @ C.T
     for j in range(m + 1):
-        lam, cls, u = ops.dct_frequency_classes(g, j)
-        assert np.linalg.norm(lap - np.diag(lam)) <= 1e-12 * np.linalg.norm(lap)
-        # Q_j* Q_j is one rank-one block u_c u_c^T per coarse class
+        lam, u, freq = ops.dct_frequency_classes(g, j)
+        rows = (g.sites_per_axis // L**j) ** d
+        assert lam.shape == u.shape == freq.shape == (rows, L ** (j * d))
+        assert np.array_equal(np.sort(freq.ravel()), np.arange(n))
+        full = np.empty(n)
+        full[freq] = lam
+        assert np.linalg.norm(lap - np.diag(full)) <= 1e-12 * np.linalg.norm(lap)
+        # Q_j* Q_j is one rank-one block u_c u_c^T per row
         proj = C @ ops.block_projector(g, j).matrix @ C.T
-        same = (cls[:, None] == cls[None, :]) & (cls[:, None] >= 0)
-        assert np.linalg.norm(proj - same * np.outer(u, u)) <= 1e-12 * np.linalg.norm(proj)
-        assert np.all(u[cls < 0] == 0.0)
-        assert np.array_equal(np.unique(cls[u != 0]), np.arange((g.sites_per_axis // L**j) ** d))
+        U = np.zeros((rows, n))
+        U[np.arange(rows)[:, None], freq] = u
+        assert np.linalg.norm(proj - U.T @ U) <= 1e-12 * np.linalg.norm(proj)
+        assert np.all((u != 0.0).any(axis=1))

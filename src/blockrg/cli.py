@@ -105,6 +105,19 @@ def _check_suite_blocks(cfg: ExperimentConfig):
     for name, value, want, ok in checks:
         if not ok:
             raise ConfigError(f"{name} must be {want}, got {value!r}")
+    rows = {}
+    for q in q_grid:
+        rows.setdefault(_q_suffix(q), []).append(q)
+    clashes = [f"{qs} all give the rows *_q_{suffix}" for suffix, qs in rows.items()
+               if len(qs) > 1]
+    if clashes:
+        raise ConfigError("decay.q_grid entries must give distinct ct-report row names: "
+                          + "; ".join(clashes))
+
+
+def _q_suffix(q) -> str:
+    """The ct-report row name suffix of ``q``."""
+    return f"{float(q):+.3g}"
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -307,9 +320,9 @@ def run_ct_report(cfg: ExperimentConfig, rng) -> list[MetricRow]:
     metrics = [("ct_q0_bitwise_mismatch", bit_equal, 0.0)]
     for q, smin, bound in zip(rep.q_values, rep.min_singular_values,
                               rep.bound_constants):
-        metrics.append((f"ct_bound_norm_q_{q:+.3g}", bound,
+        metrics.append((f"ct_bound_norm_q_{_q_suffix(q)}", bound,
                         FINITE_CAP if abs(q) <= 0.05 + 1e-12 else INFO))
-        metrics.append((f"neg_ct_min_sigma_q_{q:+.3g}", -smin,
+        metrics.append((f"neg_ct_min_sigma_q_{_q_suffix(q)}", -smin,
                         0.0 if abs(q) <= 0.05 + 1e-12 else INFO))
     metrics.append(("neg_ct_fitted_c1", -rep.fitted_c1, 0.0))
     metrics.append(("ct_fit_max_violation", rep.max_violation, INFO))

@@ -7,6 +7,14 @@ exponential rate on matrix elements between distant unit boxes.  This module
 measures those quantities on desk-scale cubes and fits log-linear decay
 profiles; the analytic constants behind the bounds are symbolic, so the
 testable claims are positivity and stability of the fitted rates.
+
+The Combes-Thomas constants ``sigma_min(D_q) = 1 / |e_{-q} G e_q|_2`` are
+read off the one propagator ``G`` by a batched Lanczos run, with the weights
+as diagonals; no conjugated operator is formed and no SVD is taken.  The
+defining operator is symmetric, so ``D_{-q} = D_q^T`` and ``q``, ``-q``
+share one value.  Each run stops on the residual of its top Ritz pair
+(``CT_LANCZOS_RTOL`` of the Ritz value).  The dense SVD of
+``conjugated_operator`` is the test oracle for these numbers.
 """
 
 from __future__ import annotations
@@ -19,6 +27,18 @@ from . import multiscale, operators as ops
 from .lattice import (LatticeGeometry, all_sites, block_table,
                       coarse_geometry, positions, site_to_flat)
 from .operators import KernelOperator
+
+# Largest |q . (x - c)| that ct_bound_report accepts.  exp(+-t) is finite for
+# |t| < log(float max) ~ 709.8, and the Lanczos operator W G W^-2 G W stacks
+# four weights: 4 * 160 = 640 leaves exp(69) ~ 1e30 of room for G's entries,
+# the lattice size and the norm squared.
+CT_MAX_EXPONENT = 160.0
+# a weight's Lanczos run stops when the residual of its top Ritz pair is at
+# most this fraction of the Ritz value
+CT_LANCZOS_RTOL = 1e-10
+# steps between two such tests: one eigendecomposition of the growing
+# tridiagonal matrix costs more than a step
+CT_LANCZOS_CHECK = 4
 
 
 @dataclass(frozen=True)
@@ -40,6 +60,7 @@ class CtReport:
     fitted_c1: float
     fitted_log_prefactor: float
     max_violation: float
+    norm_steps: int         # Lanczos steps of the batched norm run
 
 
 def conjugated_operator(geom: LatticeGeometry, params, q) -> KernelOperator:
@@ -59,33 +80,109 @@ def conjugated_green(geom: LatticeGeometry, params, q) -> KernelOperator:
 def _conjugate(A: KernelOperator, q) -> KernelOperator:
     """``e_{-q} A e_q`` on one lattice, as weights on the kernel's rows and columns."""
     geom = A.source
+    w = positions(geom) @ _q_vector(q, geom.d)
+    return KernelOperator(geom, geom, np.exp(-w)[:, None] * A.kernel * np.exp(w)[None, :])
+
+
+def _q_vector(q, d: int) -> np.ndarray:
+    """``q`` as a d-vector: a scalar acts along axis 0."""
     qv = np.asarray(q, dtype=float)
     if qv.ndim == 0:
-        qv = np.append(qv, np.zeros(geom.d - 1))     # along axis 0
-    if qv.shape != (geom.d,):
-        raise ValueError(f"q must be scalar or length-{geom.d}")
-    w = positions(geom) @ qv
-    return KernelOperator(geom, geom, np.exp(-w)[:, None] * A.kernel * np.exp(w)[None, :])
+        qv = np.append(qv, np.zeros(d - 1))
+    if qv.shape != (d,):
+        raise ValueError(f"q must be scalar or length-{d}")
+    return qv
+
+
+def _weighted_norms_sq(K: np.ndarray, expo: np.ndarray):
+    """``lambda_max(W K W^-2 K W)`` per row of ``W = exp(expo)``, and the steps.
+
+    ``K`` is symmetric, so each row's operator is ``B^T B`` with
+    ``B = W^-1 K W`` and its top eigenvalue is ``|B|_2**2``.  One batched
+    Lanczos run (Lanczos 1950) builds a Krylov basis per row with full
+    reorthogonalization (classical Gram-Schmidt, twice), at two
+    ``(rows, n) @ K`` products per step.  Every ``CT_LANCZOS_CHECK`` steps a
+    row stops once the residual ``beta_j |s_j|`` of its top Ritz pair is at
+    most ``CT_LANCZOS_RTOL`` times the Ritz value, which then lies below the
+    eigenvalue by at most ``residual**2 / gap``.  A zero ``beta_j`` (an
+    invariant Krylov space) forces the test, where its residual is 0.
+    """
+    rows, n = expo.shape
+    W, Winv2 = np.exp(expo), np.exp(-2.0 * expo)
+    out, live = np.empty(rows), np.arange(rows)
+    # a private start vector: the caller's generator stays untouched
+    v = np.random.default_rng(0).standard_normal(n)
+    basis = np.empty((rows, 8, n))
+    basis[:, 0] = v / np.linalg.norm(v)
+    alpha, beta = np.empty((rows, 0)), np.empty((rows, 0))
+    for j in range(n):
+        w = W * ((Winv2 * ((W * basis[:, j]) @ K)) @ K)
+        V = basis[:, :j + 1]
+        h = np.einsum("rkn,rn->rk", V, w)
+        w -= np.einsum("rkn,rk->rn", V, h)
+        h2 = np.einsum("rkn,rn->rk", V, w)
+        w -= np.einsum("rkn,rk->rn", V, h2)
+        alpha = np.column_stack([alpha, h[:, j] + h2[:, j]])
+        b = np.linalg.norm(w, axis=1)
+        if (j + 1) % CT_LANCZOS_CHECK == 0 or j == n - 1 or not b.all():
+            T = np.zeros((live.size, j + 1, j + 1))
+            i = np.arange(j + 1)
+            T[:, i, i] = alpha
+            T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = beta
+            theta, s = np.linalg.eigh(T)
+            # a basis of n vectors spans the space: its Ritz values are exact
+            done = (b * np.abs(s[:, -1, -1]) <= CT_LANCZOS_RTOL * theta[:, -1]) | (j == n - 1)
+            out[live[done]] = theta[done, -1]
+            if done.all():
+                return out, j + 1
+            keep = ~done
+            live, W, Winv2, w, b = live[keep], W[keep], Winv2[keep], w[keep], b[keep]
+            basis, alpha, beta = basis[keep], alpha[keep], beta[keep]
+        beta = np.column_stack([beta, b])
+        if j + 1 == basis.shape[1]:
+            basis = np.concatenate([basis, np.empty_like(basis)], axis=1)
+        basis[:, j + 1] = w / b[:, None]
 
 
 def ct_bound_report(geom: LatticeGeometry, params, q_list, rng,
                     draws: int = 3) -> CtReport:
     """Conjugated-propagator norms plus the empirical box-to-box decay constant.
 
-    For each ``q``: the smallest singular value of ``D_q`` and the operator
-    norm of ``e_{-q} G e_q`` (their reciprocals coincide).  Separately, random
-    fields supported on single unit boxes probe
+    For each ``q``: the operator norm of ``e_{-q} G e_q`` and its reciprocal,
+    the smallest singular value of ``D_q``.  ``D_{-q} = D_q^T``, so each
+    ``q`` up to sign is one weight ``W = exp(q . (x - c))`` (``c`` the cube
+    centre; only ``x - y`` enters) of one batched Lanczos run on
+    ``W G W^-2 G W``, and ``q = 0`` is the unit weight.  A weight stops when
+    the residual of its top Ritz pair is at most ``CT_LANCZOS_RTOL`` times
+    the Ritz value (``_weighted_norms_sq``); ``norm_steps`` counts the run's
+    steps.  A weight exponent above ``CT_MAX_EXPONENT`` raises
+    ``ValueError`` before any weight is formed.  Tests compare these values
+    with the dense SVD of ``conjugated_operator``.
+
+    Separately, random fields supported on single unit boxes probe
     ``|<f, G f'>| <= C exp(-c1 |y - y'|) |f| |f'|``; the report carries the
     fitted ``c1`` and the largest positive log-residual above the fitted line.
     """
-    sigmas, bounds = [], []
+    row, index = {}, []         # q up to sign -> its row of weight exponents
     for q in q_list:
-        Dq = conjugated_operator(geom, params, q)
-        smin = float(np.linalg.svd(Dq.matrix, compute_uv=False)[-1])
-        sigmas.append(smin)
-        bounds.append(1.0 / smin)
-
+        qv = _q_vector(q, geom.d)
+        nonzero = qv[qv != 0]
+        key = tuple(-qv if nonzero.size and nonzero[0] < 0 else qv)
+        index.append(row.setdefault(key, len(row)))
+    x = positions(geom)
+    x -= geom.spacing * (geom.sites_per_axis - 1) / 2      # about the cube centre
+    expo = np.array(list(row)).reshape(-1, geom.d) @ x.T
+    reach = np.max(np.abs(expo), axis=1)
+    for q, r in zip(q_list, index):
+        if reach[r] > CT_MAX_EXPONENT:
+            raise ValueError(f"q = {q} on a cube of side {geom.side_length} needs weights "
+                             f"exp(q . (x - c)) up to exp({reach[r]:.4g}), past "
+                             f"CT_MAX_EXPONENT = {CT_MAX_EXPONENT:g}")
     K = multiscale.green_neumann(geom, params).kernel
+    norms_sq, steps = _weighted_norms_sq(K, expo)
+    # the value matrix of G is eta**d K
+    bounds = geom.spacing ** geom.d * np.sqrt(norms_sq[index])
+
     boxes = block_table(geom, geom.k)
     labels = all_sites(coarse_geometry(geom, geom.k))
     i1, i2 = np.triu_indices(len(labels))
@@ -108,11 +205,12 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng,
     slope, intercept = np.polyfit(dists, logvals, 1)
     viol = float(np.max(logvals - (intercept + slope * dists)))
     return CtReport(q_values=tuple(q_list),
-                    min_singular_values=tuple(sigmas),
-                    bound_constants=tuple(bounds),
+                    min_singular_values=tuple(map(float, 1.0 / bounds)),
+                    bound_constants=tuple(map(float, bounds)),
                     fitted_c1=float(-slope),
                     fitted_log_prefactor=float(intercept),
-                    max_violation=viol)
+                    max_violation=viol,
+                    norm_steps=steps)
 
 
 def indicator_field(geom, source) -> ops.Field:

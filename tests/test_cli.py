@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,13 +98,40 @@ def test_invalid_params_is_config_error(tmp_path, params):
     "fourier: {q_max: .inf}", "fourier: {q_max: -0.1}", "fourier: {q_max: x}",
     "images: {shells: 0}", "images: {shells: two}", "images: {shells: 2.5}",
     "decay: {window: [5, 1]}", "decay: {window: [1, .nan]}", "decay: {window: [1]}",
-    "decay: {q_grid: []}", "decay: {q_grid: [0.0, .inf]}", "decay: {q_grid: 0.1}"])
+    "decay: {q_grid: []}", "decay: {q_grid: [0.0, .inf]}", "decay: {q_grid: 0.1}",
+    # entries that share one ct-report row name
+    "decay: {q_grid: [0.0, 0.01, 0.01, 0.0100001]}", "decay: {q_grid: [0.05, 0.05]}",
+    "decay: {q_grid: [0.0, 1, 1.0]}"])
 def test_invalid_suite_settings_are_config_errors(tmp_path, block):
     # rejected when the config loads, whichever suite runs
     p = tmp_path / "c.yaml"
     p.write_text(f"geometry: {{d: 1, L: 3, k: 1, m: 2}}\n{block}\n")
     assert cli.main(["--config", str(p), "--experiment", "spectrum",
                      "--out", str(tmp_path / "o")]) == 2
+
+
+def test_q_grid_row_name_clash_is_named(tmp_path, capsys):
+    # three entries print as +0.01: one summary.json key for two values
+    p = tmp_path / "c.yaml"
+    p.write_text("geometry: {d: 1, L: 3, k: 1, m: 3}\n"
+                 "decay: {q_grid: [0.0, 0.01, 0.01, 0.0100001]}\n")
+    assert cli.main(["--config", str(p), "--experiment", "ct-report",
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "[0.01, 0.01, 0.0100001] all give the rows *_q_+0.01" in capsys.readouterr().err
+
+
+def test_ct_weight_overflow_is_named(tmp_path, capsys):
+    # q = 10 on a cube of side 81: exp(-2 q . x) would overflow
+    p = tmp_path / "c.yaml"
+    p.write_text("geometry: {d: 1, L: 3, k: 1, m: 5}\ndecay: {q_grid: [0.0, 10.0]}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["--config", str(p), "--experiment", "ct-report",
+                       "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "ValueError: q = 10.0 on a cube of side 81" in err
+    assert "CT_MAX_EXPONENT" in err
 
 
 def test_perfbench_configs_load():

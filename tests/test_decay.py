@@ -122,18 +122,64 @@ def test_coercivity_of_symmetrized_form():
         assert np.linalg.eigvalsh(sym)[0] > 0
 
 
+def _dense_min_sigmas(g, params, q_list):
+    """The oracle: ``sigma_min`` of each dense ``D_q`` by a full SVD."""
+    return np.array([np.linalg.svd(dc.conjugated_operator(g, params, q).matrix,
+                                   compute_uv=False)[-1] for q in q_list])
+
+
 def test_ct_report_reference():
     g = lat.make_geometry(1, 3, 1, 3)
     rng = np.random.default_rng(5)
-    rep = dc.ct_bound_report(g, P0, [0.0, 0.02, -0.02, 0.05, -0.05], rng)
+    q_list = [0.0, 0.02, -0.02, 0.05, -0.05]
+    rep = dc.ct_bound_report(g, P0, q_list, rng)
     assert rep.fitted_c1 > 0
     # q = 0 norm equals 1/lambda_min of the defining operator
     D0 = ms.defining_operator(g, P0, 1)
     lam_min = ops.min_eigenvalue(D0)
     assert rep.bound_constants[0] == pytest.approx(1.0 / lam_min, rel=1e-10)
-    # reflection symmetry through relabeling: norms at q and -q agree
-    assert rep.bound_constants[1] == pytest.approx(rep.bound_constants[2], rel=1e-9)
-    assert all(np.isfinite(b) for b in rep.bound_constants)
+    # the dense SVD as oracle, q and -q alike
+    assert np.allclose(rep.min_singular_values, _dense_min_sigmas(g, P0, q_list),
+                       rtol=1e-12, atol=0)
+
+
+# the default decay.q_grid of the CLI
+Q_GRID = [0.0, 0.01, -0.01, 0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2]
+
+
+@pytest.mark.parametrize("dims,a,mu0,q_list", [
+    ((1, 3, 1, 3), 1.0, 0.0, Q_GRID),
+    ((1, 3, 2, 4), 0.3, 0.2, Q_GRID),
+    ((1, 3, 3, 5), 1.0, 0.0, Q_GRID),
+    ((2, 3, 1, 2), 1.0, 0.0, [0.0, (0.05, -0.1), (-0.05, 0.1), 0.1, -0.1]),
+    ((2, 3, 2, 3), 1.0, 0.0, Q_GRID)])
+def test_ct_sigmas_match_dense_svd(dims, a, mu0, q_list, monkeypatch):
+    g = lat.make_geometry(*dims)
+    params = ms.MultiscaleParams(a=a, mu0=mu0)
+    with monkeypatch.context() as mp:
+        # the report reads G alone: no dense D_q, no SVD
+        for mod, name in ((np.linalg, "svd"), (dc, "conjugated_operator")):
+            mp.setattr(mod, name, lambda *args, **kw: pytest.fail("dense D_q or SVD used"))
+        rep = dc.ct_bound_report(g, params, q_list, np.random.default_rng(0))
+    sigmas = np.array(rep.min_singular_values)
+    rel = np.abs(sigmas - _dense_min_sigmas(g, params, q_list)) / sigmas
+    assert np.max(rel) <= 1e-12
+    # two independent routes to q = 0: the Lanczos norm of G and the
+    # frequency-class lambda_min of the defining operator
+    lam = ms.defining_min_eigenvalue(g, params, g.k)
+    assert rep.bound_constants[0] * lam == pytest.approx(1.0, rel=1e-12, abs=0)
+    assert rep.norm_steps <= g.site_count // 2
+
+
+def test_ct_report_weight_range_is_named():
+    # side 81 at q = 10: weights up to exp(403), W^-2 up to exp(807)
+    g = lat.make_geometry(1, 3, 1, 5)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"q = 10\.0 on a cube of side 81 .*CT_MAX_EXPONENT"):
+        dc.ct_bound_report(g, P0, [0.0, 10.0], rng)
+    assert rng.bit_generator.state == state
+    assert 4 * dc.CT_MAX_EXPONENT < np.log(np.finfo(float).max)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -279,6 +279,29 @@ def test_defining_min_eigenvalue_property(data):
     assert _spectral_vs_dense(lat.make_geometry(d, L, k, m), params, j) <= 16
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_ct_sigmas_match_dense_svd_property(data):
+    # the Lanczos sigma_min(D_q) of decay.ct_bound_report against the dense
+    # SVD, at q, -q and 0; two boxes at least, n <= 243
+    d = data.draw(st.sampled_from([1, 2]))
+    m = data.draw(st.integers(2, 5 if d == 1 else 2))
+    k = data.draw(st.integers(1, m - 1))
+    a = data.draw(st.floats(-2.0, 2.0).map(lambda t: 10.0**t))
+    mu0 = data.draw(st.sampled_from([0.0, 1e-3, 0.2, 1.0, 10.0]))
+    q = np.array(data.draw(st.lists(st.floats(-0.3, 0.3), min_size=d, max_size=d)))
+    g, params = lat.make_geometry(d, 3, k, m), ms.MultiscaleParams(a=a, mu0=mu0)
+    q_list = [0.0, q, -q]
+    rep = decay.ct_bound_report(g, params, q_list, np.random.default_rng(0))
+    eps = np.finfo(float).eps
+    for qq, sigma in zip(q_list, rep.min_singular_values):
+        s = np.linalg.svd(decay.conjugated_operator(g, params, qq).matrix, compute_uv=False)
+        assert abs(sigma - s[-1]) <= 16 * eps * s[0]
+        if not np.any(qq):          # and the frequency-class lambda_min at q = 0
+            lam = ms.defining_min_eigenvalue(g, params, k)
+            assert abs(sigma - lam) <= 16 * eps * s[0]
+
+
 def test_fluctuation_kernel_decay():
     # C'_k kernel decays with a positive fitted rate (sup-norm claim shape)
     g = lat.make_geometry(1, 3, 1, 3)

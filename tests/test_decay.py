@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,30 @@ def test_ct_sigmas_match_dense_svd(dims, a, mu0, q_list, monkeypatch):
     lam = ms.defining_min_eigenvalue(g, params, g.k)
     assert rep.bound_constants[0] * lam == pytest.approx(1.0, rel=1e-12, abs=0)
     assert rep.norm_steps <= g.site_count // 2
+
+
+@pytest.mark.parametrize("dims,a,mu0,q_list", [
+    ((1, 3, 1, 5), 1.0, 0.0, [1.0, 2.0, 3.0, 3.95]),
+    ((1, 3, 1, 5), 0.1, 1.0, [1.0, 2.0, 3.0, 3.95]),
+    ((1, 3, 1, 5), 10.0, 0.0, [1.0, 2.0, 3.0, 3.95]),
+    ((2, 3, 1, 3), 1.0, 0.0, [2.0, (10.0, -8.0), (18.0, 18.7)])])
+def test_ct_sigmas_at_far_weights(dims, a, mu0, q_list):
+    # q inside and far past G's decay rate, the last one at a reach just
+    # under CT_MAX_EXPONENT (159.3 at side 81, 159.0 at side 9), where the
+    # Lanczos vectors reach exp(300): no overflow, and the values stay within
+    # the dense SVD's own rounding 16 eps |D_q|_2
+    g = lat.make_geometry(*dims)
+    params = ms.MultiscaleParams(a=a, mu0=mu0)
+    half = g.spacing * (g.sites_per_axis - 1) / 2
+    reach = np.abs(dc._q_vector(q_list[-1], g.d)).sum() * half
+    assert dc.CT_MAX_EXPONENT - 1.5 < reach <= dc.CT_MAX_EXPONENT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = dc.ct_bound_report(g, params, q_list, np.random.default_rng(0))
+    eps = np.finfo(float).eps
+    for q, sigma in zip(q_list, rep.min_singular_values):
+        s = np.linalg.svd(dc.conjugated_operator(g, params, q).matrix, compute_uv=False)
+        assert abs(sigma - s[-1]) <= 16 * eps * s[0]
 
 
 def test_ct_report_weight_range_is_named():

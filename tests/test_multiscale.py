@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,6 +281,18 @@ def test_defining_min_eigenvalue_property(data):
     assert _spectral_vs_dense(lat.make_geometry(d, L, k, m), params, j) <= 16
 
 
+def _assert_ct_sigmas_match_dense_svd(g, params, q_list):
+    """The Lanczos sigma_min(D_q) within the dense SVD's own rounding of it."""
+    rep = decay.ct_bound_report(g, params, q_list, np.random.default_rng(0))
+    eps = np.finfo(float).eps
+    for qq, sigma in zip(q_list, rep.min_singular_values):
+        s = np.linalg.svd(decay.conjugated_operator(g, params, qq).matrix, compute_uv=False)
+        assert abs(sigma - s[-1]) <= 16 * eps * s[0]
+        if not np.any(qq):          # and the frequency-class lambda_min at q = 0
+            lam = ms.defining_min_eigenvalue(g, params, g.k)
+            assert abs(sigma - lam) <= 16 * eps * s[0]
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.data())
 def test_ct_sigmas_match_dense_svd_property(data):
@@ -291,15 +305,27 @@ def test_ct_sigmas_match_dense_svd_property(data):
     mu0 = data.draw(st.sampled_from([0.0, 1e-3, 0.2, 1.0, 10.0]))
     q = np.array(data.draw(st.lists(st.floats(-0.3, 0.3), min_size=d, max_size=d)))
     g, params = lat.make_geometry(d, 3, k, m), ms.MultiscaleParams(a=a, mu0=mu0)
-    q_list = [0.0, q, -q]
-    rep = decay.ct_bound_report(g, params, q_list, np.random.default_rng(0))
-    eps = np.finfo(float).eps
-    for qq, sigma in zip(q_list, rep.min_singular_values):
-        s = np.linalg.svd(decay.conjugated_operator(g, params, qq).matrix, compute_uv=False)
-        assert abs(sigma - s[-1]) <= 16 * eps * s[0]
-        if not np.any(qq):          # and the frequency-class lambda_min at q = 0
-            lam = ms.defining_min_eigenvalue(g, params, k)
-            assert abs(sigma - lam) <= 16 * eps * s[0]
+    _assert_ct_sigmas_match_dense_svd(g, params, [0.0, q, -q])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_ct_sigmas_match_dense_svd_far_property(data):
+    # as above, at any reach max |q . (x - c)| the report accepts, so q runs
+    # past G's decay rate; no float overflows on the way
+    d = data.draw(st.sampled_from([1, 2]))
+    m = data.draw(st.integers(2, 5 if d == 1 else 3))
+    k = data.draw(st.integers(1, m - 1))
+    a = data.draw(st.floats(-2.0, 2.0).map(lambda t: 10.0**t))
+    mu0 = data.draw(st.sampled_from([0.0, 1e-3, 0.2, 1.0, 10.0]))
+    u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)))
+    reach = data.draw(st.floats(0.0, 0.999)) * decay.CT_MAX_EXPONENT
+    g, params = lat.make_geometry(d, 3, k, m), ms.MultiscaleParams(a=a, mu0=mu0)
+    half = g.spacing * (g.sites_per_axis - 1) / 2
+    q = u * reach / (half * max(np.abs(u).sum(), 1e-300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _assert_ct_sigmas_match_dense_svd(g, params, [0.0, q, -q])
 
 
 def test_fluctuation_kernel_decay():

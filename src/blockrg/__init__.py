@@ -10,16 +10,18 @@ from .lattice import (FreePatch, LatticeGeometry, all_sites, block_label,
                       block_sites, coarse_geometry, dist, dist_to_set,
                       image_points, make_geometry, positions, reflect,
                       sample_sites, scale_geometry, sup_dist)
-from .operators import (Field, KernelOperator, SpectrumReport, adjoint, apply,
-                        averaging, block_projector, chebyshev_roots,
-                        chebyshev_u, compose, delta_field, forward_diff,
-                        backward_diff, identity, inner, invert,
+from .operators import (DenseSizeError, Field, KernelOperator, SpectrumReport,
+                        adjoint, apply, averaging, block_projector,
+                        chebyshev_roots, chebyshev_u, compose, dct,
+                        delta_field, identity, idct, inner, invert,
                         laplacian_spectrum_1d, min_eigenvalue,
                         neumann_laplacian, scaling_unitary)
-from .multiscale import (MultiscaleParams, RgOperators, a_sequence,
-                         green_j, green_neumann, positivity_report,
-                         rg_operators, rg_step_residual,
-                         rg_telescope_residual, scaling_residuals)
+from .multiscale import (MultiscaleParams, RgOperators, TowerLevel, a_sequence,
+                         c_identity_residual_spectral, green_j, green_neumann,
+                         positivity_report, rg_operators, rg_step_residual,
+                         rg_step_residual_spectral, rg_telescope_residual,
+                         rg_telescope_residual_spectral, scaling_residuals,
+                         scaling_residuals_spectral, tower_level)
 from .fourier import (TorusGrid, bracket, free_apply_ghat, free_kernel_g,
                       free_kernel_gq, h_function, laplacian_symbol,
                       qkqk_fourier_residual, strip_bound_report,

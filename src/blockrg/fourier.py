@@ -13,7 +13,8 @@ with ``Delta`` the Laplacian symbol and ``u`` the averaging symbol
     u(z) = eta^d prod_nu (1 - exp(-i z_nu)) / (1 - exp(-i z_nu eta)).
 
 Every shift system is therefore solved in O(S) by the Sherman-Morrison
-formula, never stored or inverted as an ``S x S`` matrix.  The formula is
+formula (``multiscale.RankOneRows``, which the DCT-class tower shares),
+never stored or inverted as an ``S x S`` matrix.  The formula is
 used multiplied through by ``Delta_0``, the symbol of the zero shift, and the
 zero-shift term is split off the diagonal sum.  What remains divides only by
 the nonzero-shift symbols and by ``Delta_0 (1 + a_k sum_{l!=0} Ubar_l U_l /
@@ -41,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .lattice import FreePatch, _axis_outer, grid_points
-from .multiscale import MultiscaleParams
+from .multiscale import MultiscaleParams, RankOneRows
 from .operators import lru_lookup
 
 POLE_GUARD = 1e-12
@@ -229,36 +230,23 @@ class FactoredStack:
 
 
 @dataclass(frozen=True, eq=False)
-class ShiftSystem:
+class ShiftSystem(RankOneRows):
     """Per-node shift matrices ``M = diag(Delta) + a_k U Ubar^T`` of the defining operator.
 
     ``axis_nodes``: complex momenta of each axis, d 1-d arrays, whose
     row-major Cartesian products are the ``n`` nodes; ``shifts``: integer
     shifts (S, d) with the zero shift at index ``zero``; ``U``, ``Ubar``,
     ``Delta``: the averaging symbols and the Laplacian symbol at
-    ``Z = node + 2 pi shift``, each (n, S).  The Sherman-Morrison weights
-    are kept multiplied through by ``Delta_0 = Delta[:, zero]``, so the
-    massless node ``p = 0``, where ``Delta_0 = 0``, needs no special case:
-
-    - ``w``: ``1/Delta`` off the zero shift and 0 on it, (n, S);
-    - ``c0``: ``1 + a_k sum_l Ubar_l w_l U_l``, (n,);
-    - ``den``: ``Delta_0 c0 + a_k U_0 Ubar_0``, (n,), which is
-      ``det M / prod_{l != 0} Delta_l`` and positive at real momenta.
-
-    ``solve`` and ``apply`` act with ``M^{-1}`` and ``M`` in O(S) per node;
-    ``Minv`` and ``Mmat`` view the same factors as matrix stacks.
+    ``Z = node + 2 pi shift``, each (n, S); ``a = a_k``.  The nodes are the
+    rows of ``multiscale.RankOneRows``, whose Sherman-Morrison weights
+    ``w``, ``c0``, ``den`` (multiplied through by ``Delta_0 = Delta[:, zero]``,
+    so the massless node ``p = 0`` needs no special case) and ``solve``,
+    ``apply``, ``solve_u`` act in O(S) per node; ``den`` is positive at real
+    momenta.  ``Minv`` and ``Mmat`` view the same factors as matrix stacks.
     """
 
-    a_k: float
     axis_nodes: tuple
     shifts: np.ndarray
-    zero: int
-    U: np.ndarray
-    Ubar: np.ndarray
-    Delta: np.ndarray
-    w: np.ndarray
-    c0: np.ndarray
-    den: np.ndarray
 
     @property
     def nbytes(self) -> int:
@@ -272,43 +260,6 @@ class ShiftSystem:
     @property
     def Minv(self) -> FactoredStack:
         return FactoredStack((self.w, self.c0, self.den), self.solve)
-
-    def apply(self, v) -> np.ndarray:
-        """``M v`` at every node, for ``v`` of shape ``(n, S, ...)``."""
-        v = np.asarray(v)
-        v3 = v.reshape(v.shape[:2] + (-1,))
-        U, Ubar = self.U[..., None], self.Ubar[..., None]
-        out = (self.Delta[..., None] * v3
-               + self.a_k * U * np.sum(Ubar * v3, axis=1, keepdims=True))
-        return out.reshape(v.shape)
-
-    def solve(self, v) -> np.ndarray:
-        """``M^{-1} v`` at every node, for ``v`` of shape ``(n, S, ...)``.
-
-        Off the zero shift ``x_l = w_l (v_l - a_k U_l beta)`` with
-        ``beta = (Ubar_0 v_0 + Delta_0 B) / den`` and ``B = sum_l Ubar_l w_l v_l``;
-        on it ``x_0 = (c0 v_0 - a_k U_0 B) / den``.
-        """
-        v = np.asarray(v)
-        v3 = v.reshape(v.shape[:2] + (-1,))
-        z, a = self.zero, self.a_k
-        w, U, Ubar = self.w[..., None], self.U[..., None], self.Ubar[..., None]
-        den = self.den[:, None, None]
-        B = np.sum(Ubar * w * v3, axis=1, keepdims=True)
-        v0 = v3[:, z:z + 1]
-        beta = (Ubar[:, z:z + 1] * v0 + self.Delta[:, z, None, None] * B) / den
-        x = w * (v3 - a * U * beta)
-        x[:, z:z + 1] = (self.c0[:, None, None] * v0 - a * U[:, z:z + 1] * B) / den
-        return x.reshape(v.shape)
-
-    def solve_u(self) -> np.ndarray:
-        """``M^{-1} U`` at every node, (n, S): ``solve(U)`` with ``B = (c0 - 1) / a_k``
-        cancelled, which leaves ``Delta_0 w U / den`` off the zero shift and
-        ``U_0 / den`` on it."""
-        z = self.zero
-        x = self.Delta[:, z, None] * self.w * self.U / self.den[:, None]
-        x[:, z] = self.U[:, z] / self.den
-        return x
 
 
 def shift_system(axis_nodes, L: int, k: int, params: MultiscaleParams) -> ShiftSystem:
@@ -328,11 +279,7 @@ def shift_system(axis_nodes, L: int, k: int, params: MultiscaleParams) -> ShiftS
     star = _axis_outer(np.add, [lap_star(Z[..., None], L, k, 0.0) for Z in Z_axes])
     Delta = (4.0 / eta**2) * (star + params.mu0 / 4.0)
     zero = int(np.flatnonzero(~shifts.any(axis=1))[0])
-    w = np.divide(1.0, Delta, out=np.zeros_like(Delta), where=np.arange(len(shifts)) != zero)
-    c0 = 1.0 + a_k * np.sum(Ubar * w * U, axis=1)
-    den = Delta[:, zero] * c0 + a_k * U[:, zero] * Ubar[:, zero]
-    return ShiftSystem(a_k=a_k, axis_nodes=axis_nodes, shifts=shifts, zero=zero,
-                       U=U, Ubar=Ubar, Delta=Delta, w=w, c0=c0, den=den)
+    return ShiftSystem.build(Delta, U, Ubar, a_k, zero, axis_nodes=axis_nodes, shifts=shifts)
 
 
 def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
@@ -424,8 +371,8 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
         K = _shift_legs(grid, sys, sys.w * sys.Ubar, -Ry)
         den = sys.den[:, None]
         beta = (Ubar0[:, None] + Delta0[:, None] * K) / den
-        x0 = (sys.c0[:, None] - sys.a_k * U0[:, None] * K) / den
-        return lambda i, j: D[:, m[i, j]] - sys.a_k * H[:, i] * beta[:, j] + x0[:, j]
+        x0 = (sys.c0[:, None] - sys.a * U0[:, None] * K) / den
+        return lambda i, j: D[:, m[i, j]] - sys.a * H[:, i] * beta[:, j] + x0[:, j]
 
     return _class_sums(grid, sys, xs, ys, node_arrays)
 
@@ -605,7 +552,7 @@ def _strip_solve(axis_nodes, L: int, k: int, params: MultiscaleParams):
     large_mass = params.mu0 / 4.0 >= params.c_star * eta**2
     denom = np.abs(sys.den / sys.Delta[:, sys.zero] if large_mass
                    else (eta**2 / 4.0) * sys.den)
-    floor = _strip_floor(large_mass, sys.a_k, eta, d)
+    floor = _strip_floor(large_mass, sys.a, eta, d)
     below = np.flatnonzero(denom < floor)
     if below.size:
         z = grid_points(sys.axis_nodes)[below[0]]

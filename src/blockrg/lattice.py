@@ -75,17 +75,19 @@ class LatticeGeometry:
 
 
 def make_geometry(d: int, L: int, k: int, m: int,
-                  site_cap: int = DEFAULT_SITE_CAP) -> LatticeGeometry:
+                  site_cap: int | None = DEFAULT_SITE_CAP) -> LatticeGeometry:
     """Build the cube with spacing ``L**-k`` and ``L**m`` sites per axis.
 
     Rejects even or unit ``L``, ``k`` outside ``[0, m]`` and total site
     counts above ``site_cap`` (the cap signals that the requested lattice
-    is beyond desk scale, where dense kernels stop being an option).
+    is beyond desk scale, where dense kernels stop being an option);
+    ``site_cap=None`` admits any size, and the dense assemblers then guard
+    themselves (``operators.check_dense``).
     """
     if k < 0:
         raise GeometryError(f"scale index k must be >= 0, got {k}")
     geom = LatticeGeometry(d=d, L=L, k=k, m=m)
-    if geom.site_count > site_cap:
+    if site_cap is not None and geom.site_count > site_cap:
         raise GeometryError(
             f"site count {geom.site_count} exceeds cap {site_cap}")
     return geom

@@ -9,7 +9,10 @@ factors for mismatched source/target spacings then come out automatically.
 Products, applications and inverses act on kernels with one scalar measure
 factor each (``eta_mid**d``, ``eta_src**d``, ``eta**(-2d)``), not on value matrices.
 
-Everything is dense.  Kernels are stored in real arithmetic when their
+Kernel operators are dense, and every dense assembler refuses lattices
+above ``DEFAULT_SITE_CAP`` sites (``check_dense``) before it allocates; the
+DCT-II transforms and frequency classes at the end form no matrix and run at
+any size.  Kernels are stored in real arithmetic when their
 entries are real (Laplacians, averaging, propagators) and complex otherwise;
 fields are complex, and mixed products promote to complex.  Inverses go
 through one LU factorization with a 1-norm condition check read off the
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (FreePatch, LatticeGeometry, _axis_outer, coarse_geometry,
-                      patch_sites, scale_geometry, site_to_flat)
+from .lattice import (DEFAULT_SITE_CAP, GeometryError, LatticeGeometry, _axis_outer,
+                      coarse_geometry, scale_geometry, site_to_flat)
 
 SELF_ADJOINT_TOL = 1e-10
 CONDITION_LIMIT = 1e13
@@ -39,6 +42,21 @@ class SingularOperatorError(OperatorError):
     def __init__(self, cond):
         super().__init__(f"operator numerically singular (condition estimate {cond:.3e})")
         self.cond = cond
+
+
+class DenseSizeError(GeometryError):
+    """A dense operator was asked for on a lattice above ``DEFAULT_SITE_CAP`` sites."""
+
+
+def check_dense(geom):
+    """Refuse dense ``n x n`` work above ``DEFAULT_SITE_CAP`` sites, before anything
+    is allocated; every dense assembler calls this first."""
+    n = geom.site_count
+    if n > DEFAULT_SITE_CAP:
+        raise DenseSizeError(
+            f"a dense operator on {n} sites needs {8 * n * n / 2**30:,.0f} GiB; dense work "
+            f"is capped at DEFAULT_SITE_CAP = {DEFAULT_SITE_CAP} sites. rg-verify, "
+            f"positivity, spectrum, fourier-verify and strip-bound run past the cap")
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +147,7 @@ def from_matrix(source, target, matrix) -> KernelOperator:
 
 
 def identity(geom) -> KernelOperator:
+    check_dense(geom)
     return from_matrix(geom, geom, np.eye(geom.site_count))
 
 
@@ -204,40 +223,10 @@ def lru_lookup(cache: OrderedDict, key, build, budget: int):
 
 def _axis_operator(geom, mat1d, axis: int) -> np.ndarray:
     """Place a one-axis value matrix on the given axis of the product lattice."""
+    check_dense(geom)
     mats = [np.eye(geom.sites_per_axis)] * geom.d
     mats[axis] = mat1d
     return _axis_outer(np.multiply, mats)
-
-
-def _forward_1d(N, eta):
-    # (forward f)_c = (f_{c+1} - f_c)/eta, Neumann clamps f_N = f_{N-1}
-    D = np.zeros((N, N))
-    for i in range(N - 1):
-        D[i, i] = -1.0
-        D[i, i + 1] = 1.0
-    return D / eta
-
-
-def _backward_1d(N, eta):
-    # (backward f)_c = -(f_c - f_{c-1})/eta, Neumann clamps f_{-1} = f_0
-    D = np.zeros((N, N))
-    for i in range(1, N):
-        D[i, i] = -1.0
-        D[i, i - 1] = 1.0
-    return D / eta
-
-
-def forward_diff(geom, axis: int) -> KernelOperator:
-    """Forward difference along ``axis``, the Neumann ghost value clamped."""
-    D1 = _forward_1d(geom.sites_per_axis, geom.spacing)
-    return from_matrix(geom, geom, _axis_operator(geom, D1, axis))
-
-
-def backward_diff(geom, axis: int) -> KernelOperator:
-    """Backward difference along ``axis``, the Neumann ghost value clamped;
-    the adjoint of ``forward_diff``."""
-    D1 = _backward_1d(geom.sites_per_axis, geom.spacing)
-    return from_matrix(geom, geom, _axis_operator(geom, D1, axis))
 
 
 def _neumann_lap_1d(N, eta):
@@ -267,34 +256,6 @@ def neumann_laplacian(geom) -> KernelOperator:
     return from_matrix(geom, geom, total)
 
 
-def free_laplacian_patch(patch: FreePatch) -> np.ndarray:
-    """Free-stencil Laplacian value matrix on a patch; rows at the patch edge
-    are incomplete (missing neighbors dropped) and must be excluded from
-    comparisons."""
-    sites = patch_sites(patch)
-    index = {tuple(s): i for i, s in enumerate(sites)}
-    n = len(sites)
-    M = np.zeros((n, n))
-    eta2 = patch.spacing**2
-    for i, s in enumerate(sites):
-        M[i, i] -= 2.0 * patch.d / eta2
-        for mu in range(patch.d):
-            for step in (-1, 1):
-                nb = list(s)
-                nb[mu] += step
-                jj = index.get(tuple(nb))
-                if jj is not None:
-                    M[i, jj] += 1.0 / eta2
-    return M
-
-
-def patch_interior_mask(patch: FreePatch) -> np.ndarray:
-    sites = patch_sites(patch)
-    lo = np.asarray(patch.lo)
-    hi = np.asarray(patch.hi)
-    return np.all((sites > lo) & (sites < hi), axis=1)
-
-
 def averaging(geom, j: int) -> KernelOperator:
     """Block mean over ``L**j``-sided blocks: ``Q_j : Omega -> Omega_j``.
 
@@ -315,6 +276,7 @@ def _block_means(geom, j: int, rows: int) -> np.ndarray:
     classes times the mean over the ``L**j`` members, Kronecker-multiplied."""
     if not 0 <= j <= geom.m:
         raise OperatorError(f"block level j={j} outside [0, {geom.m}]")
+    check_dense(geom)
     Lj = geom.L**j
     per_axis = [np.eye(geom.sites_per_axis // Lj), np.full((rows, Lj), 1.0 / Lj)]
     return _axis_outer(np.multiply, per_axis * geom.d)
@@ -362,12 +324,60 @@ def dct_frequency_classes(geom, j: int) -> tuple[np.ndarray, np.ndarray, np.ndar
             _axis_outer(lambda x, y: x * N + y, [f1] * geom.d))
 
 
+def _dct_axis(x, axis: int, inverse: bool) -> np.ndarray:
+    """Orthonormal DCT-II of ``x`` along ``axis`` (DCT-III, its inverse, if
+    ``inverse``) by one FFT of the even-then-reversed-odd reordering
+    (J. Makhoul, IEEE Trans. ASSP 28 (1980))."""
+    N = x.shape[axis]
+    order = np.concatenate((np.arange(0, N, 2), np.arange(1, N, 2)[::-1]))
+    shape = [1] * x.ndim
+    shape[axis] = N
+    scale = np.full(N, np.sqrt(2.0 / N))
+    scale[0] = np.sqrt(1.0 / N)
+    twiddle = np.exp(-0.5j * np.pi * np.arange(N) / N).reshape(shape)
+    if not inverse:
+        return (twiddle * np.fft.fft(x.take(order, axis), axis=axis)).real * scale.reshape(shape)
+    # the reordering's spectrum V_p = conj(twiddle_p) (y_p - i y_{N-p}), y = x / scale,
+    # y_N = 0; V is Hermitian, so its first half determines it
+    y = x / scale.reshape(shape)
+    half = N // 2 + 1
+    mirror = np.concatenate((np.zeros_like(y.take([0], axis)),
+                             y.take(np.arange(N - 1, N - half, -1), axis)), axis=axis)
+    V = np.conj(twiddle.take(np.arange(half), axis)) * (y.take(np.arange(half), axis)
+                                                         - 1j * mirror)
+    out = np.empty(x.shape)
+    index = [slice(None)] * x.ndim
+    index[axis] = order
+    out[tuple(index)] = np.fft.irfft(V, n=N, axis=axis)
+    return out
+
+
+def _dct_lattice(geom, v, inverse: bool) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    x = v.reshape((geom.sites_per_axis,) * geom.d + v.shape[1:])
+    for axis in range(geom.d):
+        x = _dct_axis(x, axis, inverse)
+    return x.reshape(v.shape)
+
+
+def dct(geom, v) -> np.ndarray:
+    """Orthonormal DCT-II on the cube: ``v`` of shape ``(site_count, ...)``, site
+    order row-major, to coefficients in flat frequency order (row-major, the
+    ``freq`` numbering of ``dct_frequency_classes``).  O(n log n) per column."""
+    return _dct_lattice(geom, v, inverse=False)
+
+
+def idct(geom, V) -> np.ndarray:
+    """The inverse of ``dct``, its transpose."""
+    return _dct_lattice(geom, V, inverse=True)
+
 def scaling_unitary(geom, ell: int) -> KernelOperator:
     """Scaling map ``S : L^2(Omega) -> L^2(L**ell Omega)``, ``(Sf)(x) = lam**(-d/2) f(x/lam)``.
 
     On index vectors this is ``lam**(-d/2)`` times the identity, since the
     scaled lattice shares the index set.
     """
+    check_dense(geom)
     lam = float(geom.L) ** ell
     target = scale_geometry(geom, ell)
     M = lam ** (-geom.d / 2.0) * np.eye(geom.site_count)

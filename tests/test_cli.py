@@ -134,6 +134,27 @@ def test_ct_weight_overflow_is_named(tmp_path, capsys):
     assert "CT_MAX_EXPONENT" in err
 
 
+
+@pytest.mark.parametrize("suite", ["images-verify", "decay-profile"])
+def test_dense_suite_past_the_cap_is_refused(tmp_path, capsys, suite):
+    # n = 531,441 loads, but one dense operator would need 2.1 TiB: the suite
+    # stops at the dense-work guard before it allocates anything of that size
+    import tracemalloc
+    p = tmp_path / "c.yaml"
+    p.write_text("geometry: {d: 2, L: 3, k: 2, m: 6}\n")
+    tracemalloc.start()
+    try:
+        rc = cli.main(["--config", str(p), "--experiment", suite, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{suite}: ERROR (DenseSizeError: a dense operator on 531441 sites" in err
+    assert "DEFAULT_SITE_CAP = 100000" in err
+    assert "rg-verify, positivity, spectrum, fourier-verify and strip-bound run past" in err
+    assert peak < 64 * 2**20 < 531441**2 * 8
+
 def test_perfbench_configs_load():
     paths = sorted(Path(__file__).parents[1].glob("perfbench/configs/*.yaml"))
     assert paths

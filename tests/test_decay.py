@@ -98,7 +98,8 @@ def test_conjugated_derivative_identity():
     eta = g.spacing
     rng = np.random.default_rng(1)
     f = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    D = ops.forward_diff(g, 0).matrix
+    D = (np.eye(9, k=1) - np.eye(9)) / eta     # forward difference, Neumann ghost f_9 = f_8
+    D[-1] = 0.0
     x = lat.positions(g)[:, 0]
     for q in (0.3, -0.7):
         lhs = np.exp(-q * x) * (D @ (np.exp(q * x) * f))

@@ -36,6 +36,12 @@ def test_site_cap():
         lat.make_geometry(3, 3, 1, 4, site_cap=10_000)
 
 
+def test_site_cap_none_admits_any_size():
+    assert lat.make_geometry(2, 3, 2, 6, site_cap=None).site_count == 531441
+    with pytest.raises(lat.GeometryError):
+        lat.make_geometry(2, 3, 2, 6)
+
+
 def test_coarse_geometry():
     g = lat.make_geometry(1, 3, 1, 2)
     c = lat.coarse_geometry(g, 1)

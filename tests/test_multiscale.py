@@ -387,21 +387,146 @@ def test_operator_cache_byte_budget(monkeypatch):
     ms._operator_cache.clear()
 
 
-def test_rg_verify_factors_each_operator_once(monkeypatch):
+def test_rg_verify_forms_no_dense_operator(monkeypatch):
     import dataclasses
 
     from blockrg import cli
-    seen = []
-    invert = ops.invert
+    inverted, built = [], []
+    post_init = ops.KernelOperator.__post_init__
 
-    def counted(A):
-        seen.append((A.source, A.matrix.tobytes()))
-        return invert(A)
-    monkeypatch.setattr(ops, "invert", counted)
+    def counted_post_init(self):
+        built.append(self.source)
+        post_init(self)
+    monkeypatch.setattr(ops, "invert", lambda A: inverted.append(A))
+    monkeypatch.setattr(ops.KernelOperator, "__post_init__", counted_post_init)
     ms._operator_cache.clear()
-    cfg = dataclasses.replace(cli.load_config(None), geometry=dict(d=1, L=3, k=2, m=3))
-    rows = cli.run_rg_verify(cfg, None)
-    # G_j at (geometry, j) = (xi, 1), (xi, 2), (3 xi, 1), and C_j for each
-    # distinct rg_operators input (xi, 1), (3 xi, 1), (xi, 2); A_j is closed form
-    assert len(seen) == 6 and len(set(seen)) == 6
-    assert cli.run_rg_verify(cfg, None) == rows and len(seen) == 6
+    for geom_args in ((1, 3, 2, 3), (2, 3, 2, 3)):
+        cfg = dataclasses.replace(cli.load_config(None), geometry=dict(zip("dLkm", geom_args)))
+        rows = cli.run_rg_verify(cfg, None)
+        assert len(rows) == 13 and all(r.passed for r in rows)
+    assert inverted == [] and built == []
+    assert len(ms._operator_cache) == 0
+
+
+# test_acceptance's RG_GRID and TELESCOPE_GRID, plus rg_d2_n729's (2, 3, 2, 3)
+ORACLE_GRID = [(1, 3, 2, 2), (1, 3, 2, 3), (2, 3, 2, 2), (1, 3, 1, 2), (2, 3, 2, 3)]
+
+
+def _rel_max(x, y) -> float:
+    return float(np.max(np.abs(x - y)) / np.max(np.abs(y)))
+
+
+def _assert_tower_matches_dense(g, params, rng, tol=1e-12):
+    """Every spectral apply of the tower against the dense ``.matrix @ v``."""
+    def spectral(apply, source, target, v):
+        return ops.idct(target, apply(ops.dct(source, v)))
+
+    for j in range(1, min(g.k + 1, g.m) + 1):
+        lev = ms.tower_level(g, params, j)
+        coarse = lat.coarse_geometry(g, j)
+        v = rng.standard_normal((g.site_count, 2))
+        y = rng.standard_normal((coarse.site_count, 2))
+        Q = ops.averaging(g, j)
+        pairs = [(spectral(lev.green, g, g, v), ms.green_j(g, params, j).matrix @ v),
+                 (spectral(lev.average, g, coarse, v), Q.matrix @ v),
+                 (spectral(lev.average_adjoint, coarse, g, y), ops.adjoint(Q).matrix @ y)]
+        if j <= g.k and j < g.m:
+            r = ms.rg_operators(g, params, j)
+            pairs += [(spectral(lev.covariance, coarse, coarse, y), r.C_j.matrix @ y),
+                      (spectral(lev.fluctuation, g, g, v), r.C_prime_j.matrix @ v)]
+        for i, (x, ref) in enumerate(pairs):
+            assert _rel_max(x, ref) <= tol, (g, params, j, i, _rel_max(x, ref))
+
+
+@pytest.mark.parametrize("params", [P0, PM])
+@pytest.mark.parametrize("geom_args", ORACLE_GRID)
+def test_spectral_tower_matches_dense(geom_args, params):
+    g = lat.make_geometry(*geom_args)
+    _assert_tower_matches_dense(g, params, np.random.default_rng(7))
+    # and the spectral residuals, like the dense ones, sit within the rg-verify tolerances
+    for j in range(1, g.k):
+        for tol, dense, spectral in ((1e-9, ms.rg_step_residual, ms.rg_step_residual_spectral),
+                                     (1e-10, ms.c_identity_residual,
+                                      ms.c_identity_residual_spectral)):
+            assert dense(g, params, j) <= tol and spectral(g, params, j) <= tol
+    assert ms.rg_telescope_residual_spectral(g, params) <= 1e-9
+    for j in range(1, g.k + 1):
+        if j < g.m:
+            res = ms.scaling_residuals_spectral(g, params, j)
+            assert res.keys() == ms.scaling_residuals(g, params, j).keys()
+            assert max(res.values()) <= 1e-11, res
+
+
+@pytest.mark.parametrize("geom_args", [(1, 3, 2, 3), (2, 3, 2, 3)])
+def test_probe_frobenius_reads_every_block_entry(geom_args):
+    # pairs of different block-diagonal maps, O(1e-2) apart: the probe
+    # residual equals the dense relative Frobenius distance
+    g = lat.make_geometry(*geom_args)
+    n = g.site_count
+    for j in (1, 2):
+        lo, lo_m, hi = (ms.tower_level(g, p, jj) for p, jj in ((P0, j), (PM, j), (P0, j + 1)))
+        cases = [((lo.green, lo_m.green, lo.freq, n),
+                  (ms.green_j(g, P0, j), ms.green_j(g, PM, j))),
+                 ((lo.green, hi.green, hi.freq, n),
+                  (ms.green_j(g, P0, j), ms.green_j(g, P0, j + 1))),
+                 ((lo.covariance, lo_m.covariance, lo.coarse_freq, len(lo.delta)),
+                  (ms.rg_operators(g, P0, j).C_j, ms.rg_operators(g, PM, j).C_j))]
+        for probe_args, (X, Y) in cases:
+            dense = ops.rel_frobenius(X, Y)
+            assert dense > 1e-3
+            assert ms._probe_rel_frobenius(*probe_args) == pytest.approx(dense, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_spectral_tower_matches_dense_property(data):
+    d = data.draw(st.sampled_from([1, 2, 3]))
+    L = data.draw(st.sampled_from([3, 5]))
+    m_max = {(1, 3): 6, (1, 5): 4, (2, 3): 3, (2, 5): 2, (3, 3): 2, (3, 5): 1}[d, L]  # n <= 729
+    m = data.draw(st.integers(1, m_max))
+    k = data.draw(st.integers(0, m))
+    a = data.draw(st.floats(-2.0, 2.0).map(lambda t: 10.0**t))
+    mu0 = data.draw(st.sampled_from([0.0, 1e-3, 0.2, 1.0, 10.0]))
+    params = ms.MultiscaleParams(a=a, mu0=mu0)
+    _assert_tower_matches_dense(lat.make_geometry(d, L, k, m), params,
+                                np.random.default_rng(data.draw(st.integers(0, 2**16))))
+
+
+def _defining_apply(g, params, j, v):
+    """``defining_operator(g, params, j).matrix @ v`` matrix-free: the 2d+1
+    Neumann stencil (ghost values clamped) plus ``mu_bar`` plus ``at`` times
+    the block means spread back over their blocks."""
+    N, b = g.sites_per_axis, g.L**j
+    f = v.reshape((N,) * g.d)
+    out = params.mu_bar(g.L, g.k) * f
+    for axis in range(g.d):
+        lo = np.concatenate((f.take([0], axis), f.take(np.arange(N - 1), axis)), axis=axis)
+        hi = np.concatenate((f.take(np.arange(1, N), axis), f.take([N - 1], axis)), axis=axis)
+        out = out + (2.0 * f - lo - hi) / g.spacing**2
+    blocks = (N // b, b) * g.d                  # (class, member) on every axis
+    means = f.reshape(blocks).mean(axis=tuple(range(1, 2 * g.d, 2)), keepdims=True)
+    spread = np.broadcast_to(means, blocks).reshape(f.shape)
+    return (out + params.a_tilde(g, j, j) * spread).ravel()
+
+
+@pytest.mark.parametrize("geom_args", [(1, 3, 2, 3), (2, 3, 2, 3), (3, 3, 1, 2)])
+def test_matrix_free_defining_operator_matches_dense(geom_args):
+    g = lat.make_geometry(*geom_args)
+    v = np.random.default_rng(4).standard_normal(g.site_count)
+    for params in (P0, PM):
+        for j in range(1, g.m + 1):
+            dense = ms.defining_operator(g, params, j).matrix @ v
+            assert _rel_max(_defining_apply(g, params, j, v), dense) <= 1e-13
+
+
+@pytest.mark.parametrize("geom_args", [(2, 3, 2, 6), (3, 3, 2, 4), (1, 3, 2, 11)])
+def test_spectral_green_inverts_real_space_operator(geom_args):
+    # n = 531,441 and 177,147, where no dense oracle exists
+    g = lat.make_geometry(*geom_args, site_cap=None)
+    v = np.random.default_rng(3).standard_normal(g.site_count)
+    vhat = ops.dct(g, v)
+    for params in (P0, PM):
+        for j in range(1, g.k + 2):
+            Gv = ops.idct(g, ms.tower_level(g, params, j).green(vhat))
+            back = _defining_apply(g, params, j, Gv)
+            assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v), (params, j)

@@ -9,6 +9,29 @@ def rng():
     return np.random.default_rng(42)
 
 
+def _diff(geom, axis: int, backward: bool = False) -> ops.KernelOperator:
+    """Forward difference ``(f_{c+1} - f_c)/eta`` along ``axis``, or backward
+    ``-(f_c - f_{c-1})/eta``, the Neumann ghost value clamped (``f_N = f_{N-1}``,
+    ``f_{-1} = f_0``); the backward one is the adjoint of the forward one."""
+    N = geom.sites_per_axis
+    D1 = np.eye(N, k=-1 if backward else 1) - np.eye(N)
+    D1[0 if backward else -1] = 0.0
+    return ops.from_matrix(geom, geom, ops._axis_operator(geom, D1 / geom.spacing, axis))
+
+
+def _free_laplacian_1d(patch) -> np.ndarray:
+    """Free-stencil Laplacian value matrix on a 1-d patch; the two edge rows
+    miss a neighbor and are left out of comparisons (``_interior``)."""
+    n = patch.site_count
+    return (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)) / patch.spacing**2
+
+
+def _interior(patch) -> np.ndarray:
+    inner = np.ones(patch.site_count, dtype=bool)
+    inner[[0, -1]] = False
+    return inner
+
+
 def test_delta_field_pairing(rng):
     g = lat.make_geometry(1, 3, 1, 2)
     f = ops.random_field(g, rng)
@@ -99,7 +122,7 @@ def test_real_kernels_stay_real(rng):
     from blockrg import decay, multiscale as ms
     g = lat.make_geometry(2, 3, 1, 1)
     for A in (ops.neumann_laplacian(g), ops.averaging(g, 1), ops.identity(g),
-              ops.forward_diff(g, 0), ms.green_j(g, ms.MultiscaleParams(), 1),
+              _diff(g, 0), ms.green_j(g, ms.MultiscaleParams(), 1),
               decay.conjugated_operator(g, ms.MultiscaleParams(), 0.05),
               ops.from_matrix(g, g, np.eye(9, dtype=int))):
         assert A.kernel.dtype == np.float64
@@ -168,26 +191,26 @@ def test_block_projector_is_q_star_q(geom_args):
 def test_forward_diff_reference():
     g = lat.make_geometry(1, 3, 0, 1)  # 3 sites, eta = 1
     f = ops.Field(g, [0.0, 1.0, 2.0])
-    out = ops.apply(ops.forward_diff(g, 0), f)
+    out = ops.apply(_diff(g, 0), f)
     assert np.allclose(out.values, [1.0, 1.0, 0.0])
     const = ops.constant_field(g, 2.3)
-    assert np.allclose(ops.apply(ops.forward_diff(g, 0), const).values, 0.0)
-    assert np.allclose(ops.apply(ops.backward_diff(g, 0), const).values, 0.0)
+    assert np.allclose(ops.apply(_diff(g, 0), const).values, 0.0)
+    assert np.allclose(ops.apply(_diff(g, 0, backward=True), const).values, 0.0)
 
 
 def test_integration_by_parts(rng):
     # <f, del g> = <del^dagger f, g> - conj(f_0) g_0 + conj(f_{N-1}) g_{N-1}
     g = lat.make_geometry(1, 3, 1, 2)
     f, h = ops.random_field(g, rng), ops.random_field(g, rng)
-    lhs = ops.inner(f, ops.apply(ops.forward_diff(g, 0), h))
-    rhs = ops.inner(ops.apply(ops.backward_diff(g, 0), f), h)
+    lhs = ops.inner(f, ops.apply(_diff(g, 0), h))
+    rhs = ops.inner(ops.apply(_diff(g, 0, backward=True), f), h)
     rhs += -np.conj(f.values[0]) * h.values[0] + np.conj(f.values[-1]) * h.values[-1]
     assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
 
 def test_leibniz_rule(rng):
     g = lat.make_geometry(1, 3, 1, 2)
-    D = ops.forward_diff(g, 0).matrix
+    D = _diff(g, 0).matrix
     f = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     h = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     fg = D @ (f * h)
@@ -326,7 +349,7 @@ def test_neumann_free_compatibility():
     rng = np.random.default_rng(0)
     inner_vals = rng.standard_normal(N)
     full = np.concatenate([[inner_vals[0]], inner_vals, [inner_vals[-1]]])
-    M = ops.free_laplacian_patch(patch)
+    M = _free_laplacian_1d(patch)
     free_applied = (M @ full)[1:-1]
     neu = ops.neumann_laplacian(g).matrix @ inner_vals
     assert np.allclose(free_applied, neu, atol=1e-13)
@@ -335,14 +358,14 @@ def test_neumann_free_compatibility():
 def test_interior_stencil_reflection_symmetric():
     # conjugating the interior stencil by an axis reflection leaves it unchanged
     patch = lat.FreePatch(d=1, L=3, k=1, lo=(-4,), hi=(3,))
-    M = ops.free_laplacian_patch(patch)
+    M = _free_laplacian_1d(patch)
     n = patch.site_count
     P = np.zeros((n, n))
     sites = lat.patch_sites(patch)[:, 0]
     index = {int(s): i for i, s in enumerate(sites)}
     for s, i in index.items():
         P[index[-1 - s], i] = 1.0  # reflection about -1/2 maps the patch to itself
-    inner = ops.patch_interior_mask(patch)
+    inner = _interior(patch)
     lhs = (P @ M @ P)[np.ix_(inner, inner)]
     rhs = M[np.ix_(inner, inner)]
     assert np.allclose(lhs, rhs, atol=1e-14)
@@ -377,3 +400,28 @@ def test_dct_frequency_classes_match_dense_conjugation(d, L, k, m):
         U[np.arange(rows)[:, None], freq] = u
         assert np.linalg.norm(proj - U.T @ U) <= 1e-12 * np.linalg.norm(proj)
         assert np.all((u != 0.0).any(axis=1))
+
+
+def test_dense_assemblers_refuse_past_the_cap():
+    big = lat.LatticeGeometry(d=2, L=3, k=2, m=6)      # 531,441 sites
+    for build in (ops.neumann_laplacian, ops.identity, lambda g: ops.averaging(g, 1),
+                  lambda g: ops.block_projector(g, 1), lambda g: ops.scaling_unitary(g, 1)):
+        with pytest.raises(ops.DenseSizeError, match="DEFAULT_SITE_CAP = 100000") as err:
+            build(big)
+        assert isinstance(err.value, lat.GeometryError)
+    at_cap = lat.LatticeGeometry(d=1, L=3, k=0, m=10)  # 59,049 sites: the guard passes
+    ops.check_dense(at_cap)
+
+
+@pytest.mark.parametrize("d,L,m", [(1, 3, 3), (1, 5, 2), (2, 3, 2), (3, 3, 1)])
+def test_dct_matches_dense_transform(d, L, m):
+    g = lat.LatticeGeometry(d=d, L=L, k=0, m=m)
+    N = g.sites_per_axis
+    p, x = np.arange(N)[:, None], np.arange(N)[None, :]
+    C1 = np.sqrt(2.0 / N) * np.cos(np.pi * p * (2 * x + 1) / (2 * N))
+    C1[0] /= np.sqrt(2.0)
+    C = lat._axis_outer(np.multiply, [C1] * d)
+    v = np.random.default_rng(5).standard_normal((g.site_count, 3))
+    assert np.max(np.abs(ops.dct(g, v) - C @ v)) <= 1e-13
+    assert np.max(np.abs(ops.idct(g, C @ v) - v)) <= 1e-13
+    assert np.max(np.abs(ops.idct(g, ops.dct(g, v[:, 0])) - v[:, 0])) <= 1e-13

@@ -4,9 +4,9 @@ The regularized propagators at consecutive scales differ by a sandwich of
 the fluctuation covariance between averaged propagators; iterating the step
 telescopes the finest propagator into a sum of rescaled fluctuation kernels.
 Both are exact operator identities, so the residuals below should sit at
-rounding level; anything bigger means a convention bug.  Each residual is
-printed twice: dense (n x n inverses, the oracle) and spectral (DCT
-frequency classes, the route rg-verify takes at every size).
+rounding level; anything bigger means a convention bug.  They are computed
+on the DCT frequency classes, where every operator of the tower is diagonal
+plus rank one per class, with no n x n matrix.
 """
 
 from blockrg import lattice as lat, multiscale as ms
@@ -20,22 +20,17 @@ print("  limit a (1 - L^-2) =", 1.0 * (1 - 3.0**-2))
 for args in [(1, 3, 2, 2), (1, 3, 2, 3), (2, 3, 2, 2)]:
     geom = lat.make_geometry(*args)
     print(f"\ncube d={geom.d}, L={geom.L}, k={geom.k}, m={geom.m} ({geom.site_count} sites):")
-    print(f"  {'':34s} {'dense':>9s}  {'spectral':>9s}")
     rows = []
     for j in range(1, geom.k):
-        rows.append((f"one-step residual (j={j})", ms.rg_step_residual(geom, params, j),
-                     ms.rg_step_residual_spectral(geom, params, j)))
-        rows.append((f"covariance identity (j={j})", ms.c_identity_residual(geom, params, j),
-                     ms.c_identity_residual_spectral(geom, params, j)))
-    rows.append(("telescoped formula", ms.rg_telescope_residual(geom, params),
-                 ms.rg_telescope_residual_spectral(geom, params)))
+        rows.append((f"one-step residual (j={j})", ms.rg_step_residual(geom, params, j)))
+        rows.append((f"covariance identity (j={j})", ms.c_identity_residual(geom, params, j)))
+    rows.append(("telescoped formula", ms.rg_telescope_residual(geom, params)))
     for j in range(1, geom.k + 1):
         if j < geom.m:
             rows.append((f"scaling covariances, worst (j={j})",
-                         max(ms.scaling_residuals(geom, params, j).values()),
-                         max(ms.scaling_residuals_spectral(geom, params, j).values())))
-    for name, dense, spectral in rows:
-        print(f"  {name:34s} {dense:.3e}  {spectral:.3e}")
+                         max(ms.scaling_residuals(geom, params, j).values())))
+    for name, value in rows:
+        print(f"  {name:34s} {value:.3e}")
 
 print("\nwith a mass (mu0 = 0.1):")
 geom = lat.make_geometry(1, 3, 2, 2)

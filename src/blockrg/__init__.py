@@ -17,11 +17,9 @@ from .operators import (DenseSizeError, Field, KernelOperator, SpectrumReport,
                         laplacian_spectrum_1d, min_eigenvalue,
                         neumann_laplacian, scaling_unitary)
 from .multiscale import (MultiscaleParams, RgOperators, TowerLevel, a_sequence,
-                         c_identity_residual_spectral, green_j, green_neumann,
+                         c_identity_residual, green_j, green_neumann,
                          positivity_report, rg_operators, rg_step_residual,
-                         rg_step_residual_spectral, rg_telescope_residual,
-                         rg_telescope_residual_spectral, scaling_residuals,
-                         scaling_residuals_spectral, tower_level)
+                         rg_telescope_residual, scaling_residuals, tower_level)
 from .fourier import (TorusGrid, bracket, free_apply_ghat, free_kernel_g,
                       free_kernel_gq, h_function, laplacian_symbol,
                       qkqk_fourier_residual, strip_bound_report,

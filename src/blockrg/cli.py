@@ -87,6 +87,11 @@ def _is_finite(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _check_seed(seed):
+    if not (_is_int(seed) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _check_suite_blocks(cfg: ExperimentConfig):
     """Reject fourier, images and decay settings that no suite can run with."""
     Lk = cfg.geometry["L"] ** cfg.geometry["k"]
@@ -139,6 +144,10 @@ def load_config(path: str | None) -> ExperimentConfig:
         for field in ("d", "L", "k", "m"):
             if field not in given or given[field] is None:
                 raise ConfigError(f"missing geometry field {field!r}")
+    for field, value in merged["geometry"].items():
+        if not _is_int(value):
+            raise ConfigError(f"geometry.{field} must be an integer, got {value!r}")
+    _check_seed(merged["seed"])
     try:
         params = MultiscaleParams(a=float(merged["params"]["a"]),
                                   mu0=float(merged["params"]["mu0"]),
@@ -146,7 +155,7 @@ def load_config(path: str | None) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad params block: {exc}") from exc
     cfg = ExperimentConfig(experiment=str(merged["experiment"]),
-                           seed=int(merged["seed"]),
+                           seed=merged["seed"],
                            output=str(merged["output"]),
                            geometry=merged["geometry"],
                            params=params,
@@ -155,7 +164,7 @@ def load_config(path: str | None) -> ExperimentConfig:
                            decay=merged["decay"])
     try:
         cfg.geom()   # lattice preconditions are config validation, not runtime
-    except (GeometryError, TypeError) as exc:
+    except GeometryError as exc:
         raise ConfigError(f"bad geometry block: {exc}") from exc
     _check_suite_blocks(cfg)
     return cfg
@@ -219,14 +228,14 @@ def run_rg_verify(cfg: ExperimentConfig, rng) -> list[MetricRow]:
     metrics = []
     for j in range(1, geom.k):
         metrics.append((f"rg_step_residual_j{j}",
-                        multiscale.rg_step_residual_spectral(geom, params, j), 1e-9))
+                        multiscale.rg_step_residual(geom, params, j), 1e-9))
         metrics.append((f"c_identity_residual_j{j}",
-                        multiscale.c_identity_residual_spectral(geom, params, j), 1e-10))
+                        multiscale.c_identity_residual(geom, params, j), 1e-10))
     metrics.append(("rg_telescope_residual",
-                    multiscale.rg_telescope_residual_spectral(geom, params), 1e-9))
+                    multiscale.rg_telescope_residual(geom, params), 1e-9))
     for j in range(1, geom.k + 1):
         if j < geom.m:
-            for name, val in multiscale.scaling_residuals_spectral(geom, params, j).items():
+            for name, val in multiscale.scaling_residuals(geom, params, j).items():
                 metrics.append((f"{name}_j{j}", val, 1e-11))
     return _rows(cfg, "rg-verify", metrics)
 
@@ -444,6 +453,7 @@ def main(argv=None) -> int:
         if args.experiment is not None:
             cfg = ExperimentConfig(**{**cfg.__dict__, "experiment": args.experiment})
         if args.seed is not None:
+            _check_seed(args.seed)
             cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
         out_dir = Path(args.out) if args.out is not None else Path(cfg.output)
     except (ConfigError, GeometryError, OSError, yaml.YAMLError) as exc:

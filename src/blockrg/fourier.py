@@ -43,7 +43,6 @@ import numpy as np
 
 from .lattice import FreePatch, _axis_outer, grid_points
 from .multiscale import MultiscaleParams, RankOneRows
-from .operators import lru_lookup
 
 POLE_GUARD = 1e-12
 DENOMINATOR_FLOOR = 0.1
@@ -294,13 +293,19 @@ _system_cache: OrderedDict = OrderedDict()
 
 
 def _system(grid, params, shift_q=None) -> ShiftSystem:
-    """Cached ``build_shift_system``; least recently used systems are evicted
-    while the cache holds more than ``SYSTEM_CACHE_BYTES``."""
+    """Cached ``build_shift_system``.  Least recently used systems are evicted
+    while the summed ``nbytes`` of the cache exceeds ``SYSTEM_CACHE_BYTES``,
+    so a system larger than the whole budget is returned but not kept."""
     key = (grid, params, tuple(np.zeros(grid.d) if shift_q is None
                                else np.asarray(shift_q, dtype=float)))
-    return lru_lookup(_system_cache, key,
-                      lambda: build_shift_system(grid, params, shift_q),
-                      SYSTEM_CACHE_BYTES)
+    sys = _system_cache.get(key)
+    if sys is not None:
+        _system_cache.move_to_end(key)
+        return sys
+    sys = _system_cache[key] = build_shift_system(grid, params, shift_q)
+    while sum(s.nbytes for s in _system_cache.values()) > SYSTEM_CACHE_BYTES:
+        _system_cache.popitem(last=False)
+    return sys
 
 
 def _shift_legs(grid: TorusGrid, sys: ShiftSystem, A, residues) -> np.ndarray:

@@ -15,23 +15,17 @@ plus the next-scale averaging penalty.  The residual functions return
 relative Frobenius norms so that an exact identity failing beyond 1e-9 flags
 a convention bug.
 
-The tower has two routes.  The dense one (``green_j``, ``rg_operators`` and
-the residual functions without a suffix) inverts n x n matrices and is the
-oracle at desk scale.  ``green_j`` and ``rg_operators`` are memoized on
-``(geometry, params, j)``, so each operator is factored once however many
-identities read it; the cached kernels are read-only because every caller
-shares them.  The spectral one (``tower_level`` and the ``*_spectral``
-residuals) works in the orthonormal DCT-II basis, where every operator of
-the tower is diagonal plus rank one per frequency class
-(``ops.dct_frequency_classes``), solved by the Sherman-Morrison rows of
-``RankOneRows``.  It forms no n x n matrix and runs at every size the
-lattice admits.
+The dense operators (``green_j``, ``rg_operators``) invert n x n
+matrices; each call factors afresh.  The identities themselves are checked
+on one route only: ``tower_level`` works in the orthonormal DCT-II basis,
+where every operator of the tower is diagonal plus rank one per frequency
+class (``ops.dct_frequency_classes``), solved by the Sherman-Morrison rows
+of ``RankOneRows``.  It forms no n x n matrix and runs at every size the
+lattice admits; the dense operators are its oracle in the tests.
 """
 
 from __future__ import annotations
 
-import functools
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,27 +34,6 @@ from . import operators as ops
 from .lattice import (LatticeGeometry, coarse_geometry, sample_sites,
                       scale_geometry, site_to_flat)
 from .operators import KernelOperator
-
-OPERATOR_CACHE_BYTES = 256 * 2**20   # summed nbytes of memoized green_j / rg_operators results
-
-_operator_cache: OrderedDict = OrderedDict()
-
-
-def _memoized(build):
-    """Memoize ``build(geom, params, j)`` in ``_operator_cache`` and make the
-    kernels of each cached result read-only."""
-    def frozen(geom, params, j):
-        out = build(geom, params, j)
-        for op in getattr(out, "operators", (out,)):
-            op.kernel.flags.writeable = False
-        return out
-
-    @functools.wraps(build)
-    def lookup(geom, params, j):
-        return ops.lru_lookup(_operator_cache, (build.__name__, geom, params, j),
-                              lambda: frozen(geom, params, j), OPERATOR_CACHE_BYTES)
-    return lookup
-
 
 @dataclass(frozen=True)
 class MultiscaleParams:
@@ -115,7 +88,6 @@ def defining_operator(geom, params: MultiscaleParams, j: int) -> KernelOperator:
     return KernelOperator(geom, geom, K)
 
 
-@_memoized
 def green_j(geom, params: MultiscaleParams, j: int) -> KernelOperator:
     """Regularized Green function ``G^xi_j`` on the given cube.
 
@@ -144,20 +116,10 @@ class RgOperators:
     G_j: KernelOperator        # on Omega
     Delta_j: KernelOperator    # on Omega_j
     C_j: KernelOperator        # on Omega_j
-    A_j: KernelOperator        # on Omega_j
     H_j: KernelOperator        # Omega_j -> Omega
     C_prime_j: KernelOperator  # on Omega
 
-    @property
-    def operators(self) -> tuple:
-        return (self.G_j, self.Delta_j, self.C_j, self.A_j, self.H_j, self.C_prime_j)
 
-    @property
-    def nbytes(self) -> int:
-        return sum(op.nbytes for op in self.operators)
-
-
-@_memoized
 def rg_operators(geom, params: MultiscaleParams, j: int) -> RgOperators:
     """Build ``G_j``, the coarse effective form, fluctuation covariance and friends.
 
@@ -176,11 +138,10 @@ def rg_operators(geom, params: MultiscaleParams, j: int) -> RgOperators:
     Qs = ops.adjoint(Q)
     Delta = at * ops.identity(coarse) - at**2 * (Q @ G @ Qs)
     C = ops.invert(Delta + (at_first / geom.L**2) * ops.block_projector(coarse, 1))
-    A = a_operator_closed_form(geom, params, j)
     H = at * (G @ Qs)
     C_prime = H @ C @ ops.adjoint(H)
     return RgOperators(j=j, geometry=geom, G_j=G, Delta_j=Delta, C_j=C,
-                       A_j=A, H_j=H, C_prime_j=C_prime)
+                       H_j=H, C_prime_j=C_prime)
 
 
 def a_operator_closed_form(geom, params: MultiscaleParams, j: int) -> KernelOperator:
@@ -191,93 +152,6 @@ def a_operator_closed_form(geom, params: MultiscaleParams, j: int) -> KernelOper
     P1 = ops.block_projector(coarse, 1)
     eye_c = ops.identity(coarse)
     return (1.0 / at) * eye_c + (1.0 / (at + at_first / geom.L**2) - 1.0 / at) * P1
-
-
-def rg_step_residual(geom, params: MultiscaleParams, j: int) -> float:
-    """Relative Frobenius residual of one renormalization-group step,
-    ``G_{j+1} = C'_j + G_j`` with ``C'_j = H_j C_j H_j* = at**2 G_j Q_j* C_j Q_j G_j``
-    as held by ``rg_operators``."""
-    r = rg_operators(geom, params, j)
-    return ops.rel_frobenius(r.C_prime_j + r.G_j, green_j(geom, params, j + 1))
-
-
-def c_identity_residual(geom, params: MultiscaleParams, j: int) -> float:
-    """Residual of the fluctuation-covariance identity
-    ``C_j = A_j + at**2 A_j Q_j G_{j+1} Q_j* A_j`` (an independent cross-check:
-    ``C_j`` is built by explicit inversion and ``A_j`` is the closed form of
-    ``a_operator_closed_form``)."""
-    r = rg_operators(geom, params, j)
-    at = params.a_tilde(geom, j, j)
-    G_next = green_j(geom, params, j + 1)
-    Q = ops.averaging(geom, j)
-    recon = r.A_j + at**2 * (r.A_j @ Q @ G_next @ ops.adjoint(Q) @ r.A_j)
-    return ops.rel_frobenius(recon, r.C_j)
-
-
-def rg_telescope_residual(geom, params: MultiscaleParams,
-                          sites=None) -> float:
-    """Max relative discrepancy of the telescoped propagator formula.
-
-    Both sides are evaluated on delta fields at a deterministic site sample.
-    The right-hand side sums the rescaled fluctuation kernels
-    ``lam_j**-2 C'_j(lam_j Omega)`` over ``j = 1 .. k-1`` plus the rescaled
-    first-scale propagator; value vectors transport across scales unchanged
-    because rescaled lattices share the index set.  The sum is empty for k=1.
-    """
-    k = geom.k
-    if k < 1:
-        raise ValueError("telescope needs k >= 1")
-    if sites is None:
-        sites = sample_sites(geom)
-    cols = [site_to_flat(geom, s) for s in sites]
-
-    def columns(op):    # the sampled columns of the value matrix
-        return op.kernel[:, cols] * op.source.spacing ** op.source.d
-
-    L = float(geom.L)
-    lhs = columns(green_neumann(geom, params))
-    rhs = L ** (2 - 2 * k) * columns(green_neumann(scale_geometry(geom, k - 1), params))
-    for j in range(1, k):
-        r = rg_operators(scale_geometry(geom, k - j), params, j)    # spacing L**-j
-        rhs += L ** (2 * (j - k)) * columns(r.C_prime_j)
-    diff = np.max(np.abs(lhs - rhs), axis=0)
-    return float(np.max(diff / np.max(np.abs(lhs), axis=0)))
-
-
-def _rel(X, Y) -> float:
-    """Relative Frobenius (or 2-norm) distance ``|X - Y| / |Y|``."""
-    return float(np.linalg.norm(X - Y) / np.linalg.norm(Y))
-
-
-def scaling_residuals(geom, params: MultiscaleParams, j: int) -> dict[str, float]:
-    """Numerical residuals of the scaling covariances (all exact identities).
-
-    Keys: ``de_scaling`` (Laplacian), ``q_scaling`` (averaging),
-    ``g_scaling`` (Green function), ``dgc_delta`` and ``dgc_c`` (effective
-    form and fluctuation covariance across scales).
-
-    Each compares value matrices up to a power of ``lam``.  That relabel is
-    exact: the scaled lattice shares the index set, so the scaling map ``S``
-    has value matrix ``lam**(-d/2) I``, ``S*`` has ``lam**(d/2) I`` and
-    ``S* X S`` has that of ``X``.  ``test_scaling_unitary`` and
-    ``test_laplacian_scaling_intertwining`` check this measure convention.
-    """
-    if not 1 <= j <= geom.k:
-        raise ValueError(f"scaling_residuals: j={j} outside [1, {geom.k}]")
-    ell = geom.k - j
-    lam = float(geom.L) ** ell
-    scaled = scale_geometry(geom, ell)
-
-    r_xi = rg_operators(geom, params, j)
-    r_scaled = rg_operators(scaled, params, j)   # scaled geometry has scale index j
-    return {
-        "de_scaling": _rel(lam**2 * ops.neumann_laplacian(scaled).matrix,
-                           ops.neumann_laplacian(geom).matrix),
-        "q_scaling": _rel(ops.averaging(scaled, j).matrix, ops.averaging(geom, j).matrix),
-        "g_scaling": _rel(lam**-2 * r_scaled.G_j.matrix, r_xi.G_j.matrix),
-        "dgc_delta": _rel(lam**-2 * r_xi.Delta_j.matrix, r_scaled.Delta_j.matrix),
-        "dgc_c": _rel(lam**2 * r_xi.C_j.matrix, r_scaled.C_j.matrix),
-    }
 
 
 def secular_min_roots(diag, u, at: float) -> np.ndarray:
@@ -328,7 +202,7 @@ def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
     return float(min(roots.min(), diag[u == 0.0].min(initial=np.inf)))
 
 
-PROBE_BLOCK_BYTES = 8 * 2**20   # nbytes of one (n, columns) probe batch of a spectral check
+PROBE_BLOCK_BYTES = 8 * 2**20   # nbytes of one (n, columns) probe batch of a residual check
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,6 +370,11 @@ def tower_level(geom, params: MultiscaleParams, j: int) -> TowerLevel:
                       coarse_freq=coarse_freq, C=C)
 
 
+def _rel(X, Y) -> float:
+    """Relative Frobenius (or 2-norm) distance ``|X - Y| / |Y|``."""
+    return float(np.linalg.norm(X - Y) / np.linalg.norm(Y))
+
+
 def _probe_rel_frobenius(apply_x, apply_y, freq, width: int) -> float:
     """``|X - Y|_F / |Y|_F`` for maps block-diagonal over the rows of ``freq``.
 
@@ -519,11 +398,12 @@ def _probe_rel_frobenius(apply_x, apply_y, freq, width: int) -> float:
     return float(np.sqrt(num / den))
 
 
-def rg_step_residual_spectral(geom, params: MultiscaleParams, j: int) -> float:
-    """``rg_step_residual`` on the spectral route: ``C'_j + G_j`` against
-    ``G_{j+1}``, all block-diagonal over the level-``(j+1)`` classes."""
+def rg_step_residual(geom, params: MultiscaleParams, j: int) -> float:
+    """Relative Frobenius residual of one renormalization-group step,
+    ``G_{j+1} = C'_j + G_j`` with ``C'_j = at**2 G_j Q_j* C_j Q_j G_j``; all
+    three are block-diagonal over the level-``(j+1)`` classes."""
     if not 1 <= j <= geom.k or j >= geom.m:
-        raise ValueError(f"rg_step_residual_spectral: j={j} needs 1 <= j <= k and j < m")
+        raise ValueError(f"rg_step_residual: j={j} needs 1 <= j <= k and j < m")
     lo, hi = tower_level(geom, params, j), tower_level(geom, params, j + 1)
 
     def step(P):    # C'_j + G_j = G_j (1 + at**2 Q_j* C_j Q_j G_j), one G_j solve fewer
@@ -532,13 +412,14 @@ def rg_step_residual_spectral(geom, params: MultiscaleParams, j: int) -> float:
     return _probe_rel_frobenius(step, hi.green, hi.freq, geom.site_count)
 
 
-def c_identity_residual_spectral(geom, params: MultiscaleParams, j: int) -> float:
-    """``c_identity_residual`` on the spectral route: ``A_j + at**2 A_j Q_j
-    G_{j+1} Q_j* A_j`` against ``C_j`` on the coarse lattice, with the closed
-    form ``A_j = 1/at + (1/(at + at_1/L**2) - 1/at) P_1``; all are
-    block-diagonal over the coarse lattice's level-1 classes."""
+def c_identity_residual(geom, params: MultiscaleParams, j: int) -> float:
+    """Relative Frobenius residual of the fluctuation-covariance identity
+    ``C_j = A_j + at**2 A_j Q_j G_{j+1} Q_j* A_j`` on the coarse lattice, with
+    the closed form ``A_j = 1/at + (1/(at + at_1/L**2) - 1/at) P_1`` of
+    ``a_operator_closed_form``; all are block-diagonal over the coarse
+    lattice's level-1 classes."""
     if not 1 <= j <= geom.k or j >= geom.m:
-        raise ValueError(f"c_identity_residual_spectral: j={j} needs 1 <= j <= k and j < m")
+        raise ValueError(f"c_identity_residual: j={j} needs 1 <= j <= k and j < m")
     lo, hi = tower_level(geom, params, j), tower_level(geom, params, j + 1)
     at, cf, u1 = lo.at, lo.coarse_freq, lo.C.U
     at_first = params.a_tilde(geom, 1, j)
@@ -556,10 +437,17 @@ def c_identity_residual_spectral(geom, params: MultiscaleParams, j: int) -> floa
     return _probe_rel_frobenius(recon, lo.covariance, cf, geom.site_count)
 
 
-def rg_telescope_residual_spectral(geom, params: MultiscaleParams, sites=None) -> float:
-    """``rg_telescope_residual`` on the spectral route: the sample-site deltas
-    go through one forward DCT, the class solves of every term and one
-    inverse DCT per side, in batches of at most ``PROBE_BLOCK_BYTES``."""
+def rg_telescope_residual(geom, params: MultiscaleParams, sites=None) -> float:
+    """Max relative discrepancy of the telescoped propagator formula.
+
+    Both sides are evaluated on delta fields at a deterministic site sample.
+    The right-hand side sums the rescaled fluctuation kernels
+    ``lam_j**-2 C'_j(lam_j Omega)`` over ``j = 1 .. k-1`` plus the rescaled
+    first-scale propagator; value vectors transport across scales unchanged
+    because rescaled lattices share the index set.  The sum is empty for k=1.
+    The deltas go through one forward DCT, the class solves of every term
+    and one inverse DCT per side, in batches of at most ``PROBE_BLOCK_BYTES``.
+    """
     k = geom.k
     if k < 1:
         raise ValueError("telescope needs k >= 1")
@@ -588,12 +476,22 @@ def rg_telescope_residual_spectral(geom, params: MultiscaleParams, sites=None) -
     return worst
 
 
-def scaling_residuals_spectral(geom, params: MultiscaleParams, j: int) -> dict[str, float]:
-    """``scaling_residuals`` on the spectral route, same keys.  ``-Lap`` and
-    ``Delta_j`` are diagonal and ``Q_j`` is ``b**(-d/2) u`` in the DCT basis;
-    ``G_j`` and ``C_j`` are compared block by block (``_probe_rel_frobenius``)."""
+def scaling_residuals(geom, params: MultiscaleParams, j: int) -> dict[str, float]:
+    """Numerical residuals of the scaling covariances (all exact identities).
+
+    Keys: ``de_scaling`` (Laplacian), ``q_scaling`` (averaging),
+    ``g_scaling`` (Green function), ``dgc_delta`` and ``dgc_c`` (effective
+    form and fluctuation covariance across scales).
+
+    Each compares value maps up to a power of ``lam``.  That relabel is
+    exact: the scaled lattice shares the index set, so the scaling map ``S``
+    has value matrix ``lam**(-d/2) I``, ``S*`` has ``lam**(d/2) I`` and
+    ``S* X S`` has that of ``X``.  In the DCT basis ``-Lap`` and ``Delta_j``
+    are diagonal and ``Q_j`` is ``b**(-d/2) u``; ``G_j`` and ``C_j`` are
+    compared block by block (``_probe_rel_frobenius``).
+    """
     if not 1 <= j <= geom.k or j >= geom.m:
-        raise ValueError(f"scaling_residuals_spectral: j={j} needs 1 <= j <= k and j < m")
+        raise ValueError(f"scaling_residuals: j={j} needs 1 <= j <= k and j < m")
     ell = geom.k - j
     if ell == 0:    # lam = 1 and the same cube: each residual compares a map with itself
         return dict.fromkeys(("de_scaling", "q_scaling", "g_scaling", "dgc_delta", "dgc_c"), 0.0)

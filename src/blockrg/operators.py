@@ -22,7 +22,6 @@ warning.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,10 +123,6 @@ class KernelOperator:
         """Matrix acting on plain value vectors: ``source.spacing**d * kernel``."""
         return self.kernel * self.source.spacing ** self.source.d
 
-    @property
-    def nbytes(self) -> int:
-        return self.kernel.nbytes
-
     def __matmul__(self, other):
         return compose(self, other)
 
@@ -201,24 +196,6 @@ def invert(A: KernelOperator) -> KernelOperator:
         raise SingularOperatorError(cond)
     Kinv *= A.source.spacing ** (-2 * A.source.d)
     return KernelOperator(A.source, A.source, Kinv)
-
-
-def lru_lookup(cache: OrderedDict, key, build, budget: int):
-    """``cache[key]``, made by ``build()`` on a miss.
-
-    Least recently used entries are evicted while the summed ``nbytes`` of
-    the cached values exceeds ``budget``, so a value larger than the whole
-    budget is returned but leaves the cache empty.
-    """
-    value = cache.get(key)
-    if value is not None:
-        cache.move_to_end(key)
-        return value
-    value = build()
-    cache[key] = value
-    while sum(v.nbytes for v in cache.values()) > budget:
-        cache.popitem(last=False)
-    return value
 
 
 def _axis_operator(geom, mat1d, axis: int) -> np.ndarray:

@@ -101,13 +101,22 @@ def test_invalid_params_is_config_error(tmp_path, params):
     "decay: {q_grid: []}", "decay: {q_grid: [0.0, .inf]}", "decay: {q_grid: 0.1}",
     # entries that share one ct-report row name
     "decay: {q_grid: [0.0, 0.01, 0.01, 0.0100001]}", "decay: {q_grid: [0.05, 0.05]}",
-    "decay: {q_grid: [0.0, 1, 1.0]}"])
+    "decay: {q_grid: [0.0, 1, 1.0]}",
+    # seeds and geometry fields: integers, not bools; a seed >= 0
+    "seed: abc", "seed: -1", "seed: 1.5", "seed: true", "--seed -1",
+    "geometry: {d: 1.5, L: 3, k: 1, m: 2}", "geometry: {d: 1, L: 3.0, k: 1, m: 2}",
+    "geometry: {d: 1, L: 3, k: true, m: 2}"])
 def test_invalid_suite_settings_are_config_errors(tmp_path, block):
-    # rejected when the config loads, whichever suite runs
+    # rejected when the config loads, whichever suite runs; a geometry row
+    # replaces the cube below, and a "--" row is a command-line override
+    argv = block.split() if block.startswith("--") else []
+    text = "" if argv else block
+    if not text.startswith("geometry:"):
+        text = f"geometry: {{d: 1, L: 3, k: 1, m: 2}}\n{text}"
     p = tmp_path / "c.yaml"
-    p.write_text(f"geometry: {{d: 1, L: 3, k: 1, m: 2}}\n{block}\n")
+    p.write_text(text + "\n")
     assert cli.main(["--config", str(p), "--experiment", "spectrum",
-                     "--out", str(tmp_path / "o")]) == 2
+                     "--out", str(tmp_path / "o"), *argv]) == 2
 
 
 def test_q_grid_row_name_clash_is_named(tmp_path, capsys):

@@ -14,7 +14,7 @@ from blockrg import lattice as lat, multiscale as ms
 params = ms.MultiscaleParams(a=1.0, mu0=0.0)
 
 print("coefficient sequence (a = 1, L = 3):")
-print(" ", [round(x, 6) for x in ms.a_sequence(1.0, 3, 6)])
+print(" ", [round(float(x), 6) for x in ms.a_sequence(1.0, 3, 6)])
 print("  limit a (1 - L^-2) =", 1.0 * (1 - 3.0**-2))
 
 for args in [(1, 3, 2, 2), (1, 3, 2, 3), (2, 3, 2, 2)]:

@@ -59,10 +59,10 @@ class ExperimentConfig:
     decay: dict
 
     def geom(self):
-        """The configured cube, of any size: the suites that need dense
-        operators are refused by ``operators.check_dense`` instead."""
+        """The configured cube, of any size: ``operators.check_dense`` refuses
+        the suites that need a dense operator too large to form."""
         g = self.geometry
-        return make_geometry(g["d"], g["L"], g["k"], g["m"], site_cap=None)
+        return make_geometry(g["d"], g["L"], g["k"], g["m"])
 
 
 def _merge_strict(defaults: dict, given: dict, path: str = "") -> dict:
@@ -342,16 +342,8 @@ def run_ct_report(cfg: ExperimentConfig, rng) -> list[MetricRow]:
 
 def run_positivity(cfg: ExperimentConfig, rng) -> list[MetricRow]:
     g = cfg.geometry
-    side_exp = max(g["m"] - g["k"], 0)
-    geoms = []
-    for k in (1, 2, 3):
-        try:
-            geoms.append(make_geometry(g["d"], g["L"], k, k + side_exp))
-        except GeometryError:
-            break   # family truncated at the desk-scale cap
-    if len(geoms) < 2:
-        raise ConfigError("positivity family infeasible at desk scale; "
-                          "reduce m - k or the dimension")
+    side_exp = g["m"] - g["k"]
+    geoms = [make_geometry(g["d"], g["L"], k, k + side_exp) for k in (1, 2, 3)]
     rows = multiscale.positivity_report(geoms, cfg.params)
     metrics = []
     for r in rows:

@@ -46,6 +46,8 @@ CT_LANCZOS_RTOL = 1e-10
 # 90 to 296 ms where the run needs 104 steps (best of 7, G cached): each test
 # is a batched eigendecomposition of the growing tridiagonal matrices.
 CT_LANCZOS_CHECK = 4
+# random field pairs drawn per pair of unit boxes for the box decay fit
+CT_BOX_DRAWS = 3
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,7 @@ def _weighted_norms_sq(K: np.ndarray, expo: np.ndarray):
         basis[:, j + 1] = w / b[:, None]
 
 
-def ct_bound_report(geom: LatticeGeometry, params, q_list, rng,
-                    draws: int = 3) -> CtReport:
+def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
     """Conjugated-propagator norms plus the empirical box-to-box decay constant.
 
     For each ``q``: the operator norm of ``e_{-q} G e_q`` and its reciprocal,
@@ -198,7 +199,7 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng,
     i1, i2 = np.triu_indices(len(labels))
     # for each pair i <= i2 (row-major) and each draw, the (real, imag) parts
     # of a field on box i, then of one on box i2: Z[pair, draw, box]
-    Z = rng.standard_normal((i1.size, draws, 2, boxes.shape[1], 2))
+    Z = rng.standard_normal((i1.size, CT_BOX_DRAWS, 2, boxes.shape[1], 2))
     z = Z[..., 0] + 1j * Z[..., 1]
     f, f2 = z[:, :, 0], z[:, :, 1]
     # |<f, G f2>| / (|f| |f2|): the inner product's eta**d cancels against
@@ -290,7 +291,7 @@ class LinfRow:
     max_ratio: float
 
 
-def linf_report(geoms, params, source=None) -> list[LinfRow]:
+def linf_report(geoms, params) -> list[LinfRow]:
     """Fitted (prefactor, rate) per geometry plus the sup-norm envelope ratio.
 
     ``max_ratio`` is the largest observed ``|(G f)(x)| * exp(rate * dist)``,
@@ -298,7 +299,7 @@ def linf_report(geoms, params, source=None) -> list[LinfRow]:
     """
     rows = []
     for geom in geoms:
-        dists, mags = decay_profile(geom, params, source)
+        dists, mags = decay_profile(geom, params)
         fit = fit_decay(dists, mags)
         ratio = float(np.max(mags * np.exp(fit.rate * dists)))
         rows.append(LinfRow(k=geom.k, m=geom.m, fit=fit, max_ratio=ratio))

@@ -46,6 +46,7 @@ from .multiscale import MultiscaleParams, RankOneRows
 
 POLE_GUARD = 1e-12
 DENOMINATOR_FLOOR = 0.1
+MAX_DOUBLINGS = 6
 SYSTEM_CACHE_BYTES = 256 * 2**20   # summed nbytes of the cached shift systems
 STRIP_BLOCK_BYTES = 32 * 2**20     # nbytes of one complex (nodes, S) array of a strip solve
 
@@ -112,10 +113,6 @@ class TorusGrid:
     def base_nodes(self) -> np.ndarray:
         """Base momenta, shape ``(base_count**d, d)``, row-major."""
         return grid_points([self.base_nodes_1d()] * self.d)
-
-    def shift_vectors(self) -> np.ndarray:
-        """Integer momentum shifts, shape ``((L**k)**d, d)``."""
-        return shift_vectors(self.d, self.L, self.k)
 
     def full_nodes_1d(self) -> np.ndarray:
         """Big-torus momenta of one axis; index ``s * base_count + b`` is
@@ -399,16 +396,15 @@ def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     return _class_sums(grid, sys, xs, ys, node_arrays)
 
 
-def converge_kernel(evaluate, grid: TorusGrid, tol: float = 1e-8,
-                    max_doublings: int = 6):
+def converge_kernel(evaluate, grid: TorusGrid, tol: float = 1e-8):
     """Drive ``evaluate(grid) -> ndarray`` to quadrature self-convergence.
 
-    Doubles ``M`` until the max relative change (against the max magnitude of
-    the current values) drops below ``tol``.  Returns
-    ``(values, grid_used, last_delta)``.
+    Doubles ``M``, at most ``MAX_DOUBLINGS`` times, until the max relative
+    change (against the max magnitude of the current values) drops below
+    ``tol``.  Returns ``(values, grid_used, last_delta)``.
     """
     vals = np.asarray(evaluate(grid))
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         finer = grid.refined()
         new = np.asarray(evaluate(finer))
         scale = max(np.max(np.abs(new)), 1e-300)
@@ -417,7 +413,7 @@ def converge_kernel(evaluate, grid: TorusGrid, tol: float = 1e-8,
         if delta <= tol:
             return vals, grid, delta
     raise GridConvergenceError(
-        f"quadrature not stable at tol={tol} after {max_doublings} doublings "
+        f"quadrature not stable at tol={tol} after {MAX_DOUBLINGS} doublings "
         f"(last change {delta:.3e})")
 
 

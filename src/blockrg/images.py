@@ -9,14 +9,13 @@ small tail because the free kernel decays exponentially.  The same works for
 All free kernels come from :mod:`blockrg.fourier` with quadrature driven to
 self-convergence, so the reported truncation numbers measure the image tail
 and not the quadrature.  Each kernel is one converged batch per call
-(``_image_batch``), started, unless a grid is given, at the smallest base
-count ``8 * 2**j`` above twice the batch's largest per-axis separation: the
-torus quadrature is the periodic kernel of that period.
+(``_image_batch``), started at the smallest base count ``8 * 2**j`` above
+twice the batch's largest per-axis separation: the torus quadrature is the
+periodic kernel of that period.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,45 +56,43 @@ def _assemble(vals: np.ndarray, shell_idx: np.ndarray, shells: int) -> ImageSumR
                           shell_magnitudes=tuple(float(m) for m in mags))
 
 
-def _image_batch(geom: LatticeGeometry, sites, others, shells: int, kernel,
-                 grid: fourier.TorusGrid | None, tol: float):
+def _image_batch(geom: LatticeGeometry, sites, others, shells: int, kernel):
     """``kernel(images, others, grid) -> (len(others), len(images))`` over the
     images of every site in ``sites``, in one ``converge_kernel`` from
-    ``grid`` or from ``fourier.default_grid`` at the batch's largest per-axis
-    separation.  Returns ``(values (site, other, image), shell index per
-    image, grid used, last relative change)``.
+    ``fourier.default_grid`` at the batch's largest per-axis separation, so
+    the start grid has no wrap-around at any pair of the batch.  Returns
+    ``(values (site, other, image), shell index per image, grid used, last
+    relative change)``.
 
     Convergence is judged batch-wide: ``converge_kernel`` scales the change
     by the batch's largest value, so an entry far below it is stable to
-    ``tol`` times that maximum, not to ``tol`` relative to itself.  The
-    default start grid has no wrap-around at any pair of the batch; an
-    explicit coarse ``grid`` has no such guard.
+    ``converge_kernel``'s default ``tol`` times that maximum, not relative
+    to itself.
     """
     if shells < 1:
         raise ValueError("need shells >= 1")
     imgs = np.concatenate([image_points(geom, s, shells) for s in sites]) * geom.spacing
     others = np.atleast_2d(np.asarray(others, dtype=float))
-    if grid is None:
-        reach = float(np.max(np.abs(imgs[:, None, :] - others[None, :, :])))
-        grid = fourier.default_grid(geom.d, geom.L, geom.k, reach)
-    vals, used, delta = fourier.converge_kernel(lambda g: kernel(imgs, others, g), grid, tol=tol)
+    reach = float(np.max(np.abs(imgs[:, None, :] - others[None, :, :])))
+    vals, used, delta = fourier.converge_kernel(
+        lambda g: kernel(imgs, others, g), fourier.default_grid(geom.d, geom.L, geom.k, reach))
     vals = vals.reshape(len(others), len(sites), -1).transpose(1, 0, 2)
     return vals, image_shell_index(geom, sites[0], shells), used, delta
 
 
-def _neumann_batch(geom, params, xs, ys, shells, grid, tol):
+def _neumann_batch(geom, params, xs, ys, shells):
     """``G(x, image of y)`` for all sites x in ``xs``, y in ``ys``: values (y, x, image)."""
     xpos = np.array([site_position(geom, x) for x in xs])
     return _image_batch(
         geom, ys, xpos, shells,
-        lambda imgs, xp, g: fourier.free_kernel_g(xp, imgs, g, params), grid, tol)
+        lambda imgs, xp, g: fourier.free_kernel_g(xp, imgs, g, params))
 
 
-def _gq_batch(geom, params, xs, ylabels, shells, grid, tol):
+def _gq_batch(geom, params, xs, ylabels, shells):
     """``(G Q*)(image of x, y)`` for sites x in ``xs``, labels y: values (x, y, image)."""
     return _image_batch(
         geom, xs, np.array(ylabels, dtype=float), shells,
-        lambda imgs, yl, g: fourier.free_kernel_gq(imgs, yl, g, params).T, grid, tol)
+        lambda imgs, yl, g: fourier.free_kernel_gq(imgs, yl, g, params).T)
 
 
 def _shell_sums(vals, shell_idx, shells: int) -> np.ndarray:
@@ -103,28 +100,26 @@ def _shell_sums(vals, shell_idx, shells: int) -> np.ndarray:
     return np.stack([vals[..., shell_idx <= s].sum(axis=-1) for s in range(1, shells + 1)])
 
 
-def neumann_kernel_via_images(geom: LatticeGeometry, params, x, y, shells: int,
-                              grid: fourier.TorusGrid | None = None,
-                              tol: float = 1e-8) -> ImageSumResult:
+def neumann_kernel_via_images(geom: LatticeGeometry, params, x, y,
+                              shells: int) -> ImageSumResult:
     """Image-sum value of the Neumann kernel ``G_k(Omega)(x, y)``.
 
     Sums the free kernel over all images of ``y`` within ``shells`` reflected
     copies per axis, with the quadrature grid doubled until stable.
     """
-    vals, shell_idx, _, _ = _neumann_batch(geom, params, [x], [y], shells, grid, tol)
+    vals, shell_idx, _, _ = _neumann_batch(geom, params, [x], [y], shells)
     return _assemble(vals[0, 0], shell_idx, shells)
 
 
-def gq_kernel_via_images(geom: LatticeGeometry, params, x, y_label, shells: int,
-                         grid: fourier.TorusGrid | None = None,
-                         tol: float = 1e-8) -> ImageSumResult:
+def gq_kernel_via_images(geom: LatticeGeometry, params, x, y_label,
+                         shells: int) -> ImageSumResult:
     """Image-sum value of ``(G_k(Omega) Q_k*)(x, y)`` for a coarse label ``y``.
 
     The reflection words act on the fine argument here (each image map is an
     involution, so summing over transformed ``x`` equals summing over image
     sources), while the unit-block source stays put.
     """
-    vals, shell_idx, _, _ = _gq_batch(geom, params, [x], [y_label], shells, grid, tol)
+    vals, shell_idx, _, _ = _gq_batch(geom, params, [x], [y_label], shells)
     return _assemble(vals[0, 0], shell_idx, shells)
 
 
@@ -141,12 +136,9 @@ class ImagesReport:
     neumann_center: tuple
     grid_used: tuple
     last_delta: tuple
-    runtime_seconds: float
 
 
-def images_residual_report(geom: LatticeGeometry, params, shells: int,
-                           grid: fourier.TorusGrid | None = None,
-                           tol: float = 1e-8) -> ImagesReport:
+def images_residual_report(geom: LatticeGeometry, params, shells: int) -> ImagesReport:
     """Residuals of both image reconstructions against the dense direct solve.
 
     For every shell count ``1..shells``: max and median of
@@ -158,14 +150,13 @@ def images_residual_report(geom: LatticeGeometry, params, shells: int,
     judged stable against its own largest value (see ``_image_batch``);
     image sums for smaller shell counts are prefixes of the largest one.
     """
-    t0 = time.time()
     G = multiscale.green_neumann(geom, params)
     GQ = G @ ops.adjoint(ops.averaging(geom, geom.k))
     xs = sample_sites(geom)
     fx = [site_to_flat(geom, x) for x in xs]
     ic = xs.index((geom.sites_per_axis // 2,) * geom.d)
 
-    vals, shell_idx, g_grid, g_delta = _neumann_batch(geom, params, xs, xs, shells, grid, tol)
+    vals, shell_idx, g_grid, g_delta = _neumann_batch(geom, params, xs, xs, shells)
     res = np.abs(_shell_sums(vals, shell_idx, shells) - G.kernel[np.ix_(fx, fx)].T)
     neumann_max = tuple(float(r.max()) for r in res)
     neumann_median = tuple(float(np.median(r)) for r in res)
@@ -174,12 +165,11 @@ def images_residual_report(geom: LatticeGeometry, params, shells: int,
     coarse = coarse_geometry(geom, geom.k)
     ylabels = sample_sites(coarse)
     fy = [site_to_flat(coarse, y) for y in ylabels]
-    vals, shell_idx, gq_grid, gq_delta = _gq_batch(geom, params, xs, ylabels, shells, grid, tol)
+    vals, shell_idx, gq_grid, gq_delta = _gq_batch(geom, params, xs, ylabels, shells)
     gq_res = np.abs(_shell_sums(vals, shell_idx, shells) - GQ.kernel[np.ix_(fx, fy)])
     gq_max = tuple(float(r.max()) for r in gq_res)
 
     return ImagesReport(geometry=geom, shells=tuple(range(1, shells + 1)),
                         neumann_max=neumann_max, neumann_median=neumann_median,
                         gq_max=gq_max, neumann_center=neumann_center,
-                        grid_used=(g_grid, gq_grid), last_delta=(g_delta, gq_delta),
-                        runtime_seconds=time.time() - t0)
+                        grid_used=(g_grid, gq_grid), last_delta=(g_delta, gq_delta))

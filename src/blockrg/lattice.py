@@ -20,13 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_SITE_CAP = 100_000
-
 Site = tuple[int, ...]
 
 
 class GeometryError(ValueError):
-    """Raised for invalid lattice parameters (desk-scale violations included)."""
+    """Raised for invalid lattice parameters."""
 
 
 @dataclass(frozen=True)
@@ -74,23 +72,15 @@ class LatticeGeometry:
         return all(0 <= int(c) < N for c in site)
 
 
-def make_geometry(d: int, L: int, k: int, m: int,
-                  site_cap: int | None = DEFAULT_SITE_CAP) -> LatticeGeometry:
+def make_geometry(d: int, L: int, k: int, m: int) -> LatticeGeometry:
     """Build the cube with spacing ``L**-k`` and ``L**m`` sites per axis.
 
-    Rejects even or unit ``L``, ``k`` outside ``[0, m]`` and total site
-    counts above ``site_cap`` (the cap signals that the requested lattice
-    is beyond desk scale, where dense kernels stop being an option);
-    ``site_cap=None`` admits any size, and the dense assemblers then guard
-    themselves (``operators.check_dense``).
+    Rejects even or unit ``L`` and ``k`` outside ``[0, m]``.  Any size is
+    admitted: the dense assemblers guard themselves (``operators.check_dense``).
     """
     if k < 0:
         raise GeometryError(f"scale index k must be >= 0, got {k}")
-    geom = LatticeGeometry(d=d, L=L, k=k, m=m)
-    if site_cap is not None and geom.site_count > site_cap:
-        raise GeometryError(
-            f"site count {geom.site_count} exceeds cap {site_cap}")
-    return geom
+    return LatticeGeometry(d=d, L=L, k=k, m=m)
 
 
 def coarse_geometry(geom: LatticeGeometry, j: int) -> LatticeGeometry:

@@ -437,7 +437,7 @@ def c_identity_residual(geom, params: MultiscaleParams, j: int) -> float:
     return _probe_rel_frobenius(recon, lo.covariance, cf, geom.site_count)
 
 
-def rg_telescope_residual(geom, params: MultiscaleParams, sites=None) -> float:
+def rg_telescope_residual(geom, params: MultiscaleParams) -> float:
     """Max relative discrepancy of the telescoped propagator formula.
 
     Both sides are evaluated on delta fields at a deterministic site sample.
@@ -451,14 +451,12 @@ def rg_telescope_residual(geom, params: MultiscaleParams, sites=None) -> float:
     k = geom.k
     if k < 1:
         raise ValueError("telescope needs k >= 1")
-    if sites is None:
-        sites = sample_sites(geom)
     L = float(geom.L)
     lhs_level = tower_level(geom, params, k)
     first = tower_level(scale_geometry(geom, k - 1), params, 1)
     terms = [(L ** (2 * (j - k)), tower_level(scale_geometry(geom, k - j), params, j))
              for j in range(1, k)]
-    flat = [site_to_flat(geom, s) for s in sites]
+    flat = [site_to_flat(geom, s) for s in sample_sites(geom)]
     batch = max(1, PROBE_BLOCK_BYTES // (8 * geom.site_count))
     worst = 0.0
     for start in range(0, len(flat), batch):

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (DEFAULT_SITE_CAP, GeometryError, LatticeGeometry, _axis_outer,
-                      coarse_geometry, scale_geometry, site_to_flat)
+from .lattice import (GeometryError, LatticeGeometry, _axis_outer, coarse_geometry,
+                      scale_geometry, site_to_flat)
 
+DEFAULT_SITE_CAP = 100_000
 SELF_ADJOINT_TOL = 1e-10
 CONDITION_LIMIT = 1e13
 
@@ -419,14 +420,14 @@ def self_adjointness_defect(A: KernelOperator) -> float:
     return float(np.linalg.norm(K - K.conj().T) / denom)
 
 
-def min_eigenvalue(A: KernelOperator, sa_tol: float = SELF_ADJOINT_TOL) -> float:
+def min_eigenvalue(A: KernelOperator) -> float:
     """Smallest eigenvalue via dense symmetric eigensolve.
 
     Inputs failing the self-adjointness tolerance are an error: silent
     symmetrization would mask convention bugs upstream.
     """
     defect = self_adjointness_defect(A)
-    if defect > sa_tol:
+    if defect > SELF_ADJOINT_TOL:
         raise OperatorError(f"operator not self-adjoint (defect {defect:.3e})")
     return float(np.linalg.eigvalsh(A.matrix)[0])
 

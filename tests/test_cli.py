@@ -164,6 +164,17 @@ def test_dense_suite_past_the_cap_is_refused(tmp_path, capsys, suite):
     assert "rg-verify, positivity, spectrum, fourier-verify and strip-bound run past" in err
     assert peak < 64 * 2**20 < 531441**2 * 8
 
+
+def test_positivity_family_past_the_cap():
+    # the k = 3 member at m = 6 has 531,441 sites; the spectral lambda_min
+    # forms no matrix, so the whole k = 1, 2, 3 family runs
+    cfg = dataclasses.replace(cli.load_config(None), geometry={"d": 2, "L": 3, "k": 3, "m": 6})
+    rows = {r.metric: r for r in cli.SUITES["positivity"](cfg, np.random.default_rng(0))}
+    assert set(rows) == {"neg_positivity_c_k1", "neg_positivity_c_k2", "neg_positivity_c_k3",
+                         "positivity_max_over_min"}
+    assert all(r.passed for r in rows.values())
+
+
 def test_perfbench_configs_load():
     paths = sorted(Path(__file__).parents[1].glob("perfbench/configs/*.yaml"))
     assert paths

@@ -14,7 +14,7 @@ def test_grid_validation():
         fr.TorusGrid(1, 3, 1, 6)    # below 4 L**k
     g = fr.TorusGrid(1, 3, 1, 24)
     assert g.base_count == 8
-    assert len(g.shift_vectors()) == 3
+    assert len(fr.shift_vectors(g.d, g.L, g.k)) == 3
     assert g.full_nodes_1d()[0] == pytest.approx(-3 * np.pi)
     assert np.allclose(g.full_nodes_1d(), -3 * np.pi + 2 * np.pi * np.arange(24) / 8)
 
@@ -28,7 +28,7 @@ def test_shift_layout_round_trip_and_order(d, L, k, M):
     assert np.array_equal(fr._from_shift_layout(v, grid), x)
     # entry (node, shift) is the big-torus sample at base node + 2 pi shift
     K = lat.grid_points([grid.full_nodes_1d()] * d)
-    Z = fr.shifted_momenta(grid.base_nodes(), grid.shift_vectors())
+    Z = fr.shifted_momenta(grid.base_nodes(), fr.shift_vectors(d, L, k))
     for mu in range(d):
         assert np.array_equal(fr._to_shift_layout(K[:, mu], grid).real, Z[..., mu])
 
@@ -159,7 +159,7 @@ def _dense_shift_matrices(grid, params, q):
     """Oracle: shifted momenta ``Z`` and the per-node shift matrices, entry by entry."""
     L, k = grid.L, grid.k
     nodes = grid.base_nodes() + 1j * q
-    Z = nodes[:, None, :] + 2 * np.pi * grid.shift_vectors()[None, :, :]
+    Z = nodes[:, None, :] + 2 * np.pi * fr.shift_vectors(grid.d, L, k)[None, :, :]
     U, Ub = fr.u_kernel(Z, L, k), fr.u_bar_kernel(Z, L, k)
     lap = fr.laplacian_symbol(Z, L, k, params.mu0)
     M = params.a_j(L, max(k, 1)) * U[:, :, None] * Ub[:, None, :]
@@ -402,8 +402,7 @@ def test_h_function_vs_shift_solve():
     rng = np.random.default_rng(13)
     for (d, L, k, mu0) in ((1, 3, 1, 0.0), (1, 3, 2, 0.0), (2, 3, 1, 0.1)):
         params = MultiscaleParams(mu0=mu0)
-        grid = fr.default_grid(d, L, k)
-        shifts = grid.shift_vectors()
+        shifts = fr.shift_vectors(d, L, k)
         for _ in range(3):
             z = rng.uniform(-3, 3, d) + 1j * rng.uniform(-0.05, 0.05, d)
             Zl = z[None, :] + 2 * np.pi * shifts

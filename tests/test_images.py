@@ -165,12 +165,12 @@ def test_report_batches_match_pair_sums(g):
     xs = lat.sample_sites(geom)
     labels = lat.sample_sites(lat.coarse_geometry(geom, geom.k))
     shells = 2
-    vals = im._neumann_batch(geom, P0, xs, xs, shells, None, 1e-8)[0]
+    vals = im._neumann_batch(geom, P0, xs, xs, shells)[0]
     for iy, y in enumerate(xs):
         for ix, x in enumerate(xs):
             pair = im.neumann_kernel_via_images(geom, P0, x, y, shells).value
             assert abs(vals[iy, ix].sum() - pair) <= 1e-8 * abs(pair)
-    vals = im._gq_batch(geom, P0, xs, labels, shells, None, 1e-8)[0]
+    vals = im._gq_batch(geom, P0, xs, labels, shells)[0]
     for ix, x in enumerate(xs):
         for iy, y in enumerate(labels):
             pair = im.gq_kernel_via_images(geom, P0, x, y, shells).value

@@ -31,15 +31,9 @@ def test_k_over_m_rejected():
         lat.make_geometry(1, 3, -1, 2)
 
 
-def test_site_cap():
-    with pytest.raises(lat.GeometryError):
-        lat.make_geometry(3, 3, 1, 4, site_cap=10_000)
-
-
-def test_site_cap_none_admits_any_size():
-    assert lat.make_geometry(2, 3, 2, 6, site_cap=None).site_count == 531441
-    with pytest.raises(lat.GeometryError):
-        lat.make_geometry(2, 3, 2, 6)
+def test_make_geometry_admits_any_size():
+    # only dense work is size-guarded (operators.check_dense)
+    assert lat.make_geometry(2, 3, 2, 6).site_count == 531441
 
 
 def test_coarse_geometry():

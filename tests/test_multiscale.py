@@ -493,7 +493,7 @@ def test_matrix_free_defining_operator_matches_dense(geom_args):
 @pytest.mark.parametrize("geom_args", [(2, 3, 2, 6), (3, 3, 2, 4), (1, 3, 2, 11)])
 def test_spectral_green_inverts_real_space_operator(geom_args):
     # n = 531,441 and 177,147, where no dense oracle exists
-    g = lat.make_geometry(*geom_args, site_cap=None)
+    g = lat.make_geometry(*geom_args)
     v = np.random.default_rng(3).standard_normal(g.site_count)
     vhat = ops.dct(g, v)
     for params in (P0, PM):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -27,6 +26,8 @@ from .multiscale import MultiscaleParams
 
 INFO = float("inf")
 FINITE_CAP = 1e12
+# ct-report's weights q: rows at |q| <= 0.05 are contracts, the rest inform
+CT_Q_GRID = (0.0, 0.01, -0.01, 0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2)
 
 
 class ConfigError(ValueError):
@@ -39,11 +40,7 @@ _DEFAULTS = {
     "output": "reports",
     "geometry": {"d": 1, "L": 3, "k": 2, "m": 4},
     "params": {"a": 1.0, "mu0": 0.0, "c_star": 1.0},
-    "fourier": {"M_init": None, "q_max": 0.05},
     "images": {"shells": 4},
-    "decay": {"window": None,
-              "q_grid": [0.0, 0.01, -0.01, 0.02, -0.02, 0.05, -0.05,
-                         0.1, -0.1, 0.2, -0.2]},
 }
 
 
@@ -54,9 +51,7 @@ class ExperimentConfig:
     output: str
     geometry: dict
     params: MultiscaleParams
-    fourier: dict
     images: dict
-    decay: dict
 
     def geom(self):
         """The configured cube, of any size: ``operators.check_dense`` refuses
@@ -83,43 +78,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_finite(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-
-
 def _check_seed(seed):
     if not (_is_int(seed) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-
-
-def _check_suite_blocks(cfg: ExperimentConfig):
-    """Reject fourier, images and decay settings that no suite can run with."""
-    Lk = cfg.geometry["L"] ** cfg.geometry["k"]
-    M_init, q_max = cfg.fourier["M_init"], cfg.fourier["q_max"]
-    shells = cfg.images["shells"]
-    window, q_grid = cfg.decay["window"], cfg.decay["q_grid"]
-    checks = [
-        ("fourier.M_init", M_init, f"null or a multiple of L**k = {Lk} of at least {4 * Lk}",
-         M_init is None or (_is_int(M_init) and M_init % Lk == 0 and M_init >= 4 * Lk)),
-        ("fourier.q_max", q_max, "a finite number >= 0", _is_finite(q_max) and q_max >= 0),
-        ("images.shells", shells, "an integer >= 1", _is_int(shells) and shells >= 1),
-        ("decay.window", window, "null or [lo, hi] with finite lo < hi",
-         window is None or (isinstance(window, list) and len(window) == 2
-                            and all(map(_is_finite, window)) and window[0] < window[1])),
-        ("decay.q_grid", q_grid, "a non-empty list of finite numbers",
-         isinstance(q_grid, list) and bool(q_grid) and all(map(_is_finite, q_grid))),
-    ]
-    for name, value, want, ok in checks:
-        if not ok:
-            raise ConfigError(f"{name} must be {want}, got {value!r}")
-    rows = {}
-    for q in q_grid:
-        rows.setdefault(_q_suffix(q), []).append(q)
-    clashes = [f"{qs} all give the rows *_q_{suffix}" for suffix, qs in rows.items()
-               if len(qs) > 1]
-    if clashes:
-        raise ConfigError("decay.q_grid entries must give distinct ct-report row names: "
-                          + "; ".join(clashes))
 
 
 def _q_suffix(q) -> str:
@@ -159,14 +120,14 @@ def load_config(path: str | None) -> ExperimentConfig:
                            output=str(merged["output"]),
                            geometry=merged["geometry"],
                            params=params,
-                           fourier=merged["fourier"],
-                           images=merged["images"],
-                           decay=merged["decay"])
+                           images=merged["images"])
     try:
         cfg.geom()   # lattice preconditions are config validation, not runtime
     except GeometryError as exc:
         raise ConfigError(f"bad geometry block: {exc}") from exc
-    _check_suite_blocks(cfg)
+    shells = cfg.images["shells"]
+    if not (_is_int(shells) and shells >= 1):
+        raise ConfigError(f"images.shells must be an integer >= 1, got {shells!r}")
     return cfg
 
 
@@ -200,7 +161,7 @@ def _rows(cfg, experiment, metrics) -> list[MetricRow]:
 # suites
 # ---------------------------------------------------------------------------
 
-def run_spectrum(cfg: ExperimentConfig, rng) -> list[MetricRow]:
+def run_spectrum(cfg: ExperimentConfig) -> list[MetricRow]:
     worst = {}
     for eta in (1.0, 1.0 / 3.0, 1.0 / 9.0):
         worst[eta] = max(ops.spectrum_rel_error(ops.laplacian_spectrum_1d(n, eta))
@@ -222,7 +183,7 @@ def run_spectrum(cfg: ExperimentConfig, rng) -> list[MetricRow]:
     return _rows(cfg, "spectrum", metrics)
 
 
-def run_rg_verify(cfg: ExperimentConfig, rng) -> list[MetricRow]:
+def run_rg_verify(cfg: ExperimentConfig) -> list[MetricRow]:
     geom = cfg.geom()
     params = cfg.params
     metrics = []
@@ -240,7 +201,7 @@ def run_rg_verify(cfg: ExperimentConfig, rng) -> list[MetricRow]:
     return _rows(cfg, "rg-verify", metrics)
 
 
-def run_images_verify(cfg: ExperimentConfig, rng) -> list[MetricRow]:
+def run_images_verify(cfg: ExperimentConfig) -> list[MetricRow]:
     geom = cfg.geom()
     shells = int(cfg.images["shells"])
     report = images.images_residual_report(geom, cfg.params, shells)
@@ -250,25 +211,21 @@ def run_images_verify(cfg: ExperimentConfig, rng) -> list[MetricRow]:
     ratios = [report.neumann_max[i + 1] / report.neumann_max[i]
               for i in range(shells - 1) if report.neumann_max[i] > 0]
     metrics.append(("images_shell_ratio_max", max(ratios) if ratios else 0.0, 1.0))
-    if (geom.d, geom.L, geom.k, geom.m) == (1, 3, 1, 2) and shells >= 4:
-        metrics.append(("images_reference_center_residual",
-                        report.neumann_center[3], 1e-6))
     return _rows(cfg, "images-verify", metrics)
 
 
-def run_fourier_verify(cfg: ExperimentConfig, rng) -> list[MetricRow]:
+def run_fourier_verify(cfg: ExperimentConfig) -> list[MetricRow]:
     g = cfg.geometry
     d, L, k = g["d"], g["L"], g["k"]
     params = cfg.params
-    M_init = cfg.fourier["M_init"] or 8 * L**k
-    grid = fourier.TorusGrid(d=d, L=L, k=k, M=int(M_init))
+    rng = np.random.default_rng(cfg.seed)
+    grid = fourier.default_grid(d, L, k)
 
     patch = block_aligned_patch(d, L, k, (0,) * d, (2,) * d)
     vals = rng.standard_normal(patch.site_count) + 1j * rng.standard_normal(patch.site_count)
-    big = fourier.TorusGrid(d=d, L=L, k=k, M=max(int(M_init), 16 * L**k))
-    qkqk = fourier.qkqk_fourier_residual(patch, vals, big, params)
+    qkqk = fourier.qkqk_fourier_residual(patch, vals, grid.refined(), params)
 
-    contour = fourier.contour_shift_change(grid, params, cfg.fourier["q_max"])
+    contour = fourier.contour_shift_change(grid, params, fourier.STRIP_Q_MAX)
 
     fhat = rng.standard_normal((grid.M,) * d) + 1j * rng.standard_normal((grid.M,) * d)
     ghat = fourier.free_apply_ghat(fhat, grid, params)
@@ -287,14 +244,13 @@ def run_fourier_verify(cfg: ExperimentConfig, rng) -> list[MetricRow]:
     return _rows(cfg, "fourier-verify", metrics)
 
 
-def run_strip_bound(cfg: ExperimentConfig, rng) -> list[MetricRow]:
+def run_strip_bound(cfg: ExperimentConfig) -> list[MetricRow]:
     g = cfg.geometry
     d, L = g["d"], g["L"]
-    q_max = float(cfg.fourier["q_max"])
     sups = {}
     margin = INFO
     for k in (1, 2, 3):
-        rep = fourier.strip_bound_report(d, L, k, cfg.params, q_max=q_max)
+        rep = fourier.strip_bound_report(d, L, k, cfg.params)
         sups[k] = rep.weighted_sup
         margin = min(margin, rep.min_denominator_margin)
     metrics = [(f"strip_weighted_sup_k{k}", v, FINITE_CAP) for k, v in sups.items()]
@@ -305,24 +261,27 @@ def run_strip_bound(cfg: ExperimentConfig, rng) -> list[MetricRow]:
     return _rows(cfg, "strip-bound", metrics)
 
 
-def run_decay_profile(cfg: ExperimentConfig, rng) -> list[MetricRow]:
+def run_decay_profile(cfg: ExperimentConfig) -> list[MetricRow]:
     geom = cfg.geom()
     dists, mags = decay.decay_profile(geom, cfg.params)
-    window = cfg.decay["window"]
-    fit = decay.fit_decay(dists, mags, tuple(window) if window else None)
-    metrics = [(f"profile_mag_at_dist_{dist:.6g}", mag, INFO)
-               for dist, mag in zip(dists, mags)]
+    fit = decay.fit_decay(dists, mags)
+    # one row per printed distance, at the largest |G f| there (the sup
+    # profile): at d >= 2 several sites share a distance
+    sup = {}
+    for dist, mag in zip(dists, mags):
+        name = f"profile_mag_at_dist_{dist:.6g}"
+        sup[name] = max(mag, sup.get(name, mag))
+    metrics = [(name, mag, INFO) for name, mag in sup.items()]
     metrics.append(("neg_fit_rate", -fit.rate, 0.0))
     metrics.append(("fit_rms_residual", fit.rms_residual, INFO))
     metrics.append(("fit_log_prefactor", fit.log_prefactor, INFO))
     return _rows(cfg, "decay-profile", metrics)
 
 
-def run_ct_report(cfg: ExperimentConfig, rng) -> list[MetricRow]:
+def run_ct_report(cfg: ExperimentConfig) -> list[MetricRow]:
     geom = cfg.geom()
     params = cfg.params
-    q_grid = [float(q) for q in cfg.decay["q_grid"]]
-    rep = decay.ct_bound_report(geom, params, q_grid, rng)
+    rep = decay.ct_bound_report(geom, params, CT_Q_GRID, np.random.default_rng(cfg.seed))
 
     D0 = multiscale.defining_operator(geom, params, geom.k)
     Dq0 = decay.conjugated_operator(geom, params, 0.0)
@@ -340,7 +299,7 @@ def run_ct_report(cfg: ExperimentConfig, rng) -> list[MetricRow]:
     return _rows(cfg, "ct-report", metrics)
 
 
-def run_positivity(cfg: ExperimentConfig, rng) -> list[MetricRow]:
+def run_positivity(cfg: ExperimentConfig) -> list[MetricRow]:
     g = cfg.geometry
     side_exp = g["m"] - g["k"]
     geoms = [make_geometry(g["d"], g["L"], k, k + side_exp) for k in (1, 2, 3)]
@@ -394,10 +353,9 @@ def run(cfg: ExperimentConfig, out_dir: Path, verbose: bool = False) -> int:
     summary = {}
     any_fail = any_error = False
     for name in names:
-        rng = np.random.default_rng(cfg.seed)
         t0 = time.time()
         try:
-            rows = SUITES[name](cfg, rng)
+            rows = SUITES[name](cfg)
         except Exception as exc:  # noqa: BLE001 - per-suite isolation, exit 3
             any_error = True
             summary[name] = {"status": "error",

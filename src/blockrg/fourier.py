@@ -49,6 +49,7 @@ DENOMINATOR_FLOOR = 0.1
 MAX_DOUBLINGS = 6
 SYSTEM_CACHE_BYTES = 256 * 2**20   # summed nbytes of the cached shift systems
 STRIP_BLOCK_BYTES = 32 * 2**20     # nbytes of one complex (nodes, S) array of a strip solve
+STRIP_Q_MAX = 0.05                 # imaginary half-width of the sampled analyticity strip
 
 
 class PoleProximityError(ValueError):
@@ -586,15 +587,13 @@ class StripBoundReport:
     k: int
     q_max: float
     weighted_sup: float
-    argmax_z: tuple
-    argmax_shift: tuple
     per_shift_sup: dict
     min_denominator_margin: float
     p_samples: int
 
 
 def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
-                       q_max: float = 0.05, p_samples: int = 9) -> StripBoundReport:
+                       q_max: float = STRIP_Q_MAX, p_samples: int = 9) -> StripBoundReport:
     """Tabulate ``sup |H(z)| prod (1+|l'_mu|)^(1+2/d)`` over a strip sample.
 
     The ``z`` sample is a uniform interior grid over ``(-pi, pi)^d`` crossed
@@ -605,7 +604,6 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
     weights = np.prod((1.0 + np.abs(ells)) ** (1.0 + 2.0 / d), axis=-1)
 
     p_axis = -np.pi + (np.arange(p_samples) + 0.5) * 2.0 * np.pi / p_samples
-    p_points = grid_points([p_axis] * d)
     q_list = [np.zeros(d)]
     for mu in range(d):
         e = np.zeros(d)
@@ -614,7 +612,6 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
     q_list.append(np.full(d, q_max / np.sqrt(d)))
 
     per_shift = np.zeros(len(ells))
-    best = (0.0, None, None)
     min_margin = np.inf
     # one solve per imaginary shift, split into blocks of first-axis samples
     # only where its arrays would pass STRIP_BLOCK_BYTES (d = 3, k = 3)
@@ -627,14 +624,9 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
             min_margin = min(min_margin, float(np.min(margin)))
             vals = np.abs(H) * weights
             per_shift = np.maximum(per_shift, np.max(vals, axis=0))
-            node, i = np.unravel_index(np.argmax(vals), vals.shape)
-            if vals[node, i] > best[0]:
-                best = (float(vals[node, i]), tuple(p_points[lo * rest + node] + 1j * q),
-                        tuple(ells[i].astype(int)))
     table = {tuple(e.astype(int)): float(v) for e, v in zip(ells, per_shift)}
     return StripBoundReport(d=d, L=L, k=k, q_max=q_max,
-                            weighted_sup=best[0], argmax_z=best[1],
-                            argmax_shift=best[2], per_shift_sup=table,
+                            weighted_sup=float(per_shift.max()), per_shift_sup=table,
                             min_denominator_margin=float(min_margin),
                             p_samples=p_samples)
 

@@ -1,0 +1,39 @@
+"""Dense reference computations that several test modules compare against."""
+
+import numpy as np
+
+from blockrg import decay, multiscale as ms
+
+
+def free_laplacian_1d(patch) -> np.ndarray:
+    """Free-stencil Laplacian value matrix on a 1-d patch; the two edge rows
+    miss a neighbor and are left out of comparisons (``interior_mask``)."""
+    n = patch.site_count
+    return (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)) / patch.spacing**2
+
+
+def interior_mask(patch) -> np.ndarray:
+    inner = np.ones(patch.site_count, dtype=bool)
+    inner[[0, -1]] = False
+    return inner
+
+
+def dense_sigmas(g, params, q_list):
+    """``(sigma_min, sigma_max)`` of each dense ``D_q`` by a full SVD."""
+    s = np.array([np.linalg.svd(decay.conjugated_operator(g, params, q).matrix,
+                                compute_uv=False)[[-1, 0]] for q in q_list])
+    return s[:, 0], s[:, 1]
+
+
+def assert_ct_sigmas_match_dense_svd(g, params, q_list):
+    """The Lanczos sigma_min(D_q) within the dense SVD's own rounding
+    ``16 eps |D_q|_2`` of it, and of the frequency-class lambda_min at q = 0."""
+    rep = decay.ct_bound_report(g, params, q_list, np.random.default_rng(0))
+    smin, smax = dense_sigmas(g, params, q_list)
+    tol = 16 * np.finfo(float).eps * smax
+    sigmas = np.array(rep.min_singular_values)
+    assert np.all(np.abs(sigmas - smin) <= tol)
+    at_zero = [not np.any(q) for q in q_list]
+    if any(at_zero):
+        lam = ms.defining_min_eigenvalue(g, params, g.k)
+        assert np.all(np.abs(sigmas[at_zero] - lam) <= tol[at_zero])

@@ -7,14 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockrg import cli
+from blockrg import cli, lattice as lat, multiscale as ms
 
 INF = float("inf")
 
-# tolerance -> metric pattern of every suite's rows at the default config and
-# at the geometries of PINNED_AT.  The acceptance gate takes its tolerances
-# from these rows, so this table pins the contracts: a loosened tolerance in
-# blockrg.cli fails here.
+# tolerance -> metric pattern of every suite's rows at the default config.  The
+# acceptance gate takes its tolerances from these rows, so this table pins the
+# contracts: a loosened tolerance in blockrg.cli fails here.
 CONTRACTS = {
     "spectrum": {1e-10: r"spectrum_max_rel_err_eta_\S+",
                  1e-12: "chebyshev_root_max_err",
@@ -23,8 +22,7 @@ CONTRACTS = {
                   1e-10: r"c_identity_residual_j\d+",
                   1e-11: r"(de|q|g)_scaling_j\d+|dgc_(delta|c)_j\d+"},
     "images-verify": {INF: "images_(neumann_center|neumann_max|gq_max)_residual",
-                      1.0: "images_shell_ratio_max",
-                      1e-6: "images_reference_center_residual"},
+                      1.0: "images_shell_ratio_max"},
     "fourier-verify": {1e-8: "qkqk_spatial_vs_fourier|contour_shift_relative_change",
                        1e-10: "ghat_roundtrip_residual",
                        1e-12: "bracket_periodicity_residual"},
@@ -40,9 +38,6 @@ CONTRACTS = {
     "positivity": {0.0: r"neg_positivity_c_k\d",
                    4.0: "positivity_max_over_min"},
 }
-
-# geometries beyond the default at which a suite emits further contract rows
-PINNED_AT = {"images-verify": [(1, 3, 1, 2)]}   # images_reference_center_residual
 
 
 def test_default_config_loads():
@@ -94,19 +89,19 @@ def test_invalid_params_is_config_error(tmp_path, params):
 
 
 @pytest.mark.parametrize("block", [
+    # fourier and decay are not config keys: any value under them is an unknown key
     "fourier: {M_init: 10}", "fourier: {M_init: 3}", "fourier: {M_init: 9.0}",
     "fourier: {q_max: .inf}", "fourier: {q_max: -0.1}", "fourier: {q_max: x}",
     "images: {shells: 0}", "images: {shells: two}", "images: {shells: 2.5}",
     "decay: {window: [5, 1]}", "decay: {window: [1, .nan]}", "decay: {window: [1]}",
     "decay: {q_grid: []}", "decay: {q_grid: [0.0, .inf]}", "decay: {q_grid: 0.1}",
-    # entries that share one ct-report row name
     "decay: {q_grid: [0.0, 0.01, 0.01, 0.0100001]}", "decay: {q_grid: [0.05, 0.05]}",
     "decay: {q_grid: [0.0, 1, 1.0]}",
     # seeds and geometry fields: integers, not bools; a seed >= 0
     "seed: abc", "seed: -1", "seed: 1.5", "seed: true", "--seed -1",
     "geometry: {d: 1.5, L: 3, k: 1, m: 2}", "geometry: {d: 1, L: 3.0, k: 1, m: 2}",
     "geometry: {d: 1, L: 3, k: true, m: 2}"])
-def test_invalid_suite_settings_are_config_errors(tmp_path, block):
+def test_invalid_suite_settings_are_config_errors(tmp_path, capsys, block):
     # rejected when the config loads, whichever suite runs; a geometry row
     # replaces the cube below, and a "--" row is a command-line override
     argv = block.split() if block.startswith("--") else []
@@ -117,29 +112,23 @@ def test_invalid_suite_settings_are_config_errors(tmp_path, block):
     p.write_text(text + "\n")
     assert cli.main(["--config", str(p), "--experiment", "spectrum",
                      "--out", str(tmp_path / "o"), *argv]) == 2
-
-
-def test_q_grid_row_name_clash_is_named(tmp_path, capsys):
-    # three entries print as +0.01: one summary.json key for two values
-    p = tmp_path / "c.yaml"
-    p.write_text("geometry: {d: 1, L: 3, k: 1, m: 3}\n"
-                 "decay: {q_grid: [0.0, 0.01, 0.01, 0.0100001]}\n")
-    assert cli.main(["--config", str(p), "--experiment", "ct-report",
-                     "--out", str(tmp_path / "o")]) == 2
-    assert "[0.01, 0.01, 0.0100001] all give the rows *_q_+0.01" in capsys.readouterr().err
+    block_name = block.partition(":")[0]
+    if block_name in ("fourier", "decay"):
+        assert f"unknown config key {block_name!r}" in capsys.readouterr().err
 
 
 def test_ct_weight_overflow_is_named(tmp_path, capsys):
-    # q = 10 on a cube of side 81: exp(-2 q . x) would overflow
+    # the grid's q = 0.2 on a cube of side 2187 needs weights up to exp(218.7),
+    # past CT_MAX_EXPONENT: refused before G is formed
     p = tmp_path / "c.yaml"
-    p.write_text("geometry: {d: 1, L: 3, k: 1, m: 5}\ndecay: {q_grid: [0.0, 10.0]}\n")
+    p.write_text("geometry: {d: 1, L: 3, k: 1, m: 8}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rc = cli.main(["--config", str(p), "--experiment", "ct-report",
                        "--out", str(tmp_path / "o")])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "ValueError: q = 10.0 on a cube of side 81" in err
+    assert "ValueError: q = 0.2 on a cube of side 2187" in err
     assert "CT_MAX_EXPONENT" in err
 
 
@@ -169,7 +158,7 @@ def test_positivity_family_past_the_cap():
     # the k = 3 member at m = 6 has 531,441 sites; the spectral lambda_min
     # forms no matrix, so the whole k = 1, 2, 3 family runs
     cfg = dataclasses.replace(cli.load_config(None), geometry={"d": 2, "L": 3, "k": 3, "m": 6})
-    rows = {r.metric: r for r in cli.SUITES["positivity"](cfg, np.random.default_rng(0))}
+    rows = {r.metric: r for r in cli.SUITES["positivity"](cfg)}
     assert set(rows) == {"neg_positivity_c_k1", "neg_positivity_c_k2", "neg_positivity_c_k3",
                          "positivity_max_over_min"}
     assert all(r.passed for r in rows.values())
@@ -209,17 +198,14 @@ def test_csv_determinism(tmp_path):
 
 def test_contract_tolerances():
     assert set(CONTRACTS) == set(cli.SUITES)
-    default = cli.load_config(None)
+    cfg = cli.load_config(None)
     for name, contract in CONTRACTS.items():
-        cfgs = [default] + [dataclasses.replace(default, geometry=dict(zip("dLkm", g)))
-                            for g in PINNED_AT.get(name, ())]
         seen = set()
-        for cfg in cfgs:
-            for r in cli.SUITES[name](cfg, np.random.default_rng(cfg.seed)):
-                pinned = [tol for tol, pattern in contract.items()
-                          if re.fullmatch(pattern, r.metric)]
-                assert pinned == [r.tolerance], f"{name}: {r.metric} at {r.tolerance}"
-                seen.add(r.tolerance)
+        for r in cli.SUITES[name](cfg):
+            pinned = [tol for tol, pattern in contract.items()
+                      if re.fullmatch(pattern, r.metric)]
+            assert pinned == [r.tolerance], f"{name}: {r.metric} at {r.tolerance}"
+            seen.add(r.tolerance)
         unused = set(contract) - seen
         assert not unused, f"{name}: no rows at tolerances {unused}"
 
@@ -243,6 +229,39 @@ def test_decay_profile_rows(tmp_path):
     lines = (out / "decay-profile.csv").read_text().strip().split("\n")[1:]
     assert sum("profile_mag_at_dist" in line for line in lines) >= 20
     assert any("neg_fit_rate" in line for line in lines)
+
+
+def test_decay_profile_sup_rows_at_d2(tmp_path):
+    # 729 sites at 315 printed distances: one row per distance, at the largest
+    # |G f| over its sites, so summary.json keeps every row
+    p = tmp_path / "c.yaml"
+    p.write_text("geometry: {d: 2, L: 3, k: 2, m: 3}\n")
+    out = tmp_path / "rep"
+    assert cli.main(["--config", str(p), "--experiment", "decay-profile",
+                     "--out", str(out)]) == 0
+    lines = (out / "decay-profile.csv").read_text().strip().split("\n")[1:]
+    names = [line.split(",")[7] for line in lines]
+    metrics = json.loads((out / "summary.json").read_text())["decay-profile"]["metrics"]
+    assert len(set(names)) == len(names) and set(metrics) == set(names)
+    g = lat.make_geometry(2, 3, 2, 3)
+    column = np.abs(ms.green_neumann(g, cli.load_config(None).params).matrix[:, 0])
+    sup = {}
+    for dist, mag in zip(np.linalg.norm(lat.positions(g), axis=1), column):
+        name = f"profile_mag_at_dist_{dist:.6g}"
+        sup[name] = max(mag, sup.get(name, 0.0))
+    assert len(sup) == 315
+    assert {n: v for n, v in metrics.items() if n.startswith("profile_mag_")} == sup
+
+
+@pytest.mark.parametrize("suite", list(cli.SUITES))
+def test_only_drawing_suites_build_a_generator(tmp_path, monkeypatch, suite):
+    # fourier-verify and ct-report seed their own generator from cfg.seed;
+    # every other suite runs with no generator at all
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a generator was built")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    cfg = dataclasses.replace(cli.load_config(None), experiment=suite)
+    assert cli.run(cfg, tmp_path) == (3 if suite in ("fourier-verify", "ct-report") else 0)
 
 
 def test_internal_error_isolated(tmp_path):

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from blockrg import decay as dc, lattice as lat, multiscale as ms, operators as ops
+from blockrg import cli, decay as dc, lattice as lat, multiscale as ms, operators as ops
+from oracles import assert_ct_sigmas_match_dense_svd, dense_sigmas
 
 P0 = ms.MultiscaleParams()
 
@@ -125,12 +126,6 @@ def test_coercivity_of_symmetrized_form():
         assert np.linalg.eigvalsh(sym)[0] > 0
 
 
-def _dense_min_sigmas(g, params, q_list):
-    """The oracle: ``sigma_min`` of each dense ``D_q`` by a full SVD."""
-    return np.array([np.linalg.svd(dc.conjugated_operator(g, params, q).matrix,
-                                   compute_uv=False)[-1] for q in q_list])
-
-
 def test_ct_report_reference():
     g = lat.make_geometry(1, 3, 1, 3)
     rng = np.random.default_rng(5)
@@ -142,20 +137,16 @@ def test_ct_report_reference():
     lam_min = ops.min_eigenvalue(D0)
     assert rep.bound_constants[0] == pytest.approx(1.0 / lam_min, rel=1e-10)
     # the dense SVD as oracle, q and -q alike
-    assert np.allclose(rep.min_singular_values, _dense_min_sigmas(g, P0, q_list),
+    assert np.allclose(rep.min_singular_values, dense_sigmas(g, P0, q_list)[0],
                        rtol=1e-12, atol=0)
 
 
-# the default decay.q_grid of the CLI
-Q_GRID = [0.0, 0.01, -0.01, 0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.2, -0.2]
-
-
 @pytest.mark.parametrize("dims,a,mu0,q_list", [
-    ((1, 3, 1, 3), 1.0, 0.0, Q_GRID),
-    ((1, 3, 2, 4), 0.3, 0.2, Q_GRID),
-    ((1, 3, 3, 5), 1.0, 0.0, Q_GRID),
+    ((1, 3, 1, 3), 1.0, 0.0, cli.CT_Q_GRID),
+    ((1, 3, 2, 4), 0.3, 0.2, cli.CT_Q_GRID),
+    ((1, 3, 3, 5), 1.0, 0.0, cli.CT_Q_GRID),
     ((2, 3, 1, 2), 1.0, 0.0, [0.0, (0.05, -0.1), (-0.05, 0.1), 0.1, -0.1]),
-    ((2, 3, 2, 3), 1.0, 0.0, Q_GRID)])
+    ((2, 3, 2, 3), 1.0, 0.0, cli.CT_Q_GRID)])
 def test_ct_sigmas_match_dense_svd(dims, a, mu0, q_list, monkeypatch):
     g = lat.make_geometry(*dims)
     params = ms.MultiscaleParams(a=a, mu0=mu0)
@@ -165,7 +156,7 @@ def test_ct_sigmas_match_dense_svd(dims, a, mu0, q_list, monkeypatch):
             mp.setattr(mod, name, lambda *args, **kw: pytest.fail("dense D_q or SVD used"))
         rep = dc.ct_bound_report(g, params, q_list, np.random.default_rng(0))
     sigmas = np.array(rep.min_singular_values)
-    rel = np.abs(sigmas - _dense_min_sigmas(g, params, q_list)) / sigmas
+    rel = np.abs(sigmas - dense_sigmas(g, params, q_list)[0]) / sigmas
     assert np.max(rel) <= 1e-12
     # two independent routes to q = 0: the Lanczos norm of G and the
     # frequency-class lambda_min of the defining operator
@@ -191,11 +182,7 @@ def test_ct_sigmas_at_far_weights(dims, a, mu0, q_list):
     assert dc.CT_MAX_EXPONENT - 1.5 < reach <= dc.CT_MAX_EXPONENT
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rep = dc.ct_bound_report(g, params, q_list, np.random.default_rng(0))
-    eps = np.finfo(float).eps
-    for q, sigma in zip(q_list, rep.min_singular_values):
-        s = np.linalg.svd(dc.conjugated_operator(g, params, q).matrix, compute_uv=False)
-        assert abs(sigma - s[-1]) <= 16 * eps * s[0]
+        assert_ct_sigmas_match_dense_svd(g, params, q_list)
 
 
 def test_ct_report_weight_range_is_named():

@@ -3,6 +3,7 @@ import pytest
 
 from blockrg import fourier as fr, lattice as lat
 from blockrg.multiscale import MultiscaleParams
+from oracles import free_laplacian_1d, interior_mask
 
 P0 = MultiscaleParams()
 
@@ -61,31 +62,18 @@ def test_laplacian_symbol_reference():
     assert val == pytest.approx(9 * 0.4)
 
 
-
-def _free_laplacian_1d(patch) -> np.ndarray:
-    """Free-stencil Laplacian value matrix on a 1-d patch; the two edge rows
-    miss a neighbor and are left out of comparisons (``_interior``)."""
-    n = patch.site_count
-    return (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)) / patch.spacing**2
-
-
-def _interior(patch) -> np.ndarray:
-    inner = np.ones(patch.site_count, dtype=bool)
-    inner[[0, -1]] = False
-    return inner
-
 def test_laplacian_symbol_vs_stencil_plane_wave():
     # oracle: free interior stencil applied to exp(i p x)
     L, k = 3, 1
     eta = 1.0 / 3.0
     patch = lat.FreePatch(d=1, L=L, k=k, lo=(-5,), hi=(5,))
-    M = _free_laplacian_1d(patch)
+    M = free_laplacian_1d(patch)
     pos = lat.patch_positions(patch)[:, 0]
     rng = np.random.default_rng(1)
     for p in rng.uniform(-np.pi / eta, np.pi / eta, 5):
         wave = np.exp(1j * p * pos)
         applied = -(M @ wave)
-        inner = _interior(patch)
+        inner = interior_mask(patch)
         symbol = fr.laplacian_symbol(np.array([p]), L, k, 0.0)
         assert np.max(np.abs(applied[inner] - symbol * wave[inner])) < 1e-12 * abs(symbol + 1)
 
@@ -355,11 +343,11 @@ def test_free_kernel_satisfies_defining_equation():
     grid = fr.default_grid(1, L, k)
     col, _, _ = fr.converge_kernel(
         lambda g: fr.free_kernel_g(pos, y, g, P0)[:, 0], grid, tol=1e-10)
-    stencil = _free_laplacian_1d(patch)
+    stencil = free_laplacian_1d(patch)
     applied = -(stencil @ col) + P0.a_j(L, k) * fr.qkqk_spatial(patch, col)
     delta = np.zeros(patch.site_count)
     delta[list(map(tuple, lat.patch_sites(patch))).index((0,))] = eta**-1
-    interior = _interior(patch)
+    interior = interior_mask(patch)
     resid = np.max(np.abs(applied - delta)[interior])
     assert resid < 1e-7
 

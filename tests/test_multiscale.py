@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockrg import decay, lattice as lat, multiscale as ms, operators as ops
+from oracles import assert_ct_sigmas_match_dense_svd
 
 P0 = ms.MultiscaleParams()
 PM = ms.MultiscaleParams(mu0=0.1)
@@ -279,18 +280,6 @@ def test_defining_min_eigenvalue_property(data):
     assert _spectral_vs_dense(lat.make_geometry(d, L, k, m), params, j) <= 16
 
 
-def _assert_ct_sigmas_match_dense_svd(g, params, q_list):
-    """The Lanczos sigma_min(D_q) within the dense SVD's own rounding of it."""
-    rep = decay.ct_bound_report(g, params, q_list, np.random.default_rng(0))
-    eps = np.finfo(float).eps
-    for qq, sigma in zip(q_list, rep.min_singular_values):
-        s = np.linalg.svd(decay.conjugated_operator(g, params, qq).matrix, compute_uv=False)
-        assert abs(sigma - s[-1]) <= 16 * eps * s[0]
-        if not np.any(qq):          # and the frequency-class lambda_min at q = 0
-            lam = ms.defining_min_eigenvalue(g, params, g.k)
-            assert abs(sigma - lam) <= 16 * eps * s[0]
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.data())
 def test_ct_sigmas_match_dense_svd_property(data):
@@ -303,7 +292,7 @@ def test_ct_sigmas_match_dense_svd_property(data):
     mu0 = data.draw(st.sampled_from([0.0, 1e-3, 0.2, 1.0, 10.0]))
     q = np.array(data.draw(st.lists(st.floats(-0.3, 0.3), min_size=d, max_size=d)))
     g, params = lat.make_geometry(d, 3, k, m), ms.MultiscaleParams(a=a, mu0=mu0)
-    _assert_ct_sigmas_match_dense_svd(g, params, [0.0, q, -q])
+    assert_ct_sigmas_match_dense_svd(g, params, [0.0, q, -q])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -323,7 +312,7 @@ def test_ct_sigmas_match_dense_svd_far_property(data):
     q = u * reach / (half * max(np.abs(u).sum(), 1e-300))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _assert_ct_sigmas_match_dense_svd(g, params, [0.0, q, -q])
+        assert_ct_sigmas_match_dense_svd(g, params, [0.0, q, -q])
 
 
 def test_fluctuation_kernel_decay():
@@ -372,7 +361,7 @@ def test_rg_verify_forms_no_dense_operator(monkeypatch):
     monkeypatch.setattr(ops.KernelOperator, "__post_init__", counted_post_init)
     for geom_args in ((1, 3, 2, 3), (2, 3, 2, 3)):
         cfg = dataclasses.replace(cli.load_config(None), geometry=dict(zip("dLkm", geom_args)))
-        rows = cli.run_rg_verify(cfg, None)
+        rows = cli.run_rg_verify(cfg)
         assert len(rows) == 13 and all(r.passed for r in rows)
     assert inverted == [] and built == []
 
@@ -390,7 +379,7 @@ def test_dense_suite_factors_g_once(monkeypatch, suite):
         return invert(A)
     monkeypatch.setattr(ops, "invert", counted)
     cfg = cli.load_config(None)
-    rows = cli.SUITES[suite](cfg, np.random.default_rng(cfg.seed))
+    rows = cli.SUITES[suite](cfg)
     assert rows and all(r.passed for r in rows)
     assert inverted == [cfg.geom()]
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockrg import lattice as lat, operators as ops
+from oracles import free_laplacian_1d, interior_mask
 
 
 @pytest.fixture
@@ -17,19 +18,6 @@ def _diff(geom, axis: int, backward: bool = False) -> ops.KernelOperator:
     D1 = np.eye(N, k=-1 if backward else 1) - np.eye(N)
     D1[0 if backward else -1] = 0.0
     return ops.from_matrix(geom, geom, ops._axis_operator(geom, D1 / geom.spacing, axis))
-
-
-def _free_laplacian_1d(patch) -> np.ndarray:
-    """Free-stencil Laplacian value matrix on a 1-d patch; the two edge rows
-    miss a neighbor and are left out of comparisons (``_interior``)."""
-    n = patch.site_count
-    return (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)) / patch.spacing**2
-
-
-def _interior(patch) -> np.ndarray:
-    inner = np.ones(patch.site_count, dtype=bool)
-    inner[[0, -1]] = False
-    return inner
 
 
 def test_delta_field_pairing(rng):
@@ -349,7 +337,7 @@ def test_neumann_free_compatibility():
     rng = np.random.default_rng(0)
     inner_vals = rng.standard_normal(N)
     full = np.concatenate([[inner_vals[0]], inner_vals, [inner_vals[-1]]])
-    M = _free_laplacian_1d(patch)
+    M = free_laplacian_1d(patch)
     free_applied = (M @ full)[1:-1]
     neu = ops.neumann_laplacian(g).matrix @ inner_vals
     assert np.allclose(free_applied, neu, atol=1e-13)
@@ -358,14 +346,14 @@ def test_neumann_free_compatibility():
 def test_interior_stencil_reflection_symmetric():
     # conjugating the interior stencil by an axis reflection leaves it unchanged
     patch = lat.FreePatch(d=1, L=3, k=1, lo=(-4,), hi=(3,))
-    M = _free_laplacian_1d(patch)
+    M = free_laplacian_1d(patch)
     n = patch.site_count
     P = np.zeros((n, n))
     sites = lat.patch_sites(patch)[:, 0]
     index = {int(s): i for i, s in enumerate(sites)}
     for s, i in index.items():
         P[index[-1 - s], i] = 1.0  # reflection about -1/2 maps the patch to itself
-    inner = _interior(patch)
+    inner = interior_mask(patch)
     lhs = (P @ M @ P)[np.ix_(inner, inner)]
     rhs = M[np.ix_(inner, inner)]
     assert np.allclose(lhs, rhs, atol=1e-14)

@@ -26,7 +26,8 @@ solves; the solve's pieces are contracted over the shifts once per residue
 class modulo the unit lattice and over the nodes by per-axis transforms at
 the distinct offsets (see ``free_kernel_g``).  The strip integrand
 ``H = M^{-1} U`` of the strip report is read off the same Sherman-Morrison
-weights (``ShiftSystem.solve_u``), at complex nodes ``p + i q``.
+weights (``ShiftSystem.solve_u``), at complex nodes ``p + i q``.  Both build
+their shift systems in bounded blocks of nodes (``_node_blocks``), cached nowhere.
 
 Symbols take complex arguments everywhere, which is what operational
 analyticity checks (contour shifts) and the strip bounds rely on.
@@ -35,7 +36,7 @@ analyticity checks (contour shifts) and the strip bounds rely on.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,8 +48,7 @@ from .multiscale import MultiscaleParams, RankOneRows
 POLE_GUARD = 1e-12
 DENOMINATOR_FLOOR = 0.1
 MAX_DOUBLINGS = 6
-SYSTEM_CACHE_BYTES = 256 * 2**20   # summed nbytes of the cached shift systems
-STRIP_BLOCK_BYTES = 32 * 2**20     # nbytes of one complex (nodes, S) array of a strip solve
+NODE_BLOCK_BYTES = 2**20           # nbytes of one complex (nodes, S) array of a node block
 STRIP_Q_MAX = 0.05                 # imaginary half-width of the sampled analyticity strip
 
 
@@ -231,8 +231,8 @@ class ShiftSystem(RankOneRows):
     """Per-node shift matrices ``M = diag(Delta) + a_k U Ubar^T`` of the defining operator.
 
     ``axis_nodes``: complex momenta of each axis, d 1-d arrays, whose
-    row-major Cartesian products are the ``n`` nodes; ``shifts``: integer
-    shifts (S, d) with the zero shift at index ``zero``; ``U``, ``Ubar``,
+    row-major Cartesian products are the ``n`` nodes; the shifts are the S
+    rows of ``shift_vectors``, the zero shift at index ``zero``; ``U``, ``Ubar``,
     ``Delta``: the averaging symbols and the Laplacian symbol at
     ``Z = node + 2 pi shift``, each (n, S); ``a = a_k``.  The nodes are the
     rows of ``multiscale.RankOneRows``, whose Sherman-Morrison weights
@@ -243,12 +243,6 @@ class ShiftSystem(RankOneRows):
     """
 
     axis_nodes: tuple
-    shifts: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in (*self.axis_nodes, self.shifts, self.U, self.Ubar,
-                                      self.Delta, self.w, self.c0, self.den))
 
     @property
     def Mmat(self) -> FactoredStack:
@@ -259,66 +253,68 @@ class ShiftSystem(RankOneRows):
         return FactoredStack((self.w, self.c0, self.den), self.solve)
 
 
-def shift_system(axis_nodes, L: int, k: int, params: MultiscaleParams) -> ShiftSystem:
-    """The shift system at the row-major Cartesian products of the complex
-    per-axis momenta ``axis_nodes`` (d arrays, of any lengths); every shift
-    system and every ``M^{-1} U`` in this module comes from here."""
-    axis_nodes = tuple(np.asarray(nodes, dtype=complex) for nodes in axis_nodes)
+def _axis_symbols(nodes, L: int, k: int) -> np.ndarray:
+    """``u``, ``ubar`` and the massless ``lap_star`` on one axis's (node,
+    shift) grid, stacked: (3, len(nodes), L**k)."""
+    eta = float(L) ** (-k)
+    Z = shifted_momenta(nodes[:, None], shift_vectors(1, L, k))[..., 0]
+    return np.stack([u_axis(Z, eta), u_axis(-Z, eta), lap_star(Z[..., None], L, k, 0.0)])
+
+
+def shift_system(axis_nodes, symbols, L: int, k: int, params: MultiscaleParams) -> ShiftSystem:
+    """The shift system at the row-major products of the complex per-axis
+    momenta ``axis_nodes``, from the outer products of their ``_axis_symbols``;
+    every shift system and every ``M^{-1} U`` in this module comes from here."""
     eta = float(L) ** (-k)
     a_k = params.a_j(L, max(k, 1))   # k = 0 degenerates to the bare coefficient
-    shifts = shift_vectors(len(axis_nodes), L, k)
-    # the symbols factor over axes: evaluate them on each axis's (node,
-    # shift) grid only and combine the factors by outer products
-    Z_axes = [shifted_momenta(nodes[:, None], shift_vectors(1, L, k))[..., 0]
-              for nodes in axis_nodes]
-    U = _axis_outer(np.multiply, [u_axis(Z, eta) for Z in Z_axes])
-    Ubar = _axis_outer(np.multiply, [u_axis(-Z, eta) for Z in Z_axes])
-    star = _axis_outer(np.add, [lap_star(Z[..., None], L, k, 0.0) for Z in Z_axes])
-    Delta = (4.0 / eta**2) * (star + params.mu0 / 4.0)
-    zero = int(np.flatnonzero(~shifts.any(axis=1))[0])
-    return ShiftSystem.build(Delta, U, Ubar, a_k, zero, axis_nodes=axis_nodes, shifts=shifts)
+    zero = int(np.flatnonzero(~shift_vectors(len(axis_nodes), L, k).any(axis=1))[0])
+    U, Ubar = (_axis_outer(np.multiply, [s[i] for s in symbols]) for i in (0, 1))
+    Delta = (4.0 / eta**2) * (_axis_outer(np.add, [s[2] for s in symbols]) + params.mu0 / 4.0)
+    return ShiftSystem.build(Delta, U, Ubar, a_k, zero, axis_nodes=tuple(axis_nodes))
+
+
+def _node_blocks(axis_nodes, L: int, k: int, params: MultiscaleParams):
+    """``shift_system`` over blocks of consecutive first-axis nodes, in node
+    order: as many as keep one complex ``(nodes, S)`` array within
+    ``NODE_BLOCK_BYTES``, and at least one.  Callers reduce the blocks through
+    ``map``, which drops each block before the next is built."""
+    axis_nodes = [np.asarray(nodes, dtype=complex) for nodes in axis_nodes]
+    symbols = [_axis_symbols(nodes, L, k) for nodes in axis_nodes]
+    row_bytes = 16 * math.prod(len(n) for n in axis_nodes[1:]) * (L**k) ** len(axis_nodes)
+    rows = max(1, NODE_BLOCK_BYTES // row_bytes)
+    for block in (slice(lo, lo + rows) for lo in range(0, len(axis_nodes[0]), rows)):
+        yield shift_system([axis_nodes[0][block]] + axis_nodes[1:],
+                           [symbols[0][:, block]] + symbols[1:], L, k, params)
+
+
+def _axis_nodes(grid: TorusGrid, shift_q=None) -> list:
+    """The base nodes of ``grid`` per axis, moved to ``p + i shift_q``."""
+    q = np.zeros(grid.d) if shift_q is None else np.asarray(shift_q, dtype=float)
+    return list(grid.base_nodes_1d()[None, :] + 1j * q[:, None])
 
 
 def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
                        shift_q=None) -> ShiftSystem:
     """The shift system at the base nodes of ``grid``, moved to ``p + i shift_q``."""
-    q = np.zeros(grid.d) if shift_q is None else np.asarray(shift_q, dtype=float)
-    return shift_system(grid.base_nodes_1d()[None, :] + 1j * q[:, None],
-                        grid.L, grid.k, params)
+    axes = _axis_nodes(grid, shift_q)
+    symbols = [_axis_symbols(nodes, grid.L, grid.k) for nodes in axes]
+    return shift_system(axes, symbols, grid.L, grid.k, params)
 
 
-_system_cache: OrderedDict = OrderedDict()
+def _shift_phases(grid: TorusGrid, residues) -> np.ndarray:
+    """``exp(2 pi i l . rho / Lk)`` for every shift ``l`` and residue row ``rho``,
+    (S, len(residues)): ``A @`` this contracts ``A`` over its shifts per class."""
+    shifts = shift_vectors(grid.d, grid.L, grid.k)
+    return np.exp(2j * np.pi / grid.shifts_per_axis * (shifts @ residues.T))
 
 
-def _system(grid, params, shift_q=None) -> ShiftSystem:
-    """Cached ``build_shift_system``.  Least recently used systems are evicted
-    while the summed ``nbytes`` of the cache exceeds ``SYSTEM_CACHE_BYTES``,
-    so a system larger than the whole budget is returned but not kept."""
-    key = (grid, params, tuple(np.zeros(grid.d) if shift_q is None
-                               else np.asarray(shift_q, dtype=float)))
-    sys = _system_cache.get(key)
-    if sys is not None:
-        _system_cache.move_to_end(key)
-        return sys
-    sys = _system_cache[key] = build_shift_system(grid, params, shift_q)
-    while sum(s.nbytes for s in _system_cache.values()) > SYSTEM_CACHE_BYTES:
-        _system_cache.popitem(last=False)
-    return sys
-
-
-def _shift_legs(grid: TorusGrid, sys: ShiftSystem, A, residues) -> np.ndarray:
-    """``A @ exp(2 pi i l . rho / Lk)`` for every residue row ``rho``:
-    (n, S) ``A`` contracted over its shifts, (n, len(residues))."""
-    return A @ np.exp(2j * np.pi / grid.shifts_per_axis * (sys.shifts @ residues.T))
-
-
-def _class_sums(grid: TorusGrid, sys: ShiftSystem, xs, ys, node_arrays) -> np.ndarray:
-    """``(1/n) sum_p e^{i p (x - y)} F_ij(p)`` for all pairs of position rows
-    in ``eta Z^d``; ``node_arrays(Rx, Ry)`` gives ``F_ij`` for the residue
-    classes ``Rx[i]`` of x and ``Ry[j]`` of y modulo the unit lattice.  Per
-    pair of classes the node sum is contracted axis by axis at the distinct
-    values of that axis of ``x - y``, and the pairs are gathered from the grid.
-    """
+def _class_sums(grid: TorusGrid, axis_nodes, xs, ys, node_arrays) -> np.ndarray:
+    """``(1/n) sum_p e^{i p (x - y)} F_ij(p)`` over the nodes ``p`` spanned by
+    ``axis_nodes``, for all pairs of position rows in ``eta Z^d``;
+    ``node_arrays(Rx, Ry)`` gives ``F_ij`` for the residue classes ``Rx[i]`` of
+    x and ``Ry[j]`` of y modulo the unit lattice.  Per pair of classes the node
+    sum is contracted axis by axis at the distinct values of that axis of
+    ``x - y``, and the pairs are gathered from the grid."""
     Lk, M0 = grid.shifts_per_axis, grid.base_count
     pos = [np.atleast_2d(np.asarray(p, dtype=float)) for p in (xs, ys)]
     ix, iy = (np.rint(p / grid.eta).astype(np.int64) for p in pos)
@@ -334,12 +330,12 @@ def _class_sums(grid: TorusGrid, sys: ShiftSystem, xs, ys, node_arrays) -> np.nd
         off = ix[rows][:, None, :] - iy[cols][None, :, :]
         K = F(i, j).reshape((M0,) * grid.d)
         gather = []
-        for p, o in zip(sys.axis_nodes, np.moveaxis(off, -1, 0)):
+        for p, o in zip(axis_nodes, np.moveaxis(off, -1, 0)):
             vals, where = np.unique(o, return_inverse=True)
             K = np.tensordot(K, np.exp(1j * grid.eta * np.outer(p, vals)), axes=([0], [0]))
             gather.append(where.reshape(o.shape))
         out[np.ix_(rows, cols)] = K[tuple(gather)]
-    return out / len(sys.den)
+    return out / M0**grid.d
 
 
 def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
@@ -360,24 +356,26 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     and ``x0 = (c0 - a_k U_0 K) / den`` is summed against ``e^{i p (x - y)}``
     by per-axis transforms (``_class_sums``).
     """
-    sys = _system(grid, params, shift_q)
-    z = sys.zero
-    U0, Ubar0, Delta0 = sys.U[:, z], sys.Ubar[:, z], sys.Delta[:, z]
-    Lk = grid.shifts_per_axis
+    axes, Lk = _axis_nodes(grid, shift_q), grid.shifts_per_axis
 
     def node_arrays(Rx, Ry):
         diff, m = np.unique(((Rx[:, None, :] - Ry[None, :, :]) % Lk).reshape(-1, grid.d),
                             axis=0, return_inverse=True)
         m = m.reshape(len(Rx), len(Ry))
-        D = _shift_legs(grid, sys, sys.w, diff)
-        H = _shift_legs(grid, sys, sys.w * sys.U, Rx)
-        K = _shift_legs(grid, sys, sys.w * sys.Ubar, -Ry)
-        den = sys.den[:, None]
-        beta = (Ubar0[:, None] + Delta0[:, None] * K) / den
-        x0 = (sys.c0[:, None] - sys.a * U0[:, None] * K) / den
-        return lambda i, j: D[:, m[i, j]] - sys.a * H[:, i] * beta[:, j] + x0[:, j]
+        Ed, Ex, Ey = (_shift_phases(grid, R) for R in (diff, Rx, -Ry))
 
-    return _class_sums(grid, sys, xs, ys, node_arrays)
+        def legs(sys):
+            z, den = sys.zero, sys.den[:, None]
+            K = (sys.w * sys.Ubar) @ Ey
+            return (sys.w @ Ed, sys.a * ((sys.w * sys.U) @ Ex),
+                    (sys.Ubar[:, z, None] + sys.Delta[:, z, None] * K) / den,
+                    (sys.c0[:, None] - sys.a * sys.U[:, z, None] * K) / den)
+
+        D, aH, beta, x0 = (np.concatenate(parts) for parts in
+                           zip(*map(legs, _node_blocks(axes, grid.L, grid.k, params))))
+        return lambda i, j: D[:, m[i, j]] - aH[:, i] * beta[:, j] + x0[:, j]
+
+    return _class_sums(grid, axes, xs, ys, node_arrays)
 
 
 def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
@@ -388,13 +386,15 @@ def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     ``ShiftSystem.solve_u`` contracted over the shifts against ``e_x`` (see
     ``free_kernel_g``).
     """
-    sys = _system(grid, params, shift_q)
+    axes = _axis_nodes(grid, shift_q)
 
     def node_arrays(Rx, Ry):
-        X = _shift_legs(grid, sys, sys.solve_u(), Rx)
+        Ex = _shift_phases(grid, Rx)
+        X = np.concatenate(list(map(lambda sys: sys.solve_u() @ Ex,
+                                    _node_blocks(axes, grid.L, grid.k, params))))
         return lambda i, j: X[:, i]
 
-    return _class_sums(grid, sys, xs, ys, node_arrays)
+    return _class_sums(grid, axes, xs, ys, node_arrays)
 
 
 def converge_kernel(evaluate, grid: TorusGrid, tol: float = 1e-8):
@@ -460,7 +460,7 @@ def _from_shift_layout(a, grid: TorusGrid) -> np.ndarray:
 
 def free_symbol_apply(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndarray:
     """Apply the symbol of ``-Lap + mu_bar_k + a_k Q_k* Q_k`` to big-torus samples."""
-    sys = _system(grid, params)
+    sys = build_shift_system(grid, params)
     return _from_shift_layout(sys.apply(_to_shift_layout(f_hat, grid)), grid)
 
 
@@ -470,7 +470,7 @@ def free_apply_ghat(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndar
     The shift system is solved at every base node; the massless momentum-zero
     node is regular because the averaging coupling fills the Laplacian kernel.
     """
-    sys = _system(grid, params)
+    sys = build_shift_system(grid, params)
     return _from_shift_layout(sys.solve(_to_shift_layout(f_hat, grid)), grid)
 
 
@@ -516,7 +516,7 @@ def qkqk_fourier(patch: FreePatch, values, grid: TorusGrid,
                  params: MultiscaleParams) -> np.ndarray:
     """``Q_k* Q_k f`` through the Fourier shift formula: transform, apply the
     rank-one shift coupling, transform back."""
-    U = _system(grid, params).U
+    U = build_shift_system(grid, params).U
     v = _to_shift_layout(patch_fourier_samples(patch, values, grid), grid)
     ghat = U * np.sum(np.conj(U) * v, axis=1, keepdims=True)
     return patch_inverse_fourier(_from_shift_layout(ghat, grid), patch, grid)
@@ -541,15 +541,14 @@ def _strip_floor(large_mass: bool, a_k: float, eta: float, d: int) -> float:
     return DENOMINATOR_FLOOR * (a_k * eta**2 / 4.0) * (2.0 / np.pi) ** (2 * d)
 
 
-def _strip_solve(axis_nodes, L: int, k: int, params: MultiscaleParams):
-    """``H = M^{-1} U`` (n, S) at the nodes spanned by ``axis_nodes`` and
+def _strip_solve(sys: ShiftSystem, L: int, k: int, params: MultiscaleParams):
+    """``H = M^{-1} U`` (n, S) of the shift system ``sys`` at level ``k`` and
     the margin of each node's strip denominator over its floor, (n,).
 
     The strip denominator is ``den / Delta_0 = det M / prod_l Delta_l`` in the
     large-mass branch and ``(eta**2/4) den`` in the small-mass branch, where
     ``Delta_0`` may vanish; a node below the floor raises ``StripViolationError``.
     """
-    sys = shift_system(axis_nodes, L, k, params)
     eta, d = float(L) ** (-k), len(sys.axis_nodes)
     large_mass = params.mu0 / 4.0 >= params.c_star * eta**2
     denom = np.abs(sys.den / sys.Delta[:, sys.zero] if large_mass
@@ -572,7 +571,7 @@ def h_function(z, ell_prime, L: int, k: int, params: MultiscaleParams):
     Raises ``StripViolationError`` when the denominator drops below its floor.
     """
     z = np.asarray(z, dtype=complex)
-    H, _ = _strip_solve(z[:, None], L, k, params)
+    H, _ = _strip_solve(next(_node_blocks(z[:, None], L, k, params)), L, k, params)
     Lk = L**k
     first = -(Lk - 1) // 2   # the first shift per axis, as in shift_vectors
     ells = np.rint(np.atleast_2d(np.asarray(ell_prime, dtype=float))).astype(np.int64)
@@ -613,17 +612,11 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
 
     per_shift = np.zeros(len(ells))
     min_margin = np.inf
-    # one solve per imaginary shift, split into blocks of first-axis samples
-    # only where its arrays would pass STRIP_BLOCK_BYTES (d = 3, k = 3)
-    rest = p_samples ** (d - 1)
-    rows = max(1, STRIP_BLOCK_BYTES // (16 * rest * len(ells)))
     for q in q_list:
-        for lo in range(0, p_samples, rows):
-            axes = [p_axis[lo:lo + rows] + 1j * q[0]] + [p_axis + 1j * qm for qm in q[1:]]
-            H, margin = _strip_solve(axes, L, k, params)
+        blocks = _node_blocks([p_axis + 1j * qm for qm in q], L, k, params)
+        for H, margin in map(lambda sys: _strip_solve(sys, L, k, params), blocks):
             min_margin = min(min_margin, float(np.min(margin)))
-            vals = np.abs(H) * weights
-            per_shift = np.maximum(per_shift, np.max(vals, axis=0))
+            per_shift = np.maximum(per_shift, np.max(np.abs(H) * weights, axis=0))
     table = {tuple(e.astype(int)): float(v) for e, v in zip(ells, per_shift)}
     return StripBoundReport(d=d, L=L, k=k, q_max=q_max,
                             weighted_sup=float(per_shift.max()), per_shift_sup=table,

@@ -189,13 +189,17 @@ def test_shift_solve_matches_dense_inverse(d, L, k, mu0, q0):
     assert sys.Minv.nbytes + sys.Mmat.nbytes < 8 * n * S * 16
 
 
-KERNEL_SETTINGS = ([pytest.param(mu0, q0, 1.0, id=f"{mu0}-{q0}") for mu0, q0 in ORACLE_SETTINGS]
-                   + [pytest.param(0.2, 0.05, 0.3, id="0.2-0.05-a0.3")])   # (mu0, q_0, a)
+# (mu0, q_0, a, NODE_BLOCK_BYTES); a budget of 1 byte puts one first-axis
+# node row in every shift-system block
+KERNEL_SETTINGS = ([pytest.param(mu0, q0, 1.0, None, id=f"{mu0}-{q0}")
+                    for mu0, q0 in ORACLE_SETTINGS]
+                   + [pytest.param(0.2, 0.05, 0.3, None, id="0.2-0.05-a0.3"),
+                      pytest.param(0.0, None, 1.0, 1, id="0.0-None-block1")])
 
 
-@pytest.mark.parametrize("mu0,q0,a", KERNEL_SETTINGS)
+@pytest.mark.parametrize("mu0,q0,a,block_bytes", KERNEL_SETTINGS)
 @pytest.mark.parametrize("d,L,k", [(1, 3, 1), (2, 3, 1), (2, 3, 2)])
-def test_free_kernels_match_dense_quadrature(d, L, k, mu0, q0, a):
+def test_free_kernels_match_dense_quadrature(d, L, k, mu0, q0, a, block_bytes, monkeypatch):
     # oracle: the trapezoid sum of exp(i Z.x) M^{-1} exp(-i Z.y) with dense inverses
     params = MultiscaleParams(a=a, mu0=mu0)
     grid = fr.default_grid(d, L, k)
@@ -216,12 +220,23 @@ def test_free_kernels_match_dense_quadrature(d, L, k, mu0, q0, a):
     Ex = np.exp(1j * np.einsum("nsd,xd->nsx", Z, xs))
     Ey = np.exp(-1j * np.einsum("nsd,yd->nsy", Z, ys))
     G = np.einsum("nsx,nsy->xy", Ex, Minv @ Ey) / len(nodes)
-    assert _rel(fr.free_kernel_g(xs, ys, grid, params, shift_q=q), G) <= 1e-12
     U = fr.u_kernel(Z, L, k)
     labels = rng.integers(-3, 4, size=(4, d)).astype(float)
     Py = np.exp(-1j * nodes @ labels.T)
     GQ = np.einsum("nsx,ns,ny->xy", Ex, np.einsum("nst,nt->ns", Minv, U), Py) / len(nodes)
-    assert _rel(fr.free_kernel_gq(xs, labels, grid, params, shift_q=q), GQ) <= 1e-12
+    got = (fr.free_kernel_g(xs, ys, grid, params, shift_q=q),
+           fr.free_kernel_gq(xs, labels, grid, params, shift_q=q))
+    assert _rel(got[0], G) <= 1e-12
+    assert _rel(got[1], GQ) <= 1e-12
+    if block_bytes is not None:
+        monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", block_bytes)
+        blocked = (fr.free_kernel_g(xs, ys, grid, params, shift_q=q),
+                   fr.free_kernel_gq(xs, labels, grid, params, shift_q=q))
+        for b, v in zip(blocked, got):
+            if d > 1:   # blocks change no value, bit for bit
+                assert np.array_equal(b, v)
+            else:       # a one-node block is numpy's vector-matrix product, not gemm
+                assert _rel(b, v) <= 1e-15
 
 
 def test_free_kernels_reject_positions_off_the_lattice():
@@ -244,7 +259,6 @@ def test_free_kernel_batch_memory():
     ys = np.concatenate([lat.image_points(geom, s, 4) for s in sites]) * geom.spacing
     assert ys.shape == (405, 2)
     grid = fr.TorusGrid(2, 3, 1, 64 * 3)
-    fr._system_cache.clear()
     tracemalloc.start()
     try:
         K = fr.free_kernel_g(xs, ys, grid, P0)
@@ -253,6 +267,21 @@ def test_free_kernel_batch_memory():
         tracemalloc.stop()
     assert K.shape == (5, 405)
     assert peak <= 8 * 2**20
+
+
+def test_contour_shift_change_memory():
+    # fourier-verify's contour check at (2,3,2): G(0, 2e) converges on
+    # M0 = 64 (4096 nodes, S = 81), where one whole-grid shift system holds
+    # 20 MiB of (nodes, S) arrays
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        change = fr.contour_shift_change(fr.default_grid(2, 3, 2), P0, fr.STRIP_Q_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert change <= 1e-8
+    assert peak <= 16 * 2**20
 
 
 def _direct_phase_matrix(patch, grid):
@@ -279,23 +308,6 @@ def test_patch_transforms_match_direct_phase_sum(patch):
     ghat = rng.standard_normal(grid.M**d) + 1j * rng.standard_normal(grid.M**d)
     back = (2 * np.pi) ** (d / 2) * (F.conj().T @ ghat) / grid.base_count**d
     assert _rel(fr.patch_inverse_fourier(ghat.reshape((grid.M,) * d), patch, grid), back) <= 1e-12
-
-
-def test_system_cache_byte_budget(monkeypatch):
-    grid = fr.default_grid(2, 3, 1)
-    one = fr.build_shift_system(grid, P0).nbytes
-    monkeypatch.setattr(fr, "SYSTEM_CACHE_BYTES", 20 * one)
-    fr._system_cache.clear()
-    x = np.zeros((1, 2))
-    held = []
-    for _ in range(4):   # every doubling needs 4x the bytes of the previous grid
-        fr.free_kernel_g(x, x, grid, P0)
-        assert sum(s.nbytes for s in fr._system_cache.values()) <= fr.SYSTEM_CACHE_BYTES
-        held.append([grid_key.M for grid_key, _, _ in fr._system_cache])
-        grid = grid.refined()
-    # oldest evicted first; a system larger than the whole budget is not kept
-    assert held == [[24], [24, 48], [48, 96], []]
-    fr._system_cache.clear()
 
 
 def test_free_kernel_symmetries():
@@ -467,7 +479,7 @@ def _dense_strip(d, L, k, params, q_max, p_samples):
 @pytest.mark.parametrize("d,L,k", [(1, 3, 1), (1, 3, 2), (2, 3, 1)])
 def test_strip_bound_matches_dense_solve(d, L, k, mu0, block_bytes, monkeypatch):
     if block_bytes is not None:
-        monkeypatch.setattr(fr, "STRIP_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", block_bytes)
     params = MultiscaleParams(mu0=mu0)
     rep = fr.strip_bound_report(d, L, k, params, q_max=0.05, p_samples=9)
     vals, margins, lap0 = _dense_strip(d, L, k, params, 0.05, 9)

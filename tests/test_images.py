@@ -195,3 +195,12 @@ def test_report_converges_past_the_torus_period():
         assert reach > 400
         assert grid.base_count >= 2 * reach and grid.base_count == 2048
         assert delta <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (5, 5), (4, 6)])
+def test_median_is_numpy_median(shape):
+    # the report's median agrees with np.median bit for bit, ties included
+    rng = np.random.default_rng(41)
+    for a in (rng.random(shape), np.abs(rng.standard_normal(shape)) * 1e-13,
+              np.round(rng.random(shape), 1)):
+        assert im._median(a) == np.median(a)

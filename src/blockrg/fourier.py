@@ -23,8 +23,10 @@ positive at every real momentum.  The massless node ``p = 0``, where
 ``Delta_0 = 0``, thus goes through the same formula as every other node and
 no term is ever formed as 0/0.  Kernels are trapezoid quadratures of these
 solves; the solve's pieces are contracted over the shifts once per residue
-class modulo the unit lattice and over the nodes by per-axis transforms at
-the distinct offsets (see ``free_kernel_g``).  The strip integrand
+class modulo the unit lattice and summed over the nodes by one inverse FFT
+per pair of classes, which serves every offset (see ``_class_sums``); on the
+real contour the integrand is Hermitian in the node, half the nodes are
+solved and the kernels are real.  The strip integrand
 ``H = M^{-1} U`` of the strip report is read off the same Sherman-Morrison
 weights (``ShiftSystem.solve_u``), at complex nodes ``p + i q``.  Both build
 their shift systems in bounded blocks of nodes (``_node_blocks``), cached nowhere.
@@ -308,34 +310,72 @@ def _shift_phases(grid: TorusGrid, residues) -> np.ndarray:
     return np.exp(2j * np.pi / grid.shifts_per_axis * (shifts @ residues.T))
 
 
-def _class_sums(grid: TorusGrid, axis_nodes, xs, ys, node_arrays) -> np.ndarray:
-    """``(1/n) sum_p e^{i p (x - y)} F_ij(p)`` over the nodes ``p`` spanned by
-    ``axis_nodes``, for all pairs of position rows in ``eta Z^d``;
-    ``node_arrays(Rx, Ry)`` gives ``F_ij`` for the residue classes ``Rx[i]`` of
-    x and ``Ry[j]`` of y modulo the unit lattice.  Per pair of classes the node
-    sum is contracted axis by axis at the distinct values of that axis of
-    ``x - y``, and the pairs are gathered from the grid."""
-    Lk, M0 = grid.shifts_per_axis, grid.base_count
+def _class_legs(legs, axis_nodes, grid: TorusGrid, params: MultiscaleParams) -> list:
+    """``legs(sys)``, a tuple of (nodes, classes) arrays per shift system,
+    over the node blocks of ``axis_nodes``, each leg joined in node order and
+    laid out (classes, nodes)."""
+    blocks = _node_blocks(axis_nodes, grid.L, grid.k, params)
+    return [np.concatenate([p.T for p in parts], axis=1) for parts in zip(*map(legs, blocks))]
+
+
+def _classes(idx, Lk: int):
+    """Residue classes modulo ``Lk`` of the integer rows ``idx`` (last axis the
+    coordinates): the distinct classes in lexicographic order, (n classes, d),
+    and the index of each row's class, shape ``idx.shape[:-1]``.  Classes are
+    coded as integers, so one 1-d ``np.unique`` sorts them."""
+    shape = (Lk,) * idx.shape[-1]
+    codes, where = np.unique(np.ravel_multi_index(tuple(np.moveaxis(idx % Lk, -1, 0)), shape),
+                             return_inverse=True)
+    return np.stack(np.unravel_index(codes, shape), axis=-1), where.reshape(idx.shape[:-1])
+
+
+def _class_sums(grid: TorusGrid, shift_q, xs, ys, node_arrays) -> np.ndarray:
+    """``(1/n) sum_p e^{i p (x - y)} F(p)`` over the ``n`` base nodes ``p`` of
+    ``grid`` moved to ``p + i shift_q``, for all pairs of position rows in
+    ``eta Z^d``.  ``node_arrays(axis_nodes, Rx, Ry)`` returns a function
+    that maps a slice of the residue classes ``Rx`` of x modulo the unit
+    lattice to ``F`` against every class ``Ry`` of y at the row-major nodes
+    spanned by ``axis_nodes``, an array (x classes in the slice, y classes,
+    nodes).
+
+    With ``x - y = L**k t + (rho_x - rho_y)`` and ``p = -pi + 2 pi b / M0 + i q``
+    per axis, the sum is ``(-1)^{sum t} e^{-q t}`` times the inverse DFT over
+    ``b`` of ``e^{i eta p (rho_x - rho_y)} F``, read at ``t mod M0``: one
+    transform per pair of classes serves every offset.  The x classes are
+    taken in slices whose complex batch stays within ``NODE_BLOCK_BYTES``, at
+    least one class per slice.  On the real contour ``F(-p) = conj F(p)``: the
+    integrand depends on the shifts only modulo ``L**k``, and negation
+    permutes the residues.  There only the last-axis nodes ``b <= M0/2`` are
+    evaluated, and ``irfftn`` returns a real kernel."""
+    d, Lk, M0 = grid.d, grid.shifts_per_axis, grid.base_count
     pos = [np.atleast_2d(np.asarray(p, dtype=float)) for p in (xs, ys)]
     ix, iy = (np.rint(p / grid.eta).astype(np.int64) for p in pos)
     if any(np.any(np.abs(i * grid.eta - p) > 1e-9 * (1.0 + np.abs(p)))
            for i, p in zip((ix, iy), pos)):
         raise ValueError(f"kernel positions must lie on the lattice {grid.eta:.6g} Z^d")
-    Rx, cx = np.unique(ix % Lk, axis=0, return_inverse=True)
-    Ry, cy = np.unique(iy % Lk, axis=0, return_inverse=True)
-    F = node_arrays(Rx, Ry)
-    out = np.empty((len(ix), len(iy)), dtype=complex)
-    for i, j in itertools.product(range(len(Rx)), range(len(Ry))):
-        rows, cols = np.flatnonzero(cx.ravel() == i), np.flatnonzero(cy.ravel() == j)
-        off = ix[rows][:, None, :] - iy[cols][None, :, :]
-        K = F(i, j).reshape((M0,) * grid.d)
-        gather = []
-        for p, o in zip(axis_nodes, np.moveaxis(off, -1, 0)):
-            vals, where = np.unique(o, return_inverse=True)
-            K = np.tensordot(K, np.exp(1j * grid.eta * np.outer(p, vals)), axes=([0], [0]))
-            gather.append(where.reshape(o.shape))
-        out[np.ix_(rows, cols)] = K[tuple(gather)]
-    return out / M0**grid.d
+    (Rx, cx), (Ry, cy) = _classes(ix, Lk), _classes(iy, Lk)
+    q = np.zeros(d) if shift_q is None else np.asarray(shift_q, dtype=float)
+    real = not np.any(q)
+    axes = _axis_nodes(grid, q)
+    if real:
+        axes[-1] = axes[-1][:M0 // 2 + 1]
+    batch = node_arrays(axes, Rx, Ry)
+    z = grid_points(axes)
+    phase_x = np.exp(1j * grid.eta * (Rx @ z.T))
+    phase_y = np.exp(-1j * grid.eta * (Ry @ z.T))
+    t = (ix // Lk)[:, None, :] - (iy // Lk)[None, :, :]
+    out = np.empty(t.shape[:2], dtype=float if real else complex)
+    per = max(1, NODE_BLOCK_BYTES // max(1, 16 * len(z) * len(Ry)))
+    shape, nodes = tuple(map(len, axes)), tuple(range(2, 2 + d))
+    for lo in range(0, len(Rx), per):
+        block = slice(lo, lo + per)
+        A = batch(block) * phase_x[block, None] * phase_y
+        A = A.reshape(A.shape[:2] + shape)
+        K = np.fft.irfftn(A, s=(M0,) * d, axes=nodes) if real else np.fft.ifftn(A, axes=nodes)
+        rows = np.flatnonzero((cx >= lo) & (cx < lo + per))
+        out[rows] = K[(cx[rows, None] - lo, cy) + tuple(np.moveaxis(t[rows] % M0, -1, 0))]
+    out *= 1 - 2 * (t.sum(axis=-1) % 2)
+    return out if real else out * np.exp(-(t @ q))
 
 
 def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
@@ -345,7 +385,8 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     ``xs`` and ``ys`` are position arrays (rows in ``eta Z^d``).  With
     ``shift_q`` the contour is moved to ``p + i q``; by analyticity the result
     is unchanged up to quadrature error, which is exactly the operational
-    analyticity check.
+    analyticity check.  On the real contour (no or zero ``shift_q``) the
+    kernel is real, ``float64``; on a shifted one it is complex.
 
     On the lattice ``e^{i Z_l x} = e^{i p x} e_x``, and the shift factor
     ``e_x = e^{2 pi i l x}`` depends only on the class of ``x`` modulo the
@@ -354,14 +395,13 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     ``D = w e_{x-y}``, ``H = (w U) e_x``, ``K = (w Ubar) e_{-y}``; the node
     array ``D - a_k H beta + x0`` with ``beta = (Ubar_0 + Delta_0 K) / den``
     and ``x0 = (c0 - a_k U_0 K) / den`` is summed against ``e^{i p (x - y)}``
-    by per-axis transforms (``_class_sums``).
+    by one inverse FFT over the base nodes per pair of classes
+    (``_class_sums``).
     """
-    axes, Lk = _axis_nodes(grid, shift_q), grid.shifts_per_axis
+    Lk = grid.shifts_per_axis
 
-    def node_arrays(Rx, Ry):
-        diff, m = np.unique(((Rx[:, None, :] - Ry[None, :, :]) % Lk).reshape(-1, grid.d),
-                            axis=0, return_inverse=True)
-        m = m.reshape(len(Rx), len(Ry))
+    def node_arrays(axes, Rx, Ry):
+        diff, m = _classes(Rx[:, None, :] - Ry[None, :, :], Lk)
         Ed, Ex, Ey = (_shift_phases(grid, R) for R in (diff, Rx, -Ry))
 
         def legs(sys):
@@ -371,11 +411,10 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
                     (sys.Ubar[:, z, None] + sys.Delta[:, z, None] * K) / den,
                     (sys.c0[:, None] - sys.a * sys.U[:, z, None] * K) / den)
 
-        D, aH, beta, x0 = (np.concatenate(parts) for parts in
-                           zip(*map(legs, _node_blocks(axes, grid.L, grid.k, params))))
-        return lambda i, j: D[:, m[i, j]] - aH[:, i] * beta[:, j] + x0[:, j]
+        D, aH, beta, x0 = _class_legs(legs, axes, grid, params)
+        return lambda block: D[m[block]] - aH[block, None] * beta + x0
 
-    return _class_sums(grid, axes, xs, ys, node_arrays)
+    return _class_sums(grid, shift_q, xs, ys, node_arrays)
 
 
 def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
@@ -386,15 +425,13 @@ def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     ``ShiftSystem.solve_u`` contracted over the shifts against ``e_x`` (see
     ``free_kernel_g``).
     """
-    axes = _axis_nodes(grid, shift_q)
 
-    def node_arrays(Rx, Ry):
+    def node_arrays(axes, Rx, Ry):
         Ex = _shift_phases(grid, Rx)
-        X = np.concatenate(list(map(lambda sys: sys.solve_u() @ Ex,
-                                    _node_blocks(axes, grid.L, grid.k, params))))
-        return lambda i, j: X[:, i]
+        X, = _class_legs(lambda sys: (sys.solve_u() @ Ex,), axes, grid, params)
+        return lambda block: X[block, None]
 
-    return _class_sums(grid, axes, xs, ys, node_arrays)
+    return _class_sums(grid, shift_q, xs, ys, node_arrays)
 
 
 def converge_kernel(evaluate, grid: TorusGrid, tol: float = 1e-8):

@@ -190,23 +190,35 @@ def test_shift_solve_matches_dense_inverse(d, L, k, mu0, q0):
 
 
 # (mu0, q_0, a, NODE_BLOCK_BYTES); a budget of 1 byte puts one first-axis
-# node row in every shift-system block
+# node row in every shift-system block and one x class in every transform
 KERNEL_SETTINGS = ([pytest.param(mu0, q0, 1.0, None, id=f"{mu0}-{q0}")
                     for mu0, q0 in ORACLE_SETTINGS]
                    + [pytest.param(0.2, 0.05, 0.3, None, id="0.2-0.05-a0.3"),
                       pytest.param(0.0, None, 1.0, 1, id="0.0-None-block1")])
 
 
-@pytest.mark.parametrize("mu0,q0,a,block_bytes", KERNEL_SETTINGS)
-@pytest.mark.parametrize("d,L,k", [(1, 3, 1), (2, 3, 1), (2, 3, 2)])
-def test_free_kernels_match_dense_quadrature(d, L, k, mu0, q0, a, block_bytes, monkeypatch):
-    # oracle: the trapezoid sum of exp(i Z.x) M^{-1} exp(-i Z.y) with dense inverses
-    params = MultiscaleParams(a=a, mu0=mu0)
-    grid = fr.default_grid(d, L, k)
-    q = _contour(d, q0)
+def _trapezoid_kernels(grid, params, q, xs, ys, labels):
+    """Oracle: ``G`` and ``G Q*`` as the plain trapezoid sum, over every base
+    node and every pair, of ``exp(i Z.x) M^{-1} exp(-i Z.y)`` with dense
+    inverses and no transform over the nodes."""
     Z, M, _ = _dense_shift_matrices(grid, params, q)
     Minv = np.linalg.inv(M)
     nodes = grid.base_nodes() + 1j * q
+    Ex = np.exp(1j * np.einsum("nsd,xd->nsx", Z, xs))
+    Ey = np.exp(-1j * np.einsum("nsd,yd->nsy", Z, ys))
+    G = np.einsum("nsx,nsy->xy", Ex, Minv @ Ey) / len(nodes)
+    U = fr.u_kernel(Z, grid.L, grid.k)
+    Py = np.exp(-1j * nodes @ labels.T)
+    GQ = np.einsum("nsx,ns,ny->xy", Ex, np.einsum("nst,nt->ns", Minv, U), Py) / len(nodes)
+    return G, GQ
+
+
+@pytest.mark.parametrize("mu0,q0,a,block_bytes", KERNEL_SETTINGS)
+@pytest.mark.parametrize("d,L,k", [(1, 3, 1), (2, 3, 1), (2, 3, 2)])
+def test_free_kernels_match_dense_quadrature(d, L, k, mu0, q0, a, block_bytes, monkeypatch):
+    params = MultiscaleParams(a=a, mu0=mu0)
+    grid = fr.default_grid(d, L, k)
+    q = _contour(d, q0)
     eta, Lk = grid.eta, L**k
     rng = np.random.default_rng(29)
     # targets over several unit cells; one source in every residue class
@@ -217,13 +229,8 @@ def test_free_kernels_match_dense_quadrature(d, L, k, mu0, q0, a, block_bytes, m
     offsets = xs[:, None, :] - np.floor(ys)[None, :, :]
     for mu in range(d):
         assert len(np.unique(offsets[..., mu])) > 1 and np.ptp(offsets[..., mu]) >= 3
-    Ex = np.exp(1j * np.einsum("nsd,xd->nsx", Z, xs))
-    Ey = np.exp(-1j * np.einsum("nsd,yd->nsy", Z, ys))
-    G = np.einsum("nsx,nsy->xy", Ex, Minv @ Ey) / len(nodes)
-    U = fr.u_kernel(Z, L, k)
     labels = rng.integers(-3, 4, size=(4, d)).astype(float)
-    Py = np.exp(-1j * nodes @ labels.T)
-    GQ = np.einsum("nsx,ns,ny->xy", Ex, np.einsum("nst,nt->ns", Minv, U), Py) / len(nodes)
+    G, GQ = _trapezoid_kernels(grid, params, q, xs, ys, labels)
     got = (fr.free_kernel_g(xs, ys, grid, params, shift_q=q),
            fr.free_kernel_gq(xs, labels, grid, params, shift_q=q))
     assert _rel(got[0], G) <= 1e-12
@@ -239,6 +246,29 @@ def test_free_kernels_match_dense_quadrature(d, L, k, mu0, q0, a, block_bytes, m
                 assert _rel(b, v) <= 1e-15
 
 
+@pytest.mark.parametrize("shifted", [False, True], ids=["real", "shifted"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_free_kernels_match_explicit_trapezoid_sum(d, shifted):
+    # the inverse FFT over the base nodes against the plain node sum, at
+    # offsets up to 3 M0 / 2 unit cells, past M0 / 2, where the sum is periodic
+    grid = fr.TorusGrid(d, 3, 1, 8 * 3)
+    q = np.array([0.3, -0.2, 0.1][:d]) if shifted else np.zeros(d)
+    rng = np.random.default_rng(37)
+    xs = rng.integers(-36, 37, size=(6, d)) / 3.0
+    ys = rng.integers(-36, 37, size=(7, d)) / 3.0
+    labels = rng.integers(-12, 13, size=(5, d)).astype(float)
+    assert np.max(np.abs(xs[:, None] - ys[None])) > grid.base_count
+    assert np.max(np.abs(xs[:, None] - labels[None])) > grid.base_count
+    G, GQ = _trapezoid_kernels(grid, P0, q, xs, ys, labels)
+    shift_q = q if shifted else None
+    got = (fr.free_kernel_g(xs, ys, grid, P0, shift_q=shift_q),
+           fr.free_kernel_gq(xs, labels, grid, P0, shift_q=shift_q))
+    assert _rel(got[0], G) <= 1e-13
+    assert _rel(got[1], GQ) <= 1e-13
+    for K in got:   # the real contour's kernels are real
+        assert K.dtype == (np.complex128 if shifted else np.float64)
+
+
 def test_free_kernels_reject_positions_off_the_lattice():
     grid = fr.default_grid(1, 3, 1)
     on, off = np.array([[1.0 / 3.0]]), np.array([[0.5]])
@@ -247,6 +277,9 @@ def test_free_kernels_reject_positions_off_the_lattice():
         fr.free_kernel_g(on, off, grid, P0)
     with pytest.raises(ValueError):
         fr.free_kernel_gq(off, np.zeros((1, 1)), grid, P0)
+    # an empty side gives an empty kernel
+    assert fr.free_kernel_g(on, np.zeros((0, 1)), grid, P0).shape == (1, 0)
+    assert fr.free_kernel_g(np.zeros((0, 1)), on, grid, P0).shape == (0, 1)
 
 
 def test_free_kernel_batch_memory():
@@ -282,6 +315,46 @@ def test_contour_shift_change_memory():
         tracemalloc.stop()
     assert change <= 1e-8
     assert peak <= 16 * 2**20
+
+
+def test_free_kernel_all_class_pairs_memory():
+    # d = 3, L**k = 3: all 27 x 27 pairs of residue classes on M0 = 16
+    # (4096 nodes, S = 27); per-pair transforms at the distinct offsets of
+    # each pair peaked at 13.6 MiB here
+    import tracemalloc
+    import numpy.fft   # noqa: F401  (loaded before tracing)
+    residues = lat.grid_points([np.arange(3)] * 3)
+    xs, ys = residues / 3.0, (residues + [3, -6, 0]) / 3.0
+    grid = fr.TorusGrid(3, 3, 1, 16 * 3)
+    tracemalloc.start()
+    try:
+        K = fr.free_kernel_g(xs, ys, grid, P0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K.shape == (27, 27) and K.dtype == np.float64
+    assert peak <= 13.5 * 2**20
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_far_entries_relative_on_contour_toward_source(d):
+    # the contour q = 0.9 (x - y) / |x - y|, toward the source, divides out
+    # the decay, so quadrature error is relative to the entry: G(0, r e_0) for
+    # r = 0..60 on M0 = 256 agrees with the refined grid entry by entry,
+    # down to entries near 5e-28 (d = 1) and 3e-29 (d = 2)
+    grid = fr.TorusGrid(d, 3, 1, 256 * 3)
+    x = np.zeros((1, d))
+    entries = []
+    for r in range(0, 61, 6):
+        y = np.zeros((1, d))
+        y[0, 0] = r
+        q = None if r == 0 else 0.9 * (x - y)[0] / r
+        coarse, fine = (fr.free_kernel_g(x, y, g, P0, shift_q=q)[0, 0]
+                        for g in (grid, grid.refined()))
+        assert abs(coarse - fine) <= 1e-10 * abs(fine)
+        entries.append(abs(fine))
+    assert min(entries) <= 1e-27
+    assert np.all(np.diff(entries) < 0)
 
 
 def _direct_phase_matrix(patch, grid):

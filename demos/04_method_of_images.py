@@ -21,7 +21,7 @@ print(f"1d cube (9 sites, side 3), center entry, direct solve: {direct.real:.10f
 print("image-sum sweep:")
 for shells in (1, 2, 3, 4, 6):
     r = im.neumann_kernel_via_images(geom, params, x, y, shells)
-    print(f"  shells={shells}: value {r.value.real:.10f}  "
+    print(f"  shells={shells}: value {r.value:.10f}  "
           f"|err| {abs(r.value - direct):.2e}  "
           f"tail estimate {r.truncation_estimate:.2e}")
 

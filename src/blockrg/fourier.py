@@ -24,12 +24,17 @@ positive at every real momentum.  The massless node ``p = 0``, where
 no term is ever formed as 0/0.  Kernels are trapezoid quadratures of these
 solves; the solve's pieces are contracted over the shifts once per residue
 class modulo the unit lattice and summed over the nodes by one inverse FFT
-per pair of classes, which serves every offset (see ``_class_sums``); on the
-real contour the integrand is Hermitian in the node, half the nodes are
-solved and the kernels are real.  The strip integrand
-``H = M^{-1} U`` of the strip report is read off the same Sherman-Morrison
-weights (``ShiftSystem.solve_u``), at complex nodes ``p + i q``.  Both build
-their shift systems in bounded blocks of nodes (``_node_blocks``), cached nowhere.
+per pair of classes, which serves every offset (see ``_class_sums``).
+
+Every per-axis symbol has ``conj f(Z) = f(-conj Z)`` (``sin^2`` and ``sinc``
+are even with real coefficients, and ``conj e^{-icZ} = e^{-ic(-conj Z)}``),
+and so have the class phases.  ``z -> -conj z`` sends ``p + i q`` to
+``-p + i q`` on the same contour and the shift ``l`` to ``-l`` (L odd), so
+on every contour the kernels' node arrays are Hermitian in the node: half
+the nodes are solved, ``irfftn`` sums them, and the kernels are real.  The
+strip integrand ``H = M^{-1} U`` is read off the same weights
+(``NodeBlock.solve_u``) at complex nodes ``p + i q``.  Both build their
+shift systems in bounded blocks of nodes (``_node_blocks``), cached nowhere.
 
 Symbols take complex arguments everywhere, which is what operational
 analyticity checks (contour shifts) and the strip bounds rely on.
@@ -228,14 +233,12 @@ class FactoredStack:
         return self.matvec(np.broadcast_to(np.eye(S), (n, S, S)))
 
 
-@dataclass(frozen=True, eq=False)
 class ShiftSystem(RankOneRows):
     """Per-node shift matrices ``M = diag(Delta) + a_k U Ubar^T`` of the defining operator.
 
-    ``axis_nodes``: complex momenta of each axis, d 1-d arrays, whose
-    row-major Cartesian products are the ``n`` nodes; the shifts are the S
-    rows of ``shift_vectors``, the zero shift at index ``zero``; ``U``, ``Ubar``,
-    ``Delta``: the averaging symbols and the Laplacian symbol at
+    The ``n`` nodes are the row-major base nodes of a grid; the shifts are
+    the S rows of ``shift_vectors``, the zero shift at index ``zero``; ``U``,
+    ``Ubar``, ``Delta``: the averaging symbols and the Laplacian symbol at
     ``Z = node + 2 pi shift``, each (n, S); ``a = a_k``.  The nodes are the
     rows of ``multiscale.RankOneRows``, whose Sherman-Morrison weights
     ``w``, ``c0``, ``den`` (multiplied through by ``Delta_0 = Delta[:, zero]``,
@@ -243,8 +246,6 @@ class ShiftSystem(RankOneRows):
     ``apply``, ``solve_u`` act in O(S) per node; ``den`` is positive at real
     momenta.  ``Minv`` and ``Mmat`` view the same factors as matrix stacks.
     """
-
-    axis_nodes: tuple
 
     @property
     def Mmat(self) -> FactoredStack:
@@ -255,6 +256,32 @@ class ShiftSystem(RankOneRows):
         return FactoredStack((self.w, self.c0, self.den), self.solve)
 
 
+@dataclass(frozen=True, eq=False)
+class NodeBlock:
+    """A block of nodes' shift systems, as the products kernels and strip read:
+    ``w``, ``wU = w U``, ``wUbar = w Ubar`` (n, S) and the zero-shift
+    ``Delta0``, ``U0``, ``Ubar0``, ``c0``, ``den`` (n,).  At real nodes ``w``
+    is real and ``wUbar = conj(wU)`` is None."""
+
+    axis_nodes: tuple
+    a: float
+    zero: int
+    w: np.ndarray
+    wU: np.ndarray
+    wUbar: np.ndarray | None
+    Delta0: np.ndarray
+    U0: np.ndarray
+    Ubar0: np.ndarray
+    c0: np.ndarray
+    den: np.ndarray
+
+    def solve_u(self) -> np.ndarray:
+        """``M^{-1} U``, (n, S), as ``RankOneRows.solve_u``."""
+        x = (self.Delta0 / self.den)[:, None] * self.wU
+        x[:, self.zero] = self.U0 / self.den
+        return x
+
+
 def _axis_symbols(nodes, L: int, k: int) -> np.ndarray:
     """``u``, ``ubar`` and the massless ``lap_star`` on one axis's (node,
     shift) grid, stacked: (3, len(nodes), L**k)."""
@@ -263,20 +290,50 @@ def _axis_symbols(nodes, L: int, k: int) -> np.ndarray:
     return np.stack([u_axis(Z, eta), u_axis(-Z, eta), lap_star(Z[..., None], L, k, 0.0)])
 
 
-def shift_system(axis_nodes, symbols, L: int, k: int, params: MultiscaleParams) -> ShiftSystem:
-    """The shift system at the row-major products of the complex per-axis
-    momenta ``axis_nodes``, from the outer products of their ``_axis_symbols``;
-    every shift system and every ``M^{-1} U`` in this module comes from here."""
+def _zero_and_coupling(d: int, L: int, k: int, params: MultiscaleParams):
+    """The zero shift's index in ``shift_vectors``, and ``a_k``."""
+    zero = int(np.flatnonzero(~shift_vectors(d, L, k).any(axis=1))[0])
+    return zero, params.a_j(L, max(k, 1))   # k = 0 degenerates to the bare coefficient
+
+
+def _delta(symbols, L: int, k: int, params: MultiscaleParams) -> np.ndarray:
+    """``Delta`` at the nodes of ``symbols``, a new array (mass on the first axis)."""
     eta = float(L) ** (-k)
-    a_k = params.a_j(L, max(k, 1))   # k = 0 degenerates to the bare coefficient
-    zero = int(np.flatnonzero(~shift_vectors(len(axis_nodes), L, k).any(axis=1))[0])
-    U, Ubar = (_axis_outer(np.multiply, [s[i] for s in symbols]) for i in (0, 1))
-    Delta = (4.0 / eta**2) * (_axis_outer(np.add, [s[2] for s in symbols]) + params.mu0 / 4.0)
-    return ShiftSystem.build(Delta, U, Ubar, a_k, zero, axis_nodes=tuple(axis_nodes))
+    lap = [(4.0 / eta**2) * s[2] for s in symbols]
+    lap[0] = lap[0] + params.mu_bar(L, k)
+    return _axis_outer(np.add, lap)
+
+
+def _node_block(axis_nodes, symbols, L: int, k: int, params: MultiscaleParams) -> NodeBlock:
+    """The ``NodeBlock`` at the row-major products of the per-axis momenta
+    ``axis_nodes``.  ``U``, ``Ubar`` and ``Delta`` are not kept: ``w`` is
+    ``1 / Delta`` in place, and ``c0`` reads the outer product ``Ubar U``.
+    At real nodes ``Delta``, ``w`` and ``Ubar U`` are real and ``Ubar =
+    conj U`` (see the module docstring)."""
+    zero, a_k = _zero_and_coupling(len(axis_nodes), L, k, params)
+    real = not any(np.any(nodes.imag) for nodes in axis_nodes)
+    part = np.real if real else np.asarray
+    w = _delta([part(s) for s in symbols], L, k, params)
+    Delta0 = w[:, zero].copy()
+    with np.errstate(divide="ignore", invalid="ignore"):   # the zero column is set next
+        np.divide(1.0, w, out=w)
+    w[:, zero] = 0.0
+    UbarU = _axis_outer(np.multiply, [part(s[0] * s[1]) for s in symbols])
+    c0 = 1.0 + a_k * np.einsum("ij,ij->i", w, UbarU)
+    del UbarU
+
+    def weighted(i):   # zero column of symbol i, and w times it (in place unless d = 1)
+        X = _axis_outer(np.multiply, [s[i] for s in symbols])
+        return X[:, zero].copy(), np.multiply(w, X, out=X if len(symbols) > 1 else None)
+
+    U0, wU = weighted(0)
+    Ubar0, wUbar = (np.conj(U0), None) if real else weighted(1)
+    return NodeBlock(tuple(axis_nodes), a_k, zero, w, wU, wUbar, Delta0, U0, Ubar0, c0,
+                     den=Delta0 * c0 + a_k * U0 * Ubar0)
 
 
 def _node_blocks(axis_nodes, L: int, k: int, params: MultiscaleParams):
-    """``shift_system`` over blocks of consecutive first-axis nodes, in node
+    """``_node_block`` over blocks of consecutive first-axis nodes, in node
     order: as many as keep one complex ``(nodes, S)`` array within
     ``NODE_BLOCK_BYTES``, and at least one.  Callers reduce the blocks through
     ``map``, which drops each block before the next is built."""
@@ -285,8 +342,8 @@ def _node_blocks(axis_nodes, L: int, k: int, params: MultiscaleParams):
     row_bytes = 16 * math.prod(len(n) for n in axis_nodes[1:]) * (L**k) ** len(axis_nodes)
     rows = max(1, NODE_BLOCK_BYTES // row_bytes)
     for block in (slice(lo, lo + rows) for lo in range(0, len(axis_nodes[0]), rows)):
-        yield shift_system([axis_nodes[0][block]] + axis_nodes[1:],
-                           [symbols[0][:, block]] + symbols[1:], L, k, params)
+        yield _node_block([axis_nodes[0][block]] + axis_nodes[1:],
+                          [symbols[0][:, block]] + symbols[1:], L, k, params)
 
 
 def _axis_nodes(grid: TorusGrid, shift_q=None) -> list:
@@ -297,10 +354,13 @@ def _axis_nodes(grid: TorusGrid, shift_q=None) -> list:
 
 def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
                        shift_q=None) -> ShiftSystem:
-    """The shift system at the base nodes of ``grid``, moved to ``p + i shift_q``."""
+    """The shift system at the base nodes of ``grid``, moved to ``p + i shift_q``,
+    from the outer products of the per-axis ``_axis_symbols``."""
     axes = _axis_nodes(grid, shift_q)
     symbols = [_axis_symbols(nodes, grid.L, grid.k) for nodes in axes]
-    return shift_system(axes, symbols, grid.L, grid.k, params)
+    zero, a_k = _zero_and_coupling(grid.d, grid.L, grid.k, params)
+    U, Ubar = (_axis_outer(np.multiply, [s[i] for s in symbols]) for i in (0, 1))
+    return ShiftSystem.build(_delta(symbols, grid.L, grid.k, params), U, Ubar, a_k, zero)
 
 
 def _shift_phases(grid: TorusGrid, residues) -> np.ndarray:
@@ -343,10 +403,10 @@ def _class_sums(grid: TorusGrid, shift_q, xs, ys, node_arrays) -> np.ndarray:
     ``b`` of ``e^{i eta p (rho_x - rho_y)} F``, read at ``t mod M0``: one
     transform per pair of classes serves every offset.  The x classes are
     taken in slices whose complex batch stays within ``NODE_BLOCK_BYTES``, at
-    least one class per slice.  On the real contour ``F(-p) = conj F(p)``: the
-    integrand depends on the shifts only modulo ``L**k``, and negation
-    permutes the residues.  There only the last-axis nodes ``b <= M0/2`` are
-    evaluated, and ``irfftn`` returns a real kernel."""
+    least one class per slice.  The transformed array is Hermitian in ``b``
+    on every contour (module docstring; ``b = 0`` pairs with ``b = M0``): only
+    the last-axis nodes ``b <= M0/2`` are evaluated, and ``irfftn`` returns a
+    real kernel."""
     d, Lk, M0 = grid.d, grid.shifts_per_axis, grid.base_count
     pos = [np.atleast_2d(np.asarray(p, dtype=float)) for p in (xs, ys)]
     ix, iy = (np.rint(p / grid.eta).astype(np.int64) for p in pos)
@@ -355,27 +415,26 @@ def _class_sums(grid: TorusGrid, shift_q, xs, ys, node_arrays) -> np.ndarray:
         raise ValueError(f"kernel positions must lie on the lattice {grid.eta:.6g} Z^d")
     (Rx, cx), (Ry, cy) = _classes(ix, Lk), _classes(iy, Lk)
     q = np.zeros(d) if shift_q is None else np.asarray(shift_q, dtype=float)
-    real = not np.any(q)
     axes = _axis_nodes(grid, q)
-    if real:
-        axes[-1] = axes[-1][:M0 // 2 + 1]
+    axes[-1] = axes[-1][:M0 // 2 + 1]
     batch = node_arrays(axes, Rx, Ry)
     z = grid_points(axes)
     phase_x = np.exp(1j * grid.eta * (Rx @ z.T))
     phase_y = np.exp(-1j * grid.eta * (Ry @ z.T))
     t = (ix // Lk)[:, None, :] - (iy // Lk)[None, :, :]
-    out = np.empty(t.shape[:2], dtype=float if real else complex)
+    out = np.empty(t.shape[:2])
     per = max(1, NODE_BLOCK_BYTES // max(1, 16 * len(z) * len(Ry)))
     shape, nodes = tuple(map(len, axes)), tuple(range(2, 2 + d))
     for lo in range(0, len(Rx), per):
         block = slice(lo, lo + per)
         A = batch(block) * phase_x[block, None] * phase_y
         A = A.reshape(A.shape[:2] + shape)
-        K = np.fft.irfftn(A, s=(M0,) * d, axes=nodes) if real else np.fft.ifftn(A, axes=nodes)
+        K = np.fft.irfftn(A, s=(M0,) * d, axes=nodes)
         rows = np.flatnonzero((cx >= lo) & (cx < lo + per))
         out[rows] = K[(cx[rows, None] - lo, cy) + tuple(np.moveaxis(t[rows] % M0, -1, 0))]
     out *= 1 - 2 * (t.sum(axis=-1) % 2)
-    return out if real else out * np.exp(-(t @ q))
+    out *= np.exp(-(t @ q))
+    return out
 
 
 def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
@@ -385,14 +444,14 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     ``xs`` and ``ys`` are position arrays (rows in ``eta Z^d``).  With
     ``shift_q`` the contour is moved to ``p + i q``; by analyticity the result
     is unchanged up to quadrature error, which is exactly the operational
-    analyticity check.  On the real contour (no or zero ``shift_q``) the
-    kernel is real, ``float64``; on a shifted one it is complex.
+    analyticity check.  The kernel is real, ``float64``, on every contour.
 
     On the lattice ``e^{i Z_l x} = e^{i p x} e_x``, and the shift factor
     ``e_x = e^{2 pi i l x}`` depends only on the class of ``x`` modulo the
     unit lattice (``G(x, t + r) = G(x - t, r)``).  So the pieces of
     ``ShiftSystem.solve`` are contracted over the shifts once per class:
-    ``D = w e_{x-y}``, ``H = (w U) e_x``, ``K = (w Ubar) e_{-y}``; the node
+    ``D = w e_{x-y}``, ``H = (w U) e_x``, ``K = (w Ubar) e_{-y}`` (at real
+    nodes one product with ``[e_x | conj e_{-y}]``); the node
     array ``D - a_k H beta + x0`` with ``beta = (Ubar_0 + Delta_0 K) / den``
     and ``x0 = (c0 - a_k U_0 K) / den`` is summed against ``e^{i p (x - y)}``
     by one inverse FFT over the base nodes per pair of classes
@@ -404,12 +463,19 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
         diff, m = _classes(Rx[:, None, :] - Ry[None, :, :], Lk)
         Ed, Ex, Ey = (_shift_phases(grid, R) for R in (diff, Rx, -Ry))
 
-        def legs(sys):
-            z, den = sys.zero, sys.den[:, None]
-            K = (sys.w * sys.Ubar) @ Ey
-            return (sys.w @ Ed, sys.a * ((sys.w * sys.U) @ Ex),
-                    (sys.Ubar[:, z, None] + sys.Delta[:, z, None] * K) / den,
-                    (sys.c0[:, None] - sys.a * sys.U[:, z, None] * K) / den)
+        EK = np.concatenate([Ex, Ey.conj()], axis=1)
+
+        def legs(blk):
+            if blk.wUbar is None:   # real nodes: w Ubar = conj(w U)
+                H, K = np.split(blk.wU @ EK, [len(Rx)], axis=1)
+                K = K.conj()
+            else:
+                H, K = blk.wU @ Ex, blk.wUbar @ Ey
+            den = blk.den[:, None]
+            # D by one complex GEMM: numpy's real @ complex matmul is slower
+            return (blk.w.astype(complex, copy=False) @ Ed, blk.a * H,
+                    (blk.Ubar0[:, None] + blk.Delta0[:, None] * K) / den,
+                    (blk.c0[:, None] - blk.a * blk.U0[:, None] * K) / den)
 
         D, aH, beta, x0 = _class_legs(legs, axes, grid, params)
         return lambda block: D[m[block]] - aH[block, None] * beta + x0
@@ -428,7 +494,7 @@ def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
 
     def node_arrays(axes, Rx, Ry):
         Ex = _shift_phases(grid, Rx)
-        X, = _class_legs(lambda sys: (sys.solve_u() @ Ex,), axes, grid, params)
+        X, = _class_legs(lambda blk: (blk.solve_u() @ Ex,), axes, grid, params)
         return lambda block: X[block, None]
 
     return _class_sums(grid, shift_q, xs, ys, node_arrays)
@@ -461,7 +527,8 @@ def contour_shift_change(grid: TorusGrid, params: MultiscaleParams, q: float,
 
     The unshifted kernel is driven to quadrature self-convergence at ``tol``
     from ``grid``; the shifted one is evaluated on the grid it converged on.
-    By analyticity the change is quadrature error only.
+    By analyticity the change is quadrature error only; both kernels take
+    the one route of ``_class_sums``, so no two codes are compared.
     """
     d = grid.d
     x = np.zeros((1, d))
@@ -578,25 +645,25 @@ def _strip_floor(large_mass: bool, a_k: float, eta: float, d: int) -> float:
     return DENOMINATOR_FLOOR * (a_k * eta**2 / 4.0) * (2.0 / np.pi) ** (2 * d)
 
 
-def _strip_solve(sys: ShiftSystem, L: int, k: int, params: MultiscaleParams):
-    """``H = M^{-1} U`` (n, S) of the shift system ``sys`` at level ``k`` and
+def _strip_solve(blk: NodeBlock, L: int, k: int, params: MultiscaleParams):
+    """``H = M^{-1} U`` (n, S) of the node block ``blk`` at level ``k`` and
     the margin of each node's strip denominator over its floor, (n,).
 
     The strip denominator is ``den / Delta_0 = det M / prod_l Delta_l`` in the
     large-mass branch and ``(eta**2/4) den`` in the small-mass branch, where
     ``Delta_0`` may vanish; a node below the floor raises ``StripViolationError``.
     """
-    eta, d = float(L) ** (-k), len(sys.axis_nodes)
+    eta, d = float(L) ** (-k), len(blk.axis_nodes)
     large_mass = params.mu0 / 4.0 >= params.c_star * eta**2
-    denom = np.abs(sys.den / sys.Delta[:, sys.zero] if large_mass
-                   else (eta**2 / 4.0) * sys.den)
-    floor = _strip_floor(large_mass, sys.a, eta, d)
+    denom = np.abs(blk.den / blk.Delta0 if large_mass
+                   else (eta**2 / 4.0) * blk.den)
+    floor = _strip_floor(large_mass, blk.a, eta, d)
     below = np.flatnonzero(denom < floor)
     if below.size:
-        z = grid_points(sys.axis_nodes)[below[0]]
+        z = grid_points(blk.axis_nodes)[below[0]]
         raise StripViolationError(
             f"denominator {denom[below[0]]:.3e} below floor {floor:.3e} at z={z}")
-    return sys.solve_u(), denom / floor
+    return blk.solve_u(), denom / floor
 
 
 def h_function(z, ell_prime, L: int, k: int, params: MultiscaleParams):
@@ -651,7 +718,7 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
     min_margin = np.inf
     for q in q_list:
         blocks = _node_blocks([p_axis + 1j * qm for qm in q], L, k, params)
-        for H, margin in map(lambda sys: _strip_solve(sys, L, k, params), blocks):
+        for H, margin in map(lambda blk: _strip_solve(blk, L, k, params), blocks):
             min_margin = min(min_margin, float(np.min(margin)))
             per_shift = np.maximum(per_shift, np.max(np.abs(H) * weights, axis=0))
     table = {tuple(e.astype(int)): float(v) for e, v in zip(ells, per_shift)}

@@ -34,7 +34,7 @@ class ImageSumDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class ImageSumResult:
-    value: complex
+    value: float
     shells_used: int
     last_shell_contribution: float
     truncation_estimate: float
@@ -50,7 +50,7 @@ def _assemble(vals: np.ndarray, shell_idx: np.ndarray, shells: int) -> ImageSumR
             "free-kernel decay too slow for image summation")
     r = min(max(ratios[-1] if ratios else 0.5, 1e-6), SHELL_RATIO_LIMIT)
     last = float(mags[-1])
-    return ImageSumResult(value=complex(vals.sum()), shells_used=shells,
+    return ImageSumResult(value=float(vals.sum()), shells_used=shells,
                           last_shell_contribution=last,
                           truncation_estimate=last * r / (1.0 - r),
                           shell_magnitudes=tuple(float(m) for m in mags))

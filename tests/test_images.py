@@ -19,6 +19,7 @@ def test_center_pair_agreement(ref_1d):
     direct = G.kernel[site_to_flat(geom, (4,)), site_to_flat(geom, (4,))]
     assert abs(res.value - direct) < 1e-6
     assert res.shells_used == 4
+    assert type(res.value) is float   # the real contour's kernels are real
 
 
 def test_shells_monotone_and_truncation_estimate(ref_1d):
@@ -59,6 +60,7 @@ def test_gq_route_against_direct(ref_1d):
             r6 = im.gq_kernel_via_images(geom, P0, x, y, shells=6)
             worst4 = max(worst4, abs(r4.value - direct))
             worst6 = max(worst6, abs(r6.value - direct))
+            assert type(r4.value) is float
     # measured worst corner pair at 4 shells sits at 1.1e-6 (tail rate ~ 1.04);
     # two more shells push it three decades down
     assert worst4 < 2e-6

@@ -233,9 +233,9 @@ def run_fourier_verify(cfg: ExperimentConfig) -> list[MetricRow]:
     roundtrip = float(np.max(np.abs(back - fhat)) / np.max(np.abs(fhat)))
 
     p = rng.uniform(-np.pi, np.pi, size=(16, d))
-    per = np.max(np.abs(fourier.bracket(p + 2.0 * np.pi * np.eye(d)[0], L, k, params.mu0)
-                        - fourier.bracket(p, L, k, params.mu0)))
-    scale = np.max(np.abs(fourier.bracket(p, L, k, params.mu0)))
+    at_p = fourier.bracket(p, L, k, params.mu0)
+    per = np.max(np.abs(fourier.bracket(p + 2.0 * np.pi * np.eye(d)[0], L, k, params.mu0) - at_p))
+    scale = np.max(np.abs(at_p))
 
     metrics = [("qkqk_spatial_vs_fourier", qkqk, 1e-8),
                ("contour_shift_relative_change", contour, 1e-8),

@@ -13,10 +13,11 @@ with ``Delta`` the Laplacian symbol and ``u`` the averaging symbol
     u(z) = eta^d prod_nu (1 - exp(-i z_nu)) / (1 - exp(-i z_nu eta)).
 
 Every shift system is therefore solved in O(S) by the Sherman-Morrison
-formula (``multiscale.RankOneRows``, which the DCT-class tower shares),
-never stored or inverted as an ``S x S`` matrix.  The formula is
-used multiplied through by ``Delta_0``, the symbol of the zero shift, and the
-zero-shift term is split off the diagonal sum.  What remains divides only by
+formula, never stored or inverted as an ``S x S`` matrix.  The whole-grid
+``ShiftSystem`` is a ``multiscale.RankOneRows``, the solver of the DCT-class
+tower; the kernels and the strip read the products ``w U`` of ``NodeBlock``.
+The formula is used multiplied through by ``Delta_0``, the symbol of the zero
+shift, and the zero-shift term is split off the diagonal sum.  What remains divides only by
 the nonzero-shift symbols and by ``Delta_0 (1 + a_k sum_{l!=0} Ubar_l U_l /
 Delta_l) + a_k U_0 Ubar_0``, which is ``det M`` over those symbols and so
 positive at every real momentum.  The massless node ``p = 0``, where
@@ -32,9 +33,9 @@ and so have the class phases.  ``z -> -conj z`` sends ``p + i q`` to
 ``-p + i q`` on the same contour and the shift ``l`` to ``-l`` (L odd), so
 on every contour the kernels' node arrays are Hermitian in the node: half
 the nodes are solved, ``irfftn`` sums them, and the kernels are real.  The
-strip integrand ``H = M^{-1} U`` is read off the same weights
-(``NodeBlock.solve_u``) at complex nodes ``p + i q``.  Both build their
-shift systems in bounded blocks of nodes (``_node_blocks``), cached nowhere.
+strip integrand ``H = M^{-1} U`` is ``NodeBlock.solve_u`` at complex nodes
+``p + i q``.  Kernels and strip build their ``NodeBlock``s in bounded
+blocks of nodes (``_node_blocks``), cached nowhere.
 
 Symbols take complex arguments everywhere, which is what operational
 analyticity checks (contour shifts) and the strip bounds rely on.
@@ -242,10 +243,19 @@ class ShiftSystem(RankOneRows):
     ``Z = node + 2 pi shift``, each (n, S); ``a = a_k``.  The nodes are the
     rows of ``multiscale.RankOneRows``, whose Sherman-Morrison weights
     ``w``, ``c0``, ``den`` (multiplied through by ``Delta_0 = Delta[:, zero]``,
-    so the massless node ``p = 0`` needs no special case) and ``solve``,
-    ``apply``, ``solve_u`` act in O(S) per node; ``den`` is positive at real
+    so the massless node ``p = 0`` needs no special case) give ``solve`` in
+    O(S) per node, and ``apply`` is O(S) too; ``den`` is positive at real
     momenta.  ``Minv`` and ``Mmat`` view the same factors as matrix stacks.
     """
+
+    def apply(self, v) -> np.ndarray:
+        """``M v`` at every node, for ``v`` of shape ``(n, S, ...)``."""
+        v = np.asarray(v)
+        v3 = v.reshape(v.shape[:2] + (-1,))
+        U, Ubar = self.U[..., None], self.Ubar[..., None]
+        out = (self.Delta[..., None] * v3
+               + self.a * U * np.sum(Ubar * v3, axis=1, keepdims=True))
+        return out.reshape(v.shape)
 
     @property
     def Mmat(self) -> FactoredStack:
@@ -276,7 +286,9 @@ class NodeBlock:
     den: np.ndarray
 
     def solve_u(self) -> np.ndarray:
-        """``M^{-1} U``, (n, S), as ``RankOneRows.solve_u``."""
+        """``M^{-1} U``, (n, S): the Sherman-Morrison solve of ``U``, where
+        ``B = sum_l Ubar_l w_l U_l = (c0 - 1) / a`` cancels and leaves
+        ``Delta_0 w U / den`` off the zero column and ``U_0 / den`` on it."""
         x = (self.Delta0 / self.den)[:, None] * self.wU
         x[:, self.zero] = self.U0 / self.den
         return x
@@ -291,9 +303,8 @@ def _axis_symbols(nodes, L: int, k: int) -> np.ndarray:
 
 
 def _zero_and_coupling(d: int, L: int, k: int, params: MultiscaleParams):
-    """The zero shift's index in ``shift_vectors``, and ``a_k``."""
-    zero = int(np.flatnonzero(~shift_vectors(d, L, k).any(axis=1))[0])
-    return zero, params.a_j(L, max(k, 1))   # k = 0 degenerates to the bare coefficient
+    """The zero shift's index in ``shift_vectors`` (the middle row, ``L`` odd), and ``a_k``."""
+    return L ** (k * d) // 2, params.a_j(L, max(k, 1))   # k = 0: the bare coefficient a
 
 
 def _delta(symbols, L: int, k: int, params: MultiscaleParams) -> np.ndarray:
@@ -448,8 +459,8 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
 
     On the lattice ``e^{i Z_l x} = e^{i p x} e_x``, and the shift factor
     ``e_x = e^{2 pi i l x}`` depends only on the class of ``x`` modulo the
-    unit lattice (``G(x, t + r) = G(x - t, r)``).  So the pieces of
-    ``ShiftSystem.solve`` are contracted over the shifts once per class:
+    unit lattice (``G(x, t + r) = G(x - t, r)``).  So the pieces of each
+    ``NodeBlock``'s shift solve are contracted over the shifts once per class:
     ``D = w e_{x-y}``, ``H = (w U) e_x``, ``K = (w Ubar) e_{-y}`` (at real
     nodes one product with ``[e_x | conj e_{-y}]``); the node
     array ``D - a_k H beta + x0`` with ``beta = (Ubar_0 + Delta_0 K) / den``
@@ -488,7 +499,7 @@ def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     """Kernel ``(G_k Q_k*)(x, y)`` for fine positions ``xs`` and unit-lattice ``ys``.
 
     The sources form the one class ``r = 0``, so the node array is
-    ``ShiftSystem.solve_u`` contracted over the shifts against ``e_x`` (see
+    ``NodeBlock.solve_u`` contracted over the shifts against ``e_x`` (see
     ``free_kernel_g``).
     """
 
@@ -619,8 +630,9 @@ def qkqk_spatial(patch: FreePatch, values) -> np.ndarray:
 def qkqk_fourier(patch: FreePatch, values, grid: TorusGrid,
                  params: MultiscaleParams) -> np.ndarray:
     """``Q_k* Q_k f`` through the Fourier shift formula: transform, apply the
-    rank-one shift coupling, transform back."""
-    U = build_shift_system(grid, params).U
+    rank-one shift coupling ``U U^*``, transform back; ``params`` is not read."""
+    L, k = grid.L, grid.k
+    U = _axis_outer(np.multiply, [_axis_symbols(n, L, k)[0] for n in _axis_nodes(grid)])
     v = _to_shift_layout(patch_fourier_samples(patch, values, grid), grid)
     ghat = U * np.sum(np.conj(U) * v, axis=1, keepdims=True)
     return patch_inverse_fourier(_from_shift_layout(ghat, grid), patch, grid)

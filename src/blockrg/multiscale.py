@@ -243,15 +243,6 @@ class RankOneRows:
         den = Delta[:, zero] * c0 + a * U[:, zero] * Ubar[:, zero]
         return cls(a=a, zero=zero, U=U, Ubar=Ubar, Delta=Delta, w=w, c0=c0, den=den, **fields)
 
-    def apply(self, v) -> np.ndarray:
-        """``M v`` in every row, for ``v`` of shape ``(rows, S, ...)``."""
-        v = np.asarray(v)
-        v3 = v.reshape(v.shape[:2] + (-1,))
-        U, Ubar = self.U[..., None], self.Ubar[..., None]
-        out = (self.Delta[..., None] * v3
-               + self.a * U * np.sum(Ubar * v3, axis=1, keepdims=True))
-        return out.reshape(v.shape)
-
     def solve(self, v) -> np.ndarray:
         """``M^{-1} v`` in every row, for ``v`` of shape ``(rows, S, ...)``.
 
@@ -271,15 +262,6 @@ class RankOneRows:
         x *= self.w[..., None]
         x[:, z:z + 1] = (self.c0[:, None, None] * v0 - a * self.U[:, z, None, None] * B) / den
         return x.reshape(v.shape)
-
-    def solve_u(self) -> np.ndarray:
-        """``M^{-1} U`` in every row, (rows, S): ``solve(U)`` with ``B = (c0 - 1) / a``
-        cancelled, which leaves ``Delta_0 w U / den`` off the zero column and
-        ``U_0 / den`` on it."""
-        z = self.zero
-        x = self.Delta[:, z, None] * self.w * self.U / self.den[:, None]
-        x[:, z] = self.U[:, z] / self.den
-        return x
 
 
 def _scatter(X, freq) -> np.ndarray:
@@ -445,6 +427,7 @@ def rg_telescope_residual(geom, params: MultiscaleParams) -> float:
     ``lam_j**-2 C'_j(lam_j Omega)`` over ``j = 1 .. k-1`` plus the rescaled
     first-scale propagator; value vectors transport across scales unchanged
     because rescaled lattices share the index set.  The sum is empty for k=1.
+    Each level is built once; level ``k`` is the left side.
     The deltas go through one forward DCT, the class solves of every term
     and one inverse DCT per side, in batches of at most ``PROBE_BLOCK_BYTES``.
     """
@@ -452,10 +435,7 @@ def rg_telescope_residual(geom, params: MultiscaleParams) -> float:
     if k < 1:
         raise ValueError("telescope needs k >= 1")
     L = float(geom.L)
-    lhs_level = tower_level(geom, params, k)
-    first = tower_level(scale_geometry(geom, k - 1), params, 1)
-    terms = [(L ** (2 * (j - k)), tower_level(scale_geometry(geom, k - j), params, j))
-             for j in range(1, k)]
+    levels = [tower_level(scale_geometry(geom, k - j), params, j) for j in range(1, k + 1)]
     flat = [site_to_flat(geom, s) for s in sample_sites(geom)]
     batch = max(1, PROBE_BLOCK_BYTES // (8 * geom.site_count))
     worst = 0.0
@@ -464,10 +444,10 @@ def rg_telescope_residual(geom, params: MultiscaleParams) -> float:
         E = np.zeros((geom.site_count, len(cols)))
         E[cols, np.arange(len(cols))] = 1.0
         Ehat = ops.dct(geom, E)
-        lhs = ops.idct(geom, lhs_level.green(Ehat))
-        rhs = L ** (2 - 2 * k) * first.green(Ehat)
-        for factor, level in terms:
-            rhs += factor * level.fluctuation(Ehat)
+        lhs = ops.idct(geom, levels[-1].green(Ehat))
+        rhs = L ** (2 - 2 * k) * levels[0].green(Ehat)
+        for j, level in enumerate(levels[:-1], start=1):
+            rhs += L ** (2 * (j - k)) * level.fluctuation(Ehat)
         rhs = ops.idct(geom, rhs)
         diff = np.max(np.abs(lhs - rhs), axis=0)
         worst = max(worst, float(np.max(diff / np.max(np.abs(lhs), axis=0))))

@@ -189,6 +189,40 @@ def test_shift_solve_matches_dense_inverse(d, L, k, mu0, q0):
     assert sys.Minv.nbytes + sys.Mmat.nbytes < 8 * n * S * 16
 
 
+@pytest.mark.parametrize("q0", [None, 0.3], ids=["real", "shifted"])
+@pytest.mark.parametrize("d,L,k", [(1, 3, 2), (2, 3, 1), (2, 3, 2)])
+def test_node_blocks_match_whole_grid_system(d, L, k, q0, monkeypatch):
+    # the kernels' NodeBlock and the whole-grid ShiftSystem are two builders
+    # of the same Sherman-Morrison pieces; with one first-axis node per block
+    # they must agree node by node
+    monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", 1)
+    grid = fr.default_grid(d, L, k)
+    q = _contour(d, q0)
+    blocks = list(fr._node_blocks(fr._axis_nodes(grid, q), L, k, P0))
+    assert len(blocks) == grid.base_count
+    sys = fr.build_shift_system(grid, P0, shift_q=q)
+    c0, den = (np.concatenate([getattr(b, name) for b in blocks]) for name in ("c0", "den"))
+    H = np.concatenate([b.solve_u() for b in blocks])
+    assert np.max(np.abs(c0 - sys.c0) / np.abs(sys.c0)) <= 1e-13
+    assert np.max(np.abs(den - sys.den) / np.abs(sys.den)) <= 1e-13
+    H_sys = sys.solve(sys.U)
+    for node in range(len(H)):
+        assert _rel(H[node], H_sys[node]) <= 1e-13
+
+
+@pytest.mark.parametrize("d,L,k", [(1, 3, 0), (2, 3, 0), (1, 3, 2), (2, 3, 1), (3, 3, 1),
+                                   (1, 5, 0), (1, 5, 1), (2, 5, 1), (3, 5, 1)])
+def test_zero_shift_is_the_middle_row(d, L, k, monkeypatch):
+    shifts = fr.shift_vectors(d, L, k)
+
+    def refuse(*args):
+        raise AssertionError("_zero_and_coupling built the shift table")
+
+    monkeypatch.setattr(fr, "shift_vectors", refuse)
+    zero, _ = fr._zero_and_coupling(d, L, k, P0)
+    assert np.flatnonzero(~shifts.any(axis=1)).tolist() == [zero]
+
+
 # (mu0, q_0, a, NODE_BLOCK_BYTES); a budget of 1 byte puts one first-axis
 # node row in every shift-system block and one x class in every transform
 KERNEL_SETTINGS = ([pytest.param(mu0, q0, 1.0, None, id=f"{mu0}-{q0}")
@@ -486,6 +520,17 @@ def test_qkqk_fourier_residual(d, k):
     v = rng.standard_normal(patch.site_count) + 1j * rng.standard_normal(patch.site_count)
     grid = fr.TorusGrid(d, L, k, 16 * L**k)
     assert fr.qkqk_fourier_residual(patch, v, grid, P0) < 1e-8
+
+
+def test_qkqk_fourier_reads_only_the_averaging_symbol(monkeypatch):
+    # Q*Q needs U alone: no whole-grid shift system is built for it
+    def refuse(*args, **kwargs):
+        raise AssertionError("qkqk_fourier built a shift system")
+
+    monkeypatch.setattr(fr, "build_shift_system", refuse)
+    patch = lat.block_aligned_patch(2, 3, 1, (0, 0), (2, 2))
+    v = np.random.default_rng(11).standard_normal(patch.site_count).astype(complex)
+    assert fr.qkqk_fourier_residual(patch, v, fr.TorusGrid(2, 3, 1, 16 * 3), P0) < 1e-8
 
 
 def test_h_function_vs_shift_solve():

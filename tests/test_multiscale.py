@@ -131,6 +131,20 @@ def test_rg_telescope(geom_args, mu0):
     assert ms.rg_telescope_residual(g, params) < 1e-9
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rg_telescope_builds_each_level_once(k, monkeypatch):
+    built = []
+
+    def counting(geom, params, j):
+        built.append((geom, j))
+        return tower_level(geom, params, j)
+
+    tower_level = ms.tower_level
+    monkeypatch.setattr(ms, "tower_level", counting)
+    assert ms.rg_telescope_residual(lat.make_geometry(1, 3, k, k + 1), P0) < 1e-9
+    assert [j for _, j in built] == list(range(1, k + 1))
+
+
 def test_c_identity():
     # every j <= k below m, so j = k too, which rg-verify does not emit
     for geom_args in ORACLE_GRID:

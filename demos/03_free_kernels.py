@@ -47,7 +47,7 @@ print("\nblock means: spatial route vs Fourier route")
 patch = lat.block_aligned_patch(d, L, k, (0,), (2,))
 rng = np.random.default_rng(0)
 v = rng.standard_normal(patch.site_count) + 1j * rng.standard_normal(patch.site_count)
-res = fr.qkqk_fourier_residual(patch, v, fr.TorusGrid(d, L, k, 16 * L**k), params)
+res = fr.qkqk_fourier_residual(patch, v, fr.TorusGrid(d, L, k, 16 * L**k))
 print(f"  max pointwise discrepancy: {res:.2e}")
 
 print("\nstrip bound of the decay integrand (k = 1, 2, 3):")

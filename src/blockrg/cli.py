@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import decay, fourier, images, multiscale, operators as ops
-from .lattice import GeometryError, block_aligned_patch, make_geometry
+from .lattice import GeometryError, block_aligned_patch, make_geometry, scale_geometry
 from .multiscale import MultiscaleParams
 
 INFO = float("inf")
@@ -185,19 +185,23 @@ def run_spectrum(cfg: ExperimentConfig) -> list[MetricRow]:
 
 def run_rg_verify(cfg: ExperimentConfig) -> list[MetricRow]:
     geom = cfg.geom()
-    params = cfg.params
+    params, k = cfg.params, geom.k
+    # level j of the cube, and level j of the cube scaled by L**(k - j) (the
+    # telescope's term j and the scaling relations' partner); the two
+    # coincide at j = k, so each distinct level is built once
+    own = [multiscale.tower_level(geom, params, j) for j in range(1, k + 1)]
+    scaled = [multiscale.tower_level(scale_geometry(geom, k - j), params, j)
+              for j in range(1, k)] + own[-1:]
     metrics = []
-    for j in range(1, geom.k):
-        metrics.append((f"rg_step_residual_j{j}",
-                        multiscale.rg_step_residual(geom, params, j), 1e-9))
+    for j in range(1, k):
+        lo, hi = own[j - 1], own[j]
+        metrics.append((f"rg_step_residual_j{j}", multiscale.rg_step_residual(lo, hi), 1e-9))
         metrics.append((f"c_identity_residual_j{j}",
-                        multiscale.c_identity_residual(geom, params, j), 1e-10))
-    metrics.append(("rg_telescope_residual",
-                    multiscale.rg_telescope_residual(geom, params), 1e-9))
-    for j in range(1, geom.k + 1):
-        if j < geom.m:
-            for name, val in multiscale.scaling_residuals(geom, params, j).items():
-                metrics.append((f"{name}_j{j}", val, 1e-11))
+                        multiscale.c_identity_residual(lo, hi), 1e-10))
+    metrics.append(("rg_telescope_residual", multiscale.rg_telescope_residual(scaled), 1e-9))
+    for j in range(1, min(k, geom.m - 1) + 1):
+        for name, val in multiscale.scaling_residuals(own[j - 1], scaled[j - 1]).items():
+            metrics.append((f"{name}_j{j}", val, 1e-11))
     return _rows(cfg, "rg-verify", metrics)
 
 
@@ -223,7 +227,7 @@ def run_fourier_verify(cfg: ExperimentConfig) -> list[MetricRow]:
 
     patch = block_aligned_patch(d, L, k, (0,) * d, (2,) * d)
     vals = rng.standard_normal(patch.site_count) + 1j * rng.standard_normal(patch.site_count)
-    qkqk = fourier.qkqk_fourier_residual(patch, vals, grid.refined(), params)
+    qkqk = fourier.qkqk_fourier_residual(patch, vals, grid.refined())
 
     contour = fourier.contour_shift_change(grid, params, fourier.STRIP_Q_MAX)
 

@@ -627,10 +627,9 @@ def qkqk_spatial(patch: FreePatch, values) -> np.ndarray:
     return np.broadcast_to(means, inter.shape).reshape(shape).ravel()
 
 
-def qkqk_fourier(patch: FreePatch, values, grid: TorusGrid,
-                 params: MultiscaleParams) -> np.ndarray:
+def qkqk_fourier(patch: FreePatch, values, grid: TorusGrid) -> np.ndarray:
     """``Q_k* Q_k f`` through the Fourier shift formula: transform, apply the
-    rank-one shift coupling ``U U^*``, transform back; ``params`` is not read."""
+    rank-one shift coupling ``U U^*``, transform back."""
     L, k = grid.L, grid.k
     U = _axis_outer(np.multiply, [_axis_symbols(n, L, k)[0] for n in _axis_nodes(grid)])
     v = _to_shift_layout(patch_fourier_samples(patch, values, grid), grid)
@@ -638,11 +637,10 @@ def qkqk_fourier(patch: FreePatch, values, grid: TorusGrid,
     return patch_inverse_fourier(_from_shift_layout(ghat, grid), patch, grid)
 
 
-def qkqk_fourier_residual(patch: FreePatch, values, grid: TorusGrid,
-                          params: MultiscaleParams) -> float:
+def qkqk_fourier_residual(patch: FreePatch, values, grid: TorusGrid) -> float:
     """Max pointwise discrepancy between spatial block means and the Fourier route."""
     spatial = qkqk_spatial(patch, values)
-    fourier = qkqk_fourier(patch, values, grid, params)
+    fourier = qkqk_fourier(patch, values, grid)
     return float(np.max(np.abs(spatial - fourier)))
 
 

@@ -13,7 +13,8 @@ and one renormalization step is the exact operator identity
 with the fluctuation covariance ``C_j`` inverting the coarse effective form
 plus the next-scale averaging penalty.  The residual functions return
 relative Frobenius norms so that an exact identity failing beyond 1e-9 flags
-a convention bug.
+a convention bug.  They take the tower levels they compare, so a caller
+checking every identity (``cli.run_rg_verify``) builds each level once.
 
 The dense operators (``green_j``, ``rg_operators``) invert n x n
 matrices; each call factors afresh.  The identities themselves are checked
@@ -21,12 +22,15 @@ on one route only: ``tower_level`` works in the orthonormal DCT-II basis,
 where every operator of the tower is diagonal plus rank one per frequency
 class (``ops.dct_frequency_classes``), solved by the Sherman-Morrison rows
 of ``RankOneRows``.  It forms no n x n matrix and runs at every size the
-lattice admits; the dense operators are its oracle in the tests.
+lattice admits; the dense operators are its oracle in the tests.  Every
+identity is block-diagonal over the classes of its coarser level, and both
+of its sides are formed there one ``S x S`` block per class row, straight
+from the ``RankOneRows`` factors, then subtracted entry by entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -202,7 +206,9 @@ def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
     return float(min(roots.min(), diag[u == 0.0].min(initial=np.inf)))
 
 
-PROBE_BLOCK_BYTES = 8 * 2**20   # nbytes of one (n, columns) probe batch of a residual check
+# nbytes of one batch of a residual check: (rows, S, columns) inverse-block
+# columns, or the telescope's (n, columns) delta fields
+PROBE_BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,8 +249,9 @@ class RankOneRows:
         den = Delta[:, zero] * c0 + a * U[:, zero] * Ubar[:, zero]
         return cls(a=a, zero=zero, U=U, Ubar=Ubar, Delta=Delta, w=w, c0=c0, den=den, **fields)
 
-    def solve(self, v) -> np.ndarray:
-        """``M^{-1} v`` in every row, for ``v`` of shape ``(rows, S, ...)``.
+    def solve(self, v, rows=slice(None)) -> np.ndarray:
+        """``M^{-1} v`` in ``rows`` (a slice or an index array; all by
+        default), for ``v`` of shape ``(len(rows), S, ...)``.
 
         Off the zero column ``x_l = w_l (v_l - a U_l beta)`` with
         ``beta = (Ubar_0 v_0 + Delta_0 B) / den`` and ``B = sum_l Ubar_l w_l v_l``;
@@ -253,14 +260,15 @@ class RankOneRows:
         v = np.asarray(v)
         v3 = v.reshape(v.shape[:2] + (-1,))
         z, a = self.zero, self.a
-        den = self.den[:, None, None]
-        B = np.sum((self.Ubar * self.w)[..., None] * v3, axis=1, keepdims=True)
+        U, Ubar, w = self.U[rows], self.Ubar[rows], self.w[rows]
+        den = self.den[rows, None, None]
+        B = np.sum((Ubar * w)[..., None] * v3, axis=1, keepdims=True)
         v0 = v3[:, z:z + 1]
-        beta = (self.Ubar[:, z, None, None] * v0 + self.Delta[:, z, None, None] * B) / den
-        x = (a * self.U)[..., None] * beta      # x = w (v - a U beta), in place
+        beta = (Ubar[:, z, None, None] * v0 + self.Delta[rows, z, None, None] * B) / den
+        x = (a * U)[..., None] * beta      # x = w (v - a U beta), in place
         np.subtract(v3, x, out=x)
-        x *= self.w[..., None]
-        x[:, z:z + 1] = (self.c0[:, None, None] * v0 - a * self.U[:, z, None, None] * B) / den
+        x *= w[..., None]
+        x[:, z:z + 1] = (self.c0[rows, None, None] * v0 - a * U[:, z, None, None] * B) / den
         return x.reshape(v.shape)
 
 
@@ -357,85 +365,187 @@ def _rel(X, Y) -> float:
     return float(np.linalg.norm(X - Y) / np.linalg.norm(Y))
 
 
-def _probe_rel_frobenius(apply_x, apply_y, freq, width: int) -> float:
-    """``|X - Y|_F / |Y|_F`` for maps block-diagonal over the rows of ``freq``.
+def _batches(rows: int, width: int, columns: int):
+    """``(row slice, column slices)`` over ``rows`` blocks of ``width x columns``
+    float64s, each piece within ``PROBE_BLOCK_BYTES``: whole blocks go
+    together while they fit, and a row whose block alone exceeds the budget
+    goes by itself, in slices of its columns (at least one column each)."""
+    per_row = 8 * width * columns
+    if per_row <= PROBE_BLOCK_BYTES:
+        step = PROBE_BLOCK_BYTES // per_row
+        for r in range(0, rows, step):
+            yield slice(r, min(r + step, rows)), [slice(0, columns)]
+        return
+    step = max(1, PROBE_BLOCK_BYTES // (8 * width))
+    cols = [slice(c, min(c + step, columns)) for c in range(0, columns, step)]
+    for r in range(rows):
+        yield slice(r, r + 1), cols
 
-    Probe column ``s`` holds a 1 at member ``s`` of every row, so its image
-    under a block-diagonal map is column ``s`` of every block, and the
-    ``freq.shape[1]`` probes read every block entry once.  Both sides'
-    entries are formed and subtracted, never expanded into Gram terms,
-    which would floor the residual near ``sqrt(eps)``.  Probes go in
-    batches of at most ``PROBE_BLOCK_BYTES`` over vectors of length ``width``.
-    """
-    members = freq.shape[1]
-    batch = max(1, PROBE_BLOCK_BYTES // (8 * width))
+
+def _inverse_columns(M: RankOneRows, rows, members) -> np.ndarray:
+    """Columns of the inverse blocks of ``M`` in ``rows`` (a slice or an index
+    array), shape ``(len(rows), S, columns)``: column ``t`` of row ``r`` is
+    ``M_r^{-1} e_m``, ``m = members[r, t]``, for ``members`` broadcasting to
+    ``(len(rows), columns)``."""
+    count = len(M.den[rows])
+    members = np.broadcast_to(members, (count, np.shape(members)[-1]))
+    E = np.zeros((count, M.U.shape[1], members.shape[1]))
+    E[np.arange(count)[:, None], members, np.arange(members.shape[1])] = 1.0
+    return M.solve(E, rows)
+
+
+def _block_rel_frobenius(pairs) -> float:
+    """``|X - Y|_F / |Y|_F`` summed over the ``(X, Y)`` block batches of two
+    block-diagonal maps, each pair overwritten in place.  Both sides' entries
+    are formed and subtracted, never expanded into Gram terms, which would
+    floor the residual near ``sqrt(eps)``."""
     num = den = 0.0
-    for start in range(0, members, batch):
-        cols = np.arange(start, min(start + batch, members))
-        P = np.zeros((freq.size, len(cols)))
-        P[freq[:, cols], np.arange(len(cols))] = 1.0
-        Y = apply_y(P)
-        num += float(np.sum((apply_x(P) - Y) ** 2))
-        den += float(np.sum(Y**2))
+    for X, Y in pairs:
+        X -= Y
+        num += float(np.sum(np.square(X, out=X)))
+        den += float(np.sum(np.square(Y, out=Y)))
+        del X, Y        # free both before the next pair is formed
     return float(np.sqrt(num / den))
 
 
-def rg_step_residual(geom, params: MultiscaleParams, j: int) -> float:
+def _row_blocks(X: RankOneRows, Y: RankOneRows, scale: float):
+    """``(scale X_r^{-1}, Y_r^{-1})`` block batches of two ``RankOneRows`` of
+    one layout."""
+    S = X.U.shape[1]
+    return ((scale * _inverse_columns(X, rb, np.arange(S)[cb]),
+             _inverse_columns(Y, rb, np.arange(S)[cb]))
+            for rb, cbs in _batches(len(X.den), S, S) for cb in cbs)
+
+
+def _check_step(lo: TowerLevel, hi: TowerLevel, name: str):
+    if hi.geometry != lo.geometry or hi.j != lo.j + 1:
+        raise ValueError(f"{name}: needs the levels j and j + 1 of one cube")
+
+
+def _step_members(hi: TowerLevel) -> np.ndarray:
+    """Each flat frequency's member in its level-``(j+1)`` row: the index map
+    of ``_step_rows``."""
+    member = np.empty(hi.freq.size, dtype=np.intp)
+    member[hi.freq.ravel()] = np.tile(np.arange(hi.freq.shape[1]), len(hi.freq))
+    return member
+
+
+def _step_rows(lo: TowerLevel, hi: TowerLevel, member, rb) -> RankOneRows:
+    """``hi.G``'s rows ``rb`` with their members relabeled into the level-``j``
+    layout, where ``G_j``'s blocks sit on the diagonal: member ``s S + i`` of
+    row ``r`` is member ``i`` of level-``j`` row ``lo.coarse_freq[r, s]``
+    (``S`` members a level-``j`` row).
+
+    The level-``j`` rows inside level-``(j+1)`` row ``r`` are exactly row
+    ``r`` of ``lo.coarse_freq``, and in that order they are the slots of
+    ``C_j``'s row ``r``.  Both layouts lead with the member ``p = kappa``,
+    so the zero column stays column 0.
+    """
+    G = hi.G
+    slot = member[lo.freq[lo.coarse_freq[rb]]].reshape(G.U[rb].shape)
+    return replace(G, c0=G.c0[rb], den=G.den[rb],
+                   **{f: np.take_along_axis(getattr(G, f)[rb], slot, axis=1)
+                      for f in ("U", "Ubar", "Delta", "w")})
+
+
+def _step_block(lo: TowerLevel, hi: TowerLevel, member, rb, cb):
+    """Columns ``cb`` of both sides of the step in the level-``(j+1)`` rows
+    ``rb``, in the level-``j`` layout: ``(G_j + C'_j, G_{j+1})``."""
+    S, cf = lo.freq.shape[1], lo.coarse_freq[rb]
+    b, d = float(lo.geometry.L) ** lo.j, lo.geometry.d
+    q = np.arange(hi.freq.shape[1])[cb]
+    Y = _inverse_columns(_step_rows(lo, hi, member, rb), slice(None), q)
+    gq = lo.G.solve(b ** (d / 2) * lo.u[cf.ravel()], cf.ravel()).reshape(cf.shape + (S,))
+    C = _inverse_columns(lo.C, rb, q // S)          # C_j[s, s(q)]
+    X = ((lo.at**2 / b**d) * gq[..., None] * C[:, :, None]).reshape(len(cf), -1, len(q))
+    X *= gq.reshape(len(cf), -1)[:, None, q]
+    # G_j: column q adds column q mod S of level-j row s(q)'s block, in that row's slots
+    G_j = _inverse_columns(lo.G, cf[:, q // S].ravel(), np.tile(q % S, len(cf))[:, None])
+    G_j = G_j.reshape(len(cf), len(q), S).transpose(0, 2, 1)
+    for s in range(q[0] // S, q[-1] // S + 1):
+        t = slice(max(s * S, q[0]) - q[0], min((s + 1) * S, q[-1] + 1) - q[0])
+        X[:, s * S:(s + 1) * S, t] += G_j[:, :, t]
+    return X, Y
+
+
+def rg_step_residual(lo: TowerLevel, hi: TowerLevel) -> float:
     """Relative Frobenius residual of one renormalization-group step,
-    ``G_{j+1} = C'_j + G_j`` with ``C'_j = at**2 G_j Q_j* C_j Q_j G_j``; all
-    three are block-diagonal over the level-``(j+1)`` classes."""
-    if not 1 <= j <= geom.k or j >= geom.m:
-        raise ValueError(f"rg_step_residual: j={j} needs 1 <= j <= k and j < m")
-    lo, hi = tower_level(geom, params, j), tower_level(geom, params, j + 1)
+    ``G_{j+1} = G_j + C'_j``, from the levels ``j`` and ``j + 1`` of one cube.
 
-    def step(P):    # C'_j + G_j = G_j (1 + at**2 Q_j* C_j Q_j G_j), one G_j solve fewer
-        return lo.green(P + lo.at**2 * lo.average_adjoint(lo.covariance(lo.average(lo.green(P)))))
+    All three maps are block-diagonal over the level-``(j+1)`` rows, and both
+    sides are formed one ``S x S`` block per row, in the layout of
+    ``_step_rows``.  ``C'_j = at**2 b**-d (G_j Q_j*) C_j (G_j Q_j*)^T`` has
+    rank ``L**d`` per row, since ``Q_j G_j = b**-d (G_j Q_j*)^T``: ``G_j Q_j*``
+    is one level-``j`` solve of ``b**(d/2) u`` and ``C_j`` the
+    ``L**d x L**d`` block of ``lo.C``.
+    """
+    _check_step(lo, hi, "rg_step_residual")
+    member = _step_members(hi)
+    return _block_rel_frobenius(_step_block(lo, hi, member, rb, cb)
+                                for rb, cbs in _batches(*hi.freq.shape, hi.freq.shape[1])
+                                for cb in cbs)
 
-    return _probe_rel_frobenius(step, hi.green, hi.freq, geom.site_count)
+
+def _c_identity_block(lo: TowerLevel, hi: TowerLevel, member, rb, cbs):
+    """Both sides of the covariance identity in ``C_j``'s rows ``rb``, ``U``
+    solved in the column slices ``cbs``: ``(A + at**2 A U^T G_{j+1} U A, C_j)``."""
+    at, u1, cf = lo.at, lo.C.U[rb], lo.coarse_freq[rb]
+    (rows, Ld), S = cf.shape, lo.freq.shape[1]
+    G_hi = _step_rows(lo, hi, member, rb)
+    u = lo.u[cf]                                  # (rows, L**d, S)
+    UGU = np.empty((rows, Ld, Ld))
+    for cb in cbs:
+        U = np.zeros((rows, Ld, S, len(range(Ld)[cb])))
+        for t, s in enumerate(range(Ld)[cb]):
+            U[:, s, :, t] = u[:, s]
+        GU = G_hi.solve(U.reshape(rows, Ld * S, -1)).reshape(U.shape)
+        UGU[:, :, cb] = np.einsum("rsi,rsit->rst", u, GU)
+    A = np.eye(Ld) / at + (1.0 / (at + lo.C.a) - 1.0 / at) * u1[:, :, None] * u1[:, None, :]
+    return A + at**2 * (A @ UGU @ A), _inverse_columns(lo.C, rb, np.arange(Ld))
 
 
-def c_identity_residual(geom, params: MultiscaleParams, j: int) -> float:
+def c_identity_residual(lo: TowerLevel, hi: TowerLevel) -> float:
     """Relative Frobenius residual of the fluctuation-covariance identity
-    ``C_j = A_j + at**2 A_j Q_j G_{j+1} Q_j* A_j`` on the coarse lattice, with
-    the closed form ``A_j = 1/at + (1/(at + at_1/L**2) - 1/at) P_1`` of
-    ``a_operator_closed_form``; all are block-diagonal over the coarse
-    lattice's level-1 classes."""
-    if not 1 <= j <= geom.k or j >= geom.m:
-        raise ValueError(f"c_identity_residual: j={j} needs 1 <= j <= k and j < m")
-    lo, hi = tower_level(geom, params, j), tower_level(geom, params, j + 1)
-    at, cf, u1 = lo.at, lo.coarse_freq, lo.C.U
-    at_first = params.a_tilde(geom, 1, j)
-    shift = 1.0 / (at + at_first / geom.L**2) - 1.0 / at
+    ``C_j = A_j + at**2 A_j Q_j G_{j+1} Q_j* A_j`` on the coarse lattice, from
+    the levels ``j`` and ``j + 1`` of one cube, with the closed form
+    ``A_j = 1/at + (1/(at + at_1/L**2) - 1/at) P_1`` of
+    ``a_operator_closed_form``.
 
-    def A(Y):
-        X = Y[cf]
-        P1 = _col(u1, X) * np.sum(_col(u1, X) * X, axis=1, keepdims=True)
-        return Y / at + shift * _scatter(P1, cf)
-
-    def recon(Y):
-        AY = A(Y)
-        return AY + at**2 * A(lo.average(hi.green(lo.average_adjoint(AY))))
-
-    return _probe_rel_frobenius(recon, lo.covariance, cf, geom.site_count)
+    All are block-diagonal over ``C_j``'s rows, compared one ``L**d x L**d``
+    block per row: ``P_1 = u_1 u_1^T`` and ``Q_j G_{j+1} Q_j* = U^T G_{j+1} U``,
+    where ``U``, in the layout of ``_step_rows``, holds each level-``j``
+    row's ``u`` in its own slots.
+    """
+    _check_step(lo, hi, "c_identity_residual")
+    member = _step_members(hi)
+    return _block_rel_frobenius(_c_identity_block(lo, hi, member, rb, cbs)
+                                for rb, cbs in _batches(*hi.freq.shape, lo.coarse_freq.shape[1]))
 
 
-def rg_telescope_residual(geom, params: MultiscaleParams) -> float:
+def rg_telescope_residual(levels) -> float:
     """Max relative discrepancy of the telescoped propagator formula.
 
-    Both sides are evaluated on delta fields at a deterministic site sample.
-    The right-hand side sums the rescaled fluctuation kernels
-    ``lam_j**-2 C'_j(lam_j Omega)`` over ``j = 1 .. k-1`` plus the rescaled
-    first-scale propagator; value vectors transport across scales unchanged
-    because rescaled lattices share the index set.  The sum is empty for k=1.
-    Each level is built once; level ``k`` is the left side.
-    The deltas go through one forward DCT, the class solves of every term
-    and one inverse DCT per side, in batches of at most ``PROBE_BLOCK_BYTES``.
+    ``levels[j - 1]`` is level ``j`` of the cube scaled by ``L**(k - j)``,
+    ``tower_level(scale_geometry(geom, k - j), params, j)`` for
+    ``j = 1 .. k``, so the last is level ``k`` of ``geom`` itself, the
+    left-hand side.  Both sides are evaluated on delta fields at a
+    deterministic site sample.  The right-hand side sums the rescaled
+    fluctuation kernels ``lam_j**-2 C'_j(lam_j Omega)`` over ``j = 1 .. k-1``
+    plus the rescaled first-scale propagator; value vectors transport across
+    scales unchanged because rescaled lattices share the index set.  The sum
+    is empty for k=1.  The deltas go through one forward DCT, the class
+    solves of every term and one inverse DCT per side, in batches of at most
+    ``PROBE_BLOCK_BYTES``.
     """
-    k = geom.k
-    if k < 1:
+    if not levels:
         raise ValueError("telescope needs k >= 1")
+    geom = levels[-1].geometry
+    k = geom.k
+    if [(lv.geometry, lv.j) for lv in levels] != [(scale_geometry(geom, k - j), j)
+                                                   for j in range(1, k + 1)]:
+        raise ValueError("rg_telescope_residual: levels[j - 1] must be level j "
+                         "of the cube scaled by L**(k - j), j = 1 .. k")
     L = float(geom.L)
-    levels = [tower_level(scale_geometry(geom, k - j), params, j) for j in range(1, k + 1)]
     flat = [site_to_flat(geom, s) for s in sample_sites(geom)]
     batch = max(1, PROBE_BLOCK_BYTES // (8 * geom.site_count))
     worst = 0.0
@@ -454,8 +564,10 @@ def rg_telescope_residual(geom, params: MultiscaleParams) -> float:
     return worst
 
 
-def scaling_residuals(geom, params: MultiscaleParams, j: int) -> dict[str, float]:
-    """Numerical residuals of the scaling covariances (all exact identities).
+def scaling_residuals(xi: TowerLevel, sc: TowerLevel) -> dict[str, float]:
+    """Numerical residuals of the scaling covariances (all exact identities),
+    from level ``j`` of a cube and level ``j`` of the same cube scaled by
+    ``lam = L**(k - j)``, ``scale_geometry(geom, k - j)``; needs ``j < m``.
 
     Keys: ``de_scaling`` (Laplacian), ``q_scaling`` (averaging),
     ``g_scaling`` (Green function), ``dgc_delta`` and ``dgc_c`` (effective
@@ -466,27 +578,24 @@ def scaling_residuals(geom, params: MultiscaleParams, j: int) -> dict[str, float
     has value matrix ``lam**(-d/2) I``, ``S*`` has ``lam**(d/2) I`` and
     ``S* X S`` has that of ``X``.  In the DCT basis ``-Lap`` and ``Delta_j``
     are diagonal and ``Q_j`` is ``b**(-d/2) u``; ``G_j`` and ``C_j`` are
-    compared block by block (``_probe_rel_frobenius``).
+    compared block by block, the two levels sharing their row layout.
     """
-    if not 1 <= j <= geom.k or j >= geom.m:
-        raise ValueError(f"scaling_residuals: j={j} needs 1 <= j <= k and j < m")
+    geom, j = xi.geometry, xi.j
     ell = geom.k - j
+    if sc.j != j or sc.geometry != scale_geometry(geom, ell) or xi.C is None:
+        raise ValueError("scaling_residuals: needs level j < m of a cube and of "
+                         "that cube scaled by L**(k - j)")
     if ell == 0:    # lam = 1 and the same cube: each residual compares a map with itself
         return dict.fromkeys(("de_scaling", "q_scaling", "g_scaling", "dgc_delta", "dgc_c"), 0.0)
     lam = float(geom.L) ** ell
-    scaled = scale_geometry(geom, ell)
-    xi, sc = tower_level(geom, params, j), tower_level(scaled, params, j)
-    lap_xi, lap_sc = (ops.dct_frequency_classes(g, j)[0] for g in (geom, scaled))
+    lap_xi, lap_sc = (ops.dct_frequency_classes(g, j)[0] for g in (geom, sc.geometry))
     b_half = float(geom.L) ** (-j * geom.d / 2)
-    n, n_c = geom.site_count, len(xi.delta)
     return {
         "de_scaling": _rel(lam**2 * lap_sc, lap_xi),
         "q_scaling": _rel(b_half * sc.u, b_half * xi.u),
-        "g_scaling": _probe_rel_frobenius(lambda P: lam**-2 * sc.green(P), xi.green,
-                                          xi.freq, n),
+        "g_scaling": _block_rel_frobenius(_row_blocks(sc.G, xi.G, lam**-2)),
         "dgc_delta": _rel(lam**-2 * xi.delta, sc.delta),
-        "dgc_c": _probe_rel_frobenius(lambda P: lam**2 * xi.covariance(P), sc.covariance,
-                                      xi.coarse_freq, n_c),
+        "dgc_c": _block_rel_frobenius(_row_blocks(xi.C, sc.C, lam**2)),
     }
 
 

@@ -84,7 +84,8 @@ def test_covariance_identity():
         g = lat.make_geometry(*geometry)
         if g.k < g.m:
             _check(f"c_identity_residual_j{g.k} {geometry} mu0={params.mu0:g}",
-                   ms.c_identity_residual(g, params, g.k),
+                   ms.c_identity_residual(ms.tower_level(g, params, g.k),
+                                          ms.tower_level(g, params, g.k + 1)),
                    rows["c_identity_residual_j1"].tolerance)
 
 
@@ -101,7 +102,7 @@ def test_fourier_qkqk():
             vals = (rng.standard_normal(patch.site_count)
                     + 1j * rng.standard_normal(patch.site_count))
             grid = fr.TorusGrid(d, 3, k, 16 * 3**k)
-            worst = max(worst, fr.qkqk_fourier_residual(patch, vals, grid, P0))
+            worst = max(worst, fr.qkqk_fourier_residual(patch, vals, grid))
     _check("fourier_qkqk", worst, 1e-8)
 
 

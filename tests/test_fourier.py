@@ -495,7 +495,7 @@ def test_qkqk_block_indicator_fixed_point():
     v[3:6] = 1.0  # one whole unit block
     assert np.allclose(fr.qkqk_spatial(patch, v), v)
     grid = fr.TorusGrid(1, 3, 1, 48)
-    four = fr.qkqk_fourier(patch, v.astype(complex), grid, P0)
+    four = fr.qkqk_fourier(patch, v.astype(complex), grid)
     assert np.max(np.abs(four - v)) < 1e-10
 
 
@@ -519,7 +519,7 @@ def test_qkqk_fourier_residual(d, k):
     rng = np.random.default_rng(11)
     v = rng.standard_normal(patch.site_count) + 1j * rng.standard_normal(patch.site_count)
     grid = fr.TorusGrid(d, L, k, 16 * L**k)
-    assert fr.qkqk_fourier_residual(patch, v, grid, P0) < 1e-8
+    assert fr.qkqk_fourier_residual(patch, v, grid) < 1e-8
 
 
 def test_qkqk_fourier_reads_only_the_averaging_symbol(monkeypatch):
@@ -530,7 +530,7 @@ def test_qkqk_fourier_reads_only_the_averaging_symbol(monkeypatch):
     monkeypatch.setattr(fr, "build_shift_system", refuse)
     patch = lat.block_aligned_patch(2, 3, 1, (0, 0), (2, 2))
     v = np.random.default_rng(11).standard_normal(patch.site_count).astype(complex)
-    assert fr.qkqk_fourier_residual(patch, v, fr.TorusGrid(2, 3, 1, 16 * 3), P0) < 1e-8
+    assert fr.qkqk_fourier_residual(patch, v, fr.TorusGrid(2, 3, 1, 16 * 3)) < 1e-8
 
 
 def test_h_function_vs_shift_solve():

@@ -14,6 +14,20 @@ PM = ms.MultiscaleParams(mu0=0.1)
 ORACLE_GRID = [(1, 3, 2, 2), (1, 3, 2, 3), (2, 3, 2, 2), (1, 3, 1, 2), (2, 3, 2, 3)]
 
 
+def _step(g, params, j):
+    """The residuals' levels ``j`` and ``j + 1`` of one cube."""
+    return ms.tower_level(g, params, j), ms.tower_level(g, params, j + 1)
+
+
+def _telescope_levels(g, params):
+    return [ms.tower_level(lat.scale_geometry(g, g.k - j), params, j) for j in range(1, g.k + 1)]
+
+
+def _scaling_residuals(g, params, j):
+    return ms.scaling_residuals(ms.tower_level(g, params, j),
+                                ms.tower_level(lat.scale_geometry(g, g.k - j), params, j))
+
+
 def test_a_sequence_reference():
     seq = ms.a_sequence(1.0, 3, 5)
     assert seq[0] == pytest.approx(1.0)
@@ -115,7 +129,7 @@ def test_rg_step(geom_args, mu0):
     g = lat.make_geometry(*geom_args)
     params = ms.MultiscaleParams(mu0=mu0)
     for j in range(1, g.k):
-        assert ms.rg_step_residual(g, params, j) < 1e-9
+        assert ms.rg_step_residual(*_step(g, params, j)) < 1e-9
 
 
 # every geometry of ORACLE_GRID, at mu0 = 0 and 0.1; (1, 3, 1, 2) is the
@@ -128,7 +142,7 @@ def test_rg_step(geom_args, mu0):
 def test_rg_telescope(geom_args, mu0):
     g = lat.make_geometry(*geom_args)
     params = ms.MultiscaleParams(mu0=mu0)
-    assert ms.rg_telescope_residual(g, params) < 1e-9
+    assert ms.rg_telescope_residual(_telescope_levels(g, params)) < 1e-9
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -141,8 +155,10 @@ def test_rg_telescope_builds_each_level_once(k, monkeypatch):
 
     tower_level = ms.tower_level
     monkeypatch.setattr(ms, "tower_level", counting)
-    assert ms.rg_telescope_residual(lat.make_geometry(1, 3, k, k + 1), P0) < 1e-9
-    assert [j for _, j in built] == list(range(1, k + 1))
+    g = lat.make_geometry(1, 3, k, k + 1)
+    levels = _telescope_levels(g, P0)
+    assert ms.rg_telescope_residual(levels) < 1e-9    # builds no level of its own
+    assert built == [(lat.scale_geometry(g, k - j), j) for j in range(1, k + 1)]
 
 
 def test_c_identity():
@@ -150,8 +166,8 @@ def test_c_identity():
     for geom_args in ORACLE_GRID:
         g = lat.make_geometry(*geom_args)
         for j in range(1, min(g.k, g.m - 1) + 1):
-            assert ms.c_identity_residual(g, P0, j) < 1e-10
-            assert ms.c_identity_residual(g, PM, j) < 1e-10
+            assert ms.c_identity_residual(*_step(g, P0, j)) < 1e-10
+            assert ms.c_identity_residual(*_step(g, PM, j)) < 1e-10
 
 
 def test_scaling_residuals():
@@ -159,7 +175,7 @@ def test_scaling_residuals():
         g = lat.make_geometry(*geom_args)
         for params in (P0, PM):
             for j in range(1, min(g.k, g.m - 1) + 1):
-                for name, val in ms.scaling_residuals(g, params, j).items():
+                for name, val in _scaling_residuals(g, params, j).items():
                     assert val < 1e-11, (geom_args, params, j, name, val)
 
 
@@ -187,7 +203,7 @@ def test_scaling_residuals_match_dense_conjugation(geom_args, params):
     # either would read O(1)
     g = lat.make_geometry(*geom_args)
     for j in range(1, g.k + 1):
-        relabel = ms.scaling_residuals(g, params, j)
+        relabel = _scaling_residuals(g, params, j)
         dense = _scaling_residuals_by_conjugation(g, params, j)
         assert relabel.keys() == dense.keys()
         for name, val in relabel.items():
@@ -433,22 +449,106 @@ def test_spectral_tower_matches_dense(geom_args, params):
 
 @pytest.mark.parametrize("geom_args", [(1, 3, 2, 3), (2, 3, 2, 3)])
 def test_probe_frobenius_reads_every_block_entry(geom_args):
-    # pairs of different block-diagonal maps, O(1e-2) apart: the probe
-    # residual equals the dense relative Frobenius distance
+    # pairs of different block-diagonal maps, O(1e-2) apart: the block
+    # comparison equals the dense relative Frobenius distance
+    import dataclasses
+
     g = lat.make_geometry(*geom_args)
-    n = g.site_count
     for j in (1, 2):
         lo, lo_m, hi = (ms.tower_level(g, p, jj) for p, jj in ((P0, j), (PM, j), (P0, j + 1)))
-        cases = [((lo.green, lo_m.green, lo.freq, n),
-                  (ms.green_j(g, P0, j), ms.green_j(g, PM, j))),
-                 ((lo.green, hi.green, hi.freq, n),
-                  (ms.green_j(g, P0, j), ms.green_j(g, P0, j + 1))),
-                 ((lo.covariance, lo_m.covariance, lo.coarse_freq, len(lo.delta)),
-                  (ms.rg_operators(g, P0, j).C_j, ms.rg_operators(g, PM, j).C_j))]
-        for probe_args, (X, Y) in cases:
-            dense = ops.rel_frobenius(X, Y)
+        G_j, G_m = ms.green_j(g, P0, j), ms.green_j(g, PM, j)
+        cases = [(ms._block_rel_frobenius(ms._row_blocks(lo.G, lo_m.G, 1.0)),
+                  ops.rel_frobenius(G_j, G_m)),
+                 # at = 0 switches C'_j off: the step then lays G_j's blocks
+                 # out on the level-(j+1) rows through its index map alone
+                 (ms.rg_step_residual(dataclasses.replace(lo, at=0.0), hi),
+                  ops.rel_frobenius(G_j, ms.green_j(g, P0, j + 1))),
+                 (ms._block_rel_frobenius(ms._row_blocks(lo.C, lo_m.C, 1.0)),
+                  ops.rel_frobenius(ms.rg_operators(g, P0, j).C_j, ms.rg_operators(g, PM, j).C_j))]
+        for blocks, dense in cases:
             assert dense > 1e-3
-            assert ms._probe_rel_frobenius(*probe_args) == pytest.approx(dense, rel=1e-12)
+            assert blocks == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("geom_args", [(3, 3, 1, 2), (3, 3, 2, 2), (1, 5, 2, 3), (2, 5, 1, 2)])
+def test_step_layout_across_d_and_L(geom_args):
+    g = lat.make_geometry(*geom_args)
+    for params in (P0, PM, ms.MultiscaleParams(a=30.0, mu0=2.0)):
+        for j in range(1, min(g.k, g.m - 1) + 1):
+            lo, hi = _step(g, params, j)
+            G_hi = ms._step_rows(lo, hi, ms._step_members(hi), slice(None))
+            # every slot holds the frequency of its level-j member, and the
+            # zero column stays column 0
+            assert np.array_equal(G_hi.Delta, lo.G.Delta[lo.coarse_freq].reshape(G_hi.Delta.shape))
+            assert np.array_equal(G_hi.U[:, 0], hi.G.U[:, 0])
+            assert ms.rg_step_residual(lo, hi) < 1e-14
+            assert ms.c_identity_residual(lo, hi) < 1e-14
+
+
+def _rg_verify_values(geom_args):
+    import dataclasses
+
+    from blockrg import cli
+    cfg = dataclasses.replace(cli.load_config(None), geometry=dict(zip("dLkm", geom_args)))
+    return {r.metric: r.value for r in cli.run_rg_verify(cfg)}
+
+
+@pytest.mark.parametrize("geom_args,budget", [
+    ((2, 3, 2, 3), 8 * 9 * 9 * 5),      # level-1 blocks, 5 rows a batch
+    ((2, 3, 2, 3), 2 * 8 * 81 * 81),    # level-2 blocks 2 rows a batch; level 3 by columns
+    ((2, 3, 2, 3), 8 * 81 * 7),         # every level-2 and level-3 block by columns
+    ((2, 3, 2, 2), 8 * 81 * 10),        # the one top-level row's block by columns
+])
+def test_block_batches_agree_with_default_budget(geom_args, budget, monkeypatch):
+    default = _rg_verify_values(geom_args)
+    monkeypatch.setattr(ms, "PROBE_BLOCK_BYTES", budget)
+    # some level's S x S blocks (S = 9, 81, 729; rows = n / S) now split
+    n = 9 ** geom_args[3]
+    assert any(len(batches) > 1 or len(batches[0][1]) > 1
+               for batches in (list(ms._batches(n // S, S, S)) for S in (9, 81, 729) if S <= n))
+    small = _rg_verify_values(geom_args)
+    assert small.keys() == default.keys()
+    for name, val in small.items():
+        assert abs(val - default[name]) <= 1e-15, (name, val, default[name])
+
+
+def test_batches_split_rows_then_columns(monkeypatch):
+    monkeypatch.setattr(ms, "PROBE_BLOCK_BYTES", 2 * 8 * 81 * 81)
+    assert [(rb.start, rb.stop, len(cbs)) for rb, cbs in ms._batches(5, 81, 81)] == [
+        (0, 2, 1), (2, 4, 1), (4, 5, 1)]
+    (rb, cbs), = ms._batches(1, 729, 729)
+    assert (rb.start, rb.stop) == (0, 1) and cbs[0] == slice(0, 18) and cbs[-1].stop == 729
+    assert all(8 * 729 * (c.stop - c.start) <= ms.PROBE_BLOCK_BYTES for c in cbs)
+
+
+def test_rg_step_residual_peak_allocation():
+    # level builds included; the probe columns that the blocks replaced peaked at 45.8 MiB
+    import tracemalloc
+
+    g = lat.make_geometry(2, 3, 2, 5)
+    tracemalloc.start()
+    try:
+        assert ms.rg_step_residual(*_step(g, P0, 1)) < 1e-9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("geom_args,builds", [((2, 3, 2, 3), 3), ((2, 3, 3, 5), 5)])
+def test_rg_verify_builds_each_level_once(geom_args, builds, monkeypatch):
+    # the k levels of the cube and the k - 1 levels of its rescalings that the
+    # telescope and the scaling relations read
+    built = []
+
+    def counting(geom, params, j):
+        built.append((geom, j))
+        return tower_level(geom, params, j)
+
+    tower_level = ms.tower_level
+    monkeypatch.setattr(ms, "tower_level", counting)
+    assert all(v <= 1e-9 for v in _rg_verify_values(geom_args).values())
+    assert len(built) == builds == len(set(built))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -13,19 +13,20 @@ with ``Delta`` the Laplacian symbol and ``u`` the averaging symbol
     u(z) = eta^d prod_nu (1 - exp(-i z_nu)) / (1 - exp(-i z_nu eta)).
 
 Every shift system is therefore solved in O(S) by the Sherman-Morrison
-formula, never stored or inverted as an ``S x S`` matrix.  The whole-grid
-``ShiftSystem`` is a ``multiscale.RankOneRows``, the solver of the DCT-class
-tower; the kernels and the strip read the products ``w U`` of ``NodeBlock``.
-The formula is used multiplied through by ``Delta_0``, the symbol of the zero
-shift, and the zero-shift term is split off the diagonal sum.  What remains divides only by
-the nonzero-shift symbols and by ``Delta_0 (1 + a_k sum_{l!=0} Ubar_l U_l /
-Delta_l) + a_k U_0 Ubar_0``, which is ``det M`` over those symbols and so
-positive at every real momentum.  The massless node ``p = 0``, where
-``Delta_0 = 0``, thus goes through the same formula as every other node and
-no term is ever formed as 0/0.  Kernels are trapezoid quadratures of these
-solves; the solve's pieces are contracted over the shifts once per residue
-class modulo the unit lattice and summed over the nodes by one inverse FFT
-per pair of classes, which serves every offset (see ``_class_sums``).
+formula, never stored or inverted as an ``S x S`` matrix: its nodes are rows
+of ``multiscale.RankOneRows``, the solver of the DCT-class tower too.  The
+whole-grid ``ShiftSystem`` is such rows, and so are the node blocks that the
+kernels and the strip read.  The formula is used multiplied through by
+``Delta_0``, the symbol of the zero shift, and the zero-shift term is split
+off the diagonal sum.  What remains divides only by the nonzero-shift
+symbols and by ``Delta_0 (1 + a_k sum_{l!=0} Ubar_l U_l / Delta_l) + a_k U_0
+Ubar_0``, which is ``det M`` over those symbols and so positive at every
+real momentum.  The massless node ``p = 0``, where ``Delta_0 = 0``, thus
+goes through the same formula as every other node and no term is ever
+formed as 0/0.  Kernels are trapezoid quadratures of these solves; the
+solve's pieces are contracted over the shifts once per residue class modulo
+the unit lattice and summed over the nodes by one inverse FFT per pair of
+classes, which serves every offset (see ``_class_sums``).
 
 Every per-axis symbol has ``conj f(Z) = f(-conj Z)`` (``sin^2`` and ``sinc``
 are even with real coefficients, and ``conj e^{-icZ} = e^{-ic(-conj Z)}``),
@@ -33,9 +34,9 @@ and so have the class phases.  ``z -> -conj z`` sends ``p + i q`` to
 ``-p + i q`` on the same contour and the shift ``l`` to ``-l`` (L odd), so
 on every contour the kernels' node arrays are Hermitian in the node: half
 the nodes are solved, ``irfftn`` sums them, and the kernels are real.  The
-strip integrand ``H = M^{-1} U`` is ``NodeBlock.solve_u`` at complex nodes
-``p + i q``.  Kernels and strip build their ``NodeBlock``s in bounded
-blocks of nodes (``_node_blocks``), cached nowhere.
+strip integrand ``H = M^{-1} U`` is ``RankOneRows.solve_u`` at complex
+nodes ``p + i q``.  Kernels and strip build their rows in bounded blocks
+of nodes (``_node_blocks``), cached nowhere.
 
 Symbols take complex arguments everywhere, which is what operational
 analyticity checks (contour shifts) and the strip bounds rely on.
@@ -215,13 +216,14 @@ def bracket(z, L: int, k: int, mu0: float):
 
 @dataclass(frozen=True)
 class FactoredStack:
-    """``n`` shift matrices of size ``S x S`` held as O(n S) factor arrays.
+    """``n`` shift matrices of size ``S x S`` (``shape = (n, S)``) held as O(n S) factor arrays.
 
     ``nbytes`` counts the factor arrays.  ``dense()`` materialises the
     ``(n, S, S)`` stack as ``matvec`` of the identity; it is meant for
     checks at small ``n`` only.
     """
 
+    shape: tuple
     factors: tuple
     matvec: Callable
 
@@ -230,68 +232,44 @@ class FactoredStack:
         return sum(f.nbytes for f in self.factors)
 
     def dense(self) -> np.ndarray:
-        n, S = self.factors[0].shape
+        n, S = self.shape
         return self.matvec(np.broadcast_to(np.eye(S), (n, S, S)))
 
 
 class ShiftSystem(RankOneRows):
     """Per-node shift matrices ``M = diag(Delta) + a_k U Ubar^T`` of the defining operator.
 
-    The ``n`` nodes are the row-major base nodes of a grid; the shifts are
-    the S rows of ``shift_vectors``, the zero shift at index ``zero``; ``U``,
-    ``Ubar``, ``Delta``: the averaging symbols and the Laplacian symbol at
-    ``Z = node + 2 pi shift``, each (n, S); ``a = a_k``.  The nodes are the
-    rows of ``multiscale.RankOneRows``, whose Sherman-Morrison weights
-    ``w``, ``c0``, ``den`` (multiplied through by ``Delta_0 = Delta[:, zero]``,
-    so the massless node ``p = 0`` needs no special case) give ``solve`` in
-    O(S) per node, and ``apply`` is O(S) too; ``den`` is positive at real
-    momenta.  ``Minv`` and ``Mmat`` view the same factors as matrix stacks.
+    The ``n`` nodes, rows of ``multiscale.RankOneRows`` (``a = a_k``), are
+    the row-major base nodes of a grid; the shifts are the S rows of
+    ``shift_vectors``, the zero shift at index ``zero``.  ``den`` is positive
+    at real momenta.  ``Mmat`` and ``Minv`` view the rows as matrix stacks,
+    of the arrays ``apply`` reads and of the one more ``solve`` reads, ``c0``.
     """
 
     def apply(self, v) -> np.ndarray:
-        """``M v`` at every node, for ``v`` of shape ``(n, S, ...)``."""
+        """``M v`` at every node, for ``v`` of shape ``(n, S, ...)``: ``(v_l + a
+        (w U)_l B) / w_l`` off the zero column and ``Delta_0 v_0 + a U_0 B`` on
+        it, with ``B = Ubar^T v = Ubar_0 v_0 + sum_l (w Ubar)_l v_l / w_l``."""
         v = np.asarray(v)
         v3 = v.reshape(v.shape[:2] + (-1,))
-        U, Ubar = self.U[..., None], self.Ubar[..., None]
-        out = (self.Delta[..., None] * v3
-               + self.a * U * np.sum(Ubar * v3, axis=1, keepdims=True))
-        return out.reshape(v.shape)
+        z, w, v0 = self.zero, self.w[..., None], v3[:, self.zero:self.zero + 1]
+        off = np.arange(w.shape[1])[:, None] != z       # w is 0 on the zero column
+        Dv = np.divide(v3, w, out=np.zeros(v3.shape, np.result_type(v3, w)), where=off)
+        B = np.einsum("ns,nsc->nc", self._wubar(slice(None)), Dv)[:, None]
+        B += self.Ubar0[:, None, None] * v0
+        x = self.a * self.wU[..., None] * B
+        np.divide(np.add(x, v3, out=x), w, out=x, where=off)
+        x[:, z:z + 1] = self.Delta0[:, None, None] * v0 + self.a * self.U0[:, None, None] * B
+        return x.reshape(v.shape)
 
     @property
     def Mmat(self) -> FactoredStack:
-        return FactoredStack((self.Delta, self.U, self.Ubar), self.apply)
+        factors = (self.w, self.wU, self.wUbar, self.Delta0, self.U0, self.Ubar0)
+        return FactoredStack(self.w.shape, tuple(f for f in factors if f is not None), self.apply)
 
     @property
     def Minv(self) -> FactoredStack:
-        return FactoredStack((self.w, self.c0, self.den), self.solve)
-
-
-@dataclass(frozen=True, eq=False)
-class NodeBlock:
-    """A block of nodes' shift systems, as the products kernels and strip read:
-    ``w``, ``wU = w U``, ``wUbar = w Ubar`` (n, S) and the zero-shift
-    ``Delta0``, ``U0``, ``Ubar0``, ``c0``, ``den`` (n,).  At real nodes ``w``
-    is real and ``wUbar = conj(wU)`` is None."""
-
-    axis_nodes: tuple
-    a: float
-    zero: int
-    w: np.ndarray
-    wU: np.ndarray
-    wUbar: np.ndarray | None
-    Delta0: np.ndarray
-    U0: np.ndarray
-    Ubar0: np.ndarray
-    c0: np.ndarray
-    den: np.ndarray
-
-    def solve_u(self) -> np.ndarray:
-        """``M^{-1} U``, (n, S): the Sherman-Morrison solve of ``U``, where
-        ``B = sum_l Ubar_l w_l U_l = (c0 - 1) / a`` cancels and leaves
-        ``Delta_0 w U / den`` off the zero column and ``U_0 / den`` on it."""
-        x = (self.Delta0 / self.den)[:, None] * self.wU
-        x[:, self.zero] = self.U0 / self.den
-        return x
+        return FactoredStack(self.w.shape, (self.c0,), self.solve)
 
 
 def _axis_symbols(nodes, L: int, k: int) -> np.ndarray:
@@ -307,54 +285,37 @@ def _zero_and_coupling(d: int, L: int, k: int, params: MultiscaleParams):
     return L ** (k * d) // 2, params.a_j(L, max(k, 1))   # k = 0: the bare coefficient a
 
 
-def _delta(symbols, L: int, k: int, params: MultiscaleParams) -> np.ndarray:
-    """``Delta`` at the nodes of ``symbols``, a new array (mass on the first axis)."""
-    eta = float(L) ** (-k)
-    lap = [(4.0 / eta**2) * s[2] for s in symbols]
-    lap[0] = lap[0] + params.mu_bar(L, k)
-    return _axis_outer(np.add, lap)
-
-
-def _node_block(axis_nodes, symbols, L: int, k: int, params: MultiscaleParams) -> NodeBlock:
-    """The ``NodeBlock`` at the row-major products of the per-axis momenta
-    ``axis_nodes``.  ``U``, ``Ubar`` and ``Delta`` are not kept: ``w`` is
-    ``1 / Delta`` in place, and ``c0`` reads the outer product ``Ubar U``.
-    At real nodes ``Delta``, ``w`` and ``Ubar U`` are real and ``Ubar =
-    conj U`` (see the module docstring)."""
-    zero, a_k = _zero_and_coupling(len(axis_nodes), L, k, params)
+def _node_symbols(axis_nodes, symbols, L: int, k: int, params: MultiscaleParams):
+    """``Delta`` (the mass on the first axis), ``U`` and ``Ubar`` at the
+    row-major products of the per-axis momenta ``axis_nodes``, from their
+    ``symbols``, each a new (n, S) array.  At real nodes ``Delta`` is real
+    and ``Ubar = conj U`` (see the module docstring) is None."""
     real = not any(np.any(nodes.imag) for nodes in axis_nodes)
-    part = np.real if real else np.asarray
-    w = _delta([part(s) for s in symbols], L, k, params)
-    Delta0 = w[:, zero].copy()
-    with np.errstate(divide="ignore", invalid="ignore"):   # the zero column is set next
-        np.divide(1.0, w, out=w)
-    w[:, zero] = 0.0
-    UbarU = _axis_outer(np.multiply, [part(s[0] * s[1]) for s in symbols])
-    c0 = 1.0 + a_k * np.einsum("ij,ij->i", w, UbarU)
-    del UbarU
+    eta = float(L) ** (-k)
+    lap = [(4.0 / eta**2) * (s[2].real if real else s[2]) for s in symbols]
+    lap[0] = lap[0] + params.mu_bar(L, k)
 
-    def weighted(i):   # zero column of symbol i, and w times it (in place unless d = 1)
+    def outer(i):   # a copy at d = 1, where _axis_outer returns the one factor
         X = _axis_outer(np.multiply, [s[i] for s in symbols])
-        return X[:, zero].copy(), np.multiply(w, X, out=X if len(symbols) > 1 else None)
+        return X.copy() if len(symbols) == 1 else X
 
-    U0, wU = weighted(0)
-    Ubar0, wUbar = (np.conj(U0), None) if real else weighted(1)
-    return NodeBlock(tuple(axis_nodes), a_k, zero, w, wU, wUbar, Delta0, U0, Ubar0, c0,
-                     den=Delta0 * c0 + a_k * U0 * Ubar0)
+    return _axis_outer(np.add, lap), outer(0), None if real else outer(1)
 
 
 def _node_blocks(axis_nodes, L: int, k: int, params: MultiscaleParams):
-    """``_node_block`` over blocks of consecutive first-axis nodes, in node
-    order: as many as keep one complex ``(nodes, S)`` array within
-    ``NODE_BLOCK_BYTES``, and at least one.  Callers reduce the blocks through
-    ``map``, which drops each block before the next is built."""
+    """The shift systems' ``RankOneRows`` over blocks of consecutive first-axis
+    nodes, in node order: as many as keep one complex ``(nodes, S)`` array
+    within ``NODE_BLOCK_BYTES``, and at least one.  Callers drop each block
+    before the next is built."""
     axis_nodes = [np.asarray(nodes, dtype=complex) for nodes in axis_nodes]
     symbols = [_axis_symbols(nodes, L, k) for nodes in axis_nodes]
+    zero, a_k = _zero_and_coupling(len(axis_nodes), L, k, params)
     row_bytes = 16 * math.prod(len(n) for n in axis_nodes[1:]) * (L**k) ** len(axis_nodes)
     rows = max(1, NODE_BLOCK_BYTES // row_bytes)
     for block in (slice(lo, lo + rows) for lo in range(0, len(axis_nodes[0]), rows)):
-        yield _node_block([axis_nodes[0][block]] + axis_nodes[1:],
-                          [symbols[0][:, block]] + symbols[1:], L, k, params)
+        yield RankOneRows.build(*_node_symbols([axis_nodes[0][block]] + axis_nodes[1:],
+                                               [symbols[0][:, block]] + symbols[1:],
+                                               L, k, params), a_k, zero)
 
 
 def _axis_nodes(grid: TorusGrid, shift_q=None) -> list:
@@ -370,8 +331,7 @@ def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
     axes = _axis_nodes(grid, shift_q)
     symbols = [_axis_symbols(nodes, grid.L, grid.k) for nodes in axes]
     zero, a_k = _zero_and_coupling(grid.d, grid.L, grid.k, params)
-    U, Ubar = (_axis_outer(np.multiply, [s[i] for s in symbols]) for i in (0, 1))
-    return ShiftSystem.build(_delta(symbols, grid.L, grid.k, params), U, Ubar, a_k, zero)
+    return ShiftSystem.build(*_node_symbols(axes, symbols, grid.L, grid.k, params), a_k, zero)
 
 
 def _shift_phases(grid: TorusGrid, residues) -> np.ndarray:
@@ -460,7 +420,7 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     On the lattice ``e^{i Z_l x} = e^{i p x} e_x``, and the shift factor
     ``e_x = e^{2 pi i l x}`` depends only on the class of ``x`` modulo the
     unit lattice (``G(x, t + r) = G(x - t, r)``).  So the pieces of each
-    ``NodeBlock``'s shift solve are contracted over the shifts once per class:
+    node block's shift solve are contracted over the shifts once per class:
     ``D = w e_{x-y}``, ``H = (w U) e_x``, ``K = (w Ubar) e_{-y}`` (at real
     nodes one product with ``[e_x | conj e_{-y}]``); the node
     array ``D - a_k H beta + x0`` with ``beta = (Ubar_0 + Delta_0 K) / den``
@@ -499,7 +459,7 @@ def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     """Kernel ``(G_k Q_k*)(x, y)`` for fine positions ``xs`` and unit-lattice ``ys``.
 
     The sources form the one class ``r = 0``, so the node array is
-    ``NodeBlock.solve_u`` contracted over the shifts against ``e_x`` (see
+    ``RankOneRows.solve_u`` contracted over the shifts against ``e_x`` (see
     ``free_kernel_g``).
     """
 
@@ -655,25 +615,27 @@ def _strip_floor(large_mass: bool, a_k: float, eta: float, d: int) -> float:
     return DENOMINATOR_FLOOR * (a_k * eta**2 / 4.0) * (2.0 / np.pi) ** (2 * d)
 
 
-def _strip_solve(blk: NodeBlock, L: int, k: int, params: MultiscaleParams):
-    """``H = M^{-1} U`` (n, S) of the node block ``blk`` at level ``k`` and
-    the margin of each node's strip denominator over its floor, (n,).
+def _strip_solve(axis_nodes, L: int, k: int, params: MultiscaleParams):
+    """``H = M^{-1} U`` (n, S) at level ``k`` and the margin of each node's
+    strip denominator over its floor, (n,), per block of ``_node_blocks``.
 
     The strip denominator is ``den / Delta_0 = det M / prod_l Delta_l`` in the
     large-mass branch and ``(eta**2/4) den`` in the small-mass branch, where
     ``Delta_0`` may vanish; a node below the floor raises ``StripViolationError``.
     """
-    eta, d = float(L) ** (-k), len(blk.axis_nodes)
+    eta, d = float(L) ** (-k), len(axis_nodes)
     large_mass = params.mu0 / 4.0 >= params.c_star * eta**2
-    denom = np.abs(blk.den / blk.Delta0 if large_mass
-                   else (eta**2 / 4.0) * blk.den)
-    floor = _strip_floor(large_mass, blk.a, eta, d)
-    below = np.flatnonzero(denom < floor)
-    if below.size:
-        z = grid_points(blk.axis_nodes)[below[0]]
-        raise StripViolationError(
-            f"denominator {denom[below[0]]:.3e} below floor {floor:.3e} at z={z}")
-    return blk.solve_u(), denom / floor
+    start = 0
+    for blk in _node_blocks(axis_nodes, L, k, params):
+        denom = np.abs(blk.den / blk.Delta0 if large_mass else (eta**2 / 4.0) * blk.den)
+        floor = _strip_floor(large_mass, blk.a, eta, d)
+        below = np.flatnonzero(denom < floor)
+        if below.size:
+            z = grid_points(axis_nodes)[start + below[0]]
+            raise StripViolationError(
+                f"denominator {denom[below[0]]:.3e} below floor {floor:.3e} at z={z}")
+        start += len(denom)
+        yield blk.solve_u(), denom / floor
 
 
 def h_function(z, ell_prime, L: int, k: int, params: MultiscaleParams):
@@ -685,7 +647,7 @@ def h_function(z, ell_prime, L: int, k: int, params: MultiscaleParams):
     Raises ``StripViolationError`` when the denominator drops below its floor.
     """
     z = np.asarray(z, dtype=complex)
-    H, _ = _strip_solve(next(_node_blocks(z[:, None], L, k, params)), L, k, params)
+    H, _ = next(_strip_solve(z[:, None], L, k, params))
     Lk = L**k
     first = -(Lk - 1) // 2   # the first shift per axis, as in shift_vectors
     ells = np.rint(np.atleast_2d(np.asarray(ell_prime, dtype=float))).astype(np.int64)
@@ -727,8 +689,7 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
     per_shift = np.zeros(len(ells))
     min_margin = np.inf
     for q in q_list:
-        blocks = _node_blocks([p_axis + 1j * qm for qm in q], L, k, params)
-        for H, margin in map(lambda blk: _strip_solve(blk, L, k, params), blocks):
+        for H, margin in _strip_solve([p_axis + 1j * qm for qm in q], L, k, params):
             min_margin = min(min_margin, float(np.min(margin)))
             per_shift = np.maximum(per_shift, np.max(np.abs(H) * weights, axis=0))
     table = {tuple(e.astype(int)): float(v) for e, v in zip(ells, per_shift)}

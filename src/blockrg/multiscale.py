@@ -21,11 +21,11 @@ matrices; each call factors afresh.  The identities themselves are checked
 on one route only: ``tower_level`` works in the orthonormal DCT-II basis,
 where every operator of the tower is diagonal plus rank one per frequency
 class (``ops.dct_frequency_classes``), solved by the Sherman-Morrison rows
-of ``RankOneRows``.  It forms no n x n matrix and runs at every size the
-lattice admits; the dense operators are its oracle in the tests.  Every
-identity is block-diagonal over the classes of its coarser level, and both
-of its sides are formed there one ``S x S`` block per class row, straight
-from the ``RankOneRows`` factors, then subtracted entry by entry.
+of ``RankOneRows``, which solve ``fourier``'s shift systems too.  It forms
+no n x n matrix and runs at every size the lattice admits; the dense
+operators are its oracle in the tests.  Every identity is block-diagonal over
+the classes of its coarser level, and both of its sides are formed there one
+``S x S`` block per class row by ``RankOneRows.inverse``, then subtracted.
 """
 
 from __future__ import annotations
@@ -215,61 +215,111 @@ PROBE_BLOCK_BYTES = 8 * 2**20
 class RankOneRows:
     """Rows of ``M = diag(Delta) + a U Ubar^T``, each solved by Sherman-Morrison in O(S).
 
-    ``U``, ``Ubar`` and ``Delta`` have shape ``(rows, S)``; column ``zero`` is
-    the one column where ``Delta`` may vanish.  The weights are kept
-    multiplied through by ``Delta_0 = Delta[:, zero]``, so a row with
-    ``Delta_0 = 0`` needs no special case and nothing is formed as 0/0:
+    Column ``zero`` is the one column where ``Delta`` may vanish.  The rows
+    keep what the solves read, multiplied through by ``Delta_0``, so a row
+    with ``Delta_0 = 0`` needs no special case and nothing is formed as 0/0:
 
     - ``w``: ``1/Delta`` off the zero column and 0 on it, (rows, S);
-    - ``c0``: ``1 + a sum_l Ubar_l w_l U_l``, (rows,);
-    - ``den``: ``Delta_0 c0 + a U_0 Ubar_0``, (rows,), which is
-      ``det M / prod_{l != zero} Delta_l``.
+    - ``wU = w U`` and ``wUbar = w Ubar``, (rows, S); ``wUbar`` is None
+      where ``Ubar = conj U`` (``w`` real), and a real ``wU`` is read as its
+      own conjugate;
+    - ``Delta0``, ``U0``, ``Ubar0``: the zero column of ``Delta``, ``U``,
+      ``Ubar``, (rows,);
+    - ``c0``: ``1 + a sum_l Ubar_l w_l U_l``, (rows,); ``den = Delta_0 c0 +
+      a U_0 Ubar_0 = det M / prod_{l != zero} Delta_l`` is formed when read.
 
-    ``fourier.ShiftSystem`` (torus momenta by shifts) and ``TowerLevel``
-    (DCT frequency classes by members) are both such rows; ``build`` makes
+    ``TowerLevel`` (DCT frequency classes by members) and the shift systems
+    of ``fourier`` (torus momenta by shifts) are such rows; ``build`` makes
     them.
     """
 
     a: float
     zero: int
-    U: np.ndarray
-    Ubar: np.ndarray
-    Delta: np.ndarray
     w: np.ndarray
+    wU: np.ndarray
+    wUbar: np.ndarray | None
+    Delta0: np.ndarray
+    U0: np.ndarray
+    Ubar0: np.ndarray
     c0: np.ndarray
-    den: np.ndarray
 
     @classmethod
-    def build(cls, Delta, U, Ubar, a: float, zero: int, **fields):
-        """The rows of ``diag(Delta) + a U Ubar^T`` with their weights; a
-        subclass passes its own ``fields`` on."""
-        w = np.divide(1.0, Delta, out=np.zeros_like(Delta),
-                      where=np.arange(Delta.shape[1]) != zero)
-        c0 = 1.0 + a * np.sum(Ubar * w * U, axis=1)
-        den = Delta[:, zero] * c0 + a * U[:, zero] * Ubar[:, zero]
-        return cls(a=a, zero=zero, U=U, Ubar=Ubar, Delta=Delta, w=w, c0=c0, den=den, **fields)
+    def build(cls, Delta, U, Ubar, a: float, zero: int):
+        """The rows of ``diag(Delta) + a U Ubar^T``, ``Ubar`` None for
+        ``conj U`` (``Delta`` real).  ``w``, ``wU`` and ``wUbar`` are formed
+        in place of ``Delta``, ``U`` and ``Ubar``, which are overwritten."""
+        Delta0, U0 = Delta[:, zero].copy(), U[:, zero].copy()
+        Ubar0 = np.conj(U0) if Ubar is None else Ubar[:, zero].copy()
+        w = np.divide(1.0, Delta, out=Delta, where=np.arange(Delta.shape[1]) != zero)
+        w[:, zero] = 0.0
+        if Ubar is None:    # sum_l w_l |U_l|**2 over the real (and imaginary) parts of U
+            parts = U.view(w.dtype).reshape(U.shape + (-1,))
+            c0 = 1.0 + a * np.einsum("ij,ijk,ijk->i", w, parts, parts)
+        wU = np.multiply(w, U, out=U)
+        if Ubar is not None:
+            c0 = 1.0 + a * np.einsum("ij,ij->i", Ubar, wU)
+            Ubar = np.multiply(w, Ubar, out=Ubar)
+        return cls(a, zero, w, wU, Ubar, Delta0, U0, Ubar0, c0)
+
+    def _den(self, rows) -> np.ndarray:
+        return self.Delta0[rows] * self.c0[rows] + self.a * self.U0[rows] * self.Ubar0[rows]
+
+    @property
+    def den(self) -> np.ndarray:
+        return self._den(slice(None))
+
+    def _wubar(self, index) -> np.ndarray:
+        """``(w Ubar)[index]``."""
+        if self.wUbar is not None:
+            return self.wUbar[index]
+        return np.conj(self.wU[index]) if np.iscomplexobj(self.wU) else self.wU[index]
 
     def solve(self, v, rows=slice(None)) -> np.ndarray:
         """``M^{-1} v`` in ``rows`` (a slice or an index array; all by
         default), for ``v`` of shape ``(len(rows), S, ...)``.
 
-        Off the zero column ``x_l = w_l (v_l - a U_l beta)`` with
-        ``beta = (Ubar_0 v_0 + Delta_0 B) / den`` and ``B = sum_l Ubar_l w_l v_l``;
+        Off the zero column ``x_l = w_l v_l - a (w U)_l beta`` with
+        ``beta = (Ubar_0 v_0 + Delta_0 B) / den`` and ``B = sum_l (w Ubar)_l v_l``;
         on it ``x_0 = (c0 v_0 - a U_0 B) / den``.
         """
         v = np.asarray(v)
         v3 = v.reshape(v.shape[:2] + (-1,))
         z, a = self.zero, self.a
-        U, Ubar, w = self.U[rows], self.Ubar[rows], self.w[rows]
-        den = self.den[rows, None, None]
-        B = np.sum((Ubar * w)[..., None] * v3, axis=1, keepdims=True)
+        den = self._den(rows)[:, None, None]
+        B = np.einsum("rs,rsc->rc", self._wubar(rows), v3)[:, None]
         v0 = v3[:, z:z + 1]
-        beta = (Ubar[:, z, None, None] * v0 + self.Delta[rows, z, None, None] * B) / den
-        x = (a * U)[..., None] * beta      # x = w (v - a U beta), in place
-        np.subtract(v3, x, out=x)
-        x *= w[..., None]
-        x[:, z:z + 1] = (self.c0[rows, None, None] * v0 - a * U[:, z, None, None] * B) / den
+        beta = (self.Ubar0[rows, None, None] * v0 + self.Delta0[rows, None, None] * B) / den
+        x = self.wU[rows, :, None] * (a * beta)      # x = w v - a (w U) beta
+        np.subtract(self.w[rows, :, None] * v3, x, out=x)
+        x[:, z:z + 1] = (self.c0[rows, None, None] * v0 - a * self.U0[rows, None, None] * B) / den
         return x.reshape(v.shape)
+
+    def solve_u(self, rows=slice(None)) -> np.ndarray:
+        """``M^{-1} U`` in ``rows``, (len(rows), S): the solve of ``U``, where
+        ``B = sum_l Ubar_l w_l U_l = (c0 - 1) / a`` cancels and leaves
+        ``Delta_0 w U / den`` off the zero column and ``U_0 / den`` on it."""
+        den = self._den(rows)
+        x = (self.Delta0[rows] / den)[:, None] * self.wU[rows]
+        x[:, self.zero] = self.U0[rows] / den
+        return x
+
+    def inverse(self, rows, members) -> np.ndarray:
+        """Columns of the inverse blocks in ``rows`` (a slice or an index
+        array), ``(len(rows), S, columns)``: column ``t`` of row ``r`` is
+        ``M_r^{-1} e_m``, ``m = members[r, t]``, ``members`` broadcasting to
+        ``(len(rows), columns)``.  ``solve`` of ``e_m`` in closed form: the
+        block is ``diag(w) - a (w U) beta^T`` with ``beta_m = (Ubar_0 [m =
+        zero] + Delta_0 (w Ubar)_m) / den``, and its zero row is
+        ``(c0 [m = zero] - a U_0 (w Ubar)_m) / den``."""
+        idx = np.arange(len(self.c0))[rows][:, None]
+        members = np.broadcast_to(members, (len(idx), np.shape(members)[-1]))
+        B, one, den = self._wubar((idx, members)), members == self.zero, self._den(idx)
+        beta = (self.Ubar0[idx] * one + self.Delta0[idx] * B) / den
+        X = self.wU[idx[:, 0], :, None] * (-self.a * beta[:, None])
+        r, t = np.arange(len(idx))[:, None], np.arange(members.shape[1])
+        X[r, members, t] += self.w[idx, members]
+        X[:, self.zero] = (self.c0[idx] * one - self.a * self.U0[idx] * B) / den
+        return X
 
 
 def _scatter(X, freq) -> np.ndarray:
@@ -303,12 +353,12 @@ class TowerLevel:
       frequencies and reads ``at Delta_0 / den`` off ``G``'s weights;
     - ``C_j = (Delta_j + (a_tilde(1, j) / L**2) P_1)**-1`` solves ``C``, the
       rows ``diag(Delta_j) + (a_tilde(1, j) / L**2) u_1 u_1^T`` over the coarse
-      lattice's own level-1 classes (``coarse_freq``);
+      lattice's own level-1 classes (``coarse_freq``, ``u1``);
     - ``C'_j = at**2 G_j Q_j* C_j Q_j G_j``.
 
     Column 0 of every row is the member ``p = kappa``, live in every row; it
     plays the zero column, so the massless ``p = 0`` needs no special case.
-    ``delta``, ``coarse_freq`` and ``C`` exist for ``j < m`` only.
+    ``delta``, ``coarse_freq``, ``u1`` and ``C`` exist for ``j < m`` only.
     """
 
     geometry: LatticeGeometry
@@ -319,6 +369,7 @@ class TowerLevel:
     G: RankOneRows
     delta: np.ndarray | None
     coarse_freq: np.ndarray | None
+    u1: np.ndarray | None
     C: RankOneRows | None
 
     def green(self, V) -> np.ndarray:
@@ -349,15 +400,15 @@ def tower_level(geom, params: MultiscaleParams, j: int) -> TowerLevel:
         raise ValueError(f"tower_level: j={j} outside [1, {min(geom.k + 1, geom.m)}]")
     at = params.a_tilde(geom, j, j)
     lam, u, freq = ops.dct_frequency_classes(geom, j)
-    G = RankOneRows.build(lam + params.mu_bar(geom.L, geom.k), u, u, at, 0)
-    delta = coarse_freq = C = None
+    G = RankOneRows.build(lam + params.mu_bar(geom.L, geom.k), u.copy(), None, at, 0)
+    delta = coarse_freq = u1 = C = None
     if j < geom.m:
-        delta = at * G.Delta[:, 0] / G.den      # row c is coarse frequency c
+        delta = at * G.Delta0 / G.den      # row c is coarse frequency c
         _, u1, coarse_freq = ops.dct_frequency_classes(coarse_geometry(geom, j), 1)
-        C = RankOneRows.build(delta[coarse_freq], u1, u1,
+        C = RankOneRows.build(delta[coarse_freq], u1.copy(), None,
                               params.a_tilde(geom, 1, j) / geom.L**2, 0)
     return TowerLevel(geometry=geom, j=j, at=at, freq=freq, u=u, G=G, delta=delta,
-                      coarse_freq=coarse_freq, C=C)
+                      coarse_freq=coarse_freq, u1=u1, C=C)
 
 
 def _rel(X, Y) -> float:
@@ -382,18 +433,6 @@ def _batches(rows: int, width: int, columns: int):
         yield slice(r, r + 1), cols
 
 
-def _inverse_columns(M: RankOneRows, rows, members) -> np.ndarray:
-    """Columns of the inverse blocks of ``M`` in ``rows`` (a slice or an index
-    array), shape ``(len(rows), S, columns)``: column ``t`` of row ``r`` is
-    ``M_r^{-1} e_m``, ``m = members[r, t]``, for ``members`` broadcasting to
-    ``(len(rows), columns)``."""
-    count = len(M.den[rows])
-    members = np.broadcast_to(members, (count, np.shape(members)[-1]))
-    E = np.zeros((count, M.U.shape[1], members.shape[1]))
-    E[np.arange(count)[:, None], members, np.arange(members.shape[1])] = 1.0
-    return M.solve(E, rows)
-
-
 def _block_rel_frobenius(pairs) -> float:
     """``|X - Y|_F / |Y|_F`` summed over the ``(X, Y)`` block batches of two
     block-diagonal maps, each pair overwritten in place.  Both sides' entries
@@ -411,10 +450,9 @@ def _block_rel_frobenius(pairs) -> float:
 def _row_blocks(X: RankOneRows, Y: RankOneRows, scale: float):
     """``(scale X_r^{-1}, Y_r^{-1})`` block batches of two ``RankOneRows`` of
     one layout."""
-    S = X.U.shape[1]
-    return ((scale * _inverse_columns(X, rb, np.arange(S)[cb]),
-             _inverse_columns(Y, rb, np.arange(S)[cb]))
-            for rb, cbs in _batches(len(X.den), S, S) for cb in cbs)
+    S = X.w.shape[1]
+    return ((scale * X.inverse(rb, np.arange(S)[cb]), Y.inverse(rb, np.arange(S)[cb]))
+            for rb, cbs in _batches(len(X.c0), S, S) for cb in cbs)
 
 
 def _check_step(lo: TowerLevel, hi: TowerLevel, name: str):
@@ -442,10 +480,9 @@ def _step_rows(lo: TowerLevel, hi: TowerLevel, member, rb) -> RankOneRows:
     so the zero column stays column 0.
     """
     G = hi.G
-    slot = member[lo.freq[lo.coarse_freq[rb]]].reshape(G.U[rb].shape)
-    return replace(G, c0=G.c0[rb], den=G.den[rb],
-                   **{f: np.take_along_axis(getattr(G, f)[rb], slot, axis=1)
-                      for f in ("U", "Ubar", "Delta", "w")})
+    slot = member[lo.freq[lo.coarse_freq[rb]]].reshape(G.w[rb].shape)
+    return replace(G, **{f: getattr(G, f)[rb] for f in ("Delta0", "U0", "Ubar0", "c0")},
+                   **{f: np.take_along_axis(getattr(G, f)[rb], slot, axis=1) for f in ("w", "wU")})
 
 
 def _step_block(lo: TowerLevel, hi: TowerLevel, member, rb, cb):
@@ -454,13 +491,13 @@ def _step_block(lo: TowerLevel, hi: TowerLevel, member, rb, cb):
     S, cf = lo.freq.shape[1], lo.coarse_freq[rb]
     b, d = float(lo.geometry.L) ** lo.j, lo.geometry.d
     q = np.arange(hi.freq.shape[1])[cb]
-    Y = _inverse_columns(_step_rows(lo, hi, member, rb), slice(None), q)
-    gq = lo.G.solve(b ** (d / 2) * lo.u[cf.ravel()], cf.ravel()).reshape(cf.shape + (S,))
-    C = _inverse_columns(lo.C, rb, q // S)          # C_j[s, s(q)]
+    Y = _step_rows(lo, hi, member, rb).inverse(slice(None), q)
+    gq = b ** (d / 2) * lo.G.solve_u(cf.ravel()).reshape(cf.shape + (S,))
+    C = lo.C.inverse(rb, q // S)          # C_j[s, s(q)]
     X = ((lo.at**2 / b**d) * gq[..., None] * C[:, :, None]).reshape(len(cf), -1, len(q))
     X *= gq.reshape(len(cf), -1)[:, None, q]
     # G_j: column q adds column q mod S of level-j row s(q)'s block, in that row's slots
-    G_j = _inverse_columns(lo.G, cf[:, q // S].ravel(), np.tile(q % S, len(cf))[:, None])
+    G_j = lo.G.inverse(cf[:, q // S].ravel(), np.tile(q % S, len(cf))[:, None])
     G_j = G_j.reshape(len(cf), len(q), S).transpose(0, 2, 1)
     for s in range(q[0] // S, q[-1] // S + 1):
         t = slice(max(s * S, q[0]) - q[0], min((s + 1) * S, q[-1] + 1) - q[0])
@@ -489,7 +526,7 @@ def rg_step_residual(lo: TowerLevel, hi: TowerLevel) -> float:
 def _c_identity_block(lo: TowerLevel, hi: TowerLevel, member, rb, cbs):
     """Both sides of the covariance identity in ``C_j``'s rows ``rb``, ``U``
     solved in the column slices ``cbs``: ``(A + at**2 A U^T G_{j+1} U A, C_j)``."""
-    at, u1, cf = lo.at, lo.C.U[rb], lo.coarse_freq[rb]
+    at, u1, cf = lo.at, lo.u1[rb], lo.coarse_freq[rb]
     (rows, Ld), S = cf.shape, lo.freq.shape[1]
     G_hi = _step_rows(lo, hi, member, rb)
     u = lo.u[cf]                                  # (rows, L**d, S)
@@ -501,7 +538,7 @@ def _c_identity_block(lo: TowerLevel, hi: TowerLevel, member, rb, cbs):
         GU = G_hi.solve(U.reshape(rows, Ld * S, -1)).reshape(U.shape)
         UGU[:, :, cb] = np.einsum("rsi,rsit->rst", u, GU)
     A = np.eye(Ld) / at + (1.0 / (at + lo.C.a) - 1.0 / at) * u1[:, :, None] * u1[:, None, :]
-    return A + at**2 * (A @ UGU @ A), _inverse_columns(lo.C, rb, np.arange(Ld))
+    return A + at**2 * (A @ UGU @ A), lo.C.inverse(rb, np.arange(Ld))
 
 
 def c_identity_residual(lo: TowerLevel, hi: TowerLevel) -> float:

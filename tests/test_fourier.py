@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from blockrg import fourier as fr, lattice as lat
 from blockrg.multiscale import MultiscaleParams
-from oracles import free_laplacian_1d, interior_mask
+from oracles import assert_inverse_blocks_match, free_laplacian_1d, interior_mask
 
 P0 = MultiscaleParams()
 
@@ -186,15 +188,28 @@ def test_shift_solve_matches_dense_inverse(d, L, k, mu0, q0):
     assert _rel(sys.solve(v), np.linalg.solve(M, v)) <= 1e-12
     assert _rel(sys.apply(v), M @ v) <= 1e-12
     assert _rel(sys.solve(v[:, :, 0]), np.linalg.solve(M, v[:, :, :1])[:, :, 0]) <= 1e-12
-    assert sys.Minv.nbytes + sys.Mmat.nbytes < 8 * n * S * 16
+    # the two stacks count every array the system stores, each once
+    stored = sum(f.nbytes for f in vars(sys).values() if isinstance(f, np.ndarray))
+    assert sys.Minv.nbytes + sys.Mmat.nbytes == stored < 8 * n * S * 16
+
+
+@pytest.mark.parametrize("q0", [None, 0.3], ids=["real", "shifted"])
+@pytest.mark.parametrize("d,L,k", [(1, 3, 2), (2, 3, 1)])
+def test_shift_inverse_blocks_match_dense_inverse(d, L, k, q0):
+    # the real contour holds the massless node, where Delta_0 = 0
+    grid = fr.default_grid(d, L, k)
+    q = _contour(d, q0)
+    sys = fr.build_shift_system(grid, P0, shift_q=q)
+    assert np.any(sys.Delta0 == 0.0) == (q0 is None)
+    assert_inverse_blocks_match(sys, np.linalg.inv(_dense_shift_matrices(grid, P0, q)[1]))
 
 
 @pytest.mark.parametrize("q0", [None, 0.3], ids=["real", "shifted"])
 @pytest.mark.parametrize("d,L,k", [(1, 3, 2), (2, 3, 1), (2, 3, 2)])
 def test_node_blocks_match_whole_grid_system(d, L, k, q0, monkeypatch):
-    # the kernels' NodeBlock and the whole-grid ShiftSystem are two builders
-    # of the same Sherman-Morrison pieces; with one first-axis node per block
-    # they must agree node by node
+    # one builder, RankOneRows.build, over two node blockings: the kernels'
+    # blocks, here one first-axis node each, and the whole-grid ShiftSystem
+    # must agree node by node
     monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", 1)
     grid = fr.default_grid(d, L, k)
     q = _contour(d, q0)
@@ -205,7 +220,7 @@ def test_node_blocks_match_whole_grid_system(d, L, k, q0, monkeypatch):
     H = np.concatenate([b.solve_u() for b in blocks])
     assert np.max(np.abs(c0 - sys.c0) / np.abs(sys.c0)) <= 1e-13
     assert np.max(np.abs(den - sys.den) / np.abs(sys.den)) <= 1e-13
-    H_sys = sys.solve(sys.U)
+    H_sys = sys.solve(fr.u_kernel(_dense_shift_matrices(grid, P0, q)[0], L, k))
     for node in range(len(H)):
         assert _rel(H[node], H_sys[node]) <= 1e-13
 
@@ -633,6 +648,13 @@ def test_strip_bound_report():
     assert np.isfinite(rep.weighted_sup) and rep.weighted_sup > 0
     assert rep.min_denominator_margin >= 1.0
     assert len(rep.per_shift_sup) == 3
+
+
+def test_strip_violation_names_the_node():
+    # q = 1.03 lies past the strip's edge: the denominator of the node
+    # p = 0 on the contour q e_0 drops below its floor
+    with pytest.raises(fr.StripViolationError, match=re.escape("at z=[0.+1.03j]")):
+        fr.strip_bound_report(1, 3, 1, P0, q_max=1.03)
 
 
 def test_technical_bounds():

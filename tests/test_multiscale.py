@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockrg import decay, lattice as lat, multiscale as ms, operators as ops
-from oracles import assert_ct_sigmas_match_dense_svd
+from oracles import assert_ct_sigmas_match_dense_svd, assert_inverse_blocks_match
 
 P0 = ms.MultiscaleParams()
 PM = ms.MultiscaleParams(mu0=0.1)
@@ -477,12 +477,37 @@ def test_step_layout_across_d_and_L(geom_args):
         for j in range(1, min(g.k, g.m - 1) + 1):
             lo, hi = _step(g, params, j)
             G_hi = ms._step_rows(lo, hi, ms._step_members(hi), slice(None))
-            # every slot holds the frequency of its level-j member, and the
-            # zero column stays column 0
-            assert np.array_equal(G_hi.Delta, lo.G.Delta[lo.coarse_freq].reshape(G_hi.Delta.shape))
-            assert np.array_equal(G_hi.U[:, 0], hi.G.U[:, 0])
+            # every slot holds the frequency of its level-j member: w = 1/Delta
+            # there, also on the level-j zero columns but the first, which is
+            # the zero column, column 0, with the zero member of level j + 1
+            w = lo.G.w[lo.coarse_freq]
+            w[:, 1:, 0] = 1.0 / lo.G.Delta0[lo.coarse_freq[:, 1:]]
+            assert np.array_equal(G_hi.w, w.reshape(G_hi.w.shape))
+            assert np.array_equal(G_hi.Delta0, lo.G.Delta0[lo.coarse_freq[:, 0]])
+            assert np.array_equal(G_hi.U0, hi.u[:, 0])
             assert ms.rg_step_residual(lo, hi) < 1e-14
             assert ms.c_identity_residual(lo, hi) < 1e-14
+
+
+@pytest.mark.parametrize("params", [P0, PM])
+@pytest.mark.parametrize("geom_args", [(1, 3, 2, 3), (2, 3, 1, 2), (3, 3, 1, 2)])
+def test_tower_inverse_blocks_match_dense_inverse(geom_args, params):
+    # the closed-form inverse blocks of every G and C row against np.linalg.inv
+    # of the rows formed from their symbols; at mu0 = 0 the row kappa = 0 has
+    # Delta_0 = 0
+    g = lat.make_geometry(*geom_args)
+    for j in range(1, min(g.k + 1, g.m) + 1):
+        lv = ms.tower_level(g, params, j)
+        lam, u, _ = ops.dct_frequency_classes(g, j)
+        assert (lv.G.Delta0[0] == 0.0) == (params.mu0 == 0.0)
+        rows = [(lv.G, lam + params.mu_bar(g.L, g.k), u, lv.at)]
+        if lv.C is not None:
+            _, u1, cf = ops.dct_frequency_classes(lat.coarse_geometry(g, j), 1)
+            rows.append((lv.C, lv.delta[cf], u1, params.a_tilde(g, 1, j) / g.L**2))
+        for M, diag, weights, a in rows:
+            dense = a * weights[:, :, None] * weights[:, None, :]
+            dense[:, np.arange(diag.shape[1]), np.arange(diag.shape[1])] += diag
+            assert_inverse_blocks_match(M, np.linalg.inv(dense))
 
 
 def _rg_verify_values(geom_args):

@@ -14,19 +14,20 @@ with ``Delta`` the Laplacian symbol and ``u`` the averaging symbol
 
 Every shift system is therefore solved in O(S) by the Sherman-Morrison
 formula, never stored or inverted as an ``S x S`` matrix: its nodes are rows
-of ``multiscale.RankOneRows``, the solver of the DCT-class tower too.  The
-whole-grid ``ShiftSystem`` is such rows, and so are the node blocks that the
-kernels and the strip read.  The formula is used multiplied through by
-``Delta_0``, the symbol of the zero shift, and the zero-shift term is split
-off the diagonal sum.  What remains divides only by the nonzero-shift
-symbols and by ``Delta_0 (1 + a_k sum_{l!=0} Ubar_l U_l / Delta_l) + a_k U_0
-Ubar_0``, which is ``det M`` over those symbols and so positive at every
-real momentum.  The massless node ``p = 0``, where ``Delta_0 = 0``, thus
-goes through the same formula as every other node and no term is ever
-formed as 0/0.  Kernels are trapezoid quadratures of these solves; the
-solve's pieces are contracted over the shifts once per residue class modulo
-the unit lattice and summed over the nodes by one inverse FFT per pair of
-classes, which serves every offset (see ``_class_sums``).
+of ``multiscale.RankOneRows`` (the formula is ``_zero_column``), the solver
+of the DCT-class tower too.  The whole-grid ``ShiftSystem`` is such rows, and
+so are the node blocks that the kernels and the strip read.  The formula is
+used multiplied through by ``Delta_0``, the symbol of the zero shift, and the
+zero-shift term is split off the diagonal sum.  What remains divides only by
+the nonzero-shift symbols and by ``Delta_0 (1 + a_k sum_{l!=0} Ubar_l U_l /
+Delta_l) + a_k U_0 Ubar_0``, which is ``det M`` over those symbols and so
+positive at every real momentum.  The massless node ``p = 0``, where
+``Delta_0 = 0``, thus goes through the same formula as every other node and
+no term is ever formed as 0/0.  Kernels are trapezoid quadratures of these
+solves; the solve's pieces are contracted over the shifts once per residue
+class modulo the unit lattice and summed over the nodes by one inverse FFT
+per pair of classes, which serves every offset (see ``_class_sums``).  ``M``
+itself is applied from its symbols, with no division (``free_symbol_apply``).
 
 Every per-axis symbol has ``conj f(Z) = f(-conj Z)`` (``sin^2`` and ``sinc``
 are even with real coefficients, and ``conj e^{-icZ} = e^{-ic(-conj Z)}``),
@@ -47,7 +48,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -216,24 +216,13 @@ def bracket(z, L: int, k: int, mu0: float):
 
 @dataclass(frozen=True)
 class FactoredStack:
-    """``n`` shift matrices of size ``S x S`` (``shape = (n, S)``) held as O(n S) factor arrays.
+    """``n`` shift matrices of size ``S x S`` as O(n S) factor arrays, counted by ``nbytes``."""
 
-    ``nbytes`` counts the factor arrays.  ``dense()`` materialises the
-    ``(n, S, S)`` stack as ``matvec`` of the identity; it is meant for
-    checks at small ``n`` only.
-    """
-
-    shape: tuple
     factors: tuple
-    matvec: Callable
 
     @property
     def nbytes(self) -> int:
         return sum(f.nbytes for f in self.factors)
-
-    def dense(self) -> np.ndarray:
-        n, S = self.shape
-        return self.matvec(np.broadcast_to(np.eye(S), (n, S, S)))
 
 
 class ShiftSystem(RankOneRows):
@@ -242,34 +231,19 @@ class ShiftSystem(RankOneRows):
     The ``n`` nodes, rows of ``multiscale.RankOneRows`` (``a = a_k``), are
     the row-major base nodes of a grid; the shifts are the S rows of
     ``shift_vectors``, the zero shift at index ``zero``.  ``den`` is positive
-    at real momenta.  ``Mmat`` and ``Minv`` view the rows as matrix stacks,
-    of the arrays ``apply`` reads and of the one more ``solve`` reads, ``c0``.
+    at real momenta.  ``Mmat`` holds the factors that fix ``M`` and ``Minv``
+    the one more ``solve`` reads, ``c0``: their ``nbytes`` count every array
+    the system stores, each once.
     """
-
-    def apply(self, v) -> np.ndarray:
-        """``M v`` at every node, for ``v`` of shape ``(n, S, ...)``: ``(v_l + a
-        (w U)_l B) / w_l`` off the zero column and ``Delta_0 v_0 + a U_0 B`` on
-        it, with ``B = Ubar^T v = Ubar_0 v_0 + sum_l (w Ubar)_l v_l / w_l``."""
-        v = np.asarray(v)
-        v3 = v.reshape(v.shape[:2] + (-1,))
-        z, w, v0 = self.zero, self.w[..., None], v3[:, self.zero:self.zero + 1]
-        off = np.arange(w.shape[1])[:, None] != z       # w is 0 on the zero column
-        Dv = np.divide(v3, w, out=np.zeros(v3.shape, np.result_type(v3, w)), where=off)
-        B = np.einsum("ns,nsc->nc", self._wubar(slice(None)), Dv)[:, None]
-        B += self.Ubar0[:, None, None] * v0
-        x = self.a * self.wU[..., None] * B
-        np.divide(np.add(x, v3, out=x), w, out=x, where=off)
-        x[:, z:z + 1] = self.Delta0[:, None, None] * v0 + self.a * self.U0[:, None, None] * B
-        return x.reshape(v.shape)
 
     @property
     def Mmat(self) -> FactoredStack:
         factors = (self.w, self.wU, self.wUbar, self.Delta0, self.U0, self.Ubar0)
-        return FactoredStack(self.w.shape, tuple(f for f in factors if f is not None), self.apply)
+        return FactoredStack(tuple(f for f in factors if f is not None))
 
     @property
     def Minv(self) -> FactoredStack:
-        return FactoredStack(self.w.shape, (self.c0,), self.solve)
+        return FactoredStack((self.c0,))
 
 
 def _axis_symbols(nodes, L: int, k: int) -> np.ndarray:
@@ -324,14 +298,19 @@ def _axis_nodes(grid: TorusGrid, shift_q=None) -> list:
     return list(grid.base_nodes_1d()[None, :] + 1j * q[:, None])
 
 
-def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
-                       shift_q=None) -> ShiftSystem:
-    """The shift system at the base nodes of ``grid``, moved to ``p + i shift_q``,
-    from the outer products of the per-axis ``_axis_symbols``."""
+def _grid_symbols(grid: TorusGrid, params: MultiscaleParams, shift_q=None) -> tuple:
+    """``RankOneRows.build``'s ``(Delta, U, Ubar, a_k, zero)`` at the base nodes
+    of ``grid`` moved to ``p + i shift_q``, from the per-axis ``_axis_symbols``."""
     axes = _axis_nodes(grid, shift_q)
     symbols = [_axis_symbols(nodes, grid.L, grid.k) for nodes in axes]
     zero, a_k = _zero_and_coupling(grid.d, grid.L, grid.k, params)
-    return ShiftSystem.build(*_node_symbols(axes, symbols, grid.L, grid.k, params), a_k, zero)
+    return *_node_symbols(axes, symbols, grid.L, grid.k, params), a_k, zero
+
+
+def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
+                       shift_q=None) -> ShiftSystem:
+    """The shift system at the base nodes of ``grid``, moved to ``p + i shift_q``."""
+    return ShiftSystem.build(*_grid_symbols(grid, params, shift_q))
 
 
 def _shift_phases(grid: TorusGrid, residues) -> np.ndarray:
@@ -423,10 +402,10 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     node block's shift solve are contracted over the shifts once per class:
     ``D = w e_{x-y}``, ``H = (w U) e_x``, ``K = (w Ubar) e_{-y}`` (at real
     nodes one product with ``[e_x | conj e_{-y}]``); the node
-    array ``D - a_k H beta + x0`` with ``beta = (Ubar_0 + Delta_0 K) / den``
-    and ``x0 = (c0 - a_k U_0 K) / den`` is summed against ``e^{i p (x - y)}``
-    by one inverse FFT over the base nodes per pair of classes
-    (``_class_sums``).
+    array ``D - a_k H beta + x0``, with ``beta`` and ``x0`` of
+    ``RankOneRows._zero_column`` at ``v_0 = 1`` and ``B = K``, is summed
+    against ``e^{i p (x - y)}`` by one inverse FFT over the base nodes per
+    pair of classes (``_class_sums``).
     """
     Lk = grid.shifts_per_axis
 
@@ -442,11 +421,9 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
                 K = K.conj()
             else:
                 H, K = blk.wU @ Ex, blk.wUbar @ Ey
-            den = blk.den[:, None]
             # D by one complex GEMM: numpy's real @ complex matmul is slower
             return (blk.w.astype(complex, copy=False) @ Ed, blk.a * H,
-                    (blk.Ubar0[:, None] + blk.Delta0[:, None] * K) / den,
-                    (blk.c0[:, None] - blk.a * blk.U0[:, None] * K) / den)
+                    *blk._zero_column(np.s_[:, None], 1, K))
 
         D, aH, beta, x0 = _class_legs(legs, axes, grid, params)
         return lambda block: D[m[block]] - aH[block, None] * beta + x0
@@ -512,31 +489,38 @@ def contour_shift_change(grid: TorusGrid, params: MultiscaleParams, q: float,
     return float(np.max(np.abs(shifted - base)) / np.max(np.abs(base)))
 
 
-def _shift_layout(grid: TorusGrid) -> np.ndarray:
-    """Flat big-torus index of every (base node, shift) pair, shape
-    ``(base_count**d, S)``: ``ShiftSystem``'s node-by-shift layout.  Per axis,
-    sample ``s * base_count + b`` (``full_nodes_1d``) is base node ``b``
-    moved by shift ``s``."""
-    M, Lk, M0 = grid.M, grid.shifts_per_axis, grid.base_count
-    return _axis_outer(lambda x, y: x * M + y, [np.arange(M).reshape(Lk, M0).T] * grid.d)
+def _shift_view(arr: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The ``M**d`` big-torus samples ``arr`` as ``(base_count,)*d + (L**k,)*d``:
+    per axis, sample ``s * base_count + b`` (``full_nodes_1d``) is base node
+    ``b`` moved by shift ``s``.  A view where ``arr``'s reshape is one."""
+    d = grid.d
+    if arr.size != grid.M**d:
+        raise ValueError(f"need {grid.M}**{d} big-torus samples, got shape {arr.shape}")
+    per_axis = arr.reshape((grid.shifts_per_axis, grid.base_count) * d)
+    return per_axis.transpose(*range(1, 2 * d, 2), *range(0, 2 * d, 2))
 
 
 def _to_shift_layout(arr, grid: TorusGrid) -> np.ndarray:
-    """Gather big-torus samples ``(M,)*d`` into the ``(base_count**d, S)`` layout."""
-    return np.asarray(arr, dtype=complex).ravel()[_shift_layout(grid)]
+    """Big-torus samples ``(M,)*d`` in the node-by-shift ``(base_count**d, S)`` layout."""
+    return _shift_view(np.asarray(arr, dtype=complex), grid).reshape(grid.base_count**grid.d, -1)
 
 
 def _from_shift_layout(a, grid: TorusGrid) -> np.ndarray:
-    """Scatter a ``(base_count**d, S)`` array back onto the big torus ``(M,)*d``."""
-    out = np.empty(grid.M**grid.d, dtype=complex)
-    out[_shift_layout(grid)] = a
-    return out.reshape((grid.M,) * grid.d)
+    """A ``(base_count**d, S)`` array back on the big torus ``(M,)*d``."""
+    out = np.empty((grid.M,) * grid.d, dtype=complex)
+    view = _shift_view(out, grid)
+    view[...] = np.reshape(a, view.shape)
+    return out
 
 
 def free_symbol_apply(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndarray:
-    """Apply the symbol of ``-Lap + mu_bar_k + a_k Q_k* Q_k`` to big-torus samples."""
-    sys = build_shift_system(grid, params)
-    return _from_shift_layout(sys.apply(_to_shift_layout(f_hat, grid)), grid)
+    """Apply the symbol of ``-Lap + mu_bar_k + a_k Q_k* Q_k`` to big-torus
+    samples: ``M v = Delta v + a_k U (Ubar^T v)`` from the symbols, with
+    ``Ubar = conj U`` on the real contour and no shift system."""
+    v = _to_shift_layout(f_hat, grid)
+    Delta, U, _, a_k, _ = _grid_symbols(grid, params)
+    return _from_shift_layout(Delta * v + a_k * U * np.sum(U.conj() * v, axis=1, keepdims=True),
+                              grid)
 
 
 def free_apply_ghat(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndarray:
@@ -545,8 +529,8 @@ def free_apply_ghat(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndar
     The shift system is solved at every base node; the massless momentum-zero
     node is regular because the averaging coupling fills the Laplacian kernel.
     """
-    sys = build_shift_system(grid, params)
-    return _from_shift_layout(sys.solve(_to_shift_layout(f_hat, grid)), grid)
+    v = _to_shift_layout(f_hat, grid)
+    return _from_shift_layout(build_shift_system(grid, params).solve(v), grid)
 
 
 def _axis_waves(patch: FreePatch, grid: TorusGrid, sign: float) -> list:

@@ -25,7 +25,7 @@ of ``RankOneRows``, which solve ``fourier``'s shift systems too.  It forms
 no n x n matrix and runs at every size the lattice admits; the dense
 operators are its oracle in the tests.  Every identity is block-diagonal over
 the classes of its coarser level, and both of its sides are formed there one
-``S x S`` block per class row by ``RankOneRows.inverse``, then subtracted.
+block per class row from the rows' factors, then subtracted.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ class RankOneRows:
 
     ``TowerLevel`` (DCT frequency classes by members) and the shift systems
     of ``fourier`` (torus momenta by shifts) are such rows; ``build`` makes
-    them.
+    them, and ``_zero_column`` is the one place the formula is written.
     """
 
     a: float
@@ -274,24 +274,27 @@ class RankOneRows:
             return self.wUbar[index]
         return np.conj(self.wU[index]) if np.iscomplexobj(self.wU) else self.wU[index]
 
-    def solve(self, v, rows=slice(None)) -> np.ndarray:
-        """``M^{-1} v`` in ``rows`` (a slice or an index array; all by
-        default), for ``v`` of shape ``(len(rows), S, ...)``.
+    def _zero_column(self, rows, v0, B):
+        """The Sherman-Morrison formula from the zero entry ``v0`` of ``v`` and
+        ``B = sum_l (w Ubar)_l v_l``: ``beta = (Ubar_0 v_0 + Delta_0 B) / den``,
+        the weight of ``-a (w U)`` in ``M^{-1} v``, and the zero entry ``x_0 =
+        (c0 v_0 - a U_0 B) / den``.  ``rows`` indexes the row arrays into
+        shapes that broadcast against ``B``."""
+        den = self._den(rows)
+        return ((self.Ubar0[rows] * v0 + self.Delta0[rows] * B) / den,
+                (self.c0[rows] * v0 - self.a * self.U0[rows] * B) / den)
 
-        Off the zero column ``x_l = w_l v_l - a (w U)_l beta`` with
-        ``beta = (Ubar_0 v_0 + Delta_0 B) / den`` and ``B = sum_l (w Ubar)_l v_l``;
-        on it ``x_0 = (c0 v_0 - a U_0 B) / den``.
-        """
+    def solve(self, v) -> np.ndarray:
+        """``M^{-1} v`` for ``v`` of shape ``(rows, S, ...)``: ``w v - a (w U)
+        beta`` off the zero column, ``x_0`` on it (``_zero_column``)."""
         v = np.asarray(v)
         v3 = v.reshape(v.shape[:2] + (-1,))
-        z, a = self.zero, self.a
-        den = self._den(rows)[:, None, None]
-        B = np.einsum("rs,rsc->rc", self._wubar(rows), v3)[:, None]
-        v0 = v3[:, z:z + 1]
-        beta = (self.Ubar0[rows, None, None] * v0 + self.Delta0[rows, None, None] * B) / den
-        x = self.wU[rows, :, None] * (a * beta)      # x = w v - a (w U) beta
-        np.subtract(self.w[rows, :, None] * v3, x, out=x)
-        x[:, z:z + 1] = (self.c0[rows, None, None] * v0 - a * self.U0[rows, None, None] * B) / den
+        z = self.zero
+        B = np.einsum("rs,rsc->rc", self._wubar(slice(None)), v3)[:, None]
+        beta, x0 = self._zero_column(np.s_[:, None, None], v3[:, z:z + 1], B)
+        x = self.wU[..., None] * (self.a * beta)
+        np.subtract(self.w[..., None] * v3, x, out=x)
+        x[:, z:z + 1] = x0
         return x.reshape(v.shape)
 
     def solve_u(self, rows=slice(None)) -> np.ndarray:
@@ -308,17 +311,15 @@ class RankOneRows:
         array), ``(len(rows), S, columns)``: column ``t`` of row ``r`` is
         ``M_r^{-1} e_m``, ``m = members[r, t]``, ``members`` broadcasting to
         ``(len(rows), columns)``.  ``solve`` of ``e_m`` in closed form: the
-        block is ``diag(w) - a (w U) beta^T`` with ``beta_m = (Ubar_0 [m =
-        zero] + Delta_0 (w Ubar)_m) / den``, and its zero row is
-        ``(c0 [m = zero] - a U_0 (w Ubar)_m) / den``."""
+        block is ``diag(w) - a (w U) beta^T`` and its zero row ``x_0^T``, from
+        ``_zero_column`` of ``v_0 = [m = zero]`` and ``B = (w Ubar)_m``."""
         idx = np.arange(len(self.c0))[rows][:, None]
         members = np.broadcast_to(members, (len(idx), np.shape(members)[-1]))
-        B, one, den = self._wubar((idx, members)), members == self.zero, self._den(idx)
-        beta = (self.Ubar0[idx] * one + self.Delta0[idx] * B) / den
+        beta, x0 = self._zero_column(idx, members == self.zero, self._wubar((idx, members)))
         X = self.wU[idx[:, 0], :, None] * (-self.a * beta[:, None])
         r, t = np.arange(len(idx))[:, None], np.arange(members.shape[1])
         X[r, members, t] += self.w[idx, members]
-        X[:, self.zero] = (self.c0[idx] * one - self.a * self.U0[idx] * B) / den
+        X[:, self.zero] = x0
         return X
 
 
@@ -523,22 +524,35 @@ def rg_step_residual(lo: TowerLevel, hi: TowerLevel) -> float:
                                 for cb in cbs)
 
 
-def _c_identity_block(lo: TowerLevel, hi: TowerLevel, member, rb, cbs):
-    """Both sides of the covariance identity in ``C_j``'s rows ``rb``, ``U``
-    solved in the column slices ``cbs``: ``(A + at**2 A U^T G_{j+1} U A, C_j)``."""
-    at, u1, cf = lo.at, lo.u1[rb], lo.coarse_freq[rb]
-    (rows, Ld), S = cf.shape, lo.freq.shape[1]
-    G_hi = _step_rows(lo, hi, member, rb)
-    u = lo.u[cf]                                  # (rows, L**d, S)
-    UGU = np.empty((rows, Ld, Ld))
-    for cb in cbs:
-        U = np.zeros((rows, Ld, S, len(range(Ld)[cb])))
-        for t, s in enumerate(range(Ld)[cb]):
-            U[:, s, :, t] = u[:, s]
-        GU = G_hi.solve(U.reshape(rows, Ld * S, -1)).reshape(U.shape)
-        UGU[:, :, cb] = np.einsum("rsi,rsit->rst", u, GU)
-    A = np.eye(Ld) / at + (1.0 / (at + lo.C.a) - 1.0 / at) * u1[:, :, None] * u1[:, None, :]
-    return A + at**2 * (A @ UGU @ A), lo.C.inverse(rb, np.arange(Ld))
+def _u_g_u(lo: TowerLevel, hi: TowerLevel, member, rb) -> np.ndarray:
+    """``U^T G_{j+1} U`` in ``C_j``'s rows ``rb``, ``(rows, L**d, L**d)``, from
+    the factors of ``_step_rows`` with no solve.  Column ``t`` of ``U`` is
+    level-``j`` row ``t``'s ``u`` in its own slots, so ``_zero_column`` of
+    ``v0_t = u_{0,0} [t = 0]`` and ``B_t = sum_i u_{t,i} (w Ubar)_{t,i}``
+    gives ``beta`` and ``x0``, and with ``A_s = sum_i u_{s,i} (w U)_{s,i}``
+
+        U^T G_{j+1} U = diag_s(sum_i u_{s,i}**2 w_{s,i}) - a A beta^T + e_0 (u_{0,0} x0^T).
+    """
+    G, u = _step_rows(lo, hi, member, rb), lo.u[lo.coarse_freq[rb]]     # u: (rows, L**d, S)
+    Ld = u.shape[1]
+    A, B = (np.einsum("rsi,rsi->rs", u, f.reshape(u.shape)) for f in (G.wU, G._wubar(slice(None))))
+    v0 = u[:, :, 0] * (np.arange(Ld) == 0)
+    beta, x0 = G._zero_column(np.s_[:, None], v0, B)
+    UGU = (-G.a * A)[:, :, None] * beta[:, None, :]
+    UGU[:, np.arange(Ld), np.arange(Ld)] += np.einsum("rsi,rsi,rsi->rs", u, u, G.w.reshape(u.shape))
+    UGU[:, 0] += v0[:, :1] * x0
+    return UGU
+
+
+def _c_identity_block(lo: TowerLevel, hi: TowerLevel, member, rb):
+    """Both sides of the covariance identity in ``C_j``'s rows ``rb``:
+    ``(A + at**2 A U^T G_{j+1} U A, C_j)``."""
+    at, u1, X = lo.at, lo.u1[rb], _u_g_u(lo, hi, member, rb)
+    Ld, c = u1.shape[1], 1.0 / (at + lo.C.a) - 1.0 / at
+    A = np.eye(Ld) / at + (c * u1)[:, :, None] * u1[:, None, :]
+    X = at**2 * (A @ X @ A)
+    X += A
+    return X, lo.C.inverse(rb, np.arange(Ld))
 
 
 def c_identity_residual(lo: TowerLevel, hi: TowerLevel) -> float:
@@ -551,12 +565,13 @@ def c_identity_residual(lo: TowerLevel, hi: TowerLevel) -> float:
     All are block-diagonal over ``C_j``'s rows, compared one ``L**d x L**d``
     block per row: ``P_1 = u_1 u_1^T`` and ``Q_j G_{j+1} Q_j* = U^T G_{j+1} U``,
     where ``U``, in the layout of ``_step_rows``, holds each level-``j``
-    row's ``u`` in its own slots.
+    row's ``u`` in its own slots.  A batch of rows holds ``L**d S`` floats
+    a row in each of its arrays.
     """
     _check_step(lo, hi, "c_identity_residual")
     member = _step_members(hi)
-    return _block_rel_frobenius(_c_identity_block(lo, hi, member, rb, cbs)
-                                for rb, cbs in _batches(*hi.freq.shape, lo.coarse_freq.shape[1]))
+    return _block_rel_frobenius(_c_identity_block(lo, hi, member, rb)
+                                for rb, _ in _batches(*hi.freq.shape, 1))
 
 
 def rg_telescope_residual(levels) -> float:

@@ -179,18 +179,59 @@ def test_shift_solve_matches_dense_inverse(d, L, k, mu0, q0):
     n, S = lap.shape
     if mu0 == 0.0 and q0 is None:   # the massless zero mode is on the grid
         assert np.sum(lap == 0.0) == 1
-    Minv, Minv_sm, M_sm = np.linalg.inv(M), sys.Minv.dense(), sys.Mmat.dense()
+    Minv, Minv_sm = np.linalg.inv(M), sys.solve(np.broadcast_to(np.eye(S), (n, S, S)))
     for node in range(n):     # per node, against that node's own scale
         assert _rel(Minv_sm[node], Minv[node]) <= 1e-12
-        assert _rel(M_sm[node], M[node]) <= 1e-12
     rng = np.random.default_rng(23)
     v = rng.standard_normal((n, S, 3)) + 1j * rng.standard_normal((n, S, 3))
     assert _rel(sys.solve(v), np.linalg.solve(M, v)) <= 1e-12
-    assert _rel(sys.apply(v), M @ v) <= 1e-12
     assert _rel(sys.solve(v[:, :, 0]), np.linalg.solve(M, v[:, :, :1])[:, :, 0]) <= 1e-12
     # the two stacks count every array the system stores, each once
     stored = sum(f.nbytes for f in vars(sys).values() if isinstance(f, np.ndarray))
     assert sys.Minv.nbytes + sys.Mmat.nbytes == stored < 8 * n * S * 16
+
+
+@pytest.mark.parametrize("mu0", [0.0, 0.3])
+@pytest.mark.parametrize("d,L,k", ORACLE_CASES)
+def test_symbol_apply_matches_dense_matrices(d, L, k, mu0):
+    # on the real contour, where mu0 = 0 puts the massless node Delta_0 = 0
+    # on the grid; the apply reads the symbols and divides by nothing
+    params = MultiscaleParams(mu0=mu0)
+    grid = fr.default_grid(d, L, k)
+    _, M, lap = _dense_shift_matrices(grid, params, np.zeros(d))
+    assert np.any(lap == 0.0) == (mu0 == 0.0)
+    rng = np.random.default_rng(29)
+    f = rng.standard_normal((grid.M,) * d) + 1j * rng.standard_normal((grid.M,) * d)
+    Mv = fr._to_shift_layout(fr.free_symbol_apply(f, grid, params), grid)
+    dense = np.einsum("nst,nt->ns", M, fr._to_shift_layout(f, grid))
+    for node in range(len(M)):     # per node, against that node's own scale
+        assert _rel(Mv[node], dense[node]) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(29,), (24, 24)])
+@pytest.mark.parametrize("apply", [fr.free_apply_ghat, fr.free_symbol_apply])
+def test_big_torus_apply_rejects_wrong_size(apply, shape):
+    # M = 24 samples at (1,3,1): a larger array is not read as its first 24
+    grid = fr.default_grid(1, 3, 1)
+    with pytest.raises(ValueError, match="big-torus samples"):
+        apply(np.ones(shape), grid, P0)
+
+
+def test_fourier_verify_builds_one_shift_system(monkeypatch):
+    # free_apply_ghat solves the one whole-grid system; free_symbol_apply
+    # reads the symbols
+    from blockrg import cli
+    built = []
+    build = fr.build_shift_system
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fr, "build_shift_system", counting)
+    rows = cli.run_fourier_verify(cli.load_config(None))
+    assert all(r.passed for r in rows if r.metric == "ghat_roundtrip_residual")
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("q0", [None, 0.3], ids=["real", "shifted"])

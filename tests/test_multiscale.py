@@ -560,6 +560,21 @@ def test_rg_step_residual_peak_allocation():
     assert peak <= 36 * 2**20, peak / 2**20
 
 
+def test_c_identity_residual_peak_allocation():
+    # level builds included; solving U as a (rows, L**d S, L**d) right-hand
+    # side peaked at 18.7 MiB
+    import tracemalloc
+
+    g = lat.make_geometry(2, 3, 2, 5)
+    tracemalloc.start()
+    try:
+        assert ms.c_identity_residual(*_step(g, P0, 1)) < 1e-9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, peak / 2**20
+
+
 @pytest.mark.parametrize("geom_args,builds", [((2, 3, 2, 3), 3), ((2, 3, 3, 5), 5)])
 def test_rg_verify_builds_each_level_once(geom_args, builds, monkeypatch):
     # the k levels of the cube and the k - 1 levels of its rescalings that the

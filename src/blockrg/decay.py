@@ -70,6 +70,9 @@ class CtReport:
     fitted_log_prefactor: float
     max_violation: float
     norm_steps: int         # Lanczos steps of the batched norm run
+    # 1.0 if a weight of the run's q = 0 row is not exactly 1.0, else 0.0
+    # (nan without q = 0)
+    q0_weight_mismatch: float
 
 
 def conjugated_operator(geom: LatticeGeometry, params, q) -> KernelOperator:
@@ -189,6 +192,8 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
             raise ValueError(f"q = {q} on a cube of side {geom.side_length} needs weights "
                              f"exp(q . (x - c)) up to exp({reach[r]:.4g}), past "
                              f"CT_MAX_EXPONENT = {CT_MAX_EXPONENT:g}")
+    zero = row.get((0.0,) * geom.d)
+    q0_mismatch = np.nan if zero is None else float(np.any(np.exp(expo[zero]) != 1.0))
     K = multiscale.green_neumann(geom, params).kernel
     norms_sq, steps = _weighted_norms_sq(K, expo)
     # the value matrix of G is eta**d K
@@ -221,7 +226,8 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
                     fitted_c1=float(-slope),
                     fitted_log_prefactor=float(intercept),
                     max_violation=viol,
-                    norm_steps=steps)
+                    norm_steps=steps,
+                    q0_weight_mismatch=q0_mismatch)
 
 
 def indicator_field(geom, source) -> ops.Field:

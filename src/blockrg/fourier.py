@@ -633,7 +633,7 @@ def h_function(z, ell_prime, L: int, k: int, params: MultiscaleParams):
     z = np.asarray(z, dtype=complex)
     H, _ = next(_strip_solve(z[:, None], L, k, params))
     Lk = L**k
-    first = -(Lk - 1) // 2   # the first shift per axis, as in shift_vectors
+    first = int(shift_vectors(1, L, k)[0, 0])
     ells = np.rint(np.atleast_2d(np.asarray(ell_prime, dtype=float))).astype(np.int64)
     out = H[0, np.ravel_multi_index(tuple(((ells - first) % Lk).T), (Lk,) * len(z))]
     return out[0] if np.ndim(ell_prime) == 1 else out
@@ -663,12 +663,8 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
     weights = np.prod((1.0 + np.abs(ells)) ** (1.0 + 2.0 / d), axis=-1)
 
     p_axis = -np.pi + (np.arange(p_samples) + 0.5) * 2.0 * np.pi / p_samples
-    q_list = [np.zeros(d)]
-    for mu in range(d):
-        e = np.zeros(d)
-        e[mu] = q_max
-        q_list += [e, -e]
-    q_list.append(np.full(d, q_max / np.sqrt(d)))
+    q_list = ([np.zeros(d)] + [s * e for e in q_max * np.eye(d) for s in (1.0, -1.0)]
+              + [np.full(d, q_max / np.sqrt(d))])
 
     per_shift = np.zeros(len(ells))
     min_margin = np.inf
@@ -699,92 +695,45 @@ class BoundCheck:
         return hi / lo if lo > 0 else np.inf
 
 
-def _strip_grid(n: int, re_lim: float, im_lim: float) -> np.ndarray:
-    p = np.linspace(-re_lim, re_lim, n)
-    q = np.linspace(-im_lim, im_lim, max(3, n // 4))
-    return (p[:, None] + 1j * q[None, :]).ravel()
-
-
-def _sinc_floor(n: int) -> float:
-    z = _strip_grid(n, np.pi / 2.0, 1.0)
-    return float(np.min(np.abs(_sinc(z))))
-
-
-def _ell_distance_ratio(n: int) -> float:
-    z = _strip_grid(n, np.pi, 1.0)
-    worst = np.inf
-    for ell in range(-20, 21):
-        if ell == 0:
-            continue
-        ratio = np.abs(z - 2.0 * np.pi * ell) / ((np.pi / 2.0) * (1 + abs(ell)))
-        worst = min(worst, float(np.min(ratio)))
-    return worst
-
-
-def _one_plus_ratio(n: int) -> float:
-    z = _strip_grid(n, np.pi, 1.0)
-    z = z[np.abs(z) > 1e-9]
-    worst = np.inf
-    for ell in range(-20, 21):
-        ratio = np.abs(1.0 + 2.0 * np.pi * ell / z) / ((1 + abs(ell)) / 6.0)
-        worst = min(worst, float(np.min(ratio)))
-    return worst
-
-
-def _length_vs_sin_ratio(n: int, L: int, k: int, delta: float) -> float:
-    """Worst ratio (sum |z eta/2 + pi l eta|^2) / |sum sin^2(...) + delta|, l != 0."""
-    eta = float(L) ** (-k)
-    z = _strip_grid(n, np.pi, 1.0)
-    worst = 0.0
-    lmax = (L**k - 1) // 2
-    for ell in range(-min(lmax, 20), min(lmax, 20) + 1):
-        if ell == 0:
-            continue
-        w = z * eta / 2.0 + np.pi * ell * eta
-        num = np.abs(w) ** 2
-        den = np.abs(np.sin(w) ** 2 + delta)
-        worst = max(worst, float(np.max(num / den)))
-    return worst
-
-
-def _der_product_ratio(n: int, L: int, k: int) -> float:
-    """Worst ``|d/dz (sin^2(z/2)/sin^2((z+2pi l) eta/2))| eta^2 (1+|l|)^2`` (d = 1)."""
-    eta = float(L) ** (-k)
-    z = _strip_grid(n, np.pi, 1.0)
-    h = 1e-6
-    worst = 0.0
-    lmax = min((L**k - 1) // 2, 20)
-    # sin^2(z/2) / sin^2(Z eta/2) at Z = z + 2 pi l is u_axis(Z) u_axis(-Z) / eta^2
-    f = lambda Z: u_axis(Z, eta) * u_axis(-Z, eta) / eta**2
-    for ell in range(-lmax, lmax + 1):
-        Z = z + 2.0 * np.pi * ell
-        der = (f(Z + h) - f(Z - h)) / (2.0 * h)
-        worst = max(worst, float(np.max(np.abs(der))) * eta**2 * (1 + abs(ell)) ** 2)
-    return worst
-
-
 def technical_bounds_report(n_grid: int = 41) -> list[BoundCheck]:
     """Grid worst cases for the scalar strip inequalities, at two refinement levels.
 
-    Each check reports the extreme value of (left side)/(right side without
-    its constant); the contract downstream is finiteness plus stability
-    under refining the grid by 2x.
+    Each check is one row ``sweep(name, real half-width, shifts l, ratio(z,
+    l), extreme)``, swept at once: the extreme of (left side)/(right side
+    without its constant) over the shifts ``(S,)`` and a ``(points, 1)``
+    column ``z`` of the strip grid, ``n`` real parts in ``[-re_lim, re_lim]``
+    by ``max(3, n // 4)`` imaginary parts in ``[-1, 1]``, less ``z = 0``,
+    where ``2 pi l / z`` is singular and no ratio takes its extreme.  The
+    L-free shift sums are cut at ``|l| <= 20``, the others sweep the shift
+    set of their ``(L, k)``.  The contract downstream is finiteness plus
+    stability under refining the grid by 2x.
     """
     checks = []
-    checks.append(BoundCheck("sinc_lower_bound",
-                             _sinc_floor(n_grid), _sinc_floor(2 * n_grid)))
-    checks.append(BoundCheck("shifted_distance_lower",
-                             _ell_distance_ratio(n_grid), _ell_distance_ratio(2 * n_grid)))
-    checks.append(BoundCheck("one_plus_shift_lower",
-                             _one_plus_ratio(n_grid), _one_plus_ratio(2 * n_grid)))
-    for (L, k) in ((3, 1), (3, 2), (3, 3)):
+
+    def sweep(name, re_lim, shifts, ratio, extreme):
+        def worst(n):
+            p, q = np.linspace(-re_lim, re_lim, n), np.linspace(-1.0, 1.0, max(3, n // 4))
+            z = (p[:, None] + 1j * q).ravel()
+            return float(extreme(ratio(z[np.abs(z) > 1e-9, None], shifts)))
+        checks.append(BoundCheck(name, worst(n_grid), worst(2 * n_grid)))
+
+    Z = lambda z, l: shifted_momenta(z, l[:, None])[..., 0]
+    wide, h = shift_vectors(1, 41, 1)[:, 0], 1e-6
+    sweep("sinc_lower_bound", np.pi / 2.0, np.zeros(1), lambda z, l: np.abs(_sinc(z)), np.min)
+    sweep("shifted_distance_lower", np.pi, wide[wide != 0],
+          lambda z, l: np.abs(Z(z, l)) / ((np.pi / 2.0) * (1 + np.abs(l))), np.min)
+    sweep("one_plus_shift_lower", np.pi, wide,
+          lambda z, l: np.abs(1.0 + 2.0 * np.pi * l / z) / ((1 + np.abs(l)) / 6.0), np.min)
+    for L, k in ((3, 1), (3, 2), (3, 3)):
+        eta, ells = float(L) ** (-k), shift_vectors(1, L, k)[:, 0]
+        w = lambda z, l: z * eta / 2.0 + np.pi * l * eta     # (z + 2 pi l) eta / 2
         for delta in (0.0, 0.1):
-            checks.append(BoundCheck(
-                f"length_vs_sin_L{L}k{k}_delta{delta}",
-                _length_vs_sin_ratio(n_grid, L, k, delta),
-                _length_vs_sin_ratio(2 * n_grid, L, k, delta)))
-        checks.append(BoundCheck(
-            f"derivative_product_L{L}k{k}",
-            _der_product_ratio(n_grid, L, k),
-            _der_product_ratio(2 * n_grid, L, k)))
+            sweep(f"length_vs_sin_L{L}k{k}_delta{delta}", np.pi, ells[ells != 0],
+                  lambda z, l: np.abs(w(z, l)) ** 2 / np.abs(np.sin(w(z, l)) ** 2 + delta), np.max)
+        # |d/dz (sin^2(z/2) / sin^2(Z eta/2))| eta^2 (1+|l|)^2 by central differences;
+        # the quotient is u_axis(Z) u_axis(-Z) / eta^2
+        f = lambda Z: u_axis(Z, eta) * u_axis(-Z, eta) / eta**2
+        sweep(f"derivative_product_L{L}k{k}", np.pi, ells,
+              lambda z, l: (np.abs((f(Z(z, l) + h) - f(Z(z, l) - h)) / (2.0 * h))
+                            * eta**2 * (1 + np.abs(l)) ** 2), np.max)
     return checks

@@ -26,6 +26,9 @@ from .lattice import (LatticeGeometry, coarse_geometry, image_points,
                       site_to_flat)
 
 SHELL_RATIO_LIMIT = 0.9
+# residuals up to this many eps max|G_k| / eta**2 are rounding: converged image
+# sums plateau at 0.19-0.49 of that at k = 1..4 (d = 1), rising as eta**-2
+ROUNDING_FLOOR = 2.0
 
 
 class ImageSumDivergence(RuntimeError):
@@ -133,7 +136,9 @@ def gq_kernel_via_images(geom: LatticeGeometry, params, x, y_label,
 @dataclass(frozen=True)
 class ImagesReport:
     """``grid_used`` and ``last_delta``: per batch (``G``, then ``G Q*``) the
-    quadrature grid it converged on and its last relative change."""
+    quadrature grid it converged on and its last relative change.
+    ``rounding_floor``: ``ROUNDING_FLOOR eps max|G_k| / eta**2``, the max
+    over the sampled entries, up to which a Neumann residual is rounding."""
 
     geometry: LatticeGeometry
     shells: tuple
@@ -143,6 +148,7 @@ class ImagesReport:
     neumann_center: tuple
     grid_used: tuple
     last_delta: tuple
+    rounding_floor: float
 
 
 def images_residual_report(geom: LatticeGeometry, params, shells: int) -> ImagesReport:
@@ -164,7 +170,8 @@ def images_residual_report(geom: LatticeGeometry, params, shells: int) -> Images
     ic = xs.index((geom.sites_per_axis // 2,) * geom.d)
 
     vals, shell_idx, g_grid, g_delta = _neumann_batch(geom, params, xs, xs, shells)
-    res = np.abs(_shell_sums(vals, shell_idx, shells) - G.kernel[np.ix_(fx, fx)].T)
+    G_xx = G.kernel[np.ix_(fx, fx)]
+    res = np.abs(_shell_sums(vals, shell_idx, shells) - G_xx.T)
     neumann_max = tuple(float(r.max()) for r in res)
     neumann_median = tuple(_median(r) for r in res)
     neumann_center = tuple(float(r) for r in res[:, ic, ic])
@@ -179,4 +186,6 @@ def images_residual_report(geom: LatticeGeometry, params, shells: int) -> Images
     return ImagesReport(geometry=geom, shells=tuple(range(1, shells + 1)),
                         neumann_max=neumann_max, neumann_median=neumann_median,
                         gq_max=gq_max, neumann_center=neumann_center,
-                        grid_used=(g_grid, gq_grid), last_delta=(g_delta, gq_delta))
+                        grid_used=(g_grid, gq_grid), last_delta=(g_delta, gq_delta),
+                        rounding_floor=(ROUNDING_FLOOR * np.finfo(float).eps
+                                        * float(np.max(np.abs(G_xx))) / geom.spacing**2))

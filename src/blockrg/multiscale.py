@@ -70,9 +70,9 @@ class MultiscaleParams:
 
 
 def a_sequence(a: float, L: int, j_max: int) -> np.ndarray:
-    """Closed-form coefficient sequence ``a_1 .. a_{j_max}``."""
-    j = np.arange(1, j_max + 1)
-    return a * (1.0 - L**-2) / (1.0 - float(L) ** (-2.0 * j))
+    """Closed-form coefficient sequence ``a_1 .. a_{j_max}``, by ``MultiscaleParams.a_j``."""
+    params = MultiscaleParams(a=a)
+    return np.array([params.a_j(L, j) for j in range(1, j_max + 1)])
 
 
 def a_sequence_recursive(a: float, L: int, j_max: int) -> np.ndarray:

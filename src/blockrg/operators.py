@@ -207,6 +207,12 @@ def _axis_operator(geom, mat1d, axis: int) -> np.ndarray:
     return _axis_outer(np.multiply, mats)
 
 
+def _neumann_eigenvalues_1d(n: int, eta: float) -> np.ndarray:
+    """Eigenvalues ``(4/eta**2) sin(pi p / (2 n))**2`` of ``-Lap`` on one
+    Neumann axis of ``n`` sites, in DCT-II frequency order ``p = 0 .. n-1``."""
+    return (4.0 / eta**2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+
+
 def _neumann_lap_1d(N, eta):
     T = np.zeros((N, N))
     for i in range(N):
@@ -290,7 +296,7 @@ def dct_frequency_classes(geom, j: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     b = geom.L**j
     Nc = N // b
     p = np.arange(N)
-    lam1 = (4.0 / geom.spacing**2) * np.sin(np.pi * p / (2 * N)) ** 2
+    lam1 = _neumann_eigenvalues_1d(N, geom.spacing)
     r = p % (2 * Nc)
     kappa = np.minimum(r, 2 * Nc - r)
     u1 = np.ones(N)
@@ -365,23 +371,20 @@ def scaling_unitary(geom, ell: int) -> KernelOperator:
 @dataclass(frozen=True)
 class SpectrumReport:
     eigenvalues: np.ndarray
-    min_eigenvalue: float
-    closed_form: np.ndarray | None = None
+    closed_form: np.ndarray
 
 
 def laplacian_spectrum_1d(n: int, eta: float) -> SpectrumReport:
-    """Dense spectrum of the 1d Neumann Laplacian next to its closed form.
-
-    The closed form is ``-(4/eta**2) * sin(pi j / (2 n))**2`` for
-    ``j = 0 .. n-1``; both lists are sorted ascending.
+    """Dense spectrum of the 1d Neumann Laplacian next to its closed form
+    ``-_neumann_eigenvalues_1d(n, eta)``, the eigenvalues that
+    ``dct_frequency_classes`` assigns; both lists are sorted ascending.
     """
     if n < 2:
         raise OperatorError("need n >= 2")
     T = _neumann_lap_1d(n, eta)
     ev = np.linalg.eigvalsh(T)
-    j = np.arange(n)
-    closed = np.sort(-(4.0 / eta**2) * np.sin(np.pi * j / (2 * n)) ** 2)
-    return SpectrumReport(eigenvalues=ev, min_eigenvalue=float(ev[0]), closed_form=closed)
+    closed = np.sort(-_neumann_eigenvalues_1d(n, eta))
+    return SpectrumReport(eigenvalues=ev, closed_form=closed)
 
 
 def spectrum_rel_error(report: SpectrumReport) -> float:

@@ -196,6 +196,29 @@ def test_csv_determinism(tmp_path):
         assert len(runs[0]) == n_csv and runs[0] == runs[1]
 
 
+def test_write_csv_number_format(tmp_path):
+    rows = [cli.MetricRow("x", 1, 3, 1, 2, 1.0, 0.1, name, value, tol)
+            for name, value, tol in (("finite", 0.1 + 0.2, 1e-300), ("pos_inf", INF, INF),
+                                     ("neg_inf", -INF, 0.0), ("nan", float("nan"), INF))]
+    cli.write_csv(tmp_path / "x.csv", rows)
+    assert (tmp_path / "x.csv").read_bytes() == (
+        b"experiment,d,L,k,m,a,mu0,metric,value,tolerance,pass\n"
+        b"x,1,3,1,2,1,0.1,finite,0.3,1e-300,false\n"
+        b"x,1,3,1,2,1,0.1,pos_inf,inf,inf,true\n"
+        b"x,1,3,1,2,1,0.1,neg_inf,-inf,0,true\n"
+        b"x,1,3,1,2,1,0.1,nan,nan,inf,false\n")
+
+
+@pytest.mark.parametrize("g", [(1, 3, 1, 5), (1, 3, 2, 6)])
+def test_shell_ratio_skips_rounding_level_residuals(g):
+    # every shell's residual is at rounding level (flat across shells), so
+    # the ratio of two of them, about 1.0, says nothing about the tail
+    cfg = dataclasses.replace(cli.load_config(None), geometry=dict(zip("dLkm", g)))
+    rows = {r.metric: r.value for r in cli.run_images_verify(cfg)}
+    assert rows["images_neumann_max_residual"] < 1e-14
+    assert rows["images_shell_ratio_max"] == 0.0
+
+
 def test_contract_tolerances():
     assert set(CONTRACTS) == set(cli.SUITES)
     cfg = cli.load_config(None)

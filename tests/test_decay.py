@@ -87,10 +87,12 @@ def test_box_statistics_match_scalar_loop(d, L, k, m):
 
 
 def test_conjugation_bitwise_at_zero():
-    g = lat.make_geometry(1, 3, 1, 2)
-    D0 = ms.defining_operator(g, P0, 1)
-    Dq = dc.conjugated_operator(g, P0, 0.0)
-    assert np.array_equal(D0.kernel, Dq.kernel)
+    for dims in ((1, 3, 1, 2), (1, 3, 1, 5), (2, 3, 1, 2)):
+        g = lat.make_geometry(*dims)
+        D0 = ms.defining_operator(g, P0, g.k)
+        Dq = dc.conjugated_operator(g, P0, 0.0)
+        assert np.array_equal(D0.kernel, Dq.kernel)
+        assert np.array_equal(D0.kernel, dc.conjugated_operator(g, P0, (0.0,) * g.d).kernel)
 
 
 def test_conjugated_derivative_identity():
@@ -132,6 +134,8 @@ def test_ct_report_reference():
     q_list = [0.0, 0.02, -0.02, 0.05, -0.05]
     rep = dc.ct_bound_report(g, P0, q_list, rng)
     assert rep.fitted_c1 > 0
+    assert rep.q0_weight_mismatch == 0.0
+    assert np.isnan(dc.ct_bound_report(g, P0, q_list[1:], rng).q0_weight_mismatch)
     # q = 0 norm equals 1/lambda_min of the defining operator
     D0 = ms.defining_operator(g, P0, 1)
     lam_min = ops.min_eigenvalue(D0)

@@ -698,6 +698,50 @@ def test_strip_violation_names_the_node():
         fr.strip_bound_report(1, 3, 1, P0, q_max=1.03)
 
 
+def _technical_bounds_per_shift(n):
+    """The twelve checks of ``technical_bounds_report`` written out as one
+    loop per shift ``l`` over explicit ranges, on the grid built here."""
+    def grid(re_lim):
+        p = np.linspace(-re_lim, re_lim, n)
+        q = np.linspace(-1.0, 1.0, max(3, n // 4))
+        z = (p[:, None] + 1j * q[None, :]).ravel()
+        return z[np.abs(z) > 1e-9]
+
+    z = grid(np.pi)
+    out = {"sinc_lower_bound": np.min(np.abs(fr._sinc(grid(np.pi / 2.0))))}
+    out["shifted_distance_lower"] = min(
+        np.min(np.abs(z - 2.0 * np.pi * l) / ((np.pi / 2.0) * (1 + abs(l))))
+        for l in range(-20, 21) if l != 0)
+    out["one_plus_shift_lower"] = min(
+        np.min(np.abs(1.0 + 2.0 * np.pi * l / z) / ((1 + abs(l)) / 6.0))
+        for l in range(-20, 21))
+    for L, k in ((3, 1), (3, 2), (3, 3)):
+        eta, lmax = float(L) ** (-k), (L**k - 1) // 2
+        for delta in (0.0, 0.1):
+            worst = 0.0
+            for l in range(-lmax, lmax + 1):
+                if l != 0:
+                    w = z * eta / 2.0 + np.pi * l * eta
+                    worst = max(worst, np.max(np.abs(w) ** 2 / np.abs(np.sin(w) ** 2 + delta)))
+            out[f"length_vs_sin_L{L}k{k}_delta{delta}"] = worst
+        f = lambda Z: fr.u_axis(Z, eta) * fr.u_axis(-Z, eta) / eta**2
+        worst = 0.0
+        for l in range(-lmax, lmax + 1):
+            Z = z + 2.0 * np.pi * l
+            der = (f(Z + 1e-6) - f(Z - 1e-6)) / (2.0 * 1e-6)
+            worst = max(worst, np.max(np.abs(der)) * eta**2 * (1 + abs(l)) ** 2)
+        out[f"derivative_product_L{L}k{k}"] = worst
+    return out
+
+
+@pytest.mark.parametrize("n_grid", [21, 41])
+def test_technical_bounds_match_per_shift_loops(n_grid):
+    # the table and its one sweep reproduce the per-shift loops bit for bit
+    coarse, fine = _technical_bounds_per_shift(n_grid), _technical_bounds_per_shift(2 * n_grid)
+    got = [(c.name, c.worst, c.worst_refined) for c in fr.technical_bounds_report(n_grid)]
+    assert got == [(name, float(v), float(fine[name])) for name, v in coarse.items()]
+
+
 def test_technical_bounds():
     checks = fr.technical_bounds_report(n_grid=21)
     by_name = {c.name: c for c in checks}

@@ -35,6 +35,12 @@ def test_a_sequence_reference():
     assert ms.a_sequence(1.0, 3, 2000)[-1] == pytest.approx(8.0 / 9.0, rel=1e-12)
 
 
+def test_a_sequence_is_a_j():
+    for a, L in ((1.0, 3), (2.5, 5), (0.3, 2)):
+        params = ms.MultiscaleParams(a=a)
+        assert ms.a_sequence(a, L, 50).tolist() == [params.a_j(L, j) for j in range(1, 51)]
+
+
 def test_a_sequence_recursion_vs_closed_form():
     for a, L in ((1.0, 3), (2.5, 5)):
         closed = ms.a_sequence(a, L, 50)

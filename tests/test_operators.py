@@ -287,6 +287,17 @@ def test_spectrum_1d_closed_form():
     assert np.allclose(rep2.eigenvalues, [-2.0, 0.0])
 
 
+@pytest.mark.parametrize("g", [(1, 3, 1, 1), (1, 3, 1, 4), (1, 3, 2, 4)])
+def test_spectrum_closed_form_is_the_class_spectrum(g):
+    # the spectrum suite's closed form is the -Lap spectrum that the
+    # frequency classes (positivity, rg-verify) assign, bit for bit
+    geom = lat.make_geometry(*g)
+    closed = ops.laplacian_spectrum_1d(geom.sites_per_axis, geom.spacing).closed_form
+    for j in range(geom.m + 1):
+        lam, _, _ = ops.dct_frequency_classes(geom, j)
+        assert np.array_equal(closed, np.sort(-lam.ravel()))
+
+
 def test_chebyshev_basics():
     alpha = np.linspace(-1, 1, 7)
     assert np.allclose(ops.chebyshev_u(0, alpha), 1.0)

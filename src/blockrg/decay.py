@@ -169,9 +169,10 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
     ``W G W^-2 G W``, and ``q = 0`` is the unit weight.  A weight stops when
     the residual of its top Ritz pair is at most ``CT_LANCZOS_RTOL`` times
     the Ritz value (``_weighted_norms_sq``); ``norm_steps`` counts the run's
-    steps.  A weight exponent above ``CT_MAX_EXPONENT`` raises
-    ``ValueError`` before any weight is formed.  Tests compare these values
-    with the dense SVD of ``conjugated_operator``.
+    steps.  A weight exponent above ``CT_MAX_EXPONENT``, or a cube of one
+    unit box (no two box distances to fit), raises ``ValueError`` before any
+    weight is formed.  Tests compare these values with the dense SVD of
+    ``conjugated_operator``.
 
     Separately, random fields supported on single unit boxes probe
     ``|<f, G f'>| <= C exp(-c1 |y - y'|) |f| |f'|``; the report carries the
@@ -192,6 +193,9 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
             raise ValueError(f"q = {q} on a cube of side {geom.side_length} needs weights "
                              f"exp(q . (x - c)) up to exp({reach[r]:.4g}), past "
                              f"CT_MAX_EXPONENT = {CT_MAX_EXPONENT:g}")
+    if geom.m == geom.k:    # one unit box: its one box distance is 0
+        raise ValueError("the box-to-box decay fit needs two distinct box distances, "
+                         "and this cube is a single unit box")
     zero = row.get((0.0,) * geom.d)
     q0_mismatch = np.nan if zero is None else float(np.any(np.exp(expo[zero]) != 1.0))
     K = multiscale.green_neumann(geom, params).kernel
@@ -213,10 +217,6 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
     vals = np.abs(np.einsum("pdx,pxy,pdy->pd", f.conj(), Gpair, f2))
     vals *= geom.spacing ** geom.d / (np.linalg.norm(f, axis=-1) * np.linalg.norm(f2, axis=-1))
     dists = np.linalg.norm(labels[i1] - labels[i2], axis=1)
-    if np.all(dists == dists[0]):
-        # only a cube of one unit box has no nonzero box distance
-        raise ValueError("the box-to-box decay fit needs two distinct box distances, "
-                         "and this cube is a single unit box")
     logvals = np.log(vals.max(axis=1))
     slope, intercept = np.polyfit(dists, logvals, 1)
     viol = float(np.max(logvals - (intercept + slope * dists)))

@@ -35,8 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import operators as ops
-from .lattice import (LatticeGeometry, coarse_geometry, sample_sites,
-                      scale_geometry, site_to_flat)
+from .lattice import LatticeGeometry, coarse_geometry, scale_geometry
 from .operators import KernelOperator
 
 @dataclass(frozen=True)
@@ -207,7 +206,7 @@ def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
 
 
 # nbytes of one batch of a residual check: (rows, S, columns) inverse-block
-# columns, or the telescope's (n, columns) delta fields
+# columns, or the telescope's (n, columns) probe columns
 PROBE_BLOCK_BYTES = 8 * 2**20
 
 
@@ -261,12 +260,10 @@ class RankOneRows:
             Ubar = np.multiply(w, Ubar, out=Ubar)
         return cls(a, zero, w, wU, Ubar, Delta0, U0, Ubar0, c0)
 
-    def _den(self, rows) -> np.ndarray:
+    def _den(self, rows=slice(None)) -> np.ndarray:
         return self.Delta0[rows] * self.c0[rows] + self.a * self.U0[rows] * self.Ubar0[rows]
 
-    @property
-    def den(self) -> np.ndarray:
-        return self._den(slice(None))
+    den = property(_den)
 
     def _wubar(self, index) -> np.ndarray:
         """``(w Ubar)[index]``."""
@@ -331,11 +328,6 @@ def _scatter(X, freq) -> np.ndarray:
     return out
 
 
-def _col(a, x):
-    """``a`` of shape ``(rows, S)`` broadcast against ``x`` of shape ``(rows, S, ...)``."""
-    return a.reshape(a.shape + (1,) * (x.ndim - 2))
-
-
 @dataclass(frozen=True, eq=False)
 class TowerLevel:
     """Scale ``j`` of the Neumann tower on one cube, by DCT frequency classes.
@@ -377,14 +369,13 @@ class TowerLevel:
         return _scatter(self.G.solve(V[self.freq]), self.freq)
 
     def average(self, V) -> np.ndarray:
-        X = V[self.freq]
         b = float(self.geometry.L) ** self.j
-        return b ** (-self.geometry.d / 2) * np.sum(_col(self.u, X) * X, axis=1)
+        return b ** (-self.geometry.d / 2) * np.einsum("rs,rs...->r...", self.u, V[self.freq])
 
     def average_adjoint(self, Y) -> np.ndarray:
         b = float(self.geometry.L) ** self.j
-        X = b ** (self.geometry.d / 2) * _col(self.u, Y[:, None]) * Y[:, None]
-        return _scatter(X, self.freq)
+        return _scatter(b ** (self.geometry.d / 2) * np.einsum("rs,r...->rs...", self.u, Y),
+                        self.freq)
 
     def covariance(self, Y) -> np.ndarray:
         return _scatter(self.C.solve(Y[self.coarse_freq]), self.coarse_freq)
@@ -499,10 +490,8 @@ def _step_block(lo: TowerLevel, hi: TowerLevel, member, rb, cb):
     X *= gq.reshape(len(cf), -1)[:, None, q]
     # G_j: column q adds column q mod S of level-j row s(q)'s block, in that row's slots
     G_j = lo.G.inverse(cf[:, q // S].ravel(), np.tile(q % S, len(cf))[:, None])
-    G_j = G_j.reshape(len(cf), len(q), S).transpose(0, 2, 1)
-    for s in range(q[0] // S, q[-1] // S + 1):
-        t = slice(max(s * S, q[0]) - q[0], min((s + 1) * S, q[-1] + 1) - q[0])
-        X[:, s * S:(s + 1) * S, t] += G_j[:, :, t]
+    G_j = G_j.reshape(len(cf), len(q), S).transpose(1, 0, 2)
+    X.reshape(len(cf), -1, S, len(q))[:, q // S, :, np.arange(len(q))] += G_j
     return X, Y
 
 
@@ -575,44 +564,43 @@ def c_identity_residual(lo: TowerLevel, hi: TowerLevel) -> float:
 
 
 def rg_telescope_residual(levels) -> float:
-    """Max relative discrepancy of the telescoped propagator formula.
+    """Largest relative residual of the telescoped propagator formula over
+    the level-``k`` class rows.
 
     ``levels[j - 1]`` is level ``j`` of the cube scaled by ``L**(k - j)``,
     ``tower_level(scale_geometry(geom, k - j), params, j)`` for
     ``j = 1 .. k``, so the last is level ``k`` of ``geom`` itself, the
-    left-hand side.  Both sides are evaluated on delta fields at a
-    deterministic site sample.  The right-hand side sums the rescaled
-    fluctuation kernels ``lam_j**-2 C'_j(lam_j Omega)`` over ``j = 1 .. k-1``
-    plus the rescaled first-scale propagator; value vectors transport across
-    scales unchanged because rescaled lattices share the index set.  The sum
-    is empty for k=1.  The deltas go through one forward DCT, the class
-    solves of every term and one inverse DCT per side, in batches of at most
-    ``PROBE_BLOCK_BYTES``.
+    left-hand side.  The right-hand side sums the rescaled fluctuation
+    kernels ``lam_j**-2 C'_j(lam_j Omega)`` over ``j = 1 .. k-1`` plus the
+    rescaled first-scale propagator; value vectors transport across scales
+    unchanged because rescaled lattices share the index set.  The sum is
+    empty for k=1.  Every term is block-diagonal over the level-``k`` rows
+    ``levels[-1].freq``: both sides are applied to two probes, ``1`` and
+    ``(-1)**i (1 + i) / S`` on member ``i`` of each row, and the residual is
+    the largest ``|lhs_r - rhs_r| / |lhs_r|`` over rows ``r`` and probes.
     """
     if not levels:
         raise ValueError("telescope needs k >= 1")
-    geom = levels[-1].geometry
-    k = geom.k
+    top = levels[-1]
+    geom, k = top.geometry, top.geometry.k
     if [(lv.geometry, lv.j) for lv in levels] != [(scale_geometry(geom, k - j), j)
                                                    for j in range(1, k + 1)]:
         raise ValueError("rg_telescope_residual: levels[j - 1] must be level j "
                          "of the cube scaled by L**(k - j), j = 1 .. k")
-    L = float(geom.L)
-    flat = [site_to_flat(geom, s) for s in sample_sites(geom)]
+    i = np.arange(top.freq.shape[1])
+    member = np.column_stack((np.ones(i.size), (-1.0) ** i * (1 + i) / i.size))
+    probes = _scatter(np.broadcast_to(member, top.freq.shape + (2,)), top.freq)
+    L, worst = float(geom.L), 0.0
     batch = max(1, PROBE_BLOCK_BYTES // (8 * geom.site_count))
-    worst = 0.0
-    for start in range(0, len(flat), batch):
-        cols = flat[start:start + batch]
-        E = np.zeros((geom.site_count, len(cols)))
-        E[cols, np.arange(len(cols))] = 1.0
-        Ehat = ops.dct(geom, E)
-        lhs = ops.idct(geom, levels[-1].green(Ehat))
-        rhs = L ** (2 - 2 * k) * levels[0].green(Ehat)
+    for c in range(0, probes.shape[1], batch):
+        V = probes[:, c:c + batch]
+        lhs = top.green(V)
+        rhs = L ** (2 - 2 * k) * levels[0].green(V)
         for j, level in enumerate(levels[:-1], start=1):
-            rhs += L ** (2 * (j - k)) * level.fluctuation(Ehat)
-        rhs = ops.idct(geom, rhs)
-        diff = np.max(np.abs(lhs - rhs), axis=0)
-        worst = max(worst, float(np.max(diff / np.max(np.abs(lhs), axis=0))))
+            rhs += L ** (2 * (j - k)) * level.fluctuation(V)
+        rhs -= lhs
+        num, den = (np.linalg.norm(X[top.freq], axis=1) for X in (rhs, lhs))
+        worst = max(worst, float(np.max(num / den)))
     return worst
 
 

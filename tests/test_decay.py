@@ -201,11 +201,19 @@ def test_ct_report_weight_range_is_named():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_ct_report_single_box_is_named(d):
-    # one unit box gives the one box distance 0: no line to fit
+def test_ct_report_single_box_is_named(d, monkeypatch):
+    # one unit box gives the one box distance 0: no line to fit, refused
+    # before G is built or the generator drawn from
+    def no_green(*args):
+        raise AssertionError("green_neumann called")
+
+    monkeypatch.setattr(ms, "green_neumann", no_green)
     g = lat.make_geometry(d, 3, 1, 1)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(ValueError, match="two distinct box distances"):
-        dc.ct_bound_report(g, P0, [0.0], np.random.default_rng(0))
+        dc.ct_bound_report(g, P0, [0.0], rng)
+    assert rng.bit_generator.state == state
 
 
 def test_profile_and_rate_positive():

@@ -167,6 +167,32 @@ def test_rg_telescope_builds_each_level_once(k, monkeypatch):
     assert built == [(lat.scale_geometry(g, k - j), j) for j in range(1, k + 1)]
 
 
+@pytest.mark.parametrize("geom_args", [(1, 3, 2, 3), (2, 3, 3, 4)])
+def test_rg_telescope_sees_one_perturbed_term(geom_args):
+    # the first-scale term built at a = 1 + 1e-6 moves its rows by about 1e-6
+    g = lat.make_geometry(*geom_args)
+    levels = _telescope_levels(g, P0)
+    levels[0] = ms.tower_level(levels[0].geometry, ms.MultiscaleParams(a=1 + 1e-6), 1)
+    assert ms.rg_telescope_residual(levels) >= 1e-7
+
+
+@pytest.mark.parametrize("geom_args", [(2, 3, 2, 5), (1, 3, 2, 11)])
+def test_rg_telescope_peak_allocation(geom_args):
+    # level builds excluded; the sample-site deltas taken through a forward
+    # and an inverse DCT peaked at 85.8 and 46.5 times 8 n
+    import tracemalloc
+
+    g = lat.make_geometry(*geom_args)
+    levels = _telescope_levels(g, P0)
+    tracemalloc.start()
+    try:
+        assert ms.rg_telescope_residual(levels) < 1e-9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 8 * g.site_count, peak / (8 * g.site_count)
+
+
 def test_c_identity():
     # every j <= k below m, so j = k too, which rg-verify does not emit
     for geom_args in ORACLE_GRID:

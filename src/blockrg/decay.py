@@ -250,18 +250,36 @@ def decay_profile(geom: LatticeGeometry, params, source=None):
     """Pointwise profile ``(dist(x, supp f), |(G f)(x)|)`` for an indicator source.
 
     Defaults to the single-site indicator at the origin corner, which gives
-    the longest usable distance range on a cube.
+    the longest usable distance range on a cube.  Distances that leave fewer
+    than 5 points in the default window of ``fit_decay``, as on a cube of
+    one unit box at d = 1, 2, raise its ``ValueError`` before ``G`` is built.
     """
     if source is None:
         source = ("site", (0,) * geom.d)
     f = indicator_field(geom, source)
-    G = multiscale.green_neumann(geom, params)
-    g = ops.apply(G, f)
     pos = positions(geom)
     supp = pos[np.abs(f.values) > 0]
     dists = np.min(np.linalg.norm(pos[:, None, :] - supp[None, :, :], axis=2), axis=1)
+    _fit_window(dists)
+    g = ops.apply(multiscale.green_neumann(geom, params), f)
     order = np.argsort(dists)
     return dists[order], np.abs(g.values)[order]
+
+
+def _fit_window(dists, window=None, mags=None):
+    """``window``, by default ``(1, 0.8 max(dists))``, and the mask of the
+    distances in it, less the points with ``mags = 0`` when ``mags`` is
+    given; fewer than 5 points raise ``ValueError``."""
+    if window is None:
+        window = (1.0, 0.8 * float(np.max(dists)))
+    lo, hi = window
+    mask = (dists >= lo) & (dists <= hi)
+    if mags is not None:
+        mask &= mags > 0
+    if np.count_nonzero(mask) < 5:
+        raise ValueError(f"degenerate fit window {window}: "
+                         f"{np.count_nonzero(mask)} points")
+    return window, mask
 
 
 def fit_decay(dists, mags, window=None) -> DecayFit:
@@ -272,13 +290,7 @@ def fit_decay(dists, mags, window=None) -> DecayFit:
     """
     dists = np.asarray(dists, dtype=float)
     mags = np.asarray(mags, dtype=float)
-    if window is None:
-        window = (1.0, 0.8 * float(np.max(dists)))
-    lo, hi = window
-    mask = (dists >= lo) & (dists <= hi) & (mags > 0)
-    if np.count_nonzero(mask) < 5:
-        raise ValueError(f"degenerate fit window {window}: "
-                         f"{np.count_nonzero(mask)} points")
+    (lo, hi), mask = _fit_window(dists, window, mags)
     x = dists[mask]
     y = np.log(mags[mask])
     slope, intercept = np.polyfit(x, y, 1)

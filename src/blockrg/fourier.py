@@ -26,8 +26,14 @@ positive at every real momentum.  The massless node ``p = 0``, where
 no term is ever formed as 0/0.  Kernels are trapezoid quadratures of these
 solves; the solve's pieces are contracted over the shifts once per residue
 class modulo the unit lattice and summed over the nodes by one inverse FFT
-per pair of classes, which serves every offset (see ``_class_sums``).  ``M``
-itself is applied from its symbols, with no division (``free_symbol_apply``).
+per pair of classes, which serves every offset (see ``KernelPlan.sums``).
+What a kernel reads on every grid (the lattice check, the classes, shift
+phases, offsets and signs) is its ``KernelPlan``, made once per batch of
+positions; ``evaluate_plans`` evaluates several plans on one grid from one
+build of the node blocks, and ``converge_plans`` drives them up one ladder
+of grid doublings, each from its own start grid to its own first stable
+doubling.  ``M`` itself is applied from its symbols, with no division
+(``free_symbol_apply``).
 
 Every per-axis symbol has ``conj f(Z) = f(-conj Z)`` (``sin^2`` and ``sinc``
 are even with real coefficients, and ``conj e^{-icZ} = e^{-ic(-conj Z)}``),
@@ -37,7 +43,8 @@ on every contour the kernels' node arrays are Hermitian in the node: half
 the nodes are solved, ``irfftn`` sums them, and the kernels are real.  The
 strip integrand ``H = M^{-1} U`` is ``RankOneRows.solve_u`` at complex
 nodes ``p + i q``.  Kernels and strip build their rows in bounded blocks
-of nodes (``_node_blocks``), cached nowhere.
+of nodes (``_node_blocks``), cached nowhere: a kernel keeps only its
+contracted ``(classes, nodes)`` legs, and only through its transforms.
 
 Symbols take complex arguments everywhere, which is what operational
 analyticity checks (contour shifts) and the strip bounds rely on.
@@ -280,9 +287,13 @@ def _node_blocks(axis_nodes, L: int, k: int, params: MultiscaleParams):
     """The shift systems' ``RankOneRows`` over blocks of consecutive first-axis
     nodes, in node order: as many as keep one complex ``(nodes, S)`` array
     within ``NODE_BLOCK_BYTES``, and at least one.  Callers drop each block
-    before the next is built."""
+    before the next is built.  An axis whose nodes begin an earlier axis's
+    (the kernels' last axis, cut at ``M0/2``) reads that axis's symbols."""
     axis_nodes = [np.asarray(nodes, dtype=complex) for nodes in axis_nodes]
-    symbols = [_axis_symbols(nodes, L, k) for nodes in axis_nodes]
+    symbols = []
+    for nodes in axis_nodes:
+        same = [s for a, s in zip(axis_nodes, symbols) if np.array_equal(a[:len(nodes)], nodes)]
+        symbols.append(same[0][:, :len(nodes)] if same else _axis_symbols(nodes, L, k))
     zero, a_k = _zero_and_coupling(len(axis_nodes), L, k, params)
     row_bytes = 16 * math.prod(len(n) for n in axis_nodes[1:]) * (L**k) ** len(axis_nodes)
     rows = max(1, NODE_BLOCK_BYTES // row_bytes)
@@ -320,14 +331,6 @@ def _shift_phases(grid: TorusGrid, residues) -> np.ndarray:
     return np.exp(2j * np.pi / grid.shifts_per_axis * (shifts @ residues.T))
 
 
-def _class_legs(legs, axis_nodes, grid: TorusGrid, params: MultiscaleParams) -> list:
-    """``legs(sys)``, a tuple of (nodes, classes) arrays per shift system,
-    over the node blocks of ``axis_nodes``, each leg joined in node order and
-    laid out (classes, nodes)."""
-    blocks = _node_blocks(axis_nodes, grid.L, grid.k, params)
-    return [np.concatenate([p.T for p in parts], axis=1) for parts in zip(*map(legs, blocks))]
-
-
 def _classes(idx, Lk: int):
     """Residue classes modulo ``Lk`` of the integer rows ``idx`` (last axis the
     coordinates): the distinct classes in lexicographic order, (n classes, d),
@@ -339,51 +342,132 @@ def _classes(idx, Lk: int):
     return np.stack(np.unravel_index(codes, shape), axis=-1), where.reshape(idx.shape[:-1])
 
 
-def _class_sums(grid: TorusGrid, shift_q, xs, ys, node_arrays) -> np.ndarray:
-    """``(1/n) sum_p e^{i p (x - y)} F(p)`` over the ``n`` base nodes ``p`` of
-    ``grid`` moved to ``p + i shift_q``, for all pairs of position rows in
-    ``eta Z^d``.  ``node_arrays(axis_nodes, Rx, Ry)`` returns a function
-    that maps a slice of the residue classes ``Rx`` of x modulo the unit
-    lattice to ``F`` against every class ``Ry`` of y at the row-major nodes
-    spanned by ``axis_nodes``, an array (x classes in the slice, y classes,
-    nodes).
+class KernelPlan:
+    """The grid-free part of a free kernel between the position rows ``xs``
+    and ``ys`` (in ``eta Z^d``), for every grid of ``grid``'s ``(d, L, k)``:
+    the lattice check, the residue classes ``Rx``, ``Ry`` modulo the unit
+    lattice and each row's class ``cx``, ``cy``, the unit offsets ``t`` and
+    their signs; a subclass adds its shift phases, contracts a node block
+    over the shifts (``legs(blk)``, (nodes, classes) arrays) and forms the
+    node array of a slice of x classes from the legs laid out (classes,
+    nodes) (``node_array(legs, block)``, (x classes, y classes, nodes)).
+    ``grid`` is the plan's start grid in ``converge_plans``."""
 
-    With ``x - y = L**k t + (rho_x - rho_y)`` and ``p = -pi + 2 pi b / M0 + i q``
-    per axis, the sum is ``(-1)^{sum t} e^{-q t}`` times the inverse DFT over
-    ``b`` of ``e^{i eta p (rho_x - rho_y)} F``, read at ``t mod M0``: one
-    transform per pair of classes serves every offset.  The x classes are
-    taken in slices whose complex batch stays within ``NODE_BLOCK_BYTES``, at
-    least one class per slice.  The transformed array is Hermitian in ``b``
-    on every contour (module docstring; ``b = 0`` pairs with ``b = M0``): only
-    the last-axis nodes ``b <= M0/2`` are evaluated, and ``irfftn`` returns a
-    real kernel."""
-    d, Lk, M0 = grid.d, grid.shifts_per_axis, grid.base_count
-    pos = [np.atleast_2d(np.asarray(p, dtype=float)) for p in (xs, ys)]
-    ix, iy = (np.rint(p / grid.eta).astype(np.int64) for p in pos)
-    if any(np.any(np.abs(i * grid.eta - p) > 1e-9 * (1.0 + np.abs(p)))
-           for i, p in zip((ix, iy), pos)):
-        raise ValueError(f"kernel positions must lie on the lattice {grid.eta:.6g} Z^d")
-    (Rx, cx), (Ry, cy) = _classes(ix, Lk), _classes(iy, Lk)
-    q = np.zeros(d) if shift_q is None else np.asarray(shift_q, dtype=float)
+    def __init__(self, xs, ys, grid: TorusGrid):
+        Lk = grid.shifts_per_axis
+        pos = [np.atleast_2d(np.asarray(p, dtype=float)) for p in (xs, ys)]
+        ix, iy = (np.rint(p / grid.eta).astype(np.int64) for p in pos)
+        if any(np.any(np.abs(i * grid.eta - p) > 1e-9 * (1.0 + np.abs(p)))
+               for i, p in zip((ix, iy), pos)):
+            raise ValueError(f"kernel positions must lie on the lattice {grid.eta:.6g} Z^d")
+        self.grid = grid
+        (self.Rx, self.cx), (self.Ry, self.cy) = _classes(ix, Lk), _classes(iy, Lk)
+        self.t = (ix // Lk)[:, None, :] - (iy // Lk)[None, :, :]
+        self.sign = 1 - 2 * (self.t.sum(axis=-1) % 2)
+
+    def fill(self, legs, blk, lo: int, n: int) -> list:
+        """The plan's legs, (classes, n) arrays allocated on the first block
+        (``legs`` None), with the node block ``blk``'s written in place from
+        column ``lo`` on."""
+        parts = self.legs(blk)
+        legs = legs or [np.empty((p.shape[1], n), p.dtype) for p in parts]
+        for leg, p in zip(legs, parts):
+            leg[:, lo:lo + len(p)] = p.T
+        return legs
+
+    def sums(self, grid: TorusGrid, q, axes, legs) -> np.ndarray:
+        """``(1/n) sum_p e^{i p (x - y)} F(p)`` over the ``n`` base nodes ``p``
+        of ``grid`` moved to ``p + i q`` for all pairs of position rows, from
+        the plan's ``legs`` at the nodes spanned by ``axes``.
+
+        With ``x - y = L**k t + (rho_x - rho_y)`` and ``p = -pi + 2 pi b / M0
+        + i q`` per axis, the sum is ``(-1)^{sum t} e^{-q t}`` times the
+        inverse DFT over ``b`` of ``e^{i eta p (rho_x - rho_y)} F``, read at
+        ``t mod M0``: one transform per pair of classes serves every offset.
+        The x classes are taken in slices whose complex batch stays within
+        ``NODE_BLOCK_BYTES``, at least one class per slice.  The transformed
+        array is Hermitian in ``b`` on every contour (module docstring;
+        ``b = 0`` pairs with ``b = M0``): ``axes`` holds only the last-axis
+        nodes ``b <= M0/2``, and ``irfftn`` returns a real kernel."""
+        d, M0 = grid.d, grid.base_count
+        cx, cy, t = self.cx, self.cy, self.t
+        z = grid_points(axes)
+        phase_x = np.exp(1j * grid.eta * (self.Rx @ z.T))
+        phase_y = np.exp(-1j * grid.eta * (self.Ry @ z.T))
+        out = np.empty(t.shape[:2])
+        per = max(1, NODE_BLOCK_BYTES // max(1, 16 * len(z) * len(self.Ry)))
+        shape, nodes = tuple(map(len, axes)), tuple(range(2, 2 + d))
+        for lo in range(0, len(self.Rx), per):
+            block = slice(lo, lo + per)
+            A = self.node_array(legs, block) * phase_x[block, None] * phase_y
+            A = A.reshape(A.shape[:2] + shape)
+            K = np.fft.irfftn(A, s=(M0,) * d, axes=nodes)
+            rows = np.flatnonzero((cx >= lo) & (cx < lo + per))
+            out[rows] = K[(cx[rows, None] - lo, cy) + tuple(np.moveaxis(t[rows] % M0, -1, 0))]
+        out *= self.sign
+        out *= np.exp(-(t @ q))
+        return out
+
+
+class GPlan(KernelPlan):
+    """The plan of ``G_k``: legs ``D``, ``a_k H``, ``beta`` and ``x0``, node
+    array ``D - a_k H beta + x0`` (``free_kernel_g``)."""
+
+    def __init__(self, xs, ys, grid: TorusGrid):
+        super().__init__(xs, ys, grid)
+        diff, self.m = _classes(self.Rx[:, None, :] - self.Ry[None, :, :], grid.shifts_per_axis)
+        self.Ed, self.Ex, self.Ey = (_shift_phases(grid, R) for R in (diff, self.Rx, -self.Ry))
+        self.EK = np.concatenate([self.Ex, self.Ey.conj()], axis=1)
+
+    def legs(self, blk) -> tuple:
+        if blk.wUbar is None:   # real nodes: w Ubar = conj(w U)
+            H, K = np.split(blk.wU @ self.EK, [len(self.Rx)], axis=1)
+            K = K.conj()
+        else:
+            H, K = blk.wU @ self.Ex, blk.wUbar @ self.Ey
+        # D by one complex GEMM: numpy's real @ complex matmul is slower
+        return (blk.w.astype(complex, copy=False) @ self.Ed, blk.a * H,
+                *blk._zero_column(np.s_[:, None], 1, K))
+
+    def node_array(self, legs, block) -> np.ndarray:
+        D, aH, beta, x0 = legs
+        return D[self.m[block]] - aH[block, None] * beta + x0
+
+
+class GQPlan(KernelPlan):
+    """The plan of ``G_k Q_k*``: one leg, ``RankOneRows.solve_u`` contracted
+    against ``e_x`` (``free_kernel_gq``)."""
+
+    def __init__(self, xs, ys, grid: TorusGrid):
+        super().__init__(xs, ys, grid)
+        self.Ex = _shift_phases(grid, self.Rx)
+
+    def legs(self, blk) -> tuple:
+        return (blk.solve_u() @ self.Ex,)
+
+    def node_array(self, legs, block) -> np.ndarray:
+        return legs[0][block, None]
+
+
+def evaluate_plans(plans, grid: TorusGrid, params: MultiscaleParams, shift_q=None) -> list:
+    """The kernel of every plan on ``grid``, its base nodes moved to ``p + i
+    shift_q``.  One ``_node_blocks`` pass over the nodes ``b <= M0/2`` of
+    the last axis fills every plan's legs in place, block by block; then
+    each plan's sums run, the plan with the smallest legs first, and its
+    legs are dropped after them."""
+    q = np.zeros(grid.d) if shift_q is None else np.asarray(shift_q, dtype=float)
     axes = _axis_nodes(grid, q)
-    axes[-1] = axes[-1][:M0 // 2 + 1]
-    batch = node_arrays(axes, Rx, Ry)
-    z = grid_points(axes)
-    phase_x = np.exp(1j * grid.eta * (Rx @ z.T))
-    phase_y = np.exp(-1j * grid.eta * (Ry @ z.T))
-    t = (ix // Lk)[:, None, :] - (iy // Lk)[None, :, :]
-    out = np.empty(t.shape[:2])
-    per = max(1, NODE_BLOCK_BYTES // max(1, 16 * len(z) * len(Ry)))
-    shape, nodes = tuple(map(len, axes)), tuple(range(2, 2 + d))
-    for lo in range(0, len(Rx), per):
-        block = slice(lo, lo + per)
-        A = batch(block) * phase_x[block, None] * phase_y
-        A = A.reshape(A.shape[:2] + shape)
-        K = np.fft.irfftn(A, s=(M0,) * d, axes=nodes)
-        rows = np.flatnonzero((cx >= lo) & (cx < lo + per))
-        out[rows] = K[(cx[rows, None] - lo, cy) + tuple(np.moveaxis(t[rows] % M0, -1, 0))]
-    out *= 1 - 2 * (t.sum(axis=-1) % 2)
-    out *= np.exp(-(t @ q))
+    axes[-1] = axes[-1][:grid.base_count // 2 + 1]
+    n = math.prod(map(len, axes))
+    legs, lo = [None] * len(plans), 0
+    for blk in _node_blocks(axes, grid.L, grid.k, params):
+        legs = [plan.fill(plan_legs, blk, lo, n) for plan, plan_legs in zip(plans, legs)]
+        lo += len(blk.c0)
+        del blk     # before the next block is built, and before the sums
+    out = [None] * len(plans)
+    for i in sorted(range(len(plans)), key=lambda i: sum(leg.nbytes for leg in legs[i])):
+        out[i] = plans[i].sums(grid, q, axes, legs[i])
+        legs[i] = None
     return out
 
 
@@ -405,30 +489,9 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     array ``D - a_k H beta + x0``, with ``beta`` and ``x0`` of
     ``RankOneRows._zero_column`` at ``v_0 = 1`` and ``B = K``, is summed
     against ``e^{i p (x - y)}`` by one inverse FFT over the base nodes per
-    pair of classes (``_class_sums``).
+    pair of classes (``KernelPlan.sums``).  This is ``GPlan`` evaluated once.
     """
-    Lk = grid.shifts_per_axis
-
-    def node_arrays(axes, Rx, Ry):
-        diff, m = _classes(Rx[:, None, :] - Ry[None, :, :], Lk)
-        Ed, Ex, Ey = (_shift_phases(grid, R) for R in (diff, Rx, -Ry))
-
-        EK = np.concatenate([Ex, Ey.conj()], axis=1)
-
-        def legs(blk):
-            if blk.wUbar is None:   # real nodes: w Ubar = conj(w U)
-                H, K = np.split(blk.wU @ EK, [len(Rx)], axis=1)
-                K = K.conj()
-            else:
-                H, K = blk.wU @ Ex, blk.wUbar @ Ey
-            # D by one complex GEMM: numpy's real @ complex matmul is slower
-            return (blk.w.astype(complex, copy=False) @ Ed, blk.a * H,
-                    *blk._zero_column(np.s_[:, None], 1, K))
-
-        D, aH, beta, x0 = _class_legs(legs, axes, grid, params)
-        return lambda block: D[m[block]] - aH[block, None] * beta + x0
-
-    return _class_sums(grid, shift_q, xs, ys, node_arrays)
+    return evaluate_plans([GPlan(xs, ys, grid)], grid, params, shift_q)[0]
 
 
 def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
@@ -437,36 +500,52 @@ def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
 
     The sources form the one class ``r = 0``, so the node array is
     ``RankOneRows.solve_u`` contracted over the shifts against ``e_x`` (see
-    ``free_kernel_g``).
+    ``free_kernel_g``).  This is ``GQPlan`` evaluated once.
     """
+    return evaluate_plans([GQPlan(xs, ys, grid)], grid, params, shift_q)[0]
 
-    def node_arrays(axes, Rx, Ry):
-        Ex = _shift_phases(grid, Rx)
-        X, = _class_legs(lambda blk: (blk.solve_u() @ Ex,), axes, grid, params)
-        return lambda block: X[block, None]
 
-    return _class_sums(grid, shift_q, xs, ys, node_arrays)
+def _ladder(starts, evaluate, tol: float) -> list:
+    """Drive several entries to quadrature self-convergence on one ladder of
+    grids.  Entry ``i`` is evaluated on ``starts[i]`` and its doublings, at
+    most ``MAX_DOUBLINGS``, until the max relative change (against the max
+    magnitude of its current values) drops below ``tol``; each step takes
+    the smallest grid some pending entry needs next, and ``evaluate(grid,
+    live)`` returns the values of all the entries ``live`` that need it.
+    Returns ``(values, grid_used, last_delta)`` per entry."""
+    vals, out, nxt = [None] * len(starts), [None] * len(starts), list(starts)
+    while pending := [i for i, o in enumerate(out) if o is None]:
+        grid = min((nxt[i] for i in pending), key=lambda g: g.M)
+        live = [i for i in pending if nxt[i] == grid]
+        for i, new in zip(live, evaluate(grid, live)):
+            new, nxt[i] = np.asarray(new), grid.refined()
+            if vals[i] is not None:
+                scale = max(np.max(np.abs(new)), 1e-300)
+                delta = float(np.max(np.abs(new - vals[i])) / scale)
+                if delta <= tol:
+                    out[i] = new, grid, delta
+                elif grid.M == starts[i].M << MAX_DOUBLINGS:
+                    raise GridConvergenceError(
+                        f"quadrature not stable at tol={tol} after {MAX_DOUBLINGS} "
+                        f"doublings (last change {delta:.3e})")
+            vals[i] = new
+    return out
 
 
 def converge_kernel(evaluate, grid: TorusGrid, tol: float = 1e-8):
-    """Drive ``evaluate(grid) -> ndarray`` to quadrature self-convergence.
+    """Drive ``evaluate(grid) -> ndarray`` from ``grid`` to quadrature
+    self-convergence, the one-entry ``_ladder``: ``(values, grid_used,
+    last_delta)``."""
+    return _ladder([grid], lambda g, live: [evaluate(g)], tol)[0]
 
-    Doubles ``M``, at most ``MAX_DOUBLINGS`` times, until the max relative
-    change (against the max magnitude of the current values) drops below
-    ``tol``.  Returns ``(values, grid_used, last_delta)``.
-    """
-    vals = np.asarray(evaluate(grid))
-    for _ in range(MAX_DOUBLINGS):
-        finer = grid.refined()
-        new = np.asarray(evaluate(finer))
-        scale = max(np.max(np.abs(new)), 1e-300)
-        delta = float(np.max(np.abs(new - vals)) / scale)
-        vals, grid = new, finer
-        if delta <= tol:
-            return vals, grid, delta
-    raise GridConvergenceError(
-        f"quadrature not stable at tol={tol} after {MAX_DOUBLINGS} doublings "
-        f"(last change {delta:.3e})")
+
+def converge_plans(plans, params: MultiscaleParams, tol: float = 1e-8) -> list:
+    """``converge_kernel`` for every plan on one ladder: each plan starts at its
+    own ``grid`` and stops at its own first stable doubling, and each grid
+    of the ladder makes one ``evaluate_plans`` pass, one node build, for the
+    plans that need it.  Returns ``(values, grid_used, last_delta)`` per plan."""
+    return _ladder([p.grid for p in plans],
+                   lambda g, live: evaluate_plans([plans[i] for i in live], g, params), tol)
 
 
 def contour_shift_change(grid: TorusGrid, params: MultiscaleParams, q: float,
@@ -474,18 +553,17 @@ def contour_shift_change(grid: TorusGrid, params: MultiscaleParams, q: float,
     """Relative change of ``G_k(0, 2 e)`` when the contour moves to ``p + i q e_0``.
 
     The unshifted kernel is driven to quadrature self-convergence at ``tol``
-    from ``grid``; the shifted one is evaluated on the grid it converged on.
-    By analyticity the change is quadrature error only; both kernels take
-    the one route of ``_class_sums``, so no two codes are compared.
+    from ``grid``; the shifted one is evaluated by the same plan on the grid
+    it converged on.  By analyticity the change is quadrature error only;
+    both kernels take the one route of ``KernelPlan.sums``, so no two codes
+    are compared.
     """
     d = grid.d
-    x = np.zeros((1, d))
-    y = np.full((1, d), 2.0)
-    base, used, _ = converge_kernel(
-        lambda g: free_kernel_g(x, y, g, params), grid, tol=tol)
+    plan = GPlan(np.zeros((1, d)), np.full((1, d), 2.0), grid)
+    (base, used, _), = converge_plans([plan], params, tol)
     qv = np.zeros(d)
     qv[0] = q
-    shifted = free_kernel_g(x, y, used, params, shift_q=qv)
+    shifted, = evaluate_plans([plan], used, params, shift_q=qv)
     return float(np.max(np.abs(shifted - base)) / np.max(np.abs(base)))
 
 

@@ -8,10 +8,12 @@ small tail because the free kernel decays exponentially.  The same works for
 
 All free kernels come from :mod:`blockrg.fourier` with quadrature driven to
 self-convergence, so the reported truncation numbers measure the image tail
-and not the quadrature.  Each kernel is one converged batch per call
-(``_image_batch``), started at the smallest base count ``8 * 2**j`` above
-twice the batch's largest per-axis separation: the torus quadrature is the
-periodic kernel of that period.
+and not the quadrature.  Each kernel is one batch of positions, one
+``fourier.KernelPlan``, started at the smallest base count ``8 * 2**j``
+above twice the batch's largest per-axis separation: the torus quadrature
+is the periodic kernel of that period.  ``images_residual_report`` runs its
+``G`` and ``G Q*`` batches on one ladder of grids (``_image_batches``), so
+each grid's shift systems are built once for both.
 """
 
 from __future__ import annotations
@@ -59,43 +61,47 @@ def _assemble(vals: np.ndarray, shell_idx: np.ndarray, shells: int) -> ImageSumR
                           shell_magnitudes=tuple(float(m) for m in mags))
 
 
-def _image_batch(geom: LatticeGeometry, sites, others, shells: int, kernel):
-    """``kernel(images, others, grid) -> (len(others), len(images))`` over the
-    images of every site in ``sites``, in one ``converge_kernel`` from
-    ``fourier.default_grid`` at the batch's largest per-axis separation, so
-    the start grid has no wrap-around at any pair of the batch.  Returns
-    ``(values (site, other, image), shell index per image, grid used, last
-    relative change)``.
+def _image_batches(geom: LatticeGeometry, params, shells: int, *batches) -> list:
+    """Each batch ``(sites, others, gq)`` over the images of every site in
+    ``sites``: ``G(others, images)``, or with ``gq`` ``(G Q*)(images,
+    others)``, on one ``fourier.converge_plans`` ladder.  Each batch's plan
+    starts at ``fourier.default_grid`` of the batch's largest per-axis
+    separation, so its start grid has no wrap-around at any pair of the
+    batch.  Returns per batch ``(values (site, other, image), shell index
+    per image, grid used, last relative change)``.
 
-    Convergence is judged batch-wide: ``converge_kernel`` scales the change
-    by the batch's largest value, so an entry far below it is stable to
-    ``converge_kernel``'s default ``tol`` times that maximum, not relative
-    to itself.
+    Convergence is judged batch-wide: the ladder scales the change by the
+    batch's largest value, so an entry far below it is stable to the
+    default ``tol`` times that maximum, not relative to itself.
     """
     if shells < 1:
         raise ValueError("need shells >= 1")
-    imgs = np.concatenate([image_points(geom, s, shells) for s in sites]) * geom.spacing
-    others = np.atleast_2d(np.asarray(others, dtype=float))
-    reach = float(np.max(np.abs(imgs[:, None, :] - others[None, :, :])))
-    vals, used, delta = fourier.converge_kernel(
-        lambda g: kernel(imgs, others, g), fourier.default_grid(geom.d, geom.L, geom.k, reach))
-    vals = vals.reshape(len(others), len(sites), -1).transpose(1, 0, 2)
-    return vals, image_shell_index(geom, sites[0], shells), used, delta
+    plans = []
+    for sites, others, gq in batches:
+        imgs = np.concatenate([image_points(geom, s, shells) for s in sites]) * geom.spacing
+        others = np.atleast_2d(np.asarray(others, dtype=float))
+        reach = float(np.max(np.abs(imgs[:, None, :] - others[None, :, :])))
+        start = fourier.default_grid(geom.d, geom.L, geom.k, reach)
+        plans.append(fourier.GQPlan(imgs, others, start) if gq
+                     else fourier.GPlan(others, imgs, start))
+    out = []
+    for (sites, others, gq), (vals, used, delta) in zip(
+            batches, fourier.converge_plans(plans, params)):
+        vals = (vals.T if gq else vals).reshape(len(others), len(sites), -1).transpose(1, 0, 2)
+        out.append((vals, image_shell_index(geom, sites[0], shells), used, delta))
+    return out
 
 
-def _neumann_batch(geom, params, xs, ys, shells):
-    """``G(x, image of y)`` for all sites x in ``xs``, y in ``ys``: values (y, x, image)."""
-    xpos = np.array([site_position(geom, x) for x in xs])
-    return _image_batch(
-        geom, ys, xpos, shells,
-        lambda imgs, xp, g: fourier.free_kernel_g(xp, imgs, g, params))
+def _neumann_batch(geom, xs, ys):
+    """The batch of ``G(x, image of y)`` for all sites x in ``xs``, y in
+    ``ys``, for ``_image_batches``: values (y, x, image)."""
+    return ys, np.array([site_position(geom, x) for x in xs]), False
 
 
-def _gq_batch(geom, params, xs, ylabels, shells):
-    """``(G Q*)(image of x, y)`` for sites x in ``xs``, labels y: values (x, y, image)."""
-    return _image_batch(
-        geom, xs, np.array(ylabels, dtype=float), shells,
-        lambda imgs, yl, g: fourier.free_kernel_gq(imgs, yl, g, params).T)
+def _gq_batch(xs, ylabels):
+    """The batch of ``(G Q*)(image of x, y)`` for sites x in ``xs``, labels y,
+    for ``_image_batches``: values (x, y, image)."""
+    return xs, np.array(ylabels, dtype=float), True
 
 
 def _median(a) -> float:
@@ -117,7 +123,8 @@ def neumann_kernel_via_images(geom: LatticeGeometry, params, x, y,
     Sums the free kernel over all images of ``y`` within ``shells`` reflected
     copies per axis, with the quadrature grid doubled until stable.
     """
-    vals, shell_idx, _, _ = _neumann_batch(geom, params, [x], [y], shells)
+    vals, shell_idx, _, _ = _image_batches(geom, params, shells,
+                                           _neumann_batch(geom, [x], [y]))[0]
     return _assemble(vals[0, 0], shell_idx, shells)
 
 
@@ -129,7 +136,8 @@ def gq_kernel_via_images(geom: LatticeGeometry, params, x, y_label,
     involution, so summing over transformed ``x`` equals summing over image
     sources), while the unit-block source stays put.
     """
-    vals, shell_idx, _, _ = _gq_batch(geom, params, [x], [y_label], shells)
+    vals, shell_idx, _, _ = _image_batches(geom, params, shells,
+                                           _gq_batch([x], [y_label]))[0]
     return _assemble(vals[0, 0], shell_idx, shells)
 
 
@@ -159,8 +167,9 @@ def images_residual_report(geom: LatticeGeometry, params, shells: int) -> Images
     Neumann kernel, max for the ``G Q*`` kernel over sample-by-coarse pairs,
     plus the center-pair Neumann residual (the reference entry).  Two
     converged batches cover all pairs: ``G`` over (sample x, images of
-    sample y) and ``G Q*`` over (images of sample x, coarse labels), each
-    judged stable against its own largest value (see ``_image_batch``);
+    sample y) and ``G Q*`` over (images of sample x, coarse labels), on one
+    ladder, each judged stable against its own largest value (see
+    ``_image_batches``);
     image sums for smaller shell counts are prefixes of the largest one.
     """
     G = multiscale.green_neumann(geom, params)
@@ -169,18 +178,17 @@ def images_residual_report(geom: LatticeGeometry, params, shells: int) -> Images
     fx = [site_to_flat(geom, x) for x in xs]
     ic = xs.index((geom.sites_per_axis // 2,) * geom.d)
 
-    vals, shell_idx, g_grid, g_delta = _neumann_batch(geom, params, xs, xs, shells)
+    coarse = coarse_geometry(geom, geom.k)
+    ylabels = sample_sites(coarse)
+    fy = [site_to_flat(coarse, y) for y in ylabels]
+    (vals, shell_idx, g_grid, g_delta), (gq_vals, gq_idx, gq_grid, gq_delta) = _image_batches(
+        geom, params, shells, _neumann_batch(geom, xs, xs), _gq_batch(xs, ylabels))
     G_xx = G.kernel[np.ix_(fx, fx)]
     res = np.abs(_shell_sums(vals, shell_idx, shells) - G_xx.T)
     neumann_max = tuple(float(r.max()) for r in res)
     neumann_median = tuple(_median(r) for r in res)
     neumann_center = tuple(float(r) for r in res[:, ic, ic])
-
-    coarse = coarse_geometry(geom, geom.k)
-    ylabels = sample_sites(coarse)
-    fy = [site_to_flat(coarse, y) for y in ylabels]
-    vals, shell_idx, gq_grid, gq_delta = _gq_batch(geom, params, xs, ylabels, shells)
-    gq_res = np.abs(_shell_sums(vals, shell_idx, shells) - GQ.kernel[np.ix_(fx, fy)])
+    gq_res = np.abs(_shell_sums(gq_vals, gq_idx, shells) - GQ.kernel[np.ix_(fx, fy)])
     gq_max = tuple(float(r.max()) for r in gq_res)
 
     return ImagesReport(geometry=geom, shells=tuple(range(1, shells + 1)),

@@ -425,6 +425,46 @@ def test_contour_shift_change_memory():
     assert peak <= 6 * 2**20
 
 
+def test_plans_on_one_ladder_keep_their_own_start_and_stop(monkeypatch):
+    # a G pair at one site starts on M0 = 8 and is stable on 64; a G Q* pair
+    # 20 apart starts on 64, above twice its reach, and runs on: the ladder
+    # evaluates the two together on 64 alone, and each plan gives what its
+    # own one-plan ladder gives, bit for bit
+    x, far_y = np.zeros((1, 1)), np.array([[20.0]])
+    near = fr.GPlan(x, x, fr.default_grid(1, 3, 1))
+    far = fr.GQPlan(x, far_y, fr.default_grid(1, 3, 1, 20.0))
+    want = (fr.converge_kernel(lambda g: fr.free_kernel_g(x, x, g, P0), near.grid),
+            fr.converge_kernel(lambda g: fr.free_kernel_gq(x, far_y, g, P0), far.grid))
+    passes, evaluate = [], fr.evaluate_plans
+
+    def logged(plans, grid, params, shift_q=None):
+        passes.append((grid.base_count, ["near" if p is near else "far" for p in plans]))
+        return evaluate(plans, grid, params, shift_q)
+
+    monkeypatch.setattr(fr, "evaluate_plans", logged)
+    got = fr.converge_plans([near, far], P0)
+    stop = want[1][1].base_count
+    assert passes == ([(8, ["near"]), (16, ["near"]), (32, ["near"]), (64, ["near", "far"])]
+                      + [(2**j, ["far"]) for j in range(7, stop.bit_length())])
+    assert stop > 64
+    for (vals, grid, delta), (w_vals, w_grid, w_delta) in zip(got, want):
+        assert np.array_equal(vals, w_vals) and (grid, delta) == (w_grid, w_delta)
+
+
+def test_ladder_gives_up_after_max_doublings():
+    # a value whose relative change is 1/2 at every doubling: the start and
+    # MAX_DOUBLINGS doublings are evaluated, then the ladder raises
+    grids = []
+
+    def evaluate(grid):
+        grids.append(grid.base_count)
+        return np.array([float(grid.base_count)])
+
+    with pytest.raises(fr.GridConvergenceError, match="after 6 doublings"):
+        fr.converge_kernel(evaluate, fr.default_grid(1, 3, 1))
+    assert grids == [8 * 2**j for j in range(fr.MAX_DOUBLINGS + 1)]
+
+
 def test_free_kernel_all_class_pairs_memory():
     # d = 3, L**k = 3: all 27 x 27 pairs of residue classes on M0 = 16
     # (4096 nodes, S = 27); per-pair transforms at the distinct offsets of

@@ -167,12 +167,12 @@ def test_report_batches_match_pair_sums(g):
     xs = lat.sample_sites(geom)
     labels = lat.sample_sites(lat.coarse_geometry(geom, geom.k))
     shells = 2
-    vals = im._neumann_batch(geom, P0, xs, xs, shells)[0]
+    vals = im._image_batches(geom, P0, shells, im._neumann_batch(geom, xs, xs))[0][0]
     for iy, y in enumerate(xs):
         for ix, x in enumerate(xs):
             pair = im.neumann_kernel_via_images(geom, P0, x, y, shells).value
             assert abs(vals[iy, ix].sum() - pair) <= 1e-8 * abs(pair)
-    vals = im._gq_batch(geom, P0, xs, labels, shells)[0]
+    vals = im._image_batches(geom, P0, shells, im._gq_batch(xs, labels))[0][0]
     for ix, x in enumerate(xs):
         for iy, y in enumerate(labels):
             pair = im.gq_kernel_via_images(geom, P0, x, y, shells).value
@@ -206,3 +206,65 @@ def test_median_is_numpy_median(shape):
     for a in (rng.random(shape), np.abs(rng.standard_normal(shape)) * 1e-13,
               np.round(rng.random(shape), 1)):
         assert im._median(a) == np.median(a)
+
+
+@pytest.mark.parametrize("g,shells", [((1, 3, 2, 4), 3), ((2, 3, 1, 1), 4),
+                                      ((2, 3, 2, 3), 2), ((3, 3, 1, 1), 2)])
+def test_report_batches_are_one_plan_ladders(g, shells, monkeypatch):
+    # the report runs its G and G Q* batches on one ladder; each is bit for bit
+    # converge_kernel over free_kernel_g or free_kernel_gq from its own start
+    from blockrg import fourier as fr
+    geom = lat.make_geometry(*g)
+    run, batches = im._image_batches, []
+
+    def recorded(*args):
+        batches.append(run(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(im, "_image_batches", recorded)
+    rep = im.images_residual_report(geom, P0, shells)
+    xs = lat.sample_sites(geom)
+    imgs = np.concatenate([lat.image_points(geom, s, shells) for s in xs]) * geom.spacing
+    xpos = np.array([lat.site_position(geom, x) for x in xs])
+    labels = np.array(lat.sample_sites(lat.coarse_geometry(geom, geom.k)), dtype=float)
+    kernels = (lambda grid: fr.free_kernel_g(xpos, imgs, grid, P0),
+               lambda grid: fr.free_kernel_gq(imgs, labels, grid, P0).T)
+    for (vals, _, used, delta), kernel, others in zip(batches[0], kernels, (xpos, labels)):
+        reach = np.max(np.abs(imgs[:, None, :] - others[None, :, :]))
+        want, want_grid, want_delta = fr.converge_kernel(
+            kernel, fr.default_grid(geom.d, geom.L, geom.k, reach))
+        assert np.array_equal(vals, want.reshape(len(others), len(xs), -1).transpose(1, 0, 2))
+        assert (used, delta) == (want_grid, want_delta)
+    assert rep.grid_used == tuple(b[2] for b in batches[0])
+
+
+def test_report_builds_each_level_once(monkeypatch):
+    # at (2,3,1,1), shells 4, both batches converge over M0 = 16, 32, 64, each
+    # grid one node block of M0 (M0/2 + 1) nodes: one build per level serves
+    # both, 3 builds where a ladder per batch made 6
+    builds, build = [], ms.RankOneRows.build.__func__
+
+    def counted(cls, Delta, *args):
+        builds.append(len(Delta))
+        return build(cls, Delta, *args)
+
+    monkeypatch.setattr(ms.RankOneRows, "build", classmethod(counted))
+    rep = im.images_residual_report(lat.make_geometry(2, 3, 1, 1), P0, 4)
+    assert [g.base_count for g in rep.grid_used] == [64, 64]
+    assert builds == [16 * 9, 32 * 17, 64 * 33]
+
+
+def test_report_memory():
+    # the whole report at (2,3,1,1), shells 4, dense G included, under
+    # tracemalloc: 3.65 MiB with a ladder per batch and 3.68 MiB on one
+    # ladder; a per-block list of both plans' block legs read 4.78 MiB
+    import tracemalloc
+    geom = lat.make_geometry(2, 3, 1, 1)
+    im.images_residual_report(geom, P0, 4)      # what the first call imports
+    tracemalloc.start()
+    try:
+        im.images_residual_report(geom, P0, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20

@@ -5,7 +5,10 @@ with the single pass rule ``pass = (value <= tolerance)``; lower-bound
 contracts are therefore emitted in negated form (metric names carry a
 ``neg_`` prefix) and purely informational rows carry tolerance ``inf``.
 Exit status: 0 all contracts pass, 1 contract failure, 2 configuration
-error, 3 internal error.
+error, 3 internal error; the largest applies.  A suite that refuses the
+configured cube by name (``decay.FitWindowError``: too few distances to fit a
+decay rate) is a configuration error, and under ``all`` the other suites
+still run.
 """
 
 from __future__ import annotations
@@ -348,11 +351,17 @@ def run(cfg: ExperimentConfig, out_dir: Path, verbose: bool = False) -> int:
                               f"(choices: {', '.join(SUITES)} or 'all')")
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
-    any_fail = any_error = False
+    any_fail = any_refused = any_error = False
     for name in names:
         t0 = time.time()
         try:
             rows = SUITES[name](cfg)
+        except decay.FitWindowError as exc:
+            any_refused = True
+            summary[name] = {"status": "config error", "error": str(exc),
+                             "wall_time_seconds": time.time() - t0}
+            print(f"{name}: config error: {exc}", file=sys.stderr)
+            continue
         except Exception as exc:  # noqa: BLE001 - per-suite isolation, exit 3
             any_error = True
             summary[name] = {"status": "error",
@@ -381,6 +390,8 @@ def run(cfg: ExperimentConfig, out_dir: Path, verbose: bool = False) -> int:
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     if any_error:
         return 3
+    if any_refused:
+        return 2
     return 1 if any_fail else 0
 
 

@@ -50,6 +50,12 @@ CT_LANCZOS_CHECK = 4
 CT_BOX_DRAWS = 3
 
 
+class FitWindowError(ValueError):
+    """Too few distances on the configured cube for a decay fit (a cube of
+    one unit box, or a degenerate fit window), refused by name; the CLI
+    reports it as a configuration error (exit 2)."""
+
+
 @dataclass(frozen=True)
 class DecayFit:
     """OLS fit of ``log magnitude`` against distance on a window."""
@@ -169,10 +175,10 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
     ``W G W^-2 G W``, and ``q = 0`` is the unit weight.  A weight stops when
     the residual of its top Ritz pair is at most ``CT_LANCZOS_RTOL`` times
     the Ritz value (``_weighted_norms_sq``); ``norm_steps`` counts the run's
-    steps.  A weight exponent above ``CT_MAX_EXPONENT``, or a cube of one
-    unit box (no two box distances to fit), raises ``ValueError`` before any
-    weight is formed.  Tests compare these values with the dense SVD of
-    ``conjugated_operator``.
+    steps.  A weight exponent above ``CT_MAX_EXPONENT`` raises
+    ``ValueError``, and a cube of one unit box (no two box distances to fit)
+    ``FitWindowError``, before any weight is formed.  Tests compare these
+    values with the dense SVD of ``conjugated_operator``.
 
     Separately, random fields supported on single unit boxes probe
     ``|<f, G f'>| <= C exp(-c1 |y - y'|) |f| |f'|``; the report carries the
@@ -194,8 +200,8 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
                              f"exp(q . (x - c)) up to exp({reach[r]:.4g}), past "
                              f"CT_MAX_EXPONENT = {CT_MAX_EXPONENT:g}")
     if geom.m == geom.k:    # one unit box: its one box distance is 0
-        raise ValueError("the box-to-box decay fit needs two distinct box distances, "
-                         "and this cube is a single unit box")
+        raise FitWindowError("the box-to-box decay fit needs two distinct box distances, "
+                             "and this cube is a single unit box")
     zero = row.get((0.0,) * geom.d)
     q0_mismatch = np.nan if zero is None else float(np.any(np.exp(expo[zero]) != 1.0))
     K = multiscale.green_neumann(geom, params).kernel
@@ -252,7 +258,8 @@ def decay_profile(geom: LatticeGeometry, params, source=None):
     Defaults to the single-site indicator at the origin corner, which gives
     the longest usable distance range on a cube.  Distances that leave fewer
     than 5 points in the default window of ``fit_decay``, as on a cube of
-    one unit box at d = 1, 2, raise its ``ValueError`` before ``G`` is built.
+    one unit box at d = 1, 2, raise its ``FitWindowError`` before ``G`` is
+    built.
     """
     if source is None:
         source = ("site", (0,) * geom.d)
@@ -269,7 +276,7 @@ def decay_profile(geom: LatticeGeometry, params, source=None):
 def _fit_window(dists, window=None, mags=None):
     """``window``, by default ``(1, 0.8 max(dists))``, and the mask of the
     distances in it, less the points with ``mags = 0`` when ``mags`` is
-    given; fewer than 5 points raise ``ValueError``."""
+    given; fewer than 5 points raise ``FitWindowError``."""
     if window is None:
         window = (1.0, 0.8 * float(np.max(dists)))
     lo, hi = window
@@ -277,8 +284,8 @@ def _fit_window(dists, window=None, mags=None):
     if mags is not None:
         mask &= mags > 0
     if np.count_nonzero(mask) < 5:
-        raise ValueError(f"degenerate fit window {window}: "
-                         f"{np.count_nonzero(mask)} points")
+        raise FitWindowError(f"degenerate fit window {window}: "
+                             f"{np.count_nonzero(mask)} points")
     return window, mask
 
 

@@ -24,8 +24,10 @@ class (``ops.dct_frequency_classes``), solved by the Sherman-Morrison rows
 of ``RankOneRows``, which solve ``fourier``'s shift systems too.  It forms
 no n x n matrix and runs at every size the lattice admits; the dense
 operators are its oracle in the tests.  Every identity is block-diagonal over
-the classes of its coarser level, and both of its sides are formed there one
-block per class row from the rows' factors, then subtracted.
+the classes of its coarser level.  The step and the scaling relations of
+``G_j`` and ``C_j`` take their residuals from the rows' factors, in a small
+orthogonal frame a class row (``_identity_sq``), and form no block; the
+covariance identity forms its ``L**d x L**d`` blocks and subtracts them.
 """
 
 from __future__ import annotations
@@ -205,8 +207,9 @@ def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
     return float(min(roots.min(), diag[u == 0.0].min(initial=np.inf)))
 
 
-# nbytes of one batch of a residual check: (rows, S, columns) inverse-block
-# columns, or the telescope's (n, columns) probe columns
+# nbytes of one batch of a residual check: the working set of the factored
+# residuals (_identity_row_bytes), a (rows, S) member array of the
+# covariance identity, or the telescope's (n, columns) probe columns
 PROBE_BLOCK_BYTES = 8 * 2**20
 
 
@@ -293,6 +296,18 @@ class RankOneRows:
         np.subtract(self.w[..., None] * v3, x, out=x)
         x[:, z:z + 1] = x0
         return x.reshape(v.shape)
+
+    def factors(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """``(K, g)`` of real rows, ``rows`` indexing the row arrays into shapes
+        ``shape + (1,)`` (as for ``_zero_column``), of shapes ``shape + (2,
+        2)`` and ``shape + (2,)``: ``M^{-1} = diag(w) + [wU, e_0] K [wU,
+        e_0]^T`` and ``M^{-1} U = [wU, e_0] g``.  ``_zero_column`` of ``(v_0,
+        B) = (0, 1)`` and ``(1, 0)`` gives ``g = (Delta_0, U_0) / den`` as
+        ``beta`` and ``(-a U_0, c0) / den`` as ``x_0``, so ``K = [[-a Delta_0,
+        -a U_0], [-a U_0, c0]] / den``."""
+        g, x0 = self._zero_column(rows, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        K = np.stack((-self.a * g[..., 0], x0[..., 0], x0[..., 0], x0[..., 1]), axis=-1)
+        return K.reshape(K.shape[:-1] + (2, 2)), g
 
     def solve_u(self, rows=slice(None)) -> np.ndarray:
         """``M^{-1} U`` in ``rows``, (len(rows), S): the solve of ``U``, where
@@ -408,43 +423,111 @@ def _rel(X, Y) -> float:
     return float(np.linalg.norm(X - Y) / np.linalg.norm(Y))
 
 
-def _batches(rows: int, width: int, columns: int):
-    """``(row slice, column slices)`` over ``rows`` blocks of ``width x columns``
-    float64s, each piece within ``PROBE_BLOCK_BYTES``: whole blocks go
-    together while they fit, and a row whose block alone exceeds the budget
-    goes by itself, in slices of its columns (at least one column each)."""
-    per_row = 8 * width * columns
-    if per_row <= PROBE_BLOCK_BYTES:
-        step = PROBE_BLOCK_BYTES // per_row
-        for r in range(0, rows, step):
-            yield slice(r, min(r + step, rows)), [slice(0, columns)]
-        return
-    step = max(1, PROBE_BLOCK_BYTES // (8 * width))
-    cols = [slice(c, min(c + step, columns)) for c in range(0, columns, step)]
-    for r in range(rows):
-        yield slice(r, r + 1), cols
+def _batches(rows: int, row_bytes: int):
+    """Slices of ``rows`` rows, each batch within ``PROBE_BLOCK_BYTES`` at
+    ``row_bytes`` a row (at least one row a batch)."""
+    step = max(1, PROBE_BLOCK_BYTES // row_bytes)
+    return (slice(r, min(r + step, rows)) for r in range(0, rows, step))
 
 
-def _block_rel_frobenius(pairs) -> float:
-    """``|X - Y|_F / |Y|_F`` summed over the ``(X, Y)`` block batches of two
-    block-diagonal maps, each pair overwritten in place.  Both sides' entries
-    are formed and subtracted, never expanded into Gram terms, which would
-    floor the residual near ``sqrt(eps)``."""
+def _rel_from_sq(batches) -> float:
+    """``|X - Y|_F / |Y|_F`` of two block-diagonal maps from the
+    ``(|X - Y|_F**2, |Y|_F**2)`` of their row batches."""
     num = den = 0.0
-    for X, Y in pairs:
-        X -= Y
-        num += float(np.sum(np.square(X, out=X)))
-        den += float(np.sum(np.square(Y, out=Y)))
-        del X, Y        # free both before the next pair is formed
+    for x, y in batches:
+        num += x
+        den += y
     return float(np.sqrt(num / den))
 
 
-def _row_blocks(X: RankOneRows, Y: RankOneRows, scale: float):
-    """``(scale X_r^{-1}, Y_r^{-1})`` block batches of two ``RankOneRows`` of
-    one layout."""
-    S = X.w.shape[1]
-    return ((scale * X.inverse(rb, np.arange(S)[cb]), Y.inverse(rb, np.arange(S)[cb]))
-            for rb, cbs in _batches(len(X.c0), S, S) for cb in cbs)
+def _frobenius_sq(D, V, r, R, n) -> np.ndarray:
+    """``|diag(D_p) + B R_p B^T|_F**2`` summed over a batch of rows, one value
+    a ``p``, for the frame ``B`` of ``_identity_sq`` with squared norms ``n``,
+    ``(rows, 2 L' + 1)``.  ``V`` and ``r``, ``(rows, L', S)``, vanish on the
+    zero members; ``D``, ``(p, rows, L', S)``, and ``R``, ``(p, rows, 2 L' +
+    1, 2 L' + 1)``, are overwritten.  ``D`` on the zero members joins ``R``;
+    off them it meets ``B R B^T`` only on its diagonal, ``R_ss V**2 + (R_sr +
+    R_rs) V r + R_rr r**2``, and ``|B R B^T|_F**2 = sum_ij R_ij**2 |b_i|**2
+    |b_j|**2``."""
+    Ls = V.shape[1]
+    s, last = np.arange(Ls), 2 * Ls
+    R[:, :, Ls + s, Ls + s] += D[..., 0]
+    D[..., 0] = 0.0
+    M = (R[:, :, s, s][..., None] * V + (R[:, :, s, last] + R[:, :, last, s])[..., None] * r) * V
+    M += R[:, :, last, last, None, None] * (r * r)
+    M *= 2.0
+    M += D
+    return np.einsum("prsi,prsi->p", D, M) + np.einsum("prij,prij,ri,rj->p", R, R, n, n)
+
+
+def _identity_sq(lo: RankOneRows, cf, scale: float, Y: RankOneRows, C=None):
+    """``(|X - Y^{-1}|_F**2, |Y^{-1}|_F**2)`` over one batch of real rows,
+    ``X = scale (+)_s lo_{cf[:, s]}^{-1} + Gamma C Gamma^T``.
+
+    ``Y`` holds the batch's rows alone, their members laid out in ``L'``
+    slots, slot ``s`` holding those of row ``cf[r, s]`` of ``lo`` (``cf``:
+    ``(rows, L')``), each slot led by its zero column.  Column ``s`` of
+    ``Gamma`` is ``lo_{cf[r, s]}^{-1} U`` in slot ``s``; ``C``, ``(rows, L',
+    L')``, may be None.  By ``RankOneRows.factors`` every term is ``diag(w)
+    + [wU, e_0] K [wU, e_0]^T`` and ``Gamma`` is ``g`` on each slot's ``[wU,
+    e_0]``, so ``X - Y^{-1}`` is the difference ``D`` of the ``w`` diagonals
+    plus ``B R B^T`` over the orthogonal frame ``B``: the slots of ``lo``'s
+    ``wU``, their zero-member unit vectors, and the part ``r`` of ``Y``'s
+    ``wU`` orthogonal to both (rounding where it lies in their span).  The
+    two sides cancel in the ``(2 L' + 1)**2`` coefficients of ``R``, and only
+    ``R`` and ``D`` are squared (``_frobenius_sq``): O(L' S + L'**2) a row,
+    with no block formed and no ``sqrt(eps)`` floor.
+    """
+    rows, Ls = cf.shape
+    V, W = lo.wU[cf], Y.wU.reshape(rows, Ls, -1)
+    nV = np.einsum("rsi,rsi->rs", V, V)
+    alpha = np.divide(np.einsum("rsi,rsi->rs", W, V), nV, out=np.zeros_like(nV), where=nV > 0)
+    r = W - alpha[..., None] * V
+    r[..., 0] = 0.0
+    ones = np.ones((rows, Ls + 1))
+    x = np.concatenate((alpha, W[..., 0], ones[:, :1]), axis=1)     # Y's wU in the frame
+    n = np.concatenate((nV, ones[:, 1:], np.einsum("rsi,rsi->r", r, r)[:, None]), axis=1)
+    R = np.empty((2, rows, 2 * Ls + 1, 2 * Ls + 1))
+    KY = Y.factors(np.s_[:, None])[0]       # R[1]: [x, e_0] K_Y [x, e_0]^T, e_0 at Ls
+    np.einsum("r,ri,rj->rij", KY[:, 0, 0], x, x, out=R[1])
+    R[1, :, Ls] += KY[:, 0, 1, None] * x
+    R[1, :, :, Ls] += KY[:, 0, 1, None] * x
+    R[1, :, Ls, Ls] += KY[:, 1, 1]
+    np.negative(R[1], out=R[0])
+    K, g = lo.factors(cf[..., None])
+    blocks = R[0, :, :-1, :-1].reshape(rows, 2, Ls, 2, Ls)     # a view: (wU or e_0, slot)
+    s = np.arange(Ls)
+    blocks[:, :, s, :, s] += scale * K.transpose(1, 0, 2, 3)
+    if C is not None:
+        blocks += np.einsum("rsa,rst,rtb->rasbt", g, C, g)
+    D = np.empty((2,) + V.shape)
+    D[1] = Y.w.reshape(V.shape)
+    np.subtract(scale * lo.w[cf], D[1], out=D[0])
+    return _frobenius_sq(D, V, r, R, n)
+
+
+def _identity_row_bytes(S: int, Ls: int) -> int:
+    """The working set of ``_identity_sq`` a row of ``S`` members in ``Ls``
+    slots: three ``(N, N)`` coefficient arrays, ``N = 2 Ls + 1``, and eight
+    member arrays."""
+    return 8 * (3 * (2 * Ls + 1) ** 2 + 8 * S)
+
+
+def _rows(G: RankOneRows, rb, slot=None) -> RankOneRows:
+    """``G``'s rows ``rb``, the members of each permuted by ``slot``
+    (``(rows, S)``) where given."""
+    def take(f):
+        return f[rb] if slot is None else np.take_along_axis(f[rb], slot, axis=1)
+    return replace(G, **{f: getattr(G, f)[rb] for f in ("Delta0", "U0", "Ubar0", "c0")},
+                   w=take(G.w), wU=take(G.wU))
+
+
+def _scaled_pair(X: RankOneRows, Y: RankOneRows, scale: float) -> float:
+    """``|scale X^{-1} - Y^{-1}|_F / |Y^{-1}|_F`` over two ``RankOneRows`` of
+    one layout: ``_identity_sq`` with one slot a row."""
+    rows, S = X.w.shape
+    return _rel_from_sq(_identity_sq(X, np.arange(rows)[rb, None], scale, _rows(Y, rb))
+                        for rb in _batches(rows, _identity_row_bytes(S, 1)))
 
 
 def _check_step(lo: TowerLevel, hi: TowerLevel, name: str):
@@ -471,46 +554,29 @@ def _step_rows(lo: TowerLevel, hi: TowerLevel, member, rb) -> RankOneRows:
     ``C_j``'s row ``r``.  Both layouts lead with the member ``p = kappa``,
     so the zero column stays column 0.
     """
-    G = hi.G
-    slot = member[lo.freq[lo.coarse_freq[rb]]].reshape(G.w[rb].shape)
-    return replace(G, **{f: getattr(G, f)[rb] for f in ("Delta0", "U0", "Ubar0", "c0")},
-                   **{f: np.take_along_axis(getattr(G, f)[rb], slot, axis=1) for f in ("w", "wU")})
-
-
-def _step_block(lo: TowerLevel, hi: TowerLevel, member, rb, cb):
-    """Columns ``cb`` of both sides of the step in the level-``(j+1)`` rows
-    ``rb``, in the level-``j`` layout: ``(G_j + C'_j, G_{j+1})``."""
-    S, cf = lo.freq.shape[1], lo.coarse_freq[rb]
-    b, d = float(lo.geometry.L) ** lo.j, lo.geometry.d
-    q = np.arange(hi.freq.shape[1])[cb]
-    Y = _step_rows(lo, hi, member, rb).inverse(slice(None), q)
-    gq = b ** (d / 2) * lo.G.solve_u(cf.ravel()).reshape(cf.shape + (S,))
-    C = lo.C.inverse(rb, q // S)          # C_j[s, s(q)]
-    X = ((lo.at**2 / b**d) * gq[..., None] * C[:, :, None]).reshape(len(cf), -1, len(q))
-    X *= gq.reshape(len(cf), -1)[:, None, q]
-    # G_j: column q adds column q mod S of level-j row s(q)'s block, in that row's slots
-    G_j = lo.G.inverse(cf[:, q // S].ravel(), np.tile(q % S, len(cf))[:, None])
-    G_j = G_j.reshape(len(cf), len(q), S).transpose(1, 0, 2)
-    X.reshape(len(cf), -1, S, len(q))[:, q // S, :, np.arange(len(q))] += G_j
-    return X, Y
+    cf = lo.coarse_freq[rb]
+    return _rows(hi.G, rb, member[lo.freq[cf]].reshape(len(cf), -1))
 
 
 def rg_step_residual(lo: TowerLevel, hi: TowerLevel) -> float:
     """Relative Frobenius residual of one renormalization-group step,
     ``G_{j+1} = G_j + C'_j``, from the levels ``j`` and ``j + 1`` of one cube.
 
-    All three maps are block-diagonal over the level-``(j+1)`` rows, and both
-    sides are formed one ``S x S`` block per row, in the layout of
-    ``_step_rows``.  ``C'_j = at**2 b**-d (G_j Q_j*) C_j (G_j Q_j*)^T`` has
-    rank ``L**d`` per row, since ``Q_j G_j = b**-d (G_j Q_j*)^T``: ``G_j Q_j*``
-    is one level-``j`` solve of ``b**(d/2) u`` and ``C_j`` the
-    ``L**d x L**d`` block of ``lo.C``.
+    All three maps are block-diagonal over the level-``(j+1)`` rows, each
+    laid out as ``_step_rows``, and the residual is taken from their factors
+    by ``_identity_sq``, with no block formed: the ``L**d`` slots are the
+    level-``j`` rows of ``G_j``, and ``C'_j = at**2 b**-d (G_j Q_j*) C_j (G_j
+    Q_j*)^T``, since ``Q_j G_j = b**-d (G_j Q_j*)^T``, where ``G_j Q_j*`` is
+    one level-``j`` solve of ``b**(d/2) u`` (``Gamma``) and ``C_j`` the
+    ``L**d x L**d`` block of ``lo.C``.  The ``w`` of the two levels agree
+    off the zero members, so ``D`` lies on them.  O(n + rows L**(2d)).
     """
     _check_step(lo, hi, "rg_step_residual")
-    member = _step_members(hi)
-    return _block_rel_frobenius(_step_block(lo, hi, member, rb, cb)
-                                for rb, cbs in _batches(*hi.freq.shape, hi.freq.shape[1])
-                                for cb in cbs)
+    member, Ls = _step_members(hi), lo.u1.shape[1]
+    rows, S = hi.freq.shape
+    return _rel_from_sq(_identity_sq(lo.G, lo.coarse_freq[rb], 1.0, _step_rows(lo, hi, member, rb),
+                                     lo.at**2 * lo.C.inverse(rb, np.arange(Ls)))
+                        for rb in _batches(rows, _identity_row_bytes(S, Ls)))
 
 
 def _u_g_u(lo: TowerLevel, hi: TowerLevel, member, rb) -> np.ndarray:
@@ -533,15 +599,18 @@ def _u_g_u(lo: TowerLevel, hi: TowerLevel, member, rb) -> np.ndarray:
     return UGU
 
 
-def _c_identity_block(lo: TowerLevel, hi: TowerLevel, member, rb):
-    """Both sides of the covariance identity in ``C_j``'s rows ``rb``:
-    ``(A + at**2 A U^T G_{j+1} U A, C_j)``."""
+def _c_identity_sq(lo: TowerLevel, hi: TowerLevel, member, rb):
+    """``(|X - C_j|_F**2, |C_j|_F**2)`` of the covariance identity in
+    ``C_j``'s rows ``rb``, ``X = A + at**2 A U^T G_{j+1} U A``.  Both sides'
+    ``L**d x L**d`` blocks are formed and subtracted."""
     at, u1, X = lo.at, lo.u1[rb], _u_g_u(lo, hi, member, rb)
     Ld, c = u1.shape[1], 1.0 / (at + lo.C.a) - 1.0 / at
     A = np.eye(Ld) / at + (c * u1)[:, :, None] * u1[:, None, :]
     X = at**2 * (A @ X @ A)
     X += A
-    return X, lo.C.inverse(rb, np.arange(Ld))
+    Y = lo.C.inverse(rb, np.arange(Ld))
+    X -= Y
+    return float(np.sum(np.square(X, out=X))), float(np.sum(np.square(Y, out=Y)))
 
 
 def c_identity_residual(lo: TowerLevel, hi: TowerLevel) -> float:
@@ -559,8 +628,8 @@ def c_identity_residual(lo: TowerLevel, hi: TowerLevel) -> float:
     """
     _check_step(lo, hi, "c_identity_residual")
     member = _step_members(hi)
-    return _block_rel_frobenius(_c_identity_block(lo, hi, member, rb)
-                                for rb, _ in _batches(*hi.freq.shape, 1))
+    return _rel_from_sq(_c_identity_sq(lo, hi, member, rb)
+                        for rb in _batches(hi.freq.shape[0], 8 * hi.freq.shape[1]))
 
 
 def rg_telescope_residual(levels) -> float:
@@ -617,8 +686,11 @@ def scaling_residuals(xi: TowerLevel, sc: TowerLevel) -> dict[str, float]:
     exact: the scaled lattice shares the index set, so the scaling map ``S``
     has value matrix ``lam**(-d/2) I``, ``S*`` has ``lam**(d/2) I`` and
     ``S* X S`` has that of ``X``.  In the DCT basis ``-Lap`` and ``Delta_j``
-    are diagonal and ``Q_j`` is ``b**(-d/2) u``; ``G_j`` and ``C_j`` are
-    compared block by block, the two levels sharing their row layout.
+    are diagonal and ``Q_j`` is ``b**(-d/2) u``.  ``G_j`` and ``C_j``, the
+    two levels sharing their row layout, are compared from their rows'
+    factors (``_scaled_pair``) in O(n): the diagonal difference ``lam**-2
+    w_X - w_Y`` (``lam**2`` for ``C_j``) is taken exactly, and the rank-one
+    parts in a three-vector frame a row.
     """
     geom, j = xi.geometry, xi.j
     ell = geom.k - j
@@ -633,9 +705,9 @@ def scaling_residuals(xi: TowerLevel, sc: TowerLevel) -> dict[str, float]:
     return {
         "de_scaling": _rel(lam**2 * lap_sc, lap_xi),
         "q_scaling": _rel(b_half * sc.u, b_half * xi.u),
-        "g_scaling": _block_rel_frobenius(_row_blocks(sc.G, xi.G, lam**-2)),
+        "g_scaling": _scaled_pair(sc.G, xi.G, lam**-2),
         "dgc_delta": _rel(lam**-2 * xi.delta, sc.delta),
-        "dgc_c": _block_rel_frobenius(_row_blocks(xi.C, sc.C, lam**2)),
+        "dgc_c": _scaled_pair(xi.C, sc.C, lam**2),
     }
 
 

@@ -287,17 +287,52 @@ def test_only_drawing_suites_build_a_generator(tmp_path, monkeypatch, suite):
     assert cli.run(cfg, tmp_path) == (3 if suite in ("fourier-verify", "ct-report") else 0)
 
 
-def test_internal_error_isolated(tmp_path):
-    # side-length 1 cube cannot support the default decay window: suite errors,
-    # exit code 3, summary records it
+def test_internal_error_isolated(tmp_path, monkeypatch):
+    # a suite that raises: exit code 3, summary records it
+    def broken(*args):
+        raise RuntimeError("broken profile")
+
+    monkeypatch.setattr(cli.decay, "decay_profile", broken)
     p = tmp_path / "c.yaml"
-    p.write_text("geometry: {d: 1, L: 3, k: 2, m: 2}\n")
+    p.write_text("geometry: {d: 1, L: 3, k: 1, m: 3}\n")
     out = tmp_path / "rep"
     rc = cli.main(["--config", str(p), "--experiment", "decay-profile",
                    "--out", str(out)])
     assert rc == 3
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["decay-profile"]["status"] == "error"
+    assert summary["decay-profile"] == {"status": "error", "error": "RuntimeError: broken profile",
+                                        "wall_time_seconds": summary["decay-profile"]["wall_time_seconds"]}
+
+
+# the fit window's refusal at d = 2 on one unit box, and ct-report's on any
+# cube of one unit box
+REFUSALS = {"decay-profile": r"degenerate fit window \(1\.0, [0-9.]+\): 0 points",
+            "ct-report": "the box-to-box decay fit needs two distinct box distances, "
+                         "and this cube is a single unit box"}
+
+
+@pytest.mark.parametrize("experiment", ["decay-profile", "ct-report", "all"])
+@pytest.mark.parametrize("geometry", ["{d: 2, L: 3, k: 1, m: 1}", "{d: 2, L: 3, k: 2, m: 2}"])
+def test_one_box_refusals_are_configuration_errors(tmp_path, capsys, experiment, geometry):
+    # refused by name with exit 2, not as a crash (exit 3); under all, every
+    # other suite still writes its CSV
+    p = tmp_path / "c.yaml"
+    p.write_text(f"geometry: {geometry}\n")
+    out = tmp_path / "rep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["--config", str(p), "--experiment", experiment, "--out", str(out)])
+    assert rc == 2
+    refused = list(REFUSALS) if experiment == "all" else [experiment]
+    err = capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    for name in refused:
+        assert re.search(f"^{name}: config error: {REFUSALS[name]}$", err, re.M), err
+        assert summary[name]["status"] == "config error"
+        assert re.fullmatch(REFUSALS[name], summary[name]["error"])
+    ran = [name for name in cli.SUITES if name not in refused] if experiment == "all" else []
+    assert sorted(f.name for f in out.glob("*.csv")) == sorted(f"{name}.csv" for name in ran)
+    assert all(summary[name]["status"] in ("pass", "fail") for name in ran)
 
 
 def test_merge_strict_nested():

@@ -213,7 +213,7 @@ def test_ct_report_single_box_is_named(d, monkeypatch):
     g = lat.make_geometry(d, 3, 1, 1)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="two distinct box distances"):
+    with pytest.raises(dc.FitWindowError, match="two distinct box distances"):
         dc.ct_bound_report(g, P0, [0.0], rng)
     assert rng.bit_generator.state == state
 
@@ -221,19 +221,21 @@ def test_ct_report_single_box_is_named(d, monkeypatch):
 @pytest.mark.parametrize("g", [(1, 3, 2, 2), (2, 3, 1, 1), (2, 3, 2, 2)])
 def test_decay_profile_degenerate_window_is_refused_before_green(g, tmp_path, monkeypatch):
     # one-box cubes leave no site distance in the default window (1, 0.8 max):
-    # the profile is refused from the distances alone, and decay-profile exits 3
+    # the profile is refused from the distances alone, and decay-profile
+    # reports a configuration error (exit 2)
     def no_green(*args):
         raise AssertionError("green_neumann called")
 
     monkeypatch.setattr(ms, "green_neumann", no_green)
     geom = lat.make_geometry(*g)
-    with pytest.raises(ValueError, match=r"degenerate fit window \(1\.0, .*\): 0 points"):
+    with pytest.raises(dc.FitWindowError, match=r"degenerate fit window \(1\.0, .*\): 0 points"):
         dc.decay_profile(geom, P0)
     cfg = dataclasses.replace(cli.load_config(None), experiment="decay-profile",
                               geometry=dict(zip("dLkm", g)))
-    assert cli.run(cfg, tmp_path) == 3
+    assert cli.run(cfg, tmp_path) == 2
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["decay-profile"]["error"].startswith("ValueError: degenerate fit window")
+    assert summary["decay-profile"]["status"] == "config error"
+    assert summary["decay-profile"]["error"].startswith("degenerate fit window")
 
 
 def test_profile_and_rate_positive():

@@ -481,21 +481,20 @@ def test_spectral_tower_matches_dense(geom_args, params):
 
 @pytest.mark.parametrize("geom_args", [(1, 3, 2, 3), (2, 3, 2, 3)])
 def test_probe_frobenius_reads_every_block_entry(geom_args):
-    # pairs of different block-diagonal maps, O(1e-2) apart: the block
-    # comparison equals the dense relative Frobenius distance
+    # pairs of different block-diagonal maps, O(1e-2) apart: the residual
+    # from the rows' factors equals the dense relative Frobenius distance
     import dataclasses
 
     g = lat.make_geometry(*geom_args)
     for j in (1, 2):
         lo, lo_m, hi = (ms.tower_level(g, p, jj) for p, jj in ((P0, j), (PM, j), (P0, j + 1)))
         G_j, G_m = ms.green_j(g, P0, j), ms.green_j(g, PM, j)
-        cases = [(ms._block_rel_frobenius(ms._row_blocks(lo.G, lo_m.G, 1.0)),
-                  ops.rel_frobenius(G_j, G_m)),
+        cases = [(ms._scaled_pair(lo.G, lo_m.G, 1.0), ops.rel_frobenius(G_j, G_m)),
                  # at = 0 switches C'_j off: the step then lays G_j's blocks
                  # out on the level-(j+1) rows through its index map alone
                  (ms.rg_step_residual(dataclasses.replace(lo, at=0.0), hi),
                   ops.rel_frobenius(G_j, ms.green_j(g, P0, j + 1))),
-                 (ms._block_rel_frobenius(ms._row_blocks(lo.C, lo_m.C, 1.0)),
+                 (ms._scaled_pair(lo.C, lo_m.C, 1.0),
                   ops.rel_frobenius(ms.rg_operators(g, P0, j).C_j, ms.rg_operators(g, PM, j).C_j))]
         for blocks, dense in cases:
             assert dense > 1e-3
@@ -519,6 +518,55 @@ def test_step_layout_across_d_and_L(geom_args):
             assert np.array_equal(G_hi.U0, hi.u[:, 0])
             assert ms.rg_step_residual(lo, hi) < 1e-14
             assert ms.c_identity_residual(lo, hi) < 1e-14
+
+
+def _perturbed_step(g, params, j, delta):
+    """The step residual with level ``j + 1`` built at ``a (1 + delta)``."""
+    moved = ms.MultiscaleParams(a=params.a * (1 + delta), mu0=params.mu0)
+    return ms.rg_step_residual(ms.tower_level(g, params, j), ms.tower_level(g, moved, j + 1)), moved
+
+
+# rg_d2_n729's cube and the d = 3 and L = 5 cubes of test_step_layout_across_d_and_L
+PERTURBED_GRID = [(2, 3, 2, 3), (3, 3, 1, 2), (3, 3, 2, 2), (1, 5, 2, 3), (2, 5, 1, 2)]
+
+
+@pytest.mark.parametrize("params", [P0, PM])
+@pytest.mark.parametrize("geom_args", PERTURBED_GRID)
+def test_step_residual_reads_a_perturbed_level(geom_args, params):
+    # the factored residual against the dense relative Frobenius distance.
+    # At delta = 1e-4 the dense sides are subtracted: G_j + C'_j from
+    # rg_operators less green_j at a (1 + delta).  At delta = 1e-8 that
+    # subtraction reads its own rounding, about 1e-12 of |G| (1.9e-4 of the
+    # residual at (1,5,2,3)), so the difference is formed with no
+    # cancellation: the step being exact, it is G_{j+1}(a) - G_{j+1}(a') =
+    # (at' - at) G_{j+1}(a) P_{j+1} G_{j+1}(a').  Where 1e-6 of the residual
+    # falls below the residual of the exact levels, that rounding bounds the
+    # agreement instead (mu0 = 0.1 at (1,5,2,3), j = 2: 1.5e-6 of 1.9e-12).
+    g = lat.make_geometry(*geom_args)
+    for j in range(1, min(g.k, g.m - 1) + 1):
+        floor = ms.rg_step_residual(*_step(g, params, j))
+        G, r = ms.green_j(g, params, j + 1), ms.rg_operators(g, params, j)
+        for delta in (1e-4, 1e-8):
+            value, moved = _perturbed_step(g, params, j, delta)
+            G_moved = ms.green_j(g, moved, j + 1)
+            if delta == 1e-4:
+                dense = ops.rel_frobenius(r.G_j + r.C_prime_j, G_moved)
+            else:
+                at, at_moved = (p.a_tilde(g, j + 1, j + 1) for p in (params, moved))
+                diff = (at_moved - at) * (G @ ops.block_projector(g, j + 1) @ G_moved)
+                dense = float(np.linalg.norm(diff.kernel) / np.linalg.norm(G_moved.kernel))
+            assert abs(value - dense) <= max(1e-6 * dense, floor), (j, delta, value, dense)
+
+
+@pytest.mark.parametrize("geom_args", PERTURBED_GRID)
+def test_step_residual_has_no_rounding_floor(geom_args):
+    # at delta = 1e-12 the residual is still delta times its slope at
+    # delta = 1e-8: no floor near sqrt(eps) = 1.5e-8.  At (2,3,2,3), mu0 =
+    # 0.1, the formed S x S blocks read 5.3857e-14 and this route 5.3883e-14
+    g = lat.make_geometry(*geom_args)
+    for params in [P0] + [PM] * (geom_args == (2, 3, 2, 3)):
+        slope = _perturbed_step(g, params, 1, 1e-8)[0] / 1e-8
+        assert _perturbed_step(g, params, 1, 1e-12)[0] / 1e-12 == pytest.approx(slope, rel=1e-2)
 
 
 @pytest.mark.parametrize("params", [P0, PM])
@@ -551,45 +599,66 @@ def _rg_verify_values(geom_args):
 
 
 @pytest.mark.parametrize("geom_args,budget", [
-    ((2, 3, 2, 3), 8 * 9 * 9 * 5),      # level-1 blocks, 5 rows a batch
-    ((2, 3, 2, 3), 2 * 8 * 81 * 81),    # level-2 blocks 2 rows a batch; level 3 by columns
-    ((2, 3, 2, 3), 8 * 81 * 7),         # every level-2 and level-3 block by columns
-    ((2, 3, 2, 2), 8 * 81 * 10),        # the one top-level row's block by columns
+    ((2, 3, 2, 3), 8 * 9 * 9 * 5),      # covariance rows 5 a batch, step rows 1, scaling rows 4
+    ((2, 3, 2, 4), 2 * 8 * 81 * 81),    # the 81 step rows (19 x 19 coefficients) 7 a batch
+    ((2, 3, 2, 3), 8 * 81 * 7),         # covariance rows 7 a batch, step rows 1, scaling rows 5
+    ((2, 3, 3, 4), 8 * 81 * 10),        # both steps' rows 1 a batch, the j = 1 covariance rows 10
 ])
 def test_block_batches_agree_with_default_budget(geom_args, budget, monkeypatch):
     default = _rg_verify_values(geom_args)
     monkeypatch.setattr(ms, "PROBE_BLOCK_BYTES", budget)
-    # some level's S x S blocks (S = 9, 81, 729; rows = n / S) now split
-    n = 9 ** geom_args[3]
-    assert any(len(batches) > 1 or len(batches[0][1]) > 1
-               for batches in (list(ms._batches(n // S, S, S)) for S in (9, 81, 729) if S <= n))
+    calls, batches = [], ms._batches
+
+    def recorded(rows, row_bytes):
+        calls.append((rows, list(batches(rows, row_bytes))))
+        return iter(calls[-1][1])
+    monkeypatch.setattr(ms, "_batches", recorded)
     small = _rg_verify_values(geom_args)
+    # some identity's rows now split, and every split covers its rows in order
+    assert any(len(b) > 1 for _, b in calls)
+    assert all([r for sl in b for r in range(sl.start, sl.stop)] == list(range(rows))
+               for rows, b in calls)
     assert small.keys() == default.keys()
     for name, val in small.items():
         assert abs(val - default[name]) <= 1e-15, (name, val, default[name])
 
 
-def test_batches_split_rows_then_columns(monkeypatch):
+def test_batches_split_rows_within_budget(monkeypatch):
     monkeypatch.setattr(ms, "PROBE_BLOCK_BYTES", 2 * 8 * 81 * 81)
-    assert [(rb.start, rb.stop, len(cbs)) for rb, cbs in ms._batches(5, 81, 81)] == [
-        (0, 2, 1), (2, 4, 1), (4, 5, 1)]
-    (rb, cbs), = ms._batches(1, 729, 729)
-    assert (rb.start, rb.stop) == (0, 1) and cbs[0] == slice(0, 18) and cbs[-1].stop == 729
-    assert all(8 * 729 * (c.stop - c.start) <= ms.PROBE_BLOCK_BYTES for c in cbs)
+    assert [(rb.start, rb.stop) for rb in ms._batches(5, 8 * 81 * 81)] == [(0, 2), (2, 4), (4, 5)]
+    # a row over the budget goes alone
+    assert [(rb.start, rb.stop) for rb in ms._batches(3, 8 * 729 * 729)] == [(0, 1), (1, 2), (2, 3)]
+    assert ms._identity_row_bytes(729, 9) == 8 * (3 * 19**2 + 8 * 729)
 
 
-def test_rg_step_residual_peak_allocation():
-    # level builds included; the probe columns that the blocks replaced peaked at 45.8 MiB
+def _peak_mib(f):
     import tracemalloc
 
-    g = lat.make_geometry(2, 3, 2, 5)
     tracemalloc.start()
     try:
-        assert ms.rg_step_residual(*_step(g, P0, 1)) < 1e-9
+        value = f()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 36 * 2**20, peak / 2**20
+    return value, peak / 2**20
+
+
+def test_rg_step_residual_peak_allocation():
+    # level builds included (4.6 MiB); the formed S x S blocks peaked at
+    # 23.9 MiB, the factored residual at 13.5 MiB
+    g = lat.make_geometry(2, 3, 2, 5)
+    value, peak = _peak_mib(lambda: ms.rg_step_residual(*_step(g, P0, 1)))
+    assert value < 1e-9
+    assert peak <= 16, peak
+
+
+def test_scaling_residuals_peak_allocation():
+    # level builds included (5.1 MiB); the formed blocks of g_scaling and
+    # dgc_c peaked at 15.6 MiB, the factored residuals at 11.5 MiB
+    g = lat.make_geometry(2, 3, 2, 5)
+    values, peak = _peak_mib(lambda: _scaling_residuals(g, P0, 1))
+    assert max(values.values()) < 1e-11
+    assert peak <= 14, peak
 
 
 def test_c_identity_residual_peak_allocation():

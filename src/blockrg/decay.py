@@ -212,16 +212,23 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
     boxes = block_table(geom, geom.k)
     labels = all_sites(coarse_geometry(geom, geom.k))
     i1, i2 = np.triu_indices(len(labels))
-    # for each pair i <= i2 (row-major) and each draw, the (real, imag) parts
-    # of a field on box i, then of one on box i2: Z[pair, draw, box]
-    Z = rng.standard_normal((i1.size, CT_BOX_DRAWS, 2, boxes.shape[1], 2))
-    z = Z[..., 0] + 1j * Z[..., 1]
-    f, f2 = z[:, :, 0], z[:, :, 1]
-    # |<f, G f2>| / (|f| |f2|): the inner product's eta**d cancels against
-    # the norms', leaving the value matrix eta**d K of G
-    Gpair = K[boxes[i1][:, :, None], boxes[i2][:, None, :]]
-    vals = np.abs(np.einsum("pdx,pxy,pdy->pd", f.conj(), Gpair, f2))
-    vals *= geom.spacing ** geom.d / (np.linalg.norm(f, axis=-1) * np.linalg.norm(f2, axis=-1))
+    b = boxes.shape[1]
+    vals = np.empty((i1.size, CT_BOX_DRAWS))
+    # the pairs in slices within PROBE_BLOCK_BYTES (the (b, b) block of G and
+    # the draws of a pair); the slices draw in order, one stream in all
+    for pb in multiscale._batches(i1.size, 8 * b * (b + 8 * CT_BOX_DRAWS),
+                                  multiscale.PROBE_BLOCK_BYTES):
+        # for each pair i <= i2 (row-major) and each draw, the (real, imag)
+        # parts of a field on box i, then of one on box i2: Z[pair, draw, box]
+        Z = rng.standard_normal((pb.stop - pb.start, CT_BOX_DRAWS, 2, b, 2))
+        z = Z[..., 0] + 1j * Z[..., 1]
+        f, f2 = z[:, :, 0], z[:, :, 1]
+        # |<f, G f2>| / (|f| |f2|): the inner product's eta**d cancels against
+        # the norms', leaving the value matrix eta**d K of G
+        Gpair = K[boxes[i1[pb]][:, :, None], boxes[i2[pb]][:, None, :]]
+        vals[pb] = np.abs(np.einsum("pdx,pxy,pdy->pd", f.conj(), Gpair, f2))
+        vals[pb] *= geom.spacing ** geom.d / (np.linalg.norm(f, axis=-1)
+                                              * np.linalg.norm(f2, axis=-1))
     dists = np.linalg.norm(labels[i1] - labels[i2], axis=1)
     logvals = np.log(vals.max(axis=1))
     slope, intercept = np.polyfit(dists, logvals, 1)

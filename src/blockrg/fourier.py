@@ -42,9 +42,13 @@ and so have the class phases.  ``z -> -conj z`` sends ``p + i q`` to
 on every contour the kernels' node arrays are Hermitian in the node: half
 the nodes are solved, ``irfftn`` sums them, and the kernels are real.  The
 strip integrand ``H = M^{-1} U`` is ``RankOneRows.solve_u`` at complex
-nodes ``p + i q``.  Kernels and strip build their rows in bounded blocks
-of nodes (``_node_blocks``), cached nowhere: a kernel keeps only its
+nodes ``p + i q``.  One builder, ``_node_symbols``, makes the rows' symbols
+at any set of nodes: for the whole grid (``build_shift_system``), for
+``free_symbol_apply`` and for the bounded blocks of nodes that kernels and
+strip build (``_node_blocks``), cached nowhere: a kernel keeps only its
 contracted ``(classes, nodes)`` legs, and only through its transforms.
+Node blocks and class slices are cut by the package's one byte-budget
+slicer, ``multiscale._batches``, within ``NODE_BLOCK_BYTES``.
 
 Symbols take complex arguments everywhere, which is what operational
 analyticity checks (contour shifts) and the strip bounds rely on.
@@ -59,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import FreePatch, _axis_outer, grid_points
-from .multiscale import MultiscaleParams, RankOneRows
+from .multiscale import MultiscaleParams, RankOneRows, _batches
 
 POLE_GUARD = 1e-12
 DENOMINATOR_FLOOR = 0.1
@@ -253,54 +257,41 @@ class ShiftSystem(RankOneRows):
         return FactoredStack((self.c0,))
 
 
-def _axis_symbols(nodes, L: int, k: int) -> np.ndarray:
-    """``u``, ``ubar`` and the massless ``lap_star`` on one axis's (node,
-    shift) grid, stacked: (3, len(nodes), L**k)."""
+def _node_symbols(axis_nodes, L: int, k: int, params: MultiscaleParams) -> tuple:
+    """``RankOneRows.build``'s ``(Delta, U, Ubar, a_k, zero)`` at the row-major
+    products of the per-axis momenta ``axis_nodes``: ``Delta`` (the mass on
+    the first axis), ``U`` and ``Ubar`` each a new (n, S) array from the
+    per-axis symbols on each axis's (node, shift) grid, ``zero`` the zero
+    shift's index in ``shift_vectors`` (the middle row, ``L`` odd).  At real
+    nodes ``Delta`` is real and ``Ubar = conj U`` (see the module docstring)
+    is None.  The one builder of the shift systems' rows."""
     eta = float(L) ** (-k)
-    Z = shifted_momenta(nodes[:, None], shift_vectors(1, L, k))[..., 0]
-    return np.stack([u_axis(Z, eta), u_axis(-Z, eta), lap_star(Z[..., None], L, k, 0.0)])
-
-
-def _zero_and_coupling(d: int, L: int, k: int, params: MultiscaleParams):
-    """The zero shift's index in ``shift_vectors`` (the middle row, ``L`` odd), and ``a_k``."""
-    return L ** (k * d) // 2, params.a_j(L, max(k, 1))   # k = 0: the bare coefficient a
-
-
-def _node_symbols(axis_nodes, symbols, L: int, k: int, params: MultiscaleParams):
-    """``Delta`` (the mass on the first axis), ``U`` and ``Ubar`` at the
-    row-major products of the per-axis momenta ``axis_nodes``, from their
-    ``symbols``, each a new (n, S) array.  At real nodes ``Delta`` is real
-    and ``Ubar = conj U`` (see the module docstring) is None."""
+    Z = [shifted_momenta(nodes[:, None], shift_vectors(1, L, k))[..., 0] for nodes in axis_nodes]
     real = not any(np.any(nodes.imag) for nodes in axis_nodes)
-    eta = float(L) ** (-k)
-    lap = [(4.0 / eta**2) * (s[2].real if real else s[2]) for s in symbols]
+    lap = [lap_star(z[..., None], L, k, 0.0) for z in Z]
+    lap = [(4.0 / eta**2) * (s.real if real else s) for s in lap]
     lap[0] = lap[0] + params.mu_bar(L, k)
 
-    def outer(i):   # a copy at d = 1, where _axis_outer returns the one factor
-        X = _axis_outer(np.multiply, [s[i] for s in symbols])
-        return X.copy() if len(symbols) == 1 else X
+    def outer(factors):     # a copy at d = 1, where _axis_outer returns the one factor
+        X = _axis_outer(np.multiply, factors)
+        return X.copy() if len(factors) == 1 else X
 
-    return _axis_outer(np.add, lap), outer(0), None if real else outer(1)
+    return (_axis_outer(np.add, lap), outer([u_axis(z, eta) for z in Z]),
+            None if real else outer([u_axis(-z, eta) for z in Z]),
+            params.a_j(L, max(k, 1)),   # k = 0: the bare coefficient a
+            L ** (k * len(axis_nodes)) // 2)
 
 
 def _node_blocks(axis_nodes, L: int, k: int, params: MultiscaleParams):
     """The shift systems' ``RankOneRows`` over blocks of consecutive first-axis
-    nodes, in node order: as many as keep one complex ``(nodes, S)`` array
-    within ``NODE_BLOCK_BYTES``, and at least one.  Callers drop each block
-    before the next is built.  An axis whose nodes begin an earlier axis's
-    (the kernels' last axis, cut at ``M0/2``) reads that axis's symbols."""
+    nodes, in node order: ``_batches`` of as many as keep one complex
+    ``(nodes, S)`` array within ``NODE_BLOCK_BYTES``, and at least one.
+    Callers drop each block before the next is built."""
     axis_nodes = [np.asarray(nodes, dtype=complex) for nodes in axis_nodes]
-    symbols = []
-    for nodes in axis_nodes:
-        same = [s for a, s in zip(axis_nodes, symbols) if np.array_equal(a[:len(nodes)], nodes)]
-        symbols.append(same[0][:, :len(nodes)] if same else _axis_symbols(nodes, L, k))
-    zero, a_k = _zero_and_coupling(len(axis_nodes), L, k, params)
     row_bytes = 16 * math.prod(len(n) for n in axis_nodes[1:]) * (L**k) ** len(axis_nodes)
-    rows = max(1, NODE_BLOCK_BYTES // row_bytes)
-    for block in (slice(lo, lo + rows) for lo in range(0, len(axis_nodes[0]), rows)):
+    for block in _batches(len(axis_nodes[0]), row_bytes, NODE_BLOCK_BYTES):
         yield RankOneRows.build(*_node_symbols([axis_nodes[0][block]] + axis_nodes[1:],
-                                               [symbols[0][:, block]] + symbols[1:],
-                                               L, k, params), a_k, zero)
+                                               L, k, params))
 
 
 def _axis_nodes(grid: TorusGrid, shift_q=None) -> list:
@@ -309,19 +300,10 @@ def _axis_nodes(grid: TorusGrid, shift_q=None) -> list:
     return list(grid.base_nodes_1d()[None, :] + 1j * q[:, None])
 
 
-def _grid_symbols(grid: TorusGrid, params: MultiscaleParams, shift_q=None) -> tuple:
-    """``RankOneRows.build``'s ``(Delta, U, Ubar, a_k, zero)`` at the base nodes
-    of ``grid`` moved to ``p + i shift_q``, from the per-axis ``_axis_symbols``."""
-    axes = _axis_nodes(grid, shift_q)
-    symbols = [_axis_symbols(nodes, grid.L, grid.k) for nodes in axes]
-    zero, a_k = _zero_and_coupling(grid.d, grid.L, grid.k, params)
-    return *_node_symbols(axes, symbols, grid.L, grid.k, params), a_k, zero
-
-
 def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
                        shift_q=None) -> ShiftSystem:
     """The shift system at the base nodes of ``grid``, moved to ``p + i shift_q``."""
-    return ShiftSystem.build(*_grid_symbols(grid, params, shift_q))
+    return ShiftSystem.build(*_node_symbols(_axis_nodes(grid, shift_q), grid.L, grid.k, params))
 
 
 def _shift_phases(grid: TorusGrid, residues) -> np.ndarray:
@@ -395,15 +377,14 @@ class KernelPlan:
         phase_x = np.exp(1j * grid.eta * (self.Rx @ z.T))
         phase_y = np.exp(-1j * grid.eta * (self.Ry @ z.T))
         out = np.empty(t.shape[:2])
-        per = max(1, NODE_BLOCK_BYTES // max(1, 16 * len(z) * len(self.Ry)))
         shape, nodes = tuple(map(len, axes)), tuple(range(2, 2 + d))
-        for lo in range(0, len(self.Rx), per):
-            block = slice(lo, lo + per)
+        for block in _batches(len(self.Rx), 16 * len(z) * len(self.Ry), NODE_BLOCK_BYTES):
             A = self.node_array(legs, block) * phase_x[block, None] * phase_y
             A = A.reshape(A.shape[:2] + shape)
             K = np.fft.irfftn(A, s=(M0,) * d, axes=nodes)
-            rows = np.flatnonzero((cx >= lo) & (cx < lo + per))
-            out[rows] = K[(cx[rows, None] - lo, cy) + tuple(np.moveaxis(t[rows] % M0, -1, 0))]
+            rows = np.flatnonzero((cx >= block.start) & (cx < block.stop))
+            out[rows] = K[(cx[rows, None] - block.start, cy)
+                          + tuple(np.moveaxis(t[rows] % M0, -1, 0))]
         out *= self.sign
         out *= np.exp(-(t @ q))
         return out
@@ -596,7 +577,7 @@ def free_symbol_apply(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.nd
     samples: ``M v = Delta v + a_k U (Ubar^T v)`` from the symbols, with
     ``Ubar = conj U`` on the real contour and no shift system."""
     v = _to_shift_layout(f_hat, grid)
-    Delta, U, _, a_k, _ = _grid_symbols(grid, params)
+    Delta, U, _, a_k, _ = _node_symbols(_axis_nodes(grid), grid.L, grid.k, params)
     return _from_shift_layout(Delta * v + a_k * U * np.sum(U.conj() * v, axis=1, keepdims=True),
                               grid)
 
@@ -651,9 +632,8 @@ def qkqk_spatial(patch: FreePatch, values) -> np.ndarray:
 
 def qkqk_fourier(patch: FreePatch, values, grid: TorusGrid) -> np.ndarray:
     """``Q_k* Q_k f`` through the Fourier shift formula: transform, apply the
-    rank-one shift coupling ``U U^*``, transform back."""
-    L, k = grid.L, grid.k
-    U = _axis_outer(np.multiply, [_axis_symbols(n, L, k)[0] for n in _axis_nodes(grid)])
+    rank-one shift coupling ``U U^*``, transform back.  ``U`` reads no params."""
+    U = _node_symbols(_axis_nodes(grid), grid.L, grid.k, MultiscaleParams())[1]
     v = _to_shift_layout(patch_fourier_samples(patch, values, grid), grid)
     ghat = U * np.sum(np.conj(U) * v, axis=1, keepdims=True)
     return patch_inverse_fourier(_from_shift_layout(ghat, grid), patch, grid)

@@ -47,12 +47,19 @@ class ImageSumResult:
 
 
 def _assemble(vals: np.ndarray, shell_idx: np.ndarray, shells: int) -> ImageSumResult:
+    """The image sum of ``vals`` over shells ``0..shells``.  The guard reads
+    the last ratio of per-image shell means (magnitude over image count):
+    shell counts grow as ``s**(d-1)``, so at unit side in d = 3 the first
+    shells' magnitudes grow while each image's share decays, and a flat tail
+    reads 1.  The truncation estimate extrapolates the magnitudes' ratio."""
     mags = np.array([abs(vals[shell_idx == s].sum()) for s in range(shells + 1)])
-    ratios = [mags[s] / mags[s - 1] for s in range(1, shells + 1) if mags[s - 1] > 0]
-    if shells >= 2 and ratios and ratios[-1] > SHELL_RATIO_LIMIT:
+    means = mags / np.bincount(shell_idx, minlength=shells + 1)
+    per_image = [means[s] / means[s - 1] for s in range(1, shells + 1) if means[s - 1] > 0]
+    if shells >= 2 and per_image and per_image[-1] > SHELL_RATIO_LIMIT:
         raise ImageSumDivergence(
-            f"shell ratio {ratios[-1]:.3f} above {SHELL_RATIO_LIMIT}; "
+            f"per-image shell ratio {per_image[-1]:.3f} above {SHELL_RATIO_LIMIT}; "
             "free-kernel decay too slow for image summation")
+    ratios = [mags[s] / mags[s - 1] for s in range(1, shells + 1) if mags[s - 1] > 0]
     r = min(max(ratios[-1] if ratios else 0.5, 1e-6), SHELL_RATIO_LIMIT)
     last = float(mags[-1])
     return ImageSumResult(value=float(vals.sum()), shells_used=shells,
@@ -121,7 +128,12 @@ def neumann_kernel_via_images(geom: LatticeGeometry, params, x, y,
     """Image-sum value of the Neumann kernel ``G_k(Omega)(x, y)``.
 
     Sums the free kernel over all images of ``y`` within ``shells`` reflected
-    copies per axis, with the quadrature grid doubled until stable.
+    copies per axis, with the quadrature grid doubled until stable.  The
+    images are one batch, judged stable against its own largest value
+    (``_image_batches``): a far pair whose every entry lies below the
+    quadrature's rounding floor of that value never stabilizes and raises
+    ``fourier.GridConvergenceError``, as at (1,3,1,5) between sites (0,)
+    and (242,).
     """
     vals, shell_idx, _, _ = _image_batches(geom, params, shells,
                                            _neumann_batch(geom, [x], [y]))[0]
@@ -134,7 +146,10 @@ def gq_kernel_via_images(geom: LatticeGeometry, params, x, y_label,
 
     The reflection words act on the fine argument here (each image map is an
     involution, so summing over transformed ``x`` equals summing over image
-    sources), while the unit-block source stays put.
+    sources), while the unit-block source stays put.  Convergence is judged
+    as in ``neumann_kernel_via_images``, against the batch's own largest
+    value, so a far pair below the quadrature's rounding floor raises
+    ``fourier.GridConvergenceError``.
     """
     vals, shell_idx, _, _ = _image_batches(geom, params, shells,
                                            _gq_batch([x], [y_label]))[0]

@@ -28,6 +28,8 @@ the classes of its coarser level.  The step and the scaling relations of
 ``G_j`` and ``C_j`` take their residuals from the rows' factors, in a small
 orthogonal frame a class row (``_identity_sq``), and form no block; the
 covariance identity forms its ``L**d x L**d`` blocks and subtracts them.
+Every residual runs in batches of rows within ``PROBE_BLOCK_BYTES``, cut by
+``_batches``, the one byte-budget slicer of the package.
 """
 
 from __future__ import annotations
@@ -209,8 +211,16 @@ def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
 
 # nbytes of one batch of a residual check: the working set of the factored
 # residuals (_identity_row_bytes), a (rows, S) member array of the
-# covariance identity, or the telescope's (n, columns) probe columns
+# covariance identity, or the telescope's (n, columns) probe columns; and
+# of one slice of decay.ct_bound_report's box pairs
 PROBE_BLOCK_BYTES = 8 * 2**20
+
+
+def _batches(n: int, item_bytes: int, budget: int):
+    """Slices of ``range(n)``, each of as many items of ``item_bytes`` as keep
+    a batch within ``budget`` bytes, at least one (all ``n`` at zero bytes)."""
+    step = max(1, budget // item_bytes if item_bytes else n)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,19 +328,16 @@ class RankOneRows:
         x[:, self.zero] = self.U0[rows] / den
         return x
 
-    def inverse(self, rows, members) -> np.ndarray:
-        """Columns of the inverse blocks in ``rows`` (a slice or an index
-        array), ``(len(rows), S, columns)``: column ``t`` of row ``r`` is
-        ``M_r^{-1} e_m``, ``m = members[r, t]``, ``members`` broadcasting to
-        ``(len(rows), columns)``.  ``solve`` of ``e_m`` in closed form: the
-        block is ``diag(w) - a (w U) beta^T`` and its zero row ``x_0^T``, from
-        ``_zero_column`` of ``v_0 = [m = zero]`` and ``B = (w Ubar)_m``."""
-        idx = np.arange(len(self.c0))[rows][:, None]
-        members = np.broadcast_to(members, (len(idx), np.shape(members)[-1]))
-        beta, x0 = self._zero_column(idx, members == self.zero, self._wubar((idx, members)))
-        X = self.wU[idx[:, 0], :, None] * (-self.a * beta[:, None])
-        r, t = np.arange(len(idx))[:, None], np.arange(members.shape[1])
-        X[r, members, t] += self.w[idx, members]
+    def inverse(self, rows) -> np.ndarray:
+        """The inverse blocks of ``rows`` (a slice), ``(len(rows), S, S)``:
+        column ``m`` of row ``r`` is ``M_r^{-1} e_m``, ``solve`` of ``e_m`` in
+        closed form.  The block is ``diag(w) - a (w U) beta^T`` and its zero
+        row ``x_0^T``, from ``_zero_column`` of ``v_0 = [m = zero]`` and ``B =
+        (w Ubar)_m``."""
+        m = np.arange(self.w.shape[1])
+        beta, x0 = self._zero_column(np.s_[rows, None], m == self.zero, self._wubar(rows))
+        X = self.wU[rows, :, None] * (-self.a * beta[:, None])
+        X[:, m, m] += self.w[rows]
         X[:, self.zero] = x0
         return X
 
@@ -421,13 +428,6 @@ def tower_level(geom, params: MultiscaleParams, j: int) -> TowerLevel:
 def _rel(X, Y) -> float:
     """Relative Frobenius (or 2-norm) distance ``|X - Y| / |Y|``."""
     return float(np.linalg.norm(X - Y) / np.linalg.norm(Y))
-
-
-def _batches(rows: int, row_bytes: int):
-    """Slices of ``rows`` rows, each batch within ``PROBE_BLOCK_BYTES`` at
-    ``row_bytes`` a row (at least one row a batch)."""
-    step = max(1, PROBE_BLOCK_BYTES // row_bytes)
-    return (slice(r, min(r + step, rows)) for r in range(0, rows, step))
 
 
 def _rel_from_sq(batches) -> float:
@@ -527,7 +527,7 @@ def _scaled_pair(X: RankOneRows, Y: RankOneRows, scale: float) -> float:
     one layout: ``_identity_sq`` with one slot a row."""
     rows, S = X.w.shape
     return _rel_from_sq(_identity_sq(X, np.arange(rows)[rb, None], scale, _rows(Y, rb))
-                        for rb in _batches(rows, _identity_row_bytes(S, 1)))
+                        for rb in _batches(rows, _identity_row_bytes(S, 1), PROBE_BLOCK_BYTES))
 
 
 def _check_step(lo: TowerLevel, hi: TowerLevel, name: str):
@@ -575,8 +575,8 @@ def rg_step_residual(lo: TowerLevel, hi: TowerLevel) -> float:
     member, Ls = _step_members(hi), lo.u1.shape[1]
     rows, S = hi.freq.shape
     return _rel_from_sq(_identity_sq(lo.G, lo.coarse_freq[rb], 1.0, _step_rows(lo, hi, member, rb),
-                                     lo.at**2 * lo.C.inverse(rb, np.arange(Ls)))
-                        for rb in _batches(rows, _identity_row_bytes(S, Ls)))
+                                     lo.at**2 * lo.C.inverse(rb))
+                        for rb in _batches(rows, _identity_row_bytes(S, Ls), PROBE_BLOCK_BYTES))
 
 
 def _u_g_u(lo: TowerLevel, hi: TowerLevel, member, rb) -> np.ndarray:
@@ -608,7 +608,7 @@ def _c_identity_sq(lo: TowerLevel, hi: TowerLevel, member, rb):
     A = np.eye(Ld) / at + (c * u1)[:, :, None] * u1[:, None, :]
     X = at**2 * (A @ X @ A)
     X += A
-    Y = lo.C.inverse(rb, np.arange(Ld))
+    Y = lo.C.inverse(rb)
     X -= Y
     return float(np.sum(np.square(X, out=X))), float(np.sum(np.square(Y, out=Y)))
 
@@ -627,9 +627,9 @@ def c_identity_residual(lo: TowerLevel, hi: TowerLevel) -> float:
     a row in each of its arrays.
     """
     _check_step(lo, hi, "c_identity_residual")
-    member = _step_members(hi)
+    member, (rows, S) = _step_members(hi), hi.freq.shape
     return _rel_from_sq(_c_identity_sq(lo, hi, member, rb)
-                        for rb in _batches(hi.freq.shape[0], 8 * hi.freq.shape[1]))
+                        for rb in _batches(rows, 8 * S, PROBE_BLOCK_BYTES))
 
 
 def rg_telescope_residual(levels) -> float:
@@ -660,9 +660,8 @@ def rg_telescope_residual(levels) -> float:
     member = np.column_stack((np.ones(i.size), (-1.0) ** i * (1 + i) / i.size))
     probes = _scatter(np.broadcast_to(member, top.freq.shape + (2,)), top.freq)
     L, worst = float(geom.L), 0.0
-    batch = max(1, PROBE_BLOCK_BYTES // (8 * geom.site_count))
-    for c in range(0, probes.shape[1], batch):
-        V = probes[:, c:c + batch]
+    for cb in _batches(probes.shape[1], 8 * geom.site_count, PROBE_BLOCK_BYTES):
+        V = probes[:, cb]
         lhs = top.green(V)
         rhs = L ** (2 - 2 * k) * levels[0].green(V)
         for j, level in enumerate(levels[:-1], start=1):

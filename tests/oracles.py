@@ -42,22 +42,16 @@ def assert_ct_sigmas_match_dense_svd(g, params, q_list):
 def assert_inverse_blocks_match(rows, Minv):
     """``rows.inverse`` (a ``multiscale.RankOneRows``) against the dense
     inverse blocks ``Minv``, shape ``(rows, S, S)``, each row within 1e-13
-    of its own block's Frobenius norm: all members, a column subset with the
-    zero column, members per row, members broadcast from one row and an
-    index array of rows; and ``solve`` of one-hot columns against it."""
+    of its own block's Frobenius norm, for all rows and for a slice of them;
+    and ``solve`` of one-hot columns against it."""
     n, S = Minv.shape[:2]
 
     def close(X, Y):
         err = np.linalg.norm(X - Y, axis=(1, 2)) / np.linalg.norm(Y, axis=(1, 2))
         assert np.all(err <= 1e-13), err.max()
 
-    full = rows.inverse(slice(None), np.arange(S))
+    full = rows.inverse(slice(None))
     close(full, Minv)
-    rng = np.random.default_rng(11)
-    subset = np.array([S - 1, rows.zero, S // 2])
-    per_row = rng.integers(0, S, size=(n, 3))
-    close(rows.inverse(slice(None), per_row), np.take_along_axis(Minv, per_row[:, None], axis=2))
-    close(rows.inverse(slice(None), subset[None]), Minv[:, :, subset])
-    pick = rng.permutation(n)[:max(1, n // 2)]
-    close(rows.inverse(pick, subset), Minv[pick][:, :, subset])
+    part = slice(n // 3, max(n // 3 + 1, n - 1))
+    assert np.array_equal(rows.inverse(part), full[part])
     close(rows.solve(np.broadcast_to(np.eye(S), (n, S, S))), full)

@@ -88,6 +88,29 @@ def test_box_statistics_match_scalar_loop(d, L, k, m):
     assert rep.max_violation == pytest.approx(viol, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("budget", [1, 8 * 9 * 33 * 7])   # 1 pair a slice; 7 at d = 2
+@pytest.mark.parametrize("d,L,k,m", [(1, 3, 1, 5), (2, 3, 1, 3)])
+def test_box_pair_slices_change_no_bit(d, L, k, m, budget, monkeypatch):
+    # the box pairs go through multiscale._batches in slices within
+    # PROBE_BLOCK_BYTES, each drawing its fields in order: one stream
+    g = lat.make_geometry(d, L, k, m)
+    q_list = [0.0, 0.01, -0.01]
+    rng = np.random.default_rng(922)
+    whole = dc.ct_bound_report(g, P0, q_list, rng)
+    slices, batches = [], ms._batches
+
+    def recorded(n, item_bytes, budget):
+        slices.append(list(batches(n, item_bytes, budget)))
+        return iter(slices[-1])
+
+    monkeypatch.setattr(ms, "PROBE_BLOCK_BYTES", budget)
+    monkeypatch.setattr(ms, "_batches", recorded)
+    sliced_rng = np.random.default_rng(922)
+    assert dc.ct_bound_report(g, P0, q_list, sliced_rng) == whole
+    assert sliced_rng.bit_generator.state == rng.bit_generator.state
+    assert len(slices) == 1 and len(slices[0]) > 1
+
+
 def test_conjugation_bitwise_at_zero():
     for dims in ((1, 3, 1, 2), (1, 3, 1, 5), (2, 3, 1, 2)):
         g = lat.make_geometry(*dims)

@@ -246,36 +246,42 @@ def test_shift_inverse_blocks_match_dense_inverse(d, L, k, q0):
 
 
 @pytest.mark.parametrize("q0", [None, 0.3], ids=["real", "shifted"])
-@pytest.mark.parametrize("d,L,k", [(1, 3, 2), (2, 3, 1), (2, 3, 2)])
+@pytest.mark.parametrize("d,L,k", [(1, 3, 2), (2, 3, 1), (2, 3, 2), (3, 3, 1)])
 def test_node_blocks_match_whole_grid_system(d, L, k, q0, monkeypatch):
-    # one builder, RankOneRows.build, over two node blockings: the kernels'
-    # blocks, here one first-axis node each, and the whole-grid ShiftSystem
-    # must agree node by node
-    monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", 1)
+    # one builder, _node_symbols, over three node blockings: the kernels'
+    # blocks at the default budget and at one first-axis node each, and the
+    # whole-grid ShiftSystem agree node by node, bit for bit
     grid = fr.default_grid(d, L, k)
     q = _contour(d, q0)
-    blocks = list(fr._node_blocks(fr._axis_nodes(grid, q), L, k, P0))
-    assert len(blocks) == grid.base_count
     sys = fr.build_shift_system(grid, P0, shift_q=q)
-    c0, den = (np.concatenate([getattr(b, name) for b in blocks]) for name in ("c0", "den"))
-    H = np.concatenate([b.solve_u() for b in blocks])
-    assert np.max(np.abs(c0 - sys.c0) / np.abs(sys.c0)) <= 1e-13
-    assert np.max(np.abs(den - sys.den) / np.abs(sys.den)) <= 1e-13
+    assert (sys.wUbar is None) == (q0 is None)
     H_sys = sys.solve(fr.u_kernel(_dense_shift_matrices(grid, P0, q)[0], L, k))
-    for node in range(len(H)):
-        assert _rel(H[node], H_sys[node]) <= 1e-13
+    for budget in (fr.NODE_BLOCK_BYTES, 1):
+        monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", budget)
+        blocks = list(fr._node_blocks(fr._axis_nodes(grid, q), L, k, P0))
+        assert len(blocks) == (grid.base_count if budget == 1 else 1)
+        names = ("w", "wU", "Delta0", "U0", "Ubar0", "c0") + ("wUbar",) * (q0 is not None)
+        for name in names:
+            assert np.array_equal(np.concatenate([getattr(b, name) for b in blocks]),
+                                  getattr(sys, name)), name
+        H = np.concatenate([b.solve_u() for b in blocks])
+        for node in range(len(H)):
+            assert _rel(H[node], H_sys[node]) <= 1e-13
 
 
 @pytest.mark.parametrize("d,L,k", [(1, 3, 0), (2, 3, 0), (1, 3, 2), (2, 3, 1), (3, 3, 1),
                                    (1, 5, 0), (1, 5, 1), (2, 5, 1), (3, 5, 1)])
 def test_zero_shift_is_the_middle_row(d, L, k, monkeypatch):
-    shifts = fr.shift_vectors(d, L, k)
+    shifts, axes = fr.shift_vectors(d, L, k), [np.zeros(1, dtype=complex)] * d
+    table = fr.shift_vectors
 
-    def refuse(*args):
-        raise AssertionError("_zero_and_coupling built the shift table")
+    def one_axis(dim, *args):
+        if dim != 1:
+            raise AssertionError("_node_symbols built the d-dimensional shift table")
+        return table(dim, *args)
 
-    monkeypatch.setattr(fr, "shift_vectors", refuse)
-    zero, _ = fr._zero_and_coupling(d, L, k, P0)
+    monkeypatch.setattr(fr, "shift_vectors", one_axis)
+    zero = fr._node_symbols(axes, L, k, P0)[4]
     assert np.flatnonzero(~shifts.any(axis=1)).tolist() == [zero]
 
 

@@ -159,6 +159,24 @@ def test_shell_guard_raises_for_flat_tails(ref_1d):
         im._assemble(np.ones(len(idx), dtype=complex), idx, 4)
 
 
+def test_shell_guard_reads_per_image_means():
+    # at unit side in d = 3 shell 2 holds 98 images against shell 1's 26:
+    # the shell magnitudes grow (ratio 1.114) while each image's share
+    # decays (0.30), and the sum converges; a flat tail still reads 1
+    geom = lat.make_geometry(3, 3, 1, 1)
+    x, y = (0, 0, 0), (2, 2, 2)
+    direct = ms.green_neumann(geom, P0).kernel[site_to_flat(geom, x), site_to_flat(geom, y)]
+    two, three = (im.neumann_kernel_via_images(geom, P0, x, y, s) for s in (2, 3))
+    mags = np.array(three.shell_magnitudes)
+    assert mags[2] / mags[1] > 1.1 and mags[3] < mags[2]
+    assert np.allclose(two.shell_magnitudes, mags[:3], rtol=1e-7, atol=0.0)
+    assert abs(three.value - direct) < abs(two.value - direct)
+    idx = lat.image_shell_index(geom, x, 2)
+    assert np.bincount(idx).tolist() == [1, 26, 98]
+    with pytest.raises(im.ImageSumDivergence, match="per-image shell ratio 1.000"):
+        im._assemble(np.ones(len(idx)), idx, 2)
+
+
 @pytest.mark.parametrize("g", [(1, 3, 1, 2), (2, 3, 1, 1)])
 def test_report_batches_match_pair_sums(g):
     # the report's two batches give each pair's image sum; the pair routes

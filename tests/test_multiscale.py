@@ -609,8 +609,8 @@ def test_block_batches_agree_with_default_budget(geom_args, budget, monkeypatch)
     monkeypatch.setattr(ms, "PROBE_BLOCK_BYTES", budget)
     calls, batches = [], ms._batches
 
-    def recorded(rows, row_bytes):
-        calls.append((rows, list(batches(rows, row_bytes))))
+    def recorded(rows, row_bytes, budget):
+        calls.append((rows, list(batches(rows, row_bytes, budget))))
         return iter(calls[-1][1])
     monkeypatch.setattr(ms, "_batches", recorded)
     small = _rg_verify_values(geom_args)
@@ -623,11 +623,17 @@ def test_block_batches_agree_with_default_budget(geom_args, budget, monkeypatch)
         assert abs(val - default[name]) <= 1e-15, (name, val, default[name])
 
 
-def test_batches_split_rows_within_budget(monkeypatch):
-    monkeypatch.setattr(ms, "PROBE_BLOCK_BYTES", 2 * 8 * 81 * 81)
-    assert [(rb.start, rb.stop) for rb in ms._batches(5, 8 * 81 * 81)] == [(0, 2), (2, 4), (4, 5)]
-    # a row over the budget goes alone
-    assert [(rb.start, rb.stop) for rb in ms._batches(3, 8 * 729 * 729)] == [(0, 1), (1, 2), (2, 3)]
+def test_batches_split_rows_within_budget():
+    budget = 2 * 8 * 81 * 81
+    assert [(rb.start, rb.stop) for rb in ms._batches(5, 8 * 81 * 81, budget)] == [
+        (0, 2), (2, 4), (4, 5)]
+    # an item over the budget goes alone
+    assert [(rb.start, rb.stop) for rb in ms._batches(3, 8 * 729 * 729, budget)] == [
+        (0, 1), (1, 2), (2, 3)]
+    assert list(ms._batches(0, 16, budget)) == []
+    # items of no bytes all fit in one slice, however many
+    assert [(rb.start, rb.stop) for rb in ms._batches(budget + 5, 0, budget)] == [
+        (0, budget + 5)]
     assert ms._identity_row_bytes(729, 9) == 8 * (3 * 19**2 + 8 * 729)
 
 

@@ -26,10 +26,10 @@ for shells in (1, 2, 3, 4, 6):
           f"tail estimate {r.truncation_estimate:.2e}")
 
 print("\nsame game for the averaged kernel (G Q*):")
-from blockrg import operators as ops
-GQ = G @ ops.adjoint(ops.averaging(geom, 1))
+# (G Q*)(x, y) is the mean of G(x, .) over the sites of unit block y
 coarse = lat.coarse_geometry(geom, 1)
-dgq = GQ.kernel[site_to_flat(geom, (4,)), site_to_flat(coarse, (1,))]
+block = lat.block_table(geom, 1)[site_to_flat(coarse, (1,))]
+dgq = G.kernel[site_to_flat(geom, (4,)), block].mean()
 for shells in (2, 4, 6):
     r = im.gq_kernel_via_images(geom, params, (4,), (1,), shells)
     print(f"  shells={shells}: |err| {abs(r.value - dgq):.2e}")

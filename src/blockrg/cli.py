@@ -6,9 +6,10 @@ contracts are therefore emitted in negated form (metric names carry a
 ``neg_`` prefix) and purely informational rows carry tolerance ``inf``.
 Exit status: 0 all contracts pass, 1 contract failure, 2 configuration
 error, 3 internal error; the largest applies.  A suite that refuses the
-configured cube by name (``decay.FitWindowError``: too few distances to fit a
-decay rate) is a configuration error, and under ``all`` the other suites
-still run.
+configured cube by name raises ``lattice.GeometryError``, a configuration
+error: a dense inverse past ``operators.DENSE_BYTE_CAP``, too few distances
+to fit a decay rate (``decay.FitWindowError``) or ct-report's weights past
+``decay.CT_MAX_EXPONENT``.  Under ``all`` the other suites still run.
 """
 
 from __future__ import annotations
@@ -356,7 +357,7 @@ def run(cfg: ExperimentConfig, out_dir: Path, verbose: bool = False) -> int:
         t0 = time.time()
         try:
             rows = SUITES[name](cfg)
-        except decay.FitWindowError as exc:
+        except GeometryError as exc:
             any_refused = True
             summary[name] = {"status": "config error", "error": str(exc),
                              "wall_time_seconds": time.time() - t0}
@@ -419,7 +420,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(cfg, out_dir, verbose=args.verbose)
-    except (ConfigError, GeometryError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - contract: internal errors exit 3

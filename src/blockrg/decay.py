@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import multiscale, operators as ops
-from .lattice import (LatticeGeometry, all_sites, block_table,
+from .lattice import (GeometryError, LatticeGeometry, all_sites, block_table,
                       coarse_geometry, positions, site_to_flat)
 from .operators import KernelOperator
 
@@ -50,7 +50,7 @@ CT_LANCZOS_CHECK = 4
 CT_BOX_DRAWS = 3
 
 
-class FitWindowError(ValueError):
+class FitWindowError(GeometryError):
     """Too few distances on the configured cube for a decay fit (a cube of
     one unit box, or a degenerate fit window), refused by name; the CLI
     reports it as a configuration error (exit 2)."""
@@ -176,9 +176,9 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
     the residual of its top Ritz pair is at most ``CT_LANCZOS_RTOL`` times
     the Ritz value (``_weighted_norms_sq``); ``norm_steps`` counts the run's
     steps.  A weight exponent above ``CT_MAX_EXPONENT`` raises
-    ``ValueError``, and a cube of one unit box (no two box distances to fit)
-    ``FitWindowError``, before any weight is formed.  Tests compare these
-    values with the dense SVD of ``conjugated_operator``.
+    ``lattice.GeometryError``, and a cube of one unit box (no two box
+    distances to fit) ``FitWindowError``, before ``G`` is built.  Tests
+    compare these values with the dense SVD of ``conjugated_operator``.
 
     Separately, random fields supported on single unit boxes probe
     ``|<f, G f'>| <= C exp(-c1 |y - y'|) |f| |f'|``; the report carries the
@@ -196,9 +196,9 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
     reach = np.max(np.abs(expo), axis=1)
     for q, r in zip(q_list, index):
         if reach[r] > CT_MAX_EXPONENT:
-            raise ValueError(f"q = {q} on a cube of side {geom.side_length} needs weights "
-                             f"exp(q . (x - c)) up to exp({reach[r]:.4g}), past "
-                             f"CT_MAX_EXPONENT = {CT_MAX_EXPONENT:g}")
+            raise GeometryError(f"q = {q} on a cube of side {geom.side_length} needs "
+                                f"weights exp(q . (x - c)) up to exp({reach[r]:.4g}), past "
+                                f"CT_MAX_EXPONENT = {CT_MAX_EXPONENT:g}")
     if geom.m == geom.k:    # one unit box: its one box distance is 0
         raise FitWindowError("the box-to-box decay fit needs two distinct box distances, "
                              "and this cube is a single unit box")
@@ -263,21 +263,21 @@ def decay_profile(geom: LatticeGeometry, params, source=None):
     """Pointwise profile ``(dist(x, supp f), |(G f)(x)|)`` for an indicator source.
 
     Defaults to the single-site indicator at the origin corner, which gives
-    the longest usable distance range on a cube.  Distances that leave fewer
-    than 5 points in the default window of ``fit_decay``, as on a cube of
-    one unit box at d = 1, 2, raise its ``FitWindowError`` before ``G`` is
-    built.
+    the longest usable distance range on a cube.  ``G f`` is ``eta**d`` times
+    the kernel's column sum over the support (bit for bit ``operators.apply``
+    for a site source).  Distances that leave fewer than 5 points in the
+    default window of ``fit_decay``, as on a cube of one unit box at d = 1,
+    2, raise its ``FitWindowError`` before ``G`` is built.
     """
     if source is None:
         source = ("site", (0,) * geom.d)
-    f = indicator_field(geom, source)
+    idx = np.flatnonzero(indicator_field(geom, source).values)
     pos = positions(geom)
-    supp = pos[np.abs(f.values) > 0]
-    dists = np.min(np.linalg.norm(pos[:, None, :] - supp[None, :, :], axis=2), axis=1)
+    dists = np.min(np.linalg.norm(pos[:, None, :] - pos[idx][None, :, :], axis=2), axis=1)
     _fit_window(dists)
-    g = ops.apply(multiscale.green_neumann(geom, params), f)
+    K = multiscale.green_neumann(geom, params).kernel
     order = np.argsort(dists)
-    return dists[order], np.abs(g.values)[order]
+    return dists[order], np.abs(geom.spacing ** geom.d * K[:, idx].sum(axis=1))[order]
 
 
 def _fit_window(dists, window=None, mags=None):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fourier, multiscale, operators as ops
-from .lattice import (LatticeGeometry, coarse_geometry, image_points,
+from . import fourier, multiscale
+from .lattice import (LatticeGeometry, block_table, coarse_geometry, image_points,
                       image_shell_index, sample_sites, site_position,
                       site_to_flat)
 
@@ -70,12 +70,13 @@ def _assemble(vals: np.ndarray, shell_idx: np.ndarray, shells: int) -> ImageSumR
 
 def _image_batches(geom: LatticeGeometry, params, shells: int, *batches) -> list:
     """Each batch ``(sites, others, gq)`` over the images of every site in
-    ``sites``: ``G(others, images)``, or with ``gq`` ``(G Q*)(images,
-    others)``, on one ``fourier.converge_plans`` ladder.  Each batch's plan
-    starts at ``fourier.default_grid`` of the batch's largest per-axis
-    separation, so its start grid has no wrap-around at any pair of the
-    batch.  Returns per batch ``(values (site, other, image), shell index
-    per image, grid used, last relative change)``.
+    ``sites``: ``G(others, images)`` at positions ``others``, or with ``gq``
+    ``(G Q*)(images, others)`` at coarse labels ``others``, on one
+    ``fourier.converge_plans`` ladder.  Each batch's plan starts at
+    ``fourier.default_grid`` of the batch's largest per-axis separation, so
+    its start grid has no wrap-around at any pair of the batch.  Returns per
+    batch ``(values (site, other, image), shell index per image, grid used,
+    last relative change)``.
 
     Convergence is judged batch-wide: the ladder scales the change by the
     batch's largest value, so an entry far below it is stable to the
@@ -99,16 +100,10 @@ def _image_batches(geom: LatticeGeometry, params, shells: int, *batches) -> list
     return out
 
 
-def _neumann_batch(geom, xs, ys):
-    """The batch of ``G(x, image of y)`` for all sites x in ``xs``, y in
-    ``ys``, for ``_image_batches``: values (y, x, image)."""
-    return ys, np.array([site_position(geom, x) for x in xs]), False
-
-
-def _gq_batch(xs, ylabels):
-    """The batch of ``(G Q*)(image of x, y)`` for sites x in ``xs``, labels y,
-    for ``_image_batches``: values (x, y, image)."""
-    return xs, np.array(ylabels, dtype=float), True
+def _gq_entries(geom: LatticeGeometry, K, fx, fy) -> np.ndarray:
+    """``(G_k Q_k*)(x, y)`` at flat sites ``fx`` and flat coarse labels ``fy``:
+    the mean of row x of ``G_k``'s kernel ``K`` over the sites of block y."""
+    return K[np.asarray(fx)[:, None, None], block_table(geom, geom.k)[fy]].mean(axis=-1)
 
 
 def _median(a) -> float:
@@ -136,7 +131,7 @@ def neumann_kernel_via_images(geom: LatticeGeometry, params, x, y,
     and (242,).
     """
     vals, shell_idx, _, _ = _image_batches(geom, params, shells,
-                                           _neumann_batch(geom, [x], [y]))[0]
+                                           ([y], [site_position(geom, x)], False))[0]
     return _assemble(vals[0, 0], shell_idx, shells)
 
 
@@ -151,8 +146,7 @@ def gq_kernel_via_images(geom: LatticeGeometry, params, x, y_label,
     value, so a far pair below the quadrature's rounding floor raises
     ``fourier.GridConvergenceError``.
     """
-    vals, shell_idx, _, _ = _image_batches(geom, params, shells,
-                                           _gq_batch([x], [y_label]))[0]
+    vals, shell_idx, _, _ = _image_batches(geom, params, shells, ([x], [y_label], True))[0]
     return _assemble(vals[0, 0], shell_idx, shells)
 
 
@@ -180,15 +174,16 @@ def images_residual_report(geom: LatticeGeometry, params, shells: int) -> Images
     For every shell count ``1..shells``: max and median of
     ``|image sum - direct|`` over the deterministic site sample for the
     Neumann kernel, max for the ``G Q*`` kernel over sample-by-coarse pairs,
-    plus the center-pair Neumann residual (the reference entry).  Two
+    plus the center-pair Neumann residual (the reference entry).  The direct
+    values are entries of the dense ``G_k``'s kernel, and block means of its
+    rows for ``G Q*`` (``_gq_entries``).  Two
     converged batches cover all pairs: ``G`` over (sample x, images of
     sample y) and ``G Q*`` over (images of sample x, coarse labels), on one
     ladder, each judged stable against its own largest value (see
     ``_image_batches``);
     image sums for smaller shell counts are prefixes of the largest one.
     """
-    G = multiscale.green_neumann(geom, params)
-    GQ = G @ ops.adjoint(ops.averaging(geom, geom.k))
+    K = multiscale.green_neumann(geom, params).kernel
     xs = sample_sites(geom)
     fx = [site_to_flat(geom, x) for x in xs]
     ic = xs.index((geom.sites_per_axis // 2,) * geom.d)
@@ -197,13 +192,13 @@ def images_residual_report(geom: LatticeGeometry, params, shells: int) -> Images
     ylabels = sample_sites(coarse)
     fy = [site_to_flat(coarse, y) for y in ylabels]
     (vals, shell_idx, g_grid, g_delta), (gq_vals, gq_idx, gq_grid, gq_delta) = _image_batches(
-        geom, params, shells, _neumann_batch(geom, xs, xs), _gq_batch(xs, ylabels))
-    G_xx = G.kernel[np.ix_(fx, fx)]
+        geom, params, shells, (xs, np.array(xs) * geom.spacing, False), (xs, ylabels, True))
+    G_xx = K[np.ix_(fx, fx)]
     res = np.abs(_shell_sums(vals, shell_idx, shells) - G_xx.T)
     neumann_max = tuple(float(r.max()) for r in res)
     neumann_median = tuple(_median(r) for r in res)
     neumann_center = tuple(float(r) for r in res[:, ic, ic])
-    gq_res = np.abs(_shell_sums(gq_vals, gq_idx, shells) - GQ.kernel[np.ix_(fx, fy)])
+    gq_res = np.abs(_shell_sums(gq_vals, gq_idx, shells) - _gq_entries(geom, K, fx, fy))
     gq_max = tuple(float(r.max()) for r in gq_res)
 
     return ImagesReport(geometry=geom, shells=tuple(range(1, shells + 1)),

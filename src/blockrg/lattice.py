@@ -24,7 +24,8 @@ Site = tuple[int, ...]
 
 
 class GeometryError(ValueError):
-    """Raised for invalid lattice parameters."""
+    """Invalid lattice parameters, or a cube that a computation refuses by name
+    (``DenseSizeError``, ``FitWindowError``): a configuration error (exit 2)."""
 
 
 @dataclass(frozen=True)

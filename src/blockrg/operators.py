@@ -9,10 +9,10 @@ factors for mismatched source/target spacings then come out automatically.
 Products, applications and inverses act on kernels with one scalar measure
 factor each (``eta_mid**d``, ``eta_src**d``, ``eta**(-2d)``), not on value matrices.
 
-Kernel operators are dense, and every dense assembler refuses lattices
-above ``DEFAULT_SITE_CAP`` sites (``check_dense``) before it allocates; the
-DCT-II transforms and frequency classes at the end form no matrix and run at
-any size.  Kernels are stored in real arithmetic when their
+Kernel operators are dense, and every dense assembler refuses a lattice
+whose dense inverse would pass ``DENSE_BYTE_CAP`` (``check_dense``) before it
+allocates; the DCT-II transforms and frequency classes at the end form no
+matrix and run at any size.  Kernels are stored in real arithmetic when their
 entries are real (Laplacians, averaging, propagators) and complex otherwise;
 fields are complex, and mixed products promote to complex.  Inverses go
 through one LU factorization with a 1-norm condition check read off the
@@ -29,7 +29,7 @@ import numpy as np
 from .lattice import (GeometryError, LatticeGeometry, _axis_outer, coarse_geometry,
                       scale_geometry, site_to_flat)
 
-DEFAULT_SITE_CAP = 100_000
+DENSE_BYTE_CAP = 4 * 2**30   # invert's four n x n float64 arrays: n <= 11,585 sites
 SELF_ADJOINT_TOL = 1e-10
 CONDITION_LIMIT = 1e13
 
@@ -45,18 +45,18 @@ class SingularOperatorError(OperatorError):
 
 
 class DenseSizeError(GeometryError):
-    """A dense operator was asked for on a lattice above ``DEFAULT_SITE_CAP`` sites."""
+    """A dense operator was asked for on a lattice whose inverse passes ``DENSE_BYTE_CAP``."""
 
 
 def check_dense(geom):
-    """Refuse dense ``n x n`` work above ``DEFAULT_SITE_CAP`` sites, before anything
-    is allocated; every dense assembler calls this first."""
+    """Refuse dense work on ``n`` sites whose inverse's ``32 n**2`` bytes pass
+    ``DENSE_BYTE_CAP``, before it allocates; every dense assembler calls this."""
     n = geom.site_count
-    if n > DEFAULT_SITE_CAP:
+    if 32 * n * n > DENSE_BYTE_CAP:
         raise DenseSizeError(
-            f"a dense operator on {n} sites needs {8 * n * n / 2**30:,.0f} GiB; dense work "
-            f"is capped at DEFAULT_SITE_CAP = {DEFAULT_SITE_CAP} sites. rg-verify, "
-            f"positivity, spectrum, fourier-verify and strip-bound run past the cap")
+            f"a dense inverse on {n} sites holds {32 * n * n / 2**30:,.1f} GiB (four n x n "
+            f"float64 arrays), past DENSE_BYTE_CAP = {DENSE_BYTE_CAP / 2**30:g} GiB. "
+            f"rg-verify, positivity, spectrum, fourier-verify and strip-bound run past the cap")
 
 
 @dataclass(frozen=True, eq=False)

@@ -119,24 +119,26 @@ def test_invalid_suite_settings_are_config_errors(tmp_path, capsys, block):
 
 def test_ct_weight_overflow_is_named(tmp_path, capsys):
     # the grid's q = 0.2 on a cube of side 2187 needs weights up to exp(218.7),
-    # past CT_MAX_EXPONENT: refused before G is formed
+    # past CT_MAX_EXPONENT: refused by name before G is formed, a
+    # configuration error
     p = tmp_path / "c.yaml"
     p.write_text("geometry: {d: 1, L: 3, k: 1, m: 8}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rc = cli.main(["--config", str(p), "--experiment", "ct-report",
                        "--out", str(tmp_path / "o")])
-    assert rc == 3
+    assert rc == 2
     err = capsys.readouterr().err
-    assert "ValueError: q = 0.2 on a cube of side 2187" in err
+    assert "ct-report: config error: q = 0.2 on a cube of side 2187" in err
     assert "CT_MAX_EXPONENT" in err
 
 
 
 @pytest.mark.parametrize("suite", ["images-verify", "decay-profile"])
 def test_dense_suite_past_the_cap_is_refused(tmp_path, capsys, suite):
-    # n = 531,441 loads, but one dense operator would need 2.1 TiB: the suite
-    # stops at the dense-work guard before it allocates anything of that size
+    # n = 531,441 loads, but its dense inverse would hold 8.2 TiB: the suite
+    # stops at the dense-work guard before it allocates anything of that size,
+    # a configuration error
     import tracemalloc
     p = tmp_path / "c.yaml"
     p.write_text("geometry: {d: 2, L: 3, k: 2, m: 6}\n")
@@ -146,12 +148,57 @@ def test_dense_suite_past_the_cap_is_refused(tmp_path, capsys, suite):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rc == 3
+    assert rc == 2
     err = capsys.readouterr().err
-    assert f"{suite}: ERROR (DenseSizeError: a dense operator on 531441 sites" in err
-    assert "DEFAULT_SITE_CAP = 100000" in err
+    assert f"{suite}: config error: a dense inverse on 531441 sites holds 8,417.1 GiB" in err
+    assert "DENSE_BYTE_CAP = 4 GiB" in err
     assert "rg-verify, positivity, spectrum, fourier-verify and strip-bound run past" in err
     assert peak < 64 * 2**20 < 531441**2 * 8
+
+
+@pytest.mark.parametrize("suite", ["decay-profile", "ct-report", "images-verify"])
+def test_dense_suite_past_the_byte_cap_is_a_configuration_error(tmp_path, capsys, suite):
+    # (3,3,1,3) has 19,683 sites, below the old 100,000-site cap: its dense
+    # inverse would hold 11.5 GiB, so each suite that reads G_k is refused by
+    # bytes (exit 2) before it allocates anything of that size
+    import tracemalloc
+    p = tmp_path / "c.yaml"
+    p.write_text("geometry: {d: 3, L: 3, k: 1, m: 3}\n")
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        rc = cli.main(["--config", str(p), "--experiment", suite, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert f"{suite}: config error: a dense inverse on 19683 sites holds 11.5 GiB" in \
+        capsys.readouterr().err
+    assert json.loads((out / "summary.json").read_text())[suite]["status"] == "config error"
+    assert not list(out.glob("*.csv"))
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("config,code,refused", [
+    (None, 0, ()),
+    ("images_d2_k1", 2, ("decay-profile", "ct-report")),
+    ("certify_d1_n243", 0, ()),
+])
+def test_no_suite_takes_the_dense_operator_algebra(tmp_path, monkeypatch, config, code, refused):
+    # a suite takes only the kernel of the one dense G_k, read by index:
+    # no CLI path applies, composes, adjoins or builds an averaging map
+    from blockrg import operators as ops
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense operator algebra called")
+    for name in ("apply", "compose", "adjoint", "averaging"):
+        monkeypatch.setattr(ops, name, refuse)
+    path = None if config is None else str(Path(__file__).parents[1] / "perfbench/configs"
+                                             / f"{config}.yaml")
+    cfg = dataclasses.replace(cli.load_config(path), experiment="all")
+    assert cli.run(cfg, tmp_path) == code
+    assert sorted(f.name for f in tmp_path.glob("*.csv")) == sorted(
+        f"{name}.csv" for name in cli.SUITES if name not in refused)
 
 
 def test_positivity_family_past_the_cap():

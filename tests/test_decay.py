@@ -261,6 +261,41 @@ def test_decay_profile_degenerate_window_is_refused_before_green(g, tmp_path, mo
     assert summary["decay-profile"]["error"].startswith("degenerate fit window")
 
 
+@pytest.mark.parametrize("g,source", [((1, 3, 1, 4), ("site", (0,))),
+                                      ((2, 3, 1, 2), ("site", (4, 7))),
+                                      ((2, 3, 1, 2), ("block", (1, 0)))])
+def test_profile_is_the_applied_indicator(g, source):
+    # oracle: the dense apply of the indicator field; the site source agrees
+    # bit for bit, the block source to rounding of the column sums
+    geom = lat.make_geometry(*g)
+    G = ms.green_neumann(geom, P0)
+    dists, mags = dc.decay_profile(geom, P0, source=source)
+    pos = lat.positions(geom)
+    supp = pos[np.abs(dc.indicator_field(geom, source).values) > 0]
+    want = np.abs(ops.apply(G, dc.indicator_field(geom, source)).values)
+    want = want[np.argsort(np.min(np.linalg.norm(pos[:, None] - supp[None], axis=2), axis=1))]
+    if source[0] == "site":
+        assert np.array_equal(mags, want)
+    else:
+        assert np.max(np.abs(mags - want)) <= 8 * np.finfo(float).eps * np.max(want)
+
+
+def test_profile_allocates_no_copy_of_g(monkeypatch):
+    # at n = 2,187 the kernel is read by index: the apply route cast the whole
+    # real kernel to complex, 73 MiB beyond G
+    import tracemalloc
+    geom = lat.make_geometry(1, 3, 1, 7)
+    G = ms.green_neumann(geom, P0)
+    monkeypatch.setattr(ms, "green_neumann", lambda *args: G)
+    tracemalloc.start()
+    try:
+        dc.decay_profile(geom, P0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
 def test_profile_and_rate_positive():
     g = lat.make_geometry(1, 3, 1, 3)
     dists, mags = dc.decay_profile(g, P0)

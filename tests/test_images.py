@@ -185,16 +185,30 @@ def test_report_batches_match_pair_sums(g):
     xs = lat.sample_sites(geom)
     labels = lat.sample_sites(lat.coarse_geometry(geom, geom.k))
     shells = 2
-    vals = im._image_batches(geom, P0, shells, im._neumann_batch(geom, xs, xs))[0][0]
+    xpos = np.array([lat.site_position(geom, x) for x in xs])
+    vals = im._image_batches(geom, P0, shells, (xs, xpos, False))[0][0]
     for iy, y in enumerate(xs):
         for ix, x in enumerate(xs):
             pair = im.neumann_kernel_via_images(geom, P0, x, y, shells).value
             assert abs(vals[iy, ix].sum() - pair) <= 1e-8 * abs(pair)
-    vals = im._image_batches(geom, P0, shells, im._gq_batch(xs, labels))[0][0]
+    vals = im._image_batches(geom, P0, shells, (xs, labels, True))[0][0]
     for ix, x in enumerate(xs):
         for iy, y in enumerate(labels):
             pair = im.gq_kernel_via_images(geom, P0, x, y, shells).value
             assert abs(vals[ix, iy].sum() - pair) <= 1e-8 * abs(pair)
+
+
+@pytest.mark.parametrize("g", [(2, 3, 1, 1), (2, 3, 2, 3), (3, 3, 1, 1), (1, 3, 2, 6)])
+def test_gq_entries_are_block_means_of_g(g):
+    # oracle: the dense composition G Q* at every (site, coarse label) pair
+    geom = lat.make_geometry(*g)
+    G = ms.green_neumann(geom, P0)
+    dense = (G @ ops.adjoint(ops.averaging(geom, geom.k))).kernel
+    fx = np.arange(geom.site_count)
+    fy = np.arange(lat.coarse_geometry(geom, geom.k).site_count)
+    got = im._gq_entries(geom, G.kernel, fx, fy)
+    assert got.shape == dense.shape
+    assert np.max(np.abs(got - dense)) <= 4 * np.finfo(float).eps * np.max(np.abs(G.kernel))
 
 
 def test_report_converges_past_the_torus_period():

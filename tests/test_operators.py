@@ -405,11 +405,20 @@ def test_dense_assemblers_refuse_past_the_cap():
     big = lat.LatticeGeometry(d=2, L=3, k=2, m=6)      # 531,441 sites
     for build in (ops.neumann_laplacian, ops.identity, lambda g: ops.averaging(g, 1),
                   lambda g: ops.block_projector(g, 1), lambda g: ops.scaling_unitary(g, 1)):
-        with pytest.raises(ops.DenseSizeError, match="DEFAULT_SITE_CAP = 100000") as err:
+        with pytest.raises(ops.DenseSizeError, match="DENSE_BYTE_CAP = 4 GiB") as err:
             build(big)
         assert isinstance(err.value, lat.GeometryError)
-    at_cap = lat.LatticeGeometry(d=1, L=3, k=0, m=10)  # 59,049 sites: the guard passes
-    ops.check_dense(at_cap)
+    below_cap = lat.LatticeGeometry(d=2, L=3, k=1, m=4)  # 6,561 sites: the guard passes
+    ops.check_dense(below_cap)
+
+
+@pytest.mark.parametrize("L,m,gib", [(5, 2, "7.3"), (3, 3, "11.5")])
+def test_dense_cap_counts_the_inverse_bytes(L, m, gib):
+    # n = 15,625 and 19,683 lie below the old 100,000-site cap, but their
+    # inverses' 32 n**2 bytes pass DENSE_BYTE_CAP
+    g = lat.LatticeGeometry(d=3, L=L, k=1, m=m)
+    with pytest.raises(ops.DenseSizeError, match=f"on {g.site_count} sites holds {gib} GiB"):
+        ops.check_dense(g)
 
 
 @pytest.mark.parametrize("d,L,m", [(1, 3, 3), (1, 5, 2), (2, 3, 2), (3, 3, 1)])

@@ -271,13 +271,8 @@ def _node_symbols(axis_nodes, L: int, k: int, params: MultiscaleParams) -> tuple
     lap = [lap_star(z[..., None], L, k, 0.0) for z in Z]
     lap = [(4.0 / eta**2) * (s.real if real else s) for s in lap]
     lap[0] = lap[0] + params.mu_bar(L, k)
-
-    def outer(factors):     # a copy at d = 1, where _axis_outer returns the one factor
-        X = _axis_outer(np.multiply, factors)
-        return X.copy() if len(factors) == 1 else X
-
-    return (_axis_outer(np.add, lap), outer([u_axis(z, eta) for z in Z]),
-            None if real else outer([u_axis(-z, eta) for z in Z]),
+    return (_axis_outer(np.add, lap), _axis_outer(np.multiply, [u_axis(z, eta) for z in Z]),
+            None if real else _axis_outer(np.multiply, [u_axis(-z, eta) for z in Z]),
             params.a_j(L, max(k, 1)),   # k = 0: the bare coefficient a
             L ** (k * len(axis_nodes)) // 2)
 

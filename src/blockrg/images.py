@@ -84,10 +84,11 @@ def _image_batches(geom: LatticeGeometry, params, shells: int, *batches) -> list
     """
     if shells < 1:
         raise ValueError("need shells >= 1")
+    batches = [(sites, np.atleast_2d(np.asarray(others, dtype=float)), gq)
+               for sites, others, gq in batches]    # a bare position is one row
     plans = []
     for sites, others, gq in batches:
         imgs = np.concatenate([image_points(geom, s, shells) for s in sites]) * geom.spacing
-        others = np.atleast_2d(np.asarray(others, dtype=float))
         reach = float(np.max(np.abs(imgs[:, None, :] - others[None, :, :])))
         start = fourier.default_grid(geom.d, geom.L, geom.k, reach)
         plans.append(fourier.GQPlan(imgs, others, start) if gq

@@ -24,8 +24,9 @@ Site = tuple[int, ...]
 
 
 class GeometryError(ValueError):
-    """Invalid lattice parameters, or a cube that a computation refuses by name
-    (``DenseSizeError``, ``FitWindowError``): a configuration error (exit 2)."""
+    """Invalid lattice parameters, a level outside the cube's range, or a cube
+    that a computation refuses by name (``DenseSizeError``,
+    ``FitWindowError``): a configuration error (exit 2)."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,8 @@ def make_geometry(d: int, L: int, k: int, m: int) -> LatticeGeometry:
 
 
 def coarse_geometry(geom: LatticeGeometry, j: int) -> LatticeGeometry:
-    """Coarse lattice with spacing ``L**(j-k)`` and ``L**(m-j)`` sites per axis."""
+    """Coarse lattice with spacing ``L**(j-k)`` and ``L**(m-j)`` sites per axis;
+    the one check of a block level, ``0 <= j <= m``."""
     if not 0 <= j <= geom.m:
         raise GeometryError(f"coarsening level j={j} outside [0, {geom.m}]")
     return LatticeGeometry(d=geom.d, L=geom.L, k=geom.k - j, m=geom.m - j)
@@ -143,8 +145,7 @@ def block_label(geom: LatticeGeometry, j: int, site) -> Site:
     Componentwise floor division by ``L**j``; valid for image points outside
     the cube as well.
     """
-    if j > geom.m:
-        raise GeometryError(f"block level j={j} exceeds m={geom.m}")
+    coarse_geometry(geom, j)
     Lj = geom.L**j
     return tuple(int(c) // Lj for c in site)
 
@@ -162,9 +163,8 @@ def block_table(geom: LatticeGeometry, j: int) -> np.ndarray:
     """Flat site indices of every ``j``-block, shape ``(N_c**d, L**(j*d))``: row
     ``site_to_flat(coarse, label)`` lists ``block_sites(geom, j, label)`` in
     order.  Per axis, site ``c`` is member ``c % L**j`` of class ``c // L**j``."""
-    N, Lj = geom.sites_per_axis, geom.L**j
-    return _axis_outer(lambda x, y: x * N + y,
-                       [np.arange(N).reshape(N // Lj, Lj)] * geom.d)
+    N, Nc = geom.sites_per_axis, coarse_geometry(geom, j).sites_per_axis
+    return _axis_outer(lambda x, y: x * N + y, [np.arange(N).reshape(Nc, N // Nc)] * geom.d)
 
 
 def reflect(geom: LatticeGeometry, axis: int, end: str, site) -> Site:

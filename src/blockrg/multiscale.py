@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import operators as ops
-from .lattice import LatticeGeometry, coarse_geometry, scale_geometry
+from .lattice import GeometryError, LatticeGeometry, coarse_geometry, scale_geometry
 from .operators import KernelOperator
 
 @dataclass(frozen=True)
@@ -95,22 +95,26 @@ def defining_operator(geom, params: MultiscaleParams, j: int) -> KernelOperator:
     return KernelOperator(geom, geom, K)
 
 
-def green_j(geom, params: MultiscaleParams, j: int) -> KernelOperator:
-    """Regularized Green function ``G^xi_j`` on the given cube.
+def _check_level(geom, j: int, name: str):
+    """The one check of a tower level, ``1 <= j <= min(k + 1, m)``: the extra
+    value ``j = k + 1`` is the next scale, whose ``G`` enters the covariance
+    identity.  A cube with ``k = 0`` carries no ``G_k``: a ``GeometryError``."""
+    top = min(geom.k + 1, geom.m)
+    if not 1 <= j <= top:
+        raise GeometryError(f"{name}: level {j} outside [1, min(k + 1, m)] = [1, {top}] "
+                            f"at k={geom.k}, m={geom.m}")
 
-    Allowed range is ``1 <= j <= min(k + 1, m)``: the extra value ``j = k + 1``
-    yields the next-scale operator with coefficient ``a_{k+1} / L**2`` that
-    appears in the fluctuation-covariance identity.
-    """
-    if not 1 <= j <= min(geom.k + 1, geom.m):
-        raise ValueError(f"green_j: j={j} outside [1, {min(geom.k + 1, geom.m)}]")
+
+def green_j(geom, params: MultiscaleParams, j: int) -> KernelOperator:
+    """Regularized Green function ``G^xi_j`` on the given cube, at a level
+    ``1 <= j <= min(k + 1, m)`` (``_check_level``)."""
+    _check_level(geom, j, "green_j")
     return ops.invert(defining_operator(geom, params, j))
 
 
 def green_neumann(geom, params: MultiscaleParams) -> KernelOperator:
-    """The scale-``k`` propagator ``G_k = (-Lap + mu_bar_k + a_k Q_k* Q_k)**-1``."""
-    if geom.k < 1:
-        raise ValueError("green_neumann needs k >= 1")
+    """The scale-``k`` propagator ``G_k = (-Lap + mu_bar_k + a_k Q_k* Q_k)**-1``;
+    a cube with ``k = 0`` is refused by ``green_j`` (``GeometryError``)."""
     return green_j(geom, params, geom.k)
 
 
@@ -130,13 +134,11 @@ class RgOperators:
 def rg_operators(geom, params: MultiscaleParams, j: int) -> RgOperators:
     """Build ``G_j``, the coarse effective form, fluctuation covariance and friends.
 
-    Needs ``1 <= j <= k`` and ``j < m`` (the covariance involves one more
-    averaging step on the coarse lattice).
+    Needs the levels ``j`` and ``j + 1`` (``_check_level``), ``1 <= j <= k``
+    and ``j < m``: the covariance averages once more on the coarse lattice.
     """
-    if not 1 <= j <= geom.k:
-        raise ValueError(f"rg_operators: j={j} outside [1, {geom.k}]")
-    if j >= geom.m:
-        raise ValueError("rg_operators needs j < m for the next-scale averaging")
+    _check_level(geom, j, "rg_operators")
+    _check_level(geom, j + 1, "rg_operators")
     coarse = coarse_geometry(geom, j)
     at = params.a_tilde(geom, j, j)
     at_first = params.a_tilde(geom, 1, j)      # a * (L**j xi)**-2
@@ -408,10 +410,9 @@ class TowerLevel:
 
 
 def tower_level(geom, params: MultiscaleParams, j: int) -> TowerLevel:
-    """Scale ``j`` of the tower, ``1 <= j <= min(k + 1, m)`` as for ``green_j``;
+    """Scale ``j`` of the tower, ``1 <= j <= min(k + 1, m)`` (``_check_level``);
     O(n) to build."""
-    if not 1 <= j <= min(geom.k + 1, geom.m):
-        raise ValueError(f"tower_level: j={j} outside [1, {min(geom.k + 1, geom.m)}]")
+    _check_level(geom, j, "tower_level")
     at = params.a_tilde(geom, j, j)
     lam, u, freq = ops.dct_frequency_classes(geom, j)
     G = RankOneRows.build(lam + params.mu_bar(geom.L, geom.k), u.copy(), None, at, 0)
@@ -648,8 +649,8 @@ def rg_telescope_residual(levels) -> float:
     ``(-1)**i (1 + i) / S`` on member ``i`` of each row, and the residual is
     the largest ``|lhs_r - rhs_r| / |lhs_r|`` over rows ``r`` and probes.
     """
-    if not levels:
-        raise ValueError("telescope needs k >= 1")
+    if not levels:     # the levels 1 .. k of a cube with k = 0
+        raise GeometryError("rg_telescope_residual: no levels; a cube with k = 0 carries none")
     top = levels[-1]
     geom, k = top.geometry, top.geometry.k
     if [(lv.geometry, lv.j) for lv in levels] != [(scale_geometry(geom, k - j), j)

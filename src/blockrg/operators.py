@@ -257,12 +257,11 @@ def block_projector(geom, j: int) -> KernelOperator:
 
 def _block_means(geom, j: int, rows: int) -> np.ndarray:
     """Block means on ``rows`` rows per block: per axis, the identity on the
-    classes times the mean over the ``L**j`` members, Kronecker-multiplied."""
-    if not 0 <= j <= geom.m:
-        raise OperatorError(f"block level j={j} outside [0, {geom.m}]")
+    classes times the mean over the ``L**j`` members, Kronecker-multiplied;
+    ``coarse_geometry`` refuses a level outside ``0 <= j <= m``."""
+    Nc, Lj = coarse_geometry(geom, j).sites_per_axis, geom.L**j
     check_dense(geom)
-    Lj = geom.L**j
-    per_axis = [np.eye(geom.sites_per_axis // Lj), np.full((rows, Lj), 1.0 / Lj)]
+    per_axis = [np.eye(Nc), np.full((rows, Lj), 1.0 / Lj)]
     return _axis_outer(np.multiply, per_axis * geom.d)
 
 
@@ -288,13 +287,11 @@ def dct_frequency_classes(geom, j: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     the ``(N_c**d, b**d)`` layout of ``fourier.ShiftSystem``'s ``(nodes, S)``.
     Members with ``u = 0`` (some axis annihilated, or ``p = 0 mod 2 N_c``
     with ``p > 0``) lie in the kernel of ``Q_j``; every row keeps at least
-    one member with ``u != 0``.  Nothing dense is formed.
+    one member with ``u != 0``.  Nothing dense is formed; ``coarse_geometry``
+    refuses a level outside ``0 <= j <= m``.
     """
-    if not 0 <= j <= geom.m:
-        raise OperatorError(f"block level j={j} outside [0, {geom.m}]")
-    N = geom.sites_per_axis
-    b = geom.L**j
-    Nc = N // b
+    N, Nc = geom.sites_per_axis, coarse_geometry(geom, j).sites_per_axis
+    b = N // Nc
     p = np.arange(N)
     lam1 = _neumann_eigenvalues_1d(N, geom.spacing)
     r = p % (2 * Nc)

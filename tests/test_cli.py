@@ -382,6 +382,29 @@ def test_one_box_refusals_are_configuration_errors(tmp_path, capsys, experiment,
     assert all(summary[name]["status"] in ("pass", "fail") for name in ran)
 
 
+SMALL_CUBES = [(d, 3, k, m) for d in (1, 2) for k in range(3)
+               for m in range(max(k, 1), min(k + 2, 2 if d == 2 else 4) + 1)]
+
+
+@pytest.mark.parametrize("d,L,k,m", SMALL_CUBES)
+def test_every_small_cube_keeps_the_exit_contract(tmp_path, d, L, k, m):
+    # every cube that load_config accepts ends in pass, fail or a refusal by
+    # name, never in an internal error: at k = 0 the cube carries no G_k
+    p = tmp_path / "c.yaml"
+    p.write_text(f"geometry: {{d: {d}, L: {L}, k: {k}, m: {m}}}\n")
+    cfg = dataclasses.replace(cli.load_config(str(p)), experiment="all")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.run(cfg, tmp_path / "rep")
+    summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+    assert rc in (0, 1, 2)
+    assert [name for name, s in summary.items() if s["status"] == "error"] == []
+    if k == 0:
+        assert rc == 2
+        assert {name for name, s in summary.items() if s["status"] == "config error"} == {
+            "rg-verify", "images-verify", "decay-profile", "ct-report"}
+
+
 def test_merge_strict_nested():
     with pytest.raises(cli.ConfigError):
         cli._merge_strict({"a": {"b": 1}}, {"a": {"c": 2}})

@@ -198,6 +198,19 @@ def test_report_batches_match_pair_sums(g):
             assert abs(vals[ix, iy].sum() - pair) <= 1e-8 * abs(pair)
 
 
+@pytest.mark.parametrize("g", [(1, 3, 1, 1), (2, 3, 1, 1), (3, 3, 1, 1)])
+def test_bare_position_is_one_row(g):
+    # a bare (d,) position or label is one row of the batch, as when wrapped:
+    # it once reshaped as d rows, an error at d = 2 and shape (1, 3, 9) at d = 3
+    geom = lat.make_geometry(*g)
+    x, y = (0,) * geom.d, lat.site_position(geom, (1,) * geom.d)
+    for other, gq in ((y, False), (np.zeros(geom.d), True)):
+        bare, = im._image_batches(geom, P0, 1, ([x], other, gq))
+        wrapped, = im._image_batches(geom, P0, 1, ([x], [other], gq))
+        assert bare[0].shape == (1, 1, 3**geom.d)
+        assert all(np.array_equal(a, b) for a, b in zip(bare, wrapped))
+
+
 @pytest.mark.parametrize("g", [(2, 3, 1, 1), (2, 3, 2, 3), (3, 3, 1, 1), (1, 3, 2, 6)])
 def test_gq_entries_are_block_means_of_g(g):
     # oracle: the dense composition G Q* at every (site, coarse label) pair

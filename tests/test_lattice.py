@@ -64,6 +64,19 @@ def test_block_label():
     assert lat.block_label(g2, 2, (8, 0)) == (0, 0)
 
 
+@pytest.mark.parametrize("j", [-1, 3])
+def test_block_level_outside_the_cube_is_refused(j):
+    # one rule, 0 <= j <= m, owned by coarse_geometry; at j = -1 block_label
+    # once returned the float label (12.0,)
+    g = lat.make_geometry(1, 3, 1, 2)
+    with pytest.raises(lat.GeometryError, match=rf"level j={j} outside \[0, 2\]"):
+        lat.coarse_geometry(g, j)
+    for call in (lambda: lat.block_label(g, j, (4,)), lambda: lat.block_table(g, j),
+                 lambda: lat.block_sites(g, j, (0,))):
+        with pytest.raises(lat.GeometryError, match=rf"level j={j} outside \[0, 2\]"):
+            call()
+
+
 def test_block_sites():
     g = lat.make_geometry(1, 3, 1, 2)
     got = sorted(tuple(s) for s in lat.block_sites(g, 1, (2,)))

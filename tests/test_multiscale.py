@@ -88,11 +88,33 @@ def test_green_j_at_k_matches_green_neumann():
 
 
 def test_green_j_range():
-    g = lat.make_geometry(1, 3, 2, 2)
-    with pytest.raises(ValueError):
-        ms.green_j(g, P0, 0)
-    with pytest.raises(ValueError):
-        ms.green_j(g, P0, 4)
+    # one rule, 1 <= j <= min(k + 1, m), for the dense and the class routes
+    for g, top in (((1, 3, 2, 2), 2), ((1, 3, 2, 3), 3), ((2, 3, 0, 2), 1)):
+        g = lat.make_geometry(*g)
+        for call in (ms.green_j, ms.tower_level):
+            for j in (0, top + 1):
+                with pytest.raises(lat.GeometryError,
+                                   match=rf"level {j} outside .* = \[1, {top}\]"):
+                    call(g, P0, j)
+
+
+def test_rg_operators_need_the_next_level():
+    g = lat.make_geometry(1, 3, 2, 3)
+    for j in (0, 3):
+        with pytest.raises(lat.GeometryError, match="rg_operators: level"):
+            ms.rg_operators(g, P0, j)
+    with pytest.raises(lat.GeometryError, match=r"rg_operators: level 3 outside .* = \[1, 2\]"):
+        ms.rg_operators(lat.make_geometry(1, 3, 2, 2), P0, 2)
+
+
+def test_a_cube_with_k0_carries_no_level():
+    # G_k and the telescope's levels 1 .. k: a configuration error, not a crash
+    g = lat.make_geometry(1, 3, 0, 2)
+    with pytest.raises(lat.GeometryError, match=r"green_j: level 0 outside .* at k=0, m=2"):
+        ms.green_neumann(g, P0)
+    assert _telescope_levels(g, P0) == []
+    with pytest.raises(lat.GeometryError, match="k = 0 carries none"):
+        ms.rg_telescope_residual([])
 
 
 def test_a_operator_closed_form_and_inverse():

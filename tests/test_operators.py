@@ -172,8 +172,17 @@ def test_block_projector_is_q_star_q(geom_args):
     for j in range(g.m + 1):
         Q = ops.averaging(g, j)
         assert ops.rel_frobenius(ops.block_projector(g, j), ops.adjoint(Q) @ Q) <= 1e-15
-    with pytest.raises(ops.OperatorError):
+    with pytest.raises(lat.GeometryError):
         ops.block_projector(g, g.m + 1)
+
+
+@pytest.mark.parametrize("j", [-1, 3])
+def test_block_level_outside_the_cube_is_a_geometry_error(j):
+    # the dense block means and the DCT classes take coarse_geometry's rule
+    g = lat.make_geometry(2, 3, 1, 2)
+    for call in (ops.block_projector, ops.averaging, ops.dct_frequency_classes):
+        with pytest.raises(lat.GeometryError, match=rf"level j={j} outside \[0, 2\]"):
+            call(g, j)
 
 
 def test_forward_diff_reference():

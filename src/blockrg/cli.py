@@ -115,11 +115,12 @@ def load_config(path: str | None) -> ExperimentConfig:
         if not _is_int(value):
             raise ConfigError(f"geometry.{field} must be an integer, got {value!r}")
     _check_seed(merged["seed"])
+    for field, value in merged["params"].items():
+        if not (_is_int(value) or isinstance(value, float)):
+            raise ConfigError(f"params.{field} must be a number, got {value!r}")
     try:
-        params = MultiscaleParams(a=float(merged["params"]["a"]),
-                                  mu0=float(merged["params"]["mu0"]),
-                                  c_star=float(merged["params"]["c_star"]))
-    except (TypeError, ValueError) as exc:
+        params = MultiscaleParams(**{f: float(v) for f, v in merged["params"].items()})
+    except (OverflowError, ValueError) as exc:
         raise ConfigError(f"bad params block: {exc}") from exc
     cfg = ExperimentConfig(experiment=str(merged["experiment"]),
                            seed=merged["seed"],

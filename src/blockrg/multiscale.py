@@ -23,11 +23,15 @@ where every operator of the tower is diagonal plus rank one per frequency
 class (``ops.dct_frequency_classes``), solved by the Sherman-Morrison rows
 of ``RankOneRows``, which solve ``fourier``'s shift systems too.  It forms
 no n x n matrix and runs at every size the lattice admits; the dense
-operators are its oracle in the tests.  Every identity is block-diagonal over
-the classes of its coarser level.  The step and the scaling relations of
-``G_j`` and ``C_j`` take their residuals from the rows' factors, in a small
-orthogonal frame a class row (``_identity_sq``), and form no block; the
-covariance identity forms its ``L**d x L**d`` blocks and subtracts them.
+operators are its oracle in the tests.  In the nested frequency order of
+``ops.dct`` every level's classes are runs of consecutive coefficients,
+``L**d`` runs of level ``j`` making one of level ``j + 1``, so the levels
+read vectors and each other's rows as reshapes.  Every identity is
+block-diagonal over the classes of its coarser level.  The step and the
+scaling relations of ``G_j`` and ``C_j`` take their residuals from the
+rows' factors, in a small orthogonal frame a class row (``_identity_sq``),
+and form no block; the covariance identity forms its ``L**d x L**d`` blocks
+and subtracts them.
 Every residual runs in batches of rows within ``PROBE_BLOCK_BYTES``, cut by
 ``_batches``, the one byte-budget slicer of the package.
 """
@@ -205,7 +209,7 @@ def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
     for every member with ``u = 0``.  No dense matrix is formed;
     ``ops.min_eigenvalue`` stays the dense oracle.
     """
-    lam, u, _ = ops.dct_frequency_classes(geom, j)
+    lam, u = ops.dct_frequency_classes(geom, j)
     diag = lam + params.mu_bar(geom.L, geom.k)
     roots = secular_min_roots(diag, u, params.a_tilde(geom, j, j))
     return float(min(roots.min(), diag[u == 0.0].min(initial=np.inf)))
@@ -297,10 +301,11 @@ class RankOneRows:
                 (self.c0[rows] * v0 - self.a * self.U0[rows] * B) / den)
 
     def solve(self, v) -> np.ndarray:
-        """``M^{-1} v`` for ``v`` of shape ``(rows, S, ...)``: ``w v - a (w U)
-        beta`` off the zero column, ``x_0`` on it (``_zero_column``)."""
+        """``M^{-1} v`` for ``v`` of shape ``(rows, S, ...)`` or ``(rows S,
+        ...)``: ``w v - a (w U) beta`` off the zero column, ``x_0`` on it
+        (``_zero_column``)."""
         v = np.asarray(v)
-        v3 = v.reshape(v.shape[:2] + (-1,))
+        v3 = v.reshape(self.w.shape + (-1,))
         z = self.zero
         B = np.einsum("rs,rsc->rc", self._wubar(slice(None)), v3)[:, None]
         beta, x0 = self._zero_column(np.s_[:, None, None], v3[:, z:z + 1], B)
@@ -344,24 +349,16 @@ class RankOneRows:
         return X
 
 
-def _scatter(X, freq) -> np.ndarray:
-    """Rows of ``X``, shape ``(rows, S, ...)``, back to flat frequency order;
-    ``freq`` is a permutation of the frequencies, laid out as ``X``'s rows."""
-    out = np.empty((freq.size,) + X.shape[2:], dtype=X.dtype)
-    out[freq] = X
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class TowerLevel:
     """Scale ``j`` of the Neumann tower on one cube, by DCT frequency classes.
 
-    Vectors are orthonormal DCT-II coefficients in flat frequency order
+    Vectors are orthonormal DCT-II coefficients in the nested frequency order
     (``ops.dct``), of shape ``(n, ...)`` on the cube and ``(n_c, ...)`` on
     ``coarse_geometry(geometry, j)``; every map below is a value-matrix map,
     O(n) per column, and forms no matrix.  On the rows of
-    ``ops.dct_frequency_classes(geometry, j)`` (``freq``, ``u``), with
-    ``b = L**j``:
+    ``ops.dct_frequency_classes(geometry, j)`` (``u``), runs of ``b**d``
+    consecutive coefficients, ``b = L**j``, each reads a vector as a reshape:
 
     - ``G_j`` solves ``G``, the rows ``diag(lam + mu_bar) + at u u^T``;
     - ``Q_j = b**(-d/2) u`` sums each row into its coarse frequency, and
@@ -370,39 +367,39 @@ class TowerLevel:
       frequencies and reads ``at Delta_0 / den`` off ``G``'s weights;
     - ``C_j = (Delta_j + (a_tilde(1, j) / L**2) P_1)**-1`` solves ``C``, the
       rows ``diag(Delta_j) + (a_tilde(1, j) / L**2) u_1 u_1^T`` over the coarse
-      lattice's own level-1 classes (``coarse_freq``, ``u1``);
+      lattice's own level-1 classes (``u1``), each ``L**d`` consecutive
+      coarse frequencies, so its diagonal is ``delta`` reshaped;
     - ``C'_j = at**2 G_j Q_j* C_j Q_j G_j``.
 
     Column 0 of every row is the member ``p = kappa``, live in every row; it
     plays the zero column, so the massless ``p = 0`` needs no special case.
-    ``delta``, ``coarse_freq``, ``u1`` and ``C`` exist for ``j < m`` only.
+    ``delta``, ``u1`` and ``C`` exist for ``j < m`` only.
     """
 
     geometry: LatticeGeometry
     j: int
     at: float
-    freq: np.ndarray
     u: np.ndarray
     G: RankOneRows
     delta: np.ndarray | None
-    coarse_freq: np.ndarray | None
     u1: np.ndarray | None
     C: RankOneRows | None
 
     def green(self, V) -> np.ndarray:
-        return _scatter(self.G.solve(V[self.freq]), self.freq)
+        return self.G.solve(V)
 
     def average(self, V) -> np.ndarray:
         b = float(self.geometry.L) ** self.j
-        return b ** (-self.geometry.d / 2) * np.einsum("rs,rs...->r...", self.u, V[self.freq])
+        return b ** (-self.geometry.d / 2) * np.einsum(
+            "rs,rs...->r...", self.u, V.reshape(self.u.shape + V.shape[1:]))
 
     def average_adjoint(self, Y) -> np.ndarray:
         b = float(self.geometry.L) ** self.j
-        return _scatter(b ** (self.geometry.d / 2) * np.einsum("rs,r...->rs...", self.u, Y),
-                        self.freq)
+        X = b ** (self.geometry.d / 2) * np.einsum("rs,r...->rs...", self.u, Y)
+        return X.reshape((-1,) + Y.shape[1:])
 
     def covariance(self, Y) -> np.ndarray:
-        return _scatter(self.C.solve(Y[self.coarse_freq]), self.coarse_freq)
+        return self.C.solve(Y)
 
     def fluctuation(self, V) -> np.ndarray:
         G = self.green
@@ -411,19 +408,18 @@ class TowerLevel:
 
 def tower_level(geom, params: MultiscaleParams, j: int) -> TowerLevel:
     """Scale ``j`` of the tower, ``1 <= j <= min(k + 1, m)`` (``_check_level``);
-    O(n) to build."""
+    O(n) to build, every row a reshape of the nested frequency order."""
     _check_level(geom, j, "tower_level")
     at = params.a_tilde(geom, j, j)
-    lam, u, freq = ops.dct_frequency_classes(geom, j)
+    lam, u = ops.dct_frequency_classes(geom, j)
     G = RankOneRows.build(lam + params.mu_bar(geom.L, geom.k), u.copy(), None, at, 0)
-    delta = coarse_freq = u1 = C = None
+    delta = u1 = C = None
     if j < geom.m:
         delta = at * G.Delta0 / G.den      # row c is coarse frequency c
-        _, u1, coarse_freq = ops.dct_frequency_classes(coarse_geometry(geom, j), 1)
-        C = RankOneRows.build(delta[coarse_freq], u1.copy(), None,
+        _, u1 = ops.dct_frequency_classes(coarse_geometry(geom, j), 1)
+        C = RankOneRows.build(delta.reshape(u1.shape).copy(), u1.copy(), None,
                               params.a_tilde(geom, 1, j) / geom.L**2, 0)
-    return TowerLevel(geometry=geom, j=j, at=at, freq=freq, u=u, G=G, delta=delta,
-                      coarse_freq=coarse_freq, u1=u1, C=C)
+    return TowerLevel(geometry=geom, j=j, at=at, u=u, G=G, delta=delta, u1=u1, C=C)
 
 
 def _rel(X, Y) -> float:
@@ -461,26 +457,26 @@ def _frobenius_sq(D, V, r, R, n) -> np.ndarray:
     return np.einsum("prsi,prsi->p", D, M) + np.einsum("prij,prij,ri,rj->p", R, R, n, n)
 
 
-def _identity_sq(lo: RankOneRows, cf, scale: float, Y: RankOneRows, C=None):
+def _identity_sq(lo: RankOneRows, scale: float, Y: RankOneRows, C=None):
     """``(|X - Y^{-1}|_F**2, |Y^{-1}|_F**2)`` over one batch of real rows,
-    ``X = scale (+)_s lo_{cf[:, s]}^{-1} + Gamma C Gamma^T``.
+    ``X = scale (+)_s lo_{r L' + s}^{-1} + Gamma C Gamma^T``.
 
-    ``Y`` holds the batch's rows alone, their members laid out in ``L'``
-    slots, slot ``s`` holding those of row ``cf[r, s]`` of ``lo`` (``cf``:
-    ``(rows, L')``), each slot led by its zero column.  Column ``s`` of
-    ``Gamma`` is ``lo_{cf[r, s]}^{-1} U`` in slot ``s``; ``C``, ``(rows, L',
-    L')``, may be None.  By ``RankOneRows.factors`` every term is ``diag(w)
-    + [wU, e_0] K [wU, e_0]^T`` and ``Gamma`` is ``g`` on each slot's ``[wU,
-    e_0]``, so ``X - Y^{-1}`` is the difference ``D`` of the ``w`` diagonals
-    plus ``B R B^T`` over the orthogonal frame ``B``: the slots of ``lo``'s
-    ``wU``, their zero-member unit vectors, and the part ``r`` of ``Y``'s
-    ``wU`` orthogonal to both (rounding where it lies in their span).  The
-    two sides cancel in the ``(2 L' + 1)**2`` coefficients of ``R``, and only
-    ``R`` and ``D`` are squared (``_frobenius_sq``): O(L' S + L'**2) a row,
-    with no block formed and no ``sqrt(eps)`` floor.
+    ``Y`` holds the batch's rows alone, ``lo`` ``L'`` consecutive rows for
+    each: the members of row ``r`` of ``Y`` are, in ``L'`` slots, those of
+    rows ``r L' + s`` of ``lo``, each slot led by its zero column.  Column
+    ``s`` of ``Gamma`` is ``lo_{r L' + s}^{-1} U`` in slot ``s``; ``C``,
+    ``(rows, L', L')``, may be None.  By ``RankOneRows.factors`` every term
+    is ``diag(w) + [wU, e_0] K [wU, e_0]^T`` and ``Gamma`` is ``g`` on each
+    slot's ``[wU, e_0]``, so ``X - Y^{-1}`` is the difference ``D`` of the
+    ``w`` diagonals plus ``B R B^T`` over the orthogonal frame ``B``: the
+    slots of ``lo``'s ``wU``, their zero-member unit vectors, and the part
+    ``r`` of ``Y``'s ``wU`` orthogonal to both (rounding where it lies in
+    their span).  The two sides cancel in the ``(2 L' + 1)**2`` coefficients
+    of ``R``, and only ``R`` and ``D`` are squared (``_frobenius_sq``): O(L'
+    S + L'**2) a row, with no block formed and no ``sqrt(eps)`` floor.
     """
-    rows, Ls = cf.shape
-    V, W = lo.wU[cf], Y.wU.reshape(rows, Ls, -1)
+    rows, Ls = len(Y.c0), len(lo.c0) // len(Y.c0)
+    V, W = lo.wU.reshape(rows, Ls, -1), Y.wU.reshape(rows, Ls, -1)
     nV = np.einsum("rsi,rsi->rs", V, V)
     alpha = np.divide(np.einsum("rsi,rsi->rs", W, V), nV, out=np.zeros_like(nV), where=nV > 0)
     r = W - alpha[..., None] * V
@@ -495,7 +491,8 @@ def _identity_sq(lo: RankOneRows, cf, scale: float, Y: RankOneRows, C=None):
     R[1, :, :, Ls] += KY[:, 0, 1, None] * x
     R[1, :, Ls, Ls] += KY[:, 1, 1]
     np.negative(R[1], out=R[0])
-    K, g = lo.factors(cf[..., None])
+    K, g = lo.factors(np.s_[:, None])
+    K, g = K.reshape(rows, Ls, 2, 2), g.reshape(rows, Ls, 2)
     blocks = R[0, :, :-1, :-1].reshape(rows, 2, Ls, 2, Ls)     # a view: (wU or e_0, slot)
     s = np.arange(Ls)
     blocks[:, :, s, :, s] += scale * K.transpose(1, 0, 2, 3)
@@ -503,7 +500,7 @@ def _identity_sq(lo: RankOneRows, cf, scale: float, Y: RankOneRows, C=None):
         blocks += np.einsum("rsa,rst,rtb->rasbt", g, C, g)
     D = np.empty((2,) + V.shape)
     D[1] = Y.w.reshape(V.shape)
-    np.subtract(scale * lo.w[cf], D[1], out=D[0])
+    np.subtract(scale * lo.w.reshape(V.shape), D[1], out=D[0])
     return _frobenius_sq(D, V, r, R, n)
 
 
@@ -514,20 +511,16 @@ def _identity_row_bytes(S: int, Ls: int) -> int:
     return 8 * (3 * (2 * Ls + 1) ** 2 + 8 * S)
 
 
-def _rows(G: RankOneRows, rb, slot=None) -> RankOneRows:
-    """``G``'s rows ``rb``, the members of each permuted by ``slot``
-    (``(rows, S)``) where given."""
-    def take(f):
-        return f[rb] if slot is None else np.take_along_axis(f[rb], slot, axis=1)
-    return replace(G, **{f: getattr(G, f)[rb] for f in ("Delta0", "U0", "Ubar0", "c0")},
-                   w=take(G.w), wU=take(G.wU))
+def _rows(G: RankOneRows, rb) -> RankOneRows:
+    """``G``'s rows ``rb``, a slice: views of its row arrays."""
+    return replace(G, **{f: getattr(G, f)[rb] for f in ("w", "wU", "Delta0", "U0", "Ubar0", "c0")})
 
 
 def _scaled_pair(X: RankOneRows, Y: RankOneRows, scale: float) -> float:
     """``|scale X^{-1} - Y^{-1}|_F / |Y^{-1}|_F`` over two ``RankOneRows`` of
     one layout: ``_identity_sq`` with one slot a row."""
     rows, S = X.w.shape
-    return _rel_from_sq(_identity_sq(X, np.arange(rows)[rb, None], scale, _rows(Y, rb))
+    return _rel_from_sq(_identity_sq(_rows(X, rb), scale, _rows(Y, rb))
                         for rb in _batches(rows, _identity_row_bytes(S, 1), PROBE_BLOCK_BYTES))
 
 
@@ -536,61 +529,40 @@ def _check_step(lo: TowerLevel, hi: TowerLevel, name: str):
         raise ValueError(f"{name}: needs the levels j and j + 1 of one cube")
 
 
-def _step_members(hi: TowerLevel) -> np.ndarray:
-    """Each flat frequency's member in its level-``(j+1)`` row: the index map
-    of ``_step_rows``."""
-    member = np.empty(hi.freq.size, dtype=np.intp)
-    member[hi.freq.ravel()] = np.tile(np.arange(hi.freq.shape[1]), len(hi.freq))
-    return member
-
-
-def _step_rows(lo: TowerLevel, hi: TowerLevel, member, rb) -> RankOneRows:
-    """``hi.G``'s rows ``rb`` with their members relabeled into the level-``j``
-    layout, where ``G_j``'s blocks sit on the diagonal: member ``s S + i`` of
-    row ``r`` is member ``i`` of level-``j`` row ``lo.coarse_freq[r, s]``
-    (``S`` members a level-``j`` row).
-
-    The level-``j`` rows inside level-``(j+1)`` row ``r`` are exactly row
-    ``r`` of ``lo.coarse_freq``, and in that order they are the slots of
-    ``C_j``'s row ``r``.  Both layouts lead with the member ``p = kappa``,
-    so the zero column stays column 0.
-    """
-    cf = lo.coarse_freq[rb]
-    return _rows(hi.G, rb, member[lo.freq[cf]].reshape(len(cf), -1))
-
-
 def rg_step_residual(lo: TowerLevel, hi: TowerLevel) -> float:
     """Relative Frobenius residual of one renormalization-group step,
     ``G_{j+1} = G_j + C'_j``, from the levels ``j`` and ``j + 1`` of one cube.
 
-    All three maps are block-diagonal over the level-``(j+1)`` rows, each
-    laid out as ``_step_rows``, and the residual is taken from their factors
-    by ``_identity_sq``, with no block formed: the ``L**d`` slots are the
-    level-``j`` rows of ``G_j``, and ``C'_j = at**2 b**-d (G_j Q_j*) C_j (G_j
-    Q_j*)^T``, since ``Q_j G_j = b**-d (G_j Q_j*)^T``, where ``G_j Q_j*`` is
-    one level-``j`` solve of ``b**(d/2) u`` (``Gamma``) and ``C_j`` the
-    ``L**d x L**d`` block of ``lo.C``.  The ``w`` of the two levels agree
-    off the zero members, so ``D`` lies on them.  O(n + rows L**(2d)).
+    All three maps are block-diagonal over the level-``(j+1)`` rows.  In the
+    nested frequency order row ``r`` of ``G_{j+1}`` is, member for member,
+    the ``L**d`` level-``j`` rows ``r L**d + s``, the slots of ``C_j``'s row
+    ``r``; both levels lead with the member ``p = kappa``, the zero column.
+    The residual is taken from their factors by ``_identity_sq``, with no
+    block formed: ``C'_j = at**2 b**-d (G_j Q_j*) C_j (G_j Q_j*)^T``, since
+    ``Q_j G_j = b**-d (G_j Q_j*)^T``, where ``G_j Q_j*`` is one level-``j``
+    solve of ``b**(d/2) u`` (``Gamma``) and ``C_j`` the ``L**d x L**d``
+    block of ``lo.C``.  The ``w`` of the two levels agree off the zero
+    members, so ``D`` lies on them.  O(n + rows L**(2d)).
     """
     _check_step(lo, hi, "rg_step_residual")
-    member, Ls = _step_members(hi), lo.u1.shape[1]
-    rows, S = hi.freq.shape
-    return _rel_from_sq(_identity_sq(lo.G, lo.coarse_freq[rb], 1.0, _step_rows(lo, hi, member, rb),
-                                     lo.at**2 * lo.C.inverse(rb))
+    (rows, S), Ls = hi.u.shape, lo.u1.shape[1]
+    return _rel_from_sq(_identity_sq(_rows(lo.G, np.s_[rb.start * Ls:rb.stop * Ls]), 1.0,
+                                     _rows(hi.G, rb), lo.at**2 * lo.C.inverse(rb))
                         for rb in _batches(rows, _identity_row_bytes(S, Ls), PROBE_BLOCK_BYTES))
 
 
-def _u_g_u(lo: TowerLevel, hi: TowerLevel, member, rb) -> np.ndarray:
+def _u_g_u(lo: TowerLevel, hi: TowerLevel, rb) -> np.ndarray:
     """``U^T G_{j+1} U`` in ``C_j``'s rows ``rb``, ``(rows, L**d, L**d)``, from
-    the factors of ``_step_rows`` with no solve.  Column ``t`` of ``U`` is
-    level-``j`` row ``t``'s ``u`` in its own slots, so ``_zero_column`` of
-    ``v0_t = u_{0,0} [t = 0]`` and ``B_t = sum_i u_{t,i} (w Ubar)_{t,i}``
-    gives ``beta`` and ``x0``, and with ``A_s = sum_i u_{s,i} (w U)_{s,i}``
+    the factors of ``hi.G`` with no solve.  In the nested frequency order
+    column ``t`` of ``U`` is level-``j`` row ``t``'s ``u`` in slot ``t`` of
+    the level-``(j+1)`` row, so ``_zero_column`` of ``v0_t = u_{0,0} [t =
+    0]`` and ``B_t = sum_i u_{t,i} (w Ubar)_{t,i}`` gives ``beta`` and
+    ``x0``, and with ``A_s = sum_i u_{s,i} (w U)_{s,i}``
 
         U^T G_{j+1} U = diag_s(sum_i u_{s,i}**2 w_{s,i}) - a A beta^T + e_0 (u_{0,0} x0^T).
     """
-    G, u = _step_rows(lo, hi, member, rb), lo.u[lo.coarse_freq[rb]]     # u: (rows, L**d, S)
-    Ld = u.shape[1]
+    G, Ld = _rows(hi.G, rb), lo.u1.shape[1]
+    u = lo.u.reshape(-1, Ld, lo.u.shape[1])[rb]     # (rows, L**d, S)
     A, B = (np.einsum("rsi,rsi->rs", u, f.reshape(u.shape)) for f in (G.wU, G._wubar(slice(None))))
     v0 = u[:, :, 0] * (np.arange(Ld) == 0)
     beta, x0 = G._zero_column(np.s_[:, None], v0, B)
@@ -600,11 +572,11 @@ def _u_g_u(lo: TowerLevel, hi: TowerLevel, member, rb) -> np.ndarray:
     return UGU
 
 
-def _c_identity_sq(lo: TowerLevel, hi: TowerLevel, member, rb):
+def _c_identity_sq(lo: TowerLevel, hi: TowerLevel, rb):
     """``(|X - C_j|_F**2, |C_j|_F**2)`` of the covariance identity in
     ``C_j``'s rows ``rb``, ``X = A + at**2 A U^T G_{j+1} U A``.  Both sides'
     ``L**d x L**d`` blocks are formed and subtracted."""
-    at, u1, X = lo.at, lo.u1[rb], _u_g_u(lo, hi, member, rb)
+    at, u1, X = lo.at, lo.u1[rb], _u_g_u(lo, hi, rb)
     Ld, c = u1.shape[1], 1.0 / (at + lo.C.a) - 1.0 / at
     A = np.eye(Ld) / at + (c * u1)[:, :, None] * u1[:, None, :]
     X = at**2 * (A @ X @ A)
@@ -621,15 +593,15 @@ def c_identity_residual(lo: TowerLevel, hi: TowerLevel) -> float:
     ``A_j = 1/at + (1/(at + at_1/L**2) - 1/at) P_1`` of
     ``a_operator_closed_form``.
 
-    All are block-diagonal over ``C_j``'s rows, compared one ``L**d x L**d``
-    block per row: ``P_1 = u_1 u_1^T`` and ``Q_j G_{j+1} Q_j* = U^T G_{j+1} U``,
-    where ``U``, in the layout of ``_step_rows``, holds each level-``j``
-    row's ``u`` in its own slots.  A batch of rows holds ``L**d S`` floats
-    a row in each of its arrays.
+    All are block-diagonal over ``C_j``'s rows, which are the level-``(j+1)``
+    rows, compared one ``L**d x L**d`` block per row: ``P_1 = u_1 u_1^T`` and
+    ``Q_j G_{j+1} Q_j* = U^T G_{j+1} U``, where ``U`` holds each level-``j``
+    row's ``u`` in its own slot of the level-``(j+1)`` row (``_u_g_u``).  A
+    batch of rows holds ``L**d S`` floats a row in each of its arrays.
     """
     _check_step(lo, hi, "c_identity_residual")
-    member, (rows, S) = _step_members(hi), hi.freq.shape
-    return _rel_from_sq(_c_identity_sq(lo, hi, member, rb)
+    rows, S = hi.u.shape
+    return _rel_from_sq(_c_identity_sq(lo, hi, rb)
                         for rb in _batches(rows, 8 * S, PROBE_BLOCK_BYTES))
 
 
@@ -644,10 +616,11 @@ def rg_telescope_residual(levels) -> float:
     kernels ``lam_j**-2 C'_j(lam_j Omega)`` over ``j = 1 .. k-1`` plus the
     rescaled first-scale propagator; value vectors transport across scales
     unchanged because rescaled lattices share the index set.  The sum is
-    empty for k=1.  Every term is block-diagonal over the level-``k`` rows
-    ``levels[-1].freq``: both sides are applied to two probes, ``1`` and
-    ``(-1)**i (1 + i) / S`` on member ``i`` of each row, and the residual is
-    the largest ``|lhs_r - rhs_r| / |lhs_r|`` over rows ``r`` and probes.
+    empty for k=1.  Every term is block-diagonal over the level-``k`` rows,
+    consecutive runs of ``S`` coefficients in the nested frequency order:
+    both sides are applied to two probes, ``1`` and ``(-1)**i (1 + i) / S``
+    on member ``i`` of each row, and the residual is the largest
+    ``|lhs_r - rhs_r| / |lhs_r|`` over rows ``r`` and probes.
     """
     if not levels:     # the levels 1 .. k of a cube with k = 0
         raise GeometryError("rg_telescope_residual: no levels; a cube with k = 0 carries none")
@@ -657,9 +630,9 @@ def rg_telescope_residual(levels) -> float:
                                                    for j in range(1, k + 1)]:
         raise ValueError("rg_telescope_residual: levels[j - 1] must be level j "
                          "of the cube scaled by L**(k - j), j = 1 .. k")
-    i = np.arange(top.freq.shape[1])
-    member = np.column_stack((np.ones(i.size), (-1.0) ** i * (1 + i) / i.size))
-    probes = _scatter(np.broadcast_to(member, top.freq.shape + (2,)), top.freq)
+    rows, S = top.u.shape
+    i = np.arange(S)
+    probes = np.tile(np.column_stack((np.ones(S), (-1.0) ** i * (1 + i) / S)), (rows, 1))
     L, worst = float(geom.L), 0.0
     for cb in _batches(probes.shape[1], 8 * geom.site_count, PROBE_BLOCK_BYTES):
         V = probes[:, cb]
@@ -668,7 +641,7 @@ def rg_telescope_residual(levels) -> float:
         for j, level in enumerate(levels[:-1], start=1):
             rhs += L ** (2 * (j - k)) * level.fluctuation(V)
         rhs -= lhs
-        num, den = (np.linalg.norm(X[top.freq], axis=1) for X in (rhs, lhs))
+        num, den = (np.linalg.norm(X.reshape(rows, S, -1), axis=1) for X in (rhs, lhs))
         worst = max(worst, float(np.max(num / den)))
     return worst
 

@@ -265,22 +265,48 @@ def _block_means(geom, j: int, rows: int) -> np.ndarray:
     return _axis_outer(np.multiply, per_axis * geom.d)
 
 
-def dct_frequency_classes(geom, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nested(geom, *xs, inverse: bool = False):
+    """Each of ``xs``, shape ``(site_count, ...)``, from flat frequency order
+    (row-major over the per-axis DCT-II frequencies) to the nested frequency
+    order, or back, in turn.  Per axis, the nested order of ``n = L**i`` sites
+    is the level-1 class table of ``n`` sites taken in the nested order of
+    ``nc = n / L`` sites: class 0 holds the multiples of ``nc``, class
+    ``kappa`` holds ``kappa, 2 nc - kappa, 2 nc + kappa, ...``.  Across axes
+    the ``m`` base-``L`` digits interleave level by level, coarsest first, a
+    Morton order (G. M. Morton, IBM technical report, 1966), so every level's
+    classes are contiguous, led by ``p = kappa``, in the coarse lattice's
+    nested order."""
+    L, m, d = geom.L, geom.m, geom.d
+    t = np.arange(L)
+    a, s, order = t + t % 2, 1 - 2 * (t % 2), np.zeros(1, dtype=np.intp)
+    for nc in (L**i for i in range(m)):     # class 0 leads, then the classes order[1:]
+        order = np.vstack((nc * t, nc * a + s * order[1:, None])).ravel()
+    axes = [mu * m + i for i in range(m) for mu in range(d)] + [m * d]
+    digits, cube = (L,) * (m * d) + (-1,), (L**m,) * d + (-1,)
+    if inverse:
+        order, axes = np.argsort(order), np.argsort(axes)
+    for x in map(np.asarray, xs):
+        y = (x.reshape(digits).transpose(axes).reshape(cube)[np.ix_(*[order] * d)] if inverse
+             else x.reshape(cube)[np.ix_(*[order] * d)].reshape(digits).transpose(axes))
+        yield y.reshape(x.shape)
+
+
+def dct_frequency_classes(geom, j: int) -> tuple[np.ndarray, np.ndarray]:
     """``-Lap`` and ``Q_j* Q_j`` in the orthonormal DCT-II basis, one row per coarse class.
 
-    Returns ``(lam, u, freq)``, each of shape ``(N_c**d, b**d)`` with
-    ``b = L**j`` and ``N_c = N / b``: rows are the coarse frequency classes,
-    row-major, and ``freq`` holds the flat frequency index of each member
-    (row-major, axis 0 slowest, the Kronecker order of per-axis DCT-II
-    matrices).  ``lam`` holds the ``-Lap`` eigenvalue
+    Returns ``(lam, u)``, each of shape ``(N_c**d, b**d)`` with ``b = L**j``
+    and ``N_c = N / b``: the nested frequency order of ``dct`` cut into rows,
+    the coarse frequency classes.  Row ``c`` is coarse frequency ``c`` in the
+    nested order of ``coarse_geometry(geom, j)``, and ``L**d`` consecutive
+    rows make one of level ``j + 1``.  ``lam`` holds the ``-Lap`` eigenvalue
     ``(4/eta**2) sum_mu sin(pi p_mu / 2N)**2``.  Per axis, fold
     ``p = 2 N_c t +- kappa`` with ``0 <= kappa <= N_c``: the fine mode ``p``
     overlaps only the coarse mode ``kappa``, with weight
     ``+-sin(pi kappa / 2N_c) / (b sin(pi p / 2N))`` (``u = 1`` at ``p = 0``),
     and ``Q_j`` annihilates ``p = N_c (mod 2 N_c)``.  Class ``kappa`` of an
-    axis holds its ``b`` frequencies in ascending order; the annihilated ones
-    join class 0, at weight 0.  ``u`` is the product of the axis weights, so
-    in this basis
+    axis holds its ``b`` frequencies, led by ``p = kappa``; the annihilated
+    ones join class 0, at weight 0.  ``u`` is the product of the axis
+    weights, so in this basis
 
         Q_j* Q_j = sum over rows c of  u_c u_c^T,
 
@@ -299,10 +325,9 @@ def dct_frequency_classes(geom, j: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     u1 = np.ones(N)
     u1[1:] = (np.sign(Nc - r[1:]) * np.sin(np.pi * kappa[1:] / (2 * Nc))
               / (b * np.sin(np.pi * p[1:] / (2 * N))))
-    f1 = np.argsort(np.where(r == Nc, 0, kappa), kind="stable").reshape(Nc, b)
-    return (_axis_outer(np.add, [lam1[f1]] * geom.d),
-            _axis_outer(np.multiply, [u1[f1]] * geom.d),
-            _axis_outer(lambda x, y: x * N + y, [f1] * geom.d))
+    return tuple(x.reshape(Nc**geom.d, -1) for x in _nested(
+        geom, _axis_outer(np.add, [lam1[:, None]] * geom.d),
+        _axis_outer(np.multiply, [u1[:, None]] * geom.d)))
 
 
 def _dct_axis(x, axis: int, inverse: bool) -> np.ndarray:
@@ -343,14 +368,14 @@ def _dct_lattice(geom, v, inverse: bool) -> np.ndarray:
 
 def dct(geom, v) -> np.ndarray:
     """Orthonormal DCT-II on the cube: ``v`` of shape ``(site_count, ...)``, site
-    order row-major, to coefficients in flat frequency order (row-major, the
-    ``freq`` numbering of ``dct_frequency_classes``).  O(n log n) per column."""
-    return _dct_lattice(geom, v, inverse=False)
+    order row-major, to coefficients in the nested frequency order, cut into
+    rows by ``dct_frequency_classes`` at every level.  O(n log n) per column."""
+    return next(_nested(geom, _dct_lattice(geom, v, inverse=False)))
 
 
 def idct(geom, V) -> np.ndarray:
-    """The inverse of ``dct``, its transpose."""
-    return _dct_lattice(geom, V, inverse=True)
+    """The inverse of ``dct``, its transpose: nested frequency order to site values."""
+    return _dct_lattice(geom, next(_nested(geom, V, inverse=True)), inverse=True)
 
 def scaling_unitary(geom, ell: int) -> KernelOperator:
     """Scaling map ``S : L^2(Omega) -> L^2(L**ell Omega)``, ``(Sf)(x) = lam**(-d/2) f(x/lam)``.

@@ -100,7 +100,9 @@ def test_invalid_params_is_config_error(tmp_path, params):
     # seeds and geometry fields: integers, not bools; a seed >= 0
     "seed: abc", "seed: -1", "seed: 1.5", "seed: true", "--seed -1",
     "geometry: {d: 1.5, L: 3, k: 1, m: 2}", "geometry: {d: 1, L: 3.0, k: 1, m: 2}",
-    "geometry: {d: 1, L: 3, k: true, m: 2}"])
+    "geometry: {d: 1, L: 3, k: true, m: 2}",
+    # params: numbers, not bools or numeric strings
+    "params: {a: true}", "params: {mu0: '0.1'}", "params: {c_star: yes}"])
 def test_invalid_suite_settings_are_config_errors(tmp_path, capsys, block):
     # rejected when the config loads, whichever suite runs; a geometry row
     # replaces the cube below, and a "--" row is a command-line override

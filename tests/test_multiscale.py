@@ -512,8 +512,8 @@ def test_probe_frobenius_reads_every_block_entry(geom_args):
         lo, lo_m, hi = (ms.tower_level(g, p, jj) for p, jj in ((P0, j), (PM, j), (P0, j + 1)))
         G_j, G_m = ms.green_j(g, P0, j), ms.green_j(g, PM, j)
         cases = [(ms._scaled_pair(lo.G, lo_m.G, 1.0), ops.rel_frobenius(G_j, G_m)),
-                 # at = 0 switches C'_j off: the step then lays G_j's blocks
-                 # out on the level-(j+1) rows through its index map alone
+                 # at = 0 switches C'_j off: the step then reads G_j's blocks
+                 # on the level-(j+1) rows through the nested order alone
                  (ms.rg_step_residual(dataclasses.replace(lo, at=0.0), hi),
                   ops.rel_frobenius(G_j, ms.green_j(g, P0, j + 1))),
                  (ms._scaled_pair(lo.C, lo_m.C, 1.0),
@@ -529,15 +529,17 @@ def test_step_layout_across_d_and_L(geom_args):
     for params in (P0, PM, ms.MultiscaleParams(a=30.0, mu0=2.0)):
         for j in range(1, min(g.k, g.m - 1) + 1):
             lo, hi = _step(g, params, j)
-            G_hi = ms._step_rows(lo, hi, ms._step_members(hi), slice(None))
-            # every slot holds the frequency of its level-j member: w = 1/Delta
-            # there, also on the level-j zero columns but the first, which is
-            # the zero column, column 0, with the zero member of level j + 1
-            w = lo.G.w[lo.coarse_freq]
-            w[:, 1:, 0] = 1.0 / lo.G.Delta0[lo.coarse_freq[:, 1:]]
-            assert np.array_equal(G_hi.w, w.reshape(G_hi.w.shape))
-            assert np.array_equal(G_hi.Delta0, lo.G.Delta0[lo.coarse_freq[:, 0]])
-            assert np.array_equal(G_hi.U0, hi.u[:, 0])
+            # a level-(j + 1) row, reshaped to (rows, L**d, S), is its L**d
+            # level-j rows, member for member: w = 1/Delta there, also on the
+            # level-j zero columns but the first, which is the zero column,
+            # column 0, with the zero member of level j + 1
+            Ld, S = lo.u1.shape[1], lo.u.shape[1]
+            w = lo.G.w.reshape(-1, Ld, S).copy()
+            Delta0 = lo.G.Delta0.reshape(-1, Ld)
+            w[:, 1:, 0] = 1.0 / Delta0[:, 1:]
+            assert np.array_equal(hi.G.w.reshape(w.shape), w)
+            assert np.array_equal(hi.G.Delta0, Delta0[:, 0])
+            assert np.array_equal(hi.G.U0, hi.u[:, 0])
             assert ms.rg_step_residual(lo, hi) < 1e-14
             assert ms.c_identity_residual(lo, hi) < 1e-14
 
@@ -600,16 +602,29 @@ def test_tower_inverse_blocks_match_dense_inverse(geom_args, params):
     g = lat.make_geometry(*geom_args)
     for j in range(1, min(g.k + 1, g.m) + 1):
         lv = ms.tower_level(g, params, j)
-        lam, u, _ = ops.dct_frequency_classes(g, j)
+        lam, u = ops.dct_frequency_classes(g, j)
         assert (lv.G.Delta0[0] == 0.0) == (params.mu0 == 0.0)
         rows = [(lv.G, lam + params.mu_bar(g.L, g.k), u, lv.at)]
         if lv.C is not None:
-            _, u1, cf = ops.dct_frequency_classes(lat.coarse_geometry(g, j), 1)
-            rows.append((lv.C, lv.delta[cf], u1, params.a_tilde(g, 1, j) / g.L**2))
+            _, u1 = ops.dct_frequency_classes(lat.coarse_geometry(g, j), 1)
+            rows.append((lv.C, lv.delta.reshape(u1.shape), u1, params.a_tilde(g, 1, j) / g.L**2))
         for M, diag, weights, a in rows:
             dense = a * weights[:, :, None] * weights[:, None, :]
             dense[:, np.arange(diag.shape[1]), np.arange(diag.shape[1])] += diag
             assert_inverse_blocks_match(M, np.linalg.inv(dense))
+
+
+def test_tower_level_holds_no_index_table():
+    # every row of a level is a reshape of the nested frequency order: the
+    # level and its G and C rows hold float64 arrays alone, 32 bytes a site
+    import dataclasses
+
+    g = lat.make_geometry(2, 3, 2, 5)
+    lv = ms.tower_level(g, P0, 1)
+    arrays = [getattr(x, f.name) for x in (lv, lv.G, lv.C) for f in dataclasses.fields(x)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert all(a.dtype == np.float64 for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 32 * g.site_count
 
 
 def _rg_verify_values(geom_args):

@@ -303,7 +303,7 @@ def test_spectrum_closed_form_is_the_class_spectrum(g):
     geom = lat.make_geometry(*g)
     closed = ops.laplacian_spectrum_1d(geom.sites_per_axis, geom.spacing).closed_form
     for j in range(geom.m + 1):
-        lam, _, _ = ops.dct_frequency_classes(geom, j)
+        lam, _ = ops.dct_frequency_classes(geom, j)
         assert np.array_equal(closed, np.sort(-lam.ravel()))
 
 
@@ -387,27 +387,52 @@ def _dct2(N):
     return C
 
 
+def _class_keys(g, j):
+    """Each flat frequency's level-``j`` class, ``(n, d)``: per axis ``p``
+    folded mod ``2 N_c``, the annihilated ``p = N_c (mod 2 N_c)`` in class 0."""
+    Nc = lat.coarse_geometry(g, j).sites_per_axis
+    r = lat.all_sites(g) % (2 * Nc)
+    return np.where(r == Nc, 0, np.minimum(r, 2 * Nc - r))
+
+
+def _nested_order(g):
+    """The flat frequencies in the nested frequency order, by sorting on the
+    classes of every level, coarsest first, axis 0 first within a level."""
+    keys = [_class_keys(g, j)[:, mu] for j in range(g.m, -1, -1) for mu in range(g.d)]
+    return np.lexsort(keys[::-1])
+
+
 @pytest.mark.parametrize("d,L,k,m", [(1, 3, 1, 3), (1, 3, 2, 5), (1, 5, 1, 3),
-                                     (2, 3, 1, 2), (2, 3, 2, 3), (2, 5, 1, 2)])
+                                     (2, 3, 1, 2), (2, 3, 2, 3), (2, 5, 1, 2), (3, 3, 1, 2)])
 def test_dct_frequency_classes_match_dense_conjugation(d, L, k, m):
     g = lat.make_geometry(d, L, k, m)
     n = g.site_count
-    C = lat._axis_outer(np.multiply, [_dct2(g.sites_per_axis)] * d)
+    order = _nested_order(g)
+    C = lat._axis_outer(np.multiply, [_dct2(g.sites_per_axis)] * d)[order]
     lap = C @ -ops.neumann_laplacian(g).matrix @ C.T
+    p = lat.all_sites(g)[order]
     for j in range(m + 1):
-        lam, u, freq = ops.dct_frequency_classes(g, j)
-        rows = (g.sites_per_axis // L**j) ** d
-        assert lam.shape == u.shape == freq.shape == (rows, L ** (j * d))
-        assert np.array_equal(np.sort(freq.ravel()), np.arange(n))
-        full = np.empty(n)
-        full[freq] = lam
-        assert np.linalg.norm(lap - np.diag(full)) <= 1e-12 * np.linalg.norm(lap)
-        # Q_j* Q_j is one rank-one block u_c u_c^T per row
+        lam, u = ops.dct_frequency_classes(g, j)
+        rows, S = (g.sites_per_axis // L**j) ** d, L ** (j * d)
+        assert lam.shape == u.shape == (rows, S)
+        # in nested coordinates -Lap is diag(lam) and Q_j* Q_j is one
+        # rank-one block u_c u_c^T per run of S consecutive frequencies
+        assert np.linalg.norm(lap - np.diag(lam.ravel())) <= 1e-12 * np.linalg.norm(lap)
         proj = C @ ops.block_projector(g, j).matrix @ C.T
-        U = np.zeros((rows, n))
-        U[np.arange(rows)[:, None], freq] = u
-        assert np.linalg.norm(proj - U.T @ U) <= 1e-12 * np.linalg.norm(proj)
+        blocks = np.zeros((rows, S, rows, S))
+        blocks[np.arange(rows), :, np.arange(rows)] = u[:, :, None] * u[:, None, :]
+        assert np.linalg.norm(proj - blocks.reshape(n, n)) <= 1e-12 * np.linalg.norm(proj)
         assert np.all((u != 0.0).any(axis=1))
+        # each row is one whole class, led by its member p = kappa, and the
+        # rows come in the coarse lattice's own nested order
+        kappa = _class_keys(g, j)[order].reshape(rows, S, d)
+        assert np.all(kappa == kappa[:, :1])
+        assert np.array_equal(p.reshape(rows, S, d)[:, 0], kappa[:, 0])
+        coarse = lat.coarse_geometry(g, j)
+        assert np.array_equal(lat.all_sites(coarse)[_nested_order(coarse)], kappa[:, 0])
+        if j < m:   # L**d consecutive level-j rows make one level-(j + 1) row
+            up = _class_keys(g, j + 1)[order].reshape(rows // L**d, L**d * S, d)
+            assert np.all(up == up[:, :1])
 
 
 def test_dense_assemblers_refuse_past_the_cap():
@@ -437,7 +462,7 @@ def test_dct_matches_dense_transform(d, L, m):
     p, x = np.arange(N)[:, None], np.arange(N)[None, :]
     C1 = np.sqrt(2.0 / N) * np.cos(np.pi * p * (2 * x + 1) / (2 * N))
     C1[0] /= np.sqrt(2.0)
-    C = lat._axis_outer(np.multiply, [C1] * d)
+    C = lat._axis_outer(np.multiply, [C1] * d)[_nested_order(g)]
     v = np.random.default_rng(5).standard_normal((g.site_count, 3))
     assert np.max(np.abs(ops.dct(g, v) - C @ v)) <= 1e-13
     assert np.max(np.abs(ops.idct(g, C @ v) - v)) <= 1e-13

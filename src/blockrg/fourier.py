@@ -15,10 +15,9 @@ with ``Delta`` the Laplacian symbol and ``u`` the averaging symbol
 Every shift system is therefore solved in O(S) by the Sherman-Morrison
 formula, never stored or inverted as an ``S x S`` matrix: its nodes are rows
 of ``multiscale.RankOneRows`` (the formula is ``_zero_column``), the solver
-of the DCT-class tower too.  The whole-grid ``ShiftSystem`` is such rows, and
-so are the node blocks that the kernels and the strip read.  The formula is
-used multiplied through by ``Delta_0``, the symbol of the zero shift, and the
-zero-shift term is split off the diagonal sum.  What remains divides only by
+of the DCT-class tower too.  The formula is used multiplied through by
+``Delta_0``, the symbol of the zero shift, and the zero-shift term is split
+off the diagonal sum.  What remains divides only by
 the nonzero-shift symbols and by ``Delta_0 (1 + a_k sum_{l!=0} Ubar_l U_l /
 Delta_l) + a_k U_0 Ubar_0``, which is ``det M`` over those symbols and so
 positive at every real momentum.  The massless node ``p = 0``, where
@@ -30,9 +29,9 @@ per pair of classes, which serves every offset (see ``KernelPlan.sums``).
 What a kernel reads on every grid (the lattice check, the classes, shift
 phases, offsets and signs) is its ``KernelPlan``, made once per batch of
 positions; ``evaluate_plans`` evaluates several plans on one grid from one
-build of the node blocks, and ``converge_plans`` drives them up one ladder
-of grid doublings, each from its own start grid to its own first stable
-doubling.  ``M`` itself is applied from its symbols, with no division
+build of the symbols and node blocks, and ``converge_plans`` drives them up
+one ladder of grid doublings, each from its own start grid to its own first
+stable doubling.  ``M`` itself is applied from its symbols, with no division
 (``free_symbol_apply``).
 
 Every per-axis symbol has ``conj f(Z) = f(-conj Z)`` (``sin^2`` and ``sinc``
@@ -42,11 +41,25 @@ and so have the class phases.  ``z -> -conj z`` sends ``p + i q`` to
 on every contour the kernels' node arrays are Hermitian in the node: half
 the nodes are solved, ``irfftn`` sums them, and the kernels are real.  The
 strip integrand ``H = M^{-1} U`` is ``RankOneRows.solve_u`` at complex
-nodes ``p + i q``.  One builder, ``_node_symbols``, makes the rows' symbols
-at any set of nodes: for the whole grid (``build_shift_system``), for
-``free_symbol_apply`` and for the bounded blocks of nodes that kernels and
-strip build (``_node_blocks``), cached nowhere: a kernel keeps only its
-contracted ``(classes, nodes)`` legs, and only through its transforms.
+nodes ``p + i q``.
+
+Every symbol on the torus is a Kronecker object (C. F. Van Loan, "The
+ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 2000): ``Delta``
+is a sum over the axes of per-axis tables, ``U``, ``Ubar`` and the shift
+phases are products, and only ``w = 1/Delta`` is not separable.  One
+builder, ``AxisSymbols``, makes the ``(nodes_a, L**k)`` tables of every
+axis at per-axis nodes, once per grid, cached nowhere.  The kernels read
+them per axis: each node block forms one ``(nodes, S)`` array, ``w``, real
+on the real contour, and contracts it against per-axis factor tables, the
+first axis by one batched GEMM and each further axis slice by slice
+(``_contract``), so the kernel path forms no ``(nodes, S)`` complex table;
+the rows' zero column finishes the contractions
+(``AxisSymbols.zero_column``).
+``bracket``, ``free_symbol_apply`` and ``qkqk_fourier`` work per axis too.
+The whole-grid ``ShiftSystem`` (``free_apply_ghat``) and the strip's node
+blocks (``_node_blocks``) keep ``RankOneRows``, fed by the Kronecker
+expansion of the same tables (``AxisSymbols.expand``).  A kernel keeps only
+its contracted (classes, nodes) legs, and only through its transforms.
 Node blocks and class slices are cut by the package's one byte-budget
 slicer, ``multiscale._batches``, within ``NODE_BLOCK_BYTES``.
 
@@ -214,15 +227,23 @@ def bracket(z, L: int, k: int, mu0: float):
     """The shift sum ``<<u, u_Delta>>(z) = sum_l u(z+2pi l) ubar(z+2pi l) / Delta(z+2pi l)``.
 
     Real and nonnegative at real momenta; periodic with period ``2 pi`` in
-    every component.
+    every component.  At each point the symbols are per-axis tables over the
+    shifts of one axis; ``Delta`` and ``u ubar`` are their outer sum and
+    product over the axes.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    zs = shifted_momenta(z, shift_vectors(z.shape[-1], L, k))
-    star = lap_star(zs, L, k, mu0)
+    eta = float(L) ** (-k)
+    Z = shifted_momenta(z[..., None], shift_vectors(1, L, k))[..., 0]     # (..., d, L**k)
+    sin2, uu = np.sin(Z * eta / 2.0) ** 2, u_axis(Z, eta) * u_axis(-Z, eta)
+    star, terms = sin2[..., 0, :], uu[..., 0, :]
+    for a in range(1, z.shape[-1]):
+        axis = (..., a) + (None,) * a + (slice(None),)
+        star, terms = star[..., None] + sin2[axis], terms[..., None] * uu[axis]
+    star = star + mu0 / 4.0
     if np.any(np.abs(star) < POLE_GUARD):
         raise PoleProximityError("bracket evaluated at a pole of 1/Delta")
-    terms = u_kernel(zs, L, k) * u_bar_kernel(zs, L, k) / laplacian_symbol(zs, L, k, mu0)
-    return np.sum(terms, axis=-1)
+    terms = terms / ((4.0 / eta**2) * star)
+    return np.sum(terms.reshape(z.shape[:-1] + (-1,)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -257,36 +278,167 @@ class ShiftSystem(RankOneRows):
         return FactoredStack((self.c0,))
 
 
-def _node_symbols(axis_nodes, L: int, k: int, params: MultiscaleParams) -> tuple:
-    """``RankOneRows.build``'s ``(Delta, U, Ubar, a_k, zero)`` at the row-major
-    products of the per-axis momenta ``axis_nodes``: ``Delta`` (the mass on
-    the first axis), ``U`` and ``Ubar`` each a new (n, S) array from the
-    per-axis symbols on each axis's (node, shift) grid, ``zero`` the zero
-    shift's index in ``shift_vectors`` (the middle row, ``L`` odd).  At real
-    nodes ``Delta`` is real and ``Ubar = conj U`` (see the module docstring)
-    is None.  The one builder of the shift systems' rows."""
-    eta = float(L) ** (-k)
-    Z = [shifted_momenta(nodes[:, None], shift_vectors(1, L, k))[..., 0] for nodes in axis_nodes]
-    real = not any(np.any(nodes.imag) for nodes in axis_nodes)
-    lap = [lap_star(z[..., None], L, k, 0.0) for z in Z]
-    lap = [(4.0 / eta**2) * (s.real if real else s) for s in lap]
-    lap[0] = lap[0] + params.mu_bar(L, k)
-    return (_axis_outer(np.add, lap), _axis_outer(np.multiply, [u_axis(z, eta) for z in Z]),
-            None if real else _axis_outer(np.multiply, [u_axis(-z, eta) for z in Z]),
-            params.a_j(L, max(k, 1)),   # k = 0: the bare coefficient a
-            L ** (k * len(axis_nodes)) // 2)
+@dataclass(frozen=True)
+class AxisSymbols:
+    """The torus symbols per axis at per-axis momenta: lists ``lap`` (the
+    mass on axis 0), ``u`` and ``ubar`` of ``(nodes_a, L**k)`` tables on
+    each axis's (node, shift) grid, and ``a = a_k``.  ``lap`` is real at
+    real nodes, where ``ubar = conj u`` (module docstring).  At the
+    row-major products of the momenta, ``Delta`` is the outer sum of ``lap``
+    over the axes and ``U`` and ``Ubar`` the outer products of ``u`` and
+    ``ubar``, Kronecker objects; only ``w = 1/Delta`` is not.  Node blocks
+    are runs of consecutive first-axis nodes (``blocks``)."""
+
+    lap: list
+    u: list
+    ubar: list
+    a: float
+
+    @classmethod
+    def build(cls, axis_nodes, L: int, k: int, params: MultiscaleParams) -> "AxisSymbols":
+        """The symbols at the complex per-axis momenta ``axis_nodes``; the one
+        builder of the shift systems' symbols."""
+        eta = float(L) ** (-k)
+        Z = [shifted_momenta(nodes[:, None], shift_vectors(1, L, k))[..., 0]
+             for nodes in axis_nodes]
+        real = not any(np.any(nodes.imag) for nodes in axis_nodes)
+        lap = [lap_star(z[..., None], L, k, 0.0) for z in Z]
+        lap = [(4.0 / eta**2) * (s.real if real else s) for s in lap]
+        lap[0] = lap[0] + params.mu_bar(L, k)
+        u = [u_axis(z, eta) for z in Z]
+        return cls(lap, u, [t.conj() for t in u] if real else [u_axis(-z, eta) for z in Z],
+                   params.a_j(L, max(k, 1)))   # k = 0: the bare coefficient a
+
+    @property
+    def real(self) -> bool:
+        return not np.iscomplexobj(self.lap[0])
+
+    def expand(self) -> tuple:
+        """``RankOneRows.build``'s ``(Delta, U, Ubar, a_k, zero)``, each a new
+        (n, S) array, ``Ubar`` None at real nodes, ``zero`` the zero shift's
+        index in ``shift_vectors`` (the middle row, ``L`` odd)."""
+        outer = lambda op, f: _axis_outer(op, f) if len(f) > 1 else f[0].copy()
+        return (outer(np.add, self.lap), outer(np.multiply, self.u),
+                None if self.real else outer(np.multiply, self.ubar),
+                self.a, math.prod(t.shape[1] for t in self.u) // 2)
+
+    def blocks(self, columns: int = 1):
+        """Slices of consecutive first-axis nodes, in node order: ``_batches``
+        of as many as keep one complex ``(nodes, S)`` array, and the first
+        stage ``(nodes, S / L**k, columns)`` of a ``_contract`` of
+        ``columns`` columns, within ``NODE_BLOCK_BYTES``, and at least one."""
+        d, Lk = len(self.lap), self.lap[0].shape[1]
+        row_bytes = 16 * math.prod(len(t) for t in self.lap[1:]) * Lk ** (d - 1) * max(Lk, columns)
+        return _batches(len(self.lap[0]), row_bytes, NODE_BLOCK_BYTES)
+
+    def rows(self, first) -> "AxisSymbols":
+        """The symbols at the first-axis nodes ``first`` (a slice)."""
+        return AxisSymbols(*([t[0][first], *t[1:]] for t in (self.lap, self.u, self.ubar)), self.a)
+
+    def weights(self, first) -> np.ndarray:
+        """``w = 1/Delta`` at the first-axis nodes ``first``, 0 on the zero
+        column, laid out ``(n_0, s_1, n_1, ..., s_{d-1}, n_{d-1}, s_0)``
+        (``_contract``), real at real nodes.  ``Delta`` is set to 1 on the
+        zero column before the reciprocal and ``w`` to 0 there after it, so
+        no 0/0 is formed at the massless node."""
+        lap = self.rows(first).lap
+        d, z = len(lap), lap[0].shape[1] // 2
+        Delta = sum(_axis_layout(t, a, d) for a, t in enumerate(lap))     # a new array
+        zero = (slice(None),) + (z, slice(None)) * (d - 1) + (z,)
+        Delta[zero] = 1.0
+        w = np.divide(1.0, Delta, out=Delta)
+        w[zero] = 0.0
+        return w
+
+    def zero_column(self, c0) -> RankOneRows:
+        """The rows' zero column at every node, from their ``c0``: the
+        ``RankOneRows`` whose ``_zero_column`` and ``den`` finish a solve
+        contracted block by block from ``weights``.  Its ``(nodes, S)``
+        arrays are never formed, and are None."""
+        z = self.lap[0].shape[1] // 2
+        col = np.s_[:, z:z + 1]
+        Delta0, U0, Ubar0 = (_axis_outer(op, [t[col] for t in f]).ravel() for op, f in
+                             ((np.add, self.lap), (np.multiply, self.u), (np.multiply, self.ubar)))
+        return RankOneRows(self.a, math.prod(t.shape[1] for t in self.u) // 2, None, None, None,
+                           Delta0, U0, Ubar0, c0)
+
+    def contract(self, factors, columns) -> list:
+        """``_contract`` of ``w`` against each list of per-axis ``factors`` at
+        every node, split into whole-grid ``(c, nodes)`` parts, ``c`` in
+        ``columns``, a list of parts per list of factors.  Each list is one
+        ``_contract`` per node block, of a shape that no other list changes,
+        and each block's ``w`` is built once for all."""
+        n = math.prod(len(t) for t in self.lap)
+        X = [[np.empty((c, n), np.result_type(f[0], self.lap[0])) for c in cols]
+             for f, cols in zip(factors, columns)]
+        per_row = n // len(self.lap[0])
+        for first in self.blocks(max(map(sum, columns))):
+            w = self.weights(first)
+            nodes = slice(first.start * per_row, first.stop * per_row)
+            for f, parts in zip(factors, X):
+                out, lo = _contract(w, [f[0][first], *f[1:]]).T, 0
+                for part in parts:
+                    part[:, nodes] = out[lo:lo + len(part)]
+                    lo += len(part)
+            del w, out      # before the next block is built
+        return X
+
+    def c0_factors(self) -> list:
+        """The per-axis factors ``u ubar`` of ``c0 = 1 + a_k sum_l w_l U_l Ubar_l``,
+        ``(nodes_a, L**k, 1)``, real at real nodes."""
+        return [(t.real**2 + t.imag**2 if self.real else t * tb)[..., None]
+                for t, tb in zip(self.u, self.ubar)]
 
 
 def _node_blocks(axis_nodes, L: int, k: int, params: MultiscaleParams):
-    """The shift systems' ``RankOneRows`` over blocks of consecutive first-axis
-    nodes, in node order: ``_batches`` of as many as keep one complex
-    ``(nodes, S)`` array within ``NODE_BLOCK_BYTES``, and at least one.
+    """The shift systems' ``RankOneRows`` over ``AxisSymbols.blocks``, each
+    the expansion of one block of the per-axis symbols, which are built once.
     Callers drop each block before the next is built."""
-    axis_nodes = [np.asarray(nodes, dtype=complex) for nodes in axis_nodes]
-    row_bytes = 16 * math.prod(len(n) for n in axis_nodes[1:]) * (L**k) ** len(axis_nodes)
-    for block in _batches(len(axis_nodes[0]), row_bytes, NODE_BLOCK_BYTES):
-        yield RankOneRows.build(*_node_symbols([axis_nodes[0][block]] + axis_nodes[1:],
-                                               L, k, params))
+    sym = AxisSymbols.build([np.asarray(nodes, dtype=complex) for nodes in axis_nodes],
+                            L, k, params)
+    for first in sym.blocks():
+        yield RankOneRows.build(*sym.rows(first).expand())
+
+
+def _axis_layout(table, a: int, d: int) -> np.ndarray:
+    """The ``(n_a, L**k)`` table of axis ``a`` shaped to broadcast into the
+    layout ``(n_0, s_1, n_1, ..., s_{d-1}, n_{d-1}, s_0)`` of ``w``: axis 0
+    keeps its nodes first and its shifts last, every further axis sits as
+    ``(s_a, n_a)`` in between."""
+    shape = [1] * (2 * d)
+    if a == 0:
+        shape[0], shape[-1] = table.shape
+        return table.reshape(shape)
+    shape[2 * a - 1], shape[2 * a] = table.shape[::-1]
+    return np.ascontiguousarray(table.T).reshape(shape)     # so the sum is C-ordered
+
+
+def _contract(w, factors) -> np.ndarray:
+    """``sum_s w[n, s] prod_a factors[a][n_a, s_a, c]`` at every node ``n``
+    of a block, ``(nodes, C)`` with the nodes row-major: ``w`` laid out
+    ``(n_0, s_1, n_1, ..., s_{d-1}, n_{d-1}, s_0)``, ``factors[a]`` of
+    shape ``(n_a, L**k, C)``.  The first axis, whose nodes a block slices,
+    is one batched GEMM over them (a real ``w`` against the interleaved real
+    and imaginary parts of a complex factor, so ``w`` is never cast), and
+    each further axis is accumulated over its ``L**k`` slices, each a
+    contiguous run of its nodes and columns."""
+    d, n_0, Lk = w.ndim // 2, len(w), w.shape[-1]
+    W = w.reshape(n_0, -1, Lk)
+    F = factors[0]
+    if np.iscomplexobj(F) and not np.iscomplexobj(w):
+        X = np.matmul(W, F.view(np.float64)).view(complex)
+    else:
+        X = np.matmul(W, F)
+    X = X.reshape(w.shape[:-1] + X.shape[-1:])      # (n_0, s_1, n_1, ..., s_{d-1}, n_{d-1}, C)
+    for a in reversed(range(1, d)):     # s_a is X's axis 2a - 1, its nodes n_a next
+        F = np.moveaxis(factors[a], 1, 0)
+        F = np.ascontiguousarray(F).reshape(F.shape[:2] + (1,) * (d - 1 - a) + F.shape[2:])
+        at = (slice(None),) * (2 * a - 1)
+        acc = X[at + (0,)] * F[0]
+        for s in range(1, Lk):
+            acc += X[at + (s,)] * F[s]
+        X = acc
+    return X.reshape(-1, X.shape[-1])
 
 
 def _axis_nodes(grid: TorusGrid, shift_q=None) -> list:
@@ -298,14 +450,28 @@ def _axis_nodes(grid: TorusGrid, shift_q=None) -> list:
 def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
                        shift_q=None) -> ShiftSystem:
     """The shift system at the base nodes of ``grid``, moved to ``p + i shift_q``."""
-    return ShiftSystem.build(*_node_symbols(_axis_nodes(grid, shift_q), grid.L, grid.k, params))
+    sym = AxisSymbols.build(_axis_nodes(grid, shift_q), grid.L, grid.k, params)
+    return ShiftSystem.build(*sym.expand())
 
 
 def _shift_phases(grid: TorusGrid, residues) -> np.ndarray:
-    """``exp(2 pi i l . rho / Lk)`` for every shift ``l`` and residue row ``rho``,
-    (S, len(residues)): ``A @`` this contracts ``A`` over its shifts per class."""
-    shifts = shift_vectors(grid.d, grid.L, grid.k)
-    return np.exp(2j * np.pi / grid.shifts_per_axis * (shifts @ residues.T))
+    """``exp(2 pi i l_a rho_a / Lk)`` for every residue row ``rho`` and, per
+    axis ``a``, every shift ``l_a`` of one axis, ``(d, L**k, len(residues))``:
+    over the axes their product is the phase ``exp(2 pi i l . rho / Lk)`` of
+    the shift vector ``l``."""
+    ell = shift_vectors(1, grid.L, grid.k)[:, 0]
+    return np.exp(2j * np.pi / grid.shifts_per_axis * ell[:, None] * residues.T[:, None, :])
+
+
+def _class_phases(R, axes, eta: float) -> np.ndarray:
+    """``exp(i eta R . z)`` for every row of ``R`` and every row-major node
+    ``z`` spanned by ``axes``, (len(R), nodes): the product over the axes of
+    ``(len(R), nodes_a)`` tables."""
+    out = np.ones((len(R), 1), dtype=complex)
+    for r, z in zip(np.asarray(R, dtype=float).T, axes):
+        out = (out[:, :, None] * np.exp(1j * eta * np.outer(r, z))[:, None, :]).reshape(
+            len(R), out.shape[1] * len(z))
+    return out
 
 
 def _classes(idx, Lk: int):
@@ -324,11 +490,15 @@ class KernelPlan:
     and ``ys`` (in ``eta Z^d``), for every grid of ``grid``'s ``(d, L, k)``:
     the lattice check, the residue classes ``Rx``, ``Ry`` modulo the unit
     lattice and each row's class ``cx``, ``cy``, the unit offsets ``t`` and
-    their signs; a subclass adds its shift phases, contracts a node block
-    over the shifts (``legs(blk)``, (nodes, classes) arrays) and forms the
-    node array of a slice of x classes from the legs laid out (classes,
-    nodes) (``node_array(legs, block)``, (x classes, y classes, nodes)).
-    ``grid`` is the plan's start grid in ``converge_plans``."""
+    their signs.  A subclass adds its per-axis shift phases
+    (``_shift_phases``) and from them, on each grid, its per-axis factor
+    tables (``factors(sym)``, parts of ``columns`` columns), which
+    ``evaluate_plans`` contracts against ``w`` block by block; it forms its
+    legs, (classes, nodes) arrays, from its contracted ``(columns, nodes)``
+    parts and the rows' zero column (``legs(rows, *parts)``), and the node
+    array of a slice of x classes from the legs (``node_array(legs,
+    block)``, (x classes, y classes, nodes)).  ``grid`` is the plan's start
+    grid in ``converge_plans``."""
 
     def __init__(self, xs, ys, grid: TorusGrid):
         Lk = grid.shifts_per_axis
@@ -342,16 +512,6 @@ class KernelPlan:
         self.t = (ix // Lk)[:, None, :] - (iy // Lk)[None, :, :]
         self.sign = 1 - 2 * (self.t.sum(axis=-1) % 2)
 
-    def fill(self, legs, blk, lo: int, n: int) -> list:
-        """The plan's legs, (classes, n) arrays allocated on the first block
-        (``legs`` None), with the node block ``blk``'s written in place from
-        column ``lo`` on."""
-        parts = self.legs(blk)
-        legs = legs or [np.empty((p.shape[1], n), p.dtype) for p in parts]
-        for leg, p in zip(legs, parts):
-            leg[:, lo:lo + len(p)] = p.T
-        return legs
-
     def sums(self, grid: TorusGrid, q, axes, legs) -> np.ndarray:
         """``(1/n) sum_p e^{i p (x - y)} F(p)`` over the ``n`` base nodes ``p``
         of ``grid`` moved to ``p + i q`` for all pairs of position rows, from
@@ -361,19 +521,20 @@ class KernelPlan:
         + i q`` per axis, the sum is ``(-1)^{sum t} e^{-q t}`` times the
         inverse DFT over ``b`` of ``e^{i eta p (rho_x - rho_y)} F``, read at
         ``t mod M0``: one transform per pair of classes serves every offset.
-        The x classes are taken in slices whose complex batch stays within
-        ``NODE_BLOCK_BYTES``, at least one class per slice.  The transformed
-        array is Hermitian in ``b`` on every contour (module docstring;
-        ``b = 0`` pairs with ``b = M0``): ``axes`` holds only the last-axis
-        nodes ``b <= M0/2``, and ``irfftn`` returns a real kernel."""
+        The class phases are products of per-axis tables
+        (``_class_phases``).  The x classes are taken in slices whose complex
+        batch stays within ``NODE_BLOCK_BYTES``, at least one class per
+        slice.  The transformed array is Hermitian in ``b`` on every contour
+        (module docstring; ``b = 0`` pairs with ``b = M0``): ``axes`` holds
+        only the last-axis nodes ``b <= M0/2``, and ``irfftn`` returns a real
+        kernel."""
         d, M0 = grid.d, grid.base_count
         cx, cy, t = self.cx, self.cy, self.t
-        z = grid_points(axes)
-        phase_x = np.exp(1j * grid.eta * (self.Rx @ z.T))
-        phase_y = np.exp(-1j * grid.eta * (self.Ry @ z.T))
+        phase_x = _class_phases(self.Rx, axes, grid.eta)
+        phase_y = _class_phases(-self.Ry, axes, grid.eta)
         out = np.empty(t.shape[:2])
         shape, nodes = tuple(map(len, axes)), tuple(range(2, 2 + d))
-        for block in _batches(len(self.Rx), 16 * len(z) * len(self.Ry), NODE_BLOCK_BYTES):
+        for block in _batches(len(self.Rx), 16 * phase_y.size, NODE_BLOCK_BYTES):
             A = self.node_array(legs, block) * phase_x[block, None] * phase_y
             A = A.reshape(A.shape[:2] + shape)
             K = np.fft.irfftn(A, s=(M0,) * d, axes=nodes)
@@ -387,23 +548,24 @@ class KernelPlan:
 
 class GPlan(KernelPlan):
     """The plan of ``G_k``: legs ``D``, ``a_k H``, ``beta`` and ``x0``, node
-    array ``D - a_k H beta + x0`` (``free_kernel_g``)."""
+    array ``D - a_k H beta + x0`` (``free_kernel_g``).  ``D``, ``H`` and
+    ``K`` are one contraction, of ``w`` against the per-axis factors
+    ``e_{x-y}``, ``u e_x`` and ``ubar e_{-y}`` side by side."""
 
     def __init__(self, xs, ys, grid: TorusGrid):
         super().__init__(xs, ys, grid)
         diff, self.m = _classes(self.Rx[:, None, :] - self.Ry[None, :, :], grid.shifts_per_axis)
         self.Ed, self.Ex, self.Ey = (_shift_phases(grid, R) for R in (diff, self.Rx, -self.Ry))
-        self.EK = np.concatenate([self.Ex, self.Ey.conj()], axis=1)
+        self.columns = (len(diff), len(self.Rx), len(self.Ry))
 
-    def legs(self, blk) -> tuple:
-        if blk.wUbar is None:   # real nodes: w Ubar = conj(w U)
-            H, K = np.split(blk.wU @ self.EK, [len(self.Rx)], axis=1)
-            K = K.conj()
-        else:
-            H, K = blk.wU @ self.Ex, blk.wUbar @ self.Ey
-        # D by one complex GEMM: numpy's real @ complex matmul is slower
-        return (blk.w.astype(complex, copy=False) @ self.Ed, blk.a * H,
-                *blk._zero_column(np.s_[:, None], 1, K))
+    def factors(self, sym: AxisSymbols) -> list:
+        return [np.concatenate((np.broadcast_to(ed, (len(u),) + ed.shape),
+                                u[..., None] * ex, ubar[..., None] * ey), axis=-1)
+                for u, ubar, ed, ex, ey in zip(sym.u, sym.ubar, self.Ed, self.Ex, self.Ey)]
+
+    def legs(self, rows: RankOneRows, D, H, K) -> tuple:
+        H *= rows.a
+        return D, H, *rows._zero_column(np.s_[None, :], 1, K)
 
     def node_array(self, legs, block) -> np.ndarray:
         D, aH, beta, x0 = legs
@@ -412,34 +574,51 @@ class GPlan(KernelPlan):
 
 class GQPlan(KernelPlan):
     """The plan of ``G_k Q_k*``: one leg, ``RankOneRows.solve_u`` contracted
-    against ``e_x`` (``free_kernel_gq``)."""
+    against ``e_x`` (``free_kernel_gq``): ``(Delta_0 H + U_0) / den``, with
+    ``H`` the contraction of ``w`` against ``u e_x`` (``e_x`` is 1 on the
+    zero shift)."""
 
     def __init__(self, xs, ys, grid: TorusGrid):
         super().__init__(xs, ys, grid)
         self.Ex = _shift_phases(grid, self.Rx)
+        self.columns = (len(self.Rx),)
 
-    def legs(self, blk) -> tuple:
-        return (blk.solve_u() @ self.Ex,)
+    def factors(self, sym: AxisSymbols) -> list:
+        return [u[..., None] * ex for u, ex in zip(sym.u, self.Ex)]
+
+    def legs(self, rows: RankOneRows, H) -> tuple:
+        H *= rows.Delta0
+        H += rows.U0
+        H /= rows.den
+        return (H,)
 
     def node_array(self, legs, block) -> np.ndarray:
         return legs[0][block, None]
 
 
+def _plan_legs(plans, sym: AxisSymbols) -> list:
+    """Every plan's legs at the nodes of ``sym``: its factor tables, built
+    once, beside those of ``c0``, contracted block by block against ``w``
+    (``AxisSymbols.contract``, each block's ``w`` built once for all), and
+    finished with the rows' ``zero_column``.  A plan's contraction is its
+    own, so its legs do not depend on the plans beside it."""
+    c0 = sym.c0_factors()
+    X = sym.contract([[np.concatenate(f, axis=-1) for f in zip(c0, plan.factors(sym))]
+                      for plan in plans], [(1, *plan.columns) for plan in plans])
+    return [plan.legs(sym.zero_column(1.0 + sym.a * c[0]), *parts)
+            for plan, (c, *parts) in zip(plans, X)]
+
+
 def evaluate_plans(plans, grid: TorusGrid, params: MultiscaleParams, shift_q=None) -> list:
     """The kernel of every plan on ``grid``, its base nodes moved to ``p + i
-    shift_q``.  One ``_node_blocks`` pass over the nodes ``b <= M0/2`` of
-    the last axis fills every plan's legs in place, block by block; then
-    each plan's sums run, the plan with the smallest legs first, and its
-    legs are dropped after them."""
+    shift_q``: the per-axis symbols are built once, at the nodes ``b <=
+    M0/2`` of the last axis, and ``_plan_legs`` makes every plan's legs
+    from them; then each plan's sums run, the plan with the smallest legs
+    first, and its legs are dropped after them."""
     q = np.zeros(grid.d) if shift_q is None else np.asarray(shift_q, dtype=float)
     axes = _axis_nodes(grid, q)
     axes[-1] = axes[-1][:grid.base_count // 2 + 1]
-    n = math.prod(map(len, axes))
-    legs, lo = [None] * len(plans), 0
-    for blk in _node_blocks(axes, grid.L, grid.k, params):
-        legs = [plan.fill(plan_legs, blk, lo, n) for plan, plan_legs in zip(plans, legs)]
-        lo += len(blk.c0)
-        del blk     # before the next block is built, and before the sums
+    legs = _plan_legs(plans, AxisSymbols.build(axes, grid.L, grid.k, params))
     out = [None] * len(plans)
     for i in sorted(range(len(plans)), key=lambda i: sum(leg.nbytes for leg in legs[i])):
         out[i] = plans[i].sums(grid, q, axes, legs[i])
@@ -458,10 +637,11 @@ def free_kernel_g(xs, ys, grid: TorusGrid, params: MultiscaleParams,
 
     On the lattice ``e^{i Z_l x} = e^{i p x} e_x``, and the shift factor
     ``e_x = e^{2 pi i l x}`` depends only on the class of ``x`` modulo the
-    unit lattice (``G(x, t + r) = G(x - t, r)``).  So the pieces of each
-    node block's shift solve are contracted over the shifts once per class:
-    ``D = w e_{x-y}``, ``H = (w U) e_x``, ``K = (w Ubar) e_{-y}`` (at real
-    nodes one product with ``[e_x | conj e_{-y}]``); the node
+    unit lattice (``G(x, t + r) = G(x - t, r)``).  So the pieces of the
+    shift solve are contracted over the shifts once per class: ``D = w
+    e_{x-y}``, ``H = (w U) e_x``, ``K = (w Ubar) e_{-y}``, one contraction
+    of each node block's ``w`` against the per-axis factors of ``e_{x-y}``,
+    ``u e_x`` and ``ubar e_{-y}`` side by side; the node
     array ``D - a_k H beta + x0``, with ``beta`` and ``x0`` of
     ``RankOneRows._zero_column`` at ``v_0 = 1`` and ``B = K``, is summed
     against ``e^{i p (x - y)}`` by one inverse FFT over the base nodes per
@@ -567,14 +747,32 @@ def _from_shift_layout(a, grid: TorusGrid) -> np.ndarray:
     return out
 
 
+def _rank_one_apply(v, u) -> np.ndarray:
+    """``U (conj U^T v)`` at every node, ``v`` laid out ``(n_0, ..., n_{d-1},
+    s_0, ..., s_{d-1})`` and ``U`` the outer product of the per-axis tables
+    ``u``: ``U U^*`` is the Kronecker product of the per-axis ``u_a u_a^*``,
+    so ``conj U^T v`` is contracted one shift axis at a time and ``U`` times
+    it is built up one axis at a time, with no ``(nodes, S)`` table of ``U``."""
+    d = len(u)
+    B = v
+    for a in reversed(range(d)):     # the last shift axis s_a against conj u_a[n_a, s_a]
+        B = np.einsum(B, list(range(d + a + 1)), u[a].conj(), [a, d + a], list(range(d + a)))
+    for a, t in enumerate(u):
+        shape = [1] * (d + a + 1)
+        shape[a], shape[d + a] = t.shape
+        B = B[..., None] * t.reshape(shape)
+    return B
+
+
 def free_symbol_apply(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndarray:
     """Apply the symbol of ``-Lap + mu_bar_k + a_k Q_k* Q_k`` to big-torus
-    samples: ``M v = Delta v + a_k U (Ubar^T v)`` from the symbols, with
-    ``Ubar = conj U`` on the real contour and no shift system."""
-    v = _to_shift_layout(f_hat, grid)
-    Delta, U, _, a_k, _ = _node_symbols(_axis_nodes(grid), grid.L, grid.k, params)
-    return _from_shift_layout(Delta * v + a_k * U * np.sum(U.conj() * v, axis=1, keepdims=True),
-                              grid)
+    samples: ``M v = Delta v + a_k U (Ubar^T v)`` from the per-axis symbols,
+    with ``Ubar = conj U`` on the real contour (``_rank_one_apply``) and no
+    shift system."""
+    sym = AxisSymbols.build(_axis_nodes(grid), grid.L, grid.k, params)
+    v = _shift_view(np.asarray(f_hat, dtype=complex), grid)
+    Delta = _axis_outer(np.add, sym.lap).reshape(v.shape)
+    return _from_shift_layout(Delta * v + sym.a * _rank_one_apply(v, sym.u), grid)
 
 
 def free_apply_ghat(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndarray:
@@ -627,11 +825,11 @@ def qkqk_spatial(patch: FreePatch, values) -> np.ndarray:
 
 def qkqk_fourier(patch: FreePatch, values, grid: TorusGrid) -> np.ndarray:
     """``Q_k* Q_k f`` through the Fourier shift formula: transform, apply the
-    rank-one shift coupling ``U U^*``, transform back.  ``U`` reads no params."""
-    U = _node_symbols(_axis_nodes(grid), grid.L, grid.k, MultiscaleParams())[1]
-    v = _to_shift_layout(patch_fourier_samples(patch, values, grid), grid)
-    ghat = U * np.sum(np.conj(U) * v, axis=1, keepdims=True)
-    return patch_inverse_fourier(_from_shift_layout(ghat, grid), patch, grid)
+    rank-one shift coupling ``U U^*`` axis by axis (``_rank_one_apply``),
+    transform back.  ``U`` reads no params."""
+    u = AxisSymbols.build(_axis_nodes(grid), grid.L, grid.k, MultiscaleParams()).u
+    v = _shift_view(patch_fourier_samples(patch, values, grid), grid)
+    return patch_inverse_fourier(_from_shift_layout(_rank_one_apply(v, u), grid), patch, grid)
 
 
 def qkqk_fourier_residual(patch: FreePatch, values, grid: TorusGrid) -> float:

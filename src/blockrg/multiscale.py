@@ -673,7 +673,7 @@ def scaling_residuals(xi: TowerLevel, sc: TowerLevel) -> dict[str, float]:
     if ell == 0:    # lam = 1 and the same cube: each residual compares a map with itself
         return dict.fromkeys(("de_scaling", "q_scaling", "g_scaling", "dgc_delta", "dgc_c"), 0.0)
     lam = float(geom.L) ** ell
-    lap_xi, lap_sc = (ops.dct_frequency_classes(g, j)[0] for g in (geom, sc.geometry))
+    lap_xi, lap_sc = (ops.dct_class_eigenvalues(g, j) for g in (geom, sc.geometry))
     b_half = float(geom.L) ** (-j * geom.d / 2)
     return {
         "de_scaling": _rel(lam**2 * lap_sc, lap_xi),

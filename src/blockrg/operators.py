@@ -265,23 +265,32 @@ def _block_means(geom, j: int, rows: int) -> np.ndarray:
     return _axis_outer(np.multiply, per_axis * geom.d)
 
 
-def _nested(geom, *xs, inverse: bool = False):
-    """Each of ``xs``, shape ``(site_count, ...)``, from flat frequency order
-    (row-major over the per-axis DCT-II frequencies) to the nested frequency
-    order, or back, in turn.  Per axis, the nested order of ``n = L**i`` sites
-    is the level-1 class table of ``n`` sites taken in the nested order of
-    ``nc = n / L`` sites: class 0 holds the multiples of ``nc``, class
-    ``kappa`` holds ``kappa, 2 nc - kappa, 2 nc + kappa, ...``.  Across axes
-    the ``m`` base-``L`` digits interleave level by level, coarsest first, a
-    Morton order (G. M. Morton, IBM technical report, 1966), so every level's
-    classes are contiguous, led by ``p = kappa``, in the coarse lattice's
-    nested order."""
+def _nested_axes(geom) -> tuple:
+    """The per-axis nested frequency order of ``n = L**m`` sites, and the
+    axes that interleave the ``m`` base-``L`` digits of the ``d`` axes.
+    Per axis, the nested order of
+    ``n`` sites is the level-1 class table of ``n`` sites taken in the
+    nested order of ``nc = n / L`` sites: class 0 holds the multiples of
+    ``nc``, class ``kappa`` holds ``kappa, 2 nc - kappa, 2 nc + kappa, ...``.
+    Across axes the digits interleave level by level, coarsest first, a
+    Morton order (G. M. Morton, IBM technical report, 1966), so every
+    level's classes are contiguous, led by ``p = kappa``, in the coarse
+    lattice's nested order."""
     L, m, d = geom.L, geom.m, geom.d
     t = np.arange(L)
     a, s, order = t + t % 2, 1 - 2 * (t % 2), np.zeros(1, dtype=np.intp)
     for nc in (L**i for i in range(m)):     # class 0 leads, then the classes order[1:]
         order = np.vstack((nc * t, nc * a + s * order[1:, None])).ravel()
-    axes = [mu * m + i for i in range(m) for mu in range(d)] + [m * d]
+    return order, [mu * m + i for i in range(m) for mu in range(d)]
+
+
+def _nested(geom, *xs, inverse: bool = False):
+    """Each of ``xs``, shape ``(site_count, ...)``, from flat frequency order
+    (row-major over the per-axis DCT-II frequencies) to the nested frequency
+    order (``_nested_axes``), or back, in turn."""
+    order, axes = _nested_axes(geom)
+    L, m, d = geom.L, geom.m, geom.d
+    axes = axes + [m * d]       # the columns stay last
     digits, cube = (L,) * (m * d) + (-1,), (L**m,) * d + (-1,)
     if inverse:
         order, axes = np.argsort(order), np.argsort(axes)
@@ -289,6 +298,25 @@ def _nested(geom, *xs, inverse: bool = False):
         y = (x.reshape(digits).transpose(axes).reshape(cube)[np.ix_(*[order] * d)] if inverse
              else x.reshape(cube)[np.ix_(*[order] * d)].reshape(digits).transpose(axes))
         yield y.reshape(x.shape)
+
+
+def _nested_outer(geom, op, table) -> np.ndarray:
+    """``_nested`` of the outer ``op`` over the axes of the 1-d per-frequency
+    ``table``, shape ``(site_count,)``: the table taken in the per-axis
+    nested order, combined across the axes and Morton-transposed, so no
+    ``site_count``-sized gather is made."""
+    order, axes = _nested_axes(geom)
+    x = _axis_outer(op, [table[order][:, None]] * geom.d)
+    return x.reshape((geom.L,) * (geom.m * geom.d)).transpose(axes).ravel()
+
+
+def dct_class_eigenvalues(geom, j: int) -> np.ndarray:
+    """The ``lam`` of ``dct_frequency_classes(geom, j)`` alone, with no ``u``:
+    the 1-d Neumann eigenvalues in the per-axis nested order, summed over
+    the axes (``_nested_outer``), one row per coarse class."""
+    Nc = coarse_geometry(geom, j).sites_per_axis
+    lam1 = _neumann_eigenvalues_1d(geom.sites_per_axis, geom.spacing)
+    return _nested_outer(geom, np.add, lam1).reshape(Nc**geom.d, -1)
 
 
 def dct_frequency_classes(geom, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -313,21 +341,20 @@ def dct_frequency_classes(geom, j: int) -> tuple[np.ndarray, np.ndarray]:
     the ``(N_c**d, b**d)`` layout of ``fourier.ShiftSystem``'s ``(nodes, S)``.
     Members with ``u = 0`` (some axis annihilated, or ``p = 0 mod 2 N_c``
     with ``p > 0``) lie in the kernel of ``Q_j``; every row keeps at least
-    one member with ``u != 0``.  Nothing dense is formed; ``coarse_geometry``
-    refuses a level outside ``0 <= j <= m``.
+    one member with ``u != 0``.  Both are per-axis tables in the nested
+    order, combined across the axes (``_nested_outer``); nothing dense is
+    formed, and ``coarse_geometry`` refuses a level outside ``0 <= j <= m``.
     """
     N, Nc = geom.sites_per_axis, coarse_geometry(geom, j).sites_per_axis
     b = N // Nc
     p = np.arange(N)
-    lam1 = _neumann_eigenvalues_1d(N, geom.spacing)
     r = p % (2 * Nc)
     kappa = np.minimum(r, 2 * Nc - r)
     u1 = np.ones(N)
     u1[1:] = (np.sign(Nc - r[1:]) * np.sin(np.pi * kappa[1:] / (2 * Nc))
               / (b * np.sin(np.pi * p[1:] / (2 * N))))
-    return tuple(x.reshape(Nc**geom.d, -1) for x in _nested(
-        geom, _axis_outer(np.add, [lam1[:, None]] * geom.d),
-        _axis_outer(np.multiply, [u1[:, None]] * geom.d)))
+    return (dct_class_eigenvalues(geom, j),
+            _nested_outer(geom, np.multiply, u1).reshape(Nc**geom.d, -1))
 
 
 def _dct_axis(x, axis: int, inverse: bool) -> np.ndarray:

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from blockrg import fourier as fr, lattice as lat
+from blockrg import fourier as fr, lattice as lat, multiscale as ms
 from blockrg.multiscale import MultiscaleParams
 from oracles import assert_inverse_blocks_match, free_laplacian_1d, interior_mask
 
@@ -245,21 +245,34 @@ def test_shift_inverse_blocks_match_dense_inverse(d, L, k, q0):
     assert_inverse_blocks_match(sys, np.linalg.inv(_dense_shift_matrices(grid, P0, q)[1]))
 
 
+def _node_major(w):
+    """A block's ``w``, laid out ``(n_0, s_1, n_1, ..., s_{d-1}, n_{d-1},
+    s_0)``, as the (nodes, S) rows of ``RankOneRows``."""
+    d = w.ndim // 2
+    nodes, shifts = list(range(0, 2 * d, 2)), [2 * d - 1] + list(range(1, 2 * d - 1, 2))
+    return w.transpose(nodes + shifts).reshape(np.prod([w.shape[i] for i in nodes]), -1)
+
+
 @pytest.mark.parametrize("q0", [None, 0.3], ids=["real", "shifted"])
 @pytest.mark.parametrize("d,L,k", [(1, 3, 2), (2, 3, 1), (2, 3, 2), (3, 3, 1)])
 def test_node_blocks_match_whole_grid_system(d, L, k, q0, monkeypatch):
-    # one builder, _node_symbols, over three node blockings: the kernels'
-    # blocks at the default budget and at one first-axis node each, and the
-    # whole-grid ShiftSystem agree node by node, bit for bit
+    # one per-axis builder, AxisSymbols, over three node blockings: the
+    # strip's expanded blocks and the kernels' per-axis weights, at the
+    # default budget and at one first-axis node each, and the whole-grid
+    # ShiftSystem agree node by node, bit for bit; the kernels' zero column
+    # is the system's, and c0, contracted axis by axis, agrees to rounding
     grid = fr.default_grid(d, L, k)
     q = _contour(d, q0)
     sys = fr.build_shift_system(grid, P0, shift_q=q)
     assert (sys.wUbar is None) == (q0 is None)
     H_sys = sys.solve(fr.u_kernel(_dense_shift_matrices(grid, P0, q)[0], L, k))
+    sym = fr.AxisSymbols.build(fr._axis_nodes(grid, q), L, k, P0)
+    assert sym.real == (q0 is None)
     for budget in (fr.NODE_BLOCK_BYTES, 1):
         monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", budget)
+        firsts = list(sym.blocks())
         blocks = list(fr._node_blocks(fr._axis_nodes(grid, q), L, k, P0))
-        assert len(blocks) == (grid.base_count if budget == 1 else 1)
+        assert len(blocks) == len(firsts) == (grid.base_count if budget == 1 else 1)
         names = ("w", "wU", "Delta0", "U0", "Ubar0", "c0") + ("wUbar",) * (q0 is not None)
         for name in names:
             assert np.array_equal(np.concatenate([getattr(b, name) for b in blocks]),
@@ -267,22 +280,94 @@ def test_node_blocks_match_whole_grid_system(d, L, k, q0, monkeypatch):
         H = np.concatenate([b.solve_u() for b in blocks])
         for node in range(len(H)):
             assert _rel(H[node], H_sys[node]) <= 1e-13
+        w = np.concatenate([_node_major(sym.weights(first)) for first in firsts])
+        assert w.dtype == sys.w.dtype and np.array_equal(w, sys.w)
+        c0, = sym.contract([sym.c0_factors()], [(1,)])[0]
+        rows = sym.zero_column(1.0 + sym.a * c0[0])
+        for name in ("Delta0", "U0", "Ubar0"):
+            assert np.array_equal(getattr(rows, name), getattr(sys, name)), name
+        assert rows.zero == sys.zero and rows.a == sys.a
+        assert _rel(rows.c0, sys.c0) <= 1e-15
 
 
 @pytest.mark.parametrize("d,L,k", [(1, 3, 0), (2, 3, 0), (1, 3, 2), (2, 3, 1), (3, 3, 1),
                                    (1, 5, 0), (1, 5, 1), (2, 5, 1), (3, 5, 1)])
 def test_zero_shift_is_the_middle_row(d, L, k, monkeypatch):
+    # the expansion's zero index, the rows' zero column and the zero slot of
+    # the weights are the zero shift, read off the one-axis shift table
     shifts, axes = fr.shift_vectors(d, L, k), [np.zeros(1, dtype=complex)] * d
     table = fr.shift_vectors
 
     def one_axis(dim, *args):
         if dim != 1:
-            raise AssertionError("_node_symbols built the d-dimensional shift table")
+            raise AssertionError("the per-axis builder built the d-dimensional shift table")
         return table(dim, *args)
 
     monkeypatch.setattr(fr, "shift_vectors", one_axis)
-    zero = fr._node_symbols(axes, L, k, P0)[4]
+    sym = fr.AxisSymbols.build(axes, L, k, P0)
+    zero = sym.expand()[4]
     assert np.flatnonzero(~shifts.any(axis=1)).tolist() == [zero]
+    assert sym.zero_column(np.ones(1)).zero == zero
+    # at p = 0 and mu0 = 0, Delta vanishes at the zero shift alone, where w is 0
+    w = _node_major(sym.weights(slice(0, 1)))[0]
+    assert np.flatnonzero(w == 0.0).tolist() == [zero] and np.all(np.isfinite(w))
+
+
+def _contours(d):
+    return {"real": np.zeros(d), "axis": 0.3 * np.eye(d)[0],
+            "diagonal": np.full(d, 0.3 / np.sqrt(d))}
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1], ids=["default", "block1"])
+@pytest.mark.parametrize("contour", ["real", "axis", "diagonal"])
+@pytest.mark.parametrize("d,L,k", [(1, 3, 1), (1, 3, 2), (1, 5, 2), (2, 3, 0), (2, 3, 1),
+                                   (2, 3, 2), (2, 5, 1), (3, 3, 1), (3, 5, 1)])
+def test_per_axis_legs_match_expanded_rows(d, L, k, contour, block_bytes, monkeypatch):
+    # oracle: the kernels' legs from the Kronecker-expanded RankOneRows of the
+    # whole grid, contracted against whole (S, classes) phase tables, for a
+    # many-class and a one-class plan of each kind
+    if block_bytes is not None:
+        monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", block_bytes)
+    Lk = L**k
+    grid = fr.TorusGrid(d, L, k, 4 * Lk * (2 if d < 3 else 1))
+    sym = fr.AxisSymbols.build(fr._axis_nodes(grid, _contours(d)[contour]), L, k, P0)
+    rows = ms.RankOneRows.build(*sym.expand())
+    rng = np.random.default_rng(43)
+    classes = lat.grid_points([np.arange(Lk)] * d)
+    many = ((classes + Lk * rng.integers(-2, 3, size=classes.shape)) * grid.eta,
+            rng.integers(-3 * Lk, 3 * Lk + 1, size=(4, d)) * grid.eta)
+    one = (np.zeros((1, d)), np.full((1, d), 2.0))
+    plans = [cls(xs, ys, grid) for xs, ys in (many, one) for cls in (fr.GPlan, fr.GQPlan)]
+    shifts = fr.shift_vectors(d, L, k)
+    phases = lambda R: np.exp(2j * np.pi / Lk * shifts @ R.T)
+    wUbar = rows.wUbar if rows.wUbar is not None else rows.wU.conj()
+    for plan, legs in zip(plans, fr._plan_legs(plans, sym)):
+        if isinstance(plan, fr.GPlan):
+            diff = fr._classes(plan.Rx[:, None, :] - plan.Ry[None, :, :], Lk)[0]
+            H = rows.wU @ phases(plan.Rx)
+            want = (rows.w @ phases(diff), rows.a * H,
+                    *rows._zero_column(np.s_[:, None], 1, wUbar @ phases(-plan.Ry)))
+        else:
+            want = (rows.solve_u() @ phases(plan.Rx),)
+        assert len(legs) == len(want)
+        for leg, ref in zip(legs, want):    # at k = 0, w and so D and H are 0
+            assert leg.shape == ref.T.shape
+            assert np.max(np.abs(leg - ref.T)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mu0", [0.0, 0.3])
+@pytest.mark.parametrize("contour", ["real", "axis", "diagonal"])
+@pytest.mark.parametrize("d,L,k", [(1, 3, 1), (1, 5, 2), (2, 3, 1), (2, 3, 2), (2, 5, 1),
+                                   (3, 3, 1), (3, 5, 1)])
+def test_bracket_matches_expanded_symbols(d, L, k, contour, mu0):
+    # oracle: sum_l U Ubar / Delta from the Kronecker-expanded symbols at each point
+    params = MultiscaleParams(mu0=mu0)
+    z = np.random.default_rng(47).uniform(-np.pi, np.pi, size=(6, d)) + 1j * _contours(d)[contour]
+    want = []
+    for p in z:
+        Delta, U, Ubar, _, _ = fr.AxisSymbols.build(list(p[:, None]), L, k, params).expand()
+        want.append(np.sum(U * (U.conj() if Ubar is None else Ubar) / Delta))
+    assert _rel(fr.bracket(z, L, k, mu0), np.array(want)) <= 1e-13
 
 
 # (mu0, q_0, a, NODE_BLOCK_BYTES); a budget of 1 byte puts one first-axis

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockrg import images as im, lattice as lat, multiscale as ms, operators as ops
+from blockrg import fourier as fr, images as im, lattice as lat, multiscale as ms, operators as ops
 from blockrg.lattice import site_to_flat
 
 P0 = ms.MultiscaleParams()
@@ -136,7 +136,6 @@ def test_boundary_neumann_criterion(ref_1d):
     # the image-sum function satisfies the discrete Neumann conditions at the
     # boundary, to truncation tolerance
     geom, _ = ref_1d
-    from blockrg import fourier as fr
     y = (4,)
     shells = 4
     imgs = lat.image_points(geom, y, shells) * geom.spacing
@@ -258,7 +257,6 @@ def test_median_is_numpy_median(shape):
 def test_report_batches_are_one_plan_ladders(g, shells, monkeypatch):
     # the report runs its G and G Q* batches on one ladder; each is bit for bit
     # converge_kernel over free_kernel_g or free_kernel_gq from its own start
-    from blockrg import fourier as fr
     geom = lat.make_geometry(*g)
     run, batches = im._image_batches, []
 
@@ -285,15 +283,15 @@ def test_report_batches_are_one_plan_ladders(g, shells, monkeypatch):
 
 def test_report_builds_each_level_once(monkeypatch):
     # at (2,3,1,1), shells 4, both batches converge over M0 = 16, 32, 64, each
-    # grid one node block of M0 (M0/2 + 1) nodes: one build per level serves
-    # both, 3 builds where a ladder per batch made 6
-    builds, build = [], ms.RankOneRows.build.__func__
+    # grid's symbols built once at M0 (M0/2 + 1) nodes: one build per level
+    # serves both, 3 builds where a ladder per batch made 6
+    builds, build = [], fr.AxisSymbols.build.__func__
 
-    def counted(cls, Delta, *args):
-        builds.append(len(Delta))
-        return build(cls, Delta, *args)
+    def counted(cls, axis_nodes, *args):
+        builds.append(np.prod([len(nodes) for nodes in axis_nodes]))
+        return build(cls, axis_nodes, *args)
 
-    monkeypatch.setattr(ms.RankOneRows, "build", classmethod(counted))
+    monkeypatch.setattr(fr.AxisSymbols, "build", classmethod(counted))
     rep = im.images_residual_report(lat.make_geometry(2, 3, 1, 1), P0, 4)
     assert [g.base_count for g in rep.grid_used] == [64, 64]
     assert builds == [16 * 9, 32 * 17, 64 * 33]

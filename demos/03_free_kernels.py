@@ -36,7 +36,7 @@ print(f"  relative change: {change:.2e}")
 print("\nkernel decay profile and fitted rate:")
 ys = np.arange(0, 36).reshape(-1, 1) * eta
 vals, _, _ = fr.converge_kernel(
-    lambda g: fr.free_kernel_g(x, ys, g, params)[0], fr.default_grid(d, L, k))
+    lambda g: fr.free_kernel_g(x, ys, g, params)[0], fr.default_grid(d, L, k), params)
 dists = ys[:, 0]
 for i in (0, 6, 12, 18, 24, 30):
     print(f"  |G(0, {dists[i]:5.2f})| = {abs(vals[i]):.3e}")

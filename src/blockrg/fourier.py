@@ -31,8 +31,15 @@ phases, offsets and signs) is its ``KernelPlan``, made once per batch of
 positions; ``evaluate_plans`` evaluates several plans on one grid from one
 build of the symbols and node blocks, and ``converge_plans`` drives them up
 one ladder of grid doublings, each from its own start grid to its own first
-stable doubling.  ``M`` itself is applied from its symbols, with no division
-(``free_symbol_apply``).
+accepted doubling.  The trapezoid rule on ``M0`` base nodes per axis
+converges like ``exp(-q* M0)``, ``q*`` the width of the strip where the
+shift systems stay regular (L. N. Trefethen and J. A. C. Weideman, SIAM Rev.
+56, 2014), so a doubling that changes the values by ``delta`` leaves the
+finer grid about ``delta exp(-q* M0)`` off: the ladder reads a bracket of
+``q*`` off one scan of the 1-d shift row (``q_star_bracket``) and accepts
+the finer grid there (``_ladder``), where a ladder blind to ``q*`` spends
+one more doubling.  ``M`` itself is applied from its symbols, with no
+division (``free_symbol_apply``).
 
 Every per-axis symbol has ``conj f(Z) = f(-conj Z)`` (``sin^2`` and ``sinc``
 are even with real coefficients, and ``conj e^{-icZ} = e^{-ic(-conj Z)}``),
@@ -83,6 +90,8 @@ DENOMINATOR_FLOOR = 0.1
 MAX_DOUBLINGS = 6
 NODE_BLOCK_BYTES = 2**20           # nbytes of one complex (nodes, S) array of a node block
 STRIP_Q_MAX = 0.05                 # imaginary half-width of the sampled analyticity strip
+STRIP_SCAN = np.logspace(-2.0, 1.0, 64)     # q nodes of q_star_bracket, ratio 1.116 apart
+LADDER_THETA = 0.6                 # share of q_lo at which the ladder reads the error ratio
 
 
 class PoleProximityError(ValueError):
@@ -661,24 +670,80 @@ def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     return evaluate_plans([GQPlan(xs, ys, grid)], grid, params, shift_q)[0]
 
 
-def _ladder(starts, evaluate, tol: float) -> list:
+def q_star_bracket(d: int, L: int, k: int, params: MultiscaleParams):
+    """A bracket ``(q_lo, q_hi)`` of the analyticity width ``q*``, the
+    smallest ``q > 0`` at which the shift matrix ``M(p + i q e_0)`` turns
+    singular for some real ``p``, or None where the scan reads no bound.
+
+    One ``AxisSymbols.build`` of the 1-d shift row at the nodes ``i
+    STRIP_SCAN`` gives ``den = det M / prod_{l != 0} Delta_l`` at ``p = i q
+    e_0`` for an axis in every ``d``: at ``p_a = 0`` the further axes' ``u``
+    vanishes at their nonzero shifts, which drop out of ``c0``.  There the
+    symbols' symmetry (module docstring) makes ``den`` real, and it is
+    positive at ``q = 0``; ``q_hi`` is the first node where it is not, so a
+    zero lies at or below it, and ``q_lo`` the node before (0 for the
+    first).  For ``d >= 2`` and ``k >= 1`` a further zero of ``det M`` sits
+    at ``p_a = pi`` on one more axis: the shifts ``l_a = 0`` and ``-1`` then
+    share a ``Delta``, which vanishes with ``l_0 = 0`` at ``sinh^2(q eta/2)
+    = sin^2(pi eta/2) + mu0/4``, and that ``q`` caps both ends.  The tests
+    hold ``q_lo`` below every zero of the dense ``det M`` over a grid of
+    ``p``, on a grid of ``(d, k, a, mu0)``.
+
+    No bound where ``den`` keeps its sign over the scan, nor where ``a_inf =
+    a (1 - L**-2) >= 6``: past that the zero of the ``k -> inf`` secular
+    function leaves the imaginary axis.  The scan ends at ``q = 10``: with a
+    mass, ``den`` was seen to cross zero on the axis at ``q = 56-86`` while
+    the first zero of ``det M`` sat off it near ``q = 4.5-7``, and at ``q_lo
+    >= 10`` a ladder's ``rho`` (``_ladder``) is below ``1e-20`` on every
+    grid anyway."""
+    if params.a * (1.0 - float(L) ** -2) >= 6.0:
+        return None
+    den = RankOneRows.build(*AxisSymbols.build([1j * STRIP_SCAN], L, k, params).expand()).den
+    past = np.flatnonzero(~(den.real > 0.0))
+    if not past.size:
+        return None
+    lo, hi = (STRIP_SCAN[past[0] - 1] if past[0] else 0.0), STRIP_SCAN[past[0]]
+    if d >= 2 and k >= 1:
+        eta = float(L) ** (-k)
+        q_pi = (2.0 / eta) * np.arcsinh(np.sqrt(np.sin(np.pi * eta / 2.0) ** 2 + params.mu0 / 4.0))
+        lo, hi = min(lo, q_pi), min(hi, q_pi)
+    return float(lo), float(hi)
+
+
+def _ladder(starts, evaluate, tol: float, params: MultiscaleParams | None) -> list:
     """Drive several entries to quadrature self-convergence on one ladder of
     grids.  Entry ``i`` is evaluated on ``starts[i]`` and its doublings, at
-    most ``MAX_DOUBLINGS``, until the max relative change (against the max
-    magnitude of its current values) drops below ``tol``; each step takes
-    the smallest grid some pending entry needs next, and ``evaluate(grid,
-    live)`` returns the values of all the entries ``live`` that need it.
-    Returns ``(values, grid_used, last_delta)`` per entry."""
+    most ``MAX_DOUBLINGS``; each step takes the smallest grid some pending
+    entry needs next, and ``evaluate(grid, live)`` returns the values of all
+    the entries ``live`` that need it.
+
+    A doubling that changes an entry by ``delta`` (its max change against
+    the max magnitude of its new values) is accepted, finer grid and all,
+    when ``delta <= sqrt(tol)`` and ``min(1, rho / (1 - rho)) delta <=
+    tol``.  The trapezoid error on ``M0`` base nodes falls like ``exp(-q*
+    M0)`` (L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56, 2014), so
+    with ``rho = exp(-LADDER_THETA q_lo M0)``, ``M0`` the coarser grid's
+    base count and ``q_lo`` from ``q_star_bracket`` (one scan per ``(d, L,
+    k)``), ``rho delta / (1 - rho)`` bounds the finer grid's error.  With
+    ``params`` None or no bound the rate is 0 and the rule is ``delta <=
+    tol``; no entry stops later than under that rule.  Returns ``(values,
+    grid_used, last_delta)`` per entry."""
+    rates = {}
+    for d, L, k in {(g.d, g.L, g.k) for g in starts}:
+        bracket = None if params is None else q_star_bracket(d, L, k, params)
+        rates[d, L, k] = 0.0 if bracket is None else LADDER_THETA * bracket[0]
     vals, out, nxt = [None] * len(starts), [None] * len(starts), list(starts)
     while pending := [i for i, o in enumerate(out) if o is None]:
         grid = min((nxt[i] for i in pending), key=lambda g: g.M)
         live = [i for i in pending if nxt[i] == grid]
+        rho = math.exp(-rates[grid.d, grid.L, grid.k] * (grid.base_count // 2))
+        gain = 1.0 if rho >= 0.5 else rho / (1.0 - rho)
         for i, new in zip(live, evaluate(grid, live)):
             new, nxt[i] = np.asarray(new), grid.refined()
             if vals[i] is not None:
                 scale = max(np.max(np.abs(new)), 1e-300)
                 delta = float(np.max(np.abs(new - vals[i])) / scale)
-                if delta <= tol:
+                if delta <= math.sqrt(tol) and gain * delta <= tol:
                     out[i] = new, grid, delta
                 elif grid.M == starts[i].M << MAX_DOUBLINGS:
                     raise GridConvergenceError(
@@ -688,31 +753,38 @@ def _ladder(starts, evaluate, tol: float) -> list:
     return out
 
 
-def converge_kernel(evaluate, grid: TorusGrid, tol: float = 1e-8):
+def converge_kernel(evaluate, grid: TorusGrid, params: MultiscaleParams | None = None,
+                    tol: float = 1e-8):
     """Drive ``evaluate(grid) -> ndarray`` from ``grid`` to quadrature
     self-convergence, the one-entry ``_ladder``: ``(values, grid_used,
-    last_delta)``."""
-    return _ladder([grid], lambda g, live: [evaluate(g)], tol)[0]
+    last_delta)``.  ``params`` are those of the free kernel ``evaluate``
+    reads, whose analyticity width sets the ladder's error ratio; None for
+    an integrand of unknown width, which stops at ``delta <= tol``."""
+    return _ladder([grid], lambda g, live: [evaluate(g)], tol, params)[0]
 
 
 def converge_plans(plans, params: MultiscaleParams, tol: float = 1e-8) -> list:
     """``converge_kernel`` for every plan on one ladder: each plan starts at its
-    own ``grid`` and stops at its own first stable doubling, and each grid
-    of the ladder makes one ``evaluate_plans`` pass, one node build, for the
-    plans that need it.  Returns ``(values, grid_used, last_delta)`` per plan."""
+    own ``grid`` and stops at its own first accepted doubling, judged at the
+    analyticity width of its ``(d, L, k)`` and ``params`` (``_ladder``), and
+    each grid of the ladder makes one ``evaluate_plans`` pass, one node
+    build, for the plans that need it.  Returns ``(values, grid_used,
+    last_delta)`` per plan."""
     return _ladder([p.grid for p in plans],
-                   lambda g, live: evaluate_plans([plans[i] for i in live], g, params), tol)
+                   lambda g, live: evaluate_plans([plans[i] for i in live], g, params), tol,
+                   params)
 
 
 def contour_shift_change(grid: TorusGrid, params: MultiscaleParams, q: float,
                          tol: float = 1e-8) -> float:
     """Relative change of ``G_k(0, 2 e)`` when the contour moves to ``p + i q e_0``.
 
-    The unshifted kernel is driven to quadrature self-convergence at ``tol``
-    from ``grid``; the shifted one is evaluated by the same plan on the grid
-    it converged on.  By analyticity the change is quadrature error only;
-    both kernels take the one route of ``KernelPlan.sums``, so no two codes
-    are compared.
+    The unshifted kernel is driven up the ladder from ``grid`` until a
+    doubling is accepted at ``tol`` (``converge_plans``); the shifted one is
+    evaluated by the same plan on the grid the ladder stopped on.  By
+    analyticity the change is quadrature error only, that of the stopping
+    grid on both contours; both kernels take the one route of
+    ``KernelPlan.sums``, so no two codes are compared.
     """
     d = grid.d
     plan = GPlan(np.zeros((1, d)), np.full((1, d), 2.0), grid)
@@ -785,27 +857,33 @@ def free_apply_ghat(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndar
     return _from_shift_layout(build_shift_system(grid, params).solve(v), grid)
 
 
-def _axis_waves(patch: FreePatch, grid: TorusGrid, sign: float) -> list:
-    """Per axis, ``exp(sign i k x)`` between the big-torus momenta ``k`` and
-    the patch coordinates ``x`` of that axis, shape ``(M, side)``."""
-    k = grid.full_nodes_1d()
-    return [np.exp(sign * 1j * np.outer(k, np.arange(lo, hi + 1) * patch.spacing))
-            for lo, hi in zip(patch.lo, patch.hi)]
+def _axis_waves(patch: FreePatch, grid: TorusGrid) -> list:
+    """Per axis, ``exp(-i k x)`` between the big-torus momenta ``k`` and
+    the patch coordinates ``x`` of that axis, shape ``(M, side)``: one table
+    per distinct axis range, shared by every axis with that range.  The
+    inverse direction reads its conjugate."""
+    k, tables = grid.full_nodes_1d(), {}
+    for lo, hi in zip(patch.lo, patch.hi):
+        if (lo, hi) not in tables:
+            tables[lo, hi] = np.exp(-1j * np.outer(k, np.arange(lo, hi + 1) * patch.spacing))
+    return [tables[lo, hi] for lo, hi in zip(patch.lo, patch.hi)]
 
 
-def patch_fourier_samples(patch: FreePatch, values, grid: TorusGrid) -> np.ndarray:
-    """Exact Fourier transform of a compactly supported patch function at grid nodes."""
+def patch_fourier_samples(patch: FreePatch, values, grid: TorusGrid, waves=None) -> np.ndarray:
+    """Exact Fourier transform of a compactly supported patch function at
+    grid nodes; ``waves`` are ``_axis_waves``, built here if None."""
     f = np.asarray(values, dtype=complex).reshape(patch.shape)
-    for wave in _axis_waves(patch, grid, -1.0):
+    for wave in _axis_waves(patch, grid) if waves is None else waves:
         f = np.tensordot(f, wave, axes=([0], [1]))    # next patch axis -> momentum axis
     return (2.0 * np.pi) ** (-patch.d / 2.0) * patch.spacing**patch.d * f
 
 
-def patch_inverse_fourier(f_hat, patch: FreePatch, grid: TorusGrid) -> np.ndarray:
-    """Quadrature inverse transform back onto the patch sites."""
+def patch_inverse_fourier(f_hat, patch: FreePatch, grid: TorusGrid, waves=None) -> np.ndarray:
+    """Quadrature inverse transform back onto the patch sites, by the
+    conjugates of ``waves`` (``_axis_waves``, built here if None)."""
     f = np.asarray(f_hat, dtype=complex).reshape((grid.M,) * patch.d)
-    for wave in _axis_waves(patch, grid, 1.0):
-        f = np.tensordot(f, wave, axes=([0], [0]))    # next momentum axis -> patch axis
+    for wave in _axis_waves(patch, grid) if waves is None else waves:
+        f = np.tensordot(f, wave.conj(), axes=([0], [0]))    # next momentum axis -> patch axis
     return (2.0 * np.pi) ** (patch.d / 2.0) * f.ravel() / grid.base_count**patch.d
 
 
@@ -828,8 +906,10 @@ def qkqk_fourier(patch: FreePatch, values, grid: TorusGrid) -> np.ndarray:
     rank-one shift coupling ``U U^*`` axis by axis (``_rank_one_apply``),
     transform back.  ``U`` reads no params."""
     u = AxisSymbols.build(_axis_nodes(grid), grid.L, grid.k, MultiscaleParams()).u
-    v = _shift_view(patch_fourier_samples(patch, values, grid), grid)
-    return patch_inverse_fourier(_from_shift_layout(_rank_one_apply(v, u), grid), patch, grid)
+    waves = _axis_waves(patch, grid)
+    v = _shift_view(patch_fourier_samples(patch, values, grid, waves), grid)
+    return patch_inverse_fourier(_from_shift_layout(_rank_one_apply(v, u), grid), patch, grid,
+                                 waves)
 
 
 def qkqk_fourier_residual(patch: FreePatch, values, grid: TorusGrid) -> float:
@@ -908,8 +988,15 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
 
     The ``z`` sample is a uniform interior grid over ``(-pi, pi)^d`` crossed
     with imaginary shifts ``0``, ``+/- q_max`` per axis and the diagonal.
-    A denominator-floor breach raises rather than being recorded.
+    A denominator-floor breach raises rather than being recorded, and so
+    does a ``q_max`` at or past ``q_hi`` of ``q_star_bracket``, where the
+    strip holds a zero of ``det M`` whichever nodes are sampled.
     """
+    bracket = q_star_bracket(d, L, k, params)
+    if bracket is not None and q_max >= bracket[1]:
+        raise StripViolationError(
+            f"q_max={q_max} at or past the analyticity width q* in "
+            f"({bracket[0]:.6g}, {bracket[1]:.6g}]")
     ells = shift_vectors(d, L, k)
     weights = np.prod((1.0 + np.abs(ells)) ** (1.0 + 2.0 / d), axis=-1)
 

@@ -6,9 +6,12 @@ set at a finite number of reflected copies per axis leaves a geometrically
 small tail because the free kernel decays exponentially.  The same works for
 ``G_k Q_k*`` with the reflection words applied to the fine argument.
 
-All free kernels come from :mod:`blockrg.fourier` with quadrature driven to
-self-convergence, so the reported truncation numbers measure the image tail
-and not the quadrature.  Each kernel is one batch of positions, one
+All free kernels come from :mod:`blockrg.fourier` on a quadrature grid the
+ladder accepts (``fourier.converge_plans``): one whose error, read off the
+last doubling's change and the analyticity width ``q*``, is below the
+ladder's ``tol`` of the batch's largest value, so the reported truncation
+numbers measure the image tail and not the quadrature.  Each kernel is one
+batch of positions, one
 ``fourier.KernelPlan``, started at the smallest base count ``8 * 2**j``
 above twice the batch's largest per-axis separation: the torus quadrature
 is the periodic kernel of that period.  ``images_residual_report`` runs its
@@ -79,7 +82,7 @@ def _image_batches(geom: LatticeGeometry, params, shells: int, *batches) -> list
     last relative change)``.
 
     Convergence is judged batch-wide: the ladder scales the change by the
-    batch's largest value, so an entry far below it is stable to the
+    batch's largest value, so an entry far below it is accurate to the
     default ``tol`` times that maximum, not relative to itself.
     """
     if shells < 1:
@@ -124,9 +127,9 @@ def neumann_kernel_via_images(geom: LatticeGeometry, params, x, y,
     """Image-sum value of the Neumann kernel ``G_k(Omega)(x, y)``.
 
     Sums the free kernel over all images of ``y`` within ``shells`` reflected
-    copies per axis, with the quadrature grid doubled until stable.  The
-    images are one batch, judged stable against its own largest value
-    (``_image_batches``): a far pair whose every entry lies below the
+    copies per axis, with the quadrature grid doubled until the ladder
+    accepts it.  The images are one batch, judged against its own largest
+    value (``_image_batches``): a far pair whose every entry lies below the
     quadrature's rounding floor of that value never stabilizes and raises
     ``fourier.GridConvergenceError``, as at (1,3,1,5) between sites (0,)
     and (242,).

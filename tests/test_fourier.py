@@ -502,9 +502,9 @@ def test_free_kernel_batch_memory():
 
 
 def test_contour_shift_change_memory():
-    # fourier-verify's contour check at (2,3,2): G(0, 2e) converges on
-    # M0 = 64 (4096 nodes, S = 81), where one whole-grid shift system holds
-    # 20 MiB of (nodes, S) arrays
+    # fourier-verify's contour check at (2,3,2): G(0, 2e) is accepted on
+    # M0 = 32 (1024 nodes, S = 81), where one whole-grid shift system holds
+    # 2.2 MiB of (nodes, S) arrays; the check peaks at 1.2 MiB
     import tracemalloc
     tracemalloc.start()
     try:
@@ -513,19 +513,33 @@ def test_contour_shift_change_memory():
     finally:
         tracemalloc.stop()
     assert change <= 1e-8
-    assert peak <= 6 * 2**20
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_contour_kernel_within_tol_of_one_more_doubling(d, k):
+    # fourier-verify's G(0, 2e) stops on M0 = 32, one doubling before the
+    # plain rule; both contours' values there are within tol max of M0 = 64
+    grid = fr.default_grid(d, 3, k)
+    plan = fr.GPlan(np.zeros((1, d)), np.full((1, d), 2.0), grid)
+    (vals, used, _), = fr.converge_plans([plan], P0)
+    assert used.base_count == 32
+    shift = np.eye(d)[0] * fr.STRIP_Q_MAX
+    for q, base in ((None, vals), (shift, fr.evaluate_plans([plan], used, P0, shift)[0])):
+        finer, = fr.evaluate_plans([plan], used.refined(), P0, q)
+        assert np.max(np.abs(base - finer)) <= 1e-8 * np.max(np.abs(finer))
 
 
 def test_plans_on_one_ladder_keep_their_own_start_and_stop(monkeypatch):
-    # a G pair at one site starts on M0 = 8 and is stable on 64; a G Q* pair
-    # 20 apart starts on 64, above twice its reach, and runs on: the ladder
-    # evaluates the two together on 64 alone, and each plan gives what its
-    # own one-plan ladder gives, bit for bit
-    x, far_y = np.zeros((1, 1)), np.array([[20.0]])
+    # a G pair at one site starts on M0 = 8 and is accepted on 32; a G Q*
+    # pair 10 apart starts on 32, above twice its reach, and is accepted on
+    # 64: the ladder evaluates the two together on 32 alone, and each plan
+    # gives what its own one-plan ladder gives, bit for bit
+    x, far_y = np.zeros((1, 1)), np.array([[10.0]])
     near = fr.GPlan(x, x, fr.default_grid(1, 3, 1))
-    far = fr.GQPlan(x, far_y, fr.default_grid(1, 3, 1, 20.0))
-    want = (fr.converge_kernel(lambda g: fr.free_kernel_g(x, x, g, P0), near.grid),
-            fr.converge_kernel(lambda g: fr.free_kernel_gq(x, far_y, g, P0), far.grid))
+    far = fr.GQPlan(x, far_y, fr.default_grid(1, 3, 1, 10.0))
+    want = (fr.converge_kernel(lambda g: fr.free_kernel_g(x, x, g, P0), near.grid, P0),
+            fr.converge_kernel(lambda g: fr.free_kernel_gq(x, far_y, g, P0), far.grid, P0))
     passes, evaluate = [], fr.evaluate_plans
 
     def logged(plans, grid, params, shift_q=None):
@@ -534,12 +548,55 @@ def test_plans_on_one_ladder_keep_their_own_start_and_stop(monkeypatch):
 
     monkeypatch.setattr(fr, "evaluate_plans", logged)
     got = fr.converge_plans([near, far], P0)
-    stop = want[1][1].base_count
-    assert passes == ([(8, ["near"]), (16, ["near"]), (32, ["near"]), (64, ["near", "far"])]
-                      + [(2**j, ["far"]) for j in range(7, stop.bit_length())])
-    assert stop > 64
+    assert passes == [(8, ["near"]), (16, ["near"]), (32, ["near", "far"]), (64, ["far"])]
+    assert [w[1].base_count for w in want] == [32, 64]
     for (vals, grid, delta), (w_vals, w_grid, w_delta) in zip(got, want):
         assert np.array_equal(vals, w_vals) and (grid, delta) == (w_grid, w_delta)
+
+
+def _geometric(rate, scale):
+    """An ``evaluate`` for ``converge_kernel`` whose error on base count
+    ``M0`` is ``scale exp(-rate M0)`` about the value 1, and the base counts
+    it was called on."""
+    seen = []
+
+    def evaluate(grid):
+        seen.append(grid.base_count)
+        return np.array([1.0 + scale * np.exp(-rate * grid.base_count)])
+    return evaluate, seen
+
+
+@pytest.mark.parametrize("rate,scale", [(1.0, 1.0), (1.0, 1e3), (0.7, 1.0), (0.3, 1.0),
+                                        (2.0, 1e6), (0.8, 2e4)]
+                         + [(None, 10.0**e) for e in np.arange(-4.0, 8.0, 0.25)])
+def test_ladder_stops_where_the_rate_predicts(rate, scale):
+    # the accepted doubling is the first whose change delta has delta <=
+    # sqrt(tol) and min(1, rho / (1 - rho)) delta <= tol, rho = exp(-theta
+    # q_lo M0) on the coarser base count M0, worked out here from the
+    # sequence; params None (rate 0) is the plain delta <= tol, never
+    # earlier.  Rate None is q_lo itself: an error falling no faster than
+    # the bracket allows still ends within tol, whatever its size
+    tol, q_lo = 1e-8, fr.q_star_bracket(1, 3, 1, P0)[0]
+    rate = q_lo if rate is None else rate
+    M0, plain, predicted = 8, None, None
+    while plain is None:
+        e = [scale * np.exp(-rate * m) for m in (M0, 2 * M0)]
+        delta = abs(e[1] - e[0]) / (1.0 + e[1])
+        rho = np.exp(-fr.LADDER_THETA * q_lo * M0)
+        if predicted is None and delta <= tol**0.5 and min(1.0, rho / (1.0 - rho)) * delta <= tol:
+            predicted = 2 * M0
+        if delta <= tol:
+            plain = 2 * M0
+        M0 *= 2
+    for params, stop in ((P0, predicted), (None, plain)):
+        evaluate, seen = _geometric(rate, scale)
+        vals, grid, delta = fr.converge_kernel(evaluate, fr.default_grid(1, 3, 1), params, tol)
+        assert grid.base_count == stop == seen[-1] and seen == [8 * 2**j for j in range(len(seen))]
+        if rate >= q_lo:
+            assert abs(vals[0] - 1.0) <= tol * vals[0]
+    assert predicted <= plain
+    if (rate, scale) == (1.0, 1.0):
+        assert (predicted, plain) == (32, 64)
 
 
 def test_ladder_gives_up_after_max_doublings():
@@ -554,6 +611,97 @@ def test_ladder_gives_up_after_max_doublings():
     with pytest.raises(fr.GridConvergenceError, match="after 6 doublings"):
         fr.converge_kernel(evaluate, fr.default_grid(1, 3, 1))
     assert grids == [8 * 2**j for j in range(fr.MAX_DOUBLINGS + 1)]
+
+
+def _dense_det_winding(q, p_perp, d, L, k, params, nx=64):
+    """Oracle: the winding number of ``det M(x + i q, p_perp)`` over ``x`` in
+    ``[-pi, pi]``, ``M`` the dense ``S x S`` shift matrix assembled entry by
+    entry from the symbols, one ``slogdet`` per node.  ``det M`` is
+    ``2 pi``-periodic in ``x`` and positive on the real axis, so this counts
+    its zeros ``x + i q'``, ``0 < q' < q``, at that ``p_perp``."""
+    ells = fr.shift_vectors(d, L, k)
+    z = np.zeros((nx + 1, d), dtype=complex)
+    z[:, 0] = np.linspace(-np.pi, np.pi, nx + 1) + 1j * q
+    z[:, 1:] = p_perp
+    Z = z[:, None, :] + 2 * np.pi * ells
+    U, Ub = fr.u_kernel(Z, L, k), fr.u_bar_kernel(Z, L, k)
+    M = (fr.laplacian_symbol(Z, L, k, params.mu0)[:, :, None] * np.eye(len(ells))
+         + params.a_j(L, max(k, 1)) * U[:, :, None] * Ub[:, None, :])
+    phase = np.unwrap(np.angle(np.linalg.slogdet(M)[0]))
+    return round((phase[-1] - phase[0]) / (2 * np.pi), 6)
+
+
+@pytest.mark.parametrize("a", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("mu0", [0.0, 0.2])
+@pytest.mark.parametrize("d,k", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (2, 3),
+                                 (3, 0), (3, 1), (3, 2)])
+def test_q_star_bracket_contains_the_dense_singularity(d, k, mu0, a):
+    # to within 1 %: below q_lo the dense S x S shift matrices M(p + i q e_0)
+    # have no zero for any p_perp on a grid, and below q_hi some p_perp has
+    # one.  At S = 729 the winding costs 65 dense 729 x 729 determinants per
+    # contour, so there the check is det M(i q e_0) itself, real on that line
+    # (the row the scan reads): positive below q_lo, negative past a q_hi the
+    # row sets
+    params = MultiscaleParams(a=a, mu0=mu0)
+    bracket = fr.q_star_bracket(d, 3, k, params)
+    if (k, mu0) == (3, 0.2):    # the zero has left the imaginary axis
+        assert bracket is None
+        return
+    lo, hi = bracket
+    assert 0.0 < lo <= hi
+    if 3**(k * d) <= 81:
+        perps = (lat.grid_points([np.array([0.0, np.pi / 2, np.pi])] * (d - 1)) if d > 1
+                 else np.zeros((1, 0)))
+        assert all(_dense_det_winding(0.99 * lo, pp, d, 3, k, params) == 0 for pp in perps)
+        assert any(_dense_det_winding(1.01 * hi, pp, d, 3, k, params) != 0 for pp in perps)
+    else:
+        def det_axis(q):
+            Z = 1j * q * np.eye(d)[0] + 2 * np.pi * fr.shift_vectors(d, 3, k)
+            M = (np.diag(fr.laplacian_symbol(Z, 3, k, mu0))
+                 + params.a_j(3, k) * np.outer(fr.u_kernel(Z, 3, k), fr.u_bar_kernel(Z, 3, k)))
+            sign, _ = np.linalg.slogdet(M)
+            assert abs(sign.imag) < 1e-9
+            return sign.real
+        assert det_axis(0.99 * lo) > 0
+        row = fr.q_star_bracket(1, 3, k, params)
+        if row[1] == hi:
+            assert det_axis(1.01 * hi) < 0
+
+
+@pytest.mark.parametrize("d,k", [(1, 1), (2, 2), (3, 3)])
+def test_q_star_bracket_no_bound_past_a_inf_6(d, k):
+    # a_inf = a (1 - L**-2) >= 6: the zero leaves the imaginary axis and the
+    # scan reads no bound; just below, it reads one at d = 1
+    for a in (6.75, 7.0, 20.0):
+        assert fr.q_star_bracket(d, 3, k, MultiscaleParams(a=a)) is None
+        assert fr.q_star_bracket(d, 3, k, MultiscaleParams(a=a, mu0=0.2)) is None
+    assert fr.q_star_bracket(1, 3, k, MultiscaleParams(a=6.7)) is not None
+
+
+def test_q_star_bracket_matches_the_known_widths():
+    # q* at (d,L) = (1,3), a = 1, mu0 = 0 is 1.0364541660, 0.9872837739 and
+    # 0.9822438998 at k = 1, 2, 3, and along an axis of d = 2, 3 the same;
+    # a bracket is one scan step, a ratio of 1000**(1/63)
+    step = 1000.0 ** (1 / 63)
+    for k, q_star in ((1, 1.0364541660), (2, 0.9872837739), (3, 0.9822438998)):
+        for d in (1, 2, 3):
+            lo, hi = fr.q_star_bracket(d, 3, k, P0)
+            assert lo < q_star <= hi and hi / lo == pytest.approx(step)
+
+
+def test_axis_waves_one_table_per_distinct_axis():
+    # the cube patch's axes share one table; an axis of another range has
+    # its own; the inverse direction's table is its conjugate, bit for bit
+    grid = fr.default_grid(2, 3, 1).refined()
+    cube = lat.block_aligned_patch(2, 3, 1, (0, 0), (2, 2))
+    waves = fr._axis_waves(cube, grid)
+    assert waves[0] is waves[1]
+    k = grid.full_nodes_1d()
+    x = np.arange(cube.lo[0], cube.hi[0] + 1) * cube.spacing
+    assert np.array_equal(waves[0].conj(), np.exp(1j * np.outer(k, x)))
+    slab = lat.block_aligned_patch(2, 3, 1, (0, -1), (2, 1))
+    a, b = fr._axis_waves(slab, grid)
+    assert a is not b and a.shape == b.shape and not np.array_equal(a, b)
 
 
 def test_free_kernel_all_class_pairs_memory():
@@ -820,6 +968,17 @@ def test_strip_bound_report():
     assert np.isfinite(rep.weighted_sup) and rep.weighted_sup > 0
     assert rep.min_denominator_margin >= 1.0
     assert len(rep.per_shift_sup) == 3
+
+
+def test_strip_bound_refuses_q_max_past_q_star():
+    # q* = 1.0365 at (1,3,1): q_max = 1.2 is past the scan's q_hi, where the
+    # strip holds a zero of det M; the report names q* and refuses, and so
+    # it does at q_hi itself
+    assert fr.q_star_bracket(1, 3, 1, P0)[1] < 1.2
+    with pytest.raises(fr.StripViolationError, match=re.escape("q*")):
+        fr.strip_bound_report(1, 3, 1, P0, q_max=1.2)
+    with pytest.raises(fr.StripViolationError, match="analyticity width"):
+        fr.strip_bound_report(2, 3, 2, P0, q_max=fr.q_star_bracket(2, 3, 2, P0)[1])
 
 
 def test_strip_violation_names_the_node():

@@ -150,6 +150,16 @@ def test_boundary_neumann_criterion(ref_1d):
     assert abs(F[-1] - F[-2]) < 1e-5 * scale        # forward derivative at N-1
 
 
+@pytest.mark.parametrize("shells", [1, 4])
+def test_far_pair_below_the_rounding_floor_raises(shells):
+    # at (1,3,1,5) the pair (0,)-(242,) (direct value 7.3e-37 against
+    # max|G| = 0.88) reads rounding on every grid: its changes stay far above
+    # sqrt(tol), so no rate accepts a doubling and the ladder gives up
+    geom = lat.make_geometry(1, 3, 1, 5)
+    with pytest.raises(fr.GridConvergenceError, match="after 6 doublings"):
+        im.neumann_kernel_via_images(geom, P0, (0,), (242,), shells)
+
+
 def test_shell_guard_raises_for_flat_tails(ref_1d):
     geom, _ = ref_1d
     vals = np.ones(9, dtype=complex)  # no decay at all
@@ -275,16 +285,18 @@ def test_report_batches_are_one_plan_ladders(g, shells, monkeypatch):
     for (vals, _, used, delta), kernel, others in zip(batches[0], kernels, (xpos, labels)):
         reach = np.max(np.abs(imgs[:, None, :] - others[None, :, :]))
         want, want_grid, want_delta = fr.converge_kernel(
-            kernel, fr.default_grid(geom.d, geom.L, geom.k, reach))
+            kernel, fr.default_grid(geom.d, geom.L, geom.k, reach), P0)
         assert np.array_equal(vals, want.reshape(len(others), len(xs), -1).transpose(1, 0, 2))
         assert (used, delta) == (want_grid, want_delta)
     assert rep.grid_used == tuple(b[2] for b in batches[0])
 
 
 def test_report_builds_each_level_once(monkeypatch):
-    # at (2,3,1,1), shells 4, both batches converge over M0 = 16, 32, 64, each
-    # grid's symbols built once at M0 (M0/2 + 1) nodes: one build per level
-    # serves both, 3 builds where a ladder per batch made 6
+    # at (2,3,1,1), shells 4, both batches converge over M0 = 16, 32: the
+    # change from 16 to 32 (1.1e-6 and 1.7e-6) times exp(-theta q_lo 16)
+    # is below tol.  The ladder's scan of q* builds the 1-d shift row once,
+    # then each grid's symbols are built once at M0 (M0/2 + 1) nodes: one
+    # build per level serves both batches
     builds, build = [], fr.AxisSymbols.build.__func__
 
     def counted(cls, axis_nodes, *args):
@@ -293,8 +305,27 @@ def test_report_builds_each_level_once(monkeypatch):
 
     monkeypatch.setattr(fr.AxisSymbols, "build", classmethod(counted))
     rep = im.images_residual_report(lat.make_geometry(2, 3, 1, 1), P0, 4)
-    assert [g.base_count for g in rep.grid_used] == [64, 64]
-    assert builds == [16 * 9, 32 * 17, 64 * 33]
+    assert [g.base_count for g in rep.grid_used] == [32, 32]
+    assert builds == [len(fr.STRIP_SCAN), 16 * 9, 32 * 17]
+
+
+@pytest.mark.parametrize("g,shells", [((1, 3, 2, 4), 3), ((2, 3, 1, 1), 4),
+                                      ((2, 3, 2, 3), 2), ((3, 3, 1, 1), 2)])
+def test_report_batches_within_tol_of_one_more_doubling(g, shells, monkeypatch):
+    # each batch stops where the ladder's rate accepts it; one more doubling
+    # of its own plan moves no value by more than tol times the batch max
+    runs, converge = [], fr.converge_plans
+
+    def recorded(plans, params, tol=1e-8):
+        runs.append((plans, converge(plans, params, tol)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(fr, "converge_plans", recorded)
+    im.images_residual_report(lat.make_geometry(*g), P0, shells)
+    (plans, out), = runs
+    for plan, (vals, used, _) in zip(plans, out):
+        finer, = fr.evaluate_plans([plan], used.refined(), P0)
+        assert np.max(np.abs(vals - finer)) <= 1e-8 * np.max(np.abs(finer))
 
 
 def test_report_memory():

@@ -13,11 +13,19 @@ read off the one propagator ``G`` by a batched Lanczos run, with the weights
 as diagonals; no conjugated operator is formed and no SVD is taken.  The
 defining operator is symmetric, so ``D_{-q} = D_q^T`` and ``q``, ``-q``
 share one value.  Each run stops on the residual of its top Ritz pair
-(``CT_LANCZOS_RTOL`` of the Ritz value).  The dense SVD of
-``conjugated_operator`` is the test oracle for these numbers: the two agree
-to ``16 eps |D_q|_2``.  Once ``q`` passes the decay rate of ``G`` on a long
-cube, ``sigma_min(D_q)`` drops below that rounding level and neither route
-resolves it to any relative accuracy.
+(``CT_LANCZOS_RTOL`` of the Ritz value), tested every ``CT_LANCZOS_CHECK``
+steps and, past ``4 CT_LANCZOS_CHECK``, every ``2 CT_LANCZOS_CHECK``.  The
+run keeps its basis and tridiagonal coefficients in preallocated arrays
+that double when full, and refuses a basis past ``ops.DENSE_BYTE_CAP``
+(``DenseSizeError``).  The dense SVD of ``conjugated_operator`` is the test
+oracle for these numbers: the two agree to ``16 eps |D_q|_2``.  Once ``q``
+passes the decay rate of ``G`` on a long cube, ``sigma_min(D_q)`` drops
+below that rounding level and neither route resolves it to any relative
+accuracy.
+
+The box decay fit of ``ct_bound_report`` draws complex random fields on
+pairs of unit boxes and reads ``|<f, G f'>|`` in real arithmetic, from one
+product of ``G``'s real block with the real and imaginary parts of ``f'``.
 """
 
 from __future__ import annotations
@@ -41,10 +49,14 @@ CT_MAX_EXPONENT = 160.0
 # a weight's Lanczos run stops when the residual of its top Ritz pair is at
 # most this fraction of the Ritz value
 CT_LANCZOS_RTOL = 1e-10
-# steps between two such tests.  Testing after every step instead takes
-# ct_bound_report on the default q grid from 22 to 32 ms at n = 243 and from
-# 90 to 296 ms where the run needs 104 steps (best of 7, G cached): each test
-# is a batched eigendecomposition of the growing tridiagonal matrices.
+# steps between two such tests up to step 4 * CT_LANCZOS_CHECK, and half as
+# many tests after it.  Testing after every step instead takes
+# ct_bound_report on the default q grid from 18 to 30 ms at n = 243 (48
+# steps), from 66 to 232 ms where the run needs 104 steps and from 0.34 to
+# 1.7 s where it needs 216 (best of 7, G cached, on a shared 2-core box):
+# each test is a batched eigendecomposition of the growing tridiagonal
+# matrices.  A test every 8 steps from the start runs 16 steps at n = 27,
+# past the n // 2 that the tests allow.
 CT_LANCZOS_CHECK = 4
 # random field pairs drawn per pair of unit boxes for the box decay fit
 CT_BOX_DRAWS = 3
@@ -118,10 +130,20 @@ def _weighted_norms_sq(K: np.ndarray, expo: np.ndarray):
     ``K`` is symmetric, so each row's operator is ``B^T B`` with
     ``B = W^-1 K W`` and its top eigenvalue is ``|B|_2**2``.  One batched
     Lanczos run (Lanczos 1950) builds a Krylov basis per row with full
-    reorthogonalization (classical Gram-Schmidt, twice), at two
-    ``(rows, n) @ K`` products per step.  Every ``CT_LANCZOS_CHECK`` steps a
-    row stops once the residual ``beta_j |s_j|`` of its top Ritz pair is at
-    most ``CT_LANCZOS_RTOL`` times the Ritz value, which then lies below the
+    reorthogonalization (classical Gram-Schmidt, twice, as batched
+    ``matmul``), at two ``(rows, n) @ K`` products per step.  The basis,
+    ``(rows, capacity, n)``, doubles its capacity (up to ``n``) when full,
+    and the tridiagonal coefficients ``alpha`` and ``beta`` sit beside it as
+    ``(rows, capacity)`` arrays.  A basis that would grow past
+    ``ops.DENSE_BYTE_CAP`` raises ``DenseSizeError`` first: a clustered top
+    of the spectrum needs nearly ``n`` steps (212 of 243 at (1,3,3,5) with
+    ``a = 0.0564``, ``mu0 = 10``), and the basis then holds ``rows n**2``
+    floats.
+
+    At step ``CT_LANCZOS_CHECK`` and every ``CT_LANCZOS_CHECK`` steps up to
+    ``4 CT_LANCZOS_CHECK``, then every ``2 CT_LANCZOS_CHECK``, a row stops
+    once the residual ``beta_j |s_j|`` of its top Ritz pair is at most
+    ``CT_LANCZOS_RTOL`` times the Ritz value, which then lies below the
     eigenvalue by at most ``residual**2 / gap``.  A zero ``beta_j`` (an
     invariant Krylov space) forces the test, where its residual is 0.
     ``beta_j`` is taken as ``s |w / s|`` with ``s = max |w|``: the entries
@@ -132,24 +154,26 @@ def _weighted_norms_sq(K: np.ndarray, expo: np.ndarray):
     out, live = np.empty(rows), np.arange(rows)
     # a private start vector: the caller's generator stays untouched
     v = np.random.default_rng(0).standard_normal(n)
-    basis = np.empty((rows, 8, n))
+    basis, alpha, beta = _lanczos_arrays(rows, min(8, n), n)
     basis[:, 0] = v / np.linalg.norm(v)
-    alpha, beta = np.empty((rows, 0)), np.empty((rows, 0))
+    check = CT_LANCZOS_CHECK
     for j in range(n):
         w = W * ((Winv2 * ((W * basis[:, j]) @ K)) @ K)
         V = basis[:, :j + 1]
-        h = np.einsum("rkn,rn->rk", V, w)
-        w -= np.einsum("rkn,rk->rn", V, h)
-        h2 = np.einsum("rkn,rn->rk", V, w)
-        w -= np.einsum("rkn,rk->rn", V, h2)
-        alpha = np.column_stack([alpha, h[:, j] + h2[:, j]])
+        h = np.matmul(V, w[:, :, None])
+        w -= np.matmul(h.transpose(0, 2, 1), V)[:, 0]
+        h2 = np.matmul(V, w[:, :, None])
+        w -= np.matmul(h2.transpose(0, 2, 1), V)[:, 0]
+        alpha[:, j] = h[:, j, 0] + h2[:, j, 0]
         scale = np.abs(w).max(axis=1)
         b = scale * np.linalg.norm(w / np.where(scale > 0, scale, 1.0)[:, None], axis=1)
-        if (j + 1) % CT_LANCZOS_CHECK == 0 or j == n - 1 or not b.all():
+        if j + 1 == check or j == n - 1 or not b.all():
+            if j + 1 == check:
+                check += CT_LANCZOS_CHECK * (1 if check < 4 * CT_LANCZOS_CHECK else 2)
             T = np.zeros((live.size, j + 1, j + 1))
             i = np.arange(j + 1)
-            T[:, i, i] = alpha
-            T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = beta
+            T[:, i, i] = alpha[:, :j + 1]
+            T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = beta[:, :j]
             theta, s = np.linalg.eigh(T)
             # a basis of n vectors spans the space: its Ritz values are exact
             done = (b * np.abs(s[:, -1, -1]) <= CT_LANCZOS_RTOL * theta[:, -1]) | (j == n - 1)
@@ -159,10 +183,26 @@ def _weighted_norms_sq(K: np.ndarray, expo: np.ndarray):
             keep = ~done
             live, W, Winv2, w, b = live[keep], W[keep], Winv2[keep], w[keep], b[keep]
             basis, alpha, beta = basis[keep], alpha[keep], beta[keep]
-        beta = np.column_stack([beta, b])
+        beta[:, j] = b
         if j + 1 == basis.shape[1]:
-            basis = np.concatenate([basis, np.empty_like(basis)], axis=1)
+            grown = _lanczos_arrays(live.size, min(2 * (j + 1), n), n)
+            for new, old in zip(grown, (basis, alpha, beta)):
+                new[:, :j + 1] = old
+            basis, alpha, beta = grown
         basis[:, j + 1] = w / b[:, None]
+
+
+def _lanczos_arrays(rows: int, capacity: int, n: int):
+    """An empty Lanczos basis ``(rows, capacity, n)`` and its ``alpha`` and
+    ``beta``, ``(rows, capacity)``; a basis past ``ops.DENSE_BYTE_CAP`` is
+    refused before it allocates (``DenseSizeError``)."""
+    nbytes = 8 * rows * capacity * n
+    if nbytes > ops.DENSE_BYTE_CAP:
+        raise ops.DenseSizeError(
+            f"the Lanczos basis of {rows} weights would hold {capacity} vectors of {n} "
+            f"sites, {nbytes / 2**30:,.3g} GiB, past DENSE_BYTE_CAP = "
+            f"{ops.DENSE_BYTE_CAP / 2**30:g} GiB")
+    return np.empty((rows, capacity, n)), np.empty((rows, capacity)), np.empty((rows, capacity))
 
 
 def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
@@ -177,7 +217,8 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
     the Ritz value (``_weighted_norms_sq``); ``norm_steps`` counts the run's
     steps.  A weight exponent above ``CT_MAX_EXPONENT`` raises
     ``lattice.GeometryError``, and a cube of one unit box (no two box
-    distances to fit) ``FitWindowError``, before ``G`` is built.  Tests
+    distances to fit) ``FitWindowError``, before ``G`` is built; a Lanczos
+    basis past ``ops.DENSE_BYTE_CAP`` raises ``DenseSizeError``.  Tests
     compare these values with the dense SVD of ``conjugated_operator``.
 
     Separately, random fields supported on single unit boxes probe
@@ -214,21 +255,27 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
     i1, i2 = np.triu_indices(len(labels))
     b = boxes.shape[1]
     vals = np.empty((i1.size, CT_BOX_DRAWS))
-    # the pairs in slices within PROBE_BLOCK_BYTES (the (b, b) block of G and
-    # the draws of a pair); the slices draw in order, one stream in all
-    for pb in multiscale._batches(i1.size, 8 * b * (b + 8 * CT_BOX_DRAWS),
+    # the pairs in slices within PROBE_BLOCK_BYTES (the (b, b) block of G, the
+    # draws of a pair and their product with it); the slices draw in order,
+    # one stream in all
+    for pb in multiscale._batches(i1.size, 8 * b * (b + 6 * CT_BOX_DRAWS),
                                   multiscale.PROBE_BLOCK_BYTES):
         # for each pair i <= i2 (row-major) and each draw, the (real, imag)
         # parts of a field on box i, then of one on box i2: Z[pair, draw, box]
-        Z = rng.standard_normal((pb.stop - pb.start, CT_BOX_DRAWS, 2, b, 2))
-        z = Z[..., 0] + 1j * Z[..., 1]
-        f, f2 = z[:, :, 0], z[:, :, 1]
+        p = pb.stop - pb.start
+        Z = rng.standard_normal((p, CT_BOX_DRAWS, 2, b, 2))
         # |<f, G f2>| / (|f| |f2|): the inner product's eta**d cancels against
-        # the norms', leaving the value matrix eta**d K of G
+        # the norms', leaving the value matrix eta**d K of G.  K is real, so
+        # <f, K f2> = (fr.K f2r + fi.K f2i) + i (fr.K f2i - fi.K f2r), from
+        # one product of a pair's block of K with [f2r, f2i]
+        fr, fi = np.moveaxis(Z[:, :, 0], -1, 0)          # (pair, draw, box)
         Gpair = K[boxes[i1[pb]][:, :, None], boxes[i2[pb]][:, None, :]]
-        vals[pb] = np.abs(np.einsum("pdx,pxy,pdy->pd", f.conj(), Gpair, f2))
-        vals[pb] *= geom.spacing ** geom.d / (np.linalg.norm(f, axis=-1)
-                                              * np.linalg.norm(f2, axis=-1))
+        Kf2 = np.matmul(Gpair, Z[:, :, 1].transpose(0, 2, 1, 3).reshape(p, b, -1))
+        Kr, Ki = Kf2.reshape(p, b, -1, 2).transpose(3, 0, 2, 1)
+        re = np.einsum("pdx,pdx->pd", fr, Kr) + np.einsum("pdx,pdx->pd", fi, Ki)
+        im = np.einsum("pdx,pdx->pd", fr, Ki) - np.einsum("pdx,pdx->pd", fi, Kr)
+        sq = np.einsum("pdsxi,pdsxi->pds", Z, Z)        # |f|**2 and |f2|**2
+        vals[pb] = np.hypot(re, im) * (geom.spacing ** geom.d / np.sqrt(sq[..., 0] * sq[..., 1]))
     dists = np.linalg.norm(labels[i1] - labels[i2], axis=1)
     logvals = np.log(vals.max(axis=1))
     slope, intercept = np.polyfit(dists, logvals, 1)

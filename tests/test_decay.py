@@ -214,6 +214,30 @@ def test_ct_sigmas_at_far_weights(dims, a, mu0, q_list):
         assert_ct_sigmas_match_dense_svd(g, params, q_list)
 
 
+def test_ct_lanczos_basis_is_refused_past_the_dense_cap(tmp_path, monkeypatch):
+    # at n = 27 the default q grid is 6 weights and a 12-step run: its basis
+    # starts at 8 vectors a weight and doubles to 16. With the cap at the
+    # first basis, the doubling is refused by bytes (a configuration error,
+    # exit 2); with room for 16 vectors the run is the uncapped one
+    g = lat.make_geometry(1, 3, 1, 3)
+    G = ms.green_neumann(g, P0)      # built under the real cap
+    monkeypatch.setattr(ms, "green_neumann", lambda *args: G)
+    whole = dc.ct_bound_report(g, P0, cli.CT_Q_GRID, np.random.default_rng(0))
+    assert whole.norm_steps == 12
+    first = 8 * 6 * 8 * g.site_count
+    monkeypatch.setattr(ops, "DENSE_BYTE_CAP", 2 * first)
+    assert dc.ct_bound_report(g, P0, cli.CT_Q_GRID, np.random.default_rng(0)) == whole
+    monkeypatch.setattr(ops, "DENSE_BYTE_CAP", first)
+    with pytest.raises(ops.DenseSizeError, match="Lanczos basis of 6 weights would hold 16 "
+                                                 "vectors of 27 sites"):
+        dc.ct_bound_report(g, P0, cli.CT_Q_GRID, np.random.default_rng(0))
+    cfg = dataclasses.replace(cli.load_config(None), experiment="ct-report",
+                              geometry=dict(zip("dLkm", (1, 3, 1, 3))))
+    assert cli.run(cfg, tmp_path) == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["ct-report"]["status"] == "config error"
+
+
 def test_ct_report_weight_range_is_named():
     # side 81 at q = 10: weights up to exp(403), W^-2 up to exp(807)
     g = lat.make_geometry(1, 3, 1, 5)

@@ -60,6 +60,19 @@ def test_invert_two_site_neumann():
     assert np.max(np.abs(M @ np.linalg.solve(M, f) - f)) < 1e-14
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 243])
+def test_neumann_lap_1d_is_the_site_stencil(N):
+    # oracle: site by site, -2 f(x) plus each neighbour, a missing one
+    # clamped to f(x); the assembled matrix agrees bit for bit
+    eta = 1.0 / 3**5
+    T = np.zeros((N, N))
+    for i in range(N):
+        T[i, i] = -2.0
+        for nb in (i - 1, i + 1):
+            T[i, nb if 0 <= nb < N else i] += 1.0
+    assert np.array_equal(ops._neumann_lap_1d(N, eta), T / eta**2)
+
+
 def test_invert_roundtrip(rng):
     g = lat.make_geometry(1, 3, 1, 2)
     lap = ops.neumann_laplacian(g)

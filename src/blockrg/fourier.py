@@ -13,12 +13,12 @@ with ``Delta`` the Laplacian symbol and ``u`` the averaging symbol
     u(z) = eta^d prod_nu (1 - exp(-i z_nu)) / (1 - exp(-i z_nu eta)).
 
 Every shift system is therefore solved in O(S) by the Sherman-Morrison
-formula, never stored or inverted as an ``S x S`` matrix: its nodes are rows
-of ``multiscale.RankOneRows`` (the formula is ``_zero_column``), the solver
-of the DCT-class tower too.  The formula is used multiplied through by
-``Delta_0``, the symbol of the zero shift, and the zero-shift term is split
-off the diagonal sum.  What remains divides only by
-the nonzero-shift symbols and by ``Delta_0 (1 + a_k sum_{l!=0} Ubar_l U_l /
+formula, never stored or inverted as an ``S x S`` matrix: its zero column
+at every node is a ``multiscale.RankOneRows`` (the formula is
+``_zero_column``), the type of the DCT-class tower's rows too.  The formula
+is used multiplied through by ``Delta_0``, the symbol of the zero shift, and
+the zero-shift term is split off the diagonal sum.  What remains divides
+only by the nonzero-shift symbols and by ``Delta_0 (1 + a_k sum_{l!=0} Ubar_l U_l /
 Delta_l) + a_k U_0 Ubar_0``, which is ``det M`` over those symbols and so
 positive at every real momentum.  The massless node ``p = 0``, where
 ``Delta_0 = 0``, thus goes through the same formula as every other node and
@@ -47,7 +47,7 @@ and so have the class phases.  ``z -> -conj z`` sends ``p + i q`` to
 ``-p + i q`` on the same contour and the shift ``l`` to ``-l`` (L odd), so
 on every contour the kernels' node arrays are Hermitian in the node: half
 the nodes are solved, ``irfftn`` sums them, and the kernels are real.  The
-strip integrand ``H = M^{-1} U`` is ``RankOneRows.solve_u`` at complex
+strip integrand ``H = M^{-1} U`` is ``ShiftSystem.solve_u`` at complex
 nodes ``p + i q``.
 
 Every symbol on the torus is a Kronecker object (C. F. Van Loan, "The
@@ -55,20 +55,24 @@ ubiquitous Kronecker product", J. Comput. Appl. Math. 123, 2000): ``Delta``
 is a sum over the axes of per-axis tables, ``U``, ``Ubar`` and the shift
 phases are products, and only ``w = 1/Delta`` is not separable.  One
 builder, ``AxisSymbols``, makes the ``(nodes_a, L**k)`` tables of every
-axis at per-axis nodes, once per grid, cached nowhere.  The kernels read
-them per axis: each node block forms one ``(nodes, S)`` array, ``w``, real
-on the real contour, and contracts it against per-axis factor tables, the
-first axis by one batched GEMM and each further axis slice by slice
-(``_contract``), so the kernel path forms no ``(nodes, S)`` complex table;
-the rows' zero column finishes the contractions
-(``AxisSymbols.zero_column``).
-``bracket``, ``free_symbol_apply`` and ``qkqk_fourier`` work per axis too.
-The whole-grid ``ShiftSystem`` (``free_apply_ghat``) and the strip's node
-blocks (``_node_blocks``) keep ``RankOneRows``, fed by the Kronecker
-expansion of the same tables (``AxisSymbols.expand``).  A kernel keeps only
-its contracted (classes, nodes) legs, and only through its transforms.
-Node blocks and class slices are cut by the package's one byte-budget
-slicer, ``multiscale._batches``, within ``NODE_BLOCK_BYTES``.
+axis at per-axis nodes, once per grid, cached nowhere, and they are the
+torus's one representation: no path forms the Kronecker expansion of ``U``
+or ``Ubar``.  The kernels read them per axis: each node block forms one
+``(nodes, S)`` array, ``w``, real on the real contour, and contracts it
+against per-axis factor tables, the first axis by one batched GEMM and each
+further axis slice by slice (``_contract``), so the kernel path forms no
+``(nodes, S)`` complex table; the rows' zero column finishes the
+contractions (``AxisSymbols.zero_column``).  ``ShiftSystem`` is the same
+tables and zero column and one ``w``, formed once, from which its ``c0`` is
+contracted and its solves read: the solve
+(``free_apply_ghat``) applies ``Ubar^T`` and ``U`` axis by axis
+(``_shift_sum``, ``_shift_spread``), the strip forms ``H = Delta_0 w U /
+den`` block by block from ``weights``, and ``q_star_bracket`` reads its
+``den``.  ``bracket``, ``free_symbol_apply`` and ``qkqk_fourier`` work per
+axis too.  A kernel keeps only its contracted (classes, nodes) legs, and
+only through its transforms.  Node blocks and class slices are cut by the
+package's one byte-budget slicer, ``multiscale._batches``, within
+``NODE_BLOCK_BYTES``.
 
 Symbols take complex arguments everywhere, which is what operational
 analyticity checks (contour shifts) and the strip bounds rely on.
@@ -179,11 +183,8 @@ def default_grid(d: int, L: int, k: int, reach: float = 0.0) -> TorusGrid:
 
 
 def _sinc(w):
-    """sin(w)/w for complex arrays, series branch near zero."""
-    w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < 1e-4
-    safe = np.where(small, 1.0, w)
-    return np.where(small, 1.0 - w * w / 6.0 + w**4 / 120.0, np.sin(safe) / safe)
+    """sin(w)/w for complex arrays, 1 at 0 (``np.sinc``)."""
+    return np.sinc(np.asarray(w, dtype=complex) / np.pi)
 
 
 def u_axis(z, eta: float):
@@ -266,27 +267,6 @@ class FactoredStack:
         return sum(f.nbytes for f in self.factors)
 
 
-class ShiftSystem(RankOneRows):
-    """Per-node shift matrices ``M = diag(Delta) + a_k U Ubar^T`` of the defining operator.
-
-    The ``n`` nodes, rows of ``multiscale.RankOneRows`` (``a = a_k``), are
-    the row-major base nodes of a grid; the shifts are the S rows of
-    ``shift_vectors``, the zero shift at index ``zero``.  ``den`` is positive
-    at real momenta.  ``Mmat`` holds the factors that fix ``M`` and ``Minv``
-    the one more ``solve`` reads, ``c0``: their ``nbytes`` count every array
-    the system stores, each once.
-    """
-
-    @property
-    def Mmat(self) -> FactoredStack:
-        factors = (self.w, self.wU, self.wUbar, self.Delta0, self.U0, self.Ubar0)
-        return FactoredStack(tuple(f for f in factors if f is not None))
-
-    @property
-    def Minv(self) -> FactoredStack:
-        return FactoredStack((self.c0,))
-
-
 @dataclass(frozen=True)
 class AxisSymbols:
     """The torus symbols per axis at per-axis momenta: lists ``lap`` (the
@@ -321,15 +301,6 @@ class AxisSymbols:
     @property
     def real(self) -> bool:
         return not np.iscomplexobj(self.lap[0])
-
-    def expand(self) -> tuple:
-        """``RankOneRows.build``'s ``(Delta, U, Ubar, a_k, zero)``, each a new
-        (n, S) array, ``Ubar`` None at real nodes, ``zero`` the zero shift's
-        index in ``shift_vectors`` (the middle row, ``L`` odd)."""
-        outer = lambda op, f: _axis_outer(op, f) if len(f) > 1 else f[0].copy()
-        return (outer(np.add, self.lap), outer(np.multiply, self.u),
-                None if self.real else outer(np.multiply, self.ubar),
-                self.a, math.prod(t.shape[1] for t in self.u) // 2)
 
     def blocks(self, columns: int = 1):
         """Slices of consecutive first-axis nodes, in node order: ``_batches``
@@ -368,7 +339,7 @@ class AxisSymbols:
         col = np.s_[:, z:z + 1]
         Delta0, U0, Ubar0 = (_axis_outer(op, [t[col] for t in f]).ravel() for op, f in
                              ((np.add, self.lap), (np.multiply, self.u), (np.multiply, self.ubar)))
-        return RankOneRows(self.a, math.prod(t.shape[1] for t in self.u) // 2, None, None, None,
+        return RankOneRows(self.a, math.prod(t.shape[1] for t in self.u) // 2, None, None,
                            Delta0, U0, Ubar0, c0)
 
     def contract(self, factors, columns) -> list:
@@ -399,14 +370,71 @@ class AxisSymbols:
                 for t, tb in zip(self.u, self.ubar)]
 
 
-def _node_blocks(axis_nodes, L: int, k: int, params: MultiscaleParams):
-    """The shift systems' ``RankOneRows`` over ``AxisSymbols.blocks``, each
-    the expansion of one block of the per-axis symbols, which are built once.
-    Callers drop each block before the next is built."""
-    sym = AxisSymbols.build([np.asarray(nodes, dtype=complex) for nodes in axis_nodes],
-                            L, k, params)
-    for first in sym.blocks():
-        yield RankOneRows.build(*sym.rows(first).expand())
+@dataclass(frozen=True)
+class ShiftSystem:
+    """Per-node shift matrices ``M = diag(Delta) + a_k U Ubar^T`` of the
+    defining operator in per-axis form: the symbols ``sym`` at the
+    row-major products of their per-axis nodes, their weights ``w``
+    (``AxisSymbols.weights``) and ``rows``, the zero column at every node
+    (``AxisSymbols.zero_column``), with ``c0`` contracted from that ``w``.
+    ``rows.den`` is positive at real momenta.  ``Mmat`` holds the factors
+    that fix ``M``, the per-axis tables and the ``(n,)`` zero column, and
+    ``Minv`` the two more the solves read, ``w`` and ``c0``: their
+    ``nbytes`` count every array the system stores, each once.  ``w`` is
+    the one ``(n, S)`` array, formed once for the build and its solves."""
+
+    sym: AxisSymbols
+    w: np.ndarray
+    rows: RankOneRows
+
+    @classmethod
+    def build(cls, sym: AxisSymbols) -> "ShiftSystem":
+        w = sym.weights(slice(None))
+        c0 = _contract(w, sym.c0_factors())[:, 0]
+        return cls(sym, w, sym.zero_column(1.0 + sym.a * c0))
+
+    @property
+    def Mmat(self) -> FactoredStack:
+        r = self.rows
+        return FactoredStack((*self.sym.lap, *self.sym.u, *self.sym.ubar, r.Delta0, r.U0, r.Ubar0))
+
+    @property
+    def Minv(self) -> FactoredStack:
+        return FactoredStack((self.w, self.rows.c0))
+
+    def _layout(self):
+        """``w`` as a view in the layout ``(n_0, ..., n_{d-1}, s_0, ...,
+        s_{d-1})`` of ``_shift_view`` (``weights`` lays it out ``(n_0, s_1,
+        n_1, ..., s_{d-1}, n_{d-1}, s_0)``), the node shape and the index
+        of the zero column in that layout."""
+        d = self.w.ndim // 2
+        w = self.w.transpose(*range(0, 2 * d, 2), 2 * d - 1, *range(1, 2 * d - 1, 2))
+        return w, w.shape[:d], (Ellipsis,) + (w.shape[-1] // 2,) * d
+
+    def solve(self, v) -> np.ndarray:
+        """``M^{-1} v`` at every node, ``v`` laid out ``(n_0, ..., n_{d-1},
+        s_0, ..., s_{d-1})`` (``_shift_view``): ``w (v - a_k U beta)`` off
+        the zero column and ``x_0`` on it, from ``_zero_column`` of ``v_0``
+        and ``B = Ubar^T (w v)``.  ``Ubar^T`` and ``U`` are applied axis by
+        axis (``_shift_sum``, ``_shift_spread``)."""
+        w, nodes, zero = self._layout()
+        beta, x0 = self.rows._zero_column(slice(None), v[zero].ravel(),
+                                          _shift_sum(w * v, self.sym.ubar).ravel())
+        x = _shift_spread(self.sym.a * beta.reshape(nodes), self.sym.u)
+        np.subtract(v, x, out=x)
+        x *= w
+        x[zero] = x0.reshape(nodes)
+        return x
+
+    def solve_u(self) -> np.ndarray:
+        """``M^{-1} U`` at every node, ``(n, S)``, the shifts row-major: the
+        solve of ``U``, where ``B = (c0 - 1) / a`` cancels and leaves
+        ``Delta_0 w U / den`` off the zero column and ``U_0 / den`` on it."""
+        (w, nodes, zero), rows = self._layout(), self.rows
+        H = _shift_spread((rows.Delta0 / rows.den).reshape(nodes), self.sym.u)
+        H *= w
+        H[zero] = (rows.U0 / rows.den).reshape(nodes)
+        return H.reshape(len(rows.c0), -1)
 
 
 def _axis_layout(table, a: int, d: int) -> np.ndarray:
@@ -459,8 +487,8 @@ def _axis_nodes(grid: TorusGrid, shift_q=None) -> list:
 def build_shift_system(grid: TorusGrid, params: MultiscaleParams,
                        shift_q=None) -> ShiftSystem:
     """The shift system at the base nodes of ``grid``, moved to ``p + i shift_q``."""
-    sym = AxisSymbols.build(_axis_nodes(grid, shift_q), grid.L, grid.k, params)
-    return ShiftSystem.build(*sym.expand())
+    return ShiftSystem.build(AxisSymbols.build(_axis_nodes(grid, shift_q), grid.L, grid.k,
+                                               params))
 
 
 def _shift_phases(grid: TorusGrid, residues) -> np.ndarray:
@@ -582,7 +610,7 @@ class GPlan(KernelPlan):
 
 
 class GQPlan(KernelPlan):
-    """The plan of ``G_k Q_k*``: one leg, ``RankOneRows.solve_u`` contracted
+    """The plan of ``G_k Q_k*``: one leg, ``ShiftSystem.solve_u`` contracted
     against ``e_x`` (``free_kernel_gq``): ``(Delta_0 H + U_0) / den``, with
     ``H`` the contraction of ``w`` against ``u e_x`` (``e_x`` is 1 on the
     zero shift)."""
@@ -664,7 +692,7 @@ def free_kernel_gq(xs, ys, grid: TorusGrid, params: MultiscaleParams,
     """Kernel ``(G_k Q_k*)(x, y)`` for fine positions ``xs`` and unit-lattice ``ys``.
 
     The sources form the one class ``r = 0``, so the node array is
-    ``RankOneRows.solve_u`` contracted over the shifts against ``e_x`` (see
+    ``ShiftSystem.solve_u`` contracted over the shifts against ``e_x`` (see
     ``free_kernel_g``).  This is ``GQPlan`` evaluated once.
     """
     return evaluate_plans([GQPlan(xs, ys, grid)], grid, params, shift_q)[0]
@@ -698,7 +726,7 @@ def q_star_bracket(d: int, L: int, k: int, params: MultiscaleParams):
     grid anyway."""
     if params.a * (1.0 - float(L) ** -2) >= 6.0:
         return None
-    den = RankOneRows.build(*AxisSymbols.build([1j * STRIP_SCAN], L, k, params).expand()).den
+    den = ShiftSystem.build(AxisSymbols.build([1j * STRIP_SCAN], L, k, params)).rows.den
     past = np.flatnonzero(~(den.real > 0.0))
     if not past.size:
         return None
@@ -806,45 +834,46 @@ def _shift_view(arr: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return per_axis.transpose(*range(1, 2 * d, 2), *range(0, 2 * d, 2))
 
 
-def _to_shift_layout(arr, grid: TorusGrid) -> np.ndarray:
-    """Big-torus samples ``(M,)*d`` in the node-by-shift ``(base_count**d, S)`` layout."""
-    return _shift_view(np.asarray(arr, dtype=complex), grid).reshape(grid.base_count**grid.d, -1)
-
-
 def _from_shift_layout(a, grid: TorusGrid) -> np.ndarray:
-    """A ``(base_count**d, S)`` array back on the big torus ``(M,)*d``."""
+    """An array in the ``_shift_view`` layout back on the big torus ``(M,)*d``."""
     out = np.empty((grid.M,) * grid.d, dtype=complex)
-    view = _shift_view(out, grid)
-    view[...] = np.reshape(a, view.shape)
+    _shift_view(out, grid)[...] = a
     return out
 
 
-def _rank_one_apply(v, u) -> np.ndarray:
-    """``U (conj U^T v)`` at every node, ``v`` laid out ``(n_0, ..., n_{d-1},
-    s_0, ..., s_{d-1})`` and ``U`` the outer product of the per-axis tables
-    ``u``: ``U U^*`` is the Kronecker product of the per-axis ``u_a u_a^*``,
-    so ``conj U^T v`` is contracted one shift axis at a time and ``U`` times
-    it is built up one axis at a time, with no ``(nodes, S)`` table of ``U``."""
-    d = len(u)
-    B = v
-    for a in reversed(range(d)):     # the last shift axis s_a against conj u_a[n_a, s_a]
-        B = np.einsum(B, list(range(d + a + 1)), u[a].conj(), [a, d + a], list(range(d + a)))
-    for a, t in enumerate(u):
-        shape = [1] * (d + a + 1)
-        shape[a], shape[d + a] = t.shape
-        B = B[..., None] * t.reshape(shape)
+def _shift_sum(v, f) -> np.ndarray:
+    """``sum_l F_l v_l`` at every node, ``v`` laid out ``(n_0, ..., n_{d-1},
+    s_0, ..., s_{d-1})`` and ``F`` the outer product of the per-axis tables
+    ``f``, ``(n_a, L**k)``: one shift axis contracted at a time, the last
+    first, to shape ``(n_0, ..., n_{d-1})``."""
+    d = len(f)
+    for a in reversed(range(d)):     # the last shift axis s_a against f_a[n_a, s_a]
+        v = np.einsum(v, list(range(d + a + 1)), f[a], [a, d + a], list(range(d + a)))
+    return v
+
+
+def _shift_spread(B, f) -> np.ndarray:
+    """``F_l B`` at every node and shift, ``B`` of shape ``(n_0, ...,
+    n_{d-1})``, built up one axis at a time in ``_shift_sum``'s layout.
+    With ``B = _shift_sum(v, ubar)`` it is ``U (Ubar^T v)``: ``U Ubar^T`` is
+    the Kronecker product of the per-axis ``u_a ubar_a^T``, so no ``(nodes,
+    S)`` table of ``U`` is formed."""
+    d = len(f)
+    for a, t in enumerate(f):     # n_a at axis a, s_a last
+        B = B[..., None] * t.reshape((1,) * a + (len(t),) + (1,) * (d - 1) + (-1,))
     return B
 
 
 def free_symbol_apply(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndarray:
     """Apply the symbol of ``-Lap + mu_bar_k + a_k Q_k* Q_k`` to big-torus
     samples: ``M v = Delta v + a_k U (Ubar^T v)`` from the per-axis symbols,
-    with ``Ubar = conj U`` on the real contour (``_rank_one_apply``) and no
-    shift system."""
+    ``U Ubar^T`` applied axis by axis (``_shift_sum``, ``_shift_spread``),
+    with no shift system."""
     sym = AxisSymbols.build(_axis_nodes(grid), grid.L, grid.k, params)
     v = _shift_view(np.asarray(f_hat, dtype=complex), grid)
     Delta = _axis_outer(np.add, sym.lap).reshape(v.shape)
-    return _from_shift_layout(Delta * v + sym.a * _rank_one_apply(v, sym.u), grid)
+    UUv = _shift_spread(_shift_sum(v, sym.ubar), sym.u)
+    return _from_shift_layout(Delta * v + sym.a * UUv, grid)
 
 
 def free_apply_ghat(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndarray:
@@ -853,7 +882,7 @@ def free_apply_ghat(f_hat, grid: TorusGrid, params: MultiscaleParams) -> np.ndar
     The shift system is solved at every base node; the massless momentum-zero
     node is regular because the averaging coupling fills the Laplacian kernel.
     """
-    v = _to_shift_layout(f_hat, grid)
+    v = _shift_view(np.asarray(f_hat, dtype=complex), grid)
     return _from_shift_layout(build_shift_system(grid, params).solve(v), grid)
 
 
@@ -903,13 +932,13 @@ def qkqk_spatial(patch: FreePatch, values) -> np.ndarray:
 
 def qkqk_fourier(patch: FreePatch, values, grid: TorusGrid) -> np.ndarray:
     """``Q_k* Q_k f`` through the Fourier shift formula: transform, apply the
-    rank-one shift coupling ``U U^*`` axis by axis (``_rank_one_apply``),
+    rank-one shift coupling ``U U^*`` axis by axis (``_shift_sum``, ``_shift_spread``),
     transform back.  ``U`` reads no params."""
-    u = AxisSymbols.build(_axis_nodes(grid), grid.L, grid.k, MultiscaleParams()).u
+    sym = AxisSymbols.build(_axis_nodes(grid), grid.L, grid.k, MultiscaleParams())
     waves = _axis_waves(patch, grid)
     v = _shift_view(patch_fourier_samples(patch, values, grid, waves), grid)
-    return patch_inverse_fourier(_from_shift_layout(_rank_one_apply(v, u), grid), patch, grid,
-                                 waves)
+    UUv = _shift_spread(_shift_sum(v, sym.ubar), sym.u)
+    return patch_inverse_fourier(_from_shift_layout(UUv, grid), patch, grid, waves)
 
 
 def qkqk_fourier_residual(patch: FreePatch, values, grid: TorusGrid) -> float:
@@ -932,7 +961,8 @@ def _strip_floor(large_mass: bool, a_k: float, eta: float, d: int) -> float:
 
 def _strip_solve(axis_nodes, L: int, k: int, params: MultiscaleParams):
     """``H = M^{-1} U`` (n, S) at level ``k`` and the margin of each node's
-    strip denominator over its floor, (n,), per block of ``_node_blocks``.
+    strip denominator over its floor, (n,), per block of
+    ``AxisSymbols.blocks``, each block's ``ShiftSystem.solve_u``.
 
     The strip denominator is ``den / Delta_0 = det M / prod_l Delta_l`` in the
     large-mass branch and ``(eta**2/4) den`` in the small-mass branch, where
@@ -940,17 +970,18 @@ def _strip_solve(axis_nodes, L: int, k: int, params: MultiscaleParams):
     """
     eta, d = float(L) ** (-k), len(axis_nodes)
     large_mass = params.mu0 / 4.0 >= params.c_star * eta**2
-    start = 0
-    for blk in _node_blocks(axis_nodes, L, k, params):
-        denom = np.abs(blk.den / blk.Delta0 if large_mass else (eta**2 / 4.0) * blk.den)
-        floor = _strip_floor(large_mass, blk.a, eta, d)
+    sym = AxisSymbols.build(axis_nodes, L, k, params)
+    floor = _strip_floor(large_mass, sym.a, eta, d)
+    for first in sym.blocks():
+        system = ShiftSystem.build(sym.rows(first))
+        rows = system.rows
+        denom = np.abs(rows.den / rows.Delta0 if large_mass else (eta**2 / 4.0) * rows.den)
         below = np.flatnonzero(denom < floor)
         if below.size:
-            z = grid_points(axis_nodes)[start + below[0]]
+            z = grid_points([axis_nodes[0][first], *axis_nodes[1:]])[below[0]]
             raise StripViolationError(
                 f"denominator {denom[below[0]]:.3e} below floor {floor:.3e} at z={z}")
-        start += len(denom)
-        yield blk.solve_u(), denom / floor
+        yield system.solve_u(), denom / floor
 
 
 def h_function(z, ell_prime, L: int, k: int, params: MultiscaleParams):

@@ -20,8 +20,9 @@ The dense operators (``green_j``, ``rg_operators``) invert n x n
 matrices; each call factors afresh.  The identities themselves are checked
 on one route only: ``tower_level`` works in the orthonormal DCT-II basis,
 where every operator of the tower is diagonal plus rank one per frequency
-class (``ops.dct_frequency_classes``), solved by the Sherman-Morrison rows
-of ``RankOneRows``, which solve ``fourier``'s shift systems too.  It forms
+class (``ops.dct_frequency_classes``), solved by the real Sherman-Morrison
+rows of ``RankOneRows``, whose zero column alone finishes ``fourier``'s
+per-axis shift systems (``_zero_column``, the formula's one place).  It forms
 no n x n matrix and runs at every size the lattice admits; the dense
 operators are its oracle in the tests.  In the nested frequency order of
 ``ops.dct`` every level's classes are runs of consecutive coefficients,
@@ -288,57 +289,43 @@ class RankOneRows:
     with ``Delta_0 = 0`` needs no special case and nothing is formed as 0/0:
 
     - ``w``: ``1/Delta`` off the zero column and 0 on it, (rows, S);
-    - ``wU = w U`` and ``wUbar = w Ubar``, (rows, S); ``wUbar`` is None
-      where ``Ubar = conj U`` (``w`` real), and a real ``wU`` is read as its
-      own conjugate;
+    - ``wU = w U``, (rows, S);
     - ``Delta0``, ``U0``, ``Ubar0``: the zero column of ``Delta``, ``U``,
       ``Ubar``, (rows,);
     - ``c0``: ``1 + a sum_l Ubar_l w_l U_l``, (rows,); ``den = Delta_0 c0 +
       a U_0 Ubar_0 = det M / prod_{l != zero} Delta_l`` is formed when read.
 
-    ``TowerLevel`` (DCT frequency classes by members) and the shift systems
-    of ``fourier`` (torus momenta by shifts) are such rows; ``build`` makes
-    them, and ``_zero_column`` is the one place the formula is written.
+    ``TowerLevel``'s rows (DCT frequency classes by members) are real,
+    ``Ubar = U``, and ``build`` makes them.  The zero column alone, with
+    ``w`` and ``wU`` None, finishes ``fourier``'s per-axis shift systems
+    (torus momenta by shifts, complex off the real contour;
+    ``fourier.AxisSymbols.zero_column``).  ``_zero_column`` is the one
+    place the formula is written.
     """
 
     a: float
     zero: int
-    w: np.ndarray
-    wU: np.ndarray
-    wUbar: np.ndarray | None
+    w: np.ndarray | None
+    wU: np.ndarray | None
     Delta0: np.ndarray
     U0: np.ndarray
     Ubar0: np.ndarray
     c0: np.ndarray
 
     @classmethod
-    def build(cls, Delta, U, Ubar, a: float, zero: int):
-        """The rows of ``diag(Delta) + a U Ubar^T``, ``Ubar`` None for
-        ``conj U`` (``Delta`` real).  ``w``, ``wU`` and ``wUbar`` are formed
-        in place of ``Delta``, ``U`` and ``Ubar``, which are overwritten."""
+    def build(cls, Delta, U, a: float, zero: int):
+        """The real rows of ``diag(Delta) + a U U^T``.  ``w`` and ``wU`` are
+        formed in place of ``Delta`` and ``U``, which are overwritten."""
         Delta0, U0 = Delta[:, zero].copy(), U[:, zero].copy()
-        Ubar0 = np.conj(U0) if Ubar is None else Ubar[:, zero].copy()
         w = np.divide(1.0, Delta, out=Delta, where=np.arange(Delta.shape[1]) != zero)
         w[:, zero] = 0.0
-        if Ubar is None:    # sum_l w_l |U_l|**2 over the real (and imaginary) parts of U
-            parts = U.view(w.dtype).reshape(U.shape + (-1,))
-            c0 = 1.0 + a * np.einsum("ij,ijk,ijk->i", w, parts, parts)
-        wU = np.multiply(w, U, out=U)
-        if Ubar is not None:
-            c0 = 1.0 + a * np.einsum("ij,ij->i", Ubar, wU)
-            Ubar = np.multiply(w, Ubar, out=Ubar)
-        return cls(a, zero, w, wU, Ubar, Delta0, U0, Ubar0, c0)
+        c0 = 1.0 + a * np.einsum("ij,ij,ij->i", w, U, U)
+        return cls(a, zero, w, np.multiply(w, U, out=U), Delta0, U0, U0, c0)
 
     def _den(self, rows=slice(None)) -> np.ndarray:
         return self.Delta0[rows] * self.c0[rows] + self.a * self.U0[rows] * self.Ubar0[rows]
 
     den = property(_den)
-
-    def _wubar(self, index) -> np.ndarray:
-        """``(w Ubar)[index]``."""
-        if self.wUbar is not None:
-            return self.wUbar[index]
-        return np.conj(self.wU[index]) if np.iscomplexobj(self.wU) else self.wU[index]
 
     def _zero_column(self, rows, v0, B):
         """The Sherman-Morrison formula from the zero entry ``v0`` of ``v`` and
@@ -351,13 +338,13 @@ class RankOneRows:
                 (self.c0[rows] * v0 - self.a * self.U0[rows] * B) / den)
 
     def solve(self, v) -> np.ndarray:
-        """``M^{-1} v`` for ``v`` of shape ``(rows, S, ...)`` or ``(rows S,
-        ...)``: ``w v - a (w U) beta`` off the zero column, ``x_0`` on it
-        (``_zero_column``)."""
+        """``M^{-1} v`` of real rows for ``v`` of shape ``(rows, S, ...)`` or
+        ``(rows S, ...)``: ``w v - a (w U) beta`` off the zero column, ``x_0``
+        on it (``_zero_column``, ``B = (w U)^T v``)."""
         v = np.asarray(v)
         v3 = v.reshape(self.w.shape + (-1,))
         z = self.zero
-        B = np.einsum("rs,rsc->rc", self._wubar(slice(None)), v3)[:, None]
+        B = np.einsum("rs,rsc->rc", self.wU, v3)[:, None]
         beta, x0 = self._zero_column(np.s_[:, None, None], v3[:, z:z + 1], B)
         x = self.wU[..., None] * (self.a * beta)
         np.subtract(self.w[..., None] * v3, x, out=x)
@@ -376,23 +363,14 @@ class RankOneRows:
         K = np.stack((-self.a * g[..., 0], x0[..., 0], x0[..., 0], x0[..., 1]), axis=-1)
         return K.reshape(K.shape[:-1] + (2, 2)), g
 
-    def solve_u(self, rows=slice(None)) -> np.ndarray:
-        """``M^{-1} U`` in ``rows``, (len(rows), S): the solve of ``U``, where
-        ``B = sum_l Ubar_l w_l U_l = (c0 - 1) / a`` cancels and leaves
-        ``Delta_0 w U / den`` off the zero column and ``U_0 / den`` on it."""
-        den = self._den(rows)
-        x = (self.Delta0[rows] / den)[:, None] * self.wU[rows]
-        x[:, self.zero] = self.U0[rows] / den
-        return x
-
     def inverse(self, rows) -> np.ndarray:
-        """The inverse blocks of ``rows`` (a slice), ``(len(rows), S, S)``:
+        """The inverse blocks of real ``rows`` (a slice), ``(len(rows), S, S)``:
         column ``m`` of row ``r`` is ``M_r^{-1} e_m``, ``solve`` of ``e_m`` in
         closed form.  The block is ``diag(w) - a (w U) beta^T`` and its zero
         row ``x_0^T``, from ``_zero_column`` of ``v_0 = [m = zero]`` and ``B =
-        (w Ubar)_m``."""
+        (w U)_m``."""
         m = np.arange(self.w.shape[1])
-        beta, x0 = self._zero_column(np.s_[rows, None], m == self.zero, self._wubar(rows))
+        beta, x0 = self._zero_column(np.s_[rows, None], m == self.zero, self.wU[rows])
         X = self.wU[rows, :, None] * (-self.a * beta[:, None])
         X[:, m, m] += self.w[rows]
         X[:, self.zero] = x0
@@ -462,12 +440,12 @@ def tower_level(geom, params: MultiscaleParams, j: int) -> TowerLevel:
     _check_level(geom, j, "tower_level")
     at = params.a_tilde(geom, j, j)
     lam, u = ops.dct_frequency_classes(geom, j)
-    G = RankOneRows.build(lam + params.mu_bar(geom.L, geom.k), u.copy(), None, at, 0)
+    G = RankOneRows.build(lam + params.mu_bar(geom.L, geom.k), u.copy(), at, 0)
     delta = u1 = C = None
     if j < geom.m:
         delta = at * G.Delta0 / G.den      # row c is coarse frequency c
         _, u1 = ops.dct_frequency_classes(coarse_geometry(geom, j), 1)
-        C = RankOneRows.build(delta.reshape(u1.shape).copy(), u1.copy(), None,
+        C = RankOneRows.build(delta.reshape(u1.shape).copy(), u1.copy(),
                               params.a_tilde(geom, 1, j) / geom.L**2, 0)
     return TowerLevel(geometry=geom, j=j, at=at, u=u, G=G, delta=delta, u1=u1, C=C)
 
@@ -556,9 +534,10 @@ def _identity_sq(lo: RankOneRows, scale: float, Y: RankOneRows, C=None):
 
 def _identity_row_bytes(S: int, Ls: int) -> int:
     """The working set of ``_identity_sq`` a row of ``S`` members in ``Ls``
-    slots: three ``(N, N)`` coefficient arrays, ``N = 2 Ls + 1``, and eight
-    member arrays."""
-    return 8 * (3 * (2 * Ls + 1) ** 2 + 8 * S)
+    slots: three ``(N, N)`` coefficient arrays, ``N = 2 Ls + 1``, and seven
+    member arrays, ``r``, the two of ``D`` and the four live at once in
+    ``_frobenius_sq`` (``lo``'s slots ``V`` are views of its rows)."""
+    return 8 * (3 * (2 * Ls + 1) ** 2 + 7 * S)
 
 
 def _rows(G: RankOneRows, rb) -> RankOneRows:
@@ -606,16 +585,16 @@ def _u_g_u(lo: TowerLevel, hi: TowerLevel, rb) -> np.ndarray:
     the factors of ``hi.G`` with no solve.  In the nested frequency order
     column ``t`` of ``U`` is level-``j`` row ``t``'s ``u`` in slot ``t`` of
     the level-``(j+1)`` row, so ``_zero_column`` of ``v0_t = u_{0,0} [t =
-    0]`` and ``B_t = sum_i u_{t,i} (w Ubar)_{t,i}`` gives ``beta`` and
-    ``x0``, and with ``A_s = sum_i u_{s,i} (w U)_{s,i}``
+    0]`` and ``A_t = sum_i u_{t,i} (w U)_{t,i}`` as ``B`` gives ``beta``
+    and ``x0`` (the rows are real, ``Ubar = U``), and
 
         U^T G_{j+1} U = diag_s(sum_i u_{s,i}**2 w_{s,i}) - a A beta^T + e_0 (u_{0,0} x0^T).
     """
     G, Ld = _rows(hi.G, rb), lo.u1.shape[1]
     u = lo.u.reshape(-1, Ld, lo.u.shape[1])[rb]     # (rows, L**d, S)
-    A, B = (np.einsum("rsi,rsi->rs", u, f.reshape(u.shape)) for f in (G.wU, G._wubar(slice(None))))
+    A = np.einsum("rsi,rsi->rs", u, G.wU.reshape(u.shape))
     v0 = u[:, :, 0] * (np.arange(Ld) == 0)
-    beta, x0 = G._zero_column(np.s_[:, None], v0, B)
+    beta, x0 = G._zero_column(np.s_[:, None], v0, A)
     UGU = (-G.a * A)[:, :, None] * beta[:, None, :]
     UGU[:, np.arange(Ld), np.arange(Ld)] += np.einsum("rsi,rsi,rsi->rs", u, u, G.w.reshape(u.shape))
     UGU[:, 0] += v0[:, :1] * x0

@@ -22,6 +22,7 @@ warning.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,11 +300,13 @@ def _nested(geom, *xs, inverse: bool = False):
 def _nested_outer(geom, op, table) -> np.ndarray:
     """``_nested`` of the outer ``op`` over the axes of the 1-d per-frequency
     ``table``, shape ``(site_count,)``: the table taken in the per-axis
-    nested order, combined across the axes and Morton-transposed, so no
-    ``site_count``-sized gather is made."""
-    order, axes = _nested_axes(geom)
-    x = _axis_outer(op, [table[order][:, None]] * geom.d)
-    return x.reshape((geom.L,) * (geom.m * geom.d)).transpose(axes).ravel()
+    nested order, its ``m`` digits broadcast into their Morton positions
+    (``_nested_axes``: digit ``i`` of axis ``mu`` at ``i d + mu``) and
+    combined across the axes, so the one ``site_count``-sized array formed
+    is the result."""
+    t, n, d = table[_nested_axes(geom)[0]], geom.m * geom.d, geom.d
+    return functools.reduce(op, (t.reshape([geom.L if i % d == mu else 1 for i in range(n)])
+                                 for mu in range(d))).ravel()
 
 
 def dct_class_eigenvalues(geom, j: int) -> np.ndarray:
@@ -334,7 +337,7 @@ def dct_frequency_classes(geom, j: int) -> tuple[np.ndarray, np.ndarray]:
 
         Q_j* Q_j = sum over rows c of  u_c u_c^T,
 
-    the ``(N_c**d, b**d)`` layout of ``fourier.ShiftSystem``'s ``(nodes, S)``.
+    the ``(rows, S)`` layout of ``multiscale.RankOneRows``, ``S = b**d``.
     Members with ``u = 0`` (some axis annihilated, or ``p = 0 mod 2 N_c``
     with ``p > 0``) lie in the kernel of ``Q_j``; every row keeps at least
     one member with ``u != 0``.  Both are per-axis tables in the nested

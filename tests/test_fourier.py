@@ -5,7 +5,7 @@ import pytest
 
 from blockrg import fourier as fr, lattice as lat, multiscale as ms
 from blockrg.multiscale import MultiscaleParams
-from oracles import assert_inverse_blocks_match, free_laplacian_1d, interior_mask
+from oracles import free_laplacian_1d, interior_mask
 
 P0 = MultiscaleParams()
 
@@ -26,14 +26,16 @@ def test_grid_validation():
 def test_shift_layout_round_trip_and_order(d, L, k, M):
     grid = fr.TorusGrid(d, L, k, M)
     x = np.random.default_rng(5).standard_normal((M,) * d) + 0j
-    v = fr._to_shift_layout(x, grid)
-    assert v.shape == (grid.base_count**d, (L**k) ** d)
+    v = fr._shift_view(x, grid)
+    assert v.shape == (grid.base_count,) * d + (L**k,) * d
     assert np.array_equal(fr._from_shift_layout(v, grid), x)
-    # entry (node, shift) is the big-torus sample at base node + 2 pi shift
+    # entry (nodes, shifts), each row-major, is the big-torus sample at base
+    # node + 2 pi shift
     K = lat.grid_points([grid.full_nodes_1d()] * d)
     Z = fr.shifted_momenta(grid.base_nodes(), fr.shift_vectors(d, L, k))
     for mu in range(d):
-        assert np.array_equal(fr._to_shift_layout(K[:, mu], grid).real, Z[..., mu])
+        rows = fr._shift_view(K[:, mu], grid).reshape(Z.shape[:2])
+        assert np.array_equal(rows, Z[..., mu])
 
 
 def test_u_at_zero_via_limit_oracle():
@@ -44,6 +46,15 @@ def test_u_at_zero_via_limit_oracle():
         assert abs(fr.u_kernel(np.array([p]), 3, 1) - raw) < 1e-10
     assert fr.u_kernel(np.zeros(1), 3, 1) == pytest.approx(1.0)
     assert fr.u_kernel(np.zeros(2), 3, 2) == pytest.approx(1.0)
+
+
+def test_sinc_is_one_at_zero_without_warnings():
+    # np.sinc: exactly 1 at 0, and sin(w)/w near it, with no 0/0
+    w = np.array([0.0, 1e-12, 1e-6j, 1e-3 + 1e-3j, 3.0 - 1.0j])
+    with np.errstate(all="raise"):
+        got = fr._sinc(w)
+    assert got[0] == 1.0
+    assert np.max(np.abs(got[1:] - np.sin(w[1:]) / w[1:])) <= 1e-15
 
 
 def test_u_trivial_at_k0():
@@ -130,6 +141,24 @@ def test_free_apply_ghat_roundtrip():
         assert np.max(np.abs(back - fhat)) < 1e-10 * np.max(np.abs(fhat))
 
 
+@pytest.mark.parametrize("d,L,k,M0", [(2, 3, 2, 16), (3, 3, 1, 16)])
+def test_free_apply_ghat_memory(d, L, k, M0):
+    # the per-axis solve forms w, one (nodes, S) complex array and the
+    # result's big-torus copy: about 2.5 times the input's bytes, where the
+    # whole-grid (nodes, S) rows of U and w U peaked at about 5
+    import tracemalloc
+    grid = fr.TorusGrid(d, L, k, M0 * L**k)
+    fhat = np.random.default_rng(9).standard_normal((grid.M,) * d) + 0j
+    tracemalloc.start()
+    try:
+        ghat = fr.free_apply_ghat(fhat, grid, P0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ghat.shape == fhat.shape
+    assert peak <= 3 * fhat.nbytes, peak / fhat.nbytes
+
+
 def test_free_apply_ghat_k0_collapse():
     # k = 0: u = 1, so G-hat is division by (Delta(p) + a)
     grid = fr.TorusGrid(1, 3, 0, 8)
@@ -168,6 +197,24 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def _solve_rows(sys, grid, v):
+    """``sys.solve`` of ``(nodes, S)`` rows ``v`` through the ``_shift_view`` layout."""
+    shape = (grid.base_count,) * grid.d + (grid.shifts_per_axis,) * grid.d
+    return sys.solve(v.reshape(shape)).reshape(v.shape)
+
+
+def _inverse_blocks(sys, grid):
+    """The per-node inverse blocks ``(nodes, S, S)``, column ``m`` the solve
+    of the one-hot ``e_m`` at every node."""
+    n, S = grid.base_count**grid.d, grid.shifts_per_axis**grid.d
+    out = np.empty((n, S, S), dtype=complex)
+    for m in range(S):
+        e = np.zeros((n, S), dtype=complex)
+        e[:, m] = 1.0
+        out[:, :, m] = _solve_rows(sys, grid, e)
+    return out
+
+
 @pytest.mark.parametrize("mu0,q0", ORACLE_SETTINGS)
 @pytest.mark.parametrize("d,L,k", ORACLE_CASES)
 def test_shift_solve_matches_dense_inverse(d, L, k, mu0, q0):
@@ -179,16 +226,21 @@ def test_shift_solve_matches_dense_inverse(d, L, k, mu0, q0):
     n, S = lap.shape
     if mu0 == 0.0 and q0 is None:   # the massless zero mode is on the grid
         assert np.sum(lap == 0.0) == 1
-    Minv, Minv_sm = np.linalg.inv(M), sys.solve(np.broadcast_to(np.eye(S), (n, S, S)))
+    Minv, Minv_sm = np.linalg.inv(M), _inverse_blocks(sys, grid)
     for node in range(n):     # per node, against that node's own scale
         assert _rel(Minv_sm[node], Minv[node]) <= 1e-12
     rng = np.random.default_rng(23)
-    v = rng.standard_normal((n, S, 3)) + 1j * rng.standard_normal((n, S, 3))
-    assert _rel(sys.solve(v), np.linalg.solve(M, v)) <= 1e-12
-    assert _rel(sys.solve(v[:, :, 0]), np.linalg.solve(M, v[:, :, :1])[:, :, 0]) <= 1e-12
-    # the two stacks count every array the system stores, each once
-    stored = sum(f.nbytes for f in vars(sys).values() if isinstance(f, np.ndarray))
-    assert sys.Minv.nbytes + sys.Mmat.nbytes == stored < 8 * n * S * 16
+    v = rng.standard_normal((n, S)) + 1j * rng.standard_normal((n, S))
+    assert _rel(_solve_rows(sys, grid, v), np.linalg.solve(M, v[..., None])[..., 0]) <= 1e-12
+    # the two stacks count every array the system stores, each once: the
+    # per-axis tables, the zero column's (n,) arrays and w, the one (n, S)
+    sym, rows = sys.sym, sys.rows
+    tables = [*sym.lap, *sym.u, *sym.ubar]
+    assert all(t.shape == (grid.base_count, L**k) for t in tables) and len(tables) == 3 * d
+    column = [rows.Delta0, rows.U0, rows.Ubar0, rows.c0]
+    assert all(f.shape == (n,) for f in column) and rows.w is None and rows.wU is None
+    assert sys.w.size == n * S and sys.w.dtype == (np.float64 if q0 is None else complex)
+    assert sys.Minv.nbytes + sys.Mmat.nbytes == sum(f.nbytes for f in tables + column + [sys.w])
 
 
 @pytest.mark.parametrize("mu0", [0.0, 0.3])
@@ -202,8 +254,8 @@ def test_symbol_apply_matches_dense_matrices(d, L, k, mu0):
     assert np.any(lap == 0.0) == (mu0 == 0.0)
     rng = np.random.default_rng(29)
     f = rng.standard_normal((grid.M,) * d) + 1j * rng.standard_normal((grid.M,) * d)
-    Mv = fr._to_shift_layout(fr.free_symbol_apply(f, grid, params), grid)
-    dense = np.einsum("nst,nt->ns", M, fr._to_shift_layout(f, grid))
+    Mv = fr._shift_view(fr.free_symbol_apply(f, grid, params), grid).reshape(M.shape[:2])
+    dense = np.einsum("nst,nt->ns", M, fr._shift_view(f, grid).reshape(M.shape[:2]))
     for node in range(len(M)):     # per node, against that node's own scale
         assert _rel(Mv[node], dense[node]) <= 1e-12
 
@@ -218,7 +270,7 @@ def test_big_torus_apply_rejects_wrong_size(apply, shape):
 
 
 def test_fourier_verify_builds_one_shift_system(monkeypatch):
-    # free_apply_ghat solves the one whole-grid system; free_symbol_apply
+    # free_apply_ghat solves the one shift system of the grid; free_symbol_apply
     # reads the symbols
     from blockrg import cli
     built = []
@@ -238,16 +290,19 @@ def test_fourier_verify_builds_one_shift_system(monkeypatch):
 @pytest.mark.parametrize("d,L,k", [(1, 3, 2), (2, 3, 1)])
 def test_shift_inverse_blocks_match_dense_inverse(d, L, k, q0):
     # the real contour holds the massless node, where Delta_0 = 0
+    # each node's block within 1e-13 of its own Frobenius norm
     grid = fr.default_grid(d, L, k)
     q = _contour(d, q0)
     sys = fr.build_shift_system(grid, P0, shift_q=q)
-    assert np.any(sys.Delta0 == 0.0) == (q0 is None)
-    assert_inverse_blocks_match(sys, np.linalg.inv(_dense_shift_matrices(grid, P0, q)[1]))
+    assert np.any(sys.rows.Delta0 == 0.0) == (q0 is None)
+    X, Y = _inverse_blocks(sys, grid), np.linalg.inv(_dense_shift_matrices(grid, P0, q)[1])
+    err = np.linalg.norm(X - Y, axis=(1, 2)) / np.linalg.norm(Y, axis=(1, 2))
+    assert np.all(err <= 1e-13), err.max()
 
 
 def _node_major(w):
     """A block's ``w``, laid out ``(n_0, s_1, n_1, ..., s_{d-1}, n_{d-1},
-    s_0)``, as the (nodes, S) rows of ``RankOneRows``."""
+    s_0)``, as (nodes, S) rows, nodes and shifts row-major."""
     d = w.ndim // 2
     nodes, shifts = list(range(0, 2 * d, 2)), [2 * d - 1] + list(range(1, 2 * d - 1, 2))
     return w.transpose(nodes + shifts).reshape(np.prod([w.shape[i] for i in nodes]), -1)
@@ -257,44 +312,49 @@ def _node_major(w):
 @pytest.mark.parametrize("d,L,k", [(1, 3, 2), (2, 3, 1), (2, 3, 2), (3, 3, 1)])
 def test_node_blocks_match_whole_grid_system(d, L, k, q0, monkeypatch):
     # one per-axis builder, AxisSymbols, over three node blockings: the
-    # strip's expanded blocks and the kernels' per-axis weights, at the
-    # default budget and at one first-axis node each, and the whole-grid
-    # ShiftSystem agree node by node, bit for bit; the kernels' zero column
-    # is the system's, and c0, contracted axis by axis, agrees to rounding
+    # strip's blocks at the default budget and at one first-axis node each,
+    # and the whole-grid ShiftSystem agree node by node, bit for bit; their
+    # weights, zero column, c0 and M^{-1} U match the dense per-node
+    # matrices, assembled entry by entry from the symbols
     grid = fr.default_grid(d, L, k)
     q = _contour(d, q0)
+    Z, M, lap = _dense_shift_matrices(grid, P0, q)
+    U, Ub = fr.u_kernel(Z, L, k), fr.u_bar_kernel(Z, L, k)
+    n, S = lap.shape
+    zero = np.flatnonzero(~fr.shift_vectors(d, L, k).any(axis=1))[0]
+    w = np.where(np.arange(S) == zero, 0.0, 1.0 / np.where(np.arange(S) == zero, 1.0, lap))
+    c0 = 1.0 + P0.a_j(L, k) * np.sum(w * U * Ub, axis=1)
+    H_dense = np.linalg.solve(M, U[..., None])[..., 0]
     sys = fr.build_shift_system(grid, P0, shift_q=q)
-    assert (sys.wUbar is None) == (q0 is None)
-    H_sys = sys.solve(fr.u_kernel(_dense_shift_matrices(grid, P0, q)[0], L, k))
     sym = fr.AxisSymbols.build(fr._axis_nodes(grid, q), L, k, P0)
-    assert sym.real == (q0 is None)
+    assert sym.real == sys.sym.real == (q0 is None)
+    rows = sys.rows
+    assert rows.zero == zero and rows.a == P0.a_j(L, k)
+    for name, want in (("Delta0", lap[:, zero]), ("U0", U[:, zero]), ("Ubar0", Ub[:, zero]),
+                       ("c0", c0)):
+        assert np.all(np.abs(getattr(rows, name) - want) <= 1e-14 * np.abs(want)), name
+    H_sys = sys.solve_u()
+    for node in range(n):     # per node, against that node's own scale
+        assert _rel(H_sys[node], H_dense[node]) <= 1e-12
     for budget in (fr.NODE_BLOCK_BYTES, 1):
         monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", budget)
         firsts = list(sym.blocks())
-        blocks = list(fr._node_blocks(fr._axis_nodes(grid, q), L, k, P0))
-        assert len(blocks) == len(firsts) == (grid.base_count if budget == 1 else 1)
-        names = ("w", "wU", "Delta0", "U0", "Ubar0", "c0") + ("wUbar",) * (q0 is not None)
-        for name in names:
-            assert np.array_equal(np.concatenate([getattr(b, name) for b in blocks]),
-                                  getattr(sys, name)), name
-        H = np.concatenate([b.solve_u() for b in blocks])
-        for node in range(len(H)):
-            assert _rel(H[node], H_sys[node]) <= 1e-13
-        w = np.concatenate([_node_major(sym.weights(first)) for first in firsts])
-        assert w.dtype == sys.w.dtype and np.array_equal(w, sys.w)
-        c0, = sym.contract([sym.c0_factors()], [(1,)])[0]
-        rows = sym.zero_column(1.0 + sym.a * c0[0])
-        for name in ("Delta0", "U0", "Ubar0"):
-            assert np.array_equal(getattr(rows, name), getattr(sys, name)), name
-        assert rows.zero == sys.zero and rows.a == sys.a
-        assert _rel(rows.c0, sys.c0) <= 1e-15
+        assert len(firsts) == (grid.base_count if budget == 1 else 1)
+        blocks = [fr.ShiftSystem.build(sym.rows(first)) for first in firsts]
+        for name in ("Delta0", "U0", "Ubar0", "c0"):
+            assert np.array_equal(np.concatenate([getattr(b.rows, name) for b in blocks]),
+                                  getattr(rows, name)), name
+        assert np.array_equal(np.concatenate([b.solve_u() for b in blocks]), H_sys)
+        w_blocks = np.concatenate([_node_major(sym.weights(first)) for first in firsts])
+        assert w_blocks.dtype == (np.float64 if q0 is None else np.complex128)
+        assert np.all(np.abs(w_blocks - w) <= 1e-14 * np.abs(w)) and np.all(w_blocks[:, zero] == 0)
 
 
 @pytest.mark.parametrize("d,L,k", [(1, 3, 0), (2, 3, 0), (1, 3, 2), (2, 3, 1), (3, 3, 1),
                                    (1, 5, 0), (1, 5, 1), (2, 5, 1), (3, 5, 1)])
 def test_zero_shift_is_the_middle_row(d, L, k, monkeypatch):
-    # the expansion's zero index, the rows' zero column and the zero slot of
-    # the weights are the zero shift, read off the one-axis shift table
+    # the rows' zero column and the zero slot of the weights are the zero
+    # shift, read off the one-axis shift table
     shifts, axes = fr.shift_vectors(d, L, k), [np.zeros(1, dtype=complex)] * d
     table = fr.shift_vectors
 
@@ -305,9 +365,8 @@ def test_zero_shift_is_the_middle_row(d, L, k, monkeypatch):
 
     monkeypatch.setattr(fr, "shift_vectors", one_axis)
     sym = fr.AxisSymbols.build(axes, L, k, P0)
-    zero = sym.expand()[4]
+    zero = sym.zero_column(np.ones(1)).zero
     assert np.flatnonzero(~shifts.any(axis=1)).tolist() == [zero]
-    assert sym.zero_column(np.ones(1)).zero == zero
     # at p = 0 and mu0 = 0, Delta vanishes at the zero shift alone, where w is 0
     w = _node_major(sym.weights(slice(0, 1)))[0]
     assert np.flatnonzero(w == 0.0).tolist() == [zero] and np.all(np.isfinite(w))
@@ -323,15 +382,26 @@ def _contours(d):
 @pytest.mark.parametrize("d,L,k", [(1, 3, 1), (1, 3, 2), (1, 5, 2), (2, 3, 0), (2, 3, 1),
                                    (2, 3, 2), (2, 5, 1), (3, 3, 1), (3, 5, 1)])
 def test_per_axis_legs_match_expanded_rows(d, L, k, contour, block_bytes, monkeypatch):
-    # oracle: the kernels' legs from the Kronecker-expanded RankOneRows of the
-    # whole grid, contracted against whole (S, classes) phase tables, for a
-    # many-class and a one-class plan of each kind
+    # oracle: the dense per-node symbols, entry by entry. Each leg against
+    # the dense w, w U and w Ubar contracted with whole (S, classes) phase
+    # tables and finished by the Sherman-Morrison zero column, and each
+    # plan's node array against the dense inverses, e_x^T M^{-1} e_{-y} for
+    # G and e_x^T M^{-1} U for G Q*, for a many-class and a one-class plan
+    # of each kind
     if block_bytes is not None:
         monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", block_bytes)
     Lk = L**k
     grid = fr.TorusGrid(d, L, k, 4 * Lk * (2 if d < 3 else 1))
-    sym = fr.AxisSymbols.build(fr._axis_nodes(grid, _contours(d)[contour]), L, k, P0)
-    rows = ms.RankOneRows.build(*sym.expand())
+    q = _contours(d)[contour]
+    sym = fr.AxisSymbols.build(fr._axis_nodes(grid, q), L, k, P0)
+    Z, M, lap = _dense_shift_matrices(grid, P0, q)
+    Minv, U, Ub = np.linalg.inv(M), fr.u_kernel(Z, L, k), fr.u_bar_kernel(Z, L, k)
+    a, S = P0.a_j(L, max(k, 1)), lap.shape[1]
+    zero = np.arange(S) == np.flatnonzero(~fr.shift_vectors(d, L, k).any(axis=1))[0]
+    w = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, lap))
+    Delta0, U0, Ub0 = lap[:, zero][:, 0], U[:, zero][:, 0], Ub[:, zero][:, 0]
+    c0 = 1.0 + a * np.sum(w * U * Ub, axis=1)
+    den = Delta0 * c0 + a * U0 * Ub0
     rng = np.random.default_rng(43)
     classes = lat.grid_points([np.arange(Lk)] * d)
     many = ((classes + Lk * rng.integers(-2, 3, size=classes.shape)) * grid.eta,
@@ -340,19 +410,25 @@ def test_per_axis_legs_match_expanded_rows(d, L, k, contour, block_bytes, monkey
     plans = [cls(xs, ys, grid) for xs, ys in (many, one) for cls in (fr.GPlan, fr.GQPlan)]
     shifts = fr.shift_vectors(d, L, k)
     phases = lambda R: np.exp(2j * np.pi / Lk * shifts @ R.T)
-    wUbar = rows.wUbar if rows.wUbar is not None else rows.wU.conj()
     for plan, legs in zip(plans, fr._plan_legs(plans, sym)):
         if isinstance(plan, fr.GPlan):
             diff = fr._classes(plan.Rx[:, None, :] - plan.Ry[None, :, :], Lk)[0]
-            H = rows.wU @ phases(plan.Rx)
-            want = (rows.w @ phases(diff), rows.a * H,
-                    *rows._zero_column(np.s_[:, None], 1, wUbar @ phases(-plan.Ry)))
+            K = (w * Ub) @ phases(-plan.Ry)
+            refs = (w @ phases(diff), a * (w * U) @ phases(plan.Rx),
+                    (Ub0[:, None] + Delta0[:, None] * K) / den[:, None],
+                    (c0[:, None] - a * U0[:, None] * K) / den[:, None])
+            want = phases(plan.Rx).T @ Minv @ phases(-plan.Ry)
         else:
-            want = (rows.solve_u() @ phases(plan.Rx),)
-        assert len(legs) == len(want)
-        for leg, ref in zip(legs, want):    # at k = 0, w and so D and H are 0
+            refs = ((Delta0[:, None] * ((w * U) @ phases(plan.Rx)) + U0[:, None]) / den[:, None],)
+            want = phases(plan.Rx).T @ (Minv @ U[..., None])
+        assert len(legs) == len(refs)
+        for leg, ref in zip(legs, refs):    # at k = 0, w and so D and H are 0
             assert leg.shape == ref.T.shape
             assert np.max(np.abs(leg - ref.T)) <= 1e-13 * np.max(np.abs(ref))
+        want = np.moveaxis(want, 0, -1)     # (x classes, y classes, nodes)
+        got = plan.node_array(legs, slice(None))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("mu0", [0.0, 0.3])
@@ -360,14 +436,13 @@ def test_per_axis_legs_match_expanded_rows(d, L, k, contour, block_bytes, monkey
 @pytest.mark.parametrize("d,L,k", [(1, 3, 1), (1, 5, 2), (2, 3, 1), (2, 3, 2), (2, 5, 1),
                                    (3, 3, 1), (3, 5, 1)])
 def test_bracket_matches_expanded_symbols(d, L, k, contour, mu0):
-    # oracle: sum_l U Ubar / Delta from the Kronecker-expanded symbols at each point
-    params = MultiscaleParams(mu0=mu0)
+    # oracle: sum_l U Ubar / Delta from the symbols at every shift of the
+    # d-dimensional shift table, point by point
     z = np.random.default_rng(47).uniform(-np.pi, np.pi, size=(6, d)) + 1j * _contours(d)[contour]
-    want = []
-    for p in z:
-        Delta, U, Ubar, _, _ = fr.AxisSymbols.build(list(p[:, None]), L, k, params).expand()
-        want.append(np.sum(U * (U.conj() if Ubar is None else Ubar) / Delta))
-    assert _rel(fr.bracket(z, L, k, mu0), np.array(want)) <= 1e-13
+    Z = fr.shifted_momenta(z, fr.shift_vectors(d, L, k))
+    want = np.sum(fr.u_kernel(Z, L, k) * fr.u_bar_kernel(Z, L, k)
+                  / fr.laplacian_symbol(Z, L, k, mu0), axis=-1)
+    assert _rel(fr.bracket(z, L, k, mu0), want) <= 1e-13
 
 
 # (mu0, q_0, a, NODE_BLOCK_BYTES); a budget of 1 byte puts one first-axis
@@ -463,7 +538,8 @@ def test_node_array_hermitian_on_shifted_contour(d, k, q):
     p = np.random.default_rng(41).uniform(-np.pi, np.pi, size=(5, d))
     shifts = fr.shift_vectors(d, L, k)
     flip = [int(np.flatnonzero((shifts == -l).all(axis=1))[0]) for l in shifts]
-    X, Y = (next(fr._node_blocks(list((sign * p + 1j * qv).T), L, k, P0)).solve_u()
+    X, Y = (fr.ShiftSystem.build(fr.AxisSymbols.build(list((sign * p + 1j * qv).T), L, k,
+                                                       P0)).solve_u()
             for sign in (1, -1))
     assert _rel(Y[:, flip], X.conj()) <= 1e-13
 
@@ -503,8 +579,8 @@ def test_free_kernel_batch_memory():
 
 def test_contour_shift_change_memory():
     # fourier-verify's contour check at (2,3,2): G(0, 2e) is accepted on
-    # M0 = 32 (1024 nodes, S = 81), where one whole-grid shift system holds
-    # 2.2 MiB of (nodes, S) arrays; the check peaks at 1.2 MiB
+    # M0 = 32 (1024 nodes, S = 81), where the whole-grid (nodes, S) rows of
+    # one shift system held 2.2 MiB; the check peaks at 1.2 MiB
     import tracemalloc
     tracemalloc.start()
     try:
@@ -858,7 +934,7 @@ def test_qkqk_fourier_residual(d, k):
 
 
 def test_qkqk_fourier_reads_only_the_averaging_symbol(monkeypatch):
-    # Q*Q needs U alone: no whole-grid shift system is built for it
+    # Q*Q needs U alone: no shift system is built for it
     def refuse(*args, **kwargs):
         raise AssertionError("qkqk_fourier built a shift system")
 
@@ -961,6 +1037,21 @@ def test_strip_bound_matches_dense_solve(d, L, k, mu0, block_bytes, monkeypatch)
     assert np.max(np.abs(got - dense) / dense) <= 1e-12
     assert abs(rep.weighted_sup - np.max(dense)) <= 1e-12 * np.max(dense)
     assert abs(rep.min_denominator_margin - np.min(margins)) <= 1e-12 * np.min(margins)
+
+
+def test_strip_bound_report_memory_d3():
+    # (3,3,2): one first-axis node a block, 81 nodes by S = 729; the block's
+    # w, its M^{-1} U and the weighted magnitudes peak near 3.1 MiB, where
+    # the Kronecker-expanded blocks of U and Ubar peaked at 6.6 MiB
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        rep = fr.strip_bound_report(3, 3, 2, P0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(rep.weighted_sup) and rep.min_denominator_margin >= 1.0
+    assert peak <= 4.5 * 2**20, peak / 2**20
 
 
 def test_strip_bound_report():

@@ -716,7 +716,7 @@ def test_batches_split_rows_within_budget():
     # items of no bytes all fit in one slice, however many
     assert [(rb.start, rb.stop) for rb in ms._batches(budget + 5, 0, budget)] == [
         (0, budget + 5)]
-    assert ms._identity_row_bytes(729, 9) == 8 * (3 * 19**2 + 8 * 729)
+    assert ms._identity_row_bytes(729, 9) == 8 * (3 * 19**2 + 7 * 729)
 
 
 def _peak_mib(f):

@@ -468,6 +468,27 @@ def test_dense_cap_counts_the_inverse_bytes(L, m, gib):
         ops.check_dense(g)
 
 
+@pytest.mark.parametrize("op", [np.add, np.multiply])
+def test_nested_outer_forms_only_its_result(op):
+    # (2,3,2,6), n = 531,441: the Morton order is built by broadcasting each
+    # axis's digits into their positions, so the only n-sized array is the
+    # result, where an outer product and its transposed copy peaked at 2.0
+    import tracemalloc
+    g = lat.make_geometry(2, 3, 2, 6)
+    table = np.random.default_rng(3).standard_normal(g.sites_per_axis)
+    order, axes = ops._nested_axes(g)
+    want = op(table[order][:, None], table[order][None, :]).reshape(
+        (g.L,) * (g.m * g.d)).transpose(axes).ravel()
+    tracemalloc.start()
+    try:
+        got = ops._nested_outer(g, op, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= 1.1 * 8 * g.site_count, peak / (8 * g.site_count)
+
+
 @pytest.mark.parametrize("d,L,m", [(1, 3, 3), (1, 5, 2), (2, 3, 2), (3, 3, 1)])
 def test_dct_matches_dense_transform(d, L, m):
     g = lat.LatticeGeometry(d=d, L=L, k=0, m=m)

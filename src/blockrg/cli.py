@@ -228,7 +228,7 @@ def run_fourier_verify(cfg: ExperimentConfig) -> list[MetricRow]:
     g = cfg.geometry
     d, L, k = g["d"], g["L"], g["k"]
     params = cfg.params
-    rng = np.random.default_rng(cfg.seed)
+    rng = ops.Probes(cfg.seed)
     grid = fourier.default_grid(d, L, k)
 
     patch = block_aligned_patch(d, L, k, (0,) * d, (2,) * d)
@@ -244,7 +244,9 @@ def run_fourier_verify(cfg: ExperimentConfig) -> list[MetricRow]:
 
     p = rng.uniform(-np.pi, np.pi, size=(16, d))
     at_p = fourier.bracket(p, L, k, params.mu0)
-    per = np.max(np.abs(fourier.bracket(p + 2.0 * np.pi * np.eye(d)[0], L, k, params.mu0) - at_p))
+    # periodic in every component: p shifted by 2 pi along each axis in turn
+    shifted = fourier.bracket(p + 2.0 * np.pi * np.eye(d)[:, None], L, k, params.mu0)
+    per = np.max(np.abs(shifted - at_p))
     scale = np.max(np.abs(at_p))
 
     metrics = [("qkqk_spatial_vs_fourier", qkqk, 1e-8),
@@ -291,7 +293,7 @@ def run_decay_profile(cfg: ExperimentConfig) -> list[MetricRow]:
 def run_ct_report(cfg: ExperimentConfig) -> list[MetricRow]:
     geom = cfg.geom()
     params = cfg.params
-    rep = decay.ct_bound_report(geom, params, CT_Q_GRID, np.random.default_rng(cfg.seed))
+    rep = decay.ct_bound_report(geom, params, CT_Q_GRID, ops.Probes(cfg.seed))
     metrics = [("ct_q0_bitwise_mismatch", rep.q0_weight_mismatch, 0.0)]
     for q, smin, bound in zip(rep.q_values, rep.min_singular_values,
                               rep.bound_constants):

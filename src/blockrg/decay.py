@@ -24,8 +24,11 @@ below that rounding level and neither route resolves it to any relative
 accuracy.
 
 The box decay fit of ``ct_bound_report`` draws complex random fields on
-pairs of unit boxes and reads ``|<f, G f'>|`` in real arithmetic, from one
-product of ``G``'s real block with the real and imaginary parts of ``f'``.
+pairs of unit boxes from the caller's source (the CLI passes an
+``operators.Probes`` seeded from its ``seed``) and reads ``|<f, G f'>|`` in
+real arithmetic, from one product of ``G``'s real block with the real and
+imaginary parts of ``f'``.  The Lanczos start vector is drawn from a private
+``operators.Probes(0)``, so no path here imports ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -148,12 +151,16 @@ def _weighted_norms_sq(K: np.ndarray, expo: np.ndarray):
     invariant Krylov space) forces the test, where its residual is 0.
     ``beta_j`` is taken as ``s |w / s|`` with ``s = max |w|``: the entries
     of ``w`` reach ``|B|_2**2``, and their squares would overflow first.
+
+    The start vector, shared by every row, is ``n`` normals of a private
+    ``operators.Probes(0)``: it leaves any caller's stream alone and imports
+    no ``numpy.random``.
     """
     rows, n = expo.shape
     W, Winv2 = np.exp(expo), np.exp(-2.0 * expo)
     out, live = np.empty(rows), np.arange(rows)
-    # a private start vector: the caller's generator stays untouched
-    v = np.random.default_rng(0).standard_normal(n)
+    # a private start vector: the caller's probe source stays untouched
+    v = ops.Probes(0).standard_normal(n)
     basis, alpha, beta = _lanczos_arrays(rows, min(8, n), n)
     basis[:, 0] = v / np.linalg.norm(v)
     check = CT_LANCZOS_CHECK
@@ -224,6 +231,10 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
     Separately, random fields supported on single unit boxes probe
     ``|<f, G f'>| <= C exp(-c1 |y - y'|) |f| |f'|``; the report carries the
     fitted ``c1`` and the largest positive log-residual above the fitted line.
+    ``rng`` is any object with ``standard_normal(shape)`` (the CLI passes an
+    ``operators.Probes``; tests may pass a numpy Generator).  The box pairs
+    draw slice by slice from it, in order, so the fit does not depend on the
+    slicing.
     """
     row, index = {}, []         # q up to sign -> its row of weight exponents
     for q in q_list:

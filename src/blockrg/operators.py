@@ -23,6 +23,7 @@ warning.
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,53 @@ def constant_field(geom, value=1.0) -> Field:
 
 
 def random_field(geom, rng) -> Field:
+    """Complex Gaussian field: real, then imaginary parts from ``rng``, any
+    object with ``standard_normal(shape)`` (``Probes`` or a numpy Generator)."""
     v = rng.standard_normal(geom.site_count) + 1j * rng.standard_normal(geom.site_count)
     return Field(geom, v)
+
+
+class Probes:
+    """Seeded probe draws from the standard library's Mersenne Twister.
+
+    ``random.Random(seed)`` (MT19937; Matsumoto and Nishimura 1998) supplies
+    64 bits per uniform, so no probe imports ``numpy.random``.  A uniform is
+    ``i 2**-53`` for the top 53 bits ``i`` of its 64, in ``[0, 1)``.  Normals
+    come in pairs ``r cos(2 pi v), r sin(2 pi v)``, ``r = sqrt(-2 log(1 - u))``
+    (Box and Muller 1958), from two uniforms ``u, v``; ``1 - u`` lies in
+    ``(0, 1]``, so the log is finite.  A call that leaves the second of a pair
+    unused keeps it for the next ``standard_normal``: ``n`` draws followed by
+    ``m`` draws equal ``n + m`` draws.  The draws reproduce for a fixed seed
+    under one Python version; numpy Generators give other numbers.
+    """
+
+    def __init__(self, seed: int):
+        self._random = random.Random(seed)
+        self._spare = np.empty(0)
+
+    def _uniforms(self, count: int) -> np.ndarray:
+        bits = self._random.getrandbits(64 * count).to_bytes(8 * count, "little")
+        return (np.frombuffer(bits, dtype="<u8") >> 11) * 2.0 ** -53
+
+    def standard_normal(self, shape) -> np.ndarray:
+        out = np.empty(shape)
+        flat, kept = out.reshape(-1), min(self._spare.size, out.size)
+        flat[:kept], self._spare = self._spare[:kept], self._spare[kept:]
+        pairs = (flat.size - kept + 1) // 2
+        if pairs:
+            u, v = self._uniforms(2 * pairs).reshape(pairs, 2).T
+            z = np.empty((pairs, 2))
+            np.cos(2.0 * np.pi * v, out=z[:, 0])
+            np.sin(2.0 * np.pi * v, out=z[:, 1])
+            z = (z * np.sqrt(-2.0 * np.log(1.0 - u))[:, None]).ravel()
+            # a copy: the kept normal must not hold the whole draw alive
+            flat[kept:], self._spare = z[:flat.size - kept], z[flat.size - kept:].copy()
+        return out
+
+    def uniform(self, low, high, size) -> np.ndarray:
+        out = np.empty(size)
+        out.reshape(-1)[:] = self._uniforms(out.size)
+        return low + (high - low) * out
 
 
 def delta_field(geom, site) -> Field:

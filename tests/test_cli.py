@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -327,13 +330,27 @@ def test_decay_profile_sup_rows_at_d2(tmp_path):
 
 @pytest.mark.parametrize("suite", list(cli.SUITES))
 def test_only_drawing_suites_build_a_generator(tmp_path, monkeypatch, suite):
-    # fourier-verify and ct-report seed their own generator from cfg.seed;
-    # every other suite runs with no generator at all
+    # fourier-verify and ct-report draw from an operators.Probes seeded from
+    # cfg.seed; every other suite runs with no probe source at all
     def refuse(*args, **kwargs):
         raise RuntimeError("a generator was built")
-    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(cli.ops, "Probes", refuse)
     cfg = dataclasses.replace(cli.load_config(None), experiment=suite)
     assert cli.run(cfg, tmp_path) == (3 if suite in ("fourier-verify", "ct-report") else 0)
+
+
+@pytest.mark.parametrize("suite", list(cli.SUITES))
+def test_no_suite_imports_numpy_random_or_ma(tmp_path, suite):
+    # numpy imports numpy.random on its first use (about 10 ms and 5.5 MB a
+    # process) and numpy.ma on the first np.median (images._median): a suite
+    # in a fresh interpreter loads neither
+    script = (f"import sys\nfrom blockrg import cli\n"
+              f"code = cli.main(['--experiment', {suite!r}, '--out', {str(tmp_path)!r}])\n"
+              f"print(code, [m for m in ('numpy.random', 'numpy.ma') if m in sys.modules])")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.stdout.splitlines()[-1:] == ["0 []"], run.stderr
 
 
 def test_internal_error_isolated(tmp_path, monkeypatch):

@@ -92,11 +92,13 @@ def test_box_statistics_match_scalar_loop(d, L, k, m):
 @pytest.mark.parametrize("d,L,k,m", [(1, 3, 1, 5), (2, 3, 1, 3)])
 def test_box_pair_slices_change_no_bit(d, L, k, m, budget, monkeypatch):
     # the box pairs go through multiscale._batches in slices within
-    # PROBE_BLOCK_BYTES, each drawing its fields in order: one stream
+    # PROBE_BLOCK_BYTES, each drawing its fields in order: one stream, from
+    # a numpy Generator and from the CLI's operators.Probes
     g = lat.make_geometry(d, L, k, m)
     q_list = [0.0, 0.01, -0.01]
-    rng = np.random.default_rng(922)
-    whole = dc.ct_bound_report(g, P0, q_list, rng)
+    sources = (np.random.default_rng, ops.Probes)
+    rngs = [source(922) for source in sources]
+    wholes = [dc.ct_bound_report(g, P0, q_list, rng) for rng in rngs]
     slices, batches = [], ms._batches
 
     def recorded(n, item_bytes, budget):
@@ -105,10 +107,12 @@ def test_box_pair_slices_change_no_bit(d, L, k, m, budget, monkeypatch):
 
     monkeypatch.setattr(ms, "PROBE_BLOCK_BYTES", budget)
     monkeypatch.setattr(ms, "_batches", recorded)
-    sliced_rng = np.random.default_rng(922)
-    assert dc.ct_bound_report(g, P0, q_list, sliced_rng) == whole
-    assert sliced_rng.bit_generator.state == rng.bit_generator.state
-    assert len(slices) == 1 and len(slices[0]) > 1
+    for source, rng, whole in zip(sources, rngs, wholes):
+        sliced_rng = source(922)
+        assert dc.ct_bound_report(g, P0, q_list, sliced_rng) == whole
+        # the slices left the stream where the whole draw did
+        assert np.array_equal(sliced_rng.standard_normal(5), rng.standard_normal(5))
+    assert len(slices) == 2 and all(len(s) > 1 for s in slices)
 
 
 def test_conjugation_bitwise_at_zero():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,85 @@ def test_delta_field_norm():
     assert d.values[lat.site_to_flat(g, (4,))] == pytest.approx(3.0)
     with pytest.raises(ops.OperatorError):
         ops.delta_field(g, (9,))
+
+
+def test_probes_reproduce_their_seed():
+    a, b = ops.Probes(11), ops.Probes(11)
+    assert np.array_equal(a.standard_normal((4, 5)), b.standard_normal((4, 5)))
+    assert np.array_equal(a.uniform(-1.0, 2.0, 7), b.uniform(-1.0, 2.0, 7))
+    assert not np.array_equal(ops.Probes(11).standard_normal(20), ops.Probes(12).standard_normal(20))
+    assert not np.array_equal(ops.Probes(11).uniform(0.0, 1.0, 20),
+                              ops.Probes(12).uniform(0.0, 1.0, 20))
+
+
+@pytest.mark.parametrize("n,m", [(0, 5), (1, 1), (3, 4), (7, 9), (6, 2), (5, 0)])
+def test_probes_draw_one_stream(n, m):
+    whole = ops.Probes(3).standard_normal(n + m)
+    p = ops.Probes(3)
+    assert np.array_equal(np.concatenate([p.standard_normal(n), p.standard_normal((1, m)).ravel()]),
+                          whole)
+    # a uniform draw between them leaves the kept second normal of a pair
+    # for the next normal draw
+    p, q = ops.Probes(3), ops.Probes(3)
+    first = p.standard_normal(3)
+    u = p.uniform(0.0, 1.0, 2)
+    four = q.standard_normal(4)
+    assert np.array_equal(first, four[:3]) and np.array_equal(u, q.uniform(0.0, 1.0, 2))
+    assert p.standard_normal(2)[0] == four[3]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_probes_normals_are_standard(seed):
+    # five standard errors for the moments; sqrt(n) D below 1.95, the 0.1 %
+    # point of the Kolmogorov distribution
+    n = 200_000
+    z = ops.Probes(seed).standard_normal(n)
+    mean, var = z.mean(), z.var()
+    excess_kurtosis = np.mean((z - mean) ** 4) / var ** 2 - 3.0
+    assert abs(mean) < 5.0 / np.sqrt(n)
+    assert abs(var - 1.0) < 5.0 * np.sqrt(2.0 / n)
+    assert abs(excess_kurtosis) < 5.0 * np.sqrt(24.0 / n)
+    s = np.sort(z)
+    cdf = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(s / np.sqrt(2.0)).astype(float))
+    ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert np.sqrt(n) * ks < 1.95
+
+
+def test_probes_uniforms_of_any_shape():
+    p = ops.Probes(5)
+    for shape in [(), 7, (3, 4), (2, 0, 5), (2, 3, 4)]:
+        assert p.uniform(-np.pi, np.pi, shape).shape == np.empty(shape).shape
+        assert p.standard_normal(shape).shape == np.empty(shape).shape
+    u = p.uniform(-2.0, 3.0, 100_000)
+    assert u.min() >= -2.0 and u.max() < 3.0
+    assert abs(u.mean() - 0.5) < 5.0 * 5.0 / np.sqrt(12 * u.size)
+
+
+class _ConstantBits:
+    """A bit source whose bits are all ones or all zeros."""
+
+    def __init__(self, ones: bool):
+        self.ones = ones
+
+    def getrandbits(self, k: int) -> int:
+        return (1 << k) - 1 if self.ones else 0
+
+
+def test_probes_extreme_bits_stay_finite():
+    # all ones: the largest uniform 1 - 2**-53, so Box-Muller's log reads its
+    # smallest argument 2**-53 > 0 (pytest turns a RuntimeWarning such as
+    # log(0) into an error); all zeros: the uniform low, and radius 0
+    p = ops.Probes(0)
+    p._random = _ConstantBits(True)
+    assert np.all(p.uniform(0.0, 1.0, 4) == 1.0 - 2.0 ** -53)
+    assert np.all(p.uniform(-np.pi, np.pi, 4) < np.pi)      # fourier-verify's momenta
+    z = p.standard_normal(3)
+    assert np.all(np.isfinite(z))
+    assert z[0] == pytest.approx(np.sqrt(106.0 * np.log(2.0)), rel=1e-12)
+    p = ops.Probes(0)
+    p._random = _ConstantBits(False)
+    assert np.all(p.uniform(-1.0, 1.0, 4) == -1.0)
+    assert np.all(p.standard_normal(3) == 0.0)
 
 
 def test_identity_and_adjoint(rng):

@@ -21,9 +21,8 @@ for label in lat.all_sites(coarse):
     members = [tuple(s) for s in lat.block_sites(geom, 1, tuple(label))]
     print(f"  block {tuple(label)} -> sites {members}")
 
-print("\nreflections and image points (shells=1) of site (1,):")
-print(f"  low image:  {lat.reflect(geom, 0, 'low', (1,))}")
-print(f"  high image: {lat.reflect(geom, 0, 'high', (1,))}")
+print("\nimage points (shells=1) of site (1,): its mirror images in the low")
+print("plane (c -> -1 - c) and the high plane (c -> 2N - 1 - c), and itself:")
 print(f"  image set:  {[tuple(p) for p in lat.image_points(geom, (1,), 1)]}")
 
 print("\nNeumann spectrum vs closed form (n = 9, eta = 1/3):")
@@ -36,11 +35,13 @@ print("\naveraging operator: block means, partial isometry, projector")
 Q = ops.averaging(geom, 1)
 f = ops.Field(geom, [1, 2, 3, 0, 0, 0, 0, 0, 0])
 print(f"  Q (1,2,3,0,...,0) = {np.round(ops.apply(Q, f).values.real, 6)}")
-P = ops.block_projector(geom, 1)
-print(f"  |Q Q* - 1|_F  = {ops.rel_frobenius(Q @ ops.adjoint(Q), ops.identity(coarse)):.2e}")
-print(f"  |P^2 - P|_F   = {ops.rel_frobenius(P @ P, P):.2e}")
+P = ops.block_projector(geom, 1).matrix
+QQs = (Q @ ops.adjoint(Q)).matrix
+print(f"  |Q Q* - 1|_F  = {np.linalg.norm(QQs - np.eye(coarse.site_count)):.2e}")
+print(f"  |P^2 - P|_F   = {np.linalg.norm(P @ P - P):.2e}")
 
-print("\nChebyshev recurrence roots vs cosines (U_5):")
+print("\nChebyshev roots of U_5, checked by U_n(cos t) = sin((n+1) t) / sin t:")
 roots = ops.chebyshev_roots(5)
+t = np.arccos(roots)
 print(f"  roots: {np.round(roots, 6)}")
-print(f"  |U_5(roots)| <= {np.max(np.abs(ops.chebyshev_u(5, roots))):.2e}")
+print(f"  |U_5(roots)| <= {np.max(np.abs(np.sin(6 * t) / np.sin(t))):.2e}")

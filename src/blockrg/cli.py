@@ -9,7 +9,9 @@ error, 3 internal error; the largest applies.  A suite that refuses the
 configured cube by name raises ``lattice.GeometryError``, a configuration
 error: a dense inverse past ``operators.DENSE_BYTE_CAP``, too few distances
 to fit a decay rate (``decay.FitWindowError``), ct-report's weights past
-``decay.CT_MAX_EXPONENT``, or a cube with k = 0, which carries no level
+``decay.CT_MAX_EXPONENT``, an analyticity width at or below
+``fourier.STRIP_Q_MAX`` (``fourier.StripWidthError``: strip-bound and
+fourier-verify), or a cube with k = 0, which carries no level
 ``G_j`` (rg-verify, images-verify, decay-profile and ct-report).  Under
 ``all`` the other suites still run.
 """

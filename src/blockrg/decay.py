@@ -105,11 +105,6 @@ def conjugated_operator(geom: LatticeGeometry, params, q) -> KernelOperator:
     return _conjugate(multiscale.defining_operator(geom, params, geom.k), q)
 
 
-def conjugated_green(geom: LatticeGeometry, params, q) -> KernelOperator:
-    """``e_{-q} G_k(Omega) e_q``, the inverse of the conjugated operator."""
-    return _conjugate(multiscale.green_neumann(geom, params), q)
-
-
 def _conjugate(A: KernelOperator, q) -> KernelOperator:
     """``e_{-q} A e_q`` on one lattice, as weights on the kernel's rows and columns."""
     geom = A.source
@@ -371,26 +366,3 @@ def fit_decay(dists, mags, window=None) -> DecayFit:
                     window=(float(lo), float(hi)),
                     rms_residual=float(np.sqrt(np.mean(resid**2))),
                     point_count=int(np.count_nonzero(mask)))
-
-
-@dataclass(frozen=True)
-class LinfRow:
-    k: int
-    m: int
-    fit: DecayFit
-    max_ratio: float
-
-
-def linf_report(geoms, params) -> list[LinfRow]:
-    """Fitted (prefactor, rate) per geometry plus the sup-norm envelope ratio.
-
-    ``max_ratio`` is the largest observed ``|(G f)(x)| * exp(rate * dist)``,
-    i.e. the empirical prefactor for the fitted rate at unit sup-norm source.
-    """
-    rows = []
-    for geom in geoms:
-        dists, mags = decay_profile(geom, params)
-        fit = fit_decay(dists, mags)
-        ratio = float(np.max(mags * np.exp(fit.rate * dists)))
-        rows.append(LinfRow(k=geom.k, m=geom.m, fit=fit, max_ratio=ratio))
-    return rows

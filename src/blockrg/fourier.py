@@ -86,7 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import FreePatch, _axis_outer, grid_points
+from .lattice import FreePatch, GeometryError, _axis_outer, grid_points
 from .multiscale import MultiscaleParams, RankOneRows, _batches
 
 POLE_GUARD = 1e-12
@@ -104,6 +104,12 @@ class PoleProximityError(ValueError):
 
 class StripViolationError(ValueError):
     """The certified analyticity strip was left: denominator below floor."""
+
+
+class StripWidthError(GeometryError, StripViolationError):
+    """A contour ``q`` at or past ``q_hi`` of ``q_star_bracket``: the strip
+    holds a zero of ``det M`` whichever nodes are sampled, so the cube's
+    parameters are refused by name (``_check_strip_width``)."""
 
 
 class GridConvergenceError(RuntimeError):
@@ -157,10 +163,6 @@ class TorusGrid:
         M0 = self.base_count
         return -np.pi + 2.0 * np.pi * np.arange(M0) / M0
 
-    def base_nodes(self) -> np.ndarray:
-        """Base momenta, shape ``(base_count**d, d)``, row-major."""
-        return grid_points([self.base_nodes_1d()] * self.d)
-
     def full_nodes_1d(self) -> np.ndarray:
         """Big-torus momenta of one axis; index ``s * base_count + b`` is
         base node ``b`` moved by shift ``s``, the big-torus sample layout."""
@@ -198,39 +200,11 @@ def u_axis(z, eta: float):
     return np.exp(-0.5j * (1.0 - eta) * z) * _sinc(z / 2.0) / _sinc(z * eta / 2.0)
 
 
-def u_kernel(z, L: int, k: int):
-    """Averaging symbol ``u(z)`` for ``z`` of shape ``(..., d)``."""
-    eta = float(L) ** (-k)
-    return np.prod(u_axis(np.asarray(z, dtype=complex), eta), axis=-1)
-
-
-def u_bar_kernel(z, L: int, k: int):
-    """Analytic continuation of ``conj(u(p))``; equals ``u(-z)``."""
-    return u_kernel(-np.asarray(z, dtype=complex), L, k)
-
-
 def lap_star(z, L: int, k: int, mu0: float):
     """Dimensionless Laplacian symbol ``sum_mu sin^2(z_mu eta/2) + mu0/4``."""
     eta = float(L) ** (-k)
     z = np.asarray(z, dtype=complex)
     return np.sum(np.sin(z * eta / 2.0) ** 2, axis=-1) + mu0 / 4.0
-
-
-def laplacian_symbol(z, L: int, k: int, mu0: float):
-    """Symbol of ``-Lap + mu_bar_k``: ``(4/eta^2)(sum sin^2(z eta/2) + mu0/4)``."""
-    eta = float(L) ** (-k)
-    return (4.0 / eta**2) * lap_star(z, L, k, mu0)
-
-
-def u_delta(z, ell, L: int, k: int, mu0: float):
-    """``u(z + 2 pi ell) / Delta(z + 2 pi ell)`` with a guard at genuine poles."""
-    zs = np.asarray(z, dtype=complex) + 2.0 * np.pi * np.asarray(ell, dtype=float)
-    denom = laplacian_symbol(zs, L, k, mu0)
-    star = lap_star(zs, L, k, mu0)
-    if np.any(np.abs(star) < POLE_GUARD):
-        raise PoleProximityError(
-            "u_delta evaluated within guard distance of a pole of 1/Delta")
-    return u_kernel(zs, L, k) / denom
 
 
 def bracket(z, L: int, k: int, mu0: float):
@@ -738,6 +712,17 @@ def q_star_bracket(d: int, L: int, k: int, params: MultiscaleParams):
     return float(lo), float(hi)
 
 
+def _check_strip_width(d: int, L: int, k: int, params: MultiscaleParams, q: float):
+    """Refuse ``q`` at or past ``q_hi`` of ``q_star_bracket`` with
+    ``StripWidthError``; the strip bound and the contour shift run this
+    before any solve or quadrature."""
+    bracket = q_star_bracket(d, L, k, params)
+    if bracket is not None and q >= bracket[1]:
+        raise StripWidthError(
+            f"q={q} at or past the analyticity width q* in "
+            f"({bracket[0]:.6g}, {bracket[1]:.6g}] at d={d}, L={L}, k={k}")
+
+
 def _ladder(starts, evaluate, tol: float, params: MultiscaleParams | None) -> list:
     """Drive several entries to quadrature self-convergence on one ladder of
     grids.  Entry ``i`` is evaluated on ``starts[i]`` and its doublings, at
@@ -812,9 +797,11 @@ def contour_shift_change(grid: TorusGrid, params: MultiscaleParams, q: float,
     evaluated by the same plan on the grid the ladder stopped on.  By
     analyticity the change is quadrature error only, that of the stopping
     grid on both contours; both kernels take the one route of
-    ``KernelPlan.sums``, so no two codes are compared.
+    ``KernelPlan.sums``, so no two codes are compared.  A ``q`` at or past
+    the analyticity width is refused first (``_check_strip_width``).
     """
     d = grid.d
+    _check_strip_width(d, grid.L, grid.k, params, q)
     plan = GPlan(np.zeros((1, d)), np.full((1, d), 2.0), grid)
     (base, used, _), = converge_plans([plan], params, tol)
     qv = np.zeros(d)
@@ -984,23 +971,6 @@ def _strip_solve(axis_nodes, L: int, k: int, params: MultiscaleParams):
         yield system.solve_u(), denom / floor
 
 
-def h_function(z, ell_prime, L: int, k: int, params: MultiscaleParams):
-    """Strip integrand ``u_Delta(z + 2 pi ell') / (1 + a_k <<u, u_Delta>>(z))``.
-
-    This is the ``ell'`` entry of ``M(z)^{-1} U(z)``.  ``u`` and ``Delta``
-    are ``L**k``-periodic in the shift, so each ``ell'`` row is reduced modulo
-    ``L**k`` onto the shift set and read off the one shift system at ``z``.
-    Raises ``StripViolationError`` when the denominator drops below its floor.
-    """
-    z = np.asarray(z, dtype=complex)
-    H, _ = next(_strip_solve(z[:, None], L, k, params))
-    Lk = L**k
-    first = int(shift_vectors(1, L, k)[0, 0])
-    ells = np.rint(np.atleast_2d(np.asarray(ell_prime, dtype=float))).astype(np.int64)
-    out = H[0, np.ravel_multi_index(tuple(((ells - first) % Lk).T), (Lk,) * len(z))]
-    return out[0] if np.ndim(ell_prime) == 1 else out
-
-
 @dataclass(frozen=True)
 class StripBoundReport:
     d: int
@@ -1019,15 +989,12 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
 
     The ``z`` sample is a uniform interior grid over ``(-pi, pi)^d`` crossed
     with imaginary shifts ``0``, ``+/- q_max`` per axis and the diagonal.
-    A denominator-floor breach raises rather than being recorded, and so
-    does a ``q_max`` at or past ``q_hi`` of ``q_star_bracket``, where the
-    strip holds a zero of ``det M`` whichever nodes are sampled.
+    A denominator-floor breach raises ``StripViolationError`` rather than
+    being recorded; a ``q_max`` at or past ``q_hi`` of ``q_star_bracket``,
+    where the strip holds a zero of ``det M`` whichever nodes are sampled,
+    is refused first (``_check_strip_width``).
     """
-    bracket = q_star_bracket(d, L, k, params)
-    if bracket is not None and q_max >= bracket[1]:
-        raise StripViolationError(
-            f"q_max={q_max} at or past the analyticity width q* in "
-            f"({bracket[0]:.6g}, {bracket[1]:.6g}]")
+    _check_strip_width(d, L, k, params, q_max)
     ells = shift_vectors(d, L, k)
     weights = np.prod((1.0 + np.abs(ells)) ** (1.0 + 2.0 / d), axis=-1)
 
@@ -1046,63 +1013,3 @@ def strip_bound_report(d: int, L: int, k: int, params: MultiscaleParams,
                             weighted_sup=float(per_shift.max()), per_shift_sup=table,
                             min_denominator_margin=float(min_margin),
                             p_samples=p_samples)
-
-
-# ---------------------------------------------------------------------------
-# Grid checks of the scalar inequalities behind the strip bound
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    worst: float
-    worst_refined: float
-
-    @property
-    def drift(self) -> float:
-        lo, hi = sorted((self.worst, self.worst_refined))
-        return hi / lo if lo > 0 else np.inf
-
-
-def technical_bounds_report(n_grid: int = 41) -> list[BoundCheck]:
-    """Grid worst cases for the scalar strip inequalities, at two refinement levels.
-
-    Each check is one row ``sweep(name, real half-width, shifts l, ratio(z,
-    l), extreme)``, swept at once: the extreme of (left side)/(right side
-    without its constant) over the shifts ``(S,)`` and a ``(points, 1)``
-    column ``z`` of the strip grid, ``n`` real parts in ``[-re_lim, re_lim]``
-    by ``max(3, n // 4)`` imaginary parts in ``[-1, 1]``, less ``z = 0``,
-    where ``2 pi l / z`` is singular and no ratio takes its extreme.  The
-    L-free shift sums are cut at ``|l| <= 20``, the others sweep the shift
-    set of their ``(L, k)``.  The contract downstream is finiteness plus
-    stability under refining the grid by 2x.
-    """
-    checks = []
-
-    def sweep(name, re_lim, shifts, ratio, extreme):
-        def worst(n):
-            p, q = np.linspace(-re_lim, re_lim, n), np.linspace(-1.0, 1.0, max(3, n // 4))
-            z = (p[:, None] + 1j * q).ravel()
-            return float(extreme(ratio(z[np.abs(z) > 1e-9, None], shifts)))
-        checks.append(BoundCheck(name, worst(n_grid), worst(2 * n_grid)))
-
-    Z = lambda z, l: shifted_momenta(z, l[:, None])[..., 0]
-    wide, h = shift_vectors(1, 41, 1)[:, 0], 1e-6
-    sweep("sinc_lower_bound", np.pi / 2.0, np.zeros(1), lambda z, l: np.abs(_sinc(z)), np.min)
-    sweep("shifted_distance_lower", np.pi, wide[wide != 0],
-          lambda z, l: np.abs(Z(z, l)) / ((np.pi / 2.0) * (1 + np.abs(l))), np.min)
-    sweep("one_plus_shift_lower", np.pi, wide,
-          lambda z, l: np.abs(1.0 + 2.0 * np.pi * l / z) / ((1 + np.abs(l)) / 6.0), np.min)
-    for L, k in ((3, 1), (3, 2), (3, 3)):
-        eta, ells = float(L) ** (-k), shift_vectors(1, L, k)[:, 0]
-        w = lambda z, l: z * eta / 2.0 + np.pi * l * eta     # (z + 2 pi l) eta / 2
-        for delta in (0.0, 0.1):
-            sweep(f"length_vs_sin_L{L}k{k}_delta{delta}", np.pi, ells[ells != 0],
-                  lambda z, l: np.abs(w(z, l)) ** 2 / np.abs(np.sin(w(z, l)) ** 2 + delta), np.max)
-        # |d/dz (sin^2(z/2) / sin^2(Z eta/2))| eta^2 (1+|l|)^2 by central differences;
-        # the quotient is u_axis(Z) u_axis(-Z) / eta^2
-        f = lambda Z: u_axis(Z, eta) * u_axis(-Z, eta) / eta**2
-        sweep(f"derivative_product_L{L}k{k}", np.pi, ells,
-              lambda z, l: (np.abs((f(Z(z, l) + h) - f(Z(z, l) - h)) / (2.0 * h))
-                            * eta**2 * (1 + np.abs(l)) ** 2), np.max)
-    return checks

@@ -26,7 +26,7 @@ Site = tuple[int, ...]
 class GeometryError(ValueError):
     """Invalid lattice parameters, a level outside the cube's range, or a cube
     that a computation refuses by name (``DenseSizeError``,
-    ``FitWindowError``): a configuration error (exit 2)."""
+    ``FitWindowError``, ``StripWidthError``): a configuration error (exit 2)."""
 
 
 @dataclass(frozen=True)
@@ -139,17 +139,6 @@ def site_position(geom, site) -> np.ndarray:
     return np.asarray(site, dtype=float) * geom.spacing
 
 
-def block_label(geom: LatticeGeometry, j: int, site) -> Site:
-    """Label (in the index units of ``coarse_geometry(geom, j)``) of the j-block of ``site``.
-
-    Componentwise floor division by ``L**j``; valid for image points outside
-    the cube as well.
-    """
-    coarse_geometry(geom, j)
-    Lj = geom.L**j
-    return tuple(int(c) // Lj for c in site)
-
-
 def block_sites(geom: LatticeGeometry, j: int, label) -> np.ndarray:
     """The ``L**(j*d)`` site indices of block ``label``, shape ``(L**(j*d), d)``."""
     coarse = coarse_geometry(geom, j)
@@ -165,26 +154,6 @@ def block_table(geom: LatticeGeometry, j: int) -> np.ndarray:
     order.  Per axis, site ``c`` is member ``c % L**j`` of class ``c // L**j``."""
     N, Nc = geom.sites_per_axis, coarse_geometry(geom, j).sites_per_axis
     return _axis_outer(lambda x, y: x * N + y, [np.arange(N).reshape(Nc, N // Nc)] * geom.d)
-
-
-def reflect(geom: LatticeGeometry, axis: int, end: str, site) -> Site:
-    """Reflect ``site`` across the low or high mirror plane of ``axis``.
-
-    Low plane sits at index -1/2 (``c -> -1 - c``), high plane at
-    ``N - 1/2`` (``c -> 2N - 1 - c``).  Involution; result may lie outside
-    the cube (it is then an image point on the ambient lattice).
-    """
-    if not 0 <= axis < geom.d:
-        raise GeometryError(f"axis {axis} outside lattice dimension {geom.d}")
-    N = geom.sites_per_axis
-    out = list(int(c) for c in site)
-    if end == "low":
-        out[axis] = -1 - out[axis]
-    elif end == "high":
-        out[axis] = 2 * N - 1 - out[axis]
-    else:
-        raise GeometryError(f"end must be 'low' or 'high', got {end!r}")
-    return tuple(out)
 
 
 def _axis_images(c: int, N: int, shells: int) -> list[int]:
@@ -216,23 +185,6 @@ def image_shell_index(geom: LatticeGeometry, site, shells: int) -> np.ndarray:
     """Shell number (max per-axis copy index) for each row of ``image_points``."""
     copies = grid_points([np.arange(-shells, shells + 1)] * len(site))
     return np.max(np.abs(copies), axis=1)
-
-
-def dist(x, y) -> float:
-    """Euclidean distance between coordinate vectors (ambient units)."""
-    return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-
-
-def sup_dist(x, y) -> float:
-    return float(np.max(np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))))
-
-
-def dist_to_set(x, points) -> float:
-    """Infimum of ``dist(x, p)`` over rows ``p`` of ``points``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise GeometryError("dist_to_set over an empty set")
-    return float(np.min(np.linalg.norm(pts - np.asarray(x, dtype=float), axis=1)))
 
 
 @dataclass(frozen=True)
@@ -275,14 +227,6 @@ def block_aligned_patch(d: int, L: int, k: int, blocks_lo, blocks_hi) -> FreePat
     lo = tuple(int(b) * Lk for b in blocks_lo)
     hi = tuple((int(b) + 1) * Lk - 1 for b in blocks_hi)
     return FreePatch(d=d, L=L, k=k, lo=lo, hi=hi)
-
-
-def patch_sites(patch: FreePatch) -> np.ndarray:
-    return grid_points([np.arange(l, h + 1) for l, h in zip(patch.lo, patch.hi)])
-
-
-def patch_positions(patch: FreePatch) -> np.ndarray:
-    return patch_sites(patch) * patch.spacing
 
 
 def sample_sites(geom: LatticeGeometry) -> list[Site]:

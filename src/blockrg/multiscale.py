@@ -158,16 +158,6 @@ def rg_operators(geom, params: MultiscaleParams, j: int) -> RgOperators:
                        H_j=H, C_prime_j=C_prime)
 
 
-def a_operator_closed_form(geom, params: MultiscaleParams, j: int) -> KernelOperator:
-    """``A_j = (at + (at_1 / L**2) P_1)**-1`` in closed form, ``P_1`` being a projector."""
-    coarse = coarse_geometry(geom, j)
-    at = params.a_tilde(geom, j, j)
-    at_first = params.a_tilde(geom, 1, j)
-    P1 = ops.block_projector(coarse, 1)
-    eye_c = ops.identity(coarse)
-    return (1.0 / at) * eye_c + (1.0 / (at + at_first / geom.L**2) - 1.0 / at) * P1
-
-
 def secular_min_roots(diag, u, at: float) -> np.ndarray:
     """Smallest eigenvalue of each row block ``diag(d_c) + at u_c u_c^T``, ``at > 0``.
 
@@ -619,8 +609,8 @@ def c_identity_residual(lo: TowerLevel, hi: TowerLevel) -> float:
     """Relative Frobenius residual of the fluctuation-covariance identity
     ``C_j = A_j + at**2 A_j Q_j G_{j+1} Q_j* A_j`` on the coarse lattice, from
     the levels ``j`` and ``j + 1`` of one cube, with the closed form
-    ``A_j = 1/at + (1/(at + at_1/L**2) - 1/at) P_1`` of
-    ``a_operator_closed_form``.
+    ``A_j = 1/at + (1/(at + at_1/L**2) - 1/at) P_1`` (dense reference:
+    ``a_operator_closed_form`` in ``tests/oracles.py``).
 
     All are block-diagonal over ``C_j``'s rows, which are the level-``(j+1)``
     rows, compared one ``L**d x L**d`` block per row: ``P_1 = u_1 u_1^T`` and

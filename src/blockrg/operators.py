@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (GeometryError, LatticeGeometry, _axis_outer, coarse_geometry,
-                      scale_geometry, site_to_flat)
+                      scale_geometry)
 
 DENSE_BYTE_CAP = 4 * 2**30   # invert's four n x n float64 arrays: n <= 11,585 sites
 SELF_ADJOINT_TOL = 1e-10
@@ -76,17 +76,6 @@ class Field:
                 f"value count {v.size} != site count {self.geometry.site_count}")
 
 
-def constant_field(geom, value=1.0) -> Field:
-    return Field(geom, np.full(geom.site_count, value, dtype=complex))
-
-
-def random_field(geom, rng) -> Field:
-    """Complex Gaussian field: real, then imaginary parts from ``rng``, any
-    object with ``standard_normal(shape)`` (``Probes`` or a numpy Generator)."""
-    v = rng.standard_normal(geom.site_count) + 1j * rng.standard_normal(geom.site_count)
-    return Field(geom, v)
-
-
 class Probes:
     """Seeded probe draws from the standard library's Mersenne Twister.
 
@@ -128,25 +117,6 @@ class Probes:
         out = np.empty(size)
         out.reshape(-1)[:] = self._uniforms(out.size)
         return low + (high - low) * out
-
-
-def delta_field(geom, site) -> Field:
-    """Dirac delta: value ``eta**-d`` at ``site``, zero elsewhere; ``<delta_x, f> = f(x)``."""
-    if not geom.contains(site):
-        raise OperatorError(f"site {site} outside lattice")
-    v = np.zeros(geom.site_count, dtype=complex)
-    v[site_to_flat(geom, site)] = geom.spacing ** (-geom.d)
-    return Field(geom, v)
-
-
-def inner(f: Field, g: Field) -> complex:
-    if f.geometry != g.geometry:
-        raise OperatorError("inner product requires matching geometries")
-    return complex(f.geometry.spacing ** f.geometry.d * np.vdot(f.values, g.values))
-
-
-def norm(f: Field) -> float:
-    return float(np.sqrt(inner(f, f).real))
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,17 +460,6 @@ def spectrum_rel_error(report: SpectrumReport) -> float:
     return float(np.max(np.abs(report.eigenvalues - closed) / denom))
 
 
-def chebyshev_u(n: int, alpha):
-    """Chebyshev polynomial of the second kind by the three-term recurrence."""
-    alpha = np.asarray(alpha, dtype=float)
-    if n == 0:
-        return np.ones_like(alpha)
-    prev, cur = np.ones_like(alpha), 2 * alpha
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * alpha * cur - prev
-    return cur
-
-
 def chebyshev_roots(n: int) -> np.ndarray:
     """Roots of U_n: ``cos(j pi / (n+1))``, j = 1..n, ascending."""
     j = np.arange(1, n + 1)
@@ -527,11 +486,3 @@ def min_eigenvalue(A: KernelOperator) -> float:
     if defect > SELF_ADJOINT_TOL:
         raise OperatorError(f"operator not self-adjoint (defect {defect:.3e})")
     return float(np.linalg.eigvalsh(A.matrix)[0])
-
-
-def rel_frobenius(A: KernelOperator, B: KernelOperator) -> float:
-    """Relative Frobenius distance ``|A - B|_F / |B|_F`` of the value matrices,
-    taken on the kernels: the shared source measure factor cancels."""
-    if A.source != B.source or A.target != B.target:
-        raise OperatorError("rel_frobenius: geometries do not match")
-    return float(np.linalg.norm(A.kernel - B.kernel) / np.linalg.norm(B.kernel))

@@ -15,6 +15,7 @@ import numpy as np
 
 from blockrg import (cli, fourier as fr, images as im, lattice as lat,
                      multiscale as ms)
+from oracles import technical_bounds_report
 
 P0 = ms.MultiscaleParams()
 PM = ms.MultiscaleParams(mu0=0.1)
@@ -180,7 +181,7 @@ def test_positivity():
 
 
 def test_scalar_inequality_sweeps():
-    checks = fr.technical_bounds_report(n_grid=41)
+    checks = technical_bounds_report(n_grid=41)
     worst_drift = 0.0
     for c in checks:
         assert np.isfinite(c.worst) and np.isfinite(c.worst_refined), c.name

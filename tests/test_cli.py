@@ -353,6 +353,37 @@ def test_no_suite_imports_numpy_random_or_ma(tmp_path, suite):
     assert run.stdout.splitlines()[-1:] == ["0 []"], run.stderr
 
 
+def test_perfbench_tracer_installs():
+    # perfbench/tracing.py wraps library names by getattr: a traced name that
+    # leaves the library fails install in a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    run = subprocess.run([sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_contours_past_q_star_are_configuration_errors(tmp_path, capsys):
+    # at a = 0.001 the analyticity width q* of (1,3,1) lies in (0.0299, 0.0334],
+    # below fourier.STRIP_Q_MAX = 0.05: fourier-verify's contour row and
+    # strip-bound refuse the config by name (exit 2) before any quadrature,
+    # where they once ended in GridConvergenceError and StripViolationError
+    p = tmp_path / "c.yaml"
+    p.write_text("geometry: {d: 1, L: 3, k: 1, m: 2}\nparams: {a: 0.001}\n")
+    out = tmp_path / "rep"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(["--config", str(p), "--experiment", "all", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ERROR (" not in err
+    summary = json.loads((out / "summary.json").read_text())
+    for name in ("fourier-verify", "strip-bound"):
+        assert re.search(rf"^{name}: config error: q=0\.05 at or past the analyticity width "
+                         r"q\* in \(0\.0299358, 0\.0334048\] at d=1, L=3, k=1$", err, re.M), err
+        assert summary[name]["status"] == "config error"
+
+
 def test_internal_error_isolated(tmp_path, monkeypatch):
     # a suite that raises: exit code 3, summary records it
     def broken(*args):

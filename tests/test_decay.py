@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from blockrg import cli, decay as dc, lattice as lat, multiscale as ms, operators as ops
-from oracles import assert_ct_sigmas_match_dense_svd, dense_sigmas
+from oracles import (assert_ct_sigmas_match_dense_svd, conjugated_green, dense_sigmas, inner,
+                     norm, rel_frobenius)
 
 P0 = ms.MultiscaleParams()
 
@@ -44,7 +45,7 @@ def test_fit_scale_honesty():
 
 def _scalar_box_fit(geom, rng, draws=3):
     """The per-pair reference loop: two (b, 2) draws per pair and draw, a
-    full ``Gm @ f2`` apply and ``ops.inner``; returns the fit and the draws."""
+    full ``Gm @ f2`` apply and ``inner``; returns the fit and the draws."""
     Gm = ms.green_neumann(geom, P0).matrix
     boxes = lat.block_table(geom, geom.k)
     labels = lat.all_sites(lat.coarse_geometry(geom, geom.k))
@@ -61,8 +62,8 @@ def _scalar_box_fit(geom, rng, draws=3):
                     v[box] = z[:, 0] + 1j * z[:, 1]
                     fields.append(ops.Field(geom, v))
                 f, f2 = fields
-                val = abs(ops.inner(f, ops.Field(geom, Gm @ f2.values)))
-                best = max(best, val / (ops.norm(f) * ops.norm(f2)))
+                val = abs(inner(f, ops.Field(geom, Gm @ f2.values)))
+                best = max(best, val / (norm(f) * norm(f2)))
             dists.append(float(np.linalg.norm(np.subtract(y, labels[i2]))))
             logvals.append(np.log(best))
     dists, logvals = np.array(dists), np.array(logvals)
@@ -144,9 +145,9 @@ def test_conjugation_covariance():
     # e_{-q} G e_q = (D_q)^{-1}
     g = lat.make_geometry(1, 3, 1, 2)
     for q in (0.02, -0.05):
-        lhs = dc.conjugated_green(g, P0, q)
+        lhs = conjugated_green(g, P0, q)
         rhs = ops.invert(dc.conjugated_operator(g, P0, q))
-        assert ops.rel_frobenius(lhs, rhs) < 1e-10
+        assert rel_frobenius(lhs, rhs) < 1e-10
 
 
 def test_coercivity_of_symmetrized_form():
@@ -345,14 +346,6 @@ def test_monotone_mass_masking():
     r0 = dc.fit_decay(*dc.decay_profile(g, P0)).rate
     r1 = dc.fit_decay(*dc.decay_profile(g, ms.MultiscaleParams(mu0=0.2))).rate
     assert r1 >= r0 - 1e-9
-
-
-def test_linf_report():
-    geoms = [lat.make_geometry(1, 3, 1, m) for m in (3, 4)]
-    rows = dc.linf_report(geoms, P0)
-    for row in rows:
-        assert row.fit.rate > 0
-        assert np.isfinite(row.max_ratio) and row.max_ratio > 0
 
 
 def test_block_source_profile():

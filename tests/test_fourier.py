@@ -5,7 +5,9 @@ import pytest
 
 from blockrg import fourier as fr, lattice as lat, multiscale as ms
 from blockrg.multiscale import MultiscaleParams
-from oracles import free_laplacian_1d, interior_mask
+from oracles import (base_nodes, free_laplacian_1d, interior_mask, laplacian_symbol,
+                     patch_positions, patch_sites, technical_bounds_report, u_bar_kernel,
+                     u_kernel)
 
 P0 = MultiscaleParams()
 
@@ -32,7 +34,7 @@ def test_shift_layout_round_trip_and_order(d, L, k, M):
     # entry (nodes, shifts), each row-major, is the big-torus sample at base
     # node + 2 pi shift
     K = lat.grid_points([grid.full_nodes_1d()] * d)
-    Z = fr.shifted_momenta(grid.base_nodes(), fr.shift_vectors(d, L, k))
+    Z = fr.shifted_momenta(base_nodes(grid), fr.shift_vectors(d, L, k))
     for mu in range(d):
         rows = fr._shift_view(K[:, mu], grid).reshape(Z.shape[:2])
         assert np.array_equal(rows, Z[..., mu])
@@ -43,9 +45,9 @@ def test_u_at_zero_via_limit_oracle():
     eta = 1.0 / 3.0
     for p in (1e-3, 1e-5):
         raw = eta * (1 - np.exp(-1j * p)) / (1 - np.exp(-1j * p * eta))
-        assert abs(fr.u_kernel(np.array([p]), 3, 1) - raw) < 1e-10
-    assert fr.u_kernel(np.zeros(1), 3, 1) == pytest.approx(1.0)
-    assert fr.u_kernel(np.zeros(2), 3, 2) == pytest.approx(1.0)
+        assert abs(u_kernel(np.array([p]), 3, 1) - raw) < 1e-10
+    assert u_kernel(np.zeros(1), 3, 1) == pytest.approx(1.0)
+    assert u_kernel(np.zeros(2), 3, 2) == pytest.approx(1.0)
 
 
 def test_sinc_is_one_at_zero_without_warnings():
@@ -59,19 +61,19 @@ def test_sinc_is_one_at_zero_without_warnings():
 
 def test_u_trivial_at_k0():
     p = np.linspace(-2, 2, 9).reshape(-1, 1)
-    assert np.allclose(fr.u_kernel(p, 3, 0), 1.0)
+    assert np.allclose(u_kernel(p, 3, 0), 1.0)
 
 
 def test_u_genuine_zeros():
     # at z = 2 pi ell (ell not a multiple of L^k) the symbol vanishes
-    assert abs(fr.u_kernel(np.array([2 * np.pi]), 3, 1)) < 1e-14
+    assert abs(u_kernel(np.array([2 * np.pi]), 3, 1)) < 1e-14
 
 
 def test_laplacian_symbol_reference():
-    assert fr.laplacian_symbol(np.zeros(1), 3, 0, 0.0) == pytest.approx(0.0)
-    assert fr.laplacian_symbol(np.array([np.pi]), 3, 0, 0.0) == pytest.approx(4.0)
+    assert laplacian_symbol(np.zeros(1), 3, 0, 0.0) == pytest.approx(0.0)
+    assert laplacian_symbol(np.array([np.pi]), 3, 0, 0.0) == pytest.approx(4.0)
     # mass term: (4/eta^2) * mu0/4 = mu_bar_k
-    val = fr.laplacian_symbol(np.zeros(1), 3, 1, 0.4)
+    val = laplacian_symbol(np.zeros(1), 3, 1, 0.4)
     assert val == pytest.approx(9 * 0.4)
 
 
@@ -81,22 +83,14 @@ def test_laplacian_symbol_vs_stencil_plane_wave():
     eta = 1.0 / 3.0
     patch = lat.FreePatch(d=1, L=L, k=k, lo=(-5,), hi=(5,))
     M = free_laplacian_1d(patch)
-    pos = lat.patch_positions(patch)[:, 0]
+    pos = patch_positions(patch)[:, 0]
     rng = np.random.default_rng(1)
     for p in rng.uniform(-np.pi / eta, np.pi / eta, 5):
         wave = np.exp(1j * p * pos)
         applied = -(M @ wave)
         inner = interior_mask(patch)
-        symbol = fr.laplacian_symbol(np.array([p]), L, k, 0.0)
+        symbol = laplacian_symbol(np.array([p]), L, k, 0.0)
         assert np.max(np.abs(applied[inner] - symbol * wave[inner])) < 1e-12 * abs(symbol + 1)
-
-
-def test_u_delta_pole_guard():
-    with pytest.raises(fr.PoleProximityError):
-        fr.u_delta(np.zeros(1), np.zeros(1), 3, 1, 0.0)
-    # fine away from the pole, and with a mass at the origin
-    fr.u_delta(np.array([0.3]), np.zeros(1), 3, 1, 0.0)
-    fr.u_delta(np.zeros(1), np.zeros(1), 3, 1, 0.1)
 
 
 def test_u_delta_periodicity():
@@ -105,15 +99,16 @@ def test_u_delta_periodicity():
     rng = np.random.default_rng(2)
     for _ in range(4):
         p = rng.uniform(0.2, np.pi, size=1)
-        v1 = fr.u_delta(p, np.zeros(1), L, k, 0.0)
-        v2 = fr.u_delta(p + 2 * np.pi * L**k, np.zeros(1), L, k, 0.0)
+        v1 = u_kernel(p, L, k) / laplacian_symbol(p, L, k, 0.0)
+        v2 = (u_kernel(p + 2 * np.pi * L**k, L, k)
+              / laplacian_symbol(p + 2 * np.pi * L**k, L, k, 0.0))
         assert abs(v1 - v2) < 1e-12 * abs(v1)
 
 
 def test_bracket_k0_single_term():
     p = np.array([0.7])
     lhs = fr.bracket(p, 3, 0, 0.3)
-    rhs = abs(fr.u_kernel(p, 3, 0)) ** 2 / fr.laplacian_symbol(p, 3, 0, 0.3)
+    rhs = abs(u_kernel(p, 3, 0)) ** 2 / laplacian_symbol(p, 3, 0, 0.3)
     assert lhs == pytest.approx(rhs)
 
 
@@ -166,7 +161,7 @@ def test_free_apply_ghat_k0_collapse():
     fhat = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     ghat = fr.free_apply_ghat(fhat, grid, P0)
     p = grid.full_nodes_1d().reshape(-1, 1)
-    expect = fhat / (fr.laplacian_symbol(p, 3, 0, 0.0).ravel() + 1.0)
+    expect = fhat / (laplacian_symbol(p, 3, 0, 0.0).ravel() + 1.0)
     assert np.max(np.abs(ghat - expect)) < 1e-13 * np.max(np.abs(fhat))
 
 
@@ -177,10 +172,10 @@ ORACLE_SETTINGS = [(0.0, None), (0.0, 0.05), (0.3, None)]   # (mu0, q_0)
 def _dense_shift_matrices(grid, params, q):
     """Oracle: shifted momenta ``Z`` and the per-node shift matrices, entry by entry."""
     L, k = grid.L, grid.k
-    nodes = grid.base_nodes() + 1j * q
+    nodes = base_nodes(grid) + 1j * q
     Z = nodes[:, None, :] + 2 * np.pi * fr.shift_vectors(grid.d, L, k)[None, :, :]
-    U, Ub = fr.u_kernel(Z, L, k), fr.u_bar_kernel(Z, L, k)
-    lap = fr.laplacian_symbol(Z, L, k, params.mu0)
+    U, Ub = u_kernel(Z, L, k), u_bar_kernel(Z, L, k)
+    lap = laplacian_symbol(Z, L, k, params.mu0)
     M = params.a_j(L, max(k, 1)) * U[:, :, None] * Ub[:, None, :]
     for s in range(Z.shape[1]):
         M[:, s, s] += lap[:, s]
@@ -319,7 +314,7 @@ def test_node_blocks_match_whole_grid_system(d, L, k, q0, monkeypatch):
     grid = fr.default_grid(d, L, k)
     q = _contour(d, q0)
     Z, M, lap = _dense_shift_matrices(grid, P0, q)
-    U, Ub = fr.u_kernel(Z, L, k), fr.u_bar_kernel(Z, L, k)
+    U, Ub = u_kernel(Z, L, k), u_bar_kernel(Z, L, k)
     n, S = lap.shape
     zero = np.flatnonzero(~fr.shift_vectors(d, L, k).any(axis=1))[0]
     w = np.where(np.arange(S) == zero, 0.0, 1.0 / np.where(np.arange(S) == zero, 1.0, lap))
@@ -395,7 +390,7 @@ def test_per_axis_legs_match_expanded_rows(d, L, k, contour, block_bytes, monkey
     q = _contours(d)[contour]
     sym = fr.AxisSymbols.build(fr._axis_nodes(grid, q), L, k, P0)
     Z, M, lap = _dense_shift_matrices(grid, P0, q)
-    Minv, U, Ub = np.linalg.inv(M), fr.u_kernel(Z, L, k), fr.u_bar_kernel(Z, L, k)
+    Minv, U, Ub = np.linalg.inv(M), u_kernel(Z, L, k), u_bar_kernel(Z, L, k)
     a, S = P0.a_j(L, max(k, 1)), lap.shape[1]
     zero = np.arange(S) == np.flatnonzero(~fr.shift_vectors(d, L, k).any(axis=1))[0]
     w = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, lap))
@@ -440,8 +435,8 @@ def test_bracket_matches_expanded_symbols(d, L, k, contour, mu0):
     # d-dimensional shift table, point by point
     z = np.random.default_rng(47).uniform(-np.pi, np.pi, size=(6, d)) + 1j * _contours(d)[contour]
     Z = fr.shifted_momenta(z, fr.shift_vectors(d, L, k))
-    want = np.sum(fr.u_kernel(Z, L, k) * fr.u_bar_kernel(Z, L, k)
-                  / fr.laplacian_symbol(Z, L, k, mu0), axis=-1)
+    want = np.sum(u_kernel(Z, L, k) * u_bar_kernel(Z, L, k)
+                  / laplacian_symbol(Z, L, k, mu0), axis=-1)
     assert _rel(fr.bracket(z, L, k, mu0), want) <= 1e-13
 
 
@@ -460,11 +455,11 @@ def _trapezoid_kernels(grid, params, q, xs, ys, labels):
     inverses and no transform over the nodes."""
     Z, M, _ = _dense_shift_matrices(grid, params, q)
     Minv = np.linalg.inv(M)
-    nodes = grid.base_nodes() + 1j * q
+    nodes = base_nodes(grid) + 1j * q
     Ex = np.exp(1j * np.einsum("nsd,xd->nsx", Z, xs))
     Ey = np.exp(-1j * np.einsum("nsd,yd->nsy", Z, ys))
     G = np.einsum("nsx,nsy->xy", Ex, Minv @ Ey) / len(nodes)
-    U = fr.u_kernel(Z, grid.L, grid.k)
+    U = u_kernel(Z, grid.L, grid.k)
     Py = np.exp(-1j * nodes @ labels.T)
     GQ = np.einsum("nsx,ns,ny->xy", Ex, np.einsum("nst,nt->ns", Minv, U), Py) / len(nodes)
     return G, GQ
@@ -700,8 +695,8 @@ def _dense_det_winding(q, p_perp, d, L, k, params, nx=64):
     z[:, 0] = np.linspace(-np.pi, np.pi, nx + 1) + 1j * q
     z[:, 1:] = p_perp
     Z = z[:, None, :] + 2 * np.pi * ells
-    U, Ub = fr.u_kernel(Z, L, k), fr.u_bar_kernel(Z, L, k)
-    M = (fr.laplacian_symbol(Z, L, k, params.mu0)[:, :, None] * np.eye(len(ells))
+    U, Ub = u_kernel(Z, L, k), u_bar_kernel(Z, L, k)
+    M = (laplacian_symbol(Z, L, k, params.mu0)[:, :, None] * np.eye(len(ells))
          + params.a_j(L, max(k, 1)) * U[:, :, None] * Ub[:, None, :])
     phase = np.unwrap(np.angle(np.linalg.slogdet(M)[0]))
     return round((phase[-1] - phase[0]) / (2 * np.pi), 6)
@@ -733,8 +728,8 @@ def test_q_star_bracket_contains_the_dense_singularity(d, k, mu0, a):
     else:
         def det_axis(q):
             Z = 1j * q * np.eye(d)[0] + 2 * np.pi * fr.shift_vectors(d, 3, k)
-            M = (np.diag(fr.laplacian_symbol(Z, 3, k, mu0))
-                 + params.a_j(3, k) * np.outer(fr.u_kernel(Z, 3, k), fr.u_bar_kernel(Z, 3, k)))
+            M = (np.diag(laplacian_symbol(Z, 3, k, mu0))
+                 + params.a_j(3, k) * np.outer(u_kernel(Z, 3, k), u_bar_kernel(Z, 3, k)))
             sign, _ = np.linalg.slogdet(M)
             assert abs(sign.imag) < 1e-9
             return sign.real
@@ -823,7 +818,7 @@ def test_far_entries_relative_on_contour_toward_source(d):
 def _direct_phase_matrix(patch, grid):
     """Oracle: exp(-i K.x) for every big-torus momentum K and patch site x."""
     K = lat.grid_points([grid.full_nodes_1d()] * patch.d)
-    return np.exp(-1j * K @ (lat.patch_sites(patch) * patch.spacing).T)
+    return np.exp(-1j * K @ (patch_sites(patch) * patch.spacing).T)
 
 
 @pytest.mark.parametrize("patch", [
@@ -862,7 +857,7 @@ def test_qkqk_commutes_with_reflection():
     # free-lattice block projector commutes with the half-spacing reflection:
     # P Q*Q P = Q*Q on a patch mapped to itself by c -> -1-c
     patch = lat.block_aligned_patch(1, 3, 1, (-2,), (1,))  # indices -6..5
-    sites = list(lat.patch_sites(patch)[:, 0])
+    sites = list(patch_sites(patch)[:, 0])
     perm = np.array([sites.index(-1 - s) for s in sites])
     rng = np.random.default_rng(17)
     v = rng.standard_normal(patch.site_count) + 1j * rng.standard_normal(patch.site_count)
@@ -886,7 +881,7 @@ def test_free_kernel_satisfies_defining_equation():
     L, k = 3, 1
     eta = 1.0 / 3.0
     patch = lat.block_aligned_patch(1, L, k, (-2,), (2,))
-    pos = lat.patch_positions(patch)
+    pos = patch_positions(patch)
     y = np.array([[0.0]])
     grid = fr.default_grid(1, L, k)
     col, _, _ = fr.converge_kernel(
@@ -894,7 +889,7 @@ def test_free_kernel_satisfies_defining_equation():
     stencil = free_laplacian_1d(patch)
     applied = -(stencil @ col) + P0.a_j(L, k) * fr.qkqk_spatial(patch, col)
     delta = np.zeros(patch.site_count)
-    delta[list(map(tuple, lat.patch_sites(patch))).index((0,))] = eta**-1
+    delta[list(map(tuple, patch_sites(patch))).index((0,))] = eta**-1
     interior = interior_mask(patch)
     resid = np.max(np.abs(applied - delta)[interior])
     assert resid < 1e-7
@@ -944,6 +939,13 @@ def test_qkqk_fourier_reads_only_the_averaging_symbol(monkeypatch):
     assert fr.qkqk_fourier_residual(patch, v, fr.TorusGrid(2, 3, 1, 16 * 3)) < 1e-8
 
 
+def _strip_h(z, L, k, params):
+    """``H = M^{-1} U`` at the one node ``z``, shape ``(S,)``, from the
+    strip bound's own solve."""
+    H, _ = next(fr._strip_solve(np.asarray(z, dtype=complex)[:, None], L, k, params))
+    return H[0]
+
+
 def test_h_function_vs_shift_solve():
     # two independent routes to the same integrand
     rng = np.random.default_rng(13)
@@ -953,18 +955,20 @@ def test_h_function_vs_shift_solve():
         for _ in range(3):
             z = rng.uniform(-3, 3, d) + 1j * rng.uniform(-0.05, 0.05, d)
             Zl = z[None, :] + 2 * np.pi * shifts
-            U = fr.u_kernel(Zl, L, k)
-            Ub = fr.u_bar_kernel(Zl, L, k)
-            lap = fr.laplacian_symbol(Zl, L, k, mu0)
+            U = u_kernel(Zl, L, k)
+            Ub = u_bar_kernel(Zl, L, k)
+            lap = laplacian_symbol(Zl, L, k, mu0)
             M = np.diag(lap) + params.a_j(L, k) * np.outer(U, Ub)
             w = np.linalg.solve(M, U)
-            hv = fr.h_function(z, shifts, L, k, params)
+            hv = _strip_h(z, L, k, params)
             assert np.max(np.abs(hv - w)) < 1e-12 * np.max(np.abs(w))
 
 
 def test_h_function_regular_at_zero():
-    val = fr.h_function(np.zeros(1), np.zeros(1), 3, 1, P0)
-    assert np.isfinite(val) and abs(val - 1.0) < 1e-12  # 1/a_1
+    # the massless node: H = U / (a_1 U Ubar) at the zero shift, 0 elsewhere
+    H = _strip_h(np.zeros(1), 3, 1, P0)
+    assert np.all(np.isfinite(H)) and abs(H[1] - 1.0) < 1e-12  # 1/a_1
+    assert np.max(np.abs(H[[0, 2]])) < 1e-12
 
 
 def test_h_large_mass_floor():
@@ -976,21 +980,17 @@ def test_h_large_mass_floor():
 
 
 def test_h_function_periodic_in_shift():
-    # u and Delta are L**k-periodic in the shift: a row l' + L**k e_mu reads
-    # the shift system at l', and agrees with the integrand at the unreduced momentum
+    # u and Delta are L**k-periodic in the shift: moving z by 2 pi e_mu moves
+    # every shift row l to l - e_mu, the row at the edge wrapping round
     rng = np.random.default_rng(17)
     for (d, L, k, mu0) in ((1, 3, 1, 0.0), (1, 3, 2, 1.0), (2, 3, 1, 0.3)):
         params = MultiscaleParams(mu0=mu0)
-        ells = fr.shift_vectors(d, L, k)
         z = rng.uniform(-3, 3, d) + 1j * rng.uniform(-0.05, 0.05, d)
-        base = fr.h_function(z, ells, L, k, params)
-        denom = 1.0 + params.a_j(L, k) * fr.bracket(z, L, k, mu0)
+        base = _strip_h(z, L, k, params).reshape((L**k,) * d)
         for mu in range(d):
-            moved = ells + L**k * np.eye(d)[mu]
-            h = fr.h_function(z, moved, L, k, params)
-            assert np.array_equal(h, base)
-            direct = fr.u_delta(z, moved, L, k, mu0) / denom
-            assert np.max(np.abs(h - direct)) < 1e-12 * np.max(np.abs(direct))
+            moved = _strip_h(z + 2 * np.pi * np.eye(d)[mu], L, k, params).reshape(base.shape)
+            want = np.roll(base, -1, axis=mu)
+            assert np.max(np.abs(moved - want)) < 1e-12 * np.max(np.abs(base))
 
 
 def _dense_strip(d, L, k, params, q_max, p_samples):
@@ -1010,8 +1010,8 @@ def _dense_strip(d, L, k, params, q_max, p_samples):
     for q in qs:
         for p in lat.grid_points([p_axis] * d):
             Z = p + 1j * q + 2 * np.pi * ells
-            U, Ub = fr.u_kernel(Z, L, k), fr.u_bar_kernel(Z, L, k)
-            lap = fr.laplacian_symbol(Z, L, k, params.mu0)
+            U, Ub = u_kernel(Z, L, k), u_bar_kernel(Z, L, k)
+            lap = laplacian_symbol(Z, L, k, params.mu0)
             M = np.diag(lap) + a_k * np.outer(U, Ub)
             vals.append(np.abs(np.linalg.solve(M, U)) * weights)
             denom = (np.linalg.det(M) / np.prod(lap) if large
@@ -1064,12 +1064,15 @@ def test_strip_bound_report():
 def test_strip_bound_refuses_q_max_past_q_star():
     # q* = 1.0365 at (1,3,1): q_max = 1.2 is past the scan's q_hi, where the
     # strip holds a zero of det M; the report names q* and refuses, and so
-    # it does at q_hi itself
+    # it does at q_hi itself, and so does the contour shift, before any
+    # quadrature: a configuration error (lattice.GeometryError)
     assert fr.q_star_bracket(1, 3, 1, P0)[1] < 1.2
     with pytest.raises(fr.StripViolationError, match=re.escape("q*")):
         fr.strip_bound_report(1, 3, 1, P0, q_max=1.2)
     with pytest.raises(fr.StripViolationError, match="analyticity width"):
         fr.strip_bound_report(2, 3, 2, P0, q_max=fr.q_star_bracket(2, 3, 2, P0)[1])
+    with pytest.raises(lat.GeometryError, match=re.escape("q=1.2 at or past the analyticity")):
+        fr.contour_shift_change(fr.default_grid(1, 3, 1), P0, 1.2)
 
 
 def test_strip_violation_names_the_node():
@@ -1079,52 +1082,8 @@ def test_strip_violation_names_the_node():
         fr.strip_bound_report(1, 3, 1, P0, q_max=1.03)
 
 
-def _technical_bounds_per_shift(n):
-    """The twelve checks of ``technical_bounds_report`` written out as one
-    loop per shift ``l`` over explicit ranges, on the grid built here."""
-    def grid(re_lim):
-        p = np.linspace(-re_lim, re_lim, n)
-        q = np.linspace(-1.0, 1.0, max(3, n // 4))
-        z = (p[:, None] + 1j * q[None, :]).ravel()
-        return z[np.abs(z) > 1e-9]
-
-    z = grid(np.pi)
-    out = {"sinc_lower_bound": np.min(np.abs(fr._sinc(grid(np.pi / 2.0))))}
-    out["shifted_distance_lower"] = min(
-        np.min(np.abs(z - 2.0 * np.pi * l) / ((np.pi / 2.0) * (1 + abs(l))))
-        for l in range(-20, 21) if l != 0)
-    out["one_plus_shift_lower"] = min(
-        np.min(np.abs(1.0 + 2.0 * np.pi * l / z) / ((1 + abs(l)) / 6.0))
-        for l in range(-20, 21))
-    for L, k in ((3, 1), (3, 2), (3, 3)):
-        eta, lmax = float(L) ** (-k), (L**k - 1) // 2
-        for delta in (0.0, 0.1):
-            worst = 0.0
-            for l in range(-lmax, lmax + 1):
-                if l != 0:
-                    w = z * eta / 2.0 + np.pi * l * eta
-                    worst = max(worst, np.max(np.abs(w) ** 2 / np.abs(np.sin(w) ** 2 + delta)))
-            out[f"length_vs_sin_L{L}k{k}_delta{delta}"] = worst
-        f = lambda Z: fr.u_axis(Z, eta) * fr.u_axis(-Z, eta) / eta**2
-        worst = 0.0
-        for l in range(-lmax, lmax + 1):
-            Z = z + 2.0 * np.pi * l
-            der = (f(Z + 1e-6) - f(Z - 1e-6)) / (2.0 * 1e-6)
-            worst = max(worst, np.max(np.abs(der)) * eta**2 * (1 + abs(l)) ** 2)
-        out[f"derivative_product_L{L}k{k}"] = worst
-    return out
-
-
-@pytest.mark.parametrize("n_grid", [21, 41])
-def test_technical_bounds_match_per_shift_loops(n_grid):
-    # the table and its one sweep reproduce the per-shift loops bit for bit
-    coarse, fine = _technical_bounds_per_shift(n_grid), _technical_bounds_per_shift(2 * n_grid)
-    got = [(c.name, c.worst, c.worst_refined) for c in fr.technical_bounds_report(n_grid)]
-    assert got == [(name, float(v), float(fine[name])) for name, v in coarse.items()]
-
-
 def test_technical_bounds():
-    checks = fr.technical_bounds_report(n_grid=21)
+    checks = technical_bounds_report(n_grid=21)
     by_name = {c.name: c for c in checks}
     assert by_name["sinc_lower_bound"].worst >= 0.2
     assert by_name["shifted_distance_lower"].worst >= 1.0 - 1e-12

@@ -3,6 +3,7 @@ import pytest
 
 from blockrg import fourier as fr, images as im, lattice as lat, multiscale as ms, operators as ops
 from blockrg.lattice import site_to_flat
+from oracles import dist_to_set
 
 P0 = ms.MultiscaleParams()
 
@@ -74,7 +75,7 @@ def test_gq_kernel_decays_with_block_distance():
     col = np.abs(GQ.kernel[:, 0])
     pos = lat.positions(geom)[:, 0]
     block = lat.block_sites(geom, 1, (0,)) * geom.spacing
-    dists = np.array([lat.dist_to_set((p,), block) for p in pos])
+    dists = np.array([dist_to_set((p,), block) for p in pos])
     from blockrg.decay import fit_decay
     fit = fit_decay(dists, col, window=(0.5, 0.9 * dists.max()))
     assert fit.rate > 0
@@ -90,7 +91,7 @@ def test_gq_rate_volume_stability():
         col = np.abs(GQ.kernel[:, 0])
         pos = lat.positions(geom)[:, 0]
         block = lat.block_sites(geom, 1, (0,)) * geom.spacing
-        dists = np.array([lat.dist_to_set((p,), block) for p in pos])
+        dists = np.array([dist_to_set((p,), block) for p in pos])
         from blockrg.decay import fit_decay
         rates[m] = fit_decay(dists, col, window=(0.3, 0.95 * dists.max())).rate
     assert abs(rates[2] - rates[3]) / rates[3] < 0.2

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blockrg import decay, lattice as lat, multiscale as ms, operators as ops
-from oracles import assert_ct_sigmas_match_dense_svd, assert_inverse_blocks_match
+from oracles import (a_operator_closed_form, assert_ct_sigmas_match_dense_svd,
+                     assert_inverse_blocks_match, constant_field, rel_frobenius)
 
 P0 = ms.MultiscaleParams()
 PM = ms.MultiscaleParams(mu0=0.1)
@@ -54,7 +55,7 @@ def test_a_sequence_recursion_vs_closed_form():
 def test_green_constants_eigenvector():
     g = lat.make_geometry(1, 3, 2, 2)
     G = ms.green_neumann(g, P0)
-    ones = ops.constant_field(g, 1.0)
+    ones = constant_field(g, 1.0)
     out = ops.apply(G, ones)
     a_k = P0.a_j(3, 2)
     assert np.allclose(out.values, 1.0 / a_k, atol=1e-12)
@@ -68,7 +69,7 @@ def test_green_roundtrip():
     g = lat.make_geometry(2, 3, 1, 1)
     G = ms.green_neumann(g, PM)
     D = ms.defining_operator(g, PM, 1)
-    assert ops.rel_frobenius(G @ D, ops.identity(g)) < 1e-12
+    assert rel_frobenius(G @ D, ops.identity(g)) < 1e-12
 
 
 def test_green_kernel_symmetric_positive():
@@ -120,14 +121,14 @@ def test_a_cube_with_k0_carries_no_level():
 def test_a_operator_closed_form_and_inverse():
     g = lat.make_geometry(1, 3, 2, 3)
     for j in (1, 2):
-        closed = ms.a_operator_closed_form(g, P0, j)
+        closed = a_operator_closed_form(g, P0, j)
         at = P0.a_tilde(g, j, j)
         at1 = P0.a_tilde(g, 1, j)
         coarse = lat.coarse_geometry(g, j)
         defn = at * ops.identity(coarse) + (at1 / g.L**2) * ops.block_projector(coarse, 1)
-        assert ops.rel_frobenius(closed @ defn, ops.identity(coarse)) < 1e-12
+        assert rel_frobenius(closed @ defn, ops.identity(coarse)) < 1e-12
         # oracle: the dense inverse that the closed form replaces
-        assert ops.rel_frobenius(closed, ops.invert(defn)) < 1e-12
+        assert rel_frobenius(closed, ops.invert(defn)) < 1e-12
 
 
 def test_a_operator_k_form():
@@ -137,7 +138,7 @@ def test_a_operator_k_form():
     coarse = lat.coarse_geometry(g, 2)
     expect = (1.0 / a_k) * ops.identity(coarse) \
         - (a_k1 / (a_k**2 * g.L**2)) * ops.block_projector(coarse, 1)
-    assert ops.rel_frobenius(expect, ms.a_operator_closed_form(g, P0, 2)) < 1e-12
+    assert rel_frobenius(expect, a_operator_closed_form(g, P0, 2)) < 1e-12
 
 
 def test_delta_j_self_adjoint():
@@ -242,7 +243,7 @@ def _scaling_residuals_by_conjugation(geom, params, j):
     S_c = ops.scaling_unitary(lat.coarse_geometry(geom, j), ell)
     Ss, S_cs = ops.adjoint(S), ops.adjoint(S_c)
     r, rs = ms.rg_operators(geom, params, j), ms.rg_operators(scaled, params, j)
-    rel = ops.rel_frobenius
+    rel = rel_frobenius
     return {"de_scaling": rel(lam**2 * (Ss @ ops.neumann_laplacian(scaled) @ S),
                               ops.neumann_laplacian(geom)),
             "q_scaling": rel(ops.averaging(scaled, j) @ S, S_c @ ops.averaging(geom, j)),
@@ -556,13 +557,13 @@ def test_probe_frobenius_reads_every_block_entry(geom_args):
     for j in (1, 2):
         lo, lo_m, hi = (ms.tower_level(g, p, jj) for p, jj in ((P0, j), (PM, j), (P0, j + 1)))
         G_j, G_m = ms.green_j(g, P0, j), ms.green_j(g, PM, j)
-        cases = [(ms._scaled_pair(lo.G, lo_m.G, 1.0), ops.rel_frobenius(G_j, G_m)),
+        cases = [(ms._scaled_pair(lo.G, lo_m.G, 1.0), rel_frobenius(G_j, G_m)),
                  # at = 0 switches C'_j off: the step then reads G_j's blocks
                  # on the level-(j+1) rows through the nested order alone
                  (ms.rg_step_residual(dataclasses.replace(lo, at=0.0), hi),
-                  ops.rel_frobenius(G_j, ms.green_j(g, P0, j + 1))),
+                  rel_frobenius(G_j, ms.green_j(g, P0, j + 1))),
                  (ms._scaled_pair(lo.C, lo_m.C, 1.0),
-                  ops.rel_frobenius(ms.rg_operators(g, P0, j).C_j, ms.rg_operators(g, PM, j).C_j))]
+                  rel_frobenius(ms.rg_operators(g, P0, j).C_j, ms.rg_operators(g, PM, j).C_j))]
         for blocks, dense in cases:
             assert dense > 1e-3
             assert blocks == pytest.approx(dense, rel=1e-12)
@@ -619,7 +620,7 @@ def test_step_residual_reads_a_perturbed_level(geom_args, params):
             value, moved = _perturbed_step(g, params, j, delta)
             G_moved = ms.green_j(g, moved, j + 1)
             if delta == 1e-4:
-                dense = ops.rel_frobenius(r.G_j + r.C_prime_j, G_moved)
+                dense = rel_frobenius(r.G_j + r.C_prime_j, G_moved)
             else:
                 at, at_moved = (p.a_tilde(g, j + 1, j + 1) for p in (params, moved))
                 diff = (at_moved - at) * (G @ ops.block_projector(g, j + 1) @ G_moved)

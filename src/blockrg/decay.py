@@ -16,9 +16,11 @@ share one value.  Each run stops on the residual of its top Ritz pair
 (``CT_LANCZOS_RTOL`` of the Ritz value), tested every ``CT_LANCZOS_CHECK``
 steps and, past ``4 CT_LANCZOS_CHECK``, every ``2 CT_LANCZOS_CHECK``.  The
 run keeps its basis and tridiagonal coefficients in preallocated arrays
-that double when full, and refuses a basis past ``ops.DENSE_BYTE_CAP``
-(``DenseSizeError``).  The dense SVD of ``conjugated_operator`` is the test
-oracle for these numbers: the two agree to ``16 eps |D_q|_2``.  Once ``q``
+that double when full, moves the live rows up in place when a weight
+stops, so one basis is alive at a time, and refuses a basis past
+``ops.DENSE_BYTE_CAP`` (``DenseSizeError``).  The dense SVD of
+``conjugated_operator`` is the test oracle for these numbers: the two agree
+to ``16 eps |D_q|_2``.  Once ``q``
 passes the decay rate of ``G`` on a long cube, ``sigma_min(D_q)`` drops
 below that rounding level and neither route resolves it to any relative
 accuracy.
@@ -27,8 +29,10 @@ The box decay fit of ``ct_bound_report`` draws complex random fields on
 pairs of unit boxes from the caller's source (the CLI passes an
 ``operators.Probes`` seeded from its ``seed``) and reads ``|<f, G f'>|`` in
 real arithmetic, from one product of ``G``'s real block with the real and
-imaginary parts of ``f'``.  The Lanczos start vector is drawn from a private
-``operators.Probes(0)``, so no path here imports ``numpy.random``.
+imaginary parts of ``f'``, in slices of box pairs within
+``operators.BLOCK_BYTES`` (``_box_pair_values``).  The Lanczos start vector
+is drawn from a private ``operators.Probes(0)``, so no path here imports
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -132,7 +136,9 @@ def _weighted_norms_sq(K: np.ndarray, expo: np.ndarray):
     ``matmul``), at two ``(rows, n) @ K`` products per step.  The basis,
     ``(rows, capacity, n)``, doubles its capacity (up to ``n``) when full,
     and the tridiagonal coefficients ``alpha`` and ``beta`` sit beside it as
-    ``(rows, capacity)`` arrays.  A basis that would grow past
+    ``(rows, capacity)`` arrays.  Where a test stops some rows, the live
+    rows move up in place and the arrays are viewed at their number, so no
+    second basis is formed.  A basis that would grow past
     ``ops.DENSE_BYTE_CAP`` raises ``DenseSizeError`` first: a clustered top
     of the spectrum needs nearly ``n`` steps (212 of 243 at (1,3,3,5) with
     ``a = 0.0564``, ``mu0 = 10``), and the basis then holds ``rows n**2``
@@ -182,9 +188,15 @@ def _weighted_norms_sq(K: np.ndarray, expo: np.ndarray):
             out[live[done]] = theta[done, -1]
             if done.all():
                 return out, j + 1
-            keep = ~done
-            live, W, Winv2, w, b = live[keep], W[keep], Winv2[keep], w[keep], b[keep]
-            basis, alpha, beta = basis[keep], alpha[keep], beta[keep]
+            if done.any():
+                keep = np.flatnonzero(~done)
+                live, W, Winv2, w, b = live[keep], W[keep], Winv2[keep], w[keep], b[keep]
+                # in place, so one basis is ever alive: row i takes row
+                # keep[i] >= i, which no earlier move has overwritten
+                for i, r in enumerate(keep):
+                    basis[i, :j + 1], alpha[i, :j + 1], beta[i, :j] = (
+                        basis[r, :j + 1], alpha[r, :j + 1], beta[r, :j])
+                basis, alpha, beta = basis[:keep.size], alpha[:keep.size], beta[:keep.size]
         beta[:, j] = b
         if j + 1 == basis.shape[1]:
             grown = _lanczos_arrays(live.size, min(2 * (j + 1), n), n)
@@ -261,27 +273,11 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
     i1, i2 = np.triu_indices(len(labels))
     b = boxes.shape[1]
     vals = np.empty((i1.size, CT_BOX_DRAWS))
-    # the pairs in slices within PROBE_BLOCK_BYTES (the (b, b) block of G, the
-    # draws of a pair and their product with it); the slices draw in order,
-    # one stream in all
-    for pb in multiscale._batches(i1.size, 8 * b * (b + 6 * CT_BOX_DRAWS),
-                                  multiscale.PROBE_BLOCK_BYTES):
-        # for each pair i <= i2 (row-major) and each draw, the (real, imag)
-        # parts of a field on box i, then of one on box i2: Z[pair, draw, box]
-        p = pb.stop - pb.start
-        Z = rng.standard_normal((p, CT_BOX_DRAWS, 2, b, 2))
-        # |<f, G f2>| / (|f| |f2|): the inner product's eta**d cancels against
-        # the norms', leaving the value matrix eta**d K of G.  K is real, so
-        # <f, K f2> = (fr.K f2r + fi.K f2i) + i (fr.K f2i - fi.K f2r), from
-        # one product of a pair's block of K with [f2r, f2i]
-        fr, fi = np.moveaxis(Z[:, :, 0], -1, 0)          # (pair, draw, box)
-        Gpair = K[boxes[i1[pb]][:, :, None], boxes[i2[pb]][:, None, :]]
-        Kf2 = np.matmul(Gpair, Z[:, :, 1].transpose(0, 2, 1, 3).reshape(p, b, -1))
-        Kr, Ki = Kf2.reshape(p, b, -1, 2).transpose(3, 0, 2, 1)
-        re = np.einsum("pdx,pdx->pd", fr, Kr) + np.einsum("pdx,pdx->pd", fi, Ki)
-        im = np.einsum("pdx,pdx->pd", fr, Ki) - np.einsum("pdx,pdx->pd", fi, Kr)
-        sq = np.einsum("pdsxi,pdsxi->pds", Z, Z)        # |f|**2 and |f2|**2
-        vals[pb] = np.hypot(re, im) * (geom.spacing ** geom.d / np.sqrt(sq[..., 0] * sq[..., 1]))
+    # the pairs in slices within ops.BLOCK_BYTES (_box_pair_values), which
+    # draw in order, one stream in all
+    for pb in ops._batches(i1.size, 8 * b * (b + 16 * CT_BOX_DRAWS + 2), ops.BLOCK_BYTES):
+        vals[pb] = _box_pair_values(K, boxes[i1[pb]], boxes[i2[pb]], rng,
+                                    geom.spacing ** geom.d)
     dists = np.linalg.norm(labels[i1] - labels[i2], axis=1)
     logvals = np.log(vals.max(axis=1))
     slope, intercept = np.polyfit(dists, logvals, 1)
@@ -294,6 +290,36 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
                     max_violation=viol,
                     norm_steps=steps,
                     q0_weight_mismatch=q0_mismatch)
+
+
+def _box_pair_values(K: np.ndarray, boxes1, boxes2, rng, scale: float) -> np.ndarray:
+    """``|<f, G f2>| / (|f| |f2|)``, ``(pairs, CT_BOX_DRAWS)``, for random
+    complex fields ``f`` on box ``boxes1[i]`` and ``f2`` on box ``boxes2[i]``
+    (site rows of ``block_table``) of each pair ``i``, drawn from ``rng``;
+    ``scale`` is ``eta**d``.  One slice of ``ct_bound_report``'s box pairs,
+    counted at ``b (b + 16 CT_BOX_DRAWS + 2)`` floats a pair for ``b`` sites
+    a box: the gather's indices (``2 b``), the draws ``Z`` (``4 b
+    CT_BOX_DRAWS``) and their bits while drawn (``12 b CT_BOX_DRAWS``, 24
+    bytes a uniform in ``operators.Probes``), then in the bits' place the
+    pair's block of ``K`` (``b**2``), the copy of ``f2`` it multiplies and
+    their product (``4 b CT_BOX_DRAWS``).  Its own function, so that a
+    slice's arrays are freed before the next slice draws."""
+    p, b = boxes1.shape
+    # for each pair and each draw, the (real, imag) parts of a field on
+    # boxes1[i], then of one on boxes2[i]: Z[pair, draw, box]
+    Z = rng.standard_normal((p, CT_BOX_DRAWS, 2, b, 2))
+    # |<f, G f2>| / (|f| |f2|): the inner product's eta**d cancels against
+    # the norms', leaving the value matrix eta**d K of G.  K is real, so
+    # <f, K f2> = (fr.K f2r + fi.K f2i) + i (fr.K f2i - fi.K f2r), from
+    # one product of a pair's block of K with [f2r, f2i]
+    fr, fi = np.moveaxis(Z[:, :, 0], -1, 0)          # (pair, draw, box)
+    Gpair = K[boxes1[:, :, None], boxes2[:, None, :]]
+    Kf2 = np.matmul(Gpair, Z[:, :, 1].transpose(0, 2, 1, 3).reshape(p, b, -1))
+    Kr, Ki = Kf2.reshape(p, b, -1, 2).transpose(3, 0, 2, 1)
+    re = np.einsum("pdx,pdx->pd", fr, Kr) + np.einsum("pdx,pdx->pd", fi, Ki)
+    im = np.einsum("pdx,pdx->pd", fr, Ki) - np.einsum("pdx,pdx->pd", fi, Kr)
+    sq = np.einsum("pdsxi,pdsxi->pds", Z, Z)        # |f|**2 and |f2|**2
+    return np.hypot(re, im) * (scale / np.sqrt(sq[..., 0] * sq[..., 1]))
 
 
 def indicator_field(geom, source) -> ops.Field:

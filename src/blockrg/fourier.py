@@ -71,8 +71,8 @@ den`` block by block from ``weights``, and ``q_star_bracket`` reads its
 ``den``.  ``bracket``, ``free_symbol_apply`` and ``qkqk_fourier`` work per
 axis too.  A kernel keeps only its contracted (classes, nodes) legs, and
 only through its transforms.  Node blocks and class slices are cut by the
-package's one byte-budget slicer, ``multiscale._batches``, within
-``NODE_BLOCK_BYTES``.
+package's one byte-budget slicer, ``operators._batches``, within
+``operators.BLOCK_BYTES``.
 
 Symbols take complex arguments everywhere, which is what operational
 analyticity checks (contour shifts) and the strip bounds rely on.
@@ -86,13 +86,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators as ops
 from .lattice import FreePatch, GeometryError, _axis_outer, grid_points
-from .multiscale import MultiscaleParams, RankOneRows, _batches
+from .multiscale import MultiscaleParams, RankOneRows
 
 POLE_GUARD = 1e-12
 DENOMINATOR_FLOOR = 0.1
 MAX_DOUBLINGS = 6
-NODE_BLOCK_BYTES = 2**20           # nbytes of one complex (nodes, S) array of a node block
 STRIP_Q_MAX = 0.05                 # imaginary half-width of the sampled analyticity strip
 STRIP_SCAN = np.logspace(-2.0, 1.0, 64)     # q nodes of q_star_bracket, ratio 1.116 apart
 LADDER_THETA = 0.6                 # share of q_lo at which the ladder reads the error ratio
@@ -280,10 +280,10 @@ class AxisSymbols:
         """Slices of consecutive first-axis nodes, in node order: ``_batches``
         of as many as keep one complex ``(nodes, S)`` array, and the first
         stage ``(nodes, S / L**k, columns)`` of a ``_contract`` of
-        ``columns`` columns, within ``NODE_BLOCK_BYTES``, and at least one."""
+        ``columns`` columns, within ``operators.BLOCK_BYTES``, and at least one."""
         d, Lk = len(self.lap), self.lap[0].shape[1]
         row_bytes = 16 * math.prod(len(t) for t in self.lap[1:]) * Lk ** (d - 1) * max(Lk, columns)
-        return _batches(len(self.lap[0]), row_bytes, NODE_BLOCK_BYTES)
+        return ops._batches(len(self.lap[0]), row_bytes, ops.BLOCK_BYTES)
 
     def rows(self, first) -> "AxisSymbols":
         """The symbols at the first-axis nodes ``first`` (a slice)."""
@@ -534,7 +534,7 @@ class KernelPlan:
         ``t mod M0``: one transform per pair of classes serves every offset.
         The class phases are products of per-axis tables
         (``_class_phases``).  The x classes are taken in slices whose complex
-        batch stays within ``NODE_BLOCK_BYTES``, at least one class per
+        batch stays within ``operators.BLOCK_BYTES``, at least one class per
         slice.  The transformed array is Hermitian in ``b`` on every contour
         (module docstring; ``b = 0`` pairs with ``b = M0``): ``axes`` holds
         only the last-axis nodes ``b <= M0/2``, and ``irfftn`` returns a real
@@ -545,7 +545,7 @@ class KernelPlan:
         phase_y = _class_phases(-self.Ry, axes, grid.eta)
         out = np.empty(t.shape[:2])
         shape, nodes = tuple(map(len, axes)), tuple(range(2, 2 + d))
-        for block in _batches(len(self.Rx), 16 * phase_y.size, NODE_BLOCK_BYTES):
+        for block in ops._batches(len(self.Rx), 16 * phase_y.size, ops.BLOCK_BYTES):
             A = self.node_array(legs, block) * phase_x[block, None] * phase_y
             A = A.reshape(A.shape[:2] + shape)
             K = np.fft.irfftn(A, s=(M0,) * d, axes=nodes)
@@ -714,16 +714,25 @@ def q_star_bracket(d: int, L: int, k: int, params: MultiscaleParams):
 
 def _check_strip_width(d: int, L: int, k: int, params: MultiscaleParams, q: float):
     """Refuse ``q`` at or past ``q_hi`` of ``q_star_bracket`` with
-    ``StripWidthError``; the strip bound and the contour shift run this
-    before any solve or quadrature."""
+    ``StripWidthError``, else return the bracket, so a caller that goes on
+    to a ladder scans it once; the strip bound and the contour shift run
+    this before any solve or quadrature."""
     bracket = q_star_bracket(d, L, k, params)
     if bracket is not None and q >= bracket[1]:
         raise StripWidthError(
             f"q={q} at or past the analyticity width q* in "
             f"({bracket[0]:.6g}, {bracket[1]:.6g}] at d={d}, L={L}, k={k}")
+    return bracket
 
 
-def _ladder(starts, evaluate, tol: float, params: MultiscaleParams | None) -> list:
+def _brackets(grids, params: MultiscaleParams | None) -> dict:
+    """``q_star_bracket`` once per ``(d, L, k)`` of ``grids``, None for every
+    one without ``params``: what ``_ladder`` reads its rates from."""
+    return {key: None if params is None else q_star_bracket(*key, params)
+            for key in {(g.d, g.L, g.k) for g in grids}}
+
+
+def _ladder(starts, evaluate, tol: float, brackets: dict) -> list:
     """Drive several entries to quadrature self-convergence on one ladder of
     grids.  Entry ``i`` is evaluated on ``starts[i]`` and its doublings, at
     most ``MAX_DOUBLINGS``; each step takes the smallest grid some pending
@@ -736,15 +745,13 @@ def _ladder(starts, evaluate, tol: float, params: MultiscaleParams | None) -> li
     tol``.  The trapezoid error on ``M0`` base nodes falls like ``exp(-q*
     M0)`` (L. N. Trefethen and J. A. C. Weideman, SIAM Rev. 56, 2014), so
     with ``rho = exp(-LADDER_THETA q_lo M0)``, ``M0`` the coarser grid's
-    base count and ``q_lo`` from ``q_star_bracket`` (one scan per ``(d, L,
-    k)``), ``rho delta / (1 - rho)`` bounds the finer grid's error.  With
-    ``params`` None or no bound the rate is 0 and the rule is ``delta <=
-    tol``; no entry stops later than under that rule.  Returns ``(values,
-    grid_used, last_delta)`` per entry."""
-    rates = {}
-    for d, L, k in {(g.d, g.L, g.k) for g in starts}:
-        bracket = None if params is None else q_star_bracket(d, L, k, params)
-        rates[d, L, k] = 0.0 if bracket is None else LADDER_THETA * bracket[0]
+    base count and ``q_lo`` from ``brackets``, the ``q_star_bracket`` of
+    each ``(d, L, k)`` of ``starts`` (``_brackets``), ``rho delta / (1 -
+    rho)`` bounds the finer grid's error.  Where the bracket is None the
+    rate is 0 and the rule is ``delta <= tol``; no entry stops later than
+    under that rule.  Returns ``(values, grid_used, last_delta)`` per
+    entry."""
+    rates = {key: 0.0 if b is None else LADDER_THETA * b[0] for key, b in brackets.items()}
     vals, out, nxt = [None] * len(starts), [None] * len(starts), list(starts)
     while pending := [i for i, o in enumerate(out) if o is None]:
         grid = min((nxt[i] for i in pending), key=lambda g: g.M)
@@ -773,7 +780,7 @@ def converge_kernel(evaluate, grid: TorusGrid, params: MultiscaleParams | None =
     last_delta)``.  ``params`` are those of the free kernel ``evaluate``
     reads, whose analyticity width sets the ladder's error ratio; None for
     an integrand of unknown width, which stops at ``delta <= tol``."""
-    return _ladder([grid], lambda g, live: [evaluate(g)], tol, params)[0]
+    return _ladder([grid], lambda g, live: [evaluate(g)], tol, _brackets([grid], params))[0]
 
 
 def converge_plans(plans, params: MultiscaleParams, tol: float = 1e-8) -> list:
@@ -783,9 +790,9 @@ def converge_plans(plans, params: MultiscaleParams, tol: float = 1e-8) -> list:
     each grid of the ladder makes one ``evaluate_plans`` pass, one node
     build, for the plans that need it.  Returns ``(values, grid_used,
     last_delta)`` per plan."""
-    return _ladder([p.grid for p in plans],
-                   lambda g, live: evaluate_plans([plans[i] for i in live], g, params), tol,
-                   params)
+    grids = [p.grid for p in plans]
+    return _ladder(grids, lambda g, live: evaluate_plans([plans[i] for i in live], g, params),
+                   tol, _brackets(grids, params))
 
 
 def contour_shift_change(grid: TorusGrid, params: MultiscaleParams, q: float,
@@ -793,17 +800,20 @@ def contour_shift_change(grid: TorusGrid, params: MultiscaleParams, q: float,
     """Relative change of ``G_k(0, 2 e)`` when the contour moves to ``p + i q e_0``.
 
     The unshifted kernel is driven up the ladder from ``grid`` until a
-    doubling is accepted at ``tol`` (``converge_plans``); the shifted one is
-    evaluated by the same plan on the grid the ladder stopped on.  By
-    analyticity the change is quadrature error only, that of the stopping
-    grid on both contours; both kernels take the one route of
-    ``KernelPlan.sums``, so no two codes are compared.  A ``q`` at or past
-    the analyticity width is refused first (``_check_strip_width``).
+    doubling is accepted at ``tol`` (``converge_plans``' one-plan
+    ``_ladder``); the shifted one is evaluated by the same plan on the grid
+    the ladder stopped on.  By analyticity the change is quadrature error
+    only, that of the stopping grid on both contours; both kernels take the
+    one route of ``KernelPlan.sums``, so no two codes are compared.  A ``q``
+    at or past the analyticity width is refused first
+    (``_check_strip_width``), and the ladder reads the bracket of that one
+    scan.
     """
     d = grid.d
-    _check_strip_width(d, grid.L, grid.k, params, q)
+    bracket = _check_strip_width(d, grid.L, grid.k, params, q)
     plan = GPlan(np.zeros((1, d)), np.full((1, d), 2.0), grid)
-    (base, used, _), = converge_plans([plan], params, tol)
+    (base, used, _), = _ladder([grid], lambda g, live: evaluate_plans([plan], g, params), tol,
+                               {(d, grid.L, grid.k): bracket})
     qv = np.zeros(d)
     qv[0] = q
     shifted, = evaluate_plans([plan], used, params, shift_q=qv)

@@ -34,7 +34,7 @@ rows' factors, in a small orthogonal frame a class row (``_identity_sq``),
 and form no block; the covariance identity forms its ``L**d x L**d`` blocks
 and subtracts them.
 Every residual runs in batches of rows within ``PROBE_BLOCK_BYTES``, cut by
-``_batches``, the one byte-budget slicer of the package.
+``operators._batches``, the one byte-budget slicer of the package.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import operators as ops
 from .lattice import GeometryError, LatticeGeometry, coarse_geometry, scale_geometry
-from .operators import KernelOperator
+from .operators import KernelOperator, _batches
 
 @dataclass(frozen=True)
 class MultiscaleParams:
@@ -181,14 +181,17 @@ def secular_min_roots(diag, u, at: float) -> np.ndarray:
     ``d_1 >= 0`` (``y`` bounds the resolution of ``x = d_1 + y``).  On the
     positivity families of the benchmark configs, up to n = 4,782,969, every
     row stops within 5 sweeps, where bisection took 50 to 51.  Rows go in
-    batches of ``_batches`` within ``PROBE_BLOCK_BYTES``, four ``(rows,
-    members)`` arrays a batch (``_secular_rows``).
+    batches of ``_batches`` within ``PROBE_BLOCK_BYTES``, counted at five
+    ``(rows, members)`` float arrays and twenty ``(rows,)`` ones a batch:
+    ``_secular_rows`` holds ``D``, ``w``, ``R`` and ``t``, at a compaction
+    the kept half of ``D`` and ``w`` beside them, and its row values, masks
+    and their temporaries.
     """
     if np.isnan(diag).any():    # a NaN pole would break the bracket
         raise ValueError("secular_min_roots: NaN on the diagonal")
     rows, members = diag.shape
     out = np.empty(rows)
-    for rb in _batches(rows, 32 * members, PROBE_BLOCK_BYTES):
+    for rb in _batches(rows, 8 * (5 * members + 20), PROBE_BLOCK_BYTES):
         out[rb] = _secular_rows(diag[rb], u[rb], at)
     return out
 
@@ -259,15 +262,8 @@ def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
 # nbytes of one batch of a residual check: the working set of the factored
 # residuals (_identity_row_bytes), a (rows, S) member array of the
 # covariance identity, or the telescope's (n, columns) probe columns; and
-# of one slice of decay.ct_bound_report's box pairs
+# of one batch of secular_min_roots' rows
 PROBE_BLOCK_BYTES = 8 * 2**20
-
-
-def _batches(n: int, item_bytes: int, budget: int):
-    """Slices of ``range(n)``, each of as many items of ``item_bytes`` as keep
-    a batch within ``budget`` bytes, at least one (all ``n`` at zero bytes)."""
-    step = max(1, budget // item_bytes if item_bytes else n)
-    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,14 +326,17 @@ class RankOneRows:
     def solve(self, v) -> np.ndarray:
         """``M^{-1} v`` of real rows for ``v`` of shape ``(rows, S, ...)`` or
         ``(rows S, ...)``: ``w v - a (w U) beta`` off the zero column, ``x_0``
-        on it (``_zero_column``, ``B = (w U)^T v``)."""
+        on it (``_zero_column``, ``B = (w U)^T v``).  ``w v`` is formed in
+        the result, and the rank-one term subtracted from it in row batches
+        within ``operators.BLOCK_BYTES``."""
         v = np.asarray(v)
         v3 = v.reshape(self.w.shape + (-1,))
         z = self.zero
         B = np.einsum("rs,rsc->rc", self.wU, v3)[:, None]
         beta, x0 = self._zero_column(np.s_[:, None, None], v3[:, z:z + 1], B)
-        x = self.wU[..., None] * (self.a * beta)
-        np.subtract(self.w[..., None] * v3, x, out=x)
+        x, a_beta = self.w[..., None] * v3, self.a * beta
+        for rb in _batches(len(x), x[0].nbytes, ops.BLOCK_BYTES):
+            x[rb] -= self.wU[rb, :, None] * a_beta[rb]
         x[:, z:z + 1] = x0
         return x.reshape(v.shape)
 

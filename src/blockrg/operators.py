@@ -34,6 +34,18 @@ from .lattice import (GeometryError, LatticeGeometry, _axis_outer, coarse_geomet
 DENSE_BYTE_CAP = 4 * 2**30   # invert's four n x n float64 arrays: n <= 11,585 sites
 SELF_ADJOINT_TOL = 1e-10
 CONDITION_LIMIT = 1e13
+# nbytes of one block of a batched kernel: a torus node block's complex
+# (nodes, S) array (fourier), a chunk of probe draws (Probes) and a slice of
+# ct-report's box pairs (decay)
+BLOCK_BYTES = 2**20
+
+
+def _batches(n: int, item_bytes: int, budget: int):
+    """Slices of ``range(n)``, each of as many items of ``item_bytes`` as keep
+    a batch within ``budget`` bytes, at least one (all ``n`` at zero bytes):
+    the package's one byte-budget slicer."""
+    step = max(1, budget // item_bytes if item_bytes else n)
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 class OperatorError(ValueError):
@@ -88,34 +100,58 @@ class Probes:
     unused keeps it for the next ``standard_normal``: ``n`` draws followed by
     ``m`` draws equal ``n + m`` draws.  The draws reproduce for a fixed seed
     under one Python version; numpy Generators give other numbers.
+
+    A draw goes in chunks of ``_batches`` within ``BLOCK_BYTES``, each
+    written straight into the output: ``getrandbits`` fills its 32-bit words
+    least significant first, so consecutive chunks read the bits of one
+    large draw, and the chunking changes no bit.  A chunk is counted at 24
+    bytes a uniform, its bits as an ``int``, as ``bytes`` and as shifted
+    words (two of them at a time, the ``int`` at 8.5 bytes in 30-bit
+    digits), beside the output it fills.
     """
 
     def __init__(self, seed: int):
         self._random = random.Random(seed)
         self._spare = np.empty(0)
 
-    def _uniforms(self, count: int) -> np.ndarray:
-        bits = self._random.getrandbits(64 * count).to_bytes(8 * count, "little")
-        return (np.frombuffer(bits, dtype="<u8") >> 11) * 2.0 ** -53
+    def _uniforms(self, out: np.ndarray):
+        """Fill the flat float array ``out``, one chunk, with uniforms."""
+        bits = self._random.getrandbits(64 * out.size).to_bytes(8 * out.size, "little")
+        np.multiply(np.frombuffer(bits, dtype="<u8") >> 11, 2.0 ** -53, out=out)
+
+    def _normals(self, out: np.ndarray):
+        """Fill the flat float array ``out``, one chunk of even size, with
+        pairs of normals: each pair's two uniforms are drawn into its own
+        two slots."""
+        self._uniforms(out)
+        u, v = out.reshape(-1, 2).T
+        r = np.sqrt(-2.0 * np.log(1.0 - u))
+        angle = 2.0 * np.pi * v
+        np.cos(angle, out=u)
+        np.sin(angle, out=v)
+        out.reshape(-1, 2)[...] *= r[:, None]
 
     def standard_normal(self, shape) -> np.ndarray:
         out = np.empty(shape)
         flat, kept = out.reshape(-1), min(self._spare.size, out.size)
         flat[:kept], self._spare = self._spare[:kept], self._spare[kept:]
-        pairs = (flat.size - kept + 1) // 2
-        if pairs:
-            u, v = self._uniforms(2 * pairs).reshape(pairs, 2).T
-            z = np.empty((pairs, 2))
-            np.cos(2.0 * np.pi * v, out=z[:, 0])
-            np.sin(2.0 * np.pi * v, out=z[:, 1])
-            z = (z * np.sqrt(-2.0 * np.log(1.0 - u))[:, None]).ravel()
-            # a copy: the kept normal must not hold the whole draw alive
-            flat[kept:], self._spare = z[:flat.size - kept], z[flat.size - kept:].copy()
+        rest = flat[kept:]
+        pairs, odd = divmod(rest.size, 2)
+        # 48 bytes a pair: its bits (2 x 24), then in their place its radius
+        # and angle and their temporaries
+        for c in _batches(pairs, 48, BLOCK_BYTES):
+            self._normals(rest[2 * c.start:2 * c.stop])
+        if odd:     # the last pair's second normal is kept for the next draw
+            z = np.empty(2)
+            self._normals(z)
+            rest[-1], self._spare = z[0], z[1:]
         return out
 
     def uniform(self, low, high, size) -> np.ndarray:
         out = np.empty(size)
-        out.reshape(-1)[:] = self._uniforms(out.size)
+        flat = out.reshape(-1)
+        for c in _batches(flat.size, 24, BLOCK_BYTES):
+            self._uniforms(flat[c])
         return low + (high - low) * out
 
 

@@ -89,31 +89,59 @@ def test_box_statistics_match_scalar_loop(d, L, k, m):
     assert rep.max_violation == pytest.approx(viol, rel=1e-13, abs=0)
 
 
-@pytest.mark.parametrize("budget", [1, 8 * 9 * 33 * 7])   # 1 pair a slice; 7 at d = 2
+@pytest.mark.parametrize("budget", [1, 8 * 9 * 33 * 7])   # 1 pair a slice; 3 at d = 2
 @pytest.mark.parametrize("d,L,k,m", [(1, 3, 1, 5), (2, 3, 1, 3)])
 def test_box_pair_slices_change_no_bit(d, L, k, m, budget, monkeypatch):
-    # the box pairs go through multiscale._batches in slices within
-    # PROBE_BLOCK_BYTES, each drawing its fields in order: one stream, from
-    # a numpy Generator and from the CLI's operators.Probes
+    # the box pairs go through operators._batches in slices within
+    # operators.BLOCK_BYTES, each drawing its fields in order: one stream,
+    # from a numpy Generator and from the CLI's operators.Probes (whose
+    # chunks keep the default budget here; test_operators cuts them)
     g = lat.make_geometry(d, L, k, m)
     q_list = [0.0, 0.01, -0.01]
     sources = (np.random.default_rng, ops.Probes)
     rngs = [source(922) for source in sources]
     wholes = [dc.ct_bound_report(g, P0, q_list, rng) for rng in rngs]
-    slices, batches = [], ms._batches
+    nb = lat.block_table(g, g.k).shape[0]
+    slices, batches, default = [], ops._batches, ops.BLOCK_BYTES
 
     def recorded(n, item_bytes, budget):
+        if n != nb * (nb + 1) // 2:     # a probe chunk, not the box pairs
+            return batches(n, item_bytes, default)
         slices.append(list(batches(n, item_bytes, budget)))
         return iter(slices[-1])
 
-    monkeypatch.setattr(ms, "PROBE_BLOCK_BYTES", budget)
-    monkeypatch.setattr(ms, "_batches", recorded)
+    monkeypatch.setattr(ops, "BLOCK_BYTES", budget)
+    monkeypatch.setattr(ops, "_batches", recorded)
     for source, rng, whole in zip(sources, rngs, wholes):
         sliced_rng = source(922)
         assert dc.ct_bound_report(g, P0, q_list, sliced_rng) == whole
         # the slices left the stream where the whole draw did
         assert np.array_equal(sliced_rng.standard_normal(5), rng.standard_normal(5))
     assert len(slices) == 2 and all(len(s) > 1 for s in slices)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_ct_report_peak_allocation(m, monkeypatch):
+    # at n = 243 and 729, with G built: the Lanczos basis at its last
+    # capacity (doubled from 8 vectors until it held the run's steps), G's
+    # kernel and one block of operators.BLOCK_BYTES.  Whole probe draws, a
+    # basis copied at every convergence test and box-pair slices within 8 MiB
+    # peaked at 4.3 and 26.8 MiB
+    import tracemalloc
+
+    g = lat.make_geometry(1, 3, 1, m)
+    G = ms.green_neumann(g, P0)
+    monkeypatch.setattr(ms, "green_neumann", lambda *args: G)
+    tracemalloc.start()
+    try:
+        rep = dc.ct_bound_report(g, P0, cli.CT_Q_GRID, ops.Probes(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows, n, capacity = len({abs(q) for q in cli.CT_Q_GRID}), g.site_count, 8
+    while capacity < rep.norm_steps:
+        capacity = min(2 * capacity, n)
+    assert peak <= G.kernel.nbytes + 8 * rows * capacity * n + ops.BLOCK_BYTES, peak / 2**20
 
 
 def test_conjugation_bitwise_at_zero():

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from blockrg import fourier as fr, lattice as lat, multiscale as ms
+from blockrg import fourier as fr, lattice as lat, multiscale as ms, operators as ops
 from blockrg.multiscale import MultiscaleParams
 from oracles import (base_nodes, free_laplacian_1d, interior_mask, laplacian_symbol,
                      patch_positions, patch_sites, technical_bounds_report, u_bar_kernel,
@@ -331,8 +331,8 @@ def test_node_blocks_match_whole_grid_system(d, L, k, q0, monkeypatch):
     H_sys = sys.solve_u()
     for node in range(n):     # per node, against that node's own scale
         assert _rel(H_sys[node], H_dense[node]) <= 1e-12
-    for budget in (fr.NODE_BLOCK_BYTES, 1):
-        monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", budget)
+    for budget in (ops.BLOCK_BYTES, 1):
+        monkeypatch.setattr(ops, "BLOCK_BYTES", budget)
         firsts = list(sym.blocks())
         assert len(firsts) == (grid.base_count if budget == 1 else 1)
         blocks = [fr.ShiftSystem.build(sym.rows(first)) for first in firsts]
@@ -384,7 +384,7 @@ def test_per_axis_legs_match_expanded_rows(d, L, k, contour, block_bytes, monkey
     # G and e_x^T M^{-1} U for G Q*, for a many-class and a one-class plan
     # of each kind
     if block_bytes is not None:
-        monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(ops, "BLOCK_BYTES", block_bytes)
     Lk = L**k
     grid = fr.TorusGrid(d, L, k, 4 * Lk * (2 if d < 3 else 1))
     q = _contours(d)[contour]
@@ -440,7 +440,7 @@ def test_bracket_matches_expanded_symbols(d, L, k, contour, mu0):
     assert _rel(fr.bracket(z, L, k, mu0), want) <= 1e-13
 
 
-# (mu0, q_0, a, NODE_BLOCK_BYTES); a budget of 1 byte puts one first-axis
+# (mu0, q_0, a, operators.BLOCK_BYTES); a budget of 1 byte puts one first-axis
 # node row in every shift-system block and one x class in every transform
 KERNEL_SETTINGS = ([pytest.param(mu0, q0, 1.0, None, id=f"{mu0}-{q0}")
                     for mu0, q0 in ORACLE_SETTINGS]
@@ -488,7 +488,7 @@ def test_free_kernels_match_dense_quadrature(d, L, k, mu0, q0, a, block_bytes, m
     assert _rel(got[0], G) <= 1e-12
     assert _rel(got[1], GQ) <= 1e-12
     if block_bytes is not None:
-        monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(ops, "BLOCK_BYTES", block_bytes)
         blocked = (fr.free_kernel_g(xs, ys, grid, params, shift_q=q),
                    fr.free_kernel_gq(xs, labels, grid, params, shift_q=q))
         for b, v in zip(blocked, got):
@@ -599,6 +599,21 @@ def test_contour_kernel_within_tol_of_one_more_doubling(d, k):
     for q, base in ((None, vals), (shift, fr.evaluate_plans([plan], used, P0, shift)[0])):
         finer, = fr.evaluate_plans([plan], used.refined(), P0, q)
         assert np.max(np.abs(base - finer)) <= 1e-8 * np.max(np.abs(finer))
+
+
+def test_contour_shift_scans_q_star_once(monkeypatch):
+    # the strip-width check and the ladder read one scan of the 1-d shift row
+    grid = fr.default_grid(2, 3, 1)
+    want = fr.contour_shift_change(grid, P0, fr.STRIP_Q_MAX)
+    scans, scan = [], fr.q_star_bracket
+
+    def counted(d, L, k, params):
+        scans.append((d, L, k))
+        return scan(d, L, k, params)
+
+    monkeypatch.setattr(fr, "q_star_bracket", counted)
+    assert fr.contour_shift_change(grid, P0, fr.STRIP_Q_MAX) == want
+    assert scans == [(2, 3, 1)]
 
 
 def test_plans_on_one_ladder_keep_their_own_start_and_stop(monkeypatch):
@@ -1026,7 +1041,7 @@ def _dense_strip(d, L, k, params, q_max, p_samples):
 @pytest.mark.parametrize("d,L,k", [(1, 3, 1), (1, 3, 2), (2, 3, 1)])
 def test_strip_bound_matches_dense_solve(d, L, k, mu0, block_bytes, monkeypatch):
     if block_bytes is not None:
-        monkeypatch.setattr(fr, "NODE_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(ops, "BLOCK_BYTES", block_bytes)
     params = MultiscaleParams(mu0=mu0)
     rep = fr.strip_bound_report(d, L, k, params, q_max=0.05, p_samples=9)
     vals, margins, lap0 = _dense_strip(d, L, k, params, 0.05, 9)

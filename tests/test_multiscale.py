@@ -358,13 +358,20 @@ def test_secular_min_root_next_to_the_pole(rel, at):
     assert f(x - 4 * ulp) < 0 < f(x + 4 * ulp)
 
 
-@pytest.mark.parametrize("geom_args", [(2, 3, 1, 5), (2, 3, 2, 6)])
-def test_defining_min_eigenvalue_peak_allocation(geom_args):
+@pytest.mark.parametrize("geom_args,budget", [((2, 3, 1, 5), None), ((2, 3, 2, 6), None),
+                                              ((2, 3, 1, 5), 2**20)],
+                         ids=["geom_args0", "geom_args1", "geom_args0-1MiB"])
+def test_defining_min_eigenvalue_peak_allocation(geom_args, budget, monkeypatch):
     # one budget at n = 59,049 and 531,441: three n-arrays (the frequency
     # classes' own peak) and one batch of rows within PROBE_BLOCK_BYTES.
-    # Bisection over all rows at once peaked at 9.7 and 9.1 times 8 n
+    # Bisection over all rows at once peaked at 9.7 and 9.1 times 8 n.  At
+    # 1 MiB a batch, not the classes, sets the peak: counted at four member
+    # arrays a row, it also held the masks, the row values and the kept
+    # copies, and peaked at 2.53 MiB against the bound's 2.35
     import tracemalloc
 
+    if budget is not None:
+        monkeypatch.setattr(ms, "PROBE_BLOCK_BYTES", budget)
     g = lat.make_geometry(*geom_args)
     tracemalloc.start()
     try:
@@ -660,6 +667,27 @@ def test_tower_inverse_blocks_match_dense_inverse(geom_args, params):
             assert_inverse_blocks_match(M, np.linalg.inv(dense))
 
 
+@pytest.mark.parametrize("columns", [(), (1,), (7,)])
+def test_rank_one_solve_in_row_batches_changes_no_bit(columns, monkeypatch):
+    # w v is formed in the result and the rank-one term subtracted from it
+    # batch by batch: bitwise the two-buffer w v - (w U)(a beta), at the
+    # default budget and at one row a batch, for v as (rows, S, ...) and
+    # as (rows S, ...)
+    G = ms.tower_level(lat.make_geometry(2, 3, 1, 3), PM, 1).G
+    rows, S = G.w.shape
+    v = np.random.default_rng(4).standard_normal((rows, S) + columns)
+    v3, z = v.reshape(rows, S, -1), G.zero
+    B = np.einsum("rs,rsc->rc", G.wU, v3)[:, None]
+    beta, x0 = G._zero_column(np.s_[:, None, None], v3[:, z:z + 1], B)
+    want = G.w[..., None] * v3 - G.wU[..., None] * (G.a * beta)
+    want[:, z:z + 1] = x0
+    for budget in (ops.BLOCK_BYTES, 1):
+        monkeypatch.setattr(ops, "BLOCK_BYTES", budget)
+        assert np.array_equal(G.solve(v), want.reshape(v.shape))
+        flat = v.reshape((rows * S,) + columns)
+        assert np.array_equal(G.solve(flat), want.reshape(flat.shape))
+
+
 def test_tower_level_holds_no_index_table():
     # every row of a level is a reshape of the nested frequency order: the
     # level and its G and C rows hold float64 arrays alone, 32 bytes a site
@@ -708,14 +736,14 @@ def test_block_batches_agree_with_default_budget(geom_args, budget, monkeypatch)
 
 def test_batches_split_rows_within_budget():
     budget = 2 * 8 * 81 * 81
-    assert [(rb.start, rb.stop) for rb in ms._batches(5, 8 * 81 * 81, budget)] == [
+    assert [(rb.start, rb.stop) for rb in ops._batches(5, 8 * 81 * 81, budget)] == [
         (0, 2), (2, 4), (4, 5)]
     # an item over the budget goes alone
-    assert [(rb.start, rb.stop) for rb in ms._batches(3, 8 * 729 * 729, budget)] == [
+    assert [(rb.start, rb.stop) for rb in ops._batches(3, 8 * 729 * 729, budget)] == [
         (0, 1), (1, 2), (2, 3)]
-    assert list(ms._batches(0, 16, budget)) == []
+    assert list(ops._batches(0, 16, budget)) == []
     # items of no bytes all fit in one slice, however many
-    assert [(rb.start, rb.stop) for rb in ms._batches(budget + 5, 0, budget)] == [
+    assert [(rb.start, rb.stop) for rb in ops._batches(budget + 5, 0, budget)] == [
         (0, budget + 5)]
     assert ms._identity_row_bytes(729, 9) == 8 * (3 * 19**2 + 7 * 729)
 

@@ -75,6 +75,44 @@ def test_probes_uniforms_of_any_shape():
     assert abs(u.mean() - 0.5) < 5.0 * 5.0 / np.sqrt(12 * u.size)
 
 
+class _LoggedBits:
+    """A bit source that logs the size of every ``getrandbits`` request."""
+
+    def __init__(self, source):
+        self.source, self.log = source, []
+
+    def getrandbits(self, k: int) -> int:
+        self.log.append(k)
+        return self.source.getrandbits(k)
+
+
+def _draws(p, calls):
+    return [p.standard_normal(size) if kind == "n" else p.uniform(-1.0, 2.0, size)
+            for kind, size in calls]
+
+
+@pytest.mark.parametrize("budget", [1, 48, 144, 150])    # pairs a chunk: 1, 1, 3, 3
+def test_probes_chunks_change_no_bit(budget, monkeypatch):
+    # at the default budget each call below is one chunk; at a tiny one the
+    # same calls go chunk by chunk and give the same bits: odd counts, n then
+    # m across a chunk boundary, a kept normal across a uniform draw and
+    # across chunks, and uniforms across chunks
+    calls = [("n", 7), ("n", 1), ("u", 13), ("n", (2, 5)), ("n", 9), ("u", 1), ("n", 0),
+             ("n", 4), ("u", (3, 3)), ("n", 11)]
+    want = _draws(ops.Probes(5), calls)
+    whole = ops.Probes(5).standard_normal(7 + 11)
+    monkeypatch.setattr(ops, "BLOCK_BYTES", budget)
+    p = ops.Probes(5)
+    p._random = bits = _LoggedBits(p._random)
+    for got, w in zip(_draws(p, calls), want):
+        assert np.array_equal(got, w)
+    # the chunks kept within the budget, 24 bytes (64 bits) a uniform, and
+    # at least one pair of them
+    assert max(bits.log) <= 64 * max(2, budget // 24) and len(bits.log) > len(calls)
+    q = ops.Probes(5)
+    assert np.array_equal(np.concatenate([q.standard_normal(7), q.standard_normal(11)]), whole)
+
+
 class _ConstantBits:
     """A bit source whose bits are all ones or all zeros."""
 

@@ -275,7 +275,7 @@ def ct_bound_report(geom: LatticeGeometry, params, q_list, rng) -> CtReport:
     vals = np.empty((i1.size, CT_BOX_DRAWS))
     # the pairs in slices within ops.BLOCK_BYTES (_box_pair_values), which
     # draw in order, one stream in all
-    for pb in ops._batches(i1.size, 8 * b * (b + 16 * CT_BOX_DRAWS + 2), ops.BLOCK_BYTES):
+    for pb in ops._batches(i1.size, 8 * b * (b + 16 * CT_BOX_DRAWS + 2)):
         vals[pb] = _box_pair_values(K, boxes[i1[pb]], boxes[i2[pb]], rng,
                                     geom.spacing ** geom.d)
     dists = np.linalg.norm(labels[i1] - labels[i2], axis=1)

@@ -200,34 +200,25 @@ def u_axis(z, eta: float):
     return np.exp(-0.5j * (1.0 - eta) * z) * _sinc(z / 2.0) / _sinc(z * eta / 2.0)
 
 
-def lap_star(z, L: int, k: int, mu0: float):
-    """Dimensionless Laplacian symbol ``sum_mu sin^2(z_mu eta/2) + mu0/4``."""
-    eta = float(L) ** (-k)
-    z = np.asarray(z, dtype=complex)
-    return np.sum(np.sin(z * eta / 2.0) ** 2, axis=-1) + mu0 / 4.0
-
-
 def bracket(z, L: int, k: int, mu0: float):
     """The shift sum ``<<u, u_Delta>>(z) = sum_l u(z+2pi l) ubar(z+2pi l) / Delta(z+2pi l)``.
 
     Real and nonnegative at real momenta; periodic with period ``2 pi`` in
-    every component.  At each point the symbols are per-axis tables over the
-    shifts of one axis; ``Delta`` and ``u ubar`` are their outer sum and
-    product over the axes.
+    every component.  The symbols are ``AxisSymbols.build``'s per-axis
+    tables at the points' components: ``Delta`` is the outer sum of ``lap``
+    and ``u ubar`` the outer product of ``c0_factors`` over the axes, point
+    by point.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    eta = float(L) ** (-k)
-    Z = shifted_momenta(z[..., None], shift_vectors(1, L, k))[..., 0]     # (..., d, L**k)
-    sin2, uu = np.sin(Z * eta / 2.0) ** 2, u_axis(Z, eta) * u_axis(-Z, eta)
-    star, terms = sin2[..., 0, :], uu[..., 0, :]
+    sym = AxisSymbols.build(list(z.reshape(-1, z.shape[-1]).T), L, k, MultiscaleParams(mu0=mu0))
+    uu = [f[..., 0] for f in sym.c0_factors()]
+    Delta, terms = sym.lap[0], uu[0]
     for a in range(1, z.shape[-1]):
-        axis = (..., a) + (None,) * a + (slice(None),)
-        star, terms = star[..., None] + sin2[axis], terms[..., None] * uu[axis]
-    star = star + mu0 / 4.0
-    if np.any(np.abs(star) < POLE_GUARD):
+        axis = (slice(None),) + (None,) * a + (slice(None),)
+        Delta, terms = Delta[..., None] + sym.lap[a][axis], terms[..., None] * uu[a][axis]
+    if np.any(np.abs(Delta) * float(L) ** (-2 * k) / 4.0 < POLE_GUARD):
         raise PoleProximityError("bracket evaluated at a pole of 1/Delta")
-    terms = terms / ((4.0 / eta**2) * star)
-    return np.sum(terms.reshape(z.shape[:-1] + (-1,)), axis=-1)
+    return np.sum((terms / Delta).reshape(z.shape[:-1] + (-1,)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -261,11 +252,10 @@ class AxisSymbols:
     def build(cls, axis_nodes, L: int, k: int, params: MultiscaleParams) -> "AxisSymbols":
         """The symbols at the complex per-axis momenta ``axis_nodes``; the one
         builder of the shift systems' symbols."""
-        eta = float(L) ** (-k)
-        Z = [shifted_momenta(nodes[:, None], shift_vectors(1, L, k))[..., 0]
-             for nodes in axis_nodes]
+        eta, shifts = float(L) ** (-k), shift_vectors(1, L, k)
+        Z = [shifted_momenta(nodes[:, None], shifts)[..., 0] for nodes in axis_nodes]
         real = not any(np.any(nodes.imag) for nodes in axis_nodes)
-        lap = [lap_star(z[..., None], L, k, 0.0) for z in Z]
+        lap = [np.sin(z * eta / 2.0) ** 2 for z in Z]
         lap = [(4.0 / eta**2) * (s.real if real else s) for s in lap]
         lap[0] = lap[0] + params.mu_bar(L, k)
         u = [u_axis(z, eta) for z in Z]
@@ -283,7 +273,7 @@ class AxisSymbols:
         ``columns`` columns, within ``operators.BLOCK_BYTES``, and at least one."""
         d, Lk = len(self.lap), self.lap[0].shape[1]
         row_bytes = 16 * math.prod(len(t) for t in self.lap[1:]) * Lk ** (d - 1) * max(Lk, columns)
-        return ops._batches(len(self.lap[0]), row_bytes, ops.BLOCK_BYTES)
+        return ops._batches(len(self.lap[0]), row_bytes)
 
     def rows(self, first) -> "AxisSymbols":
         """The symbols at the first-axis nodes ``first`` (a slice)."""
@@ -545,7 +535,7 @@ class KernelPlan:
         phase_y = _class_phases(-self.Ry, axes, grid.eta)
         out = np.empty(t.shape[:2])
         shape, nodes = tuple(map(len, axes)), tuple(range(2, 2 + d))
-        for block in ops._batches(len(self.Rx), 16 * phase_y.size, ops.BLOCK_BYTES):
+        for block in ops._batches(len(self.Rx), 16 * phase_y.size):
             A = self.node_array(legs, block) * phase_x[block, None] * phase_y
             A = A.reshape(A.shape[:2] + shape)
             K = np.fft.irfftn(A, s=(M0,) * d, axes=nodes)

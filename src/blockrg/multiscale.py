@@ -33,8 +33,11 @@ scaling relations of ``G_j`` and ``C_j`` take their residuals from the
 rows' factors, in a small orthogonal frame a class row (``_identity_sq``),
 and form no block; the covariance identity forms its ``L**d x L**d`` blocks
 and subtracts them.
-Every residual runs in batches of rows within ``PROBE_BLOCK_BYTES``, cut by
-``operators._batches``, the one byte-budget slicer of the package.
+The step, covariance, telescope and ``G_j``/``C_j`` scaling residuals and
+the secular roots run in batches within ``operators.BLOCK_BYTES``, cut by
+``operators._batches``, the one byte-budget slicer of the package.  The
+other three scaling residuals (``_rel``) form whole arrays of the level, up
+to ``(rows, S)``.
 """
 
 from __future__ import annotations
@@ -181,7 +184,7 @@ def secular_min_roots(diag, u, at: float) -> np.ndarray:
     ``d_1 >= 0`` (``y`` bounds the resolution of ``x = d_1 + y``).  On the
     positivity families of the benchmark configs, up to n = 4,782,969, every
     row stops within 5 sweeps, where bisection took 50 to 51.  Rows go in
-    batches of ``_batches`` within ``PROBE_BLOCK_BYTES``, counted at five
+    batches of ``_batches`` within ``operators.BLOCK_BYTES``, counted at five
     ``(rows, members)`` float arrays and twenty ``(rows,)`` ones a batch:
     ``_secular_rows`` holds ``D``, ``w``, ``R`` and ``t``, at a compaction
     the kept half of ``D`` and ``w`` beside them, and its row values, masks
@@ -191,7 +194,7 @@ def secular_min_roots(diag, u, at: float) -> np.ndarray:
         raise ValueError("secular_min_roots: NaN on the diagonal")
     rows, members = diag.shape
     out = np.empty(rows)
-    for rb in _batches(rows, 8 * (5 * members + 20), PROBE_BLOCK_BYTES):
+    for rb in _batches(rows, 8 * (5 * members + 20)):
         out[rb] = _secular_rows(diag[rb], u[rb], at)
     return out
 
@@ -249,7 +252,7 @@ def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
     ``diag(lam + mu_bar) + at sum_c u_c u_c^T``: one diagonal-plus-rank-one
     block per row, solved by ``secular_min_roots`` (Newton's method on its
     pole-free form, within 5 sweeps at the benchmark configs, in row batches
-    within ``PROBE_BLOCK_BYTES``), and a plain eigenvalue for every member
+    within ``operators.BLOCK_BYTES``), and a plain eigenvalue for every member
     with ``u = 0``.  No dense matrix is formed; ``ops.min_eigenvalue`` stays
     the dense oracle.
     """
@@ -257,13 +260,6 @@ def defining_min_eigenvalue(geom, params: MultiscaleParams, j: int) -> float:
     diag = np.add(lam, params.mu_bar(geom.L, geom.k), out=lam)
     roots = secular_min_roots(diag, u, params.a_tilde(geom, j, j))
     return float(min(roots.min(), diag[u == 0.0].min(initial=np.inf)))
-
-
-# nbytes of one batch of a residual check: the working set of the factored
-# residuals (_identity_row_bytes), a (rows, S) member array of the
-# covariance identity, or the telescope's (n, columns) probe columns; and
-# of one batch of secular_min_roots' rows
-PROBE_BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +331,7 @@ class RankOneRows:
         B = np.einsum("rs,rsc->rc", self.wU, v3)[:, None]
         beta, x0 = self._zero_column(np.s_[:, None, None], v3[:, z:z + 1], B)
         x, a_beta = self.w[..., None] * v3, self.a * beta
-        for rb in _batches(len(x), x[0].nbytes, ops.BLOCK_BYTES):
+        for rb in _batches(len(x), x[0].nbytes):
             x[rb] -= self.wU[rb, :, None] * a_beta[rb]
         x[:, z:z + 1] = x0
         return x.reshape(v.shape)
@@ -539,7 +535,7 @@ def _scaled_pair(X: RankOneRows, Y: RankOneRows, scale: float) -> float:
     one layout: ``_identity_sq`` with one slot a row."""
     rows, S = X.w.shape
     return _rel_from_sq(_identity_sq(_rows(X, rb), scale, _rows(Y, rb))
-                        for rb in _batches(rows, _identity_row_bytes(S, 1), PROBE_BLOCK_BYTES))
+                        for rb in _batches(rows, _identity_row_bytes(S, 1)))
 
 
 def _check_step(lo: TowerLevel, hi: TowerLevel, name: str):
@@ -566,7 +562,7 @@ def rg_step_residual(lo: TowerLevel, hi: TowerLevel) -> float:
     (rows, S), Ls = hi.u.shape, lo.u1.shape[1]
     return _rel_from_sq(_identity_sq(_rows(lo.G, np.s_[rb.start * Ls:rb.stop * Ls]), 1.0,
                                      _rows(hi.G, rb), lo.at**2 * lo.C.inverse(rb))
-                        for rb in _batches(rows, _identity_row_bytes(S, Ls), PROBE_BLOCK_BYTES))
+                        for rb in _batches(rows, _identity_row_bytes(S, Ls)))
 
 
 def _u_g_u(lo: TowerLevel, hi: TowerLevel, rb) -> np.ndarray:
@@ -593,11 +589,13 @@ def _u_g_u(lo: TowerLevel, hi: TowerLevel, rb) -> np.ndarray:
 def _c_identity_sq(lo: TowerLevel, hi: TowerLevel, rb):
     """``(|X - C_j|_F**2, |C_j|_F**2)`` of the covariance identity in
     ``C_j``'s rows ``rb``, ``X = A + at**2 A U^T G_{j+1} U A``.  Both sides'
-    ``L**d x L**d`` blocks are formed and subtracted."""
+    ``L**d x L**d`` blocks are formed and subtracted, at most three at once."""
     at, u1, X = lo.at, lo.u1[rb], _u_g_u(lo, hi, rb)
     Ld, c = u1.shape[1], 1.0 / (at + lo.C.a) - 1.0 / at
     A = np.eye(Ld) / at + (c * u1)[:, :, None] * u1[:, None, :]
-    X = at**2 * (A @ X @ A)
+    X = A @ X
+    X = X @ A
+    X *= at**2
     X += A
     Y = lo.C.inverse(rb)
     X -= Y
@@ -615,12 +613,12 @@ def c_identity_residual(lo: TowerLevel, hi: TowerLevel) -> float:
     rows, compared one ``L**d x L**d`` block per row: ``P_1 = u_1 u_1^T`` and
     ``Q_j G_{j+1} Q_j* = U^T G_{j+1} U``, where ``U`` holds each level-``j``
     row's ``u`` in its own slot of the level-``(j+1)`` row (``_u_g_u``).  A
-    batch of rows holds ``L**d S`` floats a row in each of its arrays.
+    batch holds at most three blocks and three ``(L**d,)`` arrays a row.
     """
     _check_step(lo, hi, "c_identity_residual")
-    rows, S = hi.u.shape
+    Ld = lo.u1.shape[1]
     return _rel_from_sq(_c_identity_sq(lo, hi, rb)
-                        for rb in _batches(rows, 8 * S, PROBE_BLOCK_BYTES))
+                        for rb in _batches(len(hi.u), 8 * Ld * (3 * Ld + 3)))
 
 
 def rg_telescope_residual(levels) -> float:
@@ -638,7 +636,10 @@ def rg_telescope_residual(levels) -> float:
     consecutive runs of ``S`` coefficients in the nested frequency order:
     both sides are applied to two probes, ``1`` and ``(-1)**i (1 + i) / S``
     on member ``i`` of each row, and the residual is the largest
-    ``|lhs_r - rhs_r| / |lhs_r|`` over rows ``r`` and probes.
+    ``|lhs_r - rhs_r| / |lhs_r|`` over rows ``r`` and probes.  The probes go
+    in batches of columns, counted at seven n-vectors a column (5.6 measured
+    at d = 2, 6.7 at d = 1): ``lhs``, ``rhs``, two temporaries of a term or
+    a norm, the solve's rank-one term and the coarse rows' arrays.
     """
     if not levels:     # the levels 1 .. k of a cube with k = 0
         raise GeometryError("rg_telescope_residual: no levels; a cube with k = 0 carries none")
@@ -652,7 +653,7 @@ def rg_telescope_residual(levels) -> float:
     i = np.arange(S)
     probes = np.tile(np.column_stack((np.ones(S), (-1.0) ** i * (1 + i) / S)), (rows, 1))
     L, worst = float(geom.L), 0.0
-    for cb in _batches(probes.shape[1], 8 * geom.site_count, PROBE_BLOCK_BYTES):
+    for cb in _batches(probes.shape[1], 7 * 8 * geom.site_count):
         V = probes[:, cb]
         lhs = top.green(V)
         rhs = L ** (2 - 2 * k) * levels[0].green(V)

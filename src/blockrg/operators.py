@@ -34,17 +34,18 @@ from .lattice import (GeometryError, LatticeGeometry, _axis_outer, coarse_geomet
 DENSE_BYTE_CAP = 4 * 2**30   # invert's four n x n float64 arrays: n <= 11,585 sites
 SELF_ADJOINT_TOL = 1e-10
 CONDITION_LIMIT = 1e13
-# nbytes of one block of a batched kernel: a torus node block's complex
-# (nodes, S) array (fourier), a chunk of probe draws (Probes) and a slice of
-# ct-report's box pairs (decay)
+# nbytes of one batch, the package's one budget (_batches): torus node
+# blocks and class slices (fourier), chunks of probe draws (Probes), slices
+# of ct-report's box pairs (decay), and the tower's rank-one solves, step,
+# covariance, scaling and telescope residuals and secular roots (multiscale)
 BLOCK_BYTES = 2**20
 
 
-def _batches(n: int, item_bytes: int, budget: int):
+def _batches(n: int, item_bytes: int):
     """Slices of ``range(n)``, each of as many items of ``item_bytes`` as keep
-    a batch within ``budget`` bytes, at least one (all ``n`` at zero bytes):
+    a batch within ``BLOCK_BYTES``, at least one (all ``n`` at zero bytes):
     the package's one byte-budget slicer."""
-    step = max(1, budget // item_bytes if item_bytes else n)
+    step = max(1, BLOCK_BYTES // item_bytes if item_bytes else n)
     return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
@@ -139,7 +140,7 @@ class Probes:
         pairs, odd = divmod(rest.size, 2)
         # 48 bytes a pair: its bits (2 x 24), then in their place its radius
         # and angle and their temporaries
-        for c in _batches(pairs, 48, BLOCK_BYTES):
+        for c in _batches(pairs, 48):
             self._normals(rest[2 * c.start:2 * c.stop])
         if odd:     # the last pair's second normal is kept for the next draw
             z = np.empty(2)
@@ -150,7 +151,7 @@ class Probes:
     def uniform(self, low, high, size) -> np.ndarray:
         out = np.empty(size)
         flat = out.reshape(-1)
-        for c in _batches(flat.size, 24, BLOCK_BYTES):
+        for c in _batches(flat.size, 24):
             self._uniforms(flat[c])
         return low + (high - low) * out
 

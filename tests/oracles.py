@@ -7,8 +7,7 @@ pairings, relative Frobenius distances, the closed form of ``A_j``, the
 conjugated propagator, reflections and block labels site by site, the
 Chebyshev recurrence, and the grid sweeps of the scalar strip inequalities.
 Each is built from the library's own primitives where it has one (``u_axis``,
-``lap_star``, ``coarse_geometry``), and is checked against the route the
-suites take.
+``coarse_geometry``), and is checked against the route the suites take.
 """
 
 from dataclasses import dataclass
@@ -208,7 +207,8 @@ def u_bar_kernel(z, L: int, k: int):
 def laplacian_symbol(z, L: int, k: int, mu0: float):
     """Symbol of ``-Lap + mu_bar_k``: ``(4/eta^2)(sum sin^2(z eta/2) + mu0/4)``."""
     eta = float(L) ** (-k)
-    return (4.0 / eta**2) * fr.lap_star(z, L, k, mu0)
+    z = np.asarray(z, dtype=complex)
+    return (4.0 / eta**2) * (np.sum(np.sin(z * eta / 2.0) ** 2, axis=-1) + mu0 / 4.0)
 
 
 @dataclass(frozen=True)

@@ -104,10 +104,12 @@ def test_box_pair_slices_change_no_bit(d, L, k, m, budget, monkeypatch):
     nb = lat.block_table(g, g.k).shape[0]
     slices, batches, default = [], ops._batches, ops.BLOCK_BYTES
 
-    def recorded(n, item_bytes, budget):
+    def recorded(n, item_bytes):
         if n != nb * (nb + 1) // 2:     # a probe chunk, not the box pairs
-            return batches(n, item_bytes, default)
-        slices.append(list(batches(n, item_bytes, budget)))
+            with monkeypatch.context() as m:
+                m.setattr(ops, "BLOCK_BYTES", default)
+                return iter(list(batches(n, item_bytes)))
+        slices.append(list(batches(n, item_bytes)))
         return iter(slices[-1])
 
     monkeypatch.setattr(ops, "BLOCK_BYTES", budget)

@@ -112,6 +112,16 @@ def test_bracket_k0_single_term():
     assert lhs == pytest.approx(rhs)
 
 
+def test_bracket_refuses_the_massless_pole():
+    # Delta vanishes at z = 0, shift 0, only without a mass; the guard
+    # raises before any division
+    z = np.zeros((2, 2))
+    with pytest.raises(fr.PoleProximityError):
+        fr.bracket(z, 3, 1, 0.0)
+    assert np.all(fr.bracket(z, 3, 1, 1e-3) > 0)
+    assert np.all(fr.bracket(z + 0.5, 3, 1, 0.0) > 0)
+
+
 @pytest.mark.parametrize("d,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_bracket_nonnegative_and_periodic(d, k):
     rng = np.random.default_rng(5)

@@ -216,6 +216,25 @@ def test_rg_telescope_peak_allocation(geom_args):
     assert peak <= 24 * 8 * g.site_count, peak / (8 * g.site_count)
 
 
+def test_rg_telescope_batches_within_budget(monkeypatch):
+    # a budget between one column's 5.6 n-vectors and two columns' 11.1 puts
+    # one probe column in a batch, which then fits it; the probes themselves
+    # (two n-vectors) lie outside the batches.  Counted at one n-vector a
+    # column, the two columns went in one batch and peaked at 13.2
+    import tracemalloc
+
+    g = lat.make_geometry(2, 3, 2, 5)
+    levels, n8 = _telescope_levels(g, P0), 8 * g.site_count
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 8 * n8)
+    tracemalloc.start()
+    try:
+        assert ms.rg_telescope_residual(levels) < 1e-9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n8 + ops.BLOCK_BYTES, peak / n8
+
+
 def test_c_identity():
     # every j <= k below m, so j = k too, which rg-verify does not emit
     for geom_args in ORACLE_GRID:
@@ -359,19 +378,22 @@ def test_secular_min_root_next_to_the_pole(rel, at):
 
 
 @pytest.mark.parametrize("geom_args,budget", [((2, 3, 1, 5), None), ((2, 3, 2, 6), None),
-                                              ((2, 3, 1, 5), 2**20)],
-                         ids=["geom_args0", "geom_args1", "geom_args0-1MiB"])
+                                              ((2, 3, 1, 5), 2**16)],
+                         ids=["geom_args0", "geom_args1", "geom_args0-64KiB"])
 def test_defining_min_eigenvalue_peak_allocation(geom_args, budget, monkeypatch):
     # one budget at n = 59,049 and 531,441: three n-arrays (the frequency
-    # classes' own peak) and one batch of rows within PROBE_BLOCK_BYTES.
+    # classes' own peak) and one batch of rows within operators.BLOCK_BYTES.
     # Bisection over all rows at once peaked at 9.7 and 9.1 times 8 n.  At
-    # 1 MiB a batch, not the classes, sets the peak: counted at four member
-    # arrays a row, it also held the masks, the row values and the kept
-    # copies, and peaked at 2.53 MiB against the bound's 2.35
+    # the default 1 MiB the 6,561 rows of 9 members go 2,016 a batch, and a
+    # batch, not the classes, sets the peak at (2,3,1,5): 4.1 times 8 n
+    # against the bound's 5.2 (counted at four member arrays a row, it also
+    # held the masks, the row values and the kept copies, and broke the
+    # bound).  The 6,561 rows of 81 members go 308 a batch, and at 64 KiB
+    # 126 rows of 9 members do; the classes then set the peak
     import tracemalloc
 
     if budget is not None:
-        monkeypatch.setattr(ms, "PROBE_BLOCK_BYTES", budget)
+        monkeypatch.setattr(ops, "BLOCK_BYTES", budget)
     g = lat.make_geometry(*geom_args)
     tracemalloc.start()
     try:
@@ -379,7 +401,7 @@ def test_defining_min_eigenvalue_peak_allocation(geom_args, budget, monkeypatch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * g.site_count + ms.PROBE_BLOCK_BYTES, peak / (8 * g.site_count)
+    assert peak <= 3 * 8 * g.site_count + ops.BLOCK_BYTES, peak / (8 * g.site_count)
 
 
 def test_secular_min_roots_reject_nan_diagonal():
@@ -710,18 +732,19 @@ def _rg_verify_values(geom_args):
 
 
 @pytest.mark.parametrize("geom_args,budget", [
-    ((2, 3, 2, 3), 8 * 9 * 9 * 5),      # covariance rows 5 a batch, step rows 1, scaling rows 4
-    ((2, 3, 2, 4), 2 * 8 * 81 * 81),    # the 81 step rows (19 x 19 coefficients) 7 a batch
-    ((2, 3, 2, 3), 8 * 81 * 7),         # covariance rows 7 a batch, step rows 1, scaling rows 5
-    ((2, 3, 3, 4), 8 * 81 * 10),        # both steps' rows 1 a batch, the j = 1 covariance rows 10
+    ((2, 3, 2, 3), 8 * 9 * 9 * 5),      # covariance and step rows 1 a batch, scaling rows 4
+    ((2, 3, 2, 4), 2 * 8 * 81 * 81),    # the 81 step rows (19 x 19 coefficients) 7 a batch,
+                                        # covariance rows 48, scaling rows 145
+    ((2, 3, 2, 3), 8 * 81 * 7),         # covariance rows 2 a batch, step rows 1, scaling rows 6
+    ((2, 3, 3, 4), 8 * 81 * 10),        # both steps' rows 1 a batch, both covariances' rows 3
 ])
 def test_block_batches_agree_with_default_budget(geom_args, budget, monkeypatch):
     default = _rg_verify_values(geom_args)
-    monkeypatch.setattr(ms, "PROBE_BLOCK_BYTES", budget)
+    monkeypatch.setattr(ops, "BLOCK_BYTES", budget)
     calls, batches = [], ms._batches
 
-    def recorded(rows, row_bytes, budget):
-        calls.append((rows, list(batches(rows, row_bytes, budget))))
+    def recorded(rows, row_bytes):
+        calls.append((rows, list(batches(rows, row_bytes))))
         return iter(calls[-1][1])
     monkeypatch.setattr(ms, "_batches", recorded)
     small = _rg_verify_values(geom_args)
@@ -734,16 +757,17 @@ def test_block_batches_agree_with_default_budget(geom_args, budget, monkeypatch)
         assert abs(val - default[name]) <= 1e-15, (name, val, default[name])
 
 
-def test_batches_split_rows_within_budget():
+def test_batches_split_rows_within_budget(monkeypatch):
     budget = 2 * 8 * 81 * 81
-    assert [(rb.start, rb.stop) for rb in ops._batches(5, 8 * 81 * 81, budget)] == [
+    monkeypatch.setattr(ops, "BLOCK_BYTES", budget)
+    assert [(rb.start, rb.stop) for rb in ops._batches(5, 8 * 81 * 81)] == [
         (0, 2), (2, 4), (4, 5)]
     # an item over the budget goes alone
-    assert [(rb.start, rb.stop) for rb in ops._batches(3, 8 * 729 * 729, budget)] == [
+    assert [(rb.start, rb.stop) for rb in ops._batches(3, 8 * 729 * 729)] == [
         (0, 1), (1, 2), (2, 3)]
-    assert list(ops._batches(0, 16, budget)) == []
+    assert list(ops._batches(0, 16)) == []
     # items of no bytes all fit in one slice, however many
-    assert [(rb.start, rb.stop) for rb in ops._batches(budget + 5, 0, budget)] == [
+    assert [(rb.start, rb.stop) for rb in ops._batches(budget + 5, 0)] == [
         (0, budget + 5)]
     assert ms._identity_row_bytes(729, 9) == 8 * (3 * 19**2 + 7 * 729)
 
@@ -791,6 +815,24 @@ def test_c_identity_residual_peak_allocation():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2**20, peak / 2**20
+
+
+def test_c_identity_batches_within_budget(monkeypatch):
+    # levels built before; a batch holds three L**d x L**d blocks and three
+    # (L**d,) arrays a row, and numpy's iteration buffers add up to about
+    # 128 KiB.  Counted at 8 S bytes a row, all 729 rows went in one batch
+    # and peaked at 1.8 MiB
+    import tracemalloc
+
+    lo, hi = _step(lat.make_geometry(2, 3, 2, 5), P0, 1)
+    monkeypatch.setattr(ops, "BLOCK_BYTES", 2**19)
+    tracemalloc.start()
+    try:
+        assert ms.c_identity_residual(lo, hi) < 1e-9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ops.BLOCK_BYTES + 2**18, peak / 2**20
 
 
 @pytest.mark.parametrize("geom_args,builds", [((2, 3, 2, 3), 3), ((2, 3, 3, 5), 5)])

@@ -251,7 +251,7 @@ class AxisSymbols:
     @classmethod
     def build(cls, axis_nodes, L: int, k: int, params: MultiscaleParams) -> "AxisSymbols":
         """The symbols at the complex per-axis momenta ``axis_nodes``; the one
-        builder of the shift systems' symbols."""
+        builder of the shift systems' and ``bracket``'s symbols."""
         eta, shifts = float(L) ** (-k), shift_vectors(1, L, k)
         Z = [shifted_momenta(nodes[:, None], shifts)[..., 0] for nodes in axis_nodes]
         real = not any(np.any(nodes.imag) for nodes in axis_nodes)
